@@ -19,6 +19,12 @@
 #                    both backends via the CLI (DESIGN.md §16)
 #   make bench-json  kernel + prover benchmark snapshot (with fitted
 #                    cost-model relative error) -> BENCH_9.json
+#   make benchmark   the repository's one benchmark (BENCHMARK.json,
+#                    benchmark/README.md): every workload end to end, every
+#                    output checked -> $(BENCHMARK_OUT)
+#   make benchmark-compare OLD=a.json NEW=b.json
+#                    is NEW worse than OLD on any workload x metric, by the
+#                    bounds the benchmark fixes (exit 1 if so)
 #   make lint        zkml-lint over the whole module (fsio-atomic,
 #                    determinism, panic-decode; see DESIGN.md §15)
 #   make audit-smoke static circuit audit (`zkml audit`) of every bundled
@@ -41,7 +47,7 @@ FUZZ_TARGETS = \
 	./internal/curve/:FuzzGLVDecompose
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke bench-json lint audit-smoke
+.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke bench-json benchmark benchmark-compare lint audit-smoke
 
 ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke
 
@@ -120,3 +126,15 @@ shard-smoke:
 # Committed perf-trajectory snapshot (see EXPERIMENTS.md and cmd/bench-snapshot).
 bench-json:
 	$(GO) run ./cmd/bench-snapshot -out BENCH_9.json
+
+# The repository's benchmark (benchmark/README.md): all four workloads of
+# BENCHMARK.json, fresh processes, every proof checked. Evidence for a
+# performance claim is a pair of these files, or better the paired protocol
+# the README describes; `make benchmark-compare` judges one pair.
+BENCHMARK_OUT ?= benchmark-result.json
+benchmark:
+	$(GO) run ./benchmark run -seed 1 -out $(BENCHMARK_OUT)
+
+benchmark-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./benchmark compare $(OLD) $(NEW)

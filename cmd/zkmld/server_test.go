@@ -213,13 +213,26 @@ func TestDaemonSmoke(t *testing.T) {
 	if unmarshalField[string](t, body, "source") != "store" {
 		t.Fatalf("restart prove source %s, want store", body["source"])
 	}
+	// The store holds keys and SRS powers, not commit tables or the Lagrange
+	// SRS: a fresh process builds one table per basis (coefficient and
+	// Lagrange) and derives the Lagrange points in its first prove. (This
+	// process already has them cached, so here they are usually zero.)
 	restartWork := unmarshalField[map[string]int64](t, body, "setup_work")
-	if b := restartWork["commit_table_builds"]; b > 1 {
-		t.Fatalf("restart prove rebuilt commitment tables %d times, want at most one per model load", b)
+	if b := restartWork["commit_table_builds"]; b > 2 {
+		t.Fatalf("restart prove built commitment tables %d times, want at most one per basis", b)
 	}
 	restartWork["commit_table_builds"] = 0
+	restartWork["kzg_lagrange_derived"] = 0
 	if !setupIsZero(restartWork) {
 		t.Fatalf("cold start from populated store did setup work: %s", body["setup_work"])
+	}
+	// ... then zero: the second prove after the restart does no set-up work.
+	resp, body = postJSON(t, ts2, "/prove", proveRequest{Model: "dlrm-micro", Seed: 8})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second restart prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	if !setupIsZero(unmarshalField[map[string]int64](t, body, "setup_work")) {
+		t.Fatalf("second prove after restart did setup work: %s", body["setup_work"])
 	}
 }
 

@@ -1,13 +1,17 @@
 package audit_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/curve"
+	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/model"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 )
 
 // Integration suite: the auditor must pass every optimizer-chosen layout for
@@ -88,6 +92,7 @@ func TestAuditDegreeMatchesProver(t *testing.T) {
 				t.Fatalf("max constraint degree %d exceeds d_max %d yet keygen accepted it",
 					derived.MaxConstraintDegree, derived.DMax)
 			}
+			checkDigestFromCoefficients(t, keys.PK)
 			// Pinned audit (bounds taken from the key) must stay clean.
 			pinned, err := plan.Audit(keys, nil)
 			if err != nil {
@@ -98,5 +103,27 @@ func TestAuditDegreeMatchesProver(t *testing.T) {
 				t.Fatalf("audit errors against the real proving key:\n%s", data)
 			}
 		})
+	}
+}
+
+// checkDigestFromCoefficients recomputes every verifying-key commitment as
+// Commit(IFFT(column values)) and requires the digest over those to equal
+// the key's own: keygen commits columns from their evaluations where the
+// scheme allows (DESIGN.md §14), and that must not show in the key.
+func checkDigestFromCoefficients(t *testing.T, pk *plonkish.ProvingKey) {
+	t.Helper()
+	recommit := func(cols [][]ff.Element) []curve.Affine {
+		out := make([]curve.Affine, len(cols))
+		for i, vals := range cols {
+			p := append([]ff.Element(nil), vals...)
+			pk.Domain.IFFT(p)
+			out[i] = pk.Scheme.Commit(p)
+		}
+		return out
+	}
+	vk := *pk.VK
+	vk.FixedCommits, vk.SigmaCommits = recommit(pk.FixedVals), recommit(pk.SigmaVals)
+	if !bytes.Equal(vk.Digest(), pk.VK.Digest()) {
+		t.Fatal("VK digest differs from the digest over coefficient-basis commitments")
 	}
 }

@@ -190,6 +190,9 @@ func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
 			if h == 1 {
 				limbs, neg = &splits[i].k2, splits[i].neg2
 			}
+			if *limbs == ([4]uint64{}) {
+				continue // zero scalars and the empty half of short ones
+			}
 			recodeRow(limbs, row, t.c)
 			base := (i*t.nw)*2 + h
 			for w := 0; w < t.nw; w++ {

@@ -15,11 +15,14 @@ import (
 // injective: flag bits are canonical, infinity is exactly 0x40 || 0^31, and
 // x coordinates are reduced).
 // FuzzGLVDecompose feeds arbitrary 32-byte scalars through the GLV
-// decomposition and checks the two invariants the MSM kernels rely on:
-// k1 + λ·k2 ≡ k (mod r) exactly, and both halves fit the glvHalfBits size
-// bound the window schedules are sized for. The scalar also drives a small
-// MSM with duplicated points through the GLV kernel and the plain kernel;
-// the group elements must match.
+// decomposition and checks the invariants the MSM kernels rely on
+// (checkDecompose): k1 + λ·k2 ≡ k (mod r) exactly, both halves fit the
+// glvHalfBits size bound the window schedules are sized for, and the
+// short-scalar path agrees with the lattice reduction. Random bytes are
+// almost never short, so the input is also checked truncated to
+// glvShortBits bits and as that value's negation. The scalars then drive a
+// small MSM with duplicated points through the GLV kernel and the plain
+// kernel; the group elements must match.
 func FuzzGLVDecompose(f *testing.F) {
 	r := ff.Modulus()
 	seed := func(v *big.Int) {
@@ -32,6 +35,8 @@ func FuzzGLVDecompose(f *testing.F) {
 	seed(new(big.Int).Sub(r, big.NewInt(1)))
 	seed(GLVLambda())
 	seed(new(big.Int).Sub(r, GLVLambda()))
+	seed(new(big.Int).Lsh(big.NewInt(1), glvShortBits))
+	seed(new(big.Int).Sub(r, new(big.Int).Lsh(big.NewInt(1), glvShortBits)))
 	var all [32]byte
 	for i := range all {
 		all[i] = 0xff
@@ -42,7 +47,6 @@ func FuzzGLVDecompose(f *testing.F) {
 	two := ff.NewElement(2)
 	h := ScalarMul(&g, &two).ToAffine()
 	pts := []Affine{g, h, g, h, g, g, h, g} // duplicates on purpose
-	lambda := GLVLambda()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) != 32 {
@@ -50,23 +54,18 @@ func FuzzGLVDecompose(f *testing.F) {
 		}
 		var k ff.Element
 		k.SetBigInt(new(big.Int).Mod(new(big.Int).SetBytes(data), r))
-		k1, k2 := GLVDecompose(&k)
-		got := new(big.Int).Mul(lambda, k2)
-		got.Add(got, k1)
-		got.Mod(got, r)
-		if got.Cmp(k.BigInt()) != 0 {
-			t.Fatalf("k1 + λ·k2 = %v mod r, want %v", got, k.BigInt())
-		}
-		if k1.BitLen() > glvHalfBits || k2.BitLen() > glvHalfBits {
-			t.Fatalf("half sizes %d/%d exceed %d bits for k=%v",
-				k1.BitLen(), k2.BitLen(), glvHalfBits, k.BigInt())
+		var short, negShort ff.Element
+		short.SetBigInt(new(big.Int).Rsh(new(big.Int).SetBytes(data), 256-glvShortBits))
+		negShort.Neg(&short)
+		for _, s := range []*ff.Element{&k, &short, &negShort} {
+			checkDecompose(t, s)
 		}
 
 		// Derive the remaining scalars from the fuzz input so the MSM check
-		// sees varied neighbors around the interesting scalar.
+		// sees varied neighbors around the interesting scalars.
 		scs := make([]ff.Element, len(pts))
-		scs[0] = k
-		for i := 1; i < len(scs); i++ {
+		scs[0], scs[1], scs[2] = k, short, negShort
+		for i := 3; i < len(scs); i++ {
 			v := binary.BigEndian.Uint64(data[(i*4)%24:]) + uint64(i)
 			scs[i] = ff.NewElement(v)
 			scs[i].Mul(&scs[i], &k)

@@ -3,9 +3,11 @@ package curve
 import (
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/ff"
+	"repro/internal/limbs"
 	"repro/internal/parallel"
 )
 
@@ -30,6 +32,12 @@ import (
 // are wrong, which init rules out).
 const glvHalfBits = 129
 
+// glvShortBits is the fast-path threshold: a scalar k with k or r-k below
+// 2^glvShortBits is its own decomposition, (±k, 0) — within the half-scalar
+// bound by construction, and with its small digits intact where the lattice
+// rounding would spread a negative small value over two ~127-bit halves.
+const glvShortBits = 127
+
 // glvRoundShift is the fixed-point precision of the precomputed rounding
 // constants: 384 = 256 + 128 bits keeps the truncation error of
 // round(k·bᵢ/det) below one for any 254-bit k.
@@ -48,6 +56,8 @@ var (
 	// g2 = round(-b1·2^shift / det), det = a1·b2 - a2·b1 = ±r.
 	glvG1, glvG2 *big.Int
 	glvRoundHalf *big.Int // 2^(shift-1)
+
+	glvR [4]uint64 // r as little-endian limbs, for the short-scalar path
 
 	glvOn atomic.Bool
 )
@@ -200,6 +210,7 @@ func glvDeriveConstants() {
 	glvG1 = roundDiv(glvB2)
 	glvG2 = roundDiv(new(big.Int).Neg(glvB1))
 	glvRoundHalf = new(big.Int).Lsh(big.NewInt(1), glvRoundShift-1)
+	glvR = absLimbs(r)
 }
 
 // glvSelfCheck validates the derived constants on adversarial scalars: the
@@ -240,6 +251,7 @@ func glvSelfCheck() {
 // bulk decomposition allocates per chunk instead of per scalar.
 type glvScratch struct {
 	c1, c2, t big.Int
+	k, k1, k2 big.Int
 }
 
 // decompose writes the lattice reduction of k into k1, k2: k₁ + λ·k₂ ≡ k
@@ -267,21 +279,79 @@ func (sc *glvScratch) decompose(k, k1, k2 *big.Int) {
 	k2.Neg(k2)
 }
 
-// GLVDecompose splits a scalar into (k₁, k₂) with k₁ + λ·k₂ ≡ k (mod r) and
-// |k₁|, |k₂| < 2^129. Exported for tests and the fuzz target; the kernels
-// use the bulk path below.
-func GLVDecompose(s *ff.Element) (k1, k2 *big.Int) {
-	var sc glvScratch
-	k1, k2 = new(big.Int), new(big.Int)
-	sc.decompose(s.BigInt(), k1, k2)
-	return k1, k2
-}
-
 // glvSplit is one decomposed scalar: |k₁|, |k₂| as little-endian limbs plus
 // their signs, ready for signed-digit recoding.
 type glvSplit struct {
 	k1, k2     [4]uint64
 	neg1, neg2 bool
+}
+
+// bits returns the larger half-scalar bit length.
+func (s *glvSplit) bits() int {
+	return max(limbsBitLen(&s.k1), limbsBitLen(&s.k2))
+}
+
+// limbsBitLen returns the bit length of a little-endian limb vector.
+func limbsBitLen(l *[4]uint64) int {
+	for i := 3; i >= 0; i-- {
+		if l[i] != 0 {
+			return 64*i + bits.Len64(l[i])
+		}
+	}
+	return 0
+}
+
+// isShort reports whether l < 2^glvShortBits.
+func isShort(l *[4]uint64) bool {
+	return l[3] == 0 && l[2] == 0 && l[1]>>(glvShortBits-64) == 0
+}
+
+// split decomposes the canonical scalar l (little-endian limbs, l < r).
+// Short scalars — zero, small positive values, and small negative values
+// stored as r-|v|, which is what circuit columns mostly hold — are emitted
+// as (±l, 0) straight from the limbs; everything else goes through the
+// lattice reduction.
+func (sc *glvScratch) split(l *[4]uint64) glvSplit {
+	if isShort(l) {
+		return glvSplit{k1: *l}
+	}
+	var n [4]uint64
+	var b uint64
+	n[0], b = bits.Sub64(glvR[0], l[0], 0)
+	n[1], b = bits.Sub64(glvR[1], l[1], b)
+	n[2], b = bits.Sub64(glvR[2], l[2], b)
+	n[3], _ = bits.Sub64(glvR[3], l[3], b)
+	if isShort(&n) {
+		return glvSplit{k1: n, neg1: true}
+	}
+	var be [32]byte
+	for i := 0; i < 4; i++ {
+		binary.BigEndian.PutUint64(be[32-8*(i+1):32-8*i], l[i])
+	}
+	sc.decompose(sc.k.SetBytes(be[:]), &sc.k1, &sc.k2)
+	return glvSplit{
+		k1:   absLimbs(&sc.k1),
+		k2:   absLimbs(&sc.k2),
+		neg1: sc.k1.Sign() < 0,
+		neg2: sc.k2.Sign() < 0,
+	}
+}
+
+// GLVDecompose splits a scalar into (k₁, k₂) with k₁ + λ·k₂ ≡ k (mod r) and
+// |k₁|, |k₂| < 2^129, exactly as the kernels do (short-scalar path
+// included). Exported for tests and the fuzz target.
+func GLVDecompose(s *ff.Element) (k1, k2 *big.Int) {
+	var sc glvScratch
+	l := s.Limbs()
+	sp := sc.split(&l)
+	signed := func(l *[4]uint64, neg bool) *big.Int {
+		v := limbs.ToBig(l)
+		if neg {
+			v.Neg(v)
+		}
+		return v
+	}
+	return signed(&sp.k1, sp.neg1), signed(&sp.k2, sp.neg2)
 }
 
 // absLimbs returns |v| as little-endian 64-bit limbs. Word-size-independent
@@ -302,22 +372,11 @@ func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
 	var maxBits atomic.Int32
 	chunk := func(lo, hi int) {
 		var sc glvScratch
-		var k1, k2 big.Int
 		mb := 0
 		for i := lo; i < hi; i++ {
-			sc.decompose(scalars[i].BigInt(), &k1, &k2)
-			if b := k1.BitLen(); b > mb {
-				mb = b
-			}
-			if b := k2.BitLen(); b > mb {
-				mb = b
-			}
-			splits[i] = glvSplit{
-				k1:   absLimbs(&k1),
-				k2:   absLimbs(&k2),
-				neg1: k1.Sign() < 0,
-				neg2: k2.Sign() < 0,
-			}
+			l := scalars[i].Limbs()
+			splits[i] = sc.split(&l)
+			mb = max(mb, splits[i].bits())
 		}
 		for {
 			cur := maxBits.Load()

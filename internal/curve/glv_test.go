@@ -28,25 +28,81 @@ func edgeScalars() []ff.Element {
 	return out
 }
 
-func TestGLVDecomposeIdentity(t *testing.T) {
+// shortEdgeScalars straddle the short-scalar threshold on both signs: ±1,
+// ±(2^20-1) (a fixed-point activation), ±(2^127-1) (the largest short
+// magnitude) and ±2^127 (the smallest that takes the lattice path).
+func shortEdgeScalars() []ff.Element {
+	r := ff.Modulus()
+	var out []ff.Element
+	for _, v := range []*big.Int{
+		big.NewInt(1),
+		big.NewInt(1<<20 - 1),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), glvShortBits), big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), glvShortBits),
+	} {
+		var e, neg ff.Element
+		e.SetBigInt(v)
+		neg.SetBigInt(new(big.Int).Sub(r, v))
+		out = append(out, e, neg)
+	}
+	return out
+}
+
+// checkDecompose asserts what the MSM kernels rely on for one scalar: the
+// identity k₁ + λ·k₂ ≡ k (mod r), the half-scalar size bound, that a scalar
+// with k or r-k below 2^glvShortBits takes the limb-only path (k₂ = 0,
+// |k₁| = that magnitude), and that the kernels' split names the same group
+// element as the lattice reduction, which it bypasses for short scalars.
+func checkDecompose(t *testing.T, s *ff.Element) {
+	t.Helper()
 	r := ff.Modulus()
 	lambda := GLVLambda()
-	scalars := edgeScalars()
+	k := s.BigInt()
+	k1, k2 := GLVDecompose(s)
+	got := new(big.Int).Mul(lambda, k2)
+	got.Add(got, k1)
+	got.Mod(got, r)
+	if got.Cmp(k) != 0 {
+		t.Fatalf("k=%v: k1 + λ·k2 = %v", k, got)
+	}
+	if k1.BitLen() > glvHalfBits || k2.BitLen() > glvHalfBits {
+		t.Fatalf("k=%v: half-scalar sizes %d/%d exceed %d bits", k, k1.BitLen(), k2.BitLen(), glvHalfBits)
+	}
+	negK := new(big.Int).Sub(r, k)
+	if short := k.BitLen() <= glvShortBits || negK.BitLen() <= glvShortBits; short {
+		want := k
+		if k.BitLen() > glvShortBits {
+			want = negK.Neg(negK)
+		}
+		if k2.Sign() != 0 || k1.Cmp(want) != 0 {
+			t.Fatalf("k=%v: short scalar decomposed to (%v, %v), want (%v, 0)", k, k1, k2, want)
+		}
+	}
+
+	var sc glvScratch
+	l1, l2 := new(big.Int), new(big.Int)
+	sc.decompose(k, l1, l2)
+	g := Generator()
+	phiG := Phi(&g)
+	combine := func(a, b *big.Int) Affine {
+		p := ScalarMulBig(&g, new(big.Int).Mod(a, r))
+		q := ScalarMulBig(&phiG, new(big.Int).Mod(b, r))
+		p.AddAssign(&q)
+		return p.ToAffine()
+	}
+	fast, lattice := combine(k1, k2), combine(l1, l2)
+	if !fast.Equal(&lattice) {
+		t.Fatalf("k=%v: split and lattice reduction name different group elements", k)
+	}
+}
+
+func TestGLVDecomposeIdentity(t *testing.T) {
+	scalars := append(edgeScalars(), shortEdgeScalars()...)
 	for i := 0; i < 64; i++ {
 		scalars = append(scalars, ff.Random())
 	}
-	for i, s := range scalars {
-		k1, k2 := GLVDecompose(&s)
-		got := new(big.Int).Mul(lambda, k2)
-		got.Add(got, k1)
-		got.Mod(got, r)
-		if got.Cmp(s.BigInt()) != 0 {
-			t.Fatalf("scalar %d: k1 + λ·k2 = %v, want %v", i, got, s.BigInt())
-		}
-		if k1.BitLen() > glvHalfBits || k2.BitLen() > glvHalfBits {
-			t.Fatalf("scalar %d: half-scalar sizes %d/%d exceed %d bits",
-				i, k1.BitLen(), k2.BitLen(), glvHalfBits)
-		}
+	for i := range scalars {
+		checkDecompose(t, &scalars[i])
 	}
 }
 

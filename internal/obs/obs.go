@@ -80,6 +80,11 @@ type KernelCounters struct {
 	// GLVSplits counts scalars decomposed via the GLV endomorphism across
 	// all MSM paths (variable-base and fixed-base).
 	GLVSplits atomic.Int64
+	// TableBuilds counts fixed-base commitment tables built while the trace
+	// was armed and LagrangeDerived the Lagrange-basis SRS points derived
+	// (pcs set-up work; both are zero on a warm prove).
+	TableBuilds     atomic.Int64
+	LagrangeDerived atomic.Int64
 	// BatchInvFlushes counts batch-affine MSM inversion flushes (one
 	// shared field inversion per flush; see curve's batchAdder).
 	BatchInvFlushes atomic.Int64
@@ -128,6 +133,22 @@ func (k *KernelCounters) RecordGLVSplit(n int) {
 		return
 	}
 	k.GLVSplits.Add(int64(n))
+}
+
+// RecordTableBuild counts one fixed-base commitment-table construction.
+func (k *KernelCounters) RecordTableBuild() {
+	if k == nil {
+		return
+	}
+	k.TableBuilds.Add(1)
+}
+
+// RecordLagrangeDerive counts n Lagrange-basis SRS points derived.
+func (k *KernelCounters) RecordLagrangeDerive(n int) {
+	if k == nil {
+		return
+	}
+	k.LagrangeDerived.Add(int64(n))
 }
 
 // RecordBatchInvFlush counts one batch-affine bucket inversion flush.
@@ -233,6 +254,8 @@ type Report struct {
 	FixedMSMCount   int64         `json:"fixed_msm_count,omitempty"`
 	FixedMSMBySize  []SizeCount   `json:"fixed_msm_by_size,omitempty"`
 	GLVSplits       int64         `json:"glv_splits,omitempty"`
+	TableBuilds     int64         `json:"commit_table_builds,omitempty"`
+	LagrangeDerived int64         `json:"lagrange_points_derived,omitempty"`
 	FFTCount        int64         `json:"fft_count"`
 	FFTBySize       []SizeCount   `json:"fft_by_size"`
 	BatchInvFlushes int64         `json:"batch_inv_flushes"`
@@ -264,6 +287,8 @@ func (t *Trace) Report() *Report {
 	r.MSMCount, r.MSMBySize = histogram(&t.Kernel.MSM)
 	r.FixedMSMCount, r.FixedMSMBySize = histogram(&t.Kernel.FixedMSM)
 	r.GLVSplits = t.Kernel.GLVSplits.Load()
+	r.TableBuilds = t.Kernel.TableBuilds.Load()
+	r.LagrangeDerived = t.Kernel.LagrangeDerived.Load()
 	r.FFTCount, r.FFTBySize = histogram(&t.Kernel.FFT)
 	r.BatchInvFlushes = t.Kernel.BatchInvFlushes.Load()
 	r.Opens = t.Kernel.Opens.Load()

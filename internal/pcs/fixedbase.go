@@ -12,11 +12,13 @@ import (
 // powers-of-tau or the IPA hash-to-curve generators — which never changes
 // for a loaded key. Each backend therefore keeps one lazily-built
 // curve.FixedBaseTable over its process-wide basis and routes every Commit
-// through it, so the table construction cost is paid once per key size and
-// amortized across all subsequent commitments (every witness column,
-// lookup, permutation, and quotient piece of every proof). Builds and hits
-// are counted in setupWork so the zkmld /stats endpoint and the warm-path
-// tests can see exactly when table work happens.
+// through it (KZG keeps one more per domain size over the Lagrange basis,
+// for columns committed from their evaluations; see lagrange.go), so the
+// table construction cost is paid once per key size and amortized across
+// all subsequent commitments (every witness column, lookup, permutation,
+// and quotient piece of every proof). Builds and hits are counted in
+// setupWork so the zkmld /stats endpoint and the warm-path tests can see
+// exactly when table work happens.
 
 // commitTableMinLen is the smallest commitment worth routing through the
 // table; below it the generic kernel's small-n path wins and a table build
@@ -36,7 +38,13 @@ func SetCommitTables(on bool) bool { return commitTablesOn.Swap(on) }
 // ResetCommitTables drops the cached commitment tables so the next Commit
 // rebuilds them. Benchmarks use this to measure the cold path.
 func ResetCommitTables() {
-	for _, cc := range []*commitTableCache{&kzgCommitTables, &ipaCommitTables} {
+	caches := []*commitTableCache{&kzgCommitTables, &ipaCommitTables}
+	kzgLagrangeMu.Lock()
+	for _, l := range kzgLagranges {
+		caches = append(caches, &l.tables)
+	}
+	kzgLagrangeMu.Unlock()
+	for _, cc := range caches {
 		cc.mu.Lock()
 		cc.table.Store(nil)
 		cc.declined = 0
@@ -45,7 +53,7 @@ func ResetCommitTables() {
 }
 
 // commitTableCache lazily builds and caches one fixed-base table per
-// backend. The atomic pointer serves the warm path without locking;
+// basis. The atomic pointer serves the warm path without locking;
 // the mutex serializes builds so concurrent first Commits construct the
 // table exactly once (double-checked under the lock).
 type commitTableCache struct {
@@ -84,6 +92,7 @@ func (cc *commitTableCache) get(basis []curve.Affine, n int) *curve.FixedBaseTab
 		return nil
 	}
 	setupWork.commitTableBuilds.Add(1)
+	kernelTrace.Load().RecordTableBuild()
 	cc.table.Store(t)
 	return t
 }

@@ -32,8 +32,9 @@ var (
 	kzgMu     sync.Mutex
 	kzgShared *KZGScheme // grown on demand; SRS generation is the slow part
 	// kzgTable is the fixed-base comb table for the generator, built once
-	// and reused by every SRS growth call (it only depends on G, and
-	// rebuilding the 32x256 table used to dominate repeated extends).
+	// and reused by every SRS growth call and Lagrange-basis derivation (it
+	// only depends on G, and rebuilding the 32x256 table used to dominate
+	// repeated extends).
 	kzgTable *fixedBase
 )
 
@@ -63,10 +64,7 @@ func NewKZG(maxLen int) *KZGScheme {
 // add ladder). The powers are computed in parallel chunks, each seeding its
 // local tau power with one allocation-free ExpUint64. Caller holds kzgMu.
 func (k *KZGScheme) extend(maxLen int) {
-	if kzgTable == nil {
-		kzgTable = fixedBaseTable(k.g)
-		setupWork.kzgCombBuilds.Add(1)
-	}
+	comb := generatorComb()
 	start := len(k.powers)
 	setupWork.kzgPowersExtended.Add(int64(maxLen - start))
 	jacs := make([]curve.Jac, maxLen-start)
@@ -74,11 +72,21 @@ func (k *KZGScheme) extend(maxLen int) {
 		var tauPow ff.Element
 		tauPow.ExpUint64(&k.tau, uint64(start+lo))
 		for i := lo; i < hi; i++ {
-			jacs[i] = kzgTable.mul(&tauPow)
+			jacs[i] = comb.mul(&tauPow)
 			tauPow.Mul(&tauPow, &k.tau)
 		}
 	})
 	k.powers = append(k.powers, curve.BatchToAffine(jacs)...)
+}
+
+// generatorComb returns the comb table for G, building it on first use.
+// Caller holds kzgMu; the returned table is immutable.
+func generatorComb() *fixedBase {
+	if kzgTable == nil {
+		kzgTable = fixedBaseTable(curve.Generator())
+		setupWork.kzgCombBuilds.Add(1)
+	}
+	return kzgTable
 }
 
 // fixedBase is a w=8 comb table: multiples[w][d] = d * 2^(8w) * G.

@@ -35,11 +35,12 @@ func errArtifact(format string, args ...any) error {
 // assert that warm paths (cached systems, loaded artifacts) do zero
 // setup work.
 var setupWork struct {
-	kzgPowersExtended atomic.Int64
-	kzgCombBuilds     atomic.Int64
-	ipaPointsDerived  atomic.Int64
-	commitTableBuilds atomic.Int64
-	commitTableHits   atomic.Int64
+	kzgPowersExtended  atomic.Int64
+	kzgCombBuilds      atomic.Int64
+	kzgLagrangeDerived atomic.Int64
+	ipaPointsDerived   atomic.Int64
+	commitTableBuilds  atomic.Int64
+	commitTableHits    atomic.Int64
 }
 
 // SetupWork is a snapshot of the process-wide setup-work counters.
@@ -49,10 +50,15 @@ type SetupWork struct {
 	KZGPowersExtended int64 `json:"kzg_powers_extended"`
 	// KZGCombBuilds counts generator comb-table constructions.
 	KZGCombBuilds int64 `json:"kzg_comb_builds"`
+	// KZGLagrangeDerived counts Lagrange-basis SRS points derived (each a
+	// comb multiplication; n per domain size, on its first Lagrange commit).
+	KZGLagrangeDerived int64 `json:"kzg_lagrange_derived"`
 	// IPAPointsDerived counts hash-to-curve basis points derived.
 	IPAPointsDerived int64 `json:"ipa_points_derived"`
-	// CommitTableBuilds counts fixed-base commitment-table constructions
-	// (at most one per backend per basis size; see fixedbase.go).
+	// CommitTableBuilds counts fixed-base commitment-table constructions:
+	// at most one per backend per basis size over the coefficient basis,
+	// plus one per KZG domain size over its Lagrange basis (fixedbase.go,
+	// lagrange.go).
 	CommitTableBuilds int64 `json:"commit_table_builds"`
 	// CommitTableHits counts commitments served by a cached table. Hits are
 	// the amortized fast path, not setup work, so IsZero ignores them.
@@ -63,22 +69,24 @@ type SetupWork struct {
 // snapshots to measure the work done by an operation.
 func SetupWorkSnapshot() SetupWork {
 	return SetupWork{
-		KZGPowersExtended: setupWork.kzgPowersExtended.Load(),
-		KZGCombBuilds:     setupWork.kzgCombBuilds.Load(),
-		IPAPointsDerived:  setupWork.ipaPointsDerived.Load(),
-		CommitTableBuilds: setupWork.commitTableBuilds.Load(),
-		CommitTableHits:   setupWork.commitTableHits.Load(),
+		KZGPowersExtended:  setupWork.kzgPowersExtended.Load(),
+		KZGCombBuilds:      setupWork.kzgCombBuilds.Load(),
+		KZGLagrangeDerived: setupWork.kzgLagrangeDerived.Load(),
+		IPAPointsDerived:   setupWork.ipaPointsDerived.Load(),
+		CommitTableBuilds:  setupWork.commitTableBuilds.Load(),
+		CommitTableHits:    setupWork.commitTableHits.Load(),
 	}
 }
 
 // Sub returns the per-field difference w - prev.
 func (w SetupWork) Sub(prev SetupWork) SetupWork {
 	return SetupWork{
-		KZGPowersExtended: w.KZGPowersExtended - prev.KZGPowersExtended,
-		KZGCombBuilds:     w.KZGCombBuilds - prev.KZGCombBuilds,
-		IPAPointsDerived:  w.IPAPointsDerived - prev.IPAPointsDerived,
-		CommitTableBuilds: w.CommitTableBuilds - prev.CommitTableBuilds,
-		CommitTableHits:   w.CommitTableHits - prev.CommitTableHits,
+		KZGPowersExtended:  w.KZGPowersExtended - prev.KZGPowersExtended,
+		KZGCombBuilds:      w.KZGCombBuilds - prev.KZGCombBuilds,
+		KZGLagrangeDerived: w.KZGLagrangeDerived - prev.KZGLagrangeDerived,
+		IPAPointsDerived:   w.IPAPointsDerived - prev.IPAPointsDerived,
+		CommitTableBuilds:  w.CommitTableBuilds - prev.CommitTableBuilds,
+		CommitTableHits:    w.CommitTableHits - prev.CommitTableHits,
 	}
 }
 
@@ -87,7 +95,8 @@ func (w SetupWork) Sub(prev SetupWork) SetupWork {
 // setup work, and warm-path assertions must not trip on it.
 func (w SetupWork) IsZero() bool {
 	return w.KZGPowersExtended == 0 && w.KZGCombBuilds == 0 &&
-		w.IPAPointsDerived == 0 && w.CommitTableBuilds == 0
+		w.KZGLagrangeDerived == 0 && w.IPAPointsDerived == 0 &&
+		w.CommitTableBuilds == 0
 }
 
 // ExportSRS serializes the commitment-scheme setup for a backend at size
@@ -116,12 +125,9 @@ func ExportSRS(b Backend, maxLen int) ([]byte, error) {
 		NewKZG(maxLen) // grow the shared SRS if needed
 		kzgMu.Lock()
 		writePoints(kzgShared.powers[:maxLen])
-		if kzgTable == nil {
-			kzgTable = fixedBaseTable(kzgShared.g)
-			setupWork.kzgCombBuilds.Add(1)
-		}
-		for w := range kzgTable.windows {
-			writePoints(kzgTable.windows[w][:])
+		comb := generatorComb()
+		for w := range comb.windows {
+			writePoints(comb.windows[w][:])
 		}
 		kzgMu.Unlock()
 	case IPA:

@@ -7,9 +7,10 @@ import (
 	"repro/internal/obs"
 )
 
-// kernelTrace is the armed opening-argument counter sink (DESIGN.md §11).
-// The disabled state is a nil pointer, so untraced opens pay one atomic
-// pointer load — no locks, no allocation.
+// kernelTrace is the armed counter sink for opening arguments and for the
+// set-up work a commit can trigger (table builds, Lagrange-basis
+// derivations) (DESIGN.md §11). The disabled state is a nil pointer, so
+// untraced calls pay one atomic pointer load — no locks, no allocation.
 var kernelTrace atomic.Pointer[obs.KernelCounters]
 
 // SetKernelTrace arms (k != nil) or disarms (k == nil) opening-path tracing

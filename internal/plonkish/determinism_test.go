@@ -176,6 +176,60 @@ func TestProverDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
+// coeffOnly hides a scheme's Lagrange path: embedding the interface promotes
+// only pcs.Scheme's methods, so commitColumn falls back to Commit(coeffs).
+type coeffOnly struct{ pcs.Scheme }
+
+// TestLagrangeCommitsInvisibleOnTheWire proves the same statement with the
+// same seeded blinding twice — columns committed from their evaluations, and
+// every column committed from its coefficients — and requires byte-identical
+// proofs; the verifying key's commitments must likewise equal coefficient
+// commitments of the interpolated columns. KZG takes the Lagrange path, IPA
+// has none (DESIGN.md §14), and on neither can the wire tell.
+func TestLagrangeCommitsInvisibleOnTheWire(t *testing.T) {
+	const n = 256 // above the commit tables' minimum length
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		t.Run(backend.String(), func(t *testing.T) {
+			pk, vk, err := Setup(testCircuit(), n, testFixed(n), backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, has := pk.Scheme.(lagrangeCommitter); has != (backend == pcs.KZG) {
+				t.Fatalf("%s Lagrange path present = %v", backend, has)
+			}
+			coeffPK := *pk
+			coeffPK.Scheme = coeffOnly{pk.Scheme}
+			var proofs [2][]byte
+			for i, key := range []*ProvingKey{pk, &coeffPK} {
+				rng := &ctrReader{seed: sha256.Sum256([]byte("lagrange-wire"))}
+				proof, err := ProveWithRand(key, testInstance(24), testWitness(false, false, false), rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Verify(vk, testInstance(24), proof); err != nil {
+					t.Fatal(err)
+				}
+				if proofs[i], err = proof.MarshalBinary(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(proofs[0], proofs[1]) {
+				t.Fatal("proof bytes differ between the Lagrange and the coefficient path")
+			}
+			for i, p := range pk.FixedPolys {
+				if c := pk.Scheme.Commit(p); !c.Equal(&vk.FixedCommits[i]) {
+					t.Fatalf("fixed commitment %d differs from its coefficient commitment", i)
+				}
+			}
+			for i, p := range pk.SigmaPolys {
+				if c := pk.Scheme.Commit(p); !c.Equal(&vk.SigmaCommits[i]) {
+					t.Fatalf("sigma commitment %d differs from its coefficient commitment", i)
+				}
+			}
+		})
+	}
+}
+
 // TestEmptyLookupRejected is the regression test for the compressRow panic:
 // a lookup with no input expressions must be rejected at Setup/Validate time
 // with a descriptive error, not crash the prover with an index panic.

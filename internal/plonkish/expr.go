@@ -200,18 +200,29 @@ func (e SumExpr) Eval(ctx *EvalCtx) ff.Element {
 
 // Eval implements Expr.
 func (e MulExpr) Eval(ctx *EvalCtx) ff.Element {
-	acc := ff.One()
-	for _, f := range e.Factors {
+	if len(e.Factors) == 0 {
+		return ff.One()
+	}
+	acc := e.Factors[0].Eval(ctx)
+	for _, f := range e.Factors[1:] {
 		v := f.Eval(ctx)
 		acc.Mul(&acc, &v)
 	}
 	return acc
 }
 
+// minusOne is the scale factor Neg and Sub build; Eval negates instead of
+// multiplying by it.
+var minusOne = ff.NewInt64(-1)
+
 // Eval implements Expr.
 func (e ScaledExpr) Eval(ctx *EvalCtx) ff.Element {
 	v := e.E.Eval(ctx)
-	v.Mul(&v, &e.C)
+	if e.C == minusOne {
+		v.Neg(&v)
+	} else {
+		v.Mul(&v, &e.C)
+	}
 	return v
 }
 
@@ -261,12 +272,7 @@ func Mul(factors ...Expr) Expr { return MulExpr{Factors: factors} }
 func Scale(c ff.Element, e Expr) Expr { return ScaledExpr{E: e, C: c} }
 
 // Neg returns -e.
-func Neg(e Expr) Expr {
-	var m ff.Element
-	one := ff.One()
-	m.Neg(&one)
-	return ScaledExpr{E: e, C: m}
-}
+func Neg(e Expr) Expr { return ScaledExpr{E: e, C: minusOne} }
 
 // Sub returns a - b.
 func Sub(a, b Expr) Expr { return Sum(a, Neg(b)) }

@@ -198,10 +198,28 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 		p := append([]ff.Element(nil), vals...)
 		pk.Domain.IFFT(p)
 		polys[i] = p
-		commits[i] = scheme.Commit(p)
+		commits[i] = commitColumn(scheme, vals, p)
 	})
 
 	return finishKeys(pk, fixedCommits, sigmaCommits)
+}
+
+// lagrangeCommitter is a commitment scheme that can commit a column from
+// its evaluations over the domain (pcs.KZGScheme; see DESIGN.md §14).
+type lagrangeCommitter interface {
+	CommitLagrange(evals []ff.Element) curve.Affine
+}
+
+// commitColumn commits a column held both as evaluations over the domain
+// and as coefficients: from the evaluations when the scheme has a Lagrange
+// basis — the grid values are small or sparse where the coefficients never
+// are, and the MSM's cost follows its scalars — and from the coefficients
+// otherwise. Both are the same group element.
+func commitColumn(s pcs.Scheme, evals, coeffs []ff.Element) curve.Affine {
+	if lc, ok := s.(lagrangeCommitter); ok {
+		return lc.CommitLagrange(evals)
+	}
+	return s.Commit(coeffs)
 }
 
 // Digest returns a hash binding the verifying key contents, absorbed into

@@ -148,7 +148,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		coeff[c] = coeffs
 	}
 	commitCol := func(c Col, label string) curve.Affine {
-		cm := pk.Scheme.Commit(coeff[c])
+		cm := commitColumn(pk.Scheme, lag[c], coeff[c])
 		tr.AppendPoint(label, cm)
 		return cm
 	}
@@ -208,14 +208,6 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	var arg [3]ff.Element
 	arg[Theta] = tr.Challenge("theta")
 
-	rowCtx := func(row int) *EvalCtx {
-		return &EvalCtx{
-			Get:        func(c Col, rot int) ff.Element { return a.Get(c, row+rot) },
-			Challenges: challenges,
-			Arg:        arg,
-		}
-	}
-
 	// Lookup multiplicities: compress each lookup's inputs and table and
 	// count multiplicities in parallel across lookups (and across rows
 	// within one), then commit in lookup order.
@@ -241,8 +233,12 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		ld.t = make([]ff.Element, n)
 		ld.sel = make([]ff.Element, n)
 		parallel.Range(l.TableLen, func(lo, hi int) {
+			vals := make([]ff.Element, len(l.Table))
 			for r := lo; r < hi; r++ {
-				ld.t[r] = compressRow(arg[Theta], l.Table, nil, a, r)
+				for i, c := range l.Table {
+					vals[i] = a.Get(c, r)
+				}
+				ld.t[r] = compressRow(&arg[Theta], vals)
 			}
 		})
 		tblIdx := make(map[[32]byte]int, l.TableLen)
@@ -253,10 +249,18 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 			}
 		}
 		parallel.Range(u, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				ctx := rowCtx(r)
+			// One EvalCtx and one scratch slice per worker, as in the
+			// quotient loop: the closure reads the worker's current row.
+			r := 0
+			ctx := &EvalCtx{Challenges: challenges, Arg: arg}
+			ctx.Get = func(c Col, rot int) ff.Element { return a.Get(c, r+rot) }
+			vals := make([]ff.Element, len(l.Inputs))
+			for r = lo; r < hi; r++ {
 				ld.sel[r] = l.Selector.Eval(ctx)
-				ld.f[r] = compressRow(arg[Theta], nil, l.Inputs, a, r)
+				for i, e := range l.Inputs {
+					vals[i] = e.Eval(ctx)
+				}
+				ld.f[r] = compressRow(&arg[Theta], vals)
 			}
 		})
 		for r := 0; r < u; r++ {
@@ -552,29 +556,17 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	return proof, nil
 }
 
-// compressRow folds either table columns or input expressions at a row with
-// powers of theta. Empty lookups are rejected at constraint-build time
-// (CS.Validate), but guard anyway rather than indexing vals[-1].
-func compressRow(theta ff.Element, cols []Col, exprs []Expr, a *Assignment, row int) ff.Element {
-	var vals []ff.Element
-	if cols != nil {
-		vals = make([]ff.Element, len(cols))
-		for i, c := range cols {
-			vals[i] = a.Get(c, row)
-		}
-	} else {
-		ctx := &EvalCtx{Get: func(c Col, rot int) ff.Element { return a.Get(c, row+rot) }}
-		vals = make([]ff.Element, len(exprs))
-		for i, e := range exprs {
-			vals[i] = e.Eval(ctx)
-		}
-	}
+// compressRow folds one row's table cells or input values with powers of
+// theta: vals[0] + θ·vals[1] + θ²·vals[2] + … Empty lookups are rejected at
+// constraint-build time (CS.Validate), but guard anyway rather than indexing
+// vals[-1].
+func compressRow(theta *ff.Element, vals []ff.Element) ff.Element {
 	if len(vals) == 0 {
 		return ff.Zero()
 	}
 	acc := vals[len(vals)-1]
 	for i := len(vals) - 2; i >= 0; i-- {
-		acc.Mul(&acc, &theta)
+		acc.Mul(&acc, theta)
 		acc.Add(&acc, &vals[i])
 	}
 	return acc
