@@ -15,10 +15,12 @@
 #   make daemon-smoke bring up the zkmld proving daemon, prove + verify over
 #                    HTTP, and assert the warm path does zero keygen/SRS
 #                    work while /stats surfaces the request trace
-#   make shard-smoke sharded (layer-wise) mnist prove + verify end to end on
-#                    both backends via the CLI (DESIGN.md §16)
-#   make bench-json  kernel + prover benchmark snapshot (with fitted
-#                    cost-model relative error) -> BENCH_9.json
+#   make shard-smoke sharded (layer-wise) mnist keygen + prove + verify end to
+#                    end through the key store on both backends via the CLI,
+#                    then the same store reused unsharded (DESIGN.md §16)
+#   make benchmark-smoke two seconds of the serve-gpt2-kzg workload: zkmld
+#                    restarted over a System.Save'd store must start from the
+#                    store and serve golden-sized, checked proofs
 #   make benchmark   the repository's one benchmark (BENCHMARK.json,
 #                    benchmark/README.md): every workload end to end, every
 #                    output checked -> $(BENCHMARK_OUT)
@@ -47,9 +49,9 @@ FUZZ_TARGETS = \
 	./internal/curve/:FuzzGLVDecompose
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke bench-json benchmark benchmark-compare lint audit-smoke
+.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
 
-ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke
+ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -111,21 +113,24 @@ lint:
 audit-smoke:
 	$(GO) run ./cmd/zkml audit -all -backend both -scale-bits 5 -lookup-bits 9 -max-cols 16
 
-# Sharded proving smoke check (DESIGN.md §16): split mnist into 3 chunks,
-# prove the chunks in parallel, and verify the per-chunk proofs plus the
-# boundary-commitment chain — on both backends, through the exported proof
-# bytes, at the fast CI circuit parameters.
+# Sharded proving smoke check (DESIGN.md §16), through the one key store:
+# keygen splits mnist into 3 chunks and writes one .zka per chunk, prove
+# loads them (no keygen) and proves the chunks in parallel, verify loads
+# the verifying side only and checks the per-chunk proofs plus the boundary
+# chain; then the same directory serves the unsharded circuit at -shards 1
+# (a miss that fills it, then a hit). Both backends, exported proof bytes,
+# fast CI circuit parameters.
+SHARD_FLAGS = -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16
 shard-smoke:
-	@tmp=$$(mktemp -t zkml-shard.XXXXXX.bin); \
+	@tmp=$$(mktemp -d -t zkml-shard.XXXXXX); z="$(GO) run ./cmd/zkml"; \
 	for b in kzg ipa; do \
 		echo "shard-smoke: backend $$b"; \
-		$(GO) run ./cmd/zkml prove -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -out $$tmp && \
-		$(GO) run ./cmd/zkml verify -model mnist -shards 3 -backend $$b -scale-bits 5 -lookup-bits 9 -max-cols 16 -in $$tmp || { rm -f $$tmp; exit 1; }; \
-	done; rm -f $$tmp
-
-# Committed perf-trajectory snapshot (see EXPERIMENTS.md and cmd/bench-snapshot).
-bench-json:
-	$(GO) run ./cmd/bench-snapshot -out BENCH_9.json
+		$$z keygen $(SHARD_FLAGS) -backend $$b -shards 3 -out $$tmp/keys && \
+		$$z prove $(SHARD_FLAGS) -backend $$b -shards 3 -keys $$tmp/keys -out $$tmp/proof.bin && \
+		$$z verify $(SHARD_FLAGS) -backend $$b -shards 3 -keys $$tmp/keys -in $$tmp/proof.bin && \
+		$$z prove $(SHARD_FLAGS) -backend $$b -shards 1 -keys $$tmp/keys -out $$tmp/proof.bin && \
+		$$z verify $(SHARD_FLAGS) -backend $$b -shards 1 -keys $$tmp/keys -in $$tmp/proof.bin || { rm -rf $$tmp; exit 1; }; \
+	done; rm -rf $$tmp
 
 # The repository's benchmark (benchmark/README.md): all four workloads of
 # BENCHMARK.json, fresh processes, every proof checked. Evidence for a
@@ -134,6 +139,13 @@ bench-json:
 BENCHMARK_OUT ?= benchmark-result.json
 benchmark:
 	$(GO) run ./benchmark run -seed 1 -out $(BENCHMARK_OUT)
+
+# The guard that the daemon still serves byte-compatible proofs from a store
+# written by System.Save: exits non-zero on any failed operation, which
+# includes a daemon start that did not come from the store and a proof whose
+# size or outputs miss the goldens.
+benchmark-smoke:
+	$(GO) run ./benchmark run -workload serve-gpt2-kzg -seconds 2
 
 benchmark-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.json NEW=new.json"; exit 2; }

@@ -10,10 +10,12 @@
 //	zkml prove -model mnist [-seed 7]         compile, prove, verify one inference
 //	zkml prove -model mnist -keys keys/       same, loading (or filling) the key store
 //	zkml prove -model mnist -trace t.json     same, with a per-stage trace report
-//	zkml prove -model mnist -shards 3         sharded: split into 3 chunk circuits proved in parallel
-//	zkml verify -model mnist -shards 3 -in p  verify a serialized sharded proof chain
 //	zkml verify -model mnist -in proof.bin    verify a serialized proof (recompiles)
 //	zkml verify -keys keys/ -in proof.bin     verify against the stored VK — no keygen
+//	zkml <optimize|keygen|prove|verify|audit> -shards 3 ...
+//	                                          the same over a chain of 3 chunk circuits
+//	                                          proved in parallel; the key store holds
+//	                                          one .zka per chunk (-shards 1 is the default)
 //	zkml trace-check -in t.json               validate a trace report (CI smoke check)
 //	zkml trace-check -in t.json -max-rel-err 0.5   ... and gate on cost-model accuracy
 //	zkml audit -model mnist                   static soundness audit of the compiled circuit
@@ -88,7 +90,7 @@ func commonFlags(fs *flag.FlagSet) (modelName *string, backend *string, scaleBit
 	lookupBits = fs.Int("lookup-bits", 10, "lookup table precision bits")
 	maxCols = fs.Int("max-cols", 24, "maximum advice columns to search")
 	seed = fs.Int64("seed", 1, "synthetic input seed")
-	shards = fs.Int("shards", 1, "split the model into N chunk circuits proved in parallel (sharded proving)")
+	shards = fs.Int("shards", 1, "split the model into a chain of N chunk circuits proved in parallel (1: one circuit)")
 	fs.Func("parallelism", "proving worker count (default: GOMAXPROCS)", func(v string) error {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
@@ -165,32 +167,25 @@ func cmdOptimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		sp, err := zkml.OptimizeSharded(spec.Build(), spec.Input(*seed), *shards, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sharded plan: %d chunks, %d boundary elems, est %.2fs, est proof %d B\n",
-			len(sp.Chunks), sp.Part.BoundaryElems, sp.Cost, sp.Size)
-		for c, p := range sp.Chunks {
-			fmt.Printf("  chunk %d: %d nodes, cols=%-3d rows=2^%-2d (%d used) dot=%-5s est=%8.3fs size=%6dB\n",
-				c, len(p.Graph.Nodes), p.Config.NumCols, p.K, p.UsedRows, p.Config.Dot, p.Cost, p.Size)
-		}
-		return nil
-	}
-	plan, cands, stats, err := zkml.Optimize(spec.Build(), spec.Input(*seed), o)
+	chunks, err := zkml.OptimizeSharded(spec.Build(), spec.Input(*seed), *shards, o)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("optimizer: %d candidates evaluated, %d pruned, %v\n",
-		stats.Evaluated, stats.Pruned, stats.Duration.Round(time.Millisecond))
-	fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, est proof %d B\n",
-		plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
-		plan.Cost, plan.Size)
-	fmt.Println("candidates:")
-	for _, c := range cands {
-		fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",
-			c.Config.NumCols, c.K, c.Config.Dot, c.Config.UseConstDot, c.Cost, c.Size)
+	for c, ch := range chunks {
+		if len(chunks) > 1 {
+			fmt.Printf("chunk %d of %d (%d nodes):\n", c, len(chunks), len(ch.Plan.Graph.Nodes))
+		}
+		plan := ch.Plan
+		fmt.Printf("optimizer: %d candidates evaluated, %d pruned, %v\n",
+			ch.Stats.Evaluated, ch.Stats.Pruned, ch.Stats.Duration.Round(time.Millisecond))
+		fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, est proof %d B\n",
+			plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
+			plan.Cost, plan.Size)
+		fmt.Println("candidates:")
+		for _, c := range ch.Candidates {
+			fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",
+				c.Config.NumCols, c.K, c.Config.Dot, c.Config.UseConstDot, c.Cost, c.Size)
+		}
 	}
 	return nil
 }
@@ -214,139 +209,34 @@ func cmdKeygen(args []string) error {
 		return err
 	}
 	start := time.Now()
-	if *shards > 1 {
-		sys, err := zkml.CompileSharded(spec.Build(), spec.Input(1), *shards, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compiled in %v: %s", time.Since(start).Round(time.Millisecond), sys.Describe())
-		path, err := sys.Save(*out)
-		if err != nil {
-			return err
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d bytes); reuse with: zkml prove -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -keys %s\n",
-			path, st.Size(), *name, *backend, *sb, *lb, *mc, *shards, *out)
-		return nil
-	}
-	sys, err := zkml.Compile(spec.Build(), spec.Input(1), o)
+	sys, err := zkml.CompileSharded(spec.Build(), spec.Input(1), *shards, o)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("compiled in %v: %s\n", time.Since(start).Round(time.Millisecond), sys.Describe())
-	path, err := sys.Save(*out)
+	paths, err := sys.Save(*out)
 	if err != nil {
 		return err
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d bytes); reuse with: zkml prove -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -keys %s\n",
-		path, st.Size(), *name, *backend, *sb, *lb, *mc, *out)
-	return nil
-}
-
-// loadOrCompile returns a proving system for (model, options). With a key
-// store directory it loads the persisted artifact — no optimizer sweep, no
-// keygen — and on a miss compiles once and fills the store for next time.
-func loadOrCompile(keysDir string, spec model.Spec, o zkml.Options) (*zkml.System, error) {
-	g, sample := spec.Build(), spec.Input(1)
-	if keysDir != "" {
-		sys, err := zkml.LoadSystem(keysDir, g, sample, o)
-		if err == nil {
-			return sys, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-	}
-	sys, err := zkml.Compile(g, sample, o)
-	if err != nil {
-		return nil, err
-	}
-	if keysDir != "" {
-		if _, err := sys.Save(keysDir); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
-}
-
-// loadOrCompileSharded is loadOrCompile for sharded systems: load the
-// persisted sharded artifact when present, else compile and fill the store.
-func loadOrCompileSharded(keysDir string, spec model.Spec, shards int, o zkml.Options) (*zkml.ShardedSystem, error) {
-	g, sample := spec.Build(), spec.Input(1)
-	if keysDir != "" {
-		sys, err := zkml.LoadShardedSystem(keysDir, g, sample, shards, o)
-		if err == nil {
-			return sys, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-	}
-	sys, err := zkml.CompileSharded(g, sample, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	if keysDir != "" {
-		if _, err := sys.Save(keysDir); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
-}
-
-// proveSharded is the `zkml prove -shards N` path: compile (or load) the
-// per-chunk systems, prove the chunks in parallel, verify the chain, and
-// optionally export the sharded proof.
-func proveSharded(spec model.Spec, shards int, o zkml.Options, keysDir, out string, seed int64, name, backend string, sb, lb, mc int) error {
-	start := time.Now()
-	sys, err := loadOrCompileSharded(keysDir, spec, shards, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ready in %v: %s", time.Since(start).Round(time.Millisecond), sys.Describe())
-
-	start = time.Now()
-	proof, err := sys.Prove(spec.Input(seed))
-	if err != nil {
-		return err
-	}
-	proofBytes := 0
-	for _, pf := range proof.Chunks {
-		proofBytes += pf.Proof.Size()
-	}
-	fmt.Printf("proved %d chunks in %v, proofs %d bytes total\n",
-		len(proof.Chunks), time.Since(start).Round(time.Millisecond), proofBytes)
-
-	start = time.Now()
-	if err := sys.Verify(proof); err != nil {
-		return err
-	}
-	fmt.Printf("verified in %v\n", time.Since(start).Round(time.Microsecond))
-	if out != "" {
-		data, err := sys.ExportProof(proof)
+	for _, path := range paths {
+		st, err := os.Stat(path)
 		if err != nil {
 			return err
 		}
-		if err := fsio.WriteFileAtomic(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d bytes); check with: zkml verify -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -shards %d -in %s\n",
-			out, len(data), name, backend, sb, lb, mc, shards, out)
+		fmt.Printf("wrote %s (%d bytes)\n", path, st.Size())
 	}
-	outs := sys.Outputs(proof)
-	limit := len(outs)
-	if limit > 16 {
-		limit = 16
-	}
-	fmt.Printf("public outputs (%d values): %.4f\n", len(outs), outs[:limit])
+	fmt.Printf("reuse with: zkml prove %s -keys %s\n", flagLine(*name, *backend, *sb, *lb, *mc, *shards), *out)
 	return nil
+}
+
+// flagLine spells out the flags that select a compiled system, for the
+// "reuse with" / "check with" hints.
+func flagLine(name, backend string, sb, lb, mc, shards int) string {
+	s := fmt.Sprintf("-model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d", name, backend, sb, lb, mc)
+	if shards > 1 {
+		s += fmt.Sprintf(" -shards %d", shards)
+	}
+	return s
 }
 
 func cmdProve(args []string) error {
@@ -366,28 +256,22 @@ func cmdProve(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		if *tracePath != "" {
-			return fmt.Errorf("-trace is not supported with -shards > 1 (stage tracing is per-circuit)")
-		}
-		return proveSharded(spec, *shards, o, *keysDir, *out, *seed, *name, *backend, *sb, *lb, *mc)
-	}
 	start := time.Now()
-	sys, err := loadOrCompile(*keysDir, spec, o)
+	sys, _, err := zkml.LoadOrCompile(*keysDir, spec.Build(), spec.Input(1), *shards, o)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("ready in %v: %s\n", time.Since(start).Round(time.Millisecond), sys.Describe())
 
 	start = time.Now()
-	var proof *zkml.Proof
+	var proof *zkml.ShardedProof
 	if *tracePath != "" {
 		var rep *obs.Report
 		proof, rep, err = sys.ProveTraced(spec.Input(*seed))
 		if err != nil {
 			return err
 		}
-		if err := writeTrace(*tracePath, *name, *backend, sys, rep); err != nil {
+		if err := writeTrace(*tracePath, *name, *backend, sys.Chunks[0].CompareEstimate(rep), rep); err != nil {
 			return err
 		}
 	} else {
@@ -396,7 +280,7 @@ func cmdProve(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("proved in %v, proof %d bytes\n", time.Since(start).Round(time.Millisecond), proof.Proof.Size())
+	fmt.Printf("proved in %v, proof %d bytes\n", time.Since(start).Round(time.Millisecond), proof.Size())
 
 	start = time.Now()
 	if err := sys.Verify(proof); err != nil {
@@ -411,8 +295,8 @@ func cmdProve(args []string) error {
 		if err := fsio.WriteFileAtomic(*out, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes); check with: zkml verify -model %s -backend %s -scale-bits %d -lookup-bits %d -max-cols %d -in %s\n",
-			*out, len(data), *name, *backend, *sb, *lb, *mc, *out)
+		fmt.Printf("wrote %s (%d bytes); check with: zkml verify %s -in %s\n",
+			*out, len(data), flagLine(*name, *backend, *sb, *lb, *mc, *shards), *out)
 	}
 	outs := sys.Outputs(proof)
 	limit := len(outs)
@@ -437,8 +321,7 @@ type traceFile struct {
 }
 
 // writeTrace prints the stage breakdown and writes the trace report file.
-func writeTrace(path, model, backend string, sys *zkml.System, rep *obs.Report) error {
-	cmp := sys.CompareEstimate(rep)
+func writeTrace(path, model, backend string, cmp []obs.StageComparison, rep *obs.Report) error {
 	fmt.Printf("trace: %.3fs total, %d MSMs, %d FFTs, %d batch-inv flushes, %d opens (%.3fs)\n",
 		rep.TotalSeconds, rep.MSMCount, rep.FFTCount, rep.BatchInvFlushes, rep.Opens, rep.OpenSeconds)
 	fmt.Println("  stage        predicted  measured   rel-err")
@@ -521,55 +404,21 @@ func cmdTraceCheck(args []string) error {
 	return nil
 }
 
-// verifierSystem returns a system able to verify proofs for (model,
-// options). With a key store it reconstructs the verifying key straight
+// verifierSystem returns a system able to verify proofs for (model, shards,
+// options). With a key store it reconstructs the verifying keys straight
 // from the persisted commitments — no optimizer sweep, no keygen MSMs, no
 // SRS extension, and no proving key at all. Without one it falls back to a
 // full deterministic recompile (weights and layout are deterministic per
 // model, so the VK comes out identical — just slowly).
-func verifierSystem(keysDir string, spec model.Spec, o zkml.Options) (*zkml.System, error) {
+func verifierSystem(keysDir string, spec model.Spec, shards int, o zkml.Options) (*zkml.ShardedSystem, error) {
 	if keysDir != "" {
-		sys, err := zkml.LoadVerifier(keysDir, spec.Build(), spec.Input(1), o)
+		sys, err := zkml.LoadShardedVerifier(keysDir, spec.Build(), spec.Input(1), shards, o)
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("key store has no artifact for this model/options; run `zkml keygen` first: %w", err)
+			return nil, fmt.Errorf("key store has no artifact for this model/shards/options; run `zkml keygen` first: %w", err)
 		}
 		return sys, err
 	}
-	return zkml.Compile(spec.Build(), spec.Input(1), o)
-}
-
-// verifySharded is the `zkml verify -shards N` path.
-func verifySharded(spec model.Spec, shards int, o zkml.Options, keysDir string, data []byte) error {
-	var sys *zkml.ShardedSystem
-	var err error
-	if keysDir != "" {
-		sys, err = zkml.LoadShardedVerifier(keysDir, spec.Build(), spec.Input(1), shards, o)
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("key store has no sharded artifact for this model/options; run `zkml keygen -shards %d` first: %w", shards, err)
-		}
-	} else {
-		sys, err = zkml.CompileSharded(spec.Build(), spec.Input(1), shards, o)
-	}
-	if err != nil {
-		return err
-	}
-	proof, err := sys.ImportProof(data)
-	if err != nil {
-		if errors.Is(err, zkml.ErrMalformedProof) {
-			return fmt.Errorf("proof MALFORMED: %w", err)
-		}
-		return err
-	}
-	start := time.Now()
-	if err := sys.Verify(proof); err != nil {
-		if errors.Is(err, zkml.ErrMalformedProof) {
-			return fmt.Errorf("proof MALFORMED: %w", err)
-		}
-		return fmt.Errorf("proof INVALID: %w", err)
-	}
-	fmt.Printf("sharded proof valid (%d chunks, verified in %v); outputs: %.4f\n",
-		sys.Shards(), time.Since(start).Round(time.Microsecond), sys.Outputs(proof))
-	return nil
+	return zkml.CompileSharded(spec.Build(), spec.Input(1), shards, o)
 }
 
 func cmdVerify(args []string) error {
@@ -591,14 +440,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards > 1 {
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		return verifySharded(spec, *shards, o, *keysDir, data)
-	}
-	sys, err := verifierSystem(*keysDir, spec, o)
+	sys, err := verifierSystem(*keysDir, spec, *shards, o)
 	if err != nil {
 		return err
 	}
@@ -674,18 +516,9 @@ func cmdAudit(args []string) error {
 			// proved — so the deterministic shape-derived calibration
 			// keeps the audit instant and machine-independent.
 			o.Calibration = costmodel.StaticCalibration()
-			var reps []*zkml.AuditReport
-			if *shards > 1 {
-				reps, err = zkml.AuditSharded(spec.Build(), spec.Input(*seed), *shards, o)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", m, bk, err)
-				}
-			} else {
-				rep, err := zkml.Audit(spec.Build(), spec.Input(*seed), o)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", m, bk, err)
-				}
-				reps = []*zkml.AuditReport{rep}
+			reps, err := zkml.AuditSharded(spec.Build(), spec.Input(*seed), *shards, o)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", m, bk, err)
 			}
 			for _, rep := range reps {
 				af.Reports = append(af.Reports, rep)

@@ -29,10 +29,11 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := sys.Prove(spec.Input(7))
+	plain, err := sys.Prove(spec.Input(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	proof := &zkml.ShardedProof{Chunks: []*zkml.Proof{plain}}
 	dir := t.TempDir()
 	if _, err := sys.Save(dir); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	var counters obs.KernelCounters
 	prev := curve.SetKernelTrace(&counters)
 	before := pcs.SetupWorkSnapshot()
-	verifier, err := verifierSystem(dir, spec, o)
+	verifier, err := verifierSystem(dir, spec, 1, o)
 	setup := pcs.SetupWorkSnapshot().Sub(before)
 	curve.SetKernelTrace(prev)
 	if err != nil {
@@ -66,12 +67,12 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	// A populated store also short-circuits the prove side: loading does no
 	// setup work either.
 	before = pcs.SetupWorkSnapshot()
-	warm, err := loadOrCompile(dir, spec, o)
-	if err != nil {
-		t.Fatal(err)
+	warm, fromStore, err := zkml.LoadOrCompile(dir, spec.Build(), spec.Input(1), 1, o)
+	if err != nil || !fromStore {
+		t.Fatalf("LoadOrCompile over a populated store: fromStore=%v err=%v", fromStore, err)
 	}
 	if d := pcs.SetupWorkSnapshot().Sub(before); !d.IsZero() {
-		t.Fatalf("warm loadOrCompile did SRS setup work: %+v", d)
+		t.Fatalf("warm LoadOrCompile did SRS setup work: %+v", d)
 	}
 	warmProof, err := warm.Prove(spec.Input(7))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,13 +50,10 @@ func main() {
 		if name == "" {
 			continue
 		}
-		shards := 1
-		if base, n, ok := strings.Cut(name, "@"); ok {
-			if _, err := fmt.Sscanf(n, "%d", &shards); err != nil || shards < 1 {
-				fmt.Fprintf(os.Stderr, "zkmld: preload %s: bad shard count %q\n", name, n)
-				os.Exit(1)
-			}
-			name = base
+		name, shards, err := parsePreload(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zkmld: %v\n", err)
+			os.Exit(1)
 		}
 		start := time.Now()
 		e, err := srv.system(name, shards)
@@ -71,4 +69,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zkmld:", err)
 		os.Exit(1)
 	}
+}
+
+// parsePreload splits one -preload item, "model" or "model@N", into the
+// model name and shard count.
+func parsePreload(item string) (name string, shards int, err error) {
+	name, n, sharded := strings.Cut(item, "@")
+	if !sharded {
+		return name, 1, nil
+	}
+	if shards, err = strconv.Atoi(n); err != nil || shards < 1 {
+		return "", 0, fmt.Errorf("preload %s: bad shard count %q", item, n)
+	}
+	return name, shards, nil
 }

@@ -8,8 +8,8 @@
 //	GET  /healthz   liveness probe
 //	GET  /models    bundled models and their load state
 //	GET  /stats     counters, setup-work totals, recent requests
-//	POST /prove     {"model","seed","trace"} -> proof + outputs (+ trace)
-//	POST /verify    {"model","proof"} -> validity
+//	POST /prove     {"model","seed","trace","shards"} -> proof + outputs (+ trace)
+//	POST /verify    {"model","proof","shards"} -> validity
 //
 // Concurrency model: proves are CPU-bound and internally parallel (the
 // proving engine fans out across cores via internal/parallel), so the
@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -74,8 +73,7 @@ func (c config) withDefaults() config {
 type modelEntry struct {
 	once sync.Once
 
-	sys     *zkml.System        // single-circuit system (shards <= 1)
-	ssys    *zkml.ShardedSystem // sharded system (shards > 1)
+	sys     *zkml.ShardedSystem
 	err     error
 	hash    string
 	source  string // "store" or "compiled"
@@ -83,21 +81,11 @@ type modelEntry struct {
 	setup   pcs.SetupWork // setup work the load performed
 }
 
-// loaded reports whether the entry holds a usable system of either kind.
-func (e *modelEntry) loaded() bool { return e.sys != nil || e.ssys != nil }
-
-// describe summarizes whichever system the entry holds.
-func (e *modelEntry) describe() string {
-	if e.ssys != nil {
-		return e.ssys.Describe()
-	}
-	return e.sys.Describe()
-}
-
 // requestRecord is one finished request as surfaced by /stats.
 type requestRecord struct {
 	Kind      string    `json:"kind"` // "prove" or "verify"
 	Model     string    `json:"model"`
+	Shards    int       `json:"shards,omitempty"`
 	Status    int       `json:"status"`
 	Millis    float64   `json:"ms"`
 	Traced    bool      `json:"traced,omitempty"`
@@ -147,103 +135,65 @@ func newServer(cfg config) *server {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// entry returns the cache slot for a model, creating it unloaded.
-func (s *server) entry(name string) *modelEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.systems[name]
-	if !ok {
-		e = &modelEntry{}
-		s.systems[name] = e
-	}
-	return e
-}
-
 // system returns the compiled system for (model, shards), loading it on
 // first use: from the artifact store when possible (deserialize, zero
 // keygen), else by compiling once — and filling the store so the next
-// daemon start is warm. shards > 1 loads a sharded system under its own
-// cache key ("model@shards"), so the same model served plain and sharded
-// coexist warm.
+// daemon start is warm. shards == 0 means 1; every other count is cached
+// under its own key ("model@shards"), so the same model served plain and
+// sharded coexist warm. The count comes straight from the request, so it is
+// checked against the model before a cache slot exists: a rejected value
+// leaves nothing behind.
 func (s *server) system(name string, shards int) (*modelEntry, error) {
 	spec, err := zkml.Model(name)
 	if err != nil {
 		return nil, err
 	}
+	if shards == 0 {
+		shards = 1
+	}
 	key := name
-	if shards > 1 {
+	if shards != 1 {
 		key = fmt.Sprintf("%s@%d", name, shards)
 	}
-	e := s.entry(key)
+	s.mu.Lock()
+	e, ok := s.systems[key]
+	s.mu.Unlock()
+	var g *zkml.Graph
+	if !ok {
+		g = spec.Build()
+		if shards < 1 || shards > len(g.Nodes) {
+			return nil, fmt.Errorf("shard count %d out of range: %s has %d layers", shards, name, len(g.Nodes))
+		}
+		s.mu.Lock()
+		if e, ok = s.systems[key]; !ok {
+			e = &modelEntry{}
+			s.systems[key] = e
+		}
+		s.mu.Unlock()
+	}
 	e.once.Do(func() {
 		start := time.Now()
 		before := pcs.SetupWorkSnapshot()
-		g, sample := spec.Build(), spec.Input(1)
-		if shards > 1 {
-			s.loadSharded(e, g, sample, shards)
-		} else {
-			s.loadSingle(e, g, sample)
+		var fromStore bool
+		if g == nil { // a concurrent first request made the slot
+			g = spec.Build()
 		}
+		e.sys, fromStore, e.err = zkml.LoadOrCompile(s.cfg.KeysDir, g, spec.Input(1), shards, s.cfg.Options)
 		e.loadDur = time.Since(start)
 		e.setup = pcs.SetupWorkSnapshot().Sub(before)
-		if e.sys != nil {
-			e.hash = fmt.Sprintf("%x", e.sys.ModelCommitment())
-		} else if e.ssys != nil {
-			e.hash = fmt.Sprintf("%x", e.ssys.ModelCommitment())
+		if e.err != nil {
+			return
 		}
+		e.source = "compiled"
+		if fromStore {
+			e.source = "store"
+		}
+		e.hash = fmt.Sprintf("%x", e.sys.ModelCommitment())
 	})
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e, nil
-}
-
-// loadSingle fills an entry with a single-circuit system.
-func (s *server) loadSingle(e *modelEntry, g *zkml.Graph, sample *zkml.Input) {
-	if s.cfg.KeysDir != "" {
-		if sys, err := zkml.LoadSystem(s.cfg.KeysDir, g, sample, s.cfg.Options); err == nil {
-			e.sys, e.source = sys, "store"
-		} else if !errors.Is(err, os.ErrNotExist) {
-			e.err = err
-		}
-	}
-	if e.sys == nil && e.err == nil {
-		sys, err := zkml.Compile(g, sample, s.cfg.Options)
-		if err != nil {
-			e.err = err
-		} else {
-			e.sys, e.source = sys, "compiled"
-			if s.cfg.KeysDir != "" {
-				if _, err := sys.Save(s.cfg.KeysDir); err != nil {
-					e.err = err
-				}
-			}
-		}
-	}
-}
-
-// loadSharded fills an entry with a sharded system.
-func (s *server) loadSharded(e *modelEntry, g *zkml.Graph, sample *zkml.Input, shards int) {
-	if s.cfg.KeysDir != "" {
-		if sys, err := zkml.LoadShardedSystem(s.cfg.KeysDir, g, sample, shards, s.cfg.Options); err == nil {
-			e.ssys, e.source = sys, "store"
-		} else if !errors.Is(err, os.ErrNotExist) {
-			e.err = err
-		}
-	}
-	if e.ssys == nil && e.err == nil {
-		sys, err := zkml.CompileSharded(g, sample, shards, s.cfg.Options)
-		if err != nil {
-			e.err = err
-		} else {
-			e.ssys, e.source = sys, "compiled"
-			if s.cfg.KeysDir != "" {
-				if _, err := sys.Save(s.cfg.KeysDir); err != nil {
-					e.err = err
-				}
-			}
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -290,11 +240,11 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	out := []modelInfo{}
 	for _, name := range zkml.ModelNames() {
 		info := modelInfo{Name: name}
-		if e, ok := entries[name]; ok && e.loaded() {
+		if e, ok := entries[name]; ok && e.sys != nil {
 			info.Loaded = true
 			info.Source = e.source
 			info.Hash = e.hash
-			info.Desc = e.describe()
+			info.Desc = e.sys.Describe()
 			info.LoadSec = e.loadDur.Seconds()
 		}
 		out = append(out, info)
@@ -310,12 +260,12 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(shardKeys)
 	for _, key := range shardKeys {
 		e := entries[key]
-		if !e.loaded() {
+		if e.sys == nil {
 			continue
 		}
 		out = append(out, modelInfo{
 			Name: key, Loaded: true, Source: e.source, Hash: e.hash,
-			Desc: e.describe(), LoadSec: e.loadDur.Seconds(),
+			Desc: e.sys.Describe(), LoadSec: e.loadDur.Seconds(),
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"models": out})
@@ -344,9 +294,9 @@ type proveRequest struct {
 	Model string `json:"model"`
 	Seed  int64  `json:"seed"`
 	Trace bool   `json:"trace"`
-	// Shards > 1 proves through a sharded system: the model is split into
-	// that many chunk circuits proved in parallel, with committed boundary
-	// activations linking them. Incompatible with Trace.
+	// Shards splits the model into that many chunk circuits proved in
+	// parallel, with committed boundary activations linking them; 0 and 1
+	// are the single circuit. More than one is incompatible with Trace.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -381,10 +331,6 @@ func (s *server) handleProve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing model")
 		return
 	}
-	if req.Trace && req.Shards > 1 {
-		writeErr(w, http.StatusBadRequest, "trace is not supported with shards > 1 (stage tracing is per-circuit)")
-		return
-	}
 	// Admission control: CPU-bound proves don't queue, they shed.
 	select {
 	case s.sem <- struct{}{}:
@@ -412,7 +358,7 @@ func (s *server) handleProve(w http.ResponseWriter, r *http.Request) {
 		}
 	case <-time.After(s.cfg.ProveTimeout):
 		s.timeouts.Add(1)
-		s.record(requestRecord{Kind: "prove", Model: req.Model,
+		s.record(requestRecord{Kind: "prove", Model: req.Model, Shards: req.Shards,
 			Status: http.StatusGatewayTimeout, Millis: s.cfg.ProveTimeout.Seconds() * 1000,
 			Error: "timeout"})
 		writeErr(w, http.StatusGatewayTimeout, "prove exceeded %v; the slot frees when it completes", s.cfg.ProveTimeout)
@@ -426,9 +372,13 @@ func (s *server) prove(req proveRequest) proveResult {
 		msg := fmt.Sprintf(format, args...)
 		return proveResult{
 			status: status, errMsg: msg,
-			rec: requestRecord{Kind: "prove", Model: req.Model, Status: status,
+			rec: requestRecord{Kind: "prove", Model: req.Model, Shards: req.Shards, Status: status,
 				Millis: float64(time.Since(start).Microseconds()) / 1000, Error: msg},
 		}
+	}
+	spec, err := zkml.Model(req.Model)
+	if err != nil {
+		return fail(http.StatusBadRequest, "%v", err)
 	}
 	// The setup-work window covers the whole request, including the system
 	// load: a warm request must report zero keygen/SRS work end to end.
@@ -437,57 +387,35 @@ func (s *server) prove(req proveRequest) proveResult {
 	if err != nil {
 		return fail(http.StatusBadRequest, "model %q: %v", req.Model, err)
 	}
-	spec, err := zkml.Model(req.Model)
-	if err != nil {
-		return fail(http.StatusBadRequest, "%v", err)
-	}
 	in := spec.Input(req.Seed)
 
+	var proof *zkml.ShardedProof
 	var rep *obs.Report
-	var data []byte
-	var outputs []float64
-	var proveDur time.Duration
-	if req.Shards > 1 {
-		// Sharded proves fan their chunks out through the same process-wide
-		// worker pool, so they share the untraced (read) side of the lock.
-		proveStart := time.Now()
-		s.traceMu.RLock()
-		proof, perr := e.ssys.Prove(in)
-		s.traceMu.RUnlock()
-		proveDur = time.Since(proveStart)
-		if perr == nil {
-			data, perr = e.ssys.ExportProof(proof)
-			outputs = e.ssys.Outputs(proof)
-		}
-		err = perr
-	} else if req.Trace {
+	proveStart := time.Now()
+	if req.Trace {
 		// Traced proves own the process-wide kernel sinks exclusively.
-		proveStart := time.Now()
 		s.traceMu.Lock()
-		proof, trep, perr := e.sys.ProveTraced(in)
+		proof, rep, err = e.sys.ProveTraced(in)
 		s.traceMu.Unlock()
-		proveDur = time.Since(proveStart)
-		rep = trep
-		if perr == nil {
-			data, perr = e.sys.ExportProof(proof)
-			outputs = e.sys.Outputs(proof)
-		}
-		err = perr
 	} else {
-		proveStart := time.Now()
+		// Chunks fan out through the process-wide worker pool, so every
+		// untraced prove shares the read side of the lock.
 		s.traceMu.RLock()
-		proof, perr := e.sys.Prove(in)
+		proof, err = e.sys.Prove(in)
 		s.traceMu.RUnlock()
-		proveDur = time.Since(proveStart)
-		if perr == nil {
-			data, perr = e.sys.ExportProof(proof)
-			outputs = e.sys.Outputs(proof)
-		}
-		err = perr
+	}
+	proveDur := time.Since(proveStart)
+	var data []byte
+	if err == nil {
+		data, err = e.sys.ExportProof(proof)
 	}
 	setup := pcs.SetupWorkSnapshot().Sub(setupBefore)
 	if err != nil {
-		return fail(http.StatusInternalServerError, "prove: %v", err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, zkml.ErrTraceSharded) {
+			status = http.StatusBadRequest
+		}
+		return fail(status, "prove: %v", err)
 	}
 	resp := &proveResponse{
 		Model:     req.Model,
@@ -495,13 +423,13 @@ func (s *server) prove(req proveRequest) proveResult {
 		Seed:      req.Seed,
 		Shards:    req.Shards,
 		Proof:     base64.StdEncoding.EncodeToString(data),
-		Outputs:   outputs,
+		Outputs:   e.sys.Outputs(proof),
 		ProveSecs: proveDur.Seconds(),
 		Source:    e.source,
 		SetupWork: setup,
 		Trace:     rep,
 	}
-	rec := requestRecord{Kind: "prove", Model: req.Model, Status: http.StatusOK,
+	rec := requestRecord{Kind: "prove", Model: req.Model, Shards: req.Shards, Status: http.StatusOK,
 		Millis: float64(time.Since(start).Microseconds()) / 1000,
 		Traced: req.Trace, ProveSecs: proveDur.Seconds()}
 	if rep != nil {
@@ -513,8 +441,7 @@ func (s *server) prove(req proveRequest) proveResult {
 type verifyRequest struct {
 	Model string `json:"model"`
 	Proof string `json:"proof"` // base64 of ExportProof bytes
-	// Shards > 1 verifies a sharded proof chain against the matching
-	// sharded system.
+	// Shards must be the count the proof was made with.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -527,7 +454,7 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.verifies.Add(1)
 	finish := func(status int, body any, errMsg string) {
-		s.record(requestRecord{Kind: "verify", Model: req.Model, Status: status,
+		s.record(requestRecord{Kind: "verify", Model: req.Model, Shards: req.Shards, Status: status,
 			Millis: float64(time.Since(start).Microseconds()) / 1000, Error: errMsg})
 		if errMsg != "" && body == nil {
 			s.failed.Add(1)
@@ -550,32 +477,17 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		finish(http.StatusBadRequest, nil, fmt.Sprintf("model %q: %v", req.Model, err))
 		return
 	}
-	var outputs []float64
-	if req.Shards > 1 {
-		proof, err := e.ssys.ImportProof(data)
-		if err != nil {
-			finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
-			return
-		}
-		if err := e.ssys.Verify(proof); err != nil {
-			finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
-			return
-		}
-		outputs = e.ssys.Outputs(proof)
-	} else {
-		proof, err := e.sys.ImportProof(data)
-		if err != nil {
-			finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
-			return
-		}
-		if err := e.sys.Verify(proof); err != nil {
-			finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
-			return
-		}
-		outputs = e.sys.Outputs(proof)
+	proof, err := e.sys.ImportProof(data)
+	if err != nil {
+		finish(http.StatusBadRequest, nil, fmt.Sprintf("malformed proof: %v", err))
+		return
+	}
+	if err := e.sys.Verify(proof); err != nil {
+		finish(http.StatusOK, map[string]any{"valid": false, "reason": err.Error()}, "")
+		return
 	}
 	finish(http.StatusOK, map[string]any{
 		"valid": true, "model": req.Model, "model_hash": e.hash,
-		"shards": req.Shards, "outputs": outputs,
+		"shards": req.Shards, "outputs": e.sys.Outputs(proof),
 	}, "")
 }

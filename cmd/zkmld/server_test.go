@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -200,6 +201,43 @@ func TestDaemonSmoke(t *testing.T) {
 	if !found {
 		t.Fatal("/models does not list dlrm-micro as loaded")
 	}
+
+	// The same model as a chain of two chunk circuits, through the same
+	// handlers: cold compile, verify, and a record in /stats that tells the
+	// sharded request from the plain ones.
+	resp, body = postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Seed: 7, Shards: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	if unmarshalField[string](t, body, "source") != "compiled" {
+		t.Fatalf("sharded cold prove source %s, want compiled", body["source"])
+	}
+	shardedB64 := unmarshalField[string](t, body, "proof")
+	shardedOutputs := unmarshalField[[]float64](t, body, "outputs")
+	resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Proof: shardedB64, Shards: 2})
+	if resp.StatusCode != http.StatusOK || !unmarshalField[bool](t, body, "valid") {
+		t.Fatalf("verify rejected a fresh sharded proof: %d %s", resp.StatusCode, body["error"])
+	}
+	// A sharded proof is not a proof for the plain system.
+	resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Proof: shardedB64})
+	if resp.StatusCode == http.StatusOK && unmarshalField[bool](t, body, "valid") {
+		t.Fatal("plain system accepted a sharded proof")
+	}
+	resp, body = postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Seed: 7, Shards: 2, Trace: true})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("traced sharded prove: status %d, want 400 (%s)", resp.StatusCode, body["error"])
+	}
+	var shardedRecs int
+	for _, rec := range unmarshalField[[]requestRecord](t, getJSON(t, ts, "/stats"), "recent") {
+		if rec.Shards == 2 {
+			shardedRecs++
+		} else if rec.Shards != 0 {
+			t.Fatalf("plain request recorded with shards=%d", rec.Shards)
+		}
+	}
+	if shardedRecs != 3 { // the prove, its verify, and the refused traced prove
+		t.Fatalf("/stats shows %d records with shards=2, want 3", shardedRecs)
+	}
 	ts.Close()
 
 	// Daemon restart over the populated store: the first prove deserializes
@@ -233,6 +271,77 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if !setupIsZero(unmarshalField[map[string]int64](t, body, "setup_work")) {
 		t.Fatalf("second prove after restart did setup work: %s", body["setup_work"])
+	}
+	// The chain restarts from its per-chunk artifacts in the same store.
+	resp, body = postJSON(t, ts2, "/prove", proveRequest{Model: "dlrm-micro", Seed: 7, Shards: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded restart prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	if unmarshalField[string](t, body, "source") != "store" {
+		t.Fatalf("sharded restart prove source %s, want store", body["source"])
+	}
+	if got := unmarshalField[[]float64](t, body, "outputs"); !reflect.DeepEqual(got, shardedOutputs) {
+		t.Fatalf("sharded outputs changed across the restart: %v vs %v", got, shardedOutputs)
+	}
+	resp, body = postJSON(t, ts2, "/verify", verifyRequest{Model: "dlrm-micro", Proof: shardedB64, Shards: 2})
+	if resp.StatusCode != http.StatusOK || !unmarshalField[bool](t, body, "valid") {
+		t.Fatalf("restarted daemon rejected the first daemon's sharded proof: %d %s", resp.StatusCode, body["error"])
+	}
+}
+
+// TestDaemonRejectsBadShardCounts is the regression test for the cache
+// filling up from untrusted input: every distinct out-of-range "shards"
+// value in a /prove or /verify body used to leave a permanent error entry in
+// server.systems. They must be 400s that cache nothing; 0 and 1 both mean
+// the plain system and share its slot.
+func TestDaemonRejectsBadShardCounts(t *testing.T) {
+	srv := newServer(testConfig(""))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, shards := range []int{-1, -7, 1000, 1001, 1 << 30} {
+		resp, _ := postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Shards: shards})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("prove with shards=%d: status %d, want 400", shards, resp.StatusCode)
+		}
+		resp, _ = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Proof: "AAAA", Shards: shards})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("verify with shards=%d: status %d, want 400", shards, resp.StatusCode)
+		}
+	}
+	srv.mu.Lock()
+	cached := len(srv.systems)
+	srv.mu.Unlock()
+	if cached != 0 {
+		t.Fatalf("rejected shard counts left %d cache entries behind", cached)
+	}
+	zero, err := srv.system("dlrm-micro", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := srv.system("dlrm-micro", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != one || len(srv.systems) != 1 {
+		t.Fatalf("shards 0 and 1 did not share one cache slot (%d entries)", len(srv.systems))
+	}
+}
+
+func TestParsePreload(t *testing.T) {
+	for item, want := range map[string]struct {
+		name   string
+		shards int
+	}{"mnist": {"mnist", 1}, "mnist@3": {"mnist", 3}, "gpt2-micro@1": {"gpt2-micro", 1}} {
+		name, shards, err := parsePreload(item)
+		if err != nil || name != want.name || shards != want.shards {
+			t.Fatalf("parsePreload(%q) = %q, %d, %v", item, name, shards, err)
+		}
+	}
+	// Sscanf("%d") used to accept the first of these as 3 shards.
+	for _, item := range []string{"mnist@3x", "mnist@", "mnist@0", "mnist@-2", "mnist@2@3", "mnist@ 2"} {
+		if _, _, err := parsePreload(item); err == nil {
+			t.Fatalf("parsePreload(%q) accepted", item)
+		}
 	}
 }
 

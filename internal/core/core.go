@@ -16,6 +16,7 @@ import (
 	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
+	"repro/internal/layers"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pcs"
@@ -293,9 +294,22 @@ func LayoutOf(cs *plonkish.CS, k int, backend pcs.Backend) costmodel.Layout {
 
 // Synthesize builds the circuit and witness for an input under this plan.
 func (p *Plan) Synthesize(in *model.Input) (*gadgets.Artifact, error) {
-	b, _, err := p.Graph.BuildCircuit(p.Config, in)
+	return p.SynthesizeLink(in, nil)
+}
+
+// SynthesizeLink is Synthesize for one link of a sharded chain: it also
+// records the quantized values of every graph output into acts, keyed by
+// tensor name — the boundary activations the following chunks take as their
+// act inputs (model.Partitioning.ChunkInput). A nil acts records nothing.
+func (p *Plan) SynthesizeLink(in *model.Input, acts map[string][]int64) (*gadgets.Artifact, error) {
+	b, outs, err := p.Graph.BuildCircuit(p.Config, in)
 	if err != nil {
 		return nil, err
+	}
+	if acts != nil {
+		for i, name := range p.Graph.Outputs {
+			acts[name] = layers.Values(outs[i]).Data
+		}
 	}
 	return b.Finalize(p.N)
 }

@@ -521,9 +521,12 @@ func (l Layout) ExtK() int {
 // per-column-row overhead, so Algorithm 1 ranks layouts with the model
 // that matched measured proves, not the raw closed form.
 func (c *Calibration) EstimateProvingTime(l Layout) float64 {
+	// Summed in pipeline order, not map order: float addition does not
+	// commute in the last bit, and the estimate is stored in artifacts.
+	p := c.PredictStages(l)
 	var t float64
-	for _, v := range c.PredictStages(l) {
-		t += v
+	for _, stage := range obs.StageNames() {
+		t += p[stage]
 	}
 	return t
 }
@@ -636,31 +639,4 @@ func (l Layout) EstimateProofSize() int {
 		size += points * (32 * (2*l.K + 1))
 	}
 	return size
-}
-
-// EstimateShardedTime prices a sharded plan (DESIGN.md §16): the sum of
-// every chunk's fitted stage predictions — chunks prove on separate,
-// strictly smaller domains, so the sum is the total prover work and the
-// per-chunk terms are what parallel chunk proving overlaps — plus the
-// boundary-commitment overhead. Every boundary activation is committed
-// twice (once in the producer's instance column, once re-committed by the
-// consumer) and absorbed into two transcripts, a few field operations per
-// element on each side.
-func (c *Calibration) EstimateShardedTime(chunks []Layout, boundaryElems int) float64 {
-	var t float64
-	for _, l := range chunks {
-		t += c.EstimateProvingTime(l)
-	}
-	return t + float64(boundaryElems)*8*c.fieldOpFloor()
-}
-
-// EstimateShardedSize sums the per-chunk proof sizes plus the re-committed
-// boundary instance values (one 32-byte scalar per element on each of the
-// producing and consuming sides).
-func EstimateShardedSize(chunks []Layout, boundaryElems int) int {
-	size := 0
-	for _, l := range chunks {
-		size += l.EstimateProofSize()
-	}
-	return size + 64*boundaryElems
 }

@@ -11,7 +11,7 @@ import (
 // consumer and a declared output of the producer, so both sides commit to
 // it as a public instance value. The verifier then binds the chain by
 // checking instance-segment equality along every Wire (see
-// core.ShardedPlan and DESIGN.md §16).
+// zkml.ShardedSystem and DESIGN.md §16).
 //
 // The partitioning is a pure function of (graph, shard count): cut
 // positions balance per-node flops, and the instance layout of every chunk
@@ -73,7 +73,8 @@ type Partitioning struct {
 // per-node flops, choosing among near-balanced cut positions the ones that
 // minimize boundary-crossing elements. The sample input only supplies
 // tensor shapes (shapes are input-independent); the resulting decomposition
-// is deterministic per (graph, shards).
+// is deterministic per (graph, shards). One shard yields a single chunk whose
+// graph is g itself.
 func Partition(g *Graph, sample *Input, shards int) (*Partitioning, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("model: shard count %d must be positive", shards)
@@ -217,49 +218,54 @@ func Partition(g *Graph, sample *Input, shards int) (*Partitioning, error) {
 	}
 
 	for c := 0; c < shards; c++ {
-		lo, hi := rangeOf(cuts, c, len(g.Nodes))
-		cg := &Graph{
-			Name:    fmt.Sprintf("%s#%d/%d", g.Name, c, shards),
-			Weights: map[string]Weight{},
-		}
-		// Owned original inputs, in full-graph spec order.
-		for _, spec := range g.Inputs {
-			if owner[spec.Name] == c {
-				cg.Inputs = append(cg.Inputs, spec)
+		// One shard is no split at all: the chunk is the caller's graph itself,
+		// so it hashes, stores and proves exactly as the unsharded circuit.
+		cg := g
+		if shards > 1 {
+			lo, hi := rangeOf(cuts, c, len(g.Nodes))
+			cg = &Graph{
+				Name:    fmt.Sprintf("%s#%d/%d", g.Name, c, shards),
+				Weights: map[string]Weight{},
 			}
-		}
-		// Boundary act inputs, in deterministic order.
-		for _, t := range boundaryIn[c] {
-			cg.Inputs = append(cg.Inputs, InputSpec{
-				Name:  t,
-				Shape: append([]int(nil), env[t].Shape...),
-				Kind:  ActInput,
-			})
-		}
-		for j := lo; j < hi; j++ {
-			n := g.Nodes[j]
-			cg.Nodes = append(cg.Nodes, n)
-			for _, w := range []string{n.Weight, n.Weight2, n.Bias} {
-				if w != "" {
-					cg.Weights[w] = g.Weights[w]
+			// Owned original inputs, in full-graph spec order.
+			for _, spec := range g.Inputs {
+				if owner[spec.Name] == c {
+					cg.Inputs = append(cg.Inputs, spec)
 				}
 			}
-		}
-		// Chunk outputs: boundary activations first, then finals not
-		// already published as boundaries.
-		inOutputs := map[string]bool{}
-		for _, t := range boundaryOut[c] {
-			cg.Outputs = append(cg.Outputs, t)
-			inOutputs[t] = true
-		}
-		for _, t := range finalsOf[c] {
-			if !inOutputs[t] {
+			// Boundary act inputs, in deterministic order.
+			for _, t := range boundaryIn[c] {
+				cg.Inputs = append(cg.Inputs, InputSpec{
+					Name:  t,
+					Shape: append([]int(nil), env[t].Shape...),
+					Kind:  ActInput,
+				})
+			}
+			for j := lo; j < hi; j++ {
+				n := g.Nodes[j]
+				cg.Nodes = append(cg.Nodes, n)
+				for _, w := range []string{n.Weight, n.Weight2, n.Bias} {
+					if w != "" {
+						cg.Weights[w] = g.Weights[w]
+					}
+				}
+			}
+			// Chunk outputs: boundary activations first, then finals not
+			// already published as boundaries.
+			inOutputs := map[string]bool{}
+			for _, t := range boundaryOut[c] {
 				cg.Outputs = append(cg.Outputs, t)
 				inOutputs[t] = true
 			}
-		}
-		if err := cg.Validate(); err != nil {
-			return nil, fmt.Errorf("model: partitioning %s chunk %d: %w", g.Name, c, err)
+			for _, t := range finalsOf[c] {
+				if !inOutputs[t] {
+					cg.Outputs = append(cg.Outputs, t)
+					inOutputs[t] = true
+				}
+			}
+			if err := cg.Validate(); err != nil {
+				return nil, fmt.Errorf("model: partitioning %s chunk %d: %w", g.Name, c, err)
+			}
 		}
 
 		// Instance layout: act inputs (in cg.Inputs order — exactly how

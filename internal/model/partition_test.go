@@ -123,6 +123,12 @@ func TestPartitionShardBounds(t *testing.T) {
 	if len(part.Chunks) != 1 || len(part.Wires) != 0 || part.BoundaryElems != 0 {
 		t.Fatal("single-shard partition has boundaries")
 	}
+	// One shard is the caller's graph itself, not a renamed copy: its model
+	// hash, and with it the artifact and VK of the unsharded circuit, carry
+	// over unchanged.
+	if part.Chunks[0].Graph != g {
+		t.Fatalf("single-shard chunk is %q, not the graph passed in", part.Chunks[0].Graph.Name)
+	}
 }
 
 // TestPartitionSharedInputBecomesBoundary: a float input consumed by two

@@ -139,116 +139,6 @@ func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error)
 	return &System{Plan: plan, Keys: keys, opts: o}, nil
 }
 
-// ShardedArtifactPath returns the file a compiled sharded system for
-// (model, shards, options) is stored at inside dir. The name embeds the
-// shard count next to the model hash and options fingerprint, so the same
-// model sharded differently never collides.
-func ShardedArtifactPath(dir string, g *Graph, shards int, o Options) (string, error) {
-	h, err := core.ModelHash(g)
-	if err != nil {
-		return "", err
-	}
-	fp := optionsFingerprint(o)
-	name := fmt.Sprintf("%s-s%d-%x-%x.zks", sanitizeName(g.Name), shards, h[:4], fp[:4])
-	return filepath.Join(dir, name), nil
-}
-
-// Save persists the compiled sharded system — per-chunk plans, key
-// material, and SRS — into dir, returning the file path. The write is
-// atomic. Load the result with LoadShardedSystem or LoadShardedVerifier.
-func (s *ShardedSystem) Save(dir string) (string, error) {
-	h, err := core.ModelHash(s.Plan.Graph)
-	if err != nil {
-		return "", err
-	}
-	meta := core.ArtifactMeta{ModelHash: h, Options: optionsFingerprint(s.opts)}
-	data, err := core.EncodeShardedArtifact(meta, s.Plan, s.Keys)
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path, err := ShardedArtifactPath(dir, s.Plan.Graph, len(s.Plan.Chunks), s.opts)
-	if err != nil {
-		return "", err
-	}
-	if err := fsio.WriteFileAtomic(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// loadShardedArtifact reads and decodes the sharded artifact for
-// (model, shards, options) from dir and checks it was built for exactly
-// that triple.
-func loadShardedArtifact(dir string, g *Graph, shards int, o Options) (*core.ShardedArtifactFile, error) {
-	path, err := ShardedArtifactPath(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("zkml: no stored sharded artifact for model %q with these options: %w", g.Name, err)
-	}
-	af, err := core.DecodeShardedArtifact(data)
-	if err != nil {
-		return nil, err
-	}
-	h, err := core.ModelHash(g)
-	if err != nil {
-		return nil, err
-	}
-	if af.Meta.ModelHash != h {
-		return nil, fmt.Errorf("zkml: sharded artifact %s was built for a different model: %w", path, ErrMalformedArtifact)
-	}
-	if af.Meta.Options != optionsFingerprint(o) {
-		return nil, fmt.Errorf("zkml: sharded artifact %s was built with different options: %w", path, ErrMalformedArtifact)
-	}
-	if af.Shards != shards {
-		return nil, fmt.Errorf("zkml: sharded artifact %s carries %d shards, want %d: %w", path, af.Shards, shards, ErrMalformedArtifact)
-	}
-	return af, nil
-}
-
-// LoadShardedSystem reconstructs a compiled sharded system from an artifact
-// saved in dir: the partitioning is recomputed from the model, each chunk's
-// circuit is re-synthesized, and the stored material supplies the key
-// polynomials and commitments — no layout search, no keygen, no SRS
-// extension. If no matching artifact exists the error wraps os.ErrNotExist.
-func LoadShardedSystem(dir string, g *Graph, sample *Input, shards int, o Options) (*ShardedSystem, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadShardedArtifact(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.Instantiate(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSystem{Plan: plan, Keys: keys, opts: o}, nil
-}
-
-// LoadShardedVerifier reconstructs a verification-only sharded system from
-// an artifact saved in dir; chunk keys carry only the verifying side and
-// Prove returns an error.
-func LoadShardedVerifier(dir string, g *Graph, sample *Input, shards int, o Options) (*ShardedSystem, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadShardedArtifact(dir, g, shards, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.InstantiateVerifier(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSystem{Plan: plan, Keys: keys, opts: o}, nil
-}
-
 // LoadVerifier reconstructs a verification-only system from an artifact
 // saved in dir: the verifying key is assembled straight from the stored
 // commitments with no interpolation and no MSM work at all. The result
