@@ -44,6 +44,7 @@ FUZZ_TARGETS = \
 	./internal/plonkish/:FuzzProofUnmarshal \
 	./internal/plonkish/:FuzzVerify \
 	./internal/plonkish/:FuzzKeyMaterialUnmarshal \
+	./internal/pcs/:FuzzImportSRS \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
 	./internal/curve/:FuzzGLVDecompose

@@ -251,15 +251,20 @@ func TestDaemonSmoke(t *testing.T) {
 	if unmarshalField[string](t, body, "source") != "store" {
 		t.Fatalf("restart prove source %s, want store", body["source"])
 	}
-	// The store holds keys and SRS powers, not commit tables or the Lagrange
-	// SRS: a fresh process builds one table per basis (coefficient and
-	// Lagrange) and derives the Lagrange points in its first prove. (This
-	// process already has them cached, so here they are usually zero.)
+	// The store holds commitments and SRS powers, not commit tables, the
+	// generator comb or the Lagrange SRS: a fresh process builds one table
+	// per basis (coefficient and Lagrange), the comb once, and derives the
+	// Lagrange points in its first prove. (This process already has them
+	// cached, so here they are usually zero.)
 	restartWork := unmarshalField[map[string]int64](t, body, "setup_work")
 	if b := restartWork["commit_table_builds"]; b > 2 {
 		t.Fatalf("restart prove built commitment tables %d times, want at most one per basis", b)
 	}
+	if b := restartWork["kzg_comb_builds"]; b > 1 {
+		t.Fatalf("restart prove built the generator comb %d times, want at most once", b)
+	}
 	restartWork["commit_table_builds"] = 0
+	restartWork["kzg_comb_builds"] = 0
 	restartWork["kzg_lagrange_derived"] = 0
 	if !setupIsZero(restartWork) {
 		t.Fatalf("cold start from populated store did setup work: %s", body["setup_work"])

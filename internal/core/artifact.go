@@ -21,21 +21,25 @@ import (
 // expensive about its keys, persisted so cold start is a deserialize
 // instead of an optimizer sweep + keygen + SRS extension. One file holds
 //
-//	magic "ZKMLART\x01", then
+//	magic "ZKMLART" + ArtifactVersion, then
 //	meta:     model hash (32 B) + options fingerprint (32 B)
 //	plan:     backend, gadget config, K/N/UsedRows, estimated cost/size
 //	digest:   the verifying-key digest the reconstructed keys must match
-//	keys:     plonkish.KeyMaterial (fixed/sigma polynomials + commitments)
+//	keys:     plonkish.KeyMaterial (fixed/sigma commitments)
 //	srs:      the commitment-scheme setup (pcs.ExportSRS)
 //
-// The graph and sample input are NOT stored — the loader re-synthesizes the
-// circuit from the model it already has, and the digest check rejects
-// material that does not match it. Artifact bytes are untrusted: every
-// length prefix is capped by the bytes remaining, nested sections go
-// through their own hardened decoders, and all structural failures wrap
-// zkerrors.ErrMalformedArtifact.
+// The graph, sample input, key polynomials and KZG comb are NOT stored —
+// the loader re-synthesizes and re-interpolates the circuit from the model
+// it already has, and the digest check rejects commitments that do not
+// match it. Artifact bytes are untrusted: every length prefix is capped by
+// the bytes remaining, nested sections go through their own hardened
+// decoders, and all structural failures wrap zkerrors.ErrMalformedArtifact.
 
-var artifactMagic = [8]byte{'Z', 'K', 'M', 'L', 'A', 'R', 'T', 1}
+// ArtifactVersion is the format version in the magic. The store carries it
+// in the file name too, so an artifact of another version is a miss.
+const ArtifactVersion = 2
+
+var artifactMagic = [8]byte{'Z', 'K', 'M', 'L', 'A', 'R', 'T', ArtifactVersion}
 
 // maxConfigStr caps decoded gadget-strategy string lengths.
 const maxConfigStr = 64
@@ -149,8 +153,8 @@ func EncodeArtifact(meta ArtifactMeta, p *Plan, keys *Keys) ([]byte, error) {
 // DecodeArtifact parses artifact bytes. The input is untrusted; failures
 // wrap zkerrors.ErrMalformedArtifact and arbitrary bytes never panic or
 // over-allocate. The nested key material is fully decoded (and its points
-// and scalars validated); the SRS section is kept as raw bytes for
-// pcs.ImportSRS at instantiation time.
+// validated); the SRS section is kept as raw bytes for pcs.ImportSRS at
+// instantiation time.
 func DecodeArtifact(data []byte) (*ArtifactFile, error) {
 	r := bytes.NewReader(data)
 	var magic [8]byte
@@ -337,9 +341,9 @@ func (af *ArtifactFile) checkDigest(vk *plonkish.VerifyingKey) error {
 }
 
 // Instantiate rebuilds a full proving system from the artifact: the circuit
-// and fixed values are re-synthesized from the model (cheap), the SRS is
-// imported, and the keys are assembled from the stored material — no
-// optimizer sweep, no keygen IFFTs or MSMs, no SRS extension.
+// and fixed values are re-synthesized from the model and interpolated
+// (cheap), the SRS is imported, and the keys take the stored commitments —
+// no optimizer sweep, no keygen MSMs, no SRS extension.
 func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
 	art, err := af.rebuild(g, sample)
 	if err != nil {

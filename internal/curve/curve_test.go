@@ -219,6 +219,61 @@ func TestSetBytesRejectsOffCurve(t *testing.T) {
 	t.Skip("no off-curve x found in range")
 }
 
+// TestFpSqrtMatchesModSqrt pins sqrt to big.Int.ModSqrt: the same root for
+// residues (hash-to-curve and point decompression pick the sign from it),
+// false for non-residues, and 0 for 0 — over small values, p-1 and p-2, and
+// pseudo-random field elements.
+func TestFpSqrtMatchesModSqrt(t *testing.T) {
+	p := fpMod.Big
+	vals := []*big.Int{new(big.Int), new(big.Int).Sub(p, big.NewInt(1)), new(big.Int).Sub(p, big.NewInt(2))}
+	for i := int64(1); i <= 40; i++ {
+		vals = append(vals, big.NewInt(i))
+	}
+	seed := big.NewInt(0x1e3779b97f4a7c15)
+	for i := 0; i < 200; i++ {
+		seed.Mul(seed, seed).Add(seed, big.NewInt(int64(i))).Mod(seed, p)
+		vals = append(vals, new(big.Int).Set(seed))
+	}
+	var residues, nonResidues int
+	for _, v := range vals {
+		x := fpFromBig(v)
+		var z Fp
+		ok := z.sqrt(&x)
+		want := new(big.Int).ModSqrt(v, p)
+		if ok != (want != nil) {
+			t.Fatalf("sqrt(%v) ok=%v, ModSqrt root exists=%v", v, ok, want != nil)
+		}
+		if !ok {
+			nonResidues++
+			continue
+		}
+		residues++
+		if z.big().Cmp(want) != 0 {
+			t.Fatalf("sqrt(%v) = %v, ModSqrt = %v", v, z.big(), want)
+		}
+	}
+	if residues == 0 || nonResidues == 0 {
+		t.Fatalf("sample has %d residues and %d non-residues, want both", residues, nonResidues)
+	}
+}
+
+var sqrtSink bool
+
+// BenchmarkFpSqrt times one square root of a residue (the generator's
+// y² = x³ + 3), the per-point cost of every compressed-point decode.
+func BenchmarkFpSqrt(b *testing.B) {
+	g := Generator()
+	var rhs, t Fp
+	t.square(&g.X)
+	rhs.mul(&t, &g.X)
+	three := fpFromUint64(3)
+	rhs.add(&rhs, &three)
+	for i := 0; i < b.N; i++ {
+		var y Fp
+		sqrtSink = y.sqrt(&rhs)
+	}
+}
+
 func TestHashToCurve(t *testing.T) {
 	seen := map[[32]byte]bool{}
 	for i := 0; i < 10; i++ {
@@ -254,15 +309,13 @@ func BenchmarkMSM(b *testing.B) {
 		copy(pts, aff)
 		name := map[int]string{1 << 8: "2^8", 1 << 10: "2^10", 1 << 12: "2^12"}[n]
 		for _, glv := range []bool{true, false} {
-			sub := name + "/glv=on"
+			sub, kernel := name+"/glv=on", MSM
 			if !glv {
-				sub = name + "/glv=off"
+				sub, kernel = name+"/glv=off", msmPlain
 			}
 			b.Run(sub, func(b *testing.B) {
-				prev := SetGLV(glv)
-				defer SetGLV(prev)
 				for i := 0; i < b.N; i++ {
-					MSM(pts, scs)
+					kernel(pts, scs)
 				}
 			})
 		}

@@ -125,7 +125,7 @@ func (t *FixedBaseTable) Windows() (c, nw int) { return t.c, t.nw }
 // and reduce them independently; the partial sums are combined in index
 // order, and since each partial is an exact group element the result — and
 // therefore every proof byte — is identical at any worker count. Falls back
-// to the generic kernel when GLV is disabled or the input is tiny.
+// to the generic kernel when the input is tiny.
 func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 	n := len(scalars)
 	if n > t.n {
@@ -134,7 +134,7 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 	if n == 0 {
 		return Jac{}
 	}
-	if n < 8 || !glvOn.Load() {
+	if n < 8 {
 		return MSM(t.basis[:n], scalars)
 	}
 	splits := make([]glvSplit, n)

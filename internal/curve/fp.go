@@ -53,16 +53,22 @@ func (z *Fp) isZero() bool      { return limbs.IsZero(&z.l) }
 func (z *Fp) equal(x *Fp) bool  { return limbs.Equal(&z.l, &x.l) }
 func fpOne() Fp                 { return Fp{l: fpMod.R} }
 
-// sqrt computes a square root of x if one exists (p ≡ 3 mod 4 for BN254,
-// so x^((p+1)/4) works; we use big.Int ModSqrt for generality since this
-// only runs at setup time for hash-to-curve).
+// fpSqrtExp is (p+1)/4: p ≡ 3 mod 4 for BN254, so x^((p+1)/4) is a square
+// root of x whenever one exists.
+var fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(fpMod.Big, big.NewInt(1)), 2)
+
+// sqrt computes a square root of x if one exists — the same root
+// big.Int.ModSqrt returns — in Montgomery form, without leaving it. It runs
+// on every decompressed point (proofs, SRS powers, commitments) and in
+// hash-to-curve; the candidate is squared back because a non-residue also
+// has an x^((p+1)/4), just not a root.
 func (z *Fp) sqrt(x *Fp) bool {
-	v := x.big()
-	r := new(big.Int).ModSqrt(v, fpMod.Big)
-	if r == nil {
+	var r, sq Fp
+	fpMod.Exp(&r.l, &x.l, fpSqrtExp)
+	if !sq.square(&r).equal(x) {
 		return false
 	}
-	*z = fpFromBig(r)
+	*z = r
 	return true
 }
 

@@ -58,27 +58,12 @@ var (
 	glvRoundHalf *big.Int // 2^(shift-1)
 
 	glvR [4]uint64 // r as little-endian limbs, for the short-scalar path
-
-	glvOn atomic.Bool
 )
 
 func init() {
 	glvDeriveConstants()
 	glvSelfCheck()
-	glvOn.Store(true)
 }
-
-// SetGLV toggles GLV decomposition in the MSM kernels and returns the
-// previous setting. Both settings compute identical group elements; tests
-// and benchmarks use the toggle to compare paths.
-func SetGLV(on bool) bool {
-	prev := glvOn.Load()
-	glvOn.Store(on)
-	return prev
-}
-
-// GLVEnabled reports whether MSM kernels currently use GLV decomposition.
-func GLVEnabled() bool { return glvOn.Load() }
 
 // GLVLambda returns λ, the scalar the endomorphism Phi multiplies by.
 func GLVLambda() *big.Int { return new(big.Int).Set(glvLambda) }

@@ -150,11 +150,7 @@ func TestMSMGLVMatchesPlain(t *testing.T) {
 				scs[i] = ff.Random()
 			}
 		}
-		prev := SetGLV(false)
-		plain := MSM(pts, scs)
-		SetGLV(true)
-		glv := MSM(pts, scs)
-		SetGLV(prev)
+		plain, glv := msmPlain(pts, scs), MSM(pts, scs)
 		a, b := plain.ToAffine(), glv.ToAffine()
 		if !a.Equal(&b) {
 			t.Fatalf("GLV MSM differs from plain kernel at n=%d", n)
@@ -180,8 +176,9 @@ func TestFixedBaseWindowsBounds(t *testing.T) {
 }
 
 // TestFixedBaseTableMatchesMSM cross-checks the table path against the
-// generic kernel: full-length and prefix MSMs, edge scalars, duplicates via
-// small multiples, and byte-identical results at every worker count.
+// plain reference kernel: full-length and prefix MSMs, edge scalars,
+// duplicates via small multiples, and byte-identical results at every
+// worker count.
 func TestFixedBaseTableMatchesMSM(t *testing.T) {
 	g := Generator()
 	const n = 600
@@ -211,10 +208,10 @@ func TestFixedBaseTableMatchesMSM(t *testing.T) {
 		}
 	}
 	for _, m := range []int{1, 7, 63, 255, 256, n} {
-		want := MSM(basis[:m], scs[:m]).ToAffine()
+		want := msmPlain(basis[:m], scs[:m]).ToAffine()
 		got := tab.MSM(scs[:m]).ToAffine()
 		if !got.Equal(&want) {
-			t.Fatalf("fixed-base MSM differs from generic kernel at m=%d", m)
+			t.Fatalf("fixed-base MSM differs from plain kernel at m=%d", m)
 		}
 	}
 
@@ -230,18 +227,6 @@ func TestFixedBaseTableMatchesMSM(t *testing.T) {
 		if got != ref {
 			t.Fatalf("fixed-base MSM bytes differ at %d workers", w)
 		}
-	}
-
-	// With GLV disabled the table falls back to the generic kernel and must
-	// still agree.
-	prev := SetGLV(false)
-	got := tab.MSM(scs).ToAffine()
-	SetGLV(prev)
-	want := new(Jac)
-	*want = msmPlain(basis, scs)
-	wa := want.ToAffine()
-	if !got.Equal(&wa) {
-		t.Fatal("fixed-base fallback (GLV off) differs from plain kernel")
 	}
 }
 

@@ -87,15 +87,12 @@ func MSM(points []Affine, scalars []ff.Element) Jac {
 		}
 		return acc
 	}
-	if glvOn.Load() {
-		return msmGLV(points, scalars)
-	}
-	return msmPlain(points, scalars)
+	return msmGLV(points, scalars)
 }
 
 // msmPlain is the non-GLV signed-window kernel: full 254-bit scalars, one
-// bucket pass per window. Kept as the GLV fallback and the baseline the
-// GLV-off benchmarks and determinism tests compare against.
+// bucket pass per window. Kept as the GLV bound-overflow fallback and the
+// reference the kernel tests and benchmarks compare against.
 func msmPlain(points []Affine, scalars []ff.Element) Jac {
 	n := len(points)
 	c := WindowSize(n)

@@ -25,16 +25,6 @@ import (
 // would never pay for itself.
 const commitTableMinLen = 64
 
-// commitTablesOn gates the fixed-base commit path; disabled it falls back
-// to the generic MSM kernel (used by benchmarks and determinism tests).
-var commitTablesOn atomic.Bool
-
-func init() { commitTablesOn.Store(true) }
-
-// SetCommitTables toggles the fixed-base commitment tables and returns the
-// previous setting.
-func SetCommitTables(on bool) bool { return commitTablesOn.Swap(on) }
-
 // ResetCommitTables drops the cached commitment tables so the next Commit
 // rebuilds them. Benchmarks use this to measure the cold path.
 func ResetCommitTables() {
@@ -100,7 +90,7 @@ func (cc *commitTableCache) get(basis []curve.Affine, n int) *curve.FixedBaseTab
 // commitMSM is the shared Commit kernel: the fixed-base table when it
 // applies, the generic MSM otherwise.
 func commitMSM(cc *commitTableCache, basis []curve.Affine, p []ff.Element) curve.Affine {
-	if commitTablesOn.Load() && curve.GLVEnabled() && len(p) >= commitTableMinLen {
+	if len(p) >= commitTableMinLen {
 		if t := cc.get(basis, len(p)); t != nil {
 			setupWork.commitTableHits.Add(1)
 			return t.MSM(p).ToAffine()

@@ -6,7 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/ff"
 )
+
+// plainCommit commits through the generic MSM kernel over the scheme's
+// basis, bypassing the fixed-base tables: the reference the table path must
+// equal.
+func plainCommit(s Scheme, p []ff.Element) curve.Affine {
+	var basis []curve.Affine
+	switch s := s.(type) {
+	case *KZGScheme:
+		basis = s.powers
+	case *IPAScheme:
+		basis = s.basis
+	}
+	return curve.MSM(basis[:len(p)], p).ToAffine()
+}
 
 // TestCommitTableMatchesPlainMSM pins the routing invariant: a commitment
 // served by the fixed-base table is the same group element (and therefore
@@ -17,10 +32,7 @@ func TestCommitTableMatchesPlainMSM(t *testing.T) {
 	for _, s := range schemes(t, 256) {
 		for _, n := range []int{1, commitTableMinLen - 1, commitTableMinLen, 200, 256} {
 			p := randPoly(n)
-			warm := s.Commit(p)
-			prev := SetCommitTables(false)
-			plain := s.Commit(p)
-			SetCommitTables(prev)
+			warm, plain := s.Commit(p), plainCommit(s, p)
 			if !warm.Equal(&plain) {
 				t.Fatalf("%s n=%d: table commitment differs from plain MSM", s.Backend(), n)
 			}
@@ -37,9 +49,7 @@ func TestConcurrentCommitSharedTable(t *testing.T) {
 	before := SetupWorkSnapshot()
 	for _, s := range schemes(t, 128) {
 		p := randPoly(128)
-		prev := SetCommitTables(false)
-		want := s.Commit(p)
-		SetCommitTables(prev)
+		want := plainCommit(s, p)
 
 		const goroutines = 8
 		got := make([]curve.Affine, goroutines)
@@ -160,10 +170,8 @@ func BenchmarkCommitNoTable(b *testing.B) {
 			k++
 		}
 		b.Run(fmt.Sprintf("KZG/2^%d", k), func(b *testing.B) {
-			prev := SetCommitTables(false)
-			defer SetCommitTables(prev)
 			for i := 0; i < b.N; i++ {
-				s.Commit(p)
+				curve.MSM(s.powers, p)
 			}
 		})
 	}

@@ -31,10 +31,13 @@ type KZGScheme struct {
 var (
 	kzgMu     sync.Mutex
 	kzgShared *KZGScheme // grown on demand; SRS generation is the slow part
-	// kzgTable is the fixed-base comb table for the generator, built once
-	// and reused by every SRS growth call and Lagrange-basis derivation (it
-	// only depends on G, and rebuilding the 32x256 table used to dominate
-	// repeated extends).
+	// kzgTable is the fixed-base comb table for the generator, built on
+	// first use and reused by every SRS growth call and Lagrange-basis
+	// derivation (it only depends on G, and rebuilding the 32x256 table used
+	// to dominate repeated extends). It is process-local: rebuilding it
+	// (~10 ms) is cheaper than decompressing a stored copy. It is not a
+	// curve.FixedBaseTable, which computes one sum Σ sᵢ·Bᵢ; the comb computes
+	// n separate multiples of one point.
 	kzgTable *fixedBase
 )
 
@@ -79,7 +82,8 @@ func (k *KZGScheme) extend(maxLen int) {
 	k.powers = append(k.powers, curve.BatchToAffine(jacs)...)
 }
 
-// generatorComb returns the comb table for G, building it on first use.
+// generatorComb returns the comb table for G, building it on first use. Only
+// extend and deriveLagrange call it, so importing an SRS builds nothing.
 // Caller holds kzgMu; the returned table is immutable.
 func generatorComb() *fixedBase {
 	if kzgTable == nil {

@@ -88,8 +88,8 @@ func (k *KZGScheme) deriveLagrange(n int) []curve.Affine {
 // size-len(evals) domain are evals; len(evals) must be a power of two within
 // the SRS. The result equals Commit of the interpolated coefficients. Like
 // Commit it runs on a lazily built fixed-base table — one per domain size —
-// and on the generic MSM over the Lagrange basis when tables or GLV are off
-// or the column is short.
+// and on the generic MSM over the Lagrange basis when the column is short or
+// the table is over budget.
 func (k *KZGScheme) CommitLagrange(evals []ff.Element) curve.Affine {
 	if len(evals) > len(k.powers) {
 		panic("pcs: column exceeds SRS size")

@@ -13,17 +13,19 @@ import (
 )
 
 // SRS wire format: magic, version, backend, then backend-specific sections
-// of 32-byte compressed points. The bytes are untrusted (an artifact file
-// may be copied between machines or corrupted on disk): every length prefix
-// is capped by the bytes actually remaining and every point is revalidated
-// against the curve equation. For KZG the powers are additionally
-// spot-checked against the process's deterministic trapdoor (first, second,
-// and last power), so an artifact from a different "ceremony" is rejected
-// rather than silently producing unverifiable proofs.
+// of 32-byte compressed points — the KZG powers of tau, or the IPA basis plus
+// its anchor. Only what a ceremony or a hash-to-curve derivation produces is
+// stored; the generator comb is rebuilt on first use (kzg.go). The bytes are
+// untrusted (an artifact file may be copied between machines or corrupted on
+// disk): every length prefix is capped by the bytes actually remaining and
+// every point is revalidated against the curve equation. For KZG the powers
+// are additionally spot-checked against the process's deterministic trapdoor
+// (first, second, and last power), so an artifact from a different
+// "ceremony" is rejected rather than silently producing unverifiable proofs.
 
 var srsMagic = [4]byte{'Z', 'S', 'R', 'S'}
 
-const srsVersion = 1
+const srsVersion = 2
 
 // errArtifact returns a context-wrapped zkerrors.ErrMalformedArtifact.
 func errArtifact(format string, args ...any) error {
@@ -48,7 +50,10 @@ type SetupWork struct {
 	// KZGPowersExtended counts SRS powers computed by extend (each is a
 	// fixed-base comb multiplication).
 	KZGPowersExtended int64 `json:"kzg_powers_extended"`
-	// KZGCombBuilds counts generator comb-table constructions.
+	// KZGCombBuilds counts generator comb-table constructions. The comb is
+	// process-local and never stored: it is built once, by the first SRS
+	// extension or Lagrange-basis derivation, so a process restarted from
+	// the store counts one build in its first KZG prove and none at load.
 	KZGCombBuilds int64 `json:"kzg_comb_builds"`
 	// KZGLagrangeDerived counts Lagrange-basis SRS points derived (each a
 	// comb multiplication; n per domain size, on its first Lagrange commit).
@@ -100,9 +105,9 @@ func (w SetupWork) IsZero() bool {
 }
 
 // ExportSRS serializes the commitment-scheme setup for a backend at size
-// maxLen: the KZG powers-of-tau plus the generator comb table, or the IPA
-// basis plus its inner-product anchor. The setup is generated first if the
-// process has not yet grown it to maxLen.
+// maxLen: the KZG powers-of-tau, or the IPA basis plus its inner-product
+// anchor. The setup is generated first if the process has not yet grown it
+// to maxLen.
 func ExportSRS(b Backend, maxLen int) ([]byte, error) {
 	if maxLen <= 0 {
 		return nil, fmt.Errorf("pcs: export size %d must be positive", maxLen)
@@ -125,10 +130,6 @@ func ExportSRS(b Backend, maxLen int) ([]byte, error) {
 		NewKZG(maxLen) // grow the shared SRS if needed
 		kzgMu.Lock()
 		writePoints(kzgShared.powers[:maxLen])
-		comb := generatorComb()
-		for w := range comb.windows {
-			writePoints(comb.windows[w][:])
-		}
 		kzgMu.Unlock()
 	case IPA:
 		s := NewIPA(maxLen)
@@ -191,21 +192,10 @@ func ImportSRS(data []byte) (Backend, int, error) {
 		if len(powers) == 0 {
 			return 0, 0, errArtifact("empty KZG SRS")
 		}
-		table := &fixedBase{}
-		for w := range table.windows {
-			win, err := readPointSection(r)
-			if err != nil {
-				return 0, 0, err
-			}
-			if len(win) != 256 {
-				return 0, 0, errArtifact("KZG comb window has %d entries, want 256", len(win))
-			}
-			copy(table.windows[w][:], win)
-		}
 		if r.Len() != 0 {
 			return 0, 0, errArtifact("%d trailing SRS bytes", r.Len())
 		}
-		if err := installKZG(powers, table); err != nil {
+		if err := installKZG(powers); err != nil {
 			return 0, 0, err
 		}
 		return KZG, len(powers), nil
@@ -238,7 +228,7 @@ func ImportSRS(data []byte) (Backend, int, error) {
 // check would cost the keygen the import exists to skip; a corrupt interior
 // power only yields proofs that fail verification) and installs it if it
 // extends the cached SRS.
-func installKZG(powers []curve.Affine, table *fixedBase) error {
+func installKZG(powers []curve.Affine) error {
 	kzgMu.Lock()
 	defer kzgMu.Unlock()
 	if kzgShared == nil {
@@ -266,17 +256,8 @@ func installKZG(powers []curve.Affine, table *fixedBase) error {
 			return err
 		}
 	}
-	if !table.windows[0][0].IsZero() {
-		return errArtifact("KZG comb window entry 0 is not infinity")
-	}
-	if !table.windows[0][1].Equal(&g) {
-		return errArtifact("KZG comb window 0 entry 1 is not the generator")
-	}
 	if len(powers) > len(kzgShared.powers) {
 		kzgShared.powers = powers
-	}
-	if kzgTable == nil {
-		kzgTable = table
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/curve"
 	"repro/internal/ff"
 	"repro/internal/parallel"
 	"repro/internal/pcs"
@@ -114,12 +113,12 @@ func TestProverDeterministicLargeDomain(t *testing.T) {
 }
 
 // TestProverDeterministicAcrossEngines proves the same circuit with the
-// same seeded randomness under every commitment-engine configuration — GLV
-// on/off, fixed-base commit tables on/off, serial and parallel — and
-// requires byte-identical proofs: the engine choices are pure optimizations
-// that must compute the same group elements. The 2048-row domain keeps the
-// commitments above the table's minimum-length gate so the table path
-// really runs (and the test asserts it does via the setup-work counters).
+// same seeded randomness serially and in parallel through the commitment
+// engine — GLV kernels and fixed-base commit tables — and requires
+// byte-identical proofs. The 2048-row domain keeps the commitments above the
+// table's minimum-length gate so the table path really runs (and the test
+// asserts it does via the setup-work counters); the kernel tests pin the
+// table and GLV paths against the plain reference kernel.
 func TestProverDeterministicAcrossEngines(t *testing.T) {
 	cs := testCircuit()
 	const n = 2048
@@ -130,48 +129,30 @@ func TestProverDeterministicAcrossEngines(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	defer ff.SetRandomSource(nil)
 
-	configs := []struct {
-		name    string
-		glv     bool
-		tables  bool
-		workers int
-	}{
-		{"glv+tables", true, true, 1},
-		{"glv+tables/parallel", true, true, 8},
-		{"glv-only", true, false, 1},
-		{"plain", false, false, 1},
-	}
 	var ref []byte
-	for _, cfg := range configs {
-		prevGLV := curve.SetGLV(cfg.glv)
-		prevTab := pcs.SetCommitTables(cfg.tables)
-		parallel.SetWorkers(cfg.workers)
+	for _, workers := range []int{1, 8} {
+		parallel.SetWorkers(workers)
 		ff.SetRandomSource(&ctrReader{seed: sha256.Sum256([]byte("determinism-engines"))})
 		before := pcs.SetupWorkSnapshot()
 		proof, err := Prove(pk, testInstance(24), testWitness(false, false, false))
 		hits := pcs.SetupWorkSnapshot().Sub(before).CommitTableHits
-		pcs.SetCommitTables(prevTab)
-		curve.SetGLV(prevGLV)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if cfg.tables && hits == 0 {
-			t.Fatalf("%s: no commitments were served by the fixed-base table", cfg.name)
-		}
-		if !cfg.tables && hits != 0 {
-			t.Fatalf("%s: table served %d commitments while disabled", cfg.name, hits)
+		if hits == 0 {
+			t.Fatalf("workers=%d: no commitments were served by the fixed-base table", workers)
 		}
 		if err := Verify(vk, testInstance(24), proof); err != nil {
-			t.Fatalf("%s: proof does not verify: %v", cfg.name, err)
+			t.Fatalf("workers=%d: proof does not verify: %v", workers, err)
 		}
 		b, err := proof.MarshalBinary()
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if ref == nil {
 			ref = b
 		} else if !bytes.Equal(ref, b) {
-			t.Fatalf("%s: proof bytes differ from %s", cfg.name, configs[0].name)
+			t.Fatalf("workers=%d: proof bytes differ from workers=1", workers)
 		}
 	}
 }

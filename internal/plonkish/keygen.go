@@ -99,8 +99,8 @@ func validateShape(cs *CS, n int) error {
 // deterministic from the circuit shape: domains, the commitment scheme, the
 // fixed-column values (circuit columns plus the internal q_active/l_0/l_u),
 // the permutation sigma values, and the flattened constraint list. It does
-// no polynomial interpolation and no commitment MSMs — those are either
-// performed by Setup or supplied from persisted KeyMaterial.
+// no polynomial interpolation (interpolateColumns) and no commitment MSMs —
+// those are performed by Setup or supplied from persisted KeyMaterial.
 func setupSkeleton(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKey, error) {
 	if len(fixed) != cs.NumFixed {
 		return nil, fmt.Errorf("plonkish: got %d fixed columns, want %d", len(fixed), cs.NumFixed)
@@ -177,31 +177,31 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 		return nil, nil, err
 	}
 
-	// Interpolate and commit fixed + sigma polynomials; every column is
-	// independent, so the whole pipeline fans out per column.
-	pk.FixedPolys = make([][]ff.Element, len(pk.FixedVals))
-	fixedCommits := make([]curve.Affine, len(pk.FixedVals))
-	pk.SigmaPolys = make([][]ff.Element, len(pk.SigmaVals))
-	sigmaCommits := make([]curve.Affine, len(pk.SigmaVals))
-	nf := len(pk.FixedVals)
-	scheme := pk.Scheme
-	parallel.For(nf+len(pk.SigmaVals), func(i int) {
-		var vals []ff.Element
-		var polys [][]ff.Element
-		var commits []curve.Affine
-		if i < nf {
-			vals, polys, commits = pk.FixedVals[i], pk.FixedPolys, fixedCommits
-		} else {
-			i -= nf
-			vals, polys, commits = pk.SigmaVals[i], pk.SigmaPolys, sigmaCommits
-		}
-		p := append([]ff.Element(nil), vals...)
-		pk.Domain.IFFT(p)
-		polys[i] = p
-		commits[i] = commitColumn(scheme, vals, p)
+	commits := make([]curve.Affine, len(pk.FixedVals)+len(pk.SigmaVals))
+	interpolateColumns(pk, func(i int, vals, coeffs []ff.Element) {
+		commits[i] = commitColumn(pk.Scheme, vals, coeffs)
 	})
+	nf := len(pk.FixedVals)
+	return finishKeys(pk, commits[:nf:nf], commits[nf:])
+}
 
-	return finishKeys(pk, fixedCommits, sigmaCommits)
+// interpolateColumns fills the key's coefficient-form fixed and sigma
+// columns: one IFFT per column, fanned out across columns, each followed by
+// then(i, values, coefficients) when then is non-nil (i counts fixed columns
+// first, then sigmas). Setup commits there; SetupFromMaterial passes nil and
+// pairs the polynomials with stored commitments.
+func interpolateColumns(pk *ProvingKey, then func(i int, vals, coeffs []ff.Element)) {
+	cols := append(append([][]ff.Element(nil), pk.FixedVals...), pk.SigmaVals...)
+	polys := make([][]ff.Element, len(cols))
+	parallel.For(len(cols), func(i int) {
+		polys[i] = append([]ff.Element(nil), cols[i]...)
+		pk.Domain.IFFT(polys[i])
+		if then != nil {
+			then(i, cols[i], polys[i])
+		}
+	})
+	nf := len(pk.FixedVals)
+	pk.FixedPolys, pk.SigmaPolys = polys[:nf:nf], polys[nf:]
 }
 
 // lagrangeCommitter is a commitment scheme that can commit a column from

@@ -12,32 +12,28 @@ import (
 	"repro/internal/zkerrors"
 )
 
-// KeyMaterial is the expensive numeric output of Setup: the interpolated
-// fixed and sigma polynomials (the per-column IFFTs) and their commitments
-// (the keygen MSMs). Everything else in a proving key — domains, fixed
-// values, sigma values, flattened constraints — is cheap to rebuild from
-// the circuit, so persisting this block turns cold-start keygen into a
-// deserialize. The wire format is versioned and treats the bytes as
-// untrusted: every length prefix is capped by the bytes remaining, every
-// scalar must be canonical, and every point is revalidated on the curve.
-// Structural failures wrap zkerrors.ErrMalformedArtifact.
+// KeyMaterial is the expensive numeric output of Setup: the fixed and sigma
+// commitments (the keygen MSMs). Everything else in a proving key — domains,
+// fixed and sigma values, their interpolated polynomials, flattened
+// constraints — is rebuilt from the circuit by the code keygen runs, so
+// persisting this block turns cold-start keygen into a deserialize plus one
+// IFFT per column. The wire format is versioned and treats the bytes as
+// untrusted: every length prefix is capped by the bytes remaining and every
+// point is revalidated on the curve. Structural failures wrap
+// zkerrors.ErrMalformedArtifact.
 type KeyMaterial struct {
 	Backend pcs.Backend
 	N       int
-	// FixedPolys / SigmaPolys are coefficient-form columns, each of
-	// length N (circuit fixed columns, then q_active, l_0, l_u; then one
-	// sigma per permutation column).
-	FixedPolys [][]ff.Element
-	SigmaPolys [][]ff.Element
-	// FixedCommits / SigmaCommits are the corresponding commitments — the
-	// verifying key's content.
+	// FixedCommits / SigmaCommits are the verifying key's content: one
+	// commitment per fixed column (circuit fixed columns, then q_active,
+	// l_0, l_u) and one per permutation column's sigma.
 	FixedCommits []curve.Affine
 	SigmaCommits []curve.Affine
 }
 
 var keyMagic = [4]byte{'Z', 'K', 'E', 'Y'}
 
-const keyVersion = 1
+const keyVersion = 2
 
 // errArtifact returns a context-wrapped zkerrors.ErrMalformedArtifact.
 func errArtifact(format string, args ...any) error {
@@ -49,8 +45,6 @@ func (pk *ProvingKey) Material() *KeyMaterial {
 	return &KeyMaterial{
 		Backend:      pk.Scheme.Backend(),
 		N:            pk.N,
-		FixedPolys:   pk.FixedPolys,
-		SigmaPolys:   pk.SigmaPolys,
 		FixedCommits: pk.VK.FixedCommits,
 		SigmaCommits: pk.VK.SigmaCommits,
 	}
@@ -61,36 +55,15 @@ func (m *KeyMaterial) MarshalBinary() ([]byte, error) {
 	if m.N <= 0 || m.N&(m.N-1) != 0 {
 		return nil, fmt.Errorf("plonkish: key material rows %d must be a power of two", m.N)
 	}
-	if len(m.FixedPolys) != len(m.FixedCommits) || len(m.SigmaPolys) != len(m.SigmaCommits) {
-		return nil, fmt.Errorf("plonkish: key material polys/commits length mismatch")
-	}
 	var buf bytes.Buffer
 	buf.Write(keyMagic[:])
 	buf.WriteByte(keyVersion)
 	buf.WriteByte(byte(m.Backend))
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(m.N))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(m.FixedPolys)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(m.SigmaPolys)))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(m.FixedCommits)))
+	binary.BigEndian.PutUint32(hdr[8:], uint32(len(m.SigmaCommits)))
 	buf.Write(hdr[:])
-	writePolys := func(polys [][]ff.Element) error {
-		for i, p := range polys {
-			if len(p) != m.N {
-				return fmt.Errorf("plonkish: key material polynomial %d has %d coefficients, want %d", i, len(p), m.N)
-			}
-			for j := range p {
-				b := p[j].Bytes()
-				buf.Write(b[:])
-			}
-		}
-		return nil
-	}
-	if err := writePolys(m.FixedPolys); err != nil {
-		return nil, err
-	}
-	if err := writePolys(m.SigmaPolys); err != nil {
-		return nil, err
-	}
 	for _, c := range append(append([]curve.Affine(nil), m.FixedCommits...), m.SigmaCommits...) {
 		b := c.Bytes()
 		buf.Write(b[:])
@@ -128,36 +101,11 @@ func (m *KeyMaterial) UnmarshalBinary(data []byte) error {
 	if n <= 0 || n&(n-1) != 0 {
 		return errArtifact("key-material rows %d not a power of two", n)
 	}
-	// Every poly column costs 32*n bytes and every commit 32 bytes; cap
-	// the declared counts by what the input can actually hold before
-	// allocating anything.
-	need := (int64(nf)+int64(ns))*int64(n)*32 + int64(nf+ns)*32
-	if nf < 0 || ns < 0 || need != int64(r.Len()) {
-		return errArtifact("key material declares %d+%d columns of %d rows (%d bytes) but carries %d",
-			nf, ns, n, need, r.Len())
-	}
-	readScalar := func(e *ff.Element) error {
-		var b [32]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return errArtifact("truncated key-material scalar")
-		}
-		if bytes.Compare(b[:], scalarModBytes[:]) >= 0 {
-			return errArtifact("non-canonical key-material scalar")
-		}
-		e.SetBytes(b[:])
-		return nil
-	}
-	readPolys := func(count int) ([][]ff.Element, error) {
-		out := make([][]ff.Element, count)
-		for i := range out {
-			out[i] = make([]ff.Element, n)
-			for j := range out[i] {
-				if err := readScalar(&out[i][j]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
+	// Every commit costs 32 bytes; cap the declared counts by what the
+	// input actually holds before allocating anything.
+	if need := (int64(nf) + int64(ns)) * 32; nf < 0 || ns < 0 || need != int64(r.Len()) {
+		return errArtifact("key material declares %d+%d commitments (%d bytes) but carries %d",
+			nf, ns, need, r.Len())
 	}
 	readPoints := func(count int) ([]curve.Affine, error) {
 		out := make([]curve.Affine, count)
@@ -174,20 +122,11 @@ func (m *KeyMaterial) UnmarshalBinary(data []byte) error {
 	}
 	m.Backend = pcs.Backend(bb)
 	m.N = n
-	if m.FixedPolys, err = readPolys(nf); err != nil {
-		return err
-	}
-	if m.SigmaPolys, err = readPolys(ns); err != nil {
-		return err
-	}
 	if m.FixedCommits, err = readPoints(nf); err != nil {
 		return err
 	}
 	if m.SigmaCommits, err = readPoints(ns); err != nil {
 		return err
-	}
-	if r.Len() != 0 {
-		return errArtifact("%d trailing key-material bytes", r.Len())
 	}
 	return nil
 }
@@ -204,23 +143,22 @@ func checkMaterialShape(cs *CS, n int, backend pcs.Backend, m *KeyMaterial) erro
 	if m.N != n {
 		return errArtifact("key material for %d rows, circuit has %d", m.N, n)
 	}
-	if want := cs.NumFixed + 3; len(m.FixedPolys) != want || len(m.FixedCommits) != want {
-		return errArtifact("key material has %d fixed columns, circuit wants %d", len(m.FixedPolys), want)
+	if want := cs.NumFixed + 3; len(m.FixedCommits) != want {
+		return errArtifact("key material has %d fixed columns, circuit wants %d", len(m.FixedCommits), want)
 	}
-	if want := len(cs.PermCols()); len(m.SigmaPolys) != want || len(m.SigmaCommits) != want {
-		return errArtifact("key material has %d sigma columns, circuit wants %d", len(m.SigmaPolys), want)
+	if want := len(cs.PermCols()); len(m.SigmaCommits) != want {
+		return errArtifact("key material has %d sigma columns, circuit wants %d", len(m.SigmaCommits), want)
 	}
 	return nil
 }
 
 // SetupFromMaterial rebuilds full proving and verifying keys from persisted
-// key material, skipping the per-column IFFTs and commitment MSMs that
-// dominate Setup. The circuit, row count, and fixed values are re-derived
-// by the caller (they are deterministic per model); the material supplies
-// the interpolated polynomials and commitments. Each supplied polynomial is
-// cross-checked against the rebuilt column values via p(omega^0) = vals[0]
-// (the coefficient sum), so material from a different model or layout is
-// rejected instead of producing unverifiable proofs.
+// key material, skipping the commitment MSMs that dominate Setup. The
+// circuit, row count, and fixed values are re-derived by the caller (they
+// are deterministic per model) and interpolated exactly as Setup does; the
+// material supplies only the commitments. Commitments from a different
+// model, layout, or a tampered file are caught by the caller's
+// verifying-key digest check.
 func SetupFromMaterial(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend, m *KeyMaterial) (*ProvingKey, *VerifyingKey, error) {
 	if err := validateShape(cs, n); err != nil {
 		return nil, nil, err
@@ -232,31 +170,7 @@ func SetupFromMaterial(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend,
 	if err != nil {
 		return nil, nil, err
 	}
-	checkCol := func(role string, i int, vals, p []ff.Element) error {
-		if len(p) != n {
-			return errArtifact("%s polynomial %d has %d coefficients, want %d", role, i, len(p), n)
-		}
-		var sum ff.Element
-		for j := range p {
-			sum.Add(&sum, &p[j])
-		}
-		if !sum.Equal(&vals[0]) {
-			return errArtifact("%s polynomial %d does not interpolate the circuit's column", role, i)
-		}
-		return nil
-	}
-	for i := range pk.FixedVals {
-		if err := checkCol("fixed", i, pk.FixedVals[i], m.FixedPolys[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	for i := range pk.SigmaVals {
-		if err := checkCol("sigma", i, pk.SigmaVals[i], m.SigmaPolys[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	pk.FixedPolys = m.FixedPolys
-	pk.SigmaPolys = m.SigmaPolys
+	interpolateColumns(pk, nil)
 	return finishKeys(pk, m.FixedCommits, m.SigmaCommits)
 }
 

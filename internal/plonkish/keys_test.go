@@ -10,6 +10,7 @@ import (
 	"repro/internal/ff"
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 	"repro/internal/zkerrors"
 )
 
@@ -31,6 +32,21 @@ func proveBytes(t *testing.T, pk *ProvingKey) []byte {
 	return b
 }
 
+// kernelWork runs f with the curve and poly kernel counters armed and returns
+// the MSMs and FFTs it performed.
+func kernelWork(f func()) (msms, ffts int64) {
+	var counters obs.KernelCounters
+	prevCurve, prevPoly := curve.SetKernelTrace(&counters), poly.SetKernelTrace(&counters)
+	f()
+	curve.SetKernelTrace(prevCurve)
+	poly.SetKernelTrace(prevPoly)
+	for i := range counters.MSM {
+		msms += counters.MSM[i].Load()
+		ffts += counters.FFT[i].Load()
+	}
+	return msms, ffts
+}
+
 func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
 		cs := testCircuit()
@@ -43,23 +59,23 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Commitments only: a 18-byte header and one 32-byte point per column.
+		if want := 18 + 32*(len(vk.FixedCommits)+len(vk.SigmaCommits)); len(data) != want {
+			t.Fatalf("%v material is %d bytes, want %d", backend, len(data), want)
+		}
 		var m KeyMaterial
 		if err := m.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
 
-		// Material-based setup must do zero MSM work and yield keys that
-		// produce byte-identical proofs and an identical VK digest.
-		var counters obs.KernelCounters
-		prev := curve.SetKernelTrace(&counters)
-		pk2, vk2, err := SetupFromMaterial(testCircuit(), n, testFixed(n), backend, &m)
-		curve.SetKernelTrace(prev)
+		// Material-based setup re-interpolates the columns but must do zero
+		// MSM work and yield keys that produce byte-identical proofs and an
+		// identical VK digest.
+		var pk2 *ProvingKey
+		var vk2 *VerifyingKey
+		msms, _ := kernelWork(func() { pk2, vk2, err = SetupFromMaterial(testCircuit(), n, testFixed(n), backend, &m) })
 		if err != nil {
 			t.Fatalf("%v SetupFromMaterial: %v", backend, err)
-		}
-		var msms int64
-		for i := range counters.MSM {
-			msms += counters.MSM[i].Load()
 		}
 		if msms != 0 {
 			t.Fatalf("%v SetupFromMaterial performed %d MSMs, want 0", backend, msms)
@@ -71,12 +87,15 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 			t.Fatalf("%v proof bytes differ between fresh and material-based keys", backend)
 		}
 
-		// VK-only setup: no fixed values, no MSMs, verifies real proofs.
-		prev = curve.SetKernelTrace(&counters)
-		vkOnly, err := SetupVK(testCircuit(), n, backend, &m)
-		curve.SetKernelTrace(prev)
+		// VK-only setup: no fixed values, no MSMs, no FFTs, verifies real
+		// proofs.
+		var vkOnly *VerifyingKey
+		msms, ffts := kernelWork(func() { vkOnly, err = SetupVK(testCircuit(), n, backend, &m) })
 		if err != nil {
 			t.Fatalf("%v SetupVK: %v", backend, err)
+		}
+		if msms != 0 || ffts != 0 {
+			t.Fatalf("%v SetupVK performed %d MSMs and %d FFTs, want 0", backend, msms, ffts)
 		}
 		proof, err := Prove(pk, testInstance(24), testWitness(false, false, false))
 		if err != nil {
@@ -94,7 +113,7 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 func TestKeyMaterialRejectsMismatch(t *testing.T) {
 	cs := testCircuit()
 	const n = 32
-	pk, _, err := Setup(cs, n, testFixed(n), pcs.KZG)
+	pk, vk, err := Setup(cs, n, testFixed(n), pcs.KZG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +127,28 @@ func TestKeyMaterialRejectsMismatch(t *testing.T) {
 	if _, _, err := SetupFromMaterial(testCircuit(), 64, testFixed(64), pcs.KZG, m); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
 		t.Fatalf("wrong rows: got %v", err)
 	}
-	// Tampered polynomial: fails the interpolation cross-check.
-	data, err := m.MarshalBinary()
+	// Tampered commitment: a well-formed point that is not the column's
+	// commitment. Both setup paths take it as given; the keys they build
+	// carry a different VK digest, which is what the artifact loader checks
+	// (core.TestArtifactRejectsTamperedCommitment runs it end to end).
+	tampered := *m
+	tampered.SigmaCommits = append([]curve.Affine(nil), m.SigmaCommits...)
+	g := curve.Generator()
+	bumped := tampered.SigmaCommits[0].ToJac()
+	bumped.AddMixed(&g)
+	tampered.SigmaCommits[0] = bumped.ToAffine()
+	_, vkFull, err := SetupFromMaterial(testCircuit(), n, testFixed(n), pcs.KZG, &tampered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tampered KeyMaterial
-	if err := tampered.UnmarshalBinary(data); err != nil {
+	vkOnly, err := SetupVK(testCircuit(), n, pcs.KZG, &tampered)
+	if err != nil {
 		t.Fatal(err)
 	}
-	one := ff.One()
-	tampered.FixedPolys[0][0].Add(&tampered.FixedPolys[0][0], &one)
-	if _, _, err := SetupFromMaterial(testCircuit(), n, testFixed(n), pcs.KZG, &tampered); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-		t.Fatalf("tampered poly: got %v", err)
+	for name, k := range map[string]*VerifyingKey{"SetupFromMaterial": vkFull, "SetupVK": vkOnly} {
+		if bytes.Equal(k.Digest(), vk.Digest()) {
+			t.Fatalf("%s: tampered commitment left the VK digest unchanged", name)
+		}
 	}
 }
 
@@ -135,17 +163,29 @@ func TestKeyMaterialDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if data[4] != 2 {
+		t.Fatalf("key material version %d, want 2", data[4])
+	}
+	v1 := append([]byte(nil), data...)
+	v1[4] = 1
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XKEY"), data[4:]...),
-		"bad version": append(append([]byte(nil), keyMagic[:]...), 99),
-		"truncated":   data[:len(data)-5],
-		"trailing":    append(append([]byte(nil), data...), 1, 2, 3),
+		"empty":           {},
+		"bad magic":       append([]byte("XKEY"), data[4:]...),
+		"bad version":     append(append([]byte(nil), keyMagic[:]...), 99),
+		"v1 blob":         v1,
+		"truncated":       data[:len(data)-5],
+		"trailing":        append(append([]byte(nil), data...), 1, 2, 3),
+		"one point short": data[:len(data)-32],
 	}
 	// Oversized column count: header says 2^31 fixed columns.
 	huge := append([]byte(nil), data...)
 	huge[10], huge[11], huge[12], huge[13] = 0x7f, 0xff, 0xff, 0xff
 	cases["oversized count"] = huge
+	// A commitment's infinity flag with a non-zero body is not a point.
+	bad := append([]byte(nil), data...)
+	bad[18] = 0x40
+	bad[19] ^= 1
+	cases["non-canonical point"] = bad
 	for name, d := range cases {
 		var m KeyMaterial
 		if err := m.UnmarshalBinary(d); !errors.Is(err, zkerrors.ErrMalformedArtifact) {

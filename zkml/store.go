@@ -49,15 +49,17 @@ func sanitizeName(name string) string {
 }
 
 // ArtifactPath returns the file a compiled system for (model, options) is
-// stored at inside dir. The name embeds the model hash and the options
-// fingerprint, so different models or option sets never collide.
+// stored at inside dir. The name embeds the model hash, the options
+// fingerprint and the artifact format version, so different models, option
+// sets or formats never collide: a store written in an older format misses
+// and is recompiled instead of failing to decode under the same name.
 func ArtifactPath(dir string, g *Graph, o Options) (string, error) {
 	h, err := core.ModelHash(g)
 	if err != nil {
 		return "", err
 	}
 	fp := optionsFingerprint(o)
-	name := fmt.Sprintf("%s-%x-%x.zka", sanitizeName(g.Name), h[:4], fp[:4])
+	name := fmt.Sprintf("%s-%x-%x-v%d.zka", sanitizeName(g.Name), h[:4], fp[:4], core.ArtifactVersion)
 	return filepath.Join(dir, name), nil
 }
 
@@ -118,10 +120,10 @@ func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
 }
 
 // LoadSystem reconstructs a compiled system from an artifact saved in dir.
-// The circuit and fixed columns are re-synthesized from the model (cheap and
-// deterministic); the stored material supplies the interpolated key
-// polynomials and commitments, so the load performs no layout search, no
-// keygen MSMs or IFFTs, and no SRS extension. The options must match the
+// The circuit and fixed columns are re-synthesized and interpolated from the
+// model (cheap and deterministic); the stored material supplies the
+// commitments, so the load performs no layout search, no keygen MSMs, and no
+// SRS extension. The options must match the
 // ones the system was compiled with. If no matching artifact exists the
 // error wraps os.ErrNotExist — callers fall back to Compile.
 func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ff"
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 )
 
 // ctrReader is a deterministic SHA-256 counter stream standing in for
@@ -120,9 +122,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 		// Verifier-only load: verifies proofs, cannot prove, does zero
 		// MSM/interpolation work by construction.
+		var vcounters obs.KernelCounters
+		prevCurve, prevPoly := curve.SetKernelTrace(&vcounters), poly.SetKernelTrace(&vcounters)
 		verifier, err := LoadVerifier(dir, spec.Build(), spec.Input(1), o)
+		curve.SetKernelTrace(prevCurve)
+		poly.SetKernelTrace(prevPoly)
 		if err != nil {
 			t.Fatalf("%v LoadVerifier: %v", backend, err)
+		}
+		for i := range vcounters.MSM {
+			if vcounters.MSM[i].Load() != 0 || vcounters.FFT[i].Load() != 0 {
+				t.Fatalf("%v LoadVerifier ran MSMs or FFTs of size 2^%d", backend, i)
+			}
 		}
 		if err := verifier.Verify(p); err != nil {
 			t.Fatalf("%v verifier-only system rejected a valid proof: %v", backend, err)
@@ -190,14 +201,63 @@ func TestLoadRejectsWrongArtifact(t *testing.T) {
 		t.Fatalf("wrong-options artifact: got %v, want ErrMalformedArtifact", err)
 	}
 
-	// Corrupted bytes are rejected through the artifact taxonomy.
-	corrupt := append([]byte(nil), data...)
-	corrupt[len(corrupt)/2] ^= 0xff
-	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+	// Corrupted bytes are rejected through the artifact taxonomy: a stored
+	// commitment (off the curve, or a different point the VK digest
+	// catches), the last SRS power (checked against the ceremony), and the
+	// format version.
+	commit := sys.Keys.VK.FixedCommits[0].Bytes()
+	at := bytes.Index(data, commit[:])
+	if at < 0 {
+		t.Fatal("stored artifact does not carry the first fixed commitment")
+	}
+	for name, off := range map[string]int{"commitment": at + 31, "last SRS power": len(data) - 1, "version": 7} {
+		corrupt := append([]byte(nil), data...)
+		corrupt[off] ^= 0x01
+		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for loader, load := range map[string]func(string, *Graph, *Input, Options) (*System, error){"LoadSystem": LoadSystem, "LoadVerifier": LoadVerifier} {
+			if _, err := load(dir, spec.Build(), spec.Input(1), o); !errors.Is(err, ErrMalformedArtifact) {
+				t.Fatalf("%s with a corrupted %s: got %v, want ErrMalformedArtifact", loader, name, err)
+			}
+		}
+	}
+}
+
+// TestOldFormatStoreMisses: a store written before the artifact format
+// version moved into the file name holds the model's artifact under the
+// unversioned name. It is a miss, never a permanent decode error:
+// LoadOrCompile recompiles, fills the versioned name, and then hits.
+func TestOldFormatStoreMisses(t *testing.T) {
+	spec, err := Model("dlrm-micro")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSystem(dir, spec.Build(), spec.Input(1), o); !errors.Is(err, ErrMalformedArtifact) {
-		t.Fatalf("corrupted artifact: got %v, want ErrMalformedArtifact", err)
+	g, sample, o := spec.Build(), spec.Input(1), opts()
+	path, err := ArtifactPath(t.TempDir(), g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(path)
+	if !strings.HasSuffix(path, "-v2.zka") {
+		t.Fatalf("artifact path %q does not carry the format version", path)
+	}
+	oldPath := strings.TrimSuffix(path, "-v2.zka") + ".zka"
+	old := append([]byte("ZKMLART\x01"), make([]byte, 64)...)
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSystem(dir, g, sample, o); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("old-format store: got %v, want os.ErrNotExist", err)
+	}
+	if _, fromStore, err := LoadOrCompile(dir, g, sample, 1, o); err != nil || fromStore {
+		t.Fatalf("LoadOrCompile over an old-format store: fromStore=%v err=%v", fromStore, err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("LoadOrCompile did not refill the store: %v", err)
+	}
+	if _, fromStore, err := LoadOrCompile(dir, g, sample, 1, o); err != nil || !fromStore {
+		t.Fatalf("LoadOrCompile over the refilled store: fromStore=%v err=%v", fromStore, err)
 	}
 }
 
