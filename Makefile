@@ -7,7 +7,7 @@
 #   make test        full test suite only
 #   make race        race detector on the proving engine packages
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
-#   make bench       prover benchmarks (see EXPERIMENTS.md)
+#   make bench       the repo-root kernel benchmarks (bench_test.go), once each
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
 #   make trace-smoke fit the cost model from traced proves, prove once more
 #                    with tracing, and gate the trace report on cost-model
@@ -39,12 +39,15 @@ GO ?= go
 RACE_PKGS = ./internal/parallel/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Untrusted-input fuzz targets (DESIGN.md §9) as package:Target pairs; `go
-# test` allows one -fuzz pattern per invocation, so fuzz-smoke loops.
+# test` allows one -fuzz pattern per invocation, so fuzz-smoke loops. The
+# list must name every `func Fuzz*` in a *_test.go file: fuzz-smoke checks
+# that first, so a renamed or new target cannot silently drop out.
 FUZZ_TARGETS = \
+	./internal/core/:FuzzDecodeArtifact \
+	./internal/pcs/:FuzzImportSRS \
+	./internal/plonkish/:FuzzKeyMaterialUnmarshal \
 	./internal/plonkish/:FuzzProofUnmarshal \
 	./internal/plonkish/:FuzzVerify \
-	./internal/plonkish/:FuzzKeyMaterialUnmarshal \
-	./internal/pcs/:FuzzImportSRS \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
 	./internal/curve/:FuzzGLVDecompose
@@ -55,6 +58,14 @@ FUZZTIME ?= 5s
 ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
 
 fuzz-smoke:
+	@found=$$(grep -rE --include='*_test.go' '^func Fuzz' . | sed 's|^\(.*/\)[^/]*:func \(Fuzz[A-Za-z0-9_]*\).*|\1:\2|' | sort); \
+	listed=$$(printf '%s\n' $(FUZZ_TARGETS) | sort); \
+	if [ "$$found" != "$$listed" ]; then \
+		echo "fuzz-smoke: FUZZ_TARGETS does not match the Fuzz* functions in *_test.go files:"; \
+		for t in $$found; do echo "$$listed" | grep -qxF "$$t" || echo "  defined but not listed: $$t"; done; \
+		for t in $$listed; do echo "$$found" | grep -qxF "$$t" || echo "  listed but not defined: $$t"; done; \
+		exit 1; \
+	fi
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%:*}; target=$${t#*:}; \
 		echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \

@@ -6,10 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
+	"math/bits"
 
-	"repro/internal/fixedpoint"
+	"repro/internal/curve"
 	"repro/internal/gadgets"
 	"repro/internal/model"
 	"repro/internal/pcs"
@@ -17,32 +17,33 @@ import (
 	"repro/internal/zkerrors"
 )
 
-// Artifact file format (DESIGN.md §13): a compiled plan plus everything
-// expensive about its keys, persisted so cold start is a deserialize
-// instead of an optimizer sweep + keygen + SRS extension. One file holds
+// Artifact file format (DESIGN.md §13): ZKMLART, one flat file holding what a
+// load cannot re-derive from the model it already has:
 //
-//	magic "ZKMLART" + ArtifactVersion, then
-//	meta:     model hash (32 B) + options fingerprint (32 B)
-//	plan:     backend, gadget config, K/N/UsedRows, estimated cost/size
-//	digest:   the verifying-key digest the reconstructed keys must match
-//	keys:     plonkish.KeyMaterial (fixed/sigma commitments)
-//	srs:      the commitment-scheme setup (pcs.ExportSRS)
+//	magic    "ZKMLART" + ArtifactVersion
+//	meta     model hash (32 B) + options fingerprint (32 B)
+//	backend  1 B
+//	config   the gadget config: dot, arith and ReLU strategy names (1 B
+//	         length + bytes each), NumCols, ScaleBits, LookupBits (u32
+//	         each), then UseConstDot, MultiAdd, MultiMax, MultiDot (1 B each)
+//	cost     the optimizer's estimated proving seconds (float64 bits)
+//	digest   the verifying-key digest the rebuilt keys must match (32 B)
+//	fixed    u32 count + 32 B per fixed-column commitment
+//	sigma    u32 count + 32 B per sigma commitment
+//	srs      u32 count + 32 B per point, as pcs.SRSPoints lays them out
 //
-// The graph, sample input, key polynomials and KZG comb are NOT stored —
-// the loader re-synthesizes and re-interpolates the circuit from the model
-// it already has, and the digest check rejects commitments that do not
-// match it. Artifact bytes are untrusted: every length prefix is capped by
-// the bytes remaining, nested sections go through their own hardened
-// decoders, and all structural failures wrap zkerrors.ErrMalformedArtifact.
+// Everything else is re-derived at load by the code compilation runs: the
+// circuit, its grid (MinN of the re-synthesized circuit — the only grid
+// Optimize picks), used rows, layout, proof-size estimate, and the key
+// polynomials. The bytes are untrusted: every count is capped by the bytes
+// left before anything is allocated, every point is revalidated on the
+// curve, and every structural failure wraps zkerrors.ErrMalformedArtifact.
 
 // ArtifactVersion is the format version in the magic. The store carries it
 // in the file name too, so an artifact of another version is a miss.
-const ArtifactVersion = 2
+const ArtifactVersion = 3
 
 var artifactMagic = [8]byte{'Z', 'K', 'M', 'L', 'A', 'R', 'T', ArtifactVersion}
-
-// maxConfigStr caps decoded gadget-strategy string lengths.
-const maxConfigStr = 64
 
 // errArtifact returns a context-wrapped zkerrors.ErrMalformedArtifact.
 func errArtifact(format string, args ...any) error {
@@ -73,14 +74,10 @@ type ArtifactFile struct {
 	Meta     ArtifactMeta
 	Backend  pcs.Backend
 	Config   gadgets.Config
-	K        int
-	N        int
-	UsedRows int
 	Cost     float64
-	Size     int
 	VKDigest [32]byte
-	Material *plonkish.KeyMaterial
-	SRS      []byte
+	Material plonkish.KeyMaterial
+	SRS      []curve.Affine
 }
 
 // EncodeArtifact serializes a compiled plan and its keys.
@@ -88,247 +85,190 @@ func EncodeArtifact(meta ArtifactMeta, p *Plan, keys *Keys) ([]byte, error) {
 	if keys == nil || keys.PK == nil || keys.VK == nil {
 		return nil, fmt.Errorf("core: encoding an artifact requires full keys")
 	}
-	material, err := keys.PK.Material().MarshalBinary()
+	srs, err := pcs.SRSPoints(p.Backend, p.N)
 	if err != nil {
 		return nil, err
 	}
-	srs, err := pcs.ExportSRS(p.Backend, p.N)
-	if err != nil {
-		return nil, err
+	af := &ArtifactFile{Meta: meta, Backend: p.Backend, Config: p.Config, Cost: p.Cost,
+		VKDigest: [32]byte(keys.VK.Digest()), Material: *keys.PK.Material(), SRS: srs}
+	return af.encode(), nil
+}
+
+func (af *ArtifactFile) encode() []byte {
+	cfg := af.Config
+	out := append([]byte(nil), artifactMagic[:]...)
+	out = append(out, af.Meta.ModelHash[:]...)
+	out = append(out, af.Meta.Options[:]...)
+	out = append(out, byte(af.Backend))
+	for _, s := range []string{string(cfg.Dot), string(cfg.Arith), string(cfg.ReLU)} {
+		out = append(append(out, byte(len(s))), s...)
 	}
-	var buf bytes.Buffer
-	buf.Write(artifactMagic[:])
-	buf.Write(meta.ModelHash[:])
-	buf.Write(meta.Options[:])
-	buf.WriteByte(byte(p.Backend))
-	writeStr := func(s string) {
-		buf.WriteByte(byte(len(s)))
-		buf.WriteString(s)
+	for _, v := range []int{cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits} {
+		out = binary.BigEndian.AppendUint32(out, uint32(v))
 	}
-	writeBool := func(b bool) {
+	for _, b := range []bool{cfg.UseConstDot, cfg.MultiAdd, cfg.MultiMax, cfg.MultiDot} {
+		var v byte
 		if b {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
+			v = 1
+		}
+		out = append(out, v)
+	}
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(af.Cost))
+	out = append(out, af.VKDigest[:]...)
+	for _, pts := range [][]curve.Affine{af.Material.FixedCommits, af.Material.SigmaCommits, af.SRS} {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(pts)))
+		for i := range pts {
+			b := pts[i].Bytes()
+			out = append(out, b[:]...)
 		}
 	}
-	writeU32 := func(v int) {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(v))
-		buf.Write(b[:])
+	return out
+}
+
+// artifactReader walks artifact bytes, keeping the first failure: reads after
+// it return zero values, so the decoder reads straight through and checks
+// once.
+type artifactReader struct {
+	data []byte
+	err  error
+}
+
+// next returns the next n bytes, or nil once the input has run out.
+func (r *artifactReader) next(n int, what string) []byte {
+	if r.err == nil && n > len(r.data) {
+		r.err = errArtifact("truncated %s", what)
 	}
-	cfg := p.Config
-	for _, s := range []string{string(cfg.Dot), string(cfg.Arith), string(cfg.ReLU), string(cfg.Rows)} {
-		if len(s) > maxConfigStr {
-			return nil, fmt.Errorf("core: config string %q too long", s)
+	if r.err != nil {
+		return nil
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *artifactReader) u8(what string) byte {
+	if b := r.next(1, what); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *artifactReader) u32(what string) int {
+	if b := r.next(4, what); b != nil {
+		return int(binary.BigEndian.Uint32(b))
+	}
+	return 0
+}
+
+func (r *artifactReader) str(what string) string {
+	return string(r.next(int(r.u8(what)), what))
+}
+
+func (r *artifactReader) boolean(what string) bool {
+	v := r.u8(what)
+	if v > 1 && r.err == nil {
+		r.err = errArtifact("%s is %d, not a boolean", what, v)
+	}
+	return v == 1
+}
+
+// readPoints reads a count-prefixed section of compressed points. The count
+// is capped by the bytes left before anything is allocated, and every point
+// is revalidated on the curve.
+func (r *artifactReader) readPoints(what string) []curve.Affine {
+	n := r.u32(what + " count")
+	if r.err == nil && n > len(r.data)/32 {
+		r.err = errArtifact("%s section claims %d points with %d bytes left", what, n, len(r.data))
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := make([]curve.Affine, n)
+	for i := range out {
+		if err := out[i].SetBytes([32]byte(r.next(32, what))); err != nil {
+			r.err = errArtifact("%s point %d: %v", what, i, err)
+			return nil
 		}
-		writeStr(s)
 	}
-	writeU32(cfg.NumCols)
-	writeU32(cfg.FP.ScaleBits)
-	writeU32(cfg.FP.LookupBits)
-	writeBool(cfg.UseConstDot)
-	writeBool(cfg.MultiAdd)
-	writeBool(cfg.MultiMax)
-	writeBool(cfg.MultiDot)
-	writeU32(p.K)
-	writeU32(p.N)
-	writeU32(p.UsedRows)
-	var costBits [8]byte
-	binary.BigEndian.PutUint64(costBits[:], math.Float64bits(p.Cost))
-	buf.Write(costBits[:])
-	writeU32(p.Size)
-	digest := keys.VK.Digest()
-	if len(digest) != 32 {
-		return nil, fmt.Errorf("core: unexpected VK digest length %d", len(digest))
-	}
-	buf.Write(digest)
-	writeU32(len(material))
-	buf.Write(material)
-	writeU32(len(srs))
-	buf.Write(srs)
-	return buf.Bytes(), nil
+	return out
 }
 
 // DecodeArtifact parses artifact bytes. The input is untrusted; failures
 // wrap zkerrors.ErrMalformedArtifact and arbitrary bytes never panic or
-// over-allocate. The nested key material is fully decoded (and its points
-// validated); the SRS section is kept as raw bytes for pcs.ImportSRS at
-// instantiation time.
+// allocate more than a constant multiple of len(data).
 func DecodeArtifact(data []byte) (*ArtifactFile, error) {
-	r := bytes.NewReader(data)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != artifactMagic {
+	r := &artifactReader{data: data}
+	if !bytes.Equal(r.next(len(artifactMagic), "magic"), artifactMagic[:]) {
 		return nil, errArtifact("bad artifact magic")
 	}
 	af := &ArtifactFile{}
-	if _, err := io.ReadFull(r, af.Meta.ModelHash[:]); err != nil {
-		return nil, errArtifact("truncated model hash")
+	copy(af.Meta.ModelHash[:], r.next(32, "model hash"))
+	copy(af.Meta.Options[:], r.next(32, "options fingerprint"))
+	af.Backend = pcs.Backend(r.u8("backend"))
+	cfg := &af.Config
+	cfg.Dot = gadgets.DotStrategy(r.str("dot strategy"))
+	cfg.Arith = gadgets.ArithStrategy(r.str("arith strategy"))
+	cfg.ReLU = gadgets.ReLUStrategy(r.str("ReLU strategy"))
+	cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits = r.u32("column count"), r.u32("scale bits"), r.u32("lookup bits")
+	cfg.UseConstDot, cfg.MultiAdd = r.boolean("UseConstDot"), r.boolean("MultiAdd")
+	cfg.MultiMax, cfg.MultiDot = r.boolean("MultiMax"), r.boolean("MultiDot")
+	if b := r.next(8, "cost"); b != nil {
+		af.Cost = math.Float64frombits(binary.BigEndian.Uint64(b))
 	}
-	if _, err := io.ReadFull(r, af.Meta.Options[:]); err != nil {
-		return nil, errArtifact("truncated options fingerprint")
-	}
-	bb, err := r.ReadByte()
-	if err != nil {
-		return nil, errArtifact("truncated backend")
-	}
-	af.Backend = pcs.Backend(bb)
-	if af.Backend != pcs.KZG && af.Backend != pcs.IPA {
-		return nil, errArtifact("unknown backend %d", bb)
-	}
-	readStr := func() (string, error) {
-		l, err := r.ReadByte()
-		if err != nil {
-			return "", errArtifact("truncated config string")
-		}
-		if int(l) > maxConfigStr || int(l) > r.Len() {
-			return "", errArtifact("config string length %d out of range", l)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", errArtifact("truncated config string")
-		}
-		return string(b), nil
-	}
-	readBool := func() (bool, error) {
-		b, err := r.ReadByte()
-		if err != nil || b > 1 {
-			return false, errArtifact("bad boolean encoding")
-		}
-		return b == 1, nil
-	}
-	readU32 := func() (int, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, errArtifact("truncated integer")
-		}
-		return int(binary.BigEndian.Uint32(b[:])), nil
-	}
-	var cfg gadgets.Config
-	var dot, arith, relu, rows string
-	for _, dst := range []*string{&dot, &arith, &relu, &rows} {
-		if *dst, err = readStr(); err != nil {
-			return nil, err
-		}
-	}
-	cfg.Dot = gadgets.DotStrategy(dot)
-	cfg.Arith = gadgets.ArithStrategy(arith)
-	cfg.ReLU = gadgets.ReLUStrategy(relu)
-	cfg.Rows = gadgets.RowMode(rows)
-	if cfg.NumCols, err = readU32(); err != nil {
-		return nil, err
-	}
-	var fp fixedpoint.Params
-	if fp.ScaleBits, err = readU32(); err != nil {
-		return nil, err
-	}
-	if fp.LookupBits, err = readU32(); err != nil {
-		return nil, err
-	}
-	cfg.FP = fp
-	for _, dst := range []*bool{&cfg.UseConstDot, &cfg.MultiAdd, &cfg.MultiMax, &cfg.MultiDot} {
-		if *dst, err = readBool(); err != nil {
-			return nil, err
-		}
+	copy(af.VKDigest[:], r.next(32, "VK digest"))
+	af.Material.FixedCommits = r.readPoints("fixed commitment")
+	af.Material.SigmaCommits = r.readPoints("sigma commitment")
+	af.SRS = r.readPoints("SRS")
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case len(r.data) != 0:
+		return nil, errArtifact("%d trailing artifact bytes", len(r.data))
+	case af.Backend != pcs.KZG && af.Backend != pcs.IPA:
+		return nil, errArtifact("unknown backend %d", af.Backend)
+	case math.IsNaN(af.Cost) || math.IsInf(af.Cost, 0) || af.Cost < 0:
+		return nil, errArtifact("invalid stored cost")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, errArtifact("stored config invalid: %v", err)
 	}
-	af.Config = cfg
-	if af.K, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.N, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.UsedRows, err = readU32(); err != nil {
-		return nil, err
-	}
-	if af.K < 1 || af.K > 40 || af.N != 1<<uint(af.K) {
-		return nil, errArtifact("inconsistent grid size K=%d N=%d", af.K, af.N)
-	}
-	var costBits [8]byte
-	if _, err := io.ReadFull(r, costBits[:]); err != nil {
-		return nil, errArtifact("truncated cost")
-	}
-	af.Cost = math.Float64frombits(binary.BigEndian.Uint64(costBits[:]))
-	if math.IsNaN(af.Cost) || math.IsInf(af.Cost, 0) || af.Cost < 0 {
-		return nil, errArtifact("invalid stored cost")
-	}
-	if af.Size, err = readU32(); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, af.VKDigest[:]); err != nil {
-		return nil, errArtifact("truncated VK digest")
-	}
-	readSection := func(name string) ([]byte, error) {
-		l, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if l > r.Len() {
-			return nil, errArtifact("%s section claims %d bytes with %d left", name, l, r.Len())
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, errArtifact("truncated %s section", name)
-		}
-		return b, nil
-	}
-	materialBytes, err := readSection("key-material")
-	if err != nil {
-		return nil, err
-	}
-	af.Material = &plonkish.KeyMaterial{}
-	if err := af.Material.UnmarshalBinary(materialBytes); err != nil {
-		return nil, err
-	}
-	if af.SRS, err = readSection("srs"); err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, errArtifact("%d trailing artifact bytes", r.Len())
-	}
 	return af, nil
 }
 
-// rebuild re-synthesizes the circuit the artifact was compiled for and
-// imports its SRS, returning the finalized build artifact.
+// rebuild re-synthesizes the circuit the artifact was compiled for, on the
+// grid Optimize chose for it — the minimal one — and installs the stored SRS.
+// The SRS must be exactly that grid's before the grid is allocated, so no
+// stored number sizes the rebuild.
 func (af *ArtifactFile) rebuild(g *model.Graph, sample *model.Input) (*gadgets.Artifact, error) {
 	b, _, err := g.BuildCircuit(af.Config, sample)
 	if err != nil {
 		return nil, errArtifact("artifact config does not build against model %s: %v", g.Name, err)
 	}
-	art, err := b.Finalize(af.N)
-	if err != nil {
-		return nil, errArtifact("artifact grid 2^%d does not fit model %s: %v", af.K, g.Name, err)
+	n := b.MinN()
+	want := n
+	if af.Backend == pcs.IPA {
+		want++ // the basis, then its anchor
 	}
-	backend, _, err := pcs.ImportSRS(af.SRS)
-	if err != nil {
-		return nil, err
+	if len(af.SRS) != want {
+		return nil, errArtifact("SRS section holds %d points, a 2^%d-row %v circuit needs %d",
+			len(af.SRS), bits.TrailingZeros(uint(n)), af.Backend, want)
 	}
-	if backend != af.Backend {
-		return nil, errArtifact("SRS backend %v does not match artifact backend %v", backend, af.Backend)
+	art, err := b.Finalize(n)
+	if err != nil {
+		return nil, errArtifact("model %s does not finalize: %v", g.Name, err)
+	}
+	if err := pcs.InstallSRS(af.Backend, af.SRS); err != nil {
+		return nil, errArtifact("%v", err)
 	}
 	return art, nil
 }
 
-// plan reconstructs the optimizer plan the artifact stores.
-func (af *ArtifactFile) plan(g *model.Graph, sample *model.Input, cs *plonkish.CS) *Plan {
-	return &Plan{
-		Graph:  g,
-		Sample: sample,
-		Candidate: Candidate{
-			Config:   af.Config,
-			N:        af.N,
-			K:        af.K,
-			UsedRows: af.UsedRows,
-			Layout:   LayoutOf(cs, af.K, af.Backend),
-			Cost:     af.Cost,
-			Size:     af.Size,
-		},
-		Backend: af.Backend,
-	}
+// plan reconstructs the optimizer plan: the stored config and cost, and
+// everything else from the rebuilt circuit, as Optimize derived it.
+func (af *ArtifactFile) plan(g *model.Graph, sample *model.Input, art *gadgets.Artifact) *Plan {
+	cand := candidateOf(art, af.Config, af.Backend)
+	cand.Cost = af.Cost
+	return &Plan{Graph: g, Sample: sample, Candidate: cand, Backend: af.Backend}
 }
 
 // checkDigest verifies the reconstructed verifying key against the digest
@@ -349,14 +289,14 @@ func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*Plan,
 	if err != nil {
 		return nil, nil, err
 	}
-	pk, vk, err := plonkish.SetupFromMaterial(art.CS, af.N, art.Fixed, af.Backend, af.Material)
+	pk, vk, err := plonkish.SetupFromMaterial(art.CS, art.N, art.Fixed, af.Backend, &af.Material)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := af.checkDigest(vk); err != nil {
 		return nil, nil, err
 	}
-	return af.plan(g, sample, art.CS), &Keys{PK: pk, VK: vk}, nil
+	return af.plan(g, sample, art), &Keys{PK: pk, VK: vk}, nil
 }
 
 // InstantiateVerifier rebuilds a verification-only system: same circuit
@@ -367,12 +307,12 @@ func (af *ArtifactFile) InstantiateVerifier(g *model.Graph, sample *model.Input)
 	if err != nil {
 		return nil, nil, err
 	}
-	vk, err := plonkish.SetupVK(art.CS, af.N, af.Backend, af.Material)
+	vk, err := plonkish.SetupVK(art.CS, art.N, af.Backend, &af.Material)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := af.checkDigest(vk); err != nil {
 		return nil, nil, err
 	}
-	return af.plan(g, sample, art.CS), &Keys{VK: vk}, nil
+	return af.plan(g, sample, art), &Keys{VK: vk}, nil
 }

@@ -124,35 +124,13 @@ func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candid
 	if opt.Calibration == nil {
 		return nil, nil, Stats{}, fmt.Errorf("core: options require a calibration")
 	}
-	if opt.MinCols < 4 {
-		opt.MinCols = 4
-	}
-	if opt.MaxCols < opt.MinCols {
-		opt.MaxCols = opt.MinCols
-	}
-	configs := opt.Configs
-	if configs == nil {
-		configs = gadgets.EnumerateConfigs(0, opt.FP)
-		if !opt.Prune {
-			// Without pruning, also consider the redundant
-			// dedicated-vs-viadot axis (the pruned search fixes one
-			// implementation per layer family).
-			extra := make([]gadgets.Config, 0, len(configs))
-			for _, c := range configs {
-				c2 := c
-				c2.Arith = gadgets.ArithViaDot
-				extra = append(extra, c2)
-			}
-			configs = append(configs, extra...)
-		}
-	}
-
+	minCols, maxCols := opt.colRange()
 	var best *Candidate
 	var all []Candidate
 	stats := Stats{}
-	for _, tmpl := range configs {
+	for _, tmpl := range opt.templates() {
 		seenK := map[int]bool{}
-		for nCols := opt.MinCols; nCols <= opt.MaxCols; nCols++ {
+		for nCols := minCols; nCols <= maxCols; nCols++ {
 			cfg := tmpl
 			cfg.NumCols = nCols
 			if cfg.Validate() != nil {
@@ -188,10 +166,52 @@ func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candid
 	}
 	stats.Duration = time.Since(start)
 	if best == nil {
-		return nil, all, stats, fmt.Errorf("core: no feasible layout for %s in [%d,%d] columns", g.Name, opt.MinCols, opt.MaxCols)
+		return nil, all, stats, fmt.Errorf("core: no feasible layout for %s in [%d,%d] columns", g.Name, minCols, maxCols)
 	}
 	plan := &Plan{Graph: g, Sample: sample, Candidate: *best, Backend: opt.Backend, Calibration: opt.Calibration}
 	return plan, all, stats, nil
+}
+
+// templates returns the logical layouts Optimize searches, before a column
+// count is set.
+func (opt Options) templates() []gadgets.Config {
+	if opt.Configs != nil {
+		return opt.Configs
+	}
+	configs := gadgets.EnumerateConfigs(0, opt.FP)
+	if !opt.Prune {
+		// Without pruning, also consider the redundant dedicated-vs-viadot
+		// axis (the pruned search fixes one implementation per layer
+		// family).
+		for _, c := range configs {
+			c.Arith = gadgets.ArithViaDot
+			configs = append(configs, c)
+		}
+	}
+	return configs
+}
+
+// colRange returns the column counts Optimize searches.
+func (opt Options) colRange() (lo, hi int) {
+	lo = max(opt.MinCols, 4)
+	return lo, max(opt.MaxCols, lo)
+}
+
+// Admits reports whether Optimize under opt can choose cfg: one of the
+// templates it searches, at a column count inside its range. A stored
+// artifact whose config fails this was not compiled under these options, and
+// re-synthesizing it could cost more than compiling the model does.
+func (opt Options) Admits(cfg gadgets.Config) bool {
+	if lo, hi := opt.colRange(); cfg.NumCols < lo || cfg.NumCols > hi {
+		return false
+	}
+	for _, t := range opt.templates() {
+		t.NumCols = cfg.NumCols
+		if t == cfg {
+			return true
+		}
+	}
+	return false
 }
 
 func score(c *Candidate, obj Objective) float64 {
@@ -204,29 +224,22 @@ func score(c *Candidate, obj Objective) float64 {
 // price estimates the cost of a simulated layout (EstimateCost in
 // Algorithm 1) at the minimal grid that fits.
 func price(b *gadgets.Builder, cfg gadgets.Config, opt Options) (*Candidate, error) {
-	return priceAt(b, cfg, b.MinN(), opt)
-}
-
-// priceAt finalizes the simulated circuit at an explicit grid height n and
-// prices it there, so the layout, cost, and size all describe the same
-// domain the keys and proofs will use.
-func priceAt(b *gadgets.Builder, cfg gadgets.Config, n int, opt Options) (*Candidate, error) {
-	k := bits.TrailingZeros(uint(n))
-	art, err := b.Finalize(n)
+	art, err := b.Finalize(b.MinN())
 	if err != nil {
 		return nil, err
 	}
-	layout := LayoutOf(art.CS, k, opt.Backend)
-	cand := &Candidate{
-		Config:   cfg,
-		N:        n,
-		K:        k,
-		UsedRows: art.UsedRows,
-		Layout:   layout,
-		Cost:     opt.Calibration.EstimateProvingTime(layout),
-		Size:     layout.EstimateProofSize(),
-	}
-	return cand, nil
+	cand := candidateOf(art, cfg, opt.Backend)
+	cand.Cost = opt.Calibration.EstimateProvingTime(cand.Layout)
+	return &cand, nil
+}
+
+// candidateOf describes a finalized circuit as a layout candidate — grid,
+// used rows, cost-model layout and estimated proof size — so the layout and
+// size describe the domain the keys and proofs use. Cost is the caller's.
+func candidateOf(art *gadgets.Artifact, cfg gadgets.Config, backend pcs.Backend) Candidate {
+	k := bits.TrailingZeros(uint(art.N))
+	layout := LayoutOf(art.CS, k, backend)
+	return Candidate{Config: cfg, N: art.N, K: k, UsedRows: art.UsedRows, Layout: layout, Size: layout.EstimateProofSize()}
 }
 
 // PlanFor builds a plan from one explicit configuration without running the
@@ -242,33 +255,6 @@ func PlanFor(g *model.Graph, sample *model.Input, cfg gadgets.Config, backend pc
 	}
 	opt := Options{Backend: backend, Calibration: calib}
 	cand, err := price(b, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Graph: g, Sample: sample, Candidate: *cand, Backend: backend, Calibration: calib}, nil
-}
-
-// PlanAt is PlanFor with an explicit grid height n >= the minimum (used to
-// pin a fixed number of rows, e.g. Table 10's fixed configuration). The
-// layout, cost, and size are all re-derived at the pinned grid, so the plan
-// is priced, audited, and CompareEstimate'd against the domain it actually
-// proves on.
-func PlanAt(g *model.Graph, sample *model.Input, cfg gadgets.Config, n int, backend pcs.Backend, calib *costmodel.Calibration) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("core: pinned row count %d is not a power of two", n)
-	}
-	b, _, err := g.BuildCircuit(cfg, sample)
-	if err != nil {
-		return nil, err
-	}
-	if n < b.MinN() {
-		return nil, fmt.Errorf("core: %d rows below minimum %d", n, b.MinN())
-	}
-	opt := Options{Backend: backend, Calibration: calib}
-	cand, err := priceAt(b, cfg, n, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -204,32 +204,3 @@ func TestCalibrationSaveLoad(t *testing.T) {
 		t.Fatal("LoadOrCalibrate did not use cache")
 	}
 }
-
-// TestPlanAtRepinsLayout: PlanAt must re-derive Layout/Cost/Size at the
-// pinned K instead of inheriting the optimizer's choice (the pre-fix bug
-// left Layout.K at whatever price() last computed).
-func TestPlanAtRepinsLayout(t *testing.T) {
-	spec, _ := model.Get("dlrm-micro")
-	g := spec.Build()
-	in := spec.Input(1)
-	opt := testOpts(pcs.KZG)
-	base, _, _, err := Optimize(g, in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin one power of two above the optimizer's choice.
-	n := base.N * 2
-	p, err := PlanAt(g, in, base.Config, n, pcs.KZG, opt.Calibration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.N != n || p.Layout.K != p.K {
-		t.Fatalf("PlanAt(N=%d): plan K=%d but Layout.K=%d", n, p.K, p.Layout.K)
-	}
-	if p.Cost <= base.Cost {
-		t.Fatalf("doubling rows did not increase the estimate: %.4f <= %.4f", p.Cost, base.Cost)
-	}
-	if _, err := PlanAt(g, in, base.Config, n-1, pcs.KZG, opt.Calibration); err == nil {
-		t.Fatal("non-power-of-two N accepted")
-	}
-}

@@ -117,9 +117,6 @@ func NewFixedBaseTable(basis []Affine) *FixedBaseTable {
 // Len returns the number of basis points the table covers.
 func (t *FixedBaseTable) Len() int { return t.n }
 
-// Windows returns the table's window schedule (width, count per half).
-func (t *FixedBaseTable) Windows() (c, nw int) { return t.c, t.nw }
-
 // MSM computes sum scalars[i]·Bᵢ over the table's first len(scalars) basis
 // points. Workers process disjoint scalar ranges into private bucket sets
 // and reduce them independently; the partial sums are combined in index

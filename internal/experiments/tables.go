@@ -490,20 +490,3 @@ func argmaxV(t *layers.T) int {
 	}
 	return best
 }
-
-// All runs every experiment in paper order.
-func All(cfg Config) ([]*Table, error) {
-	runs := []func(Config) (*Table, error){
-		Table5, Table6, Table7, Table8, Table9, Table10, Table11, Table12,
-		OptimizerSavings, Table13, Table14, RankCorrelation,
-	}
-	var out []*Table
-	for _, fn := range runs {
-		t, err := fn(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

@@ -149,11 +149,6 @@ func (b *Builder) Constant(v int64) *Value {
 	// The constants column index is resolved at Finalize; Index -1 marks it.
 }
 
-// QuantizeConst quantizes a float and returns it as a constant.
-func (b *Builder) QuantizeConst(f float64) *Value {
-	return b.Constant(b.cfg.FP.Quantize(f))
-}
-
 // newRow appends a fresh row owned by kind, prefilled with the kind's
 // padding pattern so partially used rows still satisfy the kind's gates and
 // lookups.

@@ -83,16 +83,6 @@ const (
 	ReLUDecomp ReLUStrategy = "decomp"
 )
 
-// RowMode selects single-row or multi-row gate layouts (Table 13).
-type RowMode string
-
-const (
-	// RowSingle uses single-row constraints (ZKML's default).
-	RowSingle RowMode = "single"
-	// RowMulti uses two-row variants of the adder, max, and dot gadgets.
-	RowMulti RowMode = "multi"
-)
-
 // Config is a logical layout: the gadget strategy choices plus the physical
 // column count and numeric format.
 type Config struct {
@@ -101,21 +91,14 @@ type Config struct {
 	Dot     DotStrategy
 	Arith   ArithStrategy
 	ReLU    ReLUStrategy
-	Rows    RowMode
 	// UseConstDot enables the fixed-column weight variants of the dot
 	// gadget (dot_const / dot_bias_const), ZKML's optimized
 	// implementation for linear layers with constant weights.
 	UseConstDot bool
-	// MultiAdd / MultiMax / MultiDot selectively switch one gadget to its
-	// two-row variant (the per-gadget rows of Table 13); Rows == RowMulti
-	// switches all three.
+	// MultiAdd / MultiMax / MultiDot switch one gadget each to its two-row
+	// variant (Table 13); ZKML's default is single-row constraints.
 	MultiAdd, MultiMax, MultiDot bool
 }
-
-// multiAdd / multiMax / multiDot report the effective row mode per gadget.
-func (c Config) multiAdd() bool { return c.Rows == RowMulti || c.MultiAdd }
-func (c Config) multiMax() bool { return c.Rows == RowMulti || c.MultiMax }
-func (c Config) multiDot() bool { return c.Rows == RowMulti || c.MultiDot }
 
 // DefaultConfig returns the configuration ZKML's optimizer starts from.
 func DefaultConfig(numCols int, fp fixedpoint.Params) Config {
@@ -125,7 +108,6 @@ func DefaultConfig(numCols int, fp fixedpoint.Params) Config {
 		Dot:         DotBias,
 		Arith:       ArithDedicated,
 		ReLU:        ReLULookup,
-		Rows:        RowSingle,
 		UseConstDot: true,
 	}
 }
@@ -157,27 +139,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("gadgets: unknown relu strategy %q", c.ReLU)
 	}
-	switch c.Rows {
-	case RowSingle, RowMulti:
-	default:
-		return fmt.Errorf("gadgets: unknown row mode %q", c.Rows)
-	}
 	return nil
-}
-
-// DotWidth returns the per-row operand capacity of the dot gadget under
-// this configuration.
-func (c Config) DotWidth() int {
-	switch {
-	case c.multiDot():
-		return c.NumCols - 1 // dot_mr: xs on row r, ys on row r+1
-	case c.UseConstDot:
-		return c.NumCols - 1 // dot_const: [x_1..x_n, z]
-	case c.Dot == DotBias:
-		return (c.NumCols - 2) / 2 // [x.. y.. bias z]
-	default:
-		return (c.NumCols - 1) / 2 // [x.. y.. z]
-	}
 }
 
 // EnumerateConfigs returns the logical-layout candidates the optimizer

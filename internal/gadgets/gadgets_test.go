@@ -91,7 +91,7 @@ func TestSumAndDotVariants(t *testing.T) {
 		func() Config { c := testCfg(); c.Dot = DotSum; return c }(),
 		func() Config { c := testCfg(); c.UseConstDot = false; return c }(),
 		func() Config { c := testCfg(); c.UseConstDot = false; c.Dot = DotSum; return c }(),
-		func() Config { c := testCfg(); c.Rows = RowMulti; return c }(),
+		func() Config { c := testCfg(); c.MultiAdd, c.MultiMax, c.MultiDot = true, true, true; return c }(),
 	} {
 		b := NewBuilder(cfg)
 		var xs []*Value
@@ -106,7 +106,7 @@ func TestSumAndDotVariants(t *testing.T) {
 		}
 		dot := b.DotRaw(xs, nil, consts, nil)
 		if dot.Int64() != want {
-			t.Fatalf("cfg %v/%v/%v: dot = %d, want %d", cfg.Dot, cfg.UseConstDot, cfg.Rows, dot.Int64(), want)
+			t.Fatalf("cfg %v/%v/multi=%v: dot = %d, want %d", cfg.Dot, cfg.UseConstDot, cfg.MultiDot, dot.Int64(), want)
 		}
 		// With init.
 		init := b.Witness(7)
@@ -166,9 +166,9 @@ func TestDivisionGadgets(t *testing.T) {
 }
 
 func TestMaxGadget(t *testing.T) {
-	for _, rows := range []RowMode{RowSingle, RowMulti} {
+	for _, multi := range []bool{false, true} {
 		cfg := testCfg()
-		cfg.Rows = rows
+		cfg.MultiAdd, cfg.MultiMax, cfg.MultiDot = multi, multi, multi
 		b := NewBuilder(cfg)
 		m := b.Max(b.Witness(-5), b.Witness(3))
 		if m.Int64() != 3 {

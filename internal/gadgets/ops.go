@@ -17,7 +17,7 @@ func (b *Builder) Add(x, y *Value) *Value {
 	if b.cfg.Arith == ArithViaDot {
 		return b.DotRaw([]*Value{x, y}, nil, []int64{1, 1}, nil)
 	}
-	if b.cfg.multiAdd() {
+	if b.cfg.MultiAdd {
 		return b.addMR(x, y)
 	}
 	row, s := b.slot(KindAdd, 3, 1)
@@ -141,7 +141,7 @@ func (b *Builder) DotRaw(xs []*Value, ws []*Value, consts []int64, init *Value) 
 		}
 		return b.Constant(0)
 	}
-	if consts != nil && b.cfg.UseConstDot && !b.cfg.multiDot() {
+	if consts != nil && b.cfg.UseConstDot && !b.cfg.MultiDot {
 		if b.cfg.Dot == DotBias {
 			return b.dotConstChained(xs, consts, init)
 		}
@@ -154,7 +154,7 @@ func (b *Builder) DotRaw(xs []*Value, ws []*Value, consts []int64, init *Value) 
 			ws[i] = b.Constant(c)
 		}
 	}
-	if b.cfg.multiDot() {
+	if b.cfg.MultiDot {
 		return b.dotMRSummed(xs, ws, init)
 	}
 	if b.cfg.Dot == DotBias {
@@ -359,7 +359,7 @@ func (b *Builder) DivFloor(num, den *Value) *Value {
 // Max returns max(x, y) via the constraint (c-x)(c-y) = 0 plus two range
 // lookups c-x >= 0 and c-y >= 0 (paper §5, reusing the range table).
 func (b *Builder) Max(x, y *Value) *Value {
-	if b.cfg.multiMax() {
+	if b.cfg.MultiMax {
 		return b.maxMR(x, y)
 	}
 	row, s := b.slot(KindMax, 3, 1)

@@ -1,7 +1,5 @@
 package model
 
-import "repro/internal/tensor"
-
 // Flops estimates the multiply-accumulate-dominated floating point
 // operation count of one inference (the Table 5 "Flops" column), from the
 // tensor shapes observed during a reference execution.
@@ -61,19 +59,4 @@ func (g *Graph) nodeFlops(n Node, env map[string]*FT) int64 {
 		// Pointwise ops: one flop per element.
 		return out
 	}
-}
-
-// ShapeSummary returns output shapes per node for documentation and
-// debugging.
-func (g *Graph) ShapeSummary(in *Input) (map[string][]int, error) {
-	env, err := g.RunFloat(in)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]int{}
-	for name, t := range env {
-		out[name] = append([]int(nil), t.Shape...)
-	}
-	_ = tensor.NumElems
-	return out, nil
 }

@@ -83,7 +83,7 @@ func (k *KZGScheme) extend(maxLen int) {
 }
 
 // generatorComb returns the comb table for G, building it on first use. Only
-// extend and deriveLagrange call it, so importing an SRS builds nothing.
+// extend and deriveLagrange call it, so installing an SRS builds nothing.
 // Caller holds kzgMu; the returned table is immutable.
 func generatorComb() *fixedBase {
 	if kzgTable == nil {

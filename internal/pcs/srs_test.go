@@ -1,57 +1,49 @@
 package pcs
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/curve"
 	"repro/internal/ff"
 	"repro/internal/poly"
-	"repro/internal/zkerrors"
 )
 
 func TestSRSRoundTrip(t *testing.T) {
 	for _, b := range []Backend{KZG, IPA} {
-		data, err := ExportSRS(b, 64)
+		pts, err := SRSPoints(b, 64)
 		if err != nil {
-			t.Fatalf("%v export: %v", b, err)
+			t.Fatalf("%v points: %v", b, err)
 		}
-		// Header (magic, version, backend, count) plus the points: the KZG
-		// powers alone, or the IPA basis plus a one-point anchor section.
-		want := 10 + 32*64
+		// The KZG powers alone, or the IPA basis plus its anchor.
+		want := 64
 		if b == IPA {
-			want += 4 + 32
+			want++
 		}
-		if len(data) != want {
-			t.Fatalf("%v export is %d bytes, want %d", b, len(data), want)
+		if len(pts) != want {
+			t.Fatalf("%v setup is %d points, want %d", b, len(pts), want)
 		}
-		got, n, err := ImportSRS(data)
-		if err != nil {
-			t.Fatalf("%v import: %v", b, err)
+		if err := InstallSRS(b, pts); err != nil {
+			t.Fatalf("%v install: %v", b, err)
 		}
-		if got != b || n != 64 {
-			t.Fatalf("%v import returned (%v, %d)", b, got, n)
-		}
-		// A warm import means a scheme at or below the imported size does
+		// A warm install means a scheme at or below the installed size does
 		// no setup work.
 		before := SetupWorkSnapshot()
 		if _, err := New(b, 64); err != nil {
 			t.Fatal(err)
 		}
 		if d := SetupWorkSnapshot().Sub(before); !d.IsZero() {
-			t.Fatalf("%v scheme after import did setup work: %+v", b, d)
+			t.Fatalf("%v scheme after install did setup work: %+v", b, d)
 		}
 	}
 }
 
-// TestImportedPowersCommitLagrange: a KZG import carries the powers only.
-// It builds nothing; the first Lagrange derivation after it builds the
+// TestImportedPowersCommitLagrange: an installed KZG setup is the powers
+// only. It builds nothing; the first Lagrange derivation after it builds the
 // generator comb once, and the Lagrange commitment equals the coefficient
 // commitment of the interpolated column, as on a freshly generated SRS.
 func TestImportedPowersCommitLagrange(t *testing.T) {
 	const n = 1 << 7
-	data, err := ExportSRS(KZG, n)
+	powers, err := SRSPoints(KZG, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,100 +55,115 @@ func TestImportedPowersCommitLagrange(t *testing.T) {
 	kzgLagrangeMu.Unlock()
 
 	before := SetupWorkSnapshot()
-	if _, _, err := ImportSRS(data); err != nil {
+	if err := InstallSRS(KZG, powers); err != nil {
 		t.Fatal(err)
 	}
 	k := NewKZG(n)
 	if d := SetupWorkSnapshot().Sub(before); !d.IsZero() {
-		t.Fatalf("import did setup work: %+v", d)
+		t.Fatalf("install did setup work: %+v", d)
 	}
 	evals := column("small", n)
 	coeffs := append([]ff.Element(nil), evals...)
 	poly.NewDomain(n).IFFT(coeffs)
 	got, want := k.CommitLagrange(evals), k.Commit(coeffs)
 	if !got.Equal(&want) {
-		t.Fatal("CommitLagrange != Commit(IFFT) after a powers-only import")
+		t.Fatal("CommitLagrange != Commit(IFFT) after a powers-only install")
 	}
 	if d := SetupWorkSnapshot().Sub(before); d.KZGCombBuilds != 1 || d.KZGLagrangeDerived != n {
-		t.Fatalf("first Lagrange commit after import: %+v, want one comb build and %d derived points", d, n)
+		t.Fatalf("first Lagrange commit after install: %+v, want one comb build and %d derived points", d, n)
 	}
 }
 
+// TestSRSImportRejectsCorruption: the install's spot checks reject a setup
+// from another ceremony — a wrong power 0, 1 or n−1 on KZG, a wrong anchor or
+// basis point 0 on IPA — and setups too short to carry them. (The byte-level
+// corruption matrix of the stored section is core's, which decodes it.)
 func TestSRSImportRejectsCorruption(t *testing.T) {
-	data, err := ExportSRS(KZG, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[4] != 2 {
-		t.Fatalf("SRS version %d, want 2", data[4])
-	}
-	with := func(off int, v byte) []byte {
-		d := append([]byte(nil), data...)
-		d[off] = v
-		return d
-	}
-	// A v1 body — the powers followed by comb windows — under a v2 header.
+	const n = 16
 	g := curve.Generator()
-	gb := g.Bytes()
-	withComb := append(append([]byte(nil), data...), 0, 0, 1, 0)
-	for i := 0; i < 256; i++ {
-		withComb = append(withComb, gb[:]...)
-	}
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XSRS"), data[4:]...),
-		"v1 blob":     with(4, 1),
-		"bad backend": with(5, 7),
-		"no powers":   append(append([]byte(nil), data[:6]...), 0, 0, 0, 0),
-		"truncated":   data[:len(data)-7],
-		"trailing":    append(append([]byte(nil), data...), 0),
-		"comb window": withComb,
-		"huge count":  append(append([]byte(nil), data[:6]...), 0xff, 0xff, 0xff, 0xff),
-	}
-	// Flip a byte inside the first and the last power (x coordinate low
-	// byte): either the point leaves the curve or it no longer matches the
-	// ceremony.
-	for name, off := range map[string]int{"flipped first point": 10 + 31, "flipped last point": len(data) - 1} {
-		cases[name] = with(off, data[off]^1)
-	}
-	for name, d := range cases {
-		if _, _, err := ImportSRS(d); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-			t.Errorf("%s: got %v, want ErrMalformedArtifact", name, err)
+	off := g.ToJac()
+	off.AddMixed(&g) // 2·G: on the curve, but nobody's setup point
+	wrong := off.ToAffine()
+	for _, b := range []Backend{KZG, IPA} {
+		pts, err := SRSPoints(b, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		with := func(i int) []curve.Affine {
+			d := append([]curve.Affine(nil), pts...)
+			d[i] = wrong
+			return d
+		}
+		cases := map[string][]curve.Affine{"empty": nil, "point 0": with(0), "last point": with(len(pts) - 1)}
+		if b == KZG {
+			cases["power 1"] = with(1)
+		} else {
+			cases["anchor only"] = pts[len(pts)-1:]
+		}
+		for name, d := range cases {
+			if err := InstallSRS(b, d); err == nil {
+				t.Errorf("%v %s: installed", b, name)
+			}
 		}
 	}
+	if err := InstallSRS(Backend(7), []curve.Affine{g}); err == nil {
+		t.Error("unknown backend: installed")
+	}
 }
 
-// FuzzImportSRS feeds arbitrary bytes to the SRS decoder, the section of
-// every stored artifact that pcs decodes itself. Arbitrary input must never
-// panic or over-allocate (point counts are capped by the bytes remaining),
-// every rejection must wrap ErrMalformedArtifact, and an accepted input must
-// be exactly the header plus the points it reports. (An accepted input is
-// installed into this process's setup; the ceremony spot checks keep that
-// to SRSs whose first, second and last powers are right.)
+// srsFuzzBytes lays a setup out as FuzzImportSRS reads it: one backend byte,
+// then each point's 32-byte encoding.
+func srsFuzzBytes(b Backend, pts []curve.Affine) []byte {
+	out := []byte{byte(b)}
+	for i := range pts {
+		enc := pts[i].Bytes()
+		out = append(out, enc[:]...)
+	}
+	return out
+}
+
+// FuzzImportSRS feeds arbitrary point lists, under any backend byte, to
+// InstallSRS — the step a stored SRS section goes through after core has
+// decoded its points. It must never panic, and any setup it accepts must
+// carry the points its spot checks pin: the generator as KZG power 0, or the
+// derived IPA basis point 0 and anchor.
 func FuzzImportSRS(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), srsMagic[:]...), srsVersion))
+	f.Add([]byte{byte(KZG)})
 	for _, b := range []Backend{KZG, IPA} {
-		data, err := ExportSRS(b, 16)
+		pts, err := SRSPoints(b, 16)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		f.Add(srsFuzzBytes(b, pts))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, n, err := ImportSRS(data)
-		if err != nil {
-			if !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-				t.Fatalf("import error does not wrap ErrMalformedArtifact: %v", err)
-			}
+		if len(data) == 0 || (len(data)-1)%32 != 0 {
 			return
 		}
-		want := 10 + 32*n
-		if b == IPA {
-			want += 4 + 32
+		b := Backend(data[0])
+		pts := make([]curve.Affine, (len(data)-1)/32)
+		for i := range pts {
+			if pts[i].SetBytes([32]byte(data[1+32*i:])) != nil {
+				return
+			}
 		}
-		if len(data) != want || !bytes.Equal(data[:4], srsMagic[:]) {
-			t.Fatalf("accepted %d bytes as a %v SRS of %d points", len(data), b, n)
+		if err := InstallSRS(b, pts); err != nil {
+			return
+		}
+		switch b {
+		case KZG:
+			g := curve.Generator()
+			if !pts[0].Equal(&g) {
+				t.Fatalf("installed a KZG setup of %d points whose power 0 is not the generator", len(pts))
+			}
+		case IPA:
+			u, b0 := curve.HashToCurve("ipa-u", 0), curve.HashToCurve("ipa-basis", 0)
+			if len(pts) < 2 || !pts[len(pts)-1].Equal(&u) || !pts[0].Equal(&b0) {
+				t.Fatalf("installed an IPA setup of %d points without the derived basis point 0 and anchor", len(pts))
+			}
+		default:
+			t.Fatalf("installed a setup under unknown backend %v", b)
 		}
 	})
 }

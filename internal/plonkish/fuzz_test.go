@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/curve"
 	"repro/internal/pcs"
 	"repro/internal/zkerrors"
 )
@@ -78,6 +79,73 @@ func FuzzProofUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(round, data) {
 			t.Fatalf("non-canonical encoding accepted: %d bytes in, %d bytes out", len(data), len(round))
+		}
+	})
+}
+
+// materialFuzzBytes lays key material out as FuzzKeyMaterialUnmarshal reads
+// it: a backend byte, the fixed-commitment count, then every fixed and sigma
+// commitment's 32-byte encoding.
+func materialFuzzBytes(b pcs.Backend, m *KeyMaterial) []byte {
+	out := []byte{byte(b), byte(len(m.FixedCommits))}
+	for _, c := range append(append([]curve.Affine(nil), m.FixedCommits...), m.SigmaCommits...) {
+		enc := c.Bytes()
+		out = append(out, enc[:]...)
+	}
+	return out
+}
+
+// FuzzKeyMaterialUnmarshal turns arbitrary bytes into key material — the
+// commitments a stored artifact hands to the key builders once core has
+// decoded its points — and rebuilds both keys for the test circuit from it.
+// Neither builder may panic, every rejection must wrap ErrMalformedArtifact,
+// and an accepted material must bind the keys: the verify-only and full keys
+// share one digest, which equals the fixture's exactly when the commitments
+// do, so a tampered commitment cannot pass the loader's digest check.
+func FuzzKeyMaterialUnmarshal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{byte(pcs.KZG), 0})
+	for _, b := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		f.Add(materialFuzzBytes(b, fixture(f, b).pk.Material()))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || (len(data)-2)%32 != 0 {
+			return
+		}
+		b := pcs.Backend(data[0] & 1)
+		pts := make([]curve.Affine, (len(data)-2)/32)
+		for i := range pts {
+			if pts[i].SetBytes([32]byte(data[2+32*i:])) != nil {
+				return
+			}
+		}
+		nf := int(data[1])
+		if nf > len(pts) {
+			return
+		}
+		m := &KeyMaterial{FixedCommits: pts[:nf], SigmaCommits: pts[nf:]}
+		fx := fixture(t, b)
+		vk, err := SetupVK(fx.vk.CS, fx.vk.N, b, m)
+		_, full, ferr := SetupFromMaterial(fx.vk.CS, fx.vk.N, testFixed(fx.vk.N), b, m)
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("key builders disagree on the material: verify-only %v, full %v", err, ferr)
+		}
+		if err != nil {
+			if !errors.Is(err, zkerrors.ErrMalformedArtifact) || !errors.Is(ferr, zkerrors.ErrMalformedArtifact) {
+				t.Fatalf("rejection does not wrap ErrMalformedArtifact: %v / %v", err, ferr)
+			}
+			return
+		}
+		if !bytes.Equal(vk.Digest(), full.Digest()) {
+			t.Fatal("verify-only and full keys built from one material have different digests")
+		}
+		want := fx.pk.Material()
+		same := true
+		for i, c := range append(append([]curve.Affine(nil), want.FixedCommits...), want.SigmaCommits...) {
+			same = same && c.Equal(&pts[i])
+		}
+		if bytes.Equal(vk.Digest(), fx.vk.Digest()) != same {
+			t.Fatalf("digest match %v, but commitments match %v", !same, same)
 		}
 	})
 }
@@ -168,39 +236,4 @@ func TestProofCraftedHeaderAmplification(t *testing.T) {
 			t.Fatalf("crafted header error does not wrap ErrMalformedProof: %v", err)
 		}
 	}
-}
-
-// FuzzKeyMaterialUnmarshal feeds arbitrary bytes to the key-store decoder.
-// Persisted key material is loaded from disk and treated as untrusted:
-// arbitrary input must never panic or over-allocate, every rejection must
-// wrap ErrMalformedArtifact, and any input the decoder accepts must
-// re-marshal byte-identically — the canonical scalar and point encodings
-// make the wire format injective, so a second encoding of the same material
-// being accepted is a bug.
-func FuzzKeyMaterialUnmarshal(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), keyMagic[:]...), keyVersion))
-	for _, b := range []pcs.Backend{pcs.KZG, pcs.IPA} {
-		data, err := fixture(f, b).pk.Material().MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m KeyMaterial
-		if err := m.UnmarshalBinary(data); err != nil {
-			if !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-				t.Fatalf("decode error does not wrap ErrMalformedArtifact: %v", err)
-			}
-			return
-		}
-		round, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted material failed to re-marshal: %v", err)
-		}
-		if !bytes.Equal(round, data) {
-			t.Fatalf("non-canonical encoding accepted: %d bytes in, %d bytes out", len(data), len(round))
-		}
-	})
 }

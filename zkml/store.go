@@ -116,6 +116,13 @@ func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
 	if af.Meta.Options != optionsFingerprint(o) {
 		return nil, fmt.Errorf("zkml: artifact %s was built with different options: %w", path, ErrMalformedArtifact)
 	}
+	// Loading re-synthesizes the circuit under the stored config before any
+	// integrity check can run, so only a config the optimizer could have
+	// chosen under o is let through: a corrupt column count or numeric format
+	// would otherwise size the rebuild without bound.
+	if !o.coreOptions().Admits(af.Config) {
+		return nil, fmt.Errorf("zkml: artifact %s stores a gadget config these options cannot produce: %w", path, ErrMalformedArtifact)
+	}
 	return af, nil
 }
 

@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/gadgets"
 	"repro/internal/obs"
 	"repro/internal/pcs"
 	"repro/internal/poly"
@@ -224,10 +226,10 @@ func TestLoadRejectsWrongArtifact(t *testing.T) {
 	}
 }
 
-// TestOldFormatStoreMisses: a store written before the artifact format
-// version moved into the file name holds the model's artifact under the
-// unversioned name. It is a miss, never a permanent decode error:
-// LoadOrCompile recompiles, fills the versioned name, and then hits.
+// TestOldFormatStoreMisses: a store written in an older format holds the
+// model's artifact under that version's name (or, before the version moved
+// into the name, under none). It is a miss, never a permanent decode error:
+// LoadOrCompile recompiles, fills the current version's name, and then hits.
 func TestOldFormatStoreMisses(t *testing.T) {
 	spec, err := Model("dlrm-micro")
 	if err != nil {
@@ -239,13 +241,14 @@ func TestOldFormatStoreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Dir(path)
-	if !strings.HasSuffix(path, "-v2.zka") {
+	if !strings.HasSuffix(path, "-v3.zka") {
 		t.Fatalf("artifact path %q does not carry the format version", path)
 	}
-	oldPath := strings.TrimSuffix(path, "-v2.zka") + ".zka"
-	old := append([]byte("ZKMLART\x01"), make([]byte, 64)...)
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
+	for v, suffix := range map[byte]string{1: ".zka", 2: "-v2.zka"} {
+		old := append([]byte("ZKMLART"), v)
+		if err := os.WriteFile(strings.TrimSuffix(path, "-v3.zka")+suffix, append(old, make([]byte, 64)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := LoadSystem(dir, g, sample, o); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("old-format store: got %v, want os.ErrNotExist", err)
@@ -258,6 +261,51 @@ func TestOldFormatStoreMisses(t *testing.T) {
 	}
 	if _, fromStore, err := LoadOrCompile(dir, g, sample, 1, o); err != nil || !fromStore {
 		t.Fatalf("LoadOrCompile over the refilled store: fromStore=%v err=%v", fromStore, err)
+	}
+}
+
+// TestLoadRejectsUnadmittedConfig: a stored gadget config the optimizer
+// could not have chosen under the load's options — a column count far past
+// MaxCols, or another numeric format — is rejected on both load paths before
+// the circuit is re-synthesized. Re-synthesizing 2^27-wide rows would take
+// the loading process down instead.
+func TestLoadRejectsUnadmittedConfig(t *testing.T) {
+	spec, err := Model("dlrm-micro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, sample, o := spec.Build(), spec.Input(1), opts()
+	sys, err := Compile(g, sample, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.ModelHash(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, err := ArtifactPath(dir, g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mod := range map[string]func(*gadgets.Config){
+		"2^27 columns":         func(c *gadgets.Config) { c.NumCols = 1 << 27 },
+		"other numeric format": func(c *gadgets.Config) { c.FP.ScaleBits, c.FP.LookupBits = 5, 9 },
+	} {
+		plan := *sys.Plan
+		mod(&plan.Config)
+		data, err := core.EncodeArtifact(core.ArtifactMeta{ModelHash: h, Options: optionsFingerprint(o)}, &plan, sys.Keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for loader, load := range map[string]func(string, *Graph, *Input, Options) (*System, error){"LoadSystem": LoadSystem, "LoadVerifier": LoadVerifier} {
+			if _, err := load(dir, g, sample, o); !errors.Is(err, ErrMalformedArtifact) {
+				t.Fatalf("%s with %s: got %v, want ErrMalformedArtifact", loader, name, err)
+			}
+		}
 	}
 }
 

@@ -166,9 +166,6 @@ type Proof = core.Proof
 // time against CPU. Not safe to call concurrently with an active Prove.
 func SetParallelism(n int) { parallel.SetWorkers(n) }
 
-// Parallelism reports the current proving-engine worker count.
-func Parallelism() int { return parallel.Workers() }
-
 // Model looks up a bundled evaluation model by name (see ModelNames).
 func Model(name string) (model.Spec, error) { return model.Get(name) }
 
@@ -184,19 +181,24 @@ func Optimize(g *Graph, sample *Input, o Options) (*core.Plan, []core.Candidate,
 	if err := o.validate(); err != nil {
 		return nil, nil, core.Stats{}, err
 	}
-	o = o.withDefaults()
-	fp := fixedpoint.Params{ScaleBits: o.ScaleBits, LookupBits: o.LookupBits}
-	if err := fp.Validate(); err != nil {
+	opt := o.coreOptions()
+	if err := opt.FP.Validate(); err != nil {
 		return nil, nil, core.Stats{}, err
 	}
-	opt := core.DefaultOptions(o.Backend, fp)
-	opt.Objective = o.Objective
-	opt.MinCols, opt.MaxCols = o.MinCols, o.MaxCols
 	opt.Calibration = o.Calibration
 	if opt.Calibration == nil {
 		opt.Calibration = costmodel.LoadOrCalibrate(o.CalibrationPath)
 	}
 	return core.Optimize(g, sample, opt)
+}
+
+// coreOptions maps the options onto the optimizer's, calibration aside.
+func (o Options) coreOptions() core.Options {
+	o = o.withDefaults()
+	opt := core.DefaultOptions(o.Backend, fixedpoint.Params{ScaleBits: o.ScaleBits, LookupBits: o.LookupBits})
+	opt.Objective = o.Objective
+	opt.MinCols, opt.MaxCols = o.MinCols, o.MaxCols
+	return opt
 }
 
 // Compile optimizes the circuit layout for a model and generates its
@@ -262,18 +264,6 @@ type (
 // enforce what the model graph claims.
 func (s *System) Audit() (*AuditReport, error) {
 	return s.Plan.Audit(s.Keys, nil)
-}
-
-// Audit compiles a model's layout (optimizer only — no key generation) and
-// runs the static circuit auditor over the synthesized circuit. This is the
-// pre-keygen gate: it catches a mis-wired layout before the expensive setup
-// and before any proof could silently enforce nothing.
-func Audit(g *Graph, sample *Input, o Options) (*AuditReport, error) {
-	plan, _, _, err := Optimize(g, sample, o)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Audit(nil, nil)
 }
 
 // Outputs dequantizes the public output values of a proof. A proof that
