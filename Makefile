@@ -46,6 +46,7 @@ FUZZ_TARGETS = \
 	./internal/core/:FuzzDecodeArtifact \
 	./internal/pcs/:FuzzImportSRS \
 	./internal/plonkish/:FuzzKeyMaterialUnmarshal \
+	./internal/plonkish/:FuzzProgramMatchesTree \
 	./internal/plonkish/:FuzzProofUnmarshal \
 	./internal/plonkish/:FuzzVerify \
 	./internal/model/:FuzzModelLoad \
@@ -91,7 +92,7 @@ bench:
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit' -benchtime=1x ./internal/poly/ ./internal/curve/ ./internal/pcs/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient' -benchtime=1x ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (calibration v2), prove once more
 # with tracing, and check the report: the schema parses, every pipeline

@@ -181,6 +181,8 @@ func cmdOptimize(args []string) error {
 		fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, est proof %d B\n",
 			plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
 			plan.Cost, plan.Size)
+		fmt.Printf("constraints: %d (%d expression nodes), quotient program %d ops, %d row-varying\n",
+			plan.Layout.NumConstraints, plan.Layout.ConstraintOps, plan.QuotientOps, plan.QuotientVaryingOps)
 		fmt.Println("candidates:")
 		for _, c := range ch.Candidates {
 			fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",

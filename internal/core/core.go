@@ -95,6 +95,10 @@ type Candidate struct {
 	Layout   costmodel.Layout
 	Cost     float64 // estimated proving seconds
 	Size     int     // estimated proof bytes
+	// QuotientOps / QuotientVaryingOps size the compiled quotient program
+	// (plonkish.Program): ops in all, and the ops evaluated per
+	// extended-coset row. Recorded for the cost model; not priced yet.
+	QuotientOps, QuotientVaryingOps int
 }
 
 // Plan is the optimizer's chosen layout bound to a model.
@@ -239,7 +243,9 @@ func price(b *gadgets.Builder, cfg gadgets.Config, opt Options) (*Candidate, err
 func candidateOf(art *gadgets.Artifact, cfg gadgets.Config, backend pcs.Backend) Candidate {
 	k := bits.TrailingZeros(uint(art.N))
 	layout := LayoutOf(art.CS, k, backend)
-	return Candidate{Config: cfg, N: art.N, K: k, UsedRows: art.UsedRows, Layout: layout, Size: layout.EstimateProofSize()}
+	q := plonkish.Compile(art.CS.AllConstraints(art.N - plonkish.ZKRows)...)
+	return Candidate{Config: cfg, N: art.N, K: k, UsedRows: art.UsedRows, Layout: layout, Size: layout.EstimateProofSize(),
+		QuotientOps: q.Len(), QuotientVaryingOps: q.Varying()}
 }
 
 // PlanFor builds a plan from one explicit configuration without running the

@@ -182,6 +182,8 @@ type Trace struct {
 	curStart time.Time
 	stageNs  [numStages]int64
 	totalNs  int64
+
+	quotientOps, quotientVarying int
 }
 
 // NewTrace returns an empty trace.
@@ -230,6 +232,16 @@ func (t *Trace) Finish() {
 	}
 }
 
+// RecordProgram notes the size of the compiled quotient program the prove
+// evaluates: ops in all, and the row-varying ops it runs per coset row.
+// Call on the proving goroutine.
+func (t *Trace) RecordProgram(ops, varying int) {
+	if t == nil {
+		return
+	}
+	t.quotientOps, t.quotientVarying = ops, varying
+}
+
 // StageTiming is one stage's measured wall time.
 type StageTiming struct {
 	Stage   string  `json:"stage"`
@@ -261,6 +273,10 @@ type Report struct {
 	BatchInvFlushes int64         `json:"batch_inv_flushes"`
 	Opens           int64         `json:"opens"`
 	OpenSeconds     float64       `json:"open_seconds"`
+	// QuotientOps / QuotientVaryingOps size the quotient program: ops in
+	// all, and the ops evaluated per extended-coset row.
+	QuotientOps        int `json:"quotient_ops,omitempty"`
+	QuotientVaryingOps int `json:"quotient_varying_ops,omitempty"`
 }
 
 // histogram snapshots a per-size counter array into sorted buckets.
@@ -293,6 +309,7 @@ func (t *Trace) Report() *Report {
 	r.BatchInvFlushes = t.Kernel.BatchInvFlushes.Load()
 	r.Opens = t.Kernel.Opens.Load()
 	r.OpenSeconds = float64(t.Kernel.OpenNs.Load()) / 1e9
+	r.QuotientOps, r.QuotientVaryingOps = t.quotientOps, t.quotientVarying
 	return r
 }
 

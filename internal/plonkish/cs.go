@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ff"
+	"repro/internal/poly"
 )
 
 // ZKRows is the number of trailing rows reserved per column for
@@ -272,16 +273,30 @@ func NewAssignment(cs *CS, n int) *Assignment {
 
 // Get returns the value at a cell.
 func (a *Assignment) Get(c Col, row int) ff.Element {
-	row = ((row % a.N) + a.N) % a.N
+	return a.column(c)[((row%a.N)+a.N)%a.N]
+}
+
+// column returns the grid column c.
+func (a *Assignment) column(c Col) []ff.Element {
 	switch c.Kind {
 	case Fixed:
-		return a.Fixed[c.Index][row]
+		return a.Fixed[c.Index]
 	case Advice:
-		return a.Advice[c.Index][row]
+		return a.Advice[c.Index]
 	case Instance:
-		return a.Instance[c.Index][row]
+		return a.Instance[c.Index]
 	}
 	panic(fmt.Sprintf("plonkish: Get on internal column %v", c.Kind))
+}
+
+// bind resolves every var of p to its grid column, for a machine over the
+// grid's rows.
+func (a *Assignment) bind(p *Program) [][]ff.Element {
+	cols := make([][]ff.Element, len(p.vars))
+	for i, q := range p.vars {
+		cols[i] = a.column(q.Col)
+	}
+	return cols
 }
 
 // Set assigns a value to a cell.
@@ -301,37 +316,79 @@ func (a *Assignment) Set(c Col, row int, v ff.Element) {
 // CheckConstraints verifies the assignment satisfies every gate, lookup,
 // and copy constraint directly (no proving). It is the circuit-debugging
 // path ("mock prover") and is also used by tests as a ground-truth oracle.
+//
+// It accepts what Prove accepts. User gates are not multiplied by q_active,
+// so the quotient needs them to vanish on all N rows, including the rows
+// [U, N) that Prove fills with random blinding values: gates are checked on
+// every row, with advice cells in those rows read from a deterministic
+// non-zero stand-in for the blinding (the caller's grid is not changed).
+// Lookups hold on the usable rows, as in the prover.
 func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
-	u := a.N - ZKRows
-	ctxAt := func(row int) *EvalCtx {
-		return &EvalCtx{
-			Get: func(c Col, rot int) ff.Element {
-				return a.Get(c, row+rot)
-			},
-			Challenges: challenges,
+	n, u := a.N, a.N-ZKRows
+	if n < 2*ZKRows || n&(n-1) != 0 {
+		return fmt.Errorf("plonkish: rows %d must be a power of two of at least %d", n, 2*ZKRows)
+	}
+	grid := *a
+	grid.Advice = make([][]ff.Element, len(a.Advice))
+	for i, col := range a.Advice {
+		grid.Advice[i] = append([]ff.Element(nil), col...)
+		for r := u; r < n; r++ {
+			grid.Advice[i][r] = ff.HashToField(fmt.Appendf(nil, "zkml-go/mock-blinding/v1/%d/%d", i, r))
 		}
 	}
+	omega := poly.NewDomain(n).Elements()
+	var arg [3]ff.Element
+
+	type gatePoly struct {
+		gate string
+		poly int
+	}
+	var polys []Expr
+	var names []gatePoly
 	for _, g := range cs.Gates {
 		for pi, p := range g.Polys {
-			for row := 0; row < u; row++ {
-				if v := p.Eval(ctxAt(row)); !v.IsZero() {
-					return fmt.Errorf("plonkish: gate %q poly %d violated at row %d (value %s)", g.Name, pi, row, v)
-				}
+			polys = append(polys, p)
+			names = append(names, gatePoly{g.Name, pi})
+		}
+	}
+	gates := Compile(polys...)
+	mc := gates.newMachine(grid.bind(gates), n-1, challenges, &arg)
+	// Report the first violated polynomial in gate order at its first row.
+	bad, badRow := len(polys), 0
+	var badVal ff.Element
+	for row := 0; row < n && bad > 0; row++ {
+		mc.run(row, &omega[row])
+		for k := 0; k < bad; k++ {
+			if v := mc.out(k); !v.IsZero() {
+				bad, badRow, badVal = k, row, *v
+				break
 			}
 		}
 	}
-	for _, l := range cs.Lookups {
-		table := map[string]bool{}
+	if bad < len(polys) {
+		return fmt.Errorf("plonkish: gate %q poly %d violated at row %d (value %s)", names[bad].gate, names[bad].poly, badRow, badVal)
+	}
+
+	lookups := compileLookupInputs(cs)
+	mc = lookups.newMachine(grid.bind(lookups), n-1, challenges, &arg)
+	tables := make([]map[string]bool, len(cs.Lookups))
+	for k, l := range cs.Lookups {
+		tables[k] = map[string]bool{}
 		for r := 0; r < l.TableLen; r++ {
 			key := ""
 			for _, tc := range l.Table {
 				b := a.Get(tc, r).Bytes()
 				key += string(b[:])
 			}
-			table[key] = true
+			tables[k][key] = true
 		}
-		for row := 0; row < u; row++ {
-			sel := l.Selector.Eval(ctxAt(row))
+	}
+	for row := 0; row < u; row++ {
+		mc.run(row, &omega[row])
+		o := 0
+		for k, l := range cs.Lookups {
+			sel, in := mc.out(o), o+1
+			o += 1 + len(l.Inputs)
 			if sel.IsZero() {
 				continue
 			}
@@ -339,11 +396,11 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 				return fmt.Errorf("plonkish: lookup %q selector not boolean at row %d", l.Name, row)
 			}
 			key := ""
-			for _, in := range l.Inputs {
-				b := in.Eval(ctxAt(row)).Bytes()
+			for i := range l.Inputs {
+				b := mc.out(in + i).Bytes()
 				key += string(b[:])
 			}
-			if !table[key] {
+			if !tables[k][key] {
 				return fmt.Errorf("plonkish: lookup %q input at row %d not in table", l.Name, row)
 			}
 		}

@@ -75,27 +75,14 @@ type Query struct {
 }
 
 // Expr is a multivariate polynomial over grid cells, challenges, and the
-// formal variable X (used for permutation identity terms delta^i * X).
+// formal variable X (used for permutation identity terms delta^i * X). It is
+// the authoring, degree and audit surface; evaluation goes through Compile's
+// register program.
 type Expr interface {
 	// Degree is the total degree counting every column leaf and X as 1.
 	Degree() int
-	// Eval evaluates the expression through the given context.
-	Eval(ctx *EvalCtx) ff.Element
 	// walk visits all leaves.
 	walk(fn func(Expr))
-}
-
-// EvalCtx supplies leaf values during expression evaluation.
-type EvalCtx struct {
-	// Get returns the value of a column at a rotation from the current row.
-	Get func(c Col, rot int) ff.Element
-	// X is the evaluation point (for XExpr leaves).
-	X ff.Element
-	// Challenges holds squeezed verifier challenges by index.
-	Challenges []ff.Element
-	// Arg holds the protocol-internal challenges indexed by
-	// ArgChallengeKind.
-	Arg [3]ff.Element
 }
 
 // ConstExpr is a constant.
@@ -173,58 +160,9 @@ func (e MulExpr) Degree() int {
 // Degree implements Expr.
 func (e ScaledExpr) Degree() int { return e.E.Degree() }
 
-// Eval implements Expr.
-func (e ConstExpr) Eval(ctx *EvalCtx) ff.Element { return e.V }
-
-// Eval implements Expr.
-func (e VarExpr) Eval(ctx *EvalCtx) ff.Element { return ctx.Get(e.Col, e.Rot) }
-
-// Eval implements Expr.
-func (e XExpr) Eval(ctx *EvalCtx) ff.Element { return ctx.X }
-
-// Eval implements Expr.
-func (e ChallengeExpr) Eval(ctx *EvalCtx) ff.Element { return ctx.Challenges[e.Index] }
-
-// Eval implements Expr.
-func (e ArgChallengeExpr) Eval(ctx *EvalCtx) ff.Element { return ctx.Arg[e.Kind] }
-
-// Eval implements Expr.
-func (e SumExpr) Eval(ctx *EvalCtx) ff.Element {
-	var acc ff.Element
-	for _, t := range e.Terms {
-		v := t.Eval(ctx)
-		acc.Add(&acc, &v)
-	}
-	return acc
-}
-
-// Eval implements Expr.
-func (e MulExpr) Eval(ctx *EvalCtx) ff.Element {
-	if len(e.Factors) == 0 {
-		return ff.One()
-	}
-	acc := e.Factors[0].Eval(ctx)
-	for _, f := range e.Factors[1:] {
-		v := f.Eval(ctx)
-		acc.Mul(&acc, &v)
-	}
-	return acc
-}
-
-// minusOne is the scale factor Neg and Sub build; Eval negates instead of
-// multiplying by it.
+// minusOne is the scale factor Neg and Sub build; Compile lowers a scale by
+// it to a negation.
 var minusOne = ff.NewInt64(-1)
-
-// Eval implements Expr.
-func (e ScaledExpr) Eval(ctx *EvalCtx) ff.Element {
-	v := e.E.Eval(ctx)
-	if e.C == minusOne {
-		v.Neg(&v)
-	} else {
-		v.Mul(&v, &e.C)
-	}
-	return v
-}
 
 func (e ConstExpr) walk(fn func(Expr))        { fn(e) }
 func (e VarExpr) walk(fn func(Expr))          { fn(e) }

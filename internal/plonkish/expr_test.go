@@ -31,46 +31,6 @@ func TestExprDegree(t *testing.T) {
 	}
 }
 
-func TestExprEval(t *testing.T) {
-	vals := map[Query]int64{
-		{Col: AdviceCol(0), Rot: 0}: 3,
-		{Col: AdviceCol(1), Rot: 0}: 4,
-		{Col: AdviceCol(0), Rot: 1}: 7,
-	}
-	ctx := &EvalCtx{
-		Get: func(c Col, rot int) ff.Element {
-			return ff.NewInt64(vals[Query{Col: c, Rot: rot}])
-		},
-		X:          ff.NewElement(10),
-		Challenges: []ff.Element{ff.NewElement(5)},
-		Arg:        [3]ff.Element{ff.NewElement(11), ff.NewElement(13), ff.NewElement(17)},
-	}
-	a, b := V(AdviceCol(0)), V(AdviceCol(1))
-	aNext := VRot(AdviceCol(0), 1)
-	check := func(e Expr, want int64) {
-		t.Helper()
-		got := e.Eval(ctx)
-		w := ff.NewInt64(want)
-		if !got.Equal(&w) {
-			t.Fatalf("eval = %s, want %d", got, want)
-		}
-	}
-	check(a, 3)
-	check(aNext, 7)
-	check(Sum(a, b), 7)
-	check(Mul(a, b), 12)
-	check(Sub(a, b), -1)
-	check(Neg(a), -3)
-	check(Scale(ff.NewElement(2), b), 8)
-	check(XExpr{}, 10)
-	check(ChallengeExpr{0}, 5)
-	check(ArgChallengeExpr{Theta}, 11)
-	check(ArgChallengeExpr{Beta}, 13)
-	check(ArgChallengeExpr{Gamma}, 17)
-	// Compound: (a + b*X) * beta = (3 + 4*10) * 13.
-	check(Mul(Sum(a, Mul(b, XExpr{})), ArgChallengeExpr{Beta}), 43*13)
-}
-
 func TestCollectQueriesSortedDeduped(t *testing.T) {
 	e1 := Mul(V(AdviceCol(2)), VRot(AdviceCol(0), 1))
 	e2 := Sum(V(AdviceCol(0)), V(FixedCol(1)), V(AdviceCol(2)))

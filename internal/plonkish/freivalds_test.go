@@ -25,6 +25,24 @@ func freivaldsMats(m, k, n int) ([][]int64, [][]int64) {
 	return a, b
 }
 
+// freivaldsFixed returns f's three selector columns over n rows: selB on
+// the K rows of B, selA on the M rows of A after them, selC on the M rows
+// of C after those.
+func freivaldsFixed(f FreivaldsMatMul, n int) [][]ff.Element {
+	fixed := make([][]ff.Element, 3)
+	for i := range fixed {
+		fixed[i] = make([]ff.Element, n)
+	}
+	for l := 0; l < f.K; l++ {
+		fixed[0][l] = ff.One()
+	}
+	for i := 0; i < f.M; i++ {
+		fixed[1][f.K+i] = ff.One()
+		fixed[2][f.K+f.M+i] = ff.One()
+	}
+	return fixed
+}
+
 func TestFreivaldsMatMulProveVerify(t *testing.T) {
 	f := FreivaldsMatMul{M: 4, K: 3, N: 5}
 	a, b := freivaldsMats(f.M, f.K, f.N)
@@ -35,19 +53,7 @@ func TestFreivaldsMatMulProveVerify(t *testing.T) {
 	if rows != f.K+2*f.M {
 		t.Fatalf("rows = %d", rows)
 	}
-	n := 32
-	fixed := make([][]ff.Element, 3)
-	for i := range fixed {
-		fixed[i] = make([]ff.Element, n)
-	}
-	for l := 0; l < f.K; l++ {
-		fixed[0][l] = ff.One() // selB
-	}
-	for i := 0; i < f.M; i++ {
-		fixed[1][f.K+i] = ff.One()     // selA
-		fixed[2][f.K+f.M+i] = ff.One() // selC
-	}
-	pk, vk, err := Setup(cs, n, fixed, pcs.KZG)
+	pk, vk, err := Setup(cs, 32, freivaldsFixed(f, 32), pcs.KZG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +108,7 @@ func TestFreivaldsRejectsWrongProduct(t *testing.T) {
 		}
 		return nil
 	})
-	n := 32
-	fixed := make([][]ff.Element, 3)
-	for i := range fixed {
-		fixed[i] = make([]ff.Element, n)
-	}
-	for l := 0; l < f.K; l++ {
-		fixed[0][l] = ff.One()
-	}
-	for i := 0; i < f.M; i++ {
-		fixed[1][f.K+i] = ff.One()
-		fixed[2][f.K+f.M+i] = ff.One()
-	}
-	pk, _, err := Setup(cs, n, fixed, pcs.KZG)
+	pk, _, err := Setup(cs, 32, freivaldsFixed(f, 32), pcs.KZG)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // ProvingKey holds everything the prover needs: the circuit, the fixed
-// column values and polynomials, the permutation sigmas, the flattened
-// constraint expressions, and the commitment scheme.
+// column values and polynomials, the permutation sigmas, the compiled
+// constraint and lookup programs, and the commitment scheme.
 type ProvingKey struct {
 	CS *CS
 	N  int // rows (power of two)
@@ -30,8 +30,12 @@ type ProvingKey struct {
 	SigmaVals  [][]ff.Element // per permutation column
 	SigmaPolys [][]ff.Element
 
-	Constraints []Expr  // flattened, order shared with the verifier
-	Queries     []Query // opening queries, order shared with the verifier
+	// Quotient is the flattened constraint list compiled to one program,
+	// output order shared with the verifier; LookupInputs computes, per
+	// lookup in order, its selector and then its inputs.
+	Quotient     *Program
+	LookupInputs *Program
+	Queries      []Query // opening queries, order shared with the verifier
 
 	Scheme pcs.Scheme
 	VK     *VerifyingKey
@@ -49,8 +53,8 @@ type VerifyingKey struct {
 	FixedCommits []curve.Affine
 	SigmaCommits []curve.Affine
 
-	Constraints []Expr
-	Queries     []Query
+	Quotient *Program
+	Queries  []Query
 
 	Scheme pcs.Scheme
 }
@@ -98,9 +102,10 @@ func validateShape(cs *CS, n int) error {
 // setupSkeleton builds the parts of a proving key that are cheap and
 // deterministic from the circuit shape: domains, the commitment scheme, the
 // fixed-column values (circuit columns plus the internal q_active/l_0/l_u),
-// the permutation sigma values, and the flattened constraint list. It does
-// no polynomial interpolation (interpolateColumns) and no commitment MSMs —
-// those are performed by Setup or supplied from persisted KeyMaterial.
+// the permutation sigma values, and the compiled constraint and lookup
+// programs. It does no polynomial interpolation (interpolateColumns) and no
+// commitment MSMs — those are performed by Setup or supplied from persisted
+// KeyMaterial.
 func setupSkeleton(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKey, error) {
 	if len(fixed) != cs.NumFixed {
 		return nil, fmt.Errorf("plonkish: got %d fixed columns, want %d", len(fixed), cs.NumFixed)
@@ -147,8 +152,8 @@ func setupSkeleton(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*P
 		return nil, err
 	}
 
-	pk.Constraints = buildConstraints(cs, u)
-	pk.Queries = collectOpeningQueries(pk.Constraints)
+	pk.Quotient, pk.Queries = compileConstraints(cs, u)
+	pk.LookupInputs = compileLookupInputs(cs)
 	return pk, nil
 }
 
@@ -158,7 +163,7 @@ func finishKeys(pk *ProvingKey, fixedCommits, sigmaCommits []curve.Affine) (*Pro
 		CS: pk.CS, N: pk.N, U: pk.U, DMax: pk.DMax,
 		FixedCommits: fixedCommits,
 		SigmaCommits: sigmaCommits,
-		Constraints:  pk.Constraints,
+		Quotient:     pk.Quotient,
 		Queries:      pk.Queries,
 		Scheme:       pk.Scheme,
 	}
@@ -436,16 +441,29 @@ func (cs *CS) ConstraintStats(u int) (count, ops int) {
 	return count, ops
 }
 
-// collectOpeningQueries filters instance queries (the verifier evaluates
-// those directly from public values) out of the full query set.
-func collectOpeningQueries(constraints []Expr) []Query {
+// compileConstraints builds what every key path derives from the circuit
+// rather than stores: the flattened constraints compiled to the quotient
+// program, and the opening queries — every queried cell except instance
+// cells, which the verifier evaluates directly from public values.
+func compileConstraints(cs *CS, u int) (*Program, []Query) {
+	constraints := buildConstraints(cs, u)
 	all := CollectQueries(constraints...)
-	out := make([]Query, 0, len(all))
+	queries := make([]Query, 0, len(all))
 	for _, q := range all {
-		if q.Col.Kind == Instance {
-			continue
+		if q.Col.Kind != Instance {
+			queries = append(queries, q)
 		}
-		out = append(out, q)
 	}
-	return out
+	return Compile(constraints...), queries
+}
+
+// compileLookupInputs compiles every lookup's selector and inputs into one
+// program: lookup k's selector is output o_k = Σ_{i<k} (1 + len(Inputs_i)),
+// followed by its inputs.
+func compileLookupInputs(cs *CS) *Program {
+	var exprs []Expr
+	for _, l := range cs.Lookups {
+		exprs = append(append(exprs, l.Selector), l.Inputs...)
+	}
+	return Compile(exprs...)
 }

@@ -11,8 +11,8 @@ import (
 
 // KeyMaterial is the expensive numeric output of Setup: the fixed and sigma
 // commitments (the keygen MSMs). Everything else in a proving key — domains,
-// fixed and sigma values, their interpolated polynomials, flattened
-// constraints — is rebuilt from the circuit by the code keygen runs, so
+// fixed and sigma values, their interpolated polynomials, the compiled
+// constraint programs — is rebuilt from the circuit by the code keygen runs, so
 // supplying this block turns keygen into one IFFT per column. The artifact
 // store (core's ZKMLART format) persists it.
 type KeyMaterial struct {
@@ -80,13 +80,13 @@ func SetupVK(cs *CS, n int, backend pcs.Backend, m *KeyMaterial) (*VerifyingKey,
 		return nil, err
 	}
 	u := n - ZKRows
-	constraints := buildConstraints(cs, u)
+	quotient, queries := compileConstraints(cs, u)
 	return &VerifyingKey{
 		CS: cs, N: n, U: u, DMax: cs.Degree(),
 		FixedCommits: m.FixedCommits,
 		SigmaCommits: m.SigmaCommits,
-		Constraints:  constraints,
-		Queries:      collectOpeningQueries(constraints),
+		Quotient:     quotient,
+		Queries:      queries,
 		Scheme:       scheme,
 	}, nil
 }

@@ -134,6 +134,47 @@ func TestCheckConstraintsOracle(t *testing.T) {
 	}
 }
 
+// TestCheckConstraintsSeesBlindingRows is the regression test for a mock
+// prover that was laxer than the prover: a user gate is not multiplied by
+// q_active, so one whose selector is set in a blinding row constrains the
+// random values Prove puts there. Both paths must reject it, and the mock
+// prover must leave the caller's grid as it found it.
+func TestCheckConstraintsSeesBlindingRows(t *testing.T) {
+	const n = 32
+	cs := testCircuit()
+	cs.NumFixed = 4
+	cs.AddGate("blinding-row", Mul(V(FixedCol(3)), V(AdviceCol(1))))
+	fixed := append(testFixed(n), make([]ff.Element, n))
+	fixed[3][n-1] = ff.One()
+
+	a := NewAssignment(cs, n)
+	for i, col := range fixed {
+		copy(a.Fixed[i], col)
+	}
+	a.Instance[0][0] = ff.NewInt64(24)
+	if err := testWitness(false, false, false).Fill(0, nil, a); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]ff.Element(nil), a.Advice[1]...)
+	err := CheckConstraints(cs, a, nil)
+	if err == nil || !strings.Contains(err.Error(), `gate "blinding-row"`) || !strings.Contains(err.Error(), "row 31") {
+		t.Fatalf("CheckConstraints: got %v, want the blinding-row gate violated at row 31", err)
+	}
+	for r := range before {
+		if !a.Advice[1][r].Equal(&before[r]) {
+			t.Fatalf("CheckConstraints changed the caller's advice at row %d", r)
+		}
+	}
+
+	pk, _, err := Setup(cs, n, fixed, pcs.KZG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Prove(pk, testInstance(24), testWitness(false, false, false)); err == nil {
+		t.Fatal("prover accepted a gate that constrains the blinding rows")
+	}
+}
+
 func TestProverRejectsBrokenGate(t *testing.T) {
 	pk, _ := setup(t, pcs.KZG)
 	// a=3,b=4,c=13 violates the mul gate; prover must refuse to produce a

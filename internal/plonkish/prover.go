@@ -60,7 +60,7 @@ func (p *Proof) Size() int {
 //
 // Concurrency (DESIGN.md §8): every numeric stage — per-column IFFTs,
 // lookup compression and multiplicity counting, permutation products, the
-// extended-coset quotient, and the commitment MSMs beneath them — fans out
+// quotient's coset parts, and the commitment MSMs beneath them — fans out
 // over the internal/parallel worker pool, while the Fiat-Shamir transcript
 // is driven exclusively from this goroutine in the same order as the serial
 // prover. Blinding randomness is likewise drawn only on this goroutine in a
@@ -208,9 +208,10 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	var arg [3]ff.Element
 	arg[Theta] = tr.Challenge("theta")
 
-	// Lookup multiplicities: compress each lookup's inputs and table and
-	// count multiplicities in parallel across lookups (and across rows
-	// within one), then commit in lookup order.
+	// Lookup multiplicities: evaluate every lookup's selector and inputs in
+	// one pass of the lookup program over the usable rows (one register file
+	// per worker chunk), then compress each lookup's table and count its
+	// multiplicities in parallel across lookups, and commit in lookup order.
 	type lookupData struct {
 		f, t, sel []ff.Element // compressed input, compressed table, selector
 		m         []ff.Element
@@ -219,19 +220,37 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	}
 	lookups := make([]lookupData, len(cs.Lookups))
 	proof.MCommits = make([]curve.Affine, len(cs.Lookups))
-	for k := range lookups {
+	maxInputs := 0
+	for k, l := range cs.Lookups {
 		m := make([]ff.Element, n)
 		for r := u; r < n; r++ {
 			m[r] = ff.RandomFrom(rng)
 		}
-		lookups[k].m = m
+		lookups[k] = lookupData{f: make([]ff.Element, n), sel: make([]ff.Element, n), m: m}
+		maxInputs = max(maxInputs, len(l.Inputs))
 	}
+	omega := pk.Domain.Elements()
+	lookupCols := a.bind(pk.LookupInputs)
+	parallel.Range(u, func(lo, hi int) {
+		mc := pk.LookupInputs.newMachine(lookupCols, n-1, challenges, &arg)
+		vals := make([]ff.Element, maxInputs)
+		for r := lo; r < hi; r++ {
+			mc.run(r, &omega[r])
+			o := 0
+			for k, l := range cs.Lookups {
+				lookups[k].sel[r] = *mc.out(o)
+				for i := range l.Inputs {
+					vals[i] = *mc.out(o + 1 + i)
+				}
+				lookups[k].f[r] = compressRow(&arg[Theta], vals[:len(l.Inputs)])
+				o += 1 + len(l.Inputs)
+			}
+		}
+	})
 	parallel.For(len(cs.Lookups), func(k int) {
 		l := cs.Lookups[k]
 		ld := &lookups[k]
-		ld.f = make([]ff.Element, n)
 		ld.t = make([]ff.Element, n)
-		ld.sel = make([]ff.Element, n)
 		parallel.Range(l.TableLen, func(lo, hi int) {
 			vals := make([]ff.Element, len(l.Table))
 			for r := lo; r < hi; r++ {
@@ -248,21 +267,6 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 				tblIdx[key] = r
 			}
 		}
-		parallel.Range(u, func(lo, hi int) {
-			// One EvalCtx and one scratch slice per worker, as in the
-			// quotient loop: the closure reads the worker's current row.
-			r := 0
-			ctx := &EvalCtx{Challenges: challenges, Arg: arg}
-			ctx.Get = func(c Col, rot int) ff.Element { return a.Get(c, r+rot) }
-			vals := make([]ff.Element, len(l.Inputs))
-			for r = lo; r < hi; r++ {
-				ld.sel[r] = l.Selector.Eval(ctx)
-				for i, e := range l.Inputs {
-					vals[i] = e.Eval(ctx)
-				}
-				ld.f[r] = compressRow(&arg[Theta], vals)
-			}
-		})
 		for r := 0; r < u; r++ {
 			if ld.sel[r].IsZero() {
 				continue
@@ -352,7 +356,6 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 			dp[i] = acc
 			acc.Mul(&acc, &delta)
 		}
-		omega := pk.Domain.Elements()
 		proof.ZCommits = make([]curve.Affine, numChunks)
 		ratios := parallel.Map(numChunks, func(j int) []ff.Element {
 			lo := j * chunk
@@ -407,71 +410,15 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	}
 
 	trace.Stage(obs.StageQuotient)
+	trace.RecordProgram(pk.Quotient.Len(), pk.Quotient.Varying())
 	y := tr.Challenge("y")
 
-	// Quotient: evaluate the y-combined constraint polynomial on the
-	// extended coset and divide by Z_H pointwise. Every queried column's
-	// coset FFT runs in parallel, and the row loop fans out with one
-	// EvalCtx per worker (the former shared-closure EvalCtx was a data-race
-	// trap once rows run concurrently).
-	extN := pk.ExtDomain.N
-	scale := extN / n
-	allQueried := CollectQueries(pk.Constraints...)
-	var extCols []Col
-	{
-		seen := map[Col]bool{}
-		for _, q := range allQueried {
-			if seen[q.Col] {
-				continue
-			}
-			seen[q.Col] = true
-			if _, ok := coeff[q.Col]; !ok {
-				return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", q.Col.Kind, q.Col.Index)
-			}
-			extCols = append(extCols, q.Col)
-		}
+	numerator, err := quotientNumerator(pk, coeff, challenges, &arg, &y)
+	if err != nil {
+		return nil, err
 	}
-	extVals := parallel.Map(len(extCols), func(i int) []ff.Element {
-		padded := make([]ff.Element, extN)
-		copy(padded, coeff[extCols[i]])
-		pk.ExtDomain.CosetFFT(padded)
-		return padded
-	})
-	ext := make(map[Col][]ff.Element, len(extCols))
-	for i, c := range extCols {
-		ext[c] = extVals[i]
-	}
-	// X values over the extended coset: the domain's shared read-only table,
-	// so no per-chunk Exp reseeds and no rebuild across Prove calls.
-	xs := pk.ExtDomain.CosetElements()
-	// Z_H(g·w^j) cycles with period `scale`.
-	zhInv := make([]ff.Element, scale)
-	for j := 0; j < scale; j++ {
-		zhInv[j] = poly.VanishingEval(n, xs[j])
-	}
-	ff.BatchInverse(zhInv)
-
-	numerator := make([]ff.Element, extN)
-	parallel.Range(extN, func(lo, hi int) {
-		j := 0
-		ctx := &EvalCtx{Challenges: challenges, Arg: arg}
-		ctx.Get = func(c Col, rot int) ff.Element {
-			idx := j + rot*scale
-			idx = ((idx % extN) + extN) % extN
-			return ext[c][idx]
-		}
-		for j = lo; j < hi; j++ {
-			ctx.X = xs[j]
-			var acc ff.Element
-			for _, con := range pk.Constraints {
-				acc.Mul(&acc, &y)
-				v := con.Eval(ctx)
-				acc.Add(&acc, &v)
-			}
-			numerator[j].Mul(&acc, &zhInv[j%scale])
-		}
-	})
 	pk.ExtDomain.CosetIFFT(numerator)
+	extN := len(numerator)
 
 	numPieces := pk.DMax - 1
 	if numPieces < 1 {
@@ -554,6 +501,66 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot)))
 	}
 	return proof, nil
+}
+
+// quotientNumerator evaluates the y-combined constraints divided by Z_H at
+// every point of the extended coset, in the ExtDomain's CosetElements order,
+// from the coefficient forms of the queried columns. It goes one size-n part
+// of the coset at a time (poly.Domain.CosetPartFFT): part j brings every
+// queried column to the points g·ω_ext^j·H with one size-n transform into a
+// buffer of n elements that the next part reuses, then runs the quotient
+// program over the n rows, where rotations are offsets into those buffers.
+// Live memory is the queried columns times n plus the extN-element result.
+func quotientNumerator(pk *ProvingKey, coeff map[Col][]ff.Element, challenges []ff.Element, arg *[3]ff.Element, y *ff.Element) ([]ff.Element, error) {
+	n, prog := pk.N, pk.Quotient
+	extN := pk.ExtDomain.N
+	scale := extN / n
+
+	var cols [][]ff.Element // coefficients of each queried column
+	var bufs [][]ff.Element // and its values on the current part
+	slot := map[Col]int{}
+	bind := make([][]ff.Element, len(prog.vars))
+	for i, q := range prog.vars {
+		s, ok := slot[q.Col]
+		if !ok {
+			c, assigned := coeff[q.Col]
+			if !assigned {
+				return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", q.Col.Kind, q.Col.Index)
+			}
+			s = len(cols)
+			slot[q.Col] = s
+			cols = append(cols, c)
+			bufs = append(bufs, make([]ff.Element, n))
+		}
+		bind[i] = bufs[s]
+	}
+
+	// X over the extended coset: the domain's shared read-only table. Z_H
+	// is constant on each part: (g·ω_ext^j·ω^i)^n = (g·ω_ext^j)^n.
+	xs := pk.ExtDomain.CosetElements()
+	zhInv := make([]ff.Element, scale)
+	for j := range zhInv {
+		zhInv[j] = poly.VanishingEval(n, xs[j])
+	}
+	ff.BatchInverse(zhInv)
+
+	numerator := make([]ff.Element, extN)
+	for j := 0; j < scale; j++ {
+		parallel.For(len(cols), func(c int) {
+			clear(bufs[c][copy(bufs[c], cols[c]):])
+			pk.ExtDomain.CosetPartFFT(bufs[c], j)
+		})
+		parallel.Range(n, func(lo, hi int) {
+			mc := prog.newMachine(bind, n-1, challenges, arg)
+			for i := lo; i < hi; i++ {
+				e := j + scale*i
+				mc.run(i, &xs[e])
+				acc := mc.combine(y)
+				numerator[e].Mul(&acc, &zhInv[j])
+			}
+		})
+	}
+	return numerator, nil
 }
 
 // compressRow folds one row's table cells or input values with powers of

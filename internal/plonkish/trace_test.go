@@ -82,6 +82,10 @@ func TestTraceReportShape(t *testing.T) {
 			if r.Opens == 0 {
 				t.Fatalf("no PCS openings recorded")
 			}
+			if r.QuotientOps != pk.Quotient.Len() || r.QuotientVaryingOps != pk.Quotient.Varying() || r.QuotientVaryingOps == 0 {
+				t.Fatalf("quotient program recorded as %d ops / %d varying, key has %d / %d",
+					r.QuotientOps, r.QuotientVaryingOps, pk.Quotient.Len(), pk.Quotient.Varying())
+			}
 		})
 	}
 }

@@ -130,47 +130,31 @@ func Verify(vk *VerifyingKey, instance [][]ff.Element, proof *Proof) error {
 		instEval[i] = acc
 	}
 
-	// Constraint identity at x. EvalCtx.Get cannot return an error, so the
-	// closure records the first defect and yields zero; the error is
-	// checked after the constraint loop instead of panicking mid-walk.
+	// Constraint identity at x: the quotient program over one point, every
+	// queried cell bound to its opened evaluation (instance cells to their
+	// public evaluation).
 	evalIdx := map[Query]int{}
 	for i, q := range vk.Queries {
 		evalIdx[q] = i
 	}
-	var evalErr error
-	ctx := &EvalCtx{
-		X:          x,
-		Challenges: challenges,
-		Arg:        arg,
-		Get: func(c Col, rot int) ff.Element {
-			if c.Kind == Instance {
-				if c.Index < 0 || c.Index >= len(instEval) {
-					if evalErr == nil {
-						evalErr = errMalformed("constraint references instance column %d of %d", c.Index, len(instEval))
-					}
-					return ff.Element{}
-				}
-				return instEval[c.Index]
+	cells := make([][]ff.Element, len(vk.Quotient.vars))
+	for s, q := range vk.Quotient.vars {
+		if q.Col.Kind == Instance {
+			if q.Col.Index < 0 || q.Col.Index >= len(instEval) {
+				return errMalformed("constraint references instance column %d of %d", q.Col.Index, len(instEval))
 			}
-			i, ok := evalIdx[Query{Col: c, Rot: rot}]
-			if !ok {
-				if evalErr == nil {
-					evalErr = errMalformed("constraint references unopened query %v/%d rot %d", c.Kind, c.Index, rot)
-				}
-				return ff.Element{}
-			}
-			return proof.Evals[i]
-		},
+			cells[s] = instEval[q.Col.Index : q.Col.Index+1]
+			continue
+		}
+		i, ok := evalIdx[q]
+		if !ok {
+			return errMalformed("constraint references unopened query %v/%d rot %d", q.Col.Kind, q.Col.Index, q.Rot)
+		}
+		cells[s] = proof.Evals[i : i+1]
 	}
-	var lhs ff.Element
-	for _, con := range vk.Constraints {
-		lhs.Mul(&lhs, &y)
-		cv := con.Eval(ctx)
-		lhs.Add(&lhs, &cv)
-	}
-	if evalErr != nil {
-		return evalErr
-	}
+	mc := vk.Quotient.newMachine(cells, 0, challenges, &arg)
+	mc.run(0, &x)
+	lhs := mc.combine(&y)
 	// t(x) = sum x^(n·i) · piece_i(x).
 	var tEval, xn ff.Element
 	xn.ExpUint64(&x, uint64(n))

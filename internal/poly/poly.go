@@ -46,6 +46,11 @@ type Domain struct {
 	cosetPows  lazyTable // g^i for i < N (CosetFFT input scaling)
 	cosetScale lazyTable // NInv·g^-i for i < N (CosetIFFT output scaling, NInv folded in)
 	cosetElems lazyTable // g·omega^i for i < N (the coset evaluation points)
+
+	// partPows holds, per part length n, the CosetPartFFT input scaling:
+	// (g·omega^j)^k at [j·n + k] for j < N/n and k < n.
+	partMu   sync.Mutex
+	partPows map[int]*lazyTable
 }
 
 // lazyTable is a build-once table slot; the built slice is read-only.
@@ -115,6 +120,29 @@ func (d *Domain) cosetScaleIn() []ff.Element {
 
 func (d *Domain) cosetScaleOut() []ff.Element {
 	return d.cosetScale.get(func() []ff.Element { return powers(d.CosetGenInv, d.NInv, d.N) })
+}
+
+// cosetPartScale returns the CosetPartFFT scaling table for parts of
+// length n (see partPows).
+func (d *Domain) cosetPartScale(n int) []ff.Element {
+	d.partMu.Lock()
+	if d.partPows == nil {
+		d.partPows = map[int]*lazyTable{}
+	}
+	t := d.partPows[n]
+	if t == nil {
+		t = &lazyTable{}
+		d.partPows[n] = t
+	}
+	d.partMu.Unlock()
+	return t.get(func() []ff.Element {
+		coset := d.CosetElements()
+		out := make([]ff.Element, 0, d.N)
+		for j := 0; j < d.N/n; j++ {
+			out = append(out, powers(coset[j], ff.One(), n)...)
+		}
+		return out
+	})
 }
 
 // Element returns omega^i (table lookup; i may be negative or exceed N).
@@ -269,6 +297,22 @@ func (d *Domain) CosetIFFT(v []ff.Element) {
 	kernelTrace.Load().RecordFFT(d.N)
 	ntt(v, d.invTwiddles())
 	mulByTable(v, d.cosetScaleOut())
+}
+
+// CosetPartFFT evaluates the coefficient-form polynomial v, of degree below
+// n = len(v), in place over part j of the coset g·H: afterwards v[i] is its
+// value at CosetElements()[j + s·i], where s = N/n and j < s. Part j is the
+// coset g·omega^j·H_n of the size-n subgroup H_n = <omega^s>, so this is one
+// size-n transform, and the s parts together give what CosetFFT gives for v
+// zero-padded to N — while holding n elements instead of N.
+func (d *Domain) CosetPartFFT(v []ff.Element, j int) {
+	n := len(v)
+	if n == 0 || n&(n-1) != 0 || n > d.N || j < 0 || j >= d.N/n {
+		panic(fmt.Sprintf("poly: CosetPartFFT part %d of length %d on a size-%d domain", j, n, d.N))
+	}
+	kernelTrace.Load().RecordFFT(n)
+	mulByTable(v, d.cosetPartScale(n)[j*n:(j+1)*n])
+	ntt(v, NewDomain(n).elements())
 }
 
 // Eval evaluates the coefficient-form polynomial p at x (Horner).

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/ff"
@@ -70,6 +71,70 @@ func TestCosetFFTMatchesHorner(t *testing.T) {
 		want := Eval(p, x)
 		if !evals[i].Equal(&want) {
 			t.Fatalf("coset FFT mismatch at index %d", i)
+		}
+	}
+}
+
+// TestCosetPartFFTMatchesCosetFFT evaluates a polynomial part by part —
+// including on a 2^12-point extended domain, where each part's transform
+// takes the parallel butterfly path — and requires every part to equal the
+// matching stride of one full-size CosetFFT of the zero-padded polynomial.
+func TestCosetPartFFTMatchesCosetFFT(t *testing.T) {
+	for _, c := range []struct{ n, scale int }{{1, 4}, {8, 1}, {8, 4}, {16, 8}, {1 << 12, 2}} {
+		ext := NewDomain(c.n * c.scale)
+		p := randPoly(c.n)
+		full := make([]ff.Element, ext.N)
+		copy(full, p)
+		ext.CosetFFT(full)
+		for j := 0; j < c.scale; j++ {
+			part := append([]ff.Element(nil), p...)
+			ext.CosetPartFFT(part, j)
+			for i := range part {
+				if !part[i].Equal(&full[j+c.scale*i]) {
+					t.Fatalf("n=%d scale=%d: part %d row %d differs from the full coset FFT", c.n, c.scale, j, i)
+				}
+			}
+		}
+	}
+	for _, bad := range []struct{ n, j int }{{3, 0}, {16, 1}, {4, 4}, {4, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CosetPartFFT(len %d, part %d) on a size-16 domain did not panic", bad.n, bad.j)
+				}
+			}()
+			NewDomain(16).CosetPartFFT(make([]ff.Element, bad.n), bad.j)
+		}()
+	}
+}
+
+// TestCosetPartFFTConcurrentFirstUse has goroutines race to build a part
+// table no other test builds (parts of length 2^7); the quotient's
+// per-column fan-out does this on a prover's first use. Every part must
+// still come out right.
+func TestCosetPartFFTConcurrentFirstUse(t *testing.T) {
+	const n, scale = 1 << 7, 8
+	ext := NewDomain(n * scale)
+	p := randPoly(n)
+	full := make([]ff.Element, ext.N)
+	copy(full, p)
+	ext.CosetFFT(full)
+	var wg sync.WaitGroup
+	parts := make([][]ff.Element, 4*scale)
+	for g := range parts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			parts[g] = append([]ff.Element(nil), p...)
+			ext.CosetPartFFT(parts[g], g%scale)
+		}(g)
+	}
+	wg.Wait()
+	for g, part := range parts {
+		for i := range part {
+			if j := g % scale; !part[i].Equal(&full[j+scale*i]) {
+				t.Fatalf("goroutine %d: part %d row %d differs from the full coset FFT", g, j, i)
+			}
 		}
 	}
 }
