@@ -1,14 +1,18 @@
 # Standard entry points for local development and CI.
 #
 #   make ci          vet + build + full test suite + race detector on the
-#                    concurrency-sensitive packages + short fuzz pass on the
-#                    untrusted-input decoders + kernel benchmark smoke run
+#                    concurrency-sensitive packages + 386/arm64 cross
+#                    checks + short fuzz pass on the untrusted-input
+#                    decoders and kernels + kernel benchmark smoke run
 #                    (what CI runs)
 #   make test        full test suite only
 #   make race        race detector on the proving engine packages
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once each
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
+#   make cross       the field, curve and polynomial tests plus the pinned
+#                    proof digests as 386 binaries (the generic field
+#                    kernel), and an arm64 vet + build
 #   make trace-smoke fit the cost model from traced proves, prove once more
 #                    with tracing, and gate the trace report on cost-model
 #                    accuracy (trace-check -max-rel-err)
@@ -51,12 +55,13 @@ FUZZ_TARGETS = \
 	./internal/plonkish/:FuzzVerify \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
-	./internal/curve/:FuzzGLVDecompose
+	./internal/curve/:FuzzGLVDecompose \
+	./internal/limbs/:FuzzMontMul
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
+.PHONY: ci vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
 
-ci: vet lint build test race audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
+ci: vet lint build test race cross audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
 
 fuzz-smoke:
 	@found=$$(grep -rE --include='*_test.go' '^func Fuzz' . | sed 's|^\(.*/\)[^/]*:func \(Fuzz[A-Za-z0-9_]*\).*|\1:\2|' | sort); \
@@ -85,6 +90,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# 386 has no assembly field kernel, so these runs take the generic one; the
+# unchanged proof digests show both kernels produce the same proof bytes.
+# The arm64 vet + build keeps the !amd64 files compiling.
+cross:
+	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
+	GOARCH=386 $(GO) test -run TestSeededProofsPinned ./internal/plonkish/
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
@@ -92,7 +106,7 @@ bench:
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient' -benchtime=1x ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient' -benchtime=1x ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (calibration v2), prove once more
 # with tracing, and check the report: the schema parses, every pipeline

@@ -324,8 +324,8 @@ type traceFile struct {
 
 // writeTrace prints the stage breakdown and writes the trace report file.
 func writeTrace(path, model, backend string, cmp []obs.StageComparison, rep *obs.Report) error {
-	fmt.Printf("trace: %.3fs total, %d MSMs, %d FFTs, %d batch-inv flushes, %d opens (%.3fs)\n",
-		rep.TotalSeconds, rep.MSMCount, rep.FFTCount, rep.BatchInvFlushes, rep.Opens, rep.OpenSeconds)
+	fmt.Printf("trace: %.3fs total, %d MSMs, %d FFTs, %d batch-inv flushes, %d opens (%.3fs), field kernel %s\n",
+		rep.TotalSeconds, rep.MSMCount, rep.FFTCount, rep.BatchInvFlushes, rep.Opens, rep.OpenSeconds, rep.FieldKernel)
 	fmt.Println("  stage        predicted  measured   rel-err")
 	for _, c := range cmp {
 		fmt.Printf("  %-12s %8.3fs %8.3fs  %+6.1f%%\n",

@@ -6,6 +6,7 @@
 package limbs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -26,14 +27,14 @@ type Modulus struct {
 }
 
 // NewModulus builds a Modulus from a decimal string. The modulus must be an
-// odd prime below 2^255 (so Montgomery reduction never overflows the spare
-// top bit).
+// odd prime whose top limb is below 2^63 - 1: the condition under which the
+// no-carry Montgomery multiplication (montMulADX) never needs a fifth word.
 func NewModulus(dec string) *Modulus {
 	n, ok := new(big.Int).SetString(dec, 10)
 	if !ok {
 		panic("limbs: invalid modulus " + dec)
 	}
-	if n.BitLen() >= 255 {
+	if n.Cmp(new(big.Int).Lsh(big.NewInt(1<<63-1), 192)) >= 0 {
 		panic("limbs: modulus too large")
 	}
 	if n.Bit(0) == 0 {
@@ -61,11 +62,14 @@ func NewModulus(dec string) *Modulus {
 	return m
 }
 
+// fromBig packs n (0 <= n < 2^256) into limbs, the inverse of ToBig. It goes
+// through bytes because big.Word is 32 bits on 32-bit platforms.
 func fromBig(n *big.Int) Limbs {
+	var b [32]byte
+	n.FillBytes(b[:])
 	var l Limbs
-	w := n.Bits()
-	for i := 0; i < len(w) && i < 4; i++ {
-		l[i] = uint64(w[i])
+	for i := range l {
+		l[i] = binary.BigEndian.Uint64(b[24-8*i:])
 	}
 	return l
 }
@@ -100,8 +104,30 @@ func madd(a, b, c, carry uint64) (hi, lo uint64) {
 	return
 }
 
-// MontMul sets z = x*y*R^{-1} mod M (CIOS Montgomery multiplication).
+// MontMul sets z = x*y*R^{-1} mod M for x, y < M. On amd64 CPUs with BMI2
+// and ADX it runs the assembly kernel, elsewhere the generic one; both give
+// the same bits (TestMontMulKernelsAgree, FuzzMontMul).
 func (m *Modulus) MontMul(z, x, y *Limbs) {
+	if hasADX {
+		montMulADX(z, x, y, &m.M, m.Inv)
+		return
+	}
+	m.montMulGeneric(z, x, y)
+}
+
+// Kernel names the Montgomery multiplication MontMul runs on this machine:
+// "adx" (the MULX/ADCX/ADOX assembly) or "generic" (portable Go).
+func Kernel() string {
+	if hasADX {
+		return "adx"
+	}
+	return "generic"
+}
+
+// montMulGeneric is the portable CIOS Montgomery multiplication: the only
+// kernel off amd64 or on CPUs without ADX, and the reference the assembly
+// kernel is tested against.
+func (m *Modulus) montMulGeneric(z, x, y *Limbs) {
 	var t [6]uint64
 	for i := 0; i < 4; i++ {
 		var c uint64
@@ -151,32 +177,40 @@ func (m *Modulus) subM(z *Limbs) {
 	z[3], _ = bits.Sub64(z[3], m.M[3], b)
 }
 
-// Add sets z = x + y mod M.
+// Add sets z = x + y mod M. It has no data-dependent branch: the reduction
+// is a masked select, because whether it is needed is a coin flip on the
+// MSM's bucket additions and a mispredict costs more than the select.
 func (m *Modulus) Add(z, x, y *Limbs) {
-	var c uint64
-	z[0], c = bits.Add64(x[0], y[0], 0)
-	z[1], c = bits.Add64(x[1], y[1], c)
-	z[2], c = bits.Add64(x[2], y[2], c)
-	z[3], c = bits.Add64(x[3], y[3], c)
-	if c != 0 || !m.lessThanM(z) {
-		m.subM(z)
-	}
+	s0, c := bits.Add64(x[0], y[0], 0)
+	s1, c := bits.Add64(x[1], y[1], c)
+	s2, c := bits.Add64(x[2], y[2], c)
+	s3, c := bits.Add64(x[3], y[3], c)
+	d0, b := bits.Sub64(s0, m.M[0], 0)
+	d1, b := bits.Sub64(s1, m.M[1], b)
+	d2, b := bits.Sub64(s2, m.M[2], b)
+	d3, b := bits.Sub64(s3, m.M[3], b)
+	// Keep the sum when it is below M: no carry out of x + y, a borrow
+	// out of sum - M.
+	keep := -(b &^ c)
+	z[0] = d0 ^ (d0^s0)&keep
+	z[1] = d1 ^ (d1^s1)&keep
+	z[2] = d2 ^ (d2^s2)&keep
+	z[3] = d3 ^ (d3^s3)&keep
 }
 
-// Sub sets z = x - y mod M.
+// Sub sets z = x - y mod M, adding back M masked by the borrow instead of
+// branching on it.
 func (m *Modulus) Sub(z, x, y *Limbs) {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], m.M[0], 0)
-		z[1], c = bits.Add64(z[1], m.M[1], c)
-		z[2], c = bits.Add64(z[2], m.M[2], c)
-		z[3], _ = bits.Add64(z[3], m.M[3], c)
-	}
+	var c uint64
+	d0, b := bits.Sub64(x[0], y[0], 0)
+	d1, b := bits.Sub64(x[1], y[1], b)
+	d2, b := bits.Sub64(x[2], y[2], b)
+	d3, b := bits.Sub64(x[3], y[3], b)
+	mask := -b
+	z[0], c = bits.Add64(d0, m.M[0]&mask, 0)
+	z[1], c = bits.Add64(d1, m.M[1]&mask, c)
+	z[2], c = bits.Add64(d2, m.M[2]&mask, c)
+	z[3], _ = bits.Add64(d3, m.M[3]&mask, c)
 }
 
 // Neg sets z = -x mod M.

@@ -1,0 +1,26 @@
+package limbs
+
+// hasADX reports whether the CPU has BMI2 (MULX) and ADX (ADCX/ADOX), the
+// instructions montMulADX is written in (Intel Broadwell, AMD Zen and
+// later). Set once at package init from CPUID.
+var hasADX = detectADX()
+
+func detectADX() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	const bmi2, adx = 1 << 8, 1 << 19
+	return ebx&bmi2 != 0 && ebx&adx != 0
+}
+
+// montMulADX sets z = x*y*R^{-1} mod q for x, y < q, in assembly
+// (mul_amd64.s). It requires q[3] < 2^63 - 1 and inv = -q^{-1} mod 2^64,
+// and reads nothing but its arguments. z may alias x or y.
+//
+//go:noescape
+func montMulADX(z, x, y, q *Limbs, inv uint64)
+
+// cpuid executes the CPUID instruction for (leaf, sub-leaf).
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

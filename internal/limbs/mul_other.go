@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package limbs
+
+// hasADX is false off amd64: the generic kernel is the only one.
+const hasADX = false
+
+// montMulADX exists off amd64 only so MontMul compiles everywhere; hasADX
+// is a false constant here, so the call is compiled out.
+func montMulADX(z, x, y, q *Limbs, inv uint64) {
+	panic("limbs: no ADX kernel on this platform")
+}

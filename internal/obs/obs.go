@@ -5,11 +5,11 @@
 // model's predictions (paper §7.4, eqs. (1)–(2)) so the estimator can be
 // validated per stage instead of trusted end to end.
 //
-// The package depends only on the standard library so the kernel packages
-// (curve, poly, pcs) can record into a *KernelCounters without import
-// cycles. Every method is nil-safe: a nil *Trace or *KernelCounters is the
-// disabled state, and the disabled path is a single pointer check — no
-// locks, no allocation.
+// The package depends only on the standard library and internal/limbs (a
+// leaf itself) so the kernel packages (curve, poly, pcs) can record into a
+// *KernelCounters without import cycles. Every method is nil-safe: a nil
+// *Trace or *KernelCounters is the disabled state, and the disabled path is
+// a single pointer check — no locks, no allocation.
 package obs
 
 import (
@@ -18,6 +18,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/limbs"
 )
 
 // Stage identifies one prover pipeline stage, in execution order.
@@ -277,6 +279,10 @@ type Report struct {
 	// all, and the ops evaluated per extended-coset row.
 	QuotientOps        int `json:"quotient_ops,omitempty"`
 	QuotientVaryingOps int `json:"quotient_varying_ops,omitempty"`
+	// FieldKernel is the Montgomery multiplication that ran (limbs.Kernel:
+	// "adx" or "generic"), so a trace taken elsewhere says which
+	// arithmetic produced its timings.
+	FieldKernel string `json:"field_kernel,omitempty"`
 }
 
 // histogram snapshots a per-size counter array into sorted buckets.
@@ -296,7 +302,7 @@ func (t *Trace) Report() *Report {
 	if t == nil {
 		return nil
 	}
-	r := &Report{TotalSeconds: float64(t.totalNs) / 1e9}
+	r := &Report{TotalSeconds: float64(t.totalNs) / 1e9, FieldKernel: limbs.Kernel()}
 	for s := Stage(0); s < numStages; s++ {
 		r.Stages = append(r.Stages, StageTiming{Stage: s.String(), Seconds: float64(t.stageNs[s]) / 1e9})
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/limbs"
 )
 
 // A nil trace is the disabled state: every method must be a no-op, not a
@@ -84,6 +86,9 @@ func TestKernelHistogram(t *testing.T) {
 	if r.BatchInvFlushes != 1 || r.Opens != 1 || r.OpenSeconds != 2 {
 		t.Fatalf("counter snapshot wrong: flushes=%d opens=%d open_s=%v",
 			r.BatchInvFlushes, r.Opens, r.OpenSeconds)
+	}
+	if r.FieldKernel != limbs.Kernel() {
+		t.Fatalf("FieldKernel = %q, want %q", r.FieldKernel, limbs.Kernel())
 	}
 }
 
