@@ -108,7 +108,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient' -benchtime=1x ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
-# Fit the cost model from traced proves (calibration v2), prove once more
+# Fit the cost model from traced proves (a fitted calibration), prove once more
 # with tracing, and check the report: the schema parses, every pipeline
 # stage is present, the cost-model comparison is populated, and — the
 # estimator-accuracy gate — the fitted model's total |rel_err| stays within

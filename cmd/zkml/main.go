@@ -178,15 +178,16 @@ func cmdOptimize(args []string) error {
 		plan := ch.Plan
 		fmt.Printf("optimizer: %d candidates evaluated, %d pruned, %v\n",
 			ch.Stats.Evaluated, ch.Stats.Pruned, ch.Stats.Duration.Round(time.Millisecond))
-		fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, est proof %d B\n",
+		s := plan.Layout
+		fmt.Printf("chosen: %d cols, 2^%d rows (%d used), dot=%s constdot=%v, est %.2fs, proof %d B\n",
 			plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
-			plan.Cost, plan.Size)
-		fmt.Printf("constraints: %d (%d expression nodes), quotient program %d ops, %d row-varying\n",
-			plan.Layout.NumConstraints, plan.Layout.ConstraintOps, plan.QuotientOps, plan.QuotientVaryingOps)
+			plan.Cost, s.ProofBytes)
+		fmt.Printf("shape: d_max %d, %d coset parts, %d queried columns, %d openings; %d constraints, quotient program %d ops, %d row-varying\n",
+			s.DMax, s.ExtN/s.N, s.QueriedCols, s.Opens, s.NumConstraints, s.Ops, s.VaryingOps)
 		fmt.Println("candidates:")
 		for _, c := range ch.Candidates {
 			fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",
-				c.Config.NumCols, c.K, c.Config.Dot, c.Config.UseConstDot, c.Cost, c.Size)
+				c.Config.NumCols, c.K, c.Config.Dot, c.Config.UseConstDot, c.Cost, c.Layout.ProofBytes)
 		}
 	}
 	return nil
@@ -577,7 +578,7 @@ func cmdCalibrate(args []string) error {
 	out := fs.String("out", "zkml-calibration.json", "output path")
 	minK := fs.Int("min-k", 10, "smallest 2^k size to measure")
 	maxK := fs.Int("max-k", 14, "largest 2^k size to measure")
-	fit := fs.Bool("fit", false, "prove a traced circuit sweep and fit per-stage constants (calibration v2)")
+	fit := fs.Bool("fit", false, "prove a traced circuit sweep and fit per-stage constants (fitted calibration)")
 	fitModel := fs.String("fit-model", "mnist", "bundled model the fitting sweep proves")
 	if err := fs.Parse(args); err != nil {
 		return err

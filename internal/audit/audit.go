@@ -100,7 +100,7 @@ func (az *analyzer) degreePass(rep *Report, dmax, extN int) {
 		dmax = cs.Degree()
 	}
 	if extN == 0 {
-		extN = pow2AtLeast(dmax*(n-1) + 1)
+		extN = plonkish.ExtDomainSize(n, dmax)
 	}
 
 	all := cs.AllConstraints(u)

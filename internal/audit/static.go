@@ -237,12 +237,3 @@ func exprDegree(e plonkish.Expr) int {
 		return 0
 	}
 }
-
-// pow2AtLeast returns the smallest power of two >= x.
-func pow2AtLeast(x int) int {
-	n := 1
-	for n < x {
-		n <<= 1
-	}
-	return n
-}

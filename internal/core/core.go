@@ -92,13 +92,10 @@ type Candidate struct {
 	N        int
 	K        int
 	UsedRows int
-	Layout   costmodel.Layout
-	Cost     float64 // estimated proving seconds
-	Size     int     // estimated proof bytes
-	// QuotientOps / QuotientVaryingOps size the compiled quotient program
-	// (plonkish.Program): ops in all, and the ops evaluated per
-	// extended-coset row. Recorded for the cost model; not priced yet.
-	QuotientOps, QuotientVaryingOps int
+	// Layout is the work a proof of this layout does, proof bytes included;
+	// the cost model prices it.
+	Layout plonkish.Shape
+	Cost   float64 // estimated proving seconds
 }
 
 // Plan is the optimizer's chosen layout bound to a model.
@@ -220,7 +217,7 @@ func (opt Options) Admits(cfg gadgets.Config) bool {
 
 func score(c *Candidate, obj Objective) float64 {
 	if obj == MinSize {
-		return float64(c.Size)
+		return float64(c.Layout.ProofBytes)
 	}
 	return c.Cost
 }
@@ -238,14 +235,11 @@ func price(b *gadgets.Builder, cfg gadgets.Config, opt Options) (*Candidate, err
 }
 
 // candidateOf describes a finalized circuit as a layout candidate — grid,
-// used rows, cost-model layout and estimated proof size — so the layout and
-// size describe the domain the keys and proofs use. Cost is the caller's.
+// used rows and shape — on the domain the keys and proofs use. Cost is the
+// caller's.
 func candidateOf(art *gadgets.Artifact, cfg gadgets.Config, backend pcs.Backend) Candidate {
-	k := bits.TrailingZeros(uint(art.N))
-	layout := LayoutOf(art.CS, k, backend)
-	q := plonkish.Compile(art.CS.AllConstraints(art.N - plonkish.ZKRows)...)
-	return Candidate{Config: cfg, N: art.N, K: k, UsedRows: art.UsedRows, Layout: layout, Size: layout.EstimateProofSize(),
-		QuotientOps: q.Len(), QuotientVaryingOps: q.Varying()}
+	s := plonkish.ShapeOf(art.CS, art.N, backend)
+	return Candidate{Config: cfg, N: art.N, K: s.K, UsedRows: art.UsedRows, Layout: s}
 }
 
 // PlanFor builds a plan from one explicit configuration without running the
@@ -265,23 +259,6 @@ func PlanFor(g *model.Graph, sample *model.Input, cfg gadgets.Config, backend pc
 		return nil, err
 	}
 	return &Plan{Graph: g, Sample: sample, Candidate: *cand, Backend: backend, Calibration: calib}, nil
-}
-
-// LayoutOf summarizes a constraint system as a cost-model layout.
-func LayoutOf(cs *plonkish.CS, k int, backend pcs.Backend) costmodel.Layout {
-	count, ops := cs.ConstraintStats((1 << uint(k)) - plonkish.ZKRows)
-	return costmodel.Layout{
-		K:              k,
-		NumInstance:    cs.NumInstance,
-		NumAdvice:      cs.NumAdvice,
-		NumFixed:       cs.NumFixed + 3, // q_active, l_0, l_u
-		NumLookups:     len(cs.Lookups),
-		NumPermCols:    len(cs.PermCols()),
-		DMax:           cs.Degree(),
-		NumConstraints: count,
-		ConstraintOps:  ops,
-		Backend:        backend,
-	}
 }
 
 // Synthesize builds the circuit and witness for an input under this plan.
@@ -372,8 +349,8 @@ func (p *Plan) ProveTraced(keys *Keys, in *model.Input) (*Proof, *obs.Report, er
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the
-// cost model's per-stage predictions for this plan's layout (paper §7.4,
-// eqs. (1)–(2)). Returns nil when the plan carries no calibration.
+// cost model's per-stage predictions for this plan's shape (paper §7.4).
+// Returns nil when the plan carries no calibration.
 func (p *Plan) CompareEstimate(r *obs.Report) []obs.StageComparison {
 	if p.Calibration == nil || r == nil {
 		return nil

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 )
 
 var calib = costmodel.Calibrate(8, 10) // small, fast, shared across tests
@@ -40,7 +43,7 @@ func TestOptimizeMNIST(t *testing.T) {
 		}
 	}
 	t.Logf("mnist plan: %d cols, N=2^%d, dot=%s constdot=%v, est %.2fs, %d B",
-		plan.Config.NumCols, plan.K, plan.Config.Dot, plan.Config.UseConstDot, plan.Cost, plan.Size)
+		plan.Config.NumCols, plan.K, plan.Config.Dot, plan.Config.UseConstDot, plan.Cost, plan.Layout.ProofBytes)
 }
 
 func TestOptimizePruningReducesWork(t *testing.T) {
@@ -112,8 +115,8 @@ func TestSizeObjectiveShrinksProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planS.Size > planT.Size {
-		t.Fatalf("size-optimized plan has bigger proof: %d vs %d", planS.Size, planT.Size)
+	if planS.Layout.ProofBytes > planT.Layout.ProofBytes {
+		t.Fatalf("size-optimized plan has bigger proof: %d vs %d", planS.Layout.ProofBytes, planT.Layout.ProofBytes)
 	}
 }
 
@@ -155,35 +158,74 @@ func TestFixedGadgetConfigBuilds(t *testing.T) {
 }
 
 func TestCostModelMonotoneInRows(t *testing.T) {
-	// Doubling the row power must increase the estimated cost.
-	l := costmodel.Layout{K: 10, NumInstance: 1, NumAdvice: 16, NumFixed: 20,
-		NumLookups: 8, NumPermCols: 17, DMax: 4, NumConstraints: 30,
-		ConstraintOps: 500, Backend: pcs.KZG}
-	c1 := calib.EstimateProvingTime(l)
-	l.K = 12
-	c2 := calib.EstimateProvingTime(l)
-	if c2 <= c1 {
-		t.Fatalf("cost not monotone in rows: %.4f vs %.4f", c1, c2)
+	// The same circuit on a grid four times taller must cost more.
+	spec, _ := model.Get("mnist")
+	cfg := gadgets.DefaultConfig(16, fixedpoint.Params{ScaleBits: 6, LookupBits: 10})
+	b, _, err := spec.Build().BuildCircuit(cfg, spec.Input(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var costs []float64
+	for _, n := range []int{b.MinN(), 4 * b.MinN()} {
+		art, err := b.Finalize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs = append(costs, calib.EstimateProvingTime(plonkish.ShapeOf(art.CS, art.N, pcs.KZG)))
+	}
+	if costs[1] <= costs[0] {
+		t.Fatalf("cost not monotone in rows: %.4f vs %.4f", costs[0], costs[1])
 	}
 }
 
+// formulaCS is a circuit with 1 instance and 10 advice columns, 4 range
+// lookups (degree 4, so d_max = 4 and two columns per grand product) and a
+// copy constraint, so all 11 columns are under the permutation.
+func formulaCS() *plonkish.CS {
+	cs := &plonkish.CS{NumInstance: 1, NumAdvice: 10, NumFixed: 3}
+	cs.AddGate("mul", plonkish.Mul(plonkish.V(plonkish.FixedCol(0)),
+		plonkish.Sub(plonkish.V(plonkish.AdviceCol(2)),
+			plonkish.Mul(plonkish.V(plonkish.AdviceCol(0)), plonkish.V(plonkish.AdviceCol(1))))))
+	for i := 0; i < 4; i++ {
+		cs.AddLookup(plonkish.Lookup{Name: "range", Selector: plonkish.V(plonkish.FixedCol(1)),
+			Inputs: []plonkish.Expr{plonkish.V(plonkish.AdviceCol(i))},
+			Table:  []plonkish.Col{plonkish.FixedCol(2)}, TableLen: 16})
+	}
+	cs.Copy(plonkish.Cell{Col: plonkish.AdviceCol(2), Row: 1}, plonkish.Cell{Col: plonkish.InstanceCol(0), Row: 0})
+	return cs
+}
+
+// TestLayoutFormulas pins the counts the cost model prices for a circuit
+// of known shape. Equation (2) counts n_FFT = N_i + N_a + 3 N_lk +
+// ceil(N_pm / (d-2)); this prover transforms two polynomials per lookup (m
+// and phi), so its size-n transforms are N_i + N_a at commit, 2 N_lk at
+// lookup, ceil(N_pm / (d-2)) at permutation, plus the quotient's coset parts.
 func TestLayoutFormulas(t *testing.T) {
-	// Equation (2): n_FFT = N_i + N_a + 3 N_lk + ceil(N_pm / (d-2)).
-	l := costmodel.Layout{K: 10, NumInstance: 1, NumAdvice: 10, NumLookups: 4,
-		NumPermCols: 11, DMax: 4, Backend: pcs.KZG}
-	want := 1 + 10 + 12 + (11+1)/2
-	if got := l.NumFFT(); got != want {
-		t.Fatalf("NumFFT = %d, want %d", got, want)
-	}
-	if got := l.NumMSM(); got != want+3 {
-		t.Fatalf("NumMSM(KZG) = %d, want %d", got, want+3)
-	}
-	l.Backend = pcs.IPA
-	if got := l.NumMSM(); got != want+4 {
-		t.Fatalf("NumMSM(IPA) = %d, want %d", got, want+4)
-	}
-	if got := l.ExtK(); got != 12 {
-		t.Fatalf("ExtK = %d, want 12", got)
+	const k = 10
+	cs := formulaCS()
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		s := plonkish.ShapeOf(cs, 1<<k, backend)
+		if s.DMax != 4 {
+			t.Fatalf("%v: DMax = %d, want 4", backend, s.DMax)
+		}
+		if got := bits.TrailingZeros(uint(s.ExtN)); got != 12 {
+			t.Fatalf("%v: ExtK = %d, want 12", backend, got)
+		}
+		chunks := (11 + 1) / 2
+		want := [obs.NumStages]int{1 + 10, 2 * 4, chunks, s.ExtN / s.N * s.QueriedCols, 0}
+		if s.Transforms != want {
+			t.Fatalf("%v: Transforms = %v, want %v", backend, s.Transforms, want)
+		}
+		wantCommits := [obs.NumStages]int{10, 2 * 4, chunks, 3, s.Opens}
+		if backend == pcs.IPA {
+			wantCommits[obs.StageOpen] = 0
+		}
+		if s.Commits != wantCommits {
+			t.Fatalf("%v: Commits = %v, want %v", backend, s.Commits, wantCommits)
+		}
+		if wantRounds := map[pcs.Backend]int{pcs.KZG: 0, pcs.IPA: k}[backend]; s.FoldRounds != wantRounds {
+			t.Fatalf("%v: FoldRounds = %d, want %d", backend, s.FoldRounds, wantRounds)
+		}
 	}
 }
 

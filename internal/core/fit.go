@@ -35,13 +35,13 @@ func DefaultFitConfig() FitConfig {
 	}
 }
 
-// FitCalibration runs the trace-driven auto-calibration loop (ROADMAP item
-// 3): it proves a small sweep of physical layouts with tracing enabled,
-// hands the (layout, measured report) pairs to costmodel.FitFromSamples,
-// and leaves c upgraded to a fitted v2 calibration. Returns the number of
-// sweep points proved. Sweep points whose circuit cannot be built at the
-// requested column budget are skipped; failing to prove one that built is
-// an error (the fit would silently lose a backend otherwise).
+// FitCalibration runs the trace-driven auto-calibration loop: it proves a
+// small sweep of physical layouts with tracing enabled, hands the (shape,
+// measured report) pairs to costmodel.FitFromSamples, and leaves c upgraded
+// to a fitted calibration at costmodel.CalibrationVersion. Returns the
+// number of sweep points proved. Sweep points whose circuit cannot be built
+// at the requested column budget are skipped; failing to prove one that
+// built is an error (the fit would silently lose a backend otherwise).
 func FitCalibration(c *costmodel.Calibration, cfg FitConfig) (int, error) {
 	if c == nil {
 		return 0, fmt.Errorf("core: fit requires a calibration")
@@ -86,7 +86,7 @@ func FitCalibration(c *costmodel.Calibration, cfg FitConfig) (int, error) {
 			if err != nil {
 				return len(samples), fmt.Errorf("core: fit sweep %s cols=%d prove: %w", backend, cols, err)
 			}
-			samples = append(samples, costmodel.Sample{Layout: plan.Layout, Report: rep})
+			samples = append(samples, costmodel.Sample{Shape: plan.Layout, Report: rep})
 			if cfg.Log != nil {
 				cfg.Log("fit: %s cols=%d 2^%d rows proved in %.2fs", backend, cols, plan.K, rep.TotalSeconds)
 			}

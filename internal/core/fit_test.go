@@ -59,7 +59,7 @@ func TestFittedModelRanksRealLayouts(t *testing.T) {
 		t.Fatalf("fit sweep proved %d layouts, want >= 2", n)
 	}
 	if calib.Version != costmodel.CalibrationVersion || len(calib.Fits) == 0 {
-		t.Fatalf("fit did not produce a v2 calibration (version %d, %d fits)", calib.Version, len(calib.Fits))
+		t.Fatalf("fit did not produce a fitted calibration (version %d, %d fits)", calib.Version, len(calib.Fits))
 	}
 
 	spec, err := model.Get("mnist")

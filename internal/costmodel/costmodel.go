@@ -1,14 +1,15 @@
 // Package costmodel implements ZKML's proving-cost estimator (paper §7.4):
 // a one-time hardware calibration of the four dominant operations — FFTs,
-// MSMs, lookup-argument construction, and raw field operations — plus the
-// paper's closed-form counts (equations (1) and (2)) that map a physical
-// circuit layout to a predicted proving time.
+// MSMs, lookup-argument construction, and raw field operations — and the
+// pricing of a circuit's counted work (plonkish.Shape) at those unit costs,
+// the paper's equation (1) over the counts the prover actually runs.
 package costmodel
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
@@ -19,22 +20,25 @@ import (
 	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 	"repro/internal/poly"
 )
 
 // CalibrationVersion is the current calibration file format. Version 0/1
 // files (no "version" field) carry only the kernel microbenchmark tables;
-// version 2 additionally carries per-backend, per-stage fitted constants
-// regressed from traced proves (see Fit / FitFromSamples).
-const CalibrationVersion = 2
+// a fitted file additionally carries per-backend, per-stage constants
+// regressed from traced proves (see FitFromSamples) and is valid only at
+// this version: version 2 fits were regressed against eq. (2)'s
+// hand-derived counts, version 3 against plonkish.Shape's.
+const CalibrationVersion = 3
 
 // StageFit is one fitted correction for a (backend, stage) pair: the
 // predicted stage time becomes Gain·base + PerRow·work, where base is the
-// raw eq. (1) stage estimate and work is the stage's column-row count
+// stage's priced counts (basePredictStages) and work its column-row count
 // (stageWork). Gain absorbs systematic kernel-constant error (e.g. the MSM
 // microbenchmark undershooting real commitment MSMs); PerRow prices the
-// per-column overheads eq. (1) omits — transcript hashing, batch-to-affine
-// conversion, blinding, allocation and copy traffic.
+// per-column overheads the unit costs omit — transcript hashing,
+// batch-to-affine conversion, blinding, allocation and copy traffic.
 type StageFit struct {
 	Gain   float64 `json:"gain"`
 	PerRow float64 `json:"per_row"`
@@ -47,7 +51,8 @@ type StageFit struct {
 // kernel's own window schedule for MSMs, n for the rest).
 type Calibration struct {
 	// Version tags the file format; 0 (absent) is a legacy unfitted
-	// calibration, CalibrationVersion a fitted one. Loaders accept both.
+	// calibration, CalibrationVersion a fitted one. Loaders accept both, and
+	// refuse fits at any other version.
 	Version  int             `json:"version,omitempty"`
 	Hardware string          `json:"hardware"`
 	FFT      map[int]float64 `json:"fft"`
@@ -60,7 +65,7 @@ type Calibration struct {
 	FieldOp  float64         `json:"field_op"` // one multiply-add
 	// Fits holds the trace-fitted per-stage corrections, keyed by
 	// FitKey(backend, stage). Empty on unfitted (v1) calibrations, in which
-	// case predictions fall back to the raw eq. (1) estimates.
+	// case predictions are the priced counts alone.
 	Fits map[string]StageFit `json:"fit,omitempty"`
 }
 
@@ -302,6 +307,9 @@ func (c *Calibration) Validate() error {
 	if c.Version > CalibrationVersion {
 		return fmt.Errorf("costmodel: calibration version %d newer than supported %d", c.Version, CalibrationVersion)
 	}
+	if len(c.Fits) > 0 && c.Version != CalibrationVersion {
+		return fmt.Errorf("costmodel: fitted constants at calibration version %d were regressed against another cost model (want %d)", c.Version, CalibrationVersion)
+	}
 	if c.Version >= 2 {
 		if len(c.Fits) == 0 {
 			return fmt.Errorf("costmodel: v%d calibration has no fitted constants", c.Version)
@@ -345,8 +353,9 @@ func loadValidCalibration(path string) (*Calibration, bool) {
 }
 
 // LoadOrCalibrate loads a cached calibration or produces and caches one.
-// Partial files (any empty table or zero FieldOp) are treated as missing
-// and trigger recalibration rather than pricing operations at 0.
+// Files that fail Validate — partial tables, a zero FieldOp, fits from
+// another calibration version — are treated as missing and trigger
+// recalibration rather than pricing operations at 0 or with stale fits.
 func LoadOrCalibrate(path string) *Calibration {
 	if c, ok := loadValidCalibration(path); ok {
 		return c
@@ -364,10 +373,11 @@ func interp(table map[int]float64, k int, shape func(k int) float64) float64 {
 	if t, ok := table[k]; ok {
 		return t
 	}
-	// Use the nearest measured k and scale by the shape ratio.
+	// Use the nearest measured k, the smaller on a tie (map order must not
+	// pick), and scale by the shape ratio.
 	best, found := 0, false
 	for mk := range table {
-		if !found || abs(mk-k) < abs(best-k) {
+		if d, bd := abs(mk-k), abs(best-k); !found || d < bd || d == bd && mk < best {
 			best, found = mk, true
 		}
 	}
@@ -466,59 +476,13 @@ func (c *Calibration) TimeLookup(k int) float64 {
 	return linearShape(k) * 10 * c.fieldOpFloor()
 }
 
-// Layout summarizes a physical circuit layout for cost estimation.
-type Layout struct {
-	K              int // log2 rows
-	NumInstance    int
-	NumAdvice      int
-	NumFixed       int
-	NumLookups     int
-	NumPermCols    int
-	DMax           int
-	NumConstraints int
-	ConstraintOps  int // total expression nodes across constraints
-	Backend        pcs.Backend
-}
-
-// NumFFT implements equation (2) of the paper:
-//
-//	n_FFT = N_i + N_a + 3·N_lk + (N_pm + d_max - 3)/(d_max - 2)
-func (l Layout) NumFFT() int {
-	return l.NumInstance + l.NumAdvice + 3*l.NumLookups + l.permChunks()
-}
-
-// NumMSM follows the paper: n_FFT + d_max - 1 for KZG, n_FFT + d_max for
-// IPA (the extra terms are quotient-piece commitments and evaluation-proof
-// MSMs).
-func (l Layout) NumMSM() int {
-	n := l.NumFFT() + l.DMax - 1
-	if l.Backend == pcs.IPA {
-		n++
-	}
-	return n
-}
-
-// ExtK returns k' = k + ceil(log2(d_max - 1)): the extended-domain FFT size
-// for quotient computation.
-func (l Layout) ExtK() int {
-	e := 0
-	for (1 << uint(e)) < l.DMax {
-		e++
-	}
-	return l.K + e
-}
-
-// EstimateProvingTime is eq. (1) corrected by the calibration's fitted
-// constants: the sum of PredictStages. On an unfitted calibration it is
-// exactly the raw eq. (1) estimate (FFTs at both sizes, MSMs, lookup
-// construction, and the constraint field ops over the extended domain);
-// with fits present each stage term carries its trace-regressed gain and
-// per-column-row overhead, so Algorithm 1 ranks layouts with the model
-// that matched measured proves, not the raw closed form.
-func (c *Calibration) EstimateProvingTime(l Layout) float64 {
+// EstimateProvingTime is the predicted proving time of a circuit shape: the
+// sum of PredictStages, so Algorithm 1 ranks layouts with the model the
+// per-stage comparison validates, fitted constants included.
+func (c *Calibration) EstimateProvingTime(s plonkish.Shape) float64 {
 	// Summed in pipeline order, not map order: float addition does not
 	// commute in the last bit, and the estimate is stored in artifacts.
-	p := c.PredictStages(l)
+	p := c.PredictStages(s)
 	var t float64
 	for _, stage := range obs.StageNames() {
 		t += p[stage]
@@ -526,112 +490,62 @@ func (c *Calibration) EstimateProvingTime(l Layout) float64 {
 	return t
 }
 
-// permChunks returns the permutation grand-product chunk count, the perm
-// term of eq. (2).
-func (l Layout) permChunks() int {
-	if l.NumPermCols == 0 {
-		return 0
-	}
-	d := l.DMax
-	if d < 3 {
-		d = 3
-	}
-	return (l.NumPermCols + d - 3) / (d - 2)
-}
-
-// basePredictStages splits the raw eq. (1) estimate across the prover
-// pipeline stages traced by internal/obs, attributing each term of
-// eqs. (1)–(2) to the stage that performs it: base-domain FFTs and
-// commitment MSMs to the stage that builds the column, extended-domain FFTs
-// and constraint field ops to the quotient, and the MSM budget the model
-// assigns beyond the per-stage commitments to the opening.
-func (c *Calibration) basePredictStages(l Layout) obs.StagePrediction {
-	fft := c.TimeFFT(l.K)
-	// Every commitment runs on the table-warm fixed-base path (the per-key
-	// table amortizes to free across a proof's dozens of commitments); only
-	// the IPA opening's basis-folding MSMs are genuinely variable-base.
-	msmC := c.TimeMSMFixed(l.K)
-	chunks := l.permChunks()
-	nFFT := float64(l.NumFFT())
-	extN := float64(int64(1) << uint(l.ExtK()))
-
+// basePredictStages prices a shape's counted work at the calibrated unit
+// costs, stage by stage (eq. (1) over exact counts): every size-N transform
+// at TimeFFT, every commitment at the table-warm TimeMSMFixed, each lookup's
+// construction at TimeLookup, the quotient's size-ExtN inverse transform at
+// TimeFFT and its program at VaryingOps field ops per extended-domain row,
+// and an IPA opening's folds at TimeMSM per halving MSM.
+func (c *Calibration) basePredictStages(s plonkish.Shape) obs.StagePrediction {
+	fft, msm := c.TimeFFT(s.K), c.TimeMSMFixed(s.K)
 	p := obs.StagePrediction{}
-	p[obs.StageCommit.String()] = float64(l.NumInstance+l.NumAdvice)*fft + float64(l.NumAdvice)*msmC
-	p[obs.StageLookup.String()] = float64(3*l.NumLookups)*fft + float64(2*l.NumLookups)*msmC +
-		float64(l.NumLookups)*c.TimeLookup(l.K)
-	p[obs.StagePerm.String()] = float64(chunks) * (fft + msmC)
-	p[obs.StageQuotient.String()] = (nFFT+1)*c.TimeFFT(l.ExtK()) + float64(l.DMax-1)*msmC +
-		float64(l.ConstraintOps)*extN*c.FieldOp
-	// Whatever MSM count eq. (1) budgets beyond the commitments attributed
-	// above lands in the opening stage: quotient-witness commitments for
-	// KZG (fixed-base), basis-folding MSMs for IPA (variable-base).
-	open := float64(l.NumMSM()) - float64(l.NumAdvice+2*l.NumLookups+chunks+(l.DMax-1))
-	if open < 0 {
-		open = 0
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		p[st.String()] = float64(s.Transforms[st])*fft + float64(s.Commits[st])*msm
 	}
-	if l.Backend == pcs.IPA {
-		p[obs.StageOpen.String()] = open * c.TimeMSM(l.K)
-	} else {
-		p[obs.StageOpen.String()] = open * msmC
+	p[obs.StageLookup.String()] += float64(s.NumLookups) * c.TimeLookup(s.K)
+	p[obs.StageQuotient.String()] += c.TimeFFT(bits.TrailingZeros(uint(s.ExtN))) +
+		float64(s.VaryingOps)*float64(s.ExtN)*c.FieldOp
+	var fold float64
+	for r := 1; r <= s.FoldRounds; r++ {
+		fold += 2 * c.TimeMSM(s.K-r)
 	}
+	p[obs.StageOpen.String()] += float64(s.Opens) * fold
 	return p
 }
 
-// stageWork counts each stage's column-row units — the regressor behind
-// StageFit.PerRow. It deliberately tracks the quantities the prover
-// actually streams per stage: columns built and committed in commit, the
-// f/t/sel/m/phi arrays per lookup, the permutation-column row loops, the
-// extended-domain columns in quotient, and the opening-query evaluations.
-func stageWork(l Layout) map[string]float64 {
-	rows := float64(int64(1) << uint(l.K))
-	extRows := float64(int64(1) << uint(l.ExtK()))
-	chunks := l.permChunks()
-	queries := l.NumAdvice + l.NumFixed + l.NumPermCols + 3*l.NumLookups + 2*chunks + (l.DMax - 1)
+// stageWork counts each stage's column-rows, the regressor behind
+// StageFit.PerRow: the columns a stage builds or reads times the rows it
+// walks — advice and instance columns in commit, m and phi in lookup, the
+// permutation columns, the queried columns over the extended domain, and
+// the opened polynomials.
+func stageWork(s plonkish.Shape) map[string]float64 {
+	n := float64(s.N)
 	return map[string]float64{
-		obs.StageCommit.String():   float64(l.NumInstance+l.NumAdvice) * rows,
-		obs.StageLookup.String():   float64(l.NumLookups) * rows,
-		obs.StagePerm.String():     float64(l.NumPermCols+chunks) * rows,
-		obs.StageQuotient.String(): float64(l.NumFFT()+l.DMax-1) * extRows,
-		obs.StageOpen.String():     float64(queries) * rows,
+		obs.StageCommit.String():   float64(s.Transforms[obs.StageCommit]) * n,
+		obs.StageLookup.String():   float64(s.Transforms[obs.StageLookup]) * n,
+		obs.StagePerm.String():     float64(s.PermCols) * n,
+		obs.StageQuotient.String(): float64(s.QueriedCols) * float64(s.ExtN),
+		obs.StageOpen.String():     float64(s.Queries+s.Commits[obs.StageQuotient]) * n,
 	}
 }
 
-// PredictStages predicts per-stage proving time for a layout: the raw
-// eq. (1) stage decomposition (basePredictStages), corrected by the
-// calibration's fitted constants when present. The stage values sum exactly
-// to EstimateProvingTime, so Report.CompareEstimate's "total" row validates
-// the estimator end to end while the per-stage rows localize the error.
-func (c *Calibration) PredictStages(l Layout) obs.StagePrediction {
-	p := c.basePredictStages(l)
+// PredictStages predicts per-stage proving time for a circuit shape: the
+// priced counts (basePredictStages), corrected by the calibration's fitted
+// constants when present. The stage values sum exactly to
+// EstimateProvingTime, so Report.CompareEstimate's "total" row validates the
+// estimator end to end while the per-stage rows localize the error.
+func (c *Calibration) PredictStages(s plonkish.Shape) obs.StagePrediction {
+	p := c.basePredictStages(s)
 	if len(c.Fits) == 0 {
 		return p
 	}
-	work := stageWork(l)
+	work := stageWork(s)
 	for _, stage := range obs.StageNames() {
-		f, ok := c.Fits[FitKey(l.Backend, stage)]
+		f, ok := c.Fits[FitKey(s.Backend, stage)]
 		if !ok {
 			continue
 		}
 		p[stage] = f.Gain*p[stage] + f.PerRow*work[stage]
 	}
 	return p
-}
-
-// EstimateProofSize returns the proof size in bytes for a layout:
-// commitments (advice + 2 per lookup + permutation chunks + quotient
-// pieces), evaluations, and the per-point opening proofs.
-func (l Layout) EstimateProofSize() int {
-	chunks := l.permChunks()
-	commits := l.NumAdvice + 2*l.NumLookups + chunks + (l.DMax - 1)
-	// Evaluations: one per advice/fixed/sigma query plus argument polys.
-	evals := l.NumAdvice + l.NumFixed + l.NumPermCols + 3*l.NumLookups + 2*chunks + (l.DMax - 1)
-	points := 3 // x, omega*x, omega^u*x
-	size := 32 * (commits + evals)
-	switch l.Backend {
-	case pcs.KZG:
-		size += 32 * points
-	case pcs.IPA:
-		size += points * (32 * (2*l.K + 1))
-	}
-	return size
 }

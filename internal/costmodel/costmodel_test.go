@@ -5,10 +5,32 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 )
 
 var calib = Calibrate(8, 10)
+
+// testShape returns the counts of a plausible mnist-like circuit at 2^k rows
+// with cols advice columns, the given lookups and varying quotient ops,
+// d_max 4 (four coset parts, three quotient pieces) and three openings.
+// Real shapes come from plonkish.ShapeOf; these tests only need counts that
+// move one factor at a time.
+func testShape(k, cols, lookups, ops int, backend pcs.Backend) plonkish.Shape {
+	n := 1 << k
+	s := plonkish.Shape{Backend: backend, K: k, N: n, ExtN: 4 * n, DMax: 4,
+		NumLookups: lookups, NumConstraints: 20, PermCols: cols + 1,
+		QueriedCols: 2*cols + 3*lookups + 8, Ops: ops + 50, VaryingOps: ops,
+		Queries: 3*cols + 3*lookups + 6, Opens: 3}
+	chunks := (cols + 2) / 2
+	s.Transforms = [obs.NumStages]int{cols + 1, 2 * lookups, chunks, 4 * s.QueriedCols, 0}
+	s.Commits = [obs.NumStages]int{cols, 2 * lookups, chunks, 3, s.Opens}
+	if backend == pcs.IPA {
+		s.Commits[obs.StageOpen], s.FoldRounds = 0, k
+	}
+	return s
+}
 
 // TestMSMBasisPairwiseDistinct is the regression test for the calibration
 // bug where the MSM benchmark filled every slot with the same generator
@@ -75,30 +97,53 @@ func TestMeasuredValuesUsedDirectly(t *testing.T) {
 }
 
 func TestEstimateIncreasesWithEachFactor(t *testing.T) {
-	base := Layout{K: 10, NumInstance: 1, NumAdvice: 10, NumFixed: 12,
-		NumLookups: 4, NumPermCols: 11, DMax: 4, NumConstraints: 20,
-		ConstraintOps: 300, Backend: pcs.KZG}
-	t0 := calib.EstimateProvingTime(base)
-	for name, mod := range map[string]func(Layout) Layout{
-		"advice":  func(l Layout) Layout { l.NumAdvice *= 2; l.NumPermCols *= 2; return l },
-		"lookups": func(l Layout) Layout { l.NumLookups *= 2; return l },
-		"rows":    func(l Layout) Layout { l.K++; return l },
-		"ops":     func(l Layout) Layout { l.ConstraintOps *= 2; return l },
-	} {
-		if calib.EstimateProvingTime(mod(base)) <= t0 {
-			t.Fatalf("estimate not increasing in %s", name)
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		t0 := calib.EstimateProvingTime(testShape(10, 10, 4, 300, backend))
+		for name, s := range map[string]plonkish.Shape{
+			"advice":  testShape(10, 20, 4, 300, backend),
+			"lookups": testShape(10, 10, 8, 300, backend),
+			"rows":    testShape(11, 10, 4, 300, backend),
+			"ops":     testShape(10, 10, 4, 600, backend),
+		} {
+			if calib.EstimateProvingTime(s) <= t0 {
+				t.Fatalf("%v: estimate not increasing in %s", backend, name)
+			}
 		}
 	}
 }
 
+// TestProofSizeIPABiggerThanKZG checks the proof size the size objective
+// ranks layouts by: an IPA opening carries 2k points and a scalar where a
+// KZG opening carries one point, and nothing else differs.
 func TestProofSizeIPABiggerThanKZG(t *testing.T) {
-	l := Layout{K: 12, NumInstance: 1, NumAdvice: 10, NumFixed: 12,
-		NumLookups: 4, NumPermCols: 11, DMax: 4, Backend: pcs.KZG}
-	kzg := l.EstimateProofSize()
-	l.Backend = pcs.IPA
-	ipa := l.EstimateProofSize()
-	if ipa <= kzg {
-		t.Fatalf("IPA proof estimate %d not larger than KZG %d", ipa, kzg)
+	const n = 1 << 12
+	cs := &plonkish.CS{NumInstance: 1, NumAdvice: 10, NumFixed: 2}
+	a, b, c := plonkish.V(plonkish.AdviceCol(0)), plonkish.V(plonkish.AdviceCol(1)), plonkish.V(plonkish.AdviceCol(2))
+	cs.AddGate("mul", plonkish.Mul(plonkish.V(plonkish.FixedCol(0)), plonkish.Sub(c, plonkish.Mul(a, b))))
+	cs.AddLookup(plonkish.Lookup{Name: "range", Selector: plonkish.V(plonkish.FixedCol(0)),
+		Inputs: []plonkish.Expr{a}, Table: []plonkish.Col{plonkish.FixedCol(1)}, TableLen: 16})
+	cs.Copy(plonkish.Cell{Col: plonkish.AdviceCol(2), Row: 0}, plonkish.Cell{Col: plonkish.InstanceCol(0), Row: 0})
+	kzg := plonkish.ShapeOf(cs, n, pcs.KZG)
+	ipa := plonkish.ShapeOf(cs, n, pcs.IPA)
+	if ipa.ProofBytes <= kzg.ProofBytes {
+		t.Fatalf("IPA proof size %d not larger than KZG %d", ipa.ProofBytes, kzg.ProofBytes)
+	}
+	if diff, want := ipa.ProofBytes-kzg.ProofBytes, kzg.Opens*(pcs.OpeningSize(pcs.IPA, n)-pcs.OpeningSize(pcs.KZG, n)); diff != want {
+		t.Fatalf("IPA proof is %d bytes larger than KZG, want %d (%d openings)", diff, want, kzg.Opens)
+	}
+}
+
+// TestInterpNearestTieIsDeterministic: with a gap in the measured sizes, a
+// size midway between two measurements must be priced from the smaller one
+// every time, not from whichever map iteration visits first — the estimate
+// is stored in artifacts.
+func TestInterpNearestTieIsDeterministic(t *testing.T) {
+	c := &Calibration{FFT: map[int]float64{10: 1e-3, 12: 9e-3}}
+	want := 1e-3 * fftShape(11) / fftShape(10)
+	for i := 0; i < 100; i++ {
+		if got := c.TimeFFT(11); got != want {
+			t.Fatalf("lookup %d: TimeFFT(11) = %v, want %v (extrapolated from k=10)", i, got, want)
+		}
 	}
 }
 

@@ -1,31 +1,33 @@
-// Trace-driven auto-calibration (ROADMAP item 3). BENCH_5.json showed the
-// raw eq. (1) estimator underpredicting every measured prover stage 5–20x:
-// the kernel microbenchmarks missed real input distributions, and eq. (1)
-// carries no term at all for transcript hashing, batch-to-affine
-// conversion, blinding, or allocation/copy traffic. FitFromSamples closes
-// the gap empirically: given (layout, traced report) pairs from real
-// proves, it regresses a per-backend, per-stage affine correction
+// Trace-driven auto-calibration. BENCH_5.json showed the raw eq. (1)
+// estimator underpredicting every measured prover stage 5–20x: the kernel
+// microbenchmarks missed real input distributions, and eq. (1) carries no
+// term at all for transcript hashing, batch-to-affine conversion, blinding,
+// or allocation/copy traffic. FitFromSamples closes the gap empirically:
+// given (shape, traced report) pairs from real proves, it regresses a
+// per-backend, per-stage affine correction
 //
 //	measured ≈ Gain·base + PerRow·work
 //
-// where base is the raw eq. (1) stage estimate and work the stage's
-// column-row count (stageWork). Gain absorbs systematic kernel-constant
-// error, PerRow prices the omitted per-column overheads. The fitted
-// constants persist in the calibration file (version 2) and flow through
-// PredictStages/EstimateProvingTime, so Algorithm 1 ranks candidate
-// layouts with a model that has been validated against this machine.
+// where base is the stage's priced counts and work its column-row count
+// (stageWork), both from the plonkish.Shape. Gain absorbs systematic
+// kernel-constant error, PerRow prices the omitted per-column overheads.
+// The fitted constants persist in the calibration file (at
+// CalibrationVersion) and flow through PredictStages/EstimateProvingTime,
+// so Algorithm 1 ranks candidate layouts with a model that has been
+// validated against this machine.
 package costmodel
 
 import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/plonkish"
 )
 
-// Sample is one traced prove observation: the physical layout proved and
-// the per-stage measured report ProveTraced returned for it.
+// Sample is one traced prove observation: the shape of the circuit proved
+// and the per-stage measured report ProveTraced returned for it.
 type Sample struct {
-	Layout Layout
+	Shape  plonkish.Shape
 	Report *obs.Report
 }
 
@@ -35,8 +37,8 @@ type fitRow struct {
 }
 
 // FitFromSamples regresses the per-backend, per-stage correction constants
-// from traced proves and installs them on c (upgrading it to calibration
-// version 2). Samples for several backends may be mixed; each backend is
+// from traced proves and installs them on c (upgrading it to
+// CalibrationVersion). Samples for several backends may be mixed; each backend is
 // fitted independently. At least one sample is required; two or more
 // samples per backend with different sizes let the regression separate the
 // kernel gain from the per-column overhead, a single sample degenerates to
@@ -53,10 +55,10 @@ func (c *Calibration) FitFromSamples(samples []Sample) error {
 		if s.Report == nil {
 			return fmt.Errorf("costmodel: fit sample has nil report")
 		}
-		base := c.basePredictStages(s.Layout)
-		work := stageWork(s.Layout)
+		base := c.basePredictStages(s.Shape)
+		work := stageWork(s.Shape)
 		for _, stage := range obs.StageNames() {
-			key := FitKey(s.Layout.Backend, stage)
+			key := FitKey(s.Shape.Backend, stage)
 			rows[key] = append(rows[key], fitRow{
 				base:     base[stage],
 				work:     work[stage],

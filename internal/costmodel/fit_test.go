@@ -7,20 +7,19 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 )
 
-// fitLayout returns a plausible mnist-shaped layout at the given size.
-func fitLayout(k, cols int, backend pcs.Backend) Layout {
-	return Layout{K: k, NumInstance: 1, NumAdvice: cols, NumFixed: cols + 2,
-		NumLookups: 3, NumPermCols: cols, DMax: 4, NumConstraints: 20,
-		ConstraintOps: 300, Backend: backend}
+// fitLayout returns a plausible mnist-shaped circuit at the given size.
+func fitLayout(k, cols int, backend pcs.Backend) plonkish.Shape {
+	return testShape(k, cols, 3, 300, backend)
 }
 
 // reportFor fabricates a traced report whose stage times follow
 // gain·base + perRow·work exactly — the model family the fitter assumes —
 // so the regression must recover the constants and the fitted prediction
 // must reproduce the "measured" times.
-func reportFor(c *Calibration, l Layout, gain, perRow float64) *obs.Report {
+func reportFor(c *Calibration, l plonkish.Shape, gain, perRow float64) *obs.Report {
 	base := c.basePredictStages(l)
 	work := stageWork(l)
 	r := &obs.Report{}
@@ -38,9 +37,9 @@ func TestFitRecoversPlantedConstants(t *testing.T) {
 	c.Fits = nil
 	c.Version = 0
 	samples := []Sample{
-		{Layout: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), gain, perRow)},
-		{Layout: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), gain, perRow)},
-		{Layout: fitLayout(13, 16, pcs.KZG), Report: reportFor(&c, fitLayout(13, 16, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(13, 16, pcs.KZG), Report: reportFor(&c, fitLayout(13, 16, pcs.KZG), gain, perRow)},
 	}
 	if err := c.FitFromSamples(samples); err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestFitRecoversPlantedConstants(t *testing.T) {
 	}
 	// The fitted prediction must reproduce the planted measurements on a
 	// layout inside the sweep and on one outside it.
-	for _, l := range []Layout{fitLayout(12, 12, pcs.KZG), fitLayout(11, 10, pcs.KZG)} {
+	for _, l := range []plonkish.Shape{fitLayout(12, 12, pcs.KZG), fitLayout(11, 10, pcs.KZG)} {
 		want := reportFor(&c, l, gain, perRow)
 		got := c.PredictStages(l)
 		for _, name := range obs.StageNames() {
@@ -69,7 +68,7 @@ func TestFitRecoversPlantedConstants(t *testing.T) {
 func TestFitSumsToEstimate(t *testing.T) {
 	c := *calib
 	l := fitLayout(10, 8, pcs.IPA)
-	if err := c.FitFromSamples([]Sample{{Layout: l, Report: reportFor(&c, l, 5, 1e-9)}}); err != nil {
+	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(&c, l, 5, 1e-9)}}); err != nil {
 		t.Fatal(err)
 	}
 	p := c.PredictStages(l)
@@ -88,19 +87,19 @@ func TestFitRequiresSamples(t *testing.T) {
 	if err := c.FitFromSamples(nil); err == nil {
 		t.Fatal("fit with no samples succeeded")
 	}
-	if err := c.FitFromSamples([]Sample{{Layout: fitLayout(10, 8, pcs.KZG)}}); err == nil {
+	if err := c.FitFromSamples([]Sample{{Shape: fitLayout(10, 8, pcs.KZG)}}); err == nil {
 		t.Fatal("fit with nil report succeeded")
 	}
 }
 
 // TestFitOnlyAffectsFittedBackend: a sweep that covered only KZG must leave
-// IPA predictions on the raw eq. (1) path rather than zeroing or scaling
+// IPA predictions on the unfitted path rather than zeroing or scaling
 // them with another backend's constants.
 func TestFitOnlyAffectsFittedBackend(t *testing.T) {
 	c := *calib
 	base := c.PredictStages(fitLayout(10, 8, pcs.IPA))
 	l := fitLayout(10, 8, pcs.KZG)
-	if err := c.FitFromSamples([]Sample{{Layout: l, Report: reportFor(&c, l, 9, 0)}}); err != nil {
+	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(&c, l, 9, 0)}}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.PredictStages(fitLayout(10, 8, pcs.IPA))
@@ -118,19 +117,19 @@ func TestFitOnlyAffectsFittedBackend(t *testing.T) {
 
 // TestFittedRoundTrip pins the persistence contract: fit -> Save ->
 // LoadOrCalibrate must yield byte-identical predictions (encoding/json
-// round-trips float64 exactly), and a v2 file with missing fitted
+// round-trips float64 exactly), and a fitted file with missing fitted
 // constants must be rejected rather than silently half-applied.
 func TestFittedRoundTrip(t *testing.T) {
 	c := *calib
 	samples := []Sample{
-		{Layout: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), 6, 2e-9)},
-		{Layout: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), 6, 2e-9)},
-		{Layout: fitLayout(10, 8, pcs.IPA), Report: reportFor(&c, fitLayout(10, 8, pcs.IPA), 8, 4e-9)},
+		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), 6, 2e-9)},
+		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), 6, 2e-9)},
+		{Shape: fitLayout(10, 8, pcs.IPA), Report: reportFor(&c, fitLayout(10, 8, pcs.IPA), 8, 4e-9)},
 	}
 	if err := c.FitFromSamples(samples); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "calib-v2.json")
+	path := filepath.Join(t.TempDir(), "calib-fitted.json")
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +152,9 @@ func TestFittedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2FileMissingFitsRejected: a calibration claiming version 2 without
-// (or with partial) fitted constants is a malformed file, not a fallback.
+// TestV2FileMissingFitsRejected: a calibration claiming a fitted version
+// (2 or later) without (or with partial) fitted constants is a malformed
+// file, not a fallback.
 func TestV2FileMissingFitsRejected(t *testing.T) {
 	base := func() *Calibration {
 		c := *calib
@@ -166,7 +166,7 @@ func TestV2FileMissingFitsRejected(t *testing.T) {
 		return &c
 	}
 	if err := base().Validate(); err != nil {
-		t.Fatalf("complete v2 calibration rejected: %v", err)
+		t.Fatalf("complete fitted calibration rejected: %v", err)
 	}
 	for name, mod := range map[string]func(*Calibration){
 		"no fits":       func(c *Calibration) { c.Fits = nil },
@@ -187,12 +187,39 @@ func TestV2FileMissingFitsRejected(t *testing.T) {
 	// And the load path treats such a file as missing.
 	c := base()
 	delete(c.Fits, FitKey(pcs.KZG, "open"))
-	path := filepath.Join(t.TempDir(), "partial-v2.json")
+	path := filepath.Join(t.TempDir(), "partial-fitted.json")
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := loadValidCalibration(path); ok {
-		t.Fatal("v2 file with missing fitted constants accepted")
+		t.Fatal("fitted file with missing fitted constants accepted")
+	}
+}
+
+// TestStaleFitRefused: constants fitted at calibration version 2 were
+// regressed against eq. (2)'s hand-derived counts, so a saved v2 fitted
+// file must not be applied to Shape pricing: Validate rejects it and the
+// load path treats it as missing, so LoadOrCalibrate recalibrates.
+func TestStaleFitRefused(t *testing.T) {
+	c := *calib
+	if err := c.FitFromSamples([]Sample{{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), 6, 2e-9)}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Version = 2
+	if err := c.Validate(); err == nil {
+		t.Fatal("v2 fitted calibration validated")
+	}
+	path := filepath.Join(t.TempDir(), "calib-v2.json")
+	if err := c.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := loadValidCalibration(path); ok {
+		t.Fatal("saved v2 fitted calibration accepted")
+	}
+	// The same tables without the stale fit are still a usable v0 file.
+	c.Version, c.Fits = 0, nil
+	if err := c.Validate(); err != nil {
+		t.Fatalf("unfitted tables rejected: %v", err)
 	}
 }
 

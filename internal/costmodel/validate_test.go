@@ -91,9 +91,7 @@ func TestLoadRejectsPartialFile(t *testing.T) {
 // "total" row of the comparison validates the estimator end to end.
 func TestPredictStagesSumsToEstimate(t *testing.T) {
 	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
-		l := Layout{K: 10, NumInstance: 1, NumAdvice: 10, NumFixed: 12,
-			NumLookups: 4, NumPermCols: 11, DMax: 4, NumConstraints: 20,
-			ConstraintOps: 300, Backend: backend}
+		l := testShape(10, 10, 4, 300, backend)
 		p := calib.PredictStages(l)
 		if len(p) != len(obs.StageNames()) {
 			t.Fatalf("%v: prediction has %d stages, want %d", backend, len(p), len(obs.StageNames()))
@@ -116,15 +114,12 @@ func TestPredictStagesSumsToEstimate(t *testing.T) {
 	}
 }
 
-// The IPA backend budgets one more MSM than KZG (the evaluation-proof MSM);
-// it must land in the opening stage, not perturb the others.
+// An IPA opening folds the basis with variable-base MSMs where a KZG
+// opening commits one witness; the difference must land in the opening
+// stage, not perturb the others.
 func TestPredictStagesIPAExtraMSMInOpen(t *testing.T) {
-	l := Layout{K: 10, NumInstance: 1, NumAdvice: 10, NumFixed: 12,
-		NumLookups: 4, NumPermCols: 11, DMax: 4, NumConstraints: 20,
-		ConstraintOps: 300, Backend: pcs.KZG}
-	kzg := calib.PredictStages(l)
-	l.Backend = pcs.IPA
-	ipa := calib.PredictStages(l)
+	kzg := calib.PredictStages(testShape(10, 10, 4, 300, pcs.KZG))
+	ipa := calib.PredictStages(testShape(10, 10, 4, 300, pcs.IPA))
 	for _, name := range obs.StageNames() {
 		if name == obs.StageOpen.String() {
 			if ipa[name] <= kzg[name] {

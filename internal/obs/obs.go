@@ -2,8 +2,8 @@
 // §11). A Trace collects per-stage wall time and lock-free kernel counters
 // for one Prove call; a Report is the immutable JSON-serializable result,
 // and CompareEstimate lines the measured stage times up against the cost
-// model's predictions (paper §7.4, eqs. (1)–(2)) so the estimator can be
-// validated per stage instead of trusted end to end.
+// model's predictions (paper §7.4) so the estimator can be validated per
+// stage instead of trusted end to end.
 //
 // The package depends only on the standard library and internal/limbs (a
 // leaf itself) so the kernel packages (curve, poly, pcs) can record into a
@@ -45,14 +45,16 @@ const (
 	// opening proofs.
 	StageOpen
 
-	numStages
+	// NumStages is the number of pipeline stages; arrays indexed by Stage
+	// have this length.
+	NumStages
 )
 
-var stageNames = [numStages]string{"commit", "lookup", "permutation", "quotient", "open"}
+var stageNames = [NumStages]string{"commit", "lookup", "permutation", "quotient", "open"}
 
 // String returns the stage's wire name (used as the JSON key).
 func (s Stage) String() string {
-	if s < 0 || s >= numStages {
+	if s < 0 || s >= NumStages {
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
 	return stageNames[s]
@@ -182,7 +184,7 @@ type Trace struct {
 	active   bool
 	cur      Stage
 	curStart time.Time
-	stageNs  [numStages]int64
+	stageNs  [NumStages]int64
 	totalNs  int64
 
 	quotientOps, quotientVarying int
@@ -303,7 +305,7 @@ func (t *Trace) Report() *Report {
 		return nil
 	}
 	r := &Report{TotalSeconds: float64(t.totalNs) / 1e9, FieldKernel: limbs.Kernel()}
-	for s := Stage(0); s < numStages; s++ {
+	for s := Stage(0); s < NumStages; s++ {
 		r.Stages = append(r.Stages, StageTiming{Stage: s.String(), Seconds: float64(t.stageNs[s]) / 1e9})
 	}
 	r.MSMCount, r.MSMBySize = histogram(&t.Kernel.MSM)
@@ -342,8 +344,8 @@ func (r *Report) Validate() error {
 	if r == nil {
 		return fmt.Errorf("obs: nil report")
 	}
-	if len(r.Stages) != int(numStages) {
-		return fmt.Errorf("obs: report has %d stages, want %d", len(r.Stages), numStages)
+	if len(r.Stages) != int(NumStages) {
+		return fmt.Errorf("obs: report has %d stages, want %d", len(r.Stages), NumStages)
 	}
 	for i, st := range r.Stages {
 		if st.Stage != stageNames[i] {

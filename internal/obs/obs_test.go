@@ -96,7 +96,7 @@ func TestKernelHistogram(t *testing.T) {
 // stage, so the per-stage times must sum to (approximately) the total.
 func TestStageTimesSumToTotal(t *testing.T) {
 	tr := NewTrace()
-	for s := Stage(0); s < numStages; s++ {
+	for s := Stage(0); s < NumStages; s++ {
 		tr.Stage(s)
 		time.Sleep(time.Millisecond)
 	}
@@ -188,7 +188,7 @@ func TestCompareEstimate(t *testing.T) {
 	rows := r.CompareEstimate(pred)
 
 	// 5 pipeline stages + 1 prediction-only stage + total.
-	if len(rows) != int(numStages)+2 {
+	if len(rows) != int(NumStages)+2 {
 		t.Fatalf("got %d rows: %+v", len(rows), rows)
 	}
 	byStage := map[string]StageComparison{}

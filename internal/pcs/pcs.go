@@ -9,6 +9,7 @@ package pcs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/curve"
 	"repro/internal/ff"
@@ -54,6 +55,16 @@ func (o *Opening) Size() int {
 		return 32 // single KZG witness point
 	}
 	return 32*(len(o.L)+len(o.R)) + 32
+}
+
+// OpeningSize is the Size of every opening proof made by New(b, n), for n a
+// power of two: one witness point for KZG; for IPA an L and an R point per
+// halving round plus the folded scalar.
+func OpeningSize(b Backend, n int) int {
+	if b == IPA {
+		return 64*bits.TrailingZeros(uint(n)) + 32
+	}
+	return 32
 }
 
 // Scheme is the interface shared by both backends.

@@ -163,9 +163,14 @@ func (cs *CS) PermCols() []Col {
 	return out
 }
 
-// NumPermChunks returns the number of permutation grand products.
-func (cs *CS) NumPermChunks() int {
+// numZ returns the number of permutation grand products a proof commits:
+// one per PermChunk permutation columns, or none when the circuit has no
+// copy constraints.
+func (cs *CS) numZ() int {
 	n := len(cs.PermCols())
+	if n == 0 || len(cs.Copies) == 0 {
+		return 0
+	}
 	c := cs.PermChunk()
 	return (n + c - 1) / c
 }

@@ -51,22 +51,6 @@ func TestCollectQueriesSortedDeduped(t *testing.T) {
 	}
 }
 
-func TestConstraintStats(t *testing.T) {
-	cs := testCircuit()
-	count, ops := cs.ConstraintStats(27)
-	if count == 0 || ops == 0 {
-		t.Fatal("empty constraint stats")
-	}
-	// Gates (1) + lookup constraints (3) + permutation (1 start + 2
-	// running + 1 chain + 1 final) = 9.
-	if count != 9 {
-		t.Fatalf("constraint count = %d, want 9", count)
-	}
-	if ops < count {
-		t.Fatal("ops must dominate count")
-	}
-}
-
 func TestVKDigestBindsCircuit(t *testing.T) {
 	_, vk1 := setup(t, 0)
 	cs := testCircuit()

@@ -114,11 +114,7 @@ func setupSkeleton(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*P
 	pk := &ProvingKey{CS: cs, N: n, U: u}
 	pk.Domain = poly.NewDomain(n)
 	pk.DMax = cs.Degree()
-	extN := 1
-	for extN < pk.DMax*(n-1)+1 {
-		extN <<= 1
-	}
-	pk.ExtDomain = poly.NewDomain(extN)
+	pk.ExtDomain = poly.NewDomain(ExtDomainSize(n, pk.DMax))
 
 	scheme, err := pcs.New(backend, n)
 	if err != nil {
@@ -365,9 +361,8 @@ func buildConstraints(cs *CS, u int) []Expr {
 	// Permutation argument, chunked at d_max - 2 columns per grand
 	// product.
 	permCols := cs.PermCols()
-	if len(permCols) > 0 && len(cs.Copies) > 0 {
+	if numChunks := cs.numZ(); numChunks > 0 {
 		chunk := cs.PermChunk()
-		numChunks := cs.NumPermChunks()
 		delta := ff.MultiplicativeGen()
 		deltaPow := ff.One()
 		dp := make([]ff.Element, len(permCols))
@@ -426,19 +421,6 @@ func compress(theta Expr, es []Expr) Expr {
 // will evaluate, argument machinery included.
 func (cs *CS) AllConstraints(u int) []Expr {
 	return buildConstraints(cs, u)
-}
-
-// ConstraintStats returns the number of flattened constraints and the total
-// expression-node count across them (gates plus lookup and permutation
-// argument constraints) — the field-operation volume the cost model charges
-// for quotient evaluation.
-func (cs *CS) ConstraintStats(u int) (count, ops int) {
-	constraints := buildConstraints(cs, u)
-	for _, c := range constraints {
-		count++
-		c.walk(func(Expr) { ops++ })
-	}
-	return count, ops
 }
 
 // compileConstraints builds what every key path derives from the circuit

@@ -311,7 +311,7 @@ func TestDegreeAndChunks(t *testing.T) {
 		t.Fatalf("perm chunk = %d, want 2", c)
 	}
 	// 3 advice + 1 instance = 4 perm columns -> 2 chunks.
-	if nz := cs.NumPermChunks(); nz != 2 {
+	if nz := cs.numZ(); nz != 2 {
 		t.Fatalf("perm chunks = %d, want 2", nz)
 	}
 	cs.MinDegree = 6

@@ -76,6 +76,23 @@ func (p *Program) Len() int { return len(p.ops) }
 // Varying is the number of ops an evaluator runs per row.
 func (p *Program) Varying() int { return len(p.ops) - p.invariant }
 
+// columns returns the distinct columns the program reads, in order of
+// first use, and for each of its vars the index of the var's column there.
+func (p *Program) columns() (cols []Col, slot []int) {
+	idx := map[Col]int{}
+	slot = make([]int, len(p.vars))
+	for i, q := range p.vars {
+		s, ok := idx[q.Col]
+		if !ok {
+			s = len(cols)
+			idx[q.Col] = s
+			cols = append(cols, q.Col)
+		}
+		slot[i] = s
+	}
+	return cols, slot
+}
+
 // lowerer hash-conses ops while lowering: an op that is already in the
 // program is never emitted twice.
 type lowerer struct {

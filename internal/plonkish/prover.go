@@ -344,11 +344,9 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	// in parallel; the carry-linked z prefix walks stay serial in chunk
 	// order (they are O(u) multiplications).
 	trace.Stage(obs.StagePerm)
-	permActive := len(cs.PermCols()) > 0 && len(cs.Copies) > 0
-	if permActive {
+	if numChunks := cs.numZ(); numChunks > 0 {
 		permCols := cs.PermCols()
 		chunk := cs.PermChunk()
-		numChunks := cs.NumPermChunks()
 		delta := ff.MultiplicativeGen()
 		dp := make([]ff.Element, len(permCols))
 		acc := ff.One()
@@ -420,10 +418,7 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	pk.ExtDomain.CosetIFFT(numerator)
 	extN := len(numerator)
 
-	numPieces := pk.DMax - 1
-	if numPieces < 1 {
-		numPieces = 1
-	}
+	numPieces := quotientPieces(pk.DMax)
 	proof.QuotientCommits = make([]curve.Affine, numPieces)
 	pieces := make([][]ff.Element, numPieces)
 	for i := 0; i < numPieces; i++ {
@@ -516,22 +511,18 @@ func quotientNumerator(pk *ProvingKey, coeff map[Col][]ff.Element, challenges []
 	extN := pk.ExtDomain.N
 	scale := extN / n
 
-	var cols [][]ff.Element // coefficients of each queried column
-	var bufs [][]ff.Element // and its values on the current part
-	slot := map[Col]int{}
-	bind := make([][]ff.Element, len(prog.vars))
-	for i, q := range prog.vars {
-		s, ok := slot[q.Col]
-		if !ok {
-			c, assigned := coeff[q.Col]
-			if !assigned {
-				return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", q.Col.Kind, q.Col.Index)
-			}
-			s = len(cols)
-			slot[q.Col] = s
-			cols = append(cols, c)
-			bufs = append(bufs, make([]ff.Element, n))
+	queried, slot := prog.columns()
+	cols := make([][]ff.Element, len(queried)) // coefficients of each queried column
+	bufs := make([][]ff.Element, len(queried)) // and its values on the current part
+	for s, c := range queried {
+		var assigned bool
+		if cols[s], assigned = coeff[c]; !assigned {
+			return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", c.Kind, c.Index)
 		}
+		bufs[s] = make([]ff.Element, n)
+	}
+	bind := make([][]ff.Element, len(prog.vars))
+	for i, s := range slot {
 		bind[i] = bufs[s]
 	}
 

@@ -43,18 +43,10 @@ func Verify(vk *VerifyingKey, instance [][]ff.Element, proof *Proof) error {
 		len(proof.Evals) != len(vk.Queries) {
 		return errMalformed("proof shape mismatch")
 	}
-	permActive := len(cs.PermCols()) > 0 && len(cs.Copies) > 0
-	wantZ := 0
-	if permActive {
-		wantZ = cs.NumPermChunks()
-	}
-	if len(proof.ZCommits) != wantZ {
+	if len(proof.ZCommits) != cs.numZ() {
 		return errMalformed("proof permutation shape mismatch")
 	}
-	numPieces := vk.DMax - 1
-	if numPieces < 1 {
-		numPieces = 1
-	}
+	numPieces := quotientPieces(vk.DMax)
 	if len(proof.QuotientCommits) != numPieces || len(proof.QuotientEvals) != numPieces {
 		return errMalformed("proof quotient shape mismatch")
 	}

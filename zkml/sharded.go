@@ -489,7 +489,7 @@ func (s *ShardedSystem) Describe() string {
 	size := 64 * s.Part.BoundaryElems // each boundary value is public on both sides of its cut
 	for _, ch := range s.Chunks {
 		cost += ch.Plan.Cost
-		size += ch.Plan.Size
+		size += ch.Plan.Layout.ProofBytes
 	}
 	out := fmt.Sprintf("%s: %d chunks, %d boundary elems, est. %.2fs / %d B",
 		s.Part.Model, len(s.Chunks), s.Part.BoundaryElems, cost, size)

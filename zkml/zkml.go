@@ -394,5 +394,5 @@ func (s *System) Describe() string {
 	p := s.Plan
 	return fmt.Sprintf("%s: %d advice cols, 2^%d rows (%d used), dot=%s constdot=%v, backend=%s, est. %.2fs / %d B",
 		p.Graph.Name, p.Config.NumCols, p.K, p.UsedRows, p.Config.Dot, p.Config.UseConstDot,
-		p.Backend, p.Cost, p.Size)
+		p.Backend, p.Cost, p.Layout.ProofBytes)
 }
