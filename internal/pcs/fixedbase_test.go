@@ -107,11 +107,10 @@ func TestCommitTableSetupWorkAccounting(t *testing.T) {
 
 // BenchmarkCommit measures both backends' commitment path cold (table built
 // per iteration) and warm (table amortized — the steady state for a loaded
-// key), and KZG's warm Lagrange-basis path per column shape (lagrange/dense
-// should match warm; small and sparse are where committing from evaluations
-// pays — see lagrange.go). Sizes above 2^12 are skipped in -short mode to
-// keep bench-smoke fast. Sizes run ascending so the cold build at size n is
-// over an n-point basis, matching a key loaded at that size.
+// key); BenchmarkCommitLagrange covers KZG's commits from evaluations. Sizes
+// above 2^12 are skipped in -short mode to keep bench-smoke fast. Sizes run
+// ascending so the cold build at size n is over an n-point basis, matching a
+// key loaded at that size.
 func BenchmarkCommit(b *testing.B) {
 	sizes := []int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
 	for _, backend := range []Backend{KZG, IPA} {
@@ -141,20 +140,6 @@ func BenchmarkCommit(b *testing.B) {
 					s.Commit(p)
 				}
 			})
-			lc, ok := s.(*KZGScheme)
-			if !ok {
-				continue
-			}
-			for _, shape := range []string{"dense", "small", "sparse"} {
-				evals := column(shape, n)
-				b.Run(fmt.Sprintf("%s/2^%d/lagrange/%s", backend, k, shape), func(b *testing.B) {
-					lc.CommitLagrange(evals) // basis and table built outside the timed loop
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						lc.CommitLagrange(evals)
-					}
-				})
-			}
 		}
 	}
 }

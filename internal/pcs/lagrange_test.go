@@ -11,10 +11,11 @@ import (
 )
 
 // columnShapes are the kinds of column the prover commits from evaluations:
-// dense (phi, z, sigma), signed fixed-point activations of at most 20 bits
-// (advice), logUp multiplicities (mostly zero, small counts), and all-zero.
-// Every shape but zero ends in a few dense rows, as blinding leaves them.
-var columnShapes = []string{"dense", "small", "sparse", "zero"}
+// dense (sigma), signed fixed-point activations of at most 20 bits
+// (advice), logUp multiplicities (mostly zero, small counts), running sums
+// that change on about 2 % of rows (logUp phi), and all-zero. Every shape but zero ends in a few dense rows, as blinding
+// leaves them.
+var columnShapes = []string{"dense", "small", "sparse", "running", "zero"}
 
 func column(shape string, n int) []ff.Element {
 	v := make([]ff.Element, n)
@@ -25,6 +26,7 @@ func column(shape string, n int) []ff.Element {
 		x ^= x << 17
 		return x
 	}
+	var acc ff.Element
 	for i := range v {
 		switch shape {
 		case "dense":
@@ -35,6 +37,12 @@ func column(shape string, n int) []ff.Element {
 			if r := next(); r%16 == 0 {
 				v[i] = ff.NewElement(1 + (r>>8)%200)
 			}
+		case "running":
+			if next()%50 == 0 {
+				step := ff.Random()
+				acc.Add(&acc, &step)
+			}
+			v[i] = acc
 		}
 	}
 	if shape != "zero" {
@@ -49,7 +57,8 @@ func column(shape string, n int) []ff.Element {
 // committing a column from its evaluations yields the group element that
 // committing its interpolated coefficients does — for every column shape,
 // below and above the table's minimum length, at several worker counts, on
-// the table path and through the generic MSM over the Lagrange basis.
+// the table path and through the generic MSM of the row differences over
+// the suffix basis.
 func TestCommitLagrangeMatchesCoefficientCommit(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	if commitTableMinLen != 1<<6 {
@@ -67,7 +76,7 @@ func TestCommitLagrangeMatchesCoefficientCommit(t *testing.T) {
 				parallel.SetWorkers(workers)
 				got := map[string]curve.Affine{
 					"table":       k.CommitLagrange(evals),
-					"generic MSM": curve.MSM(k.lagrange(n).basis, evals).ToAffine(),
+					"generic MSM": curve.MSM(k.lagrange(n).basis, rowDiffs(evals)).ToAffine(),
 				}
 				for path, c := range got {
 					if !c.Equal(&want) {
@@ -79,17 +88,40 @@ func TestCommitLagrangeMatchesCoefficientCommit(t *testing.T) {
 	}
 }
 
-// TestLagrangeBasisIsPartitionOfUnity checks the derived SRS directly:
-// Σ Lᵢ(τ) = 1, so the basis points sum to the generator.
-func TestLagrangeBasisIsPartitionOfUnity(t *testing.T) {
-	k := NewKZG(64)
-	var sum curve.Jac
-	for _, p := range k.lagrange(64).basis {
-		sum.AddMixed(&p)
+// TestLagrangeBasisIsSuffixSums checks the derived SRS directly against the
+// closed form Lᵢ(τ) = ωⁱ·(τⁿ-1) / (n·(τ-ωⁱ)) taken through the generator
+// comb: D₀ = G (the Lᵢ(τ) sum to one), and Dᵢ − Dᵢ₊₁ = Lᵢ(τ)·G for every i,
+// with Dₙ the identity.
+func TestLagrangeBasisIsSuffixSums(t *testing.T) {
+	const n = 64
+	k := NewKZG(n)
+	basis := k.lagrange(n).basis
+	if g := curve.Generator(); !basis[0].Equal(&g) {
+		t.Fatal("D₀ != G")
 	}
-	got, g := sum.ToAffine(), curve.Generator()
-	if !got.Equal(&g) {
-		t.Fatal("Lagrange basis points do not sum to G")
+	d := poly.NewDomain(n)
+	omega := d.Elements()
+	c := poly.VanishingEval(n, k.tau)
+	c.Mul(&c, &d.NInv)
+	kzgMu.Lock()
+	comb := generatorComb()
+	kzgMu.Unlock()
+	for i := 0; i < n; i++ {
+		var li ff.Element
+		li.Sub(&k.tau, &omega[i])
+		li.Inverse(&li)
+		li.Mul(&li, &omega[i])
+		li.Mul(&li, &c)
+		want := comb.mul(&li).ToAffine()
+		step := basis[i].ToJac()
+		if i+1 < n {
+			next := basis[i+1].ToJac()
+			next.NegAssign()
+			step.AddAssign(&next)
+		}
+		if got := step.ToAffine(); !got.Equal(&want) {
+			t.Fatalf("D%d − D%d != L%d(τ)·G", i, i+1, i)
+		}
 	}
 }
 
@@ -148,5 +180,27 @@ func TestLagrangeFirstUseBuildsOnce(t *testing.T) {
 	}
 	if w := SetupWorkSnapshot().Sub(cold); w.CommitTableBuilds != 1 || w.KZGLagrangeDerived != 0 {
 		t.Fatalf("after reset: %+v, want one table build and no derivation", w)
+	}
+}
+
+// BenchmarkCommitLagrange measures KZG's warm commit from evaluations per
+// column shape at 2^12 (2^10 under -short): dense is the full-width case;
+// small, sparse and running are the advice, multiplicity and accumulator
+// columns whose cost follows their non-zero row differences.
+func BenchmarkCommitLagrange(b *testing.B) {
+	n := 1 << 12
+	if testing.Short() {
+		n = 1 << 10
+	}
+	k := NewKZG(n)
+	for _, shape := range []string{"dense", "small", "sparse", "running"} {
+		evals := column(shape, n)
+		b.Run(shape, func(b *testing.B) {
+			k.CommitLagrange(evals) // basis and table built outside the timed loop
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.CommitLagrange(evals)
+			}
+		})
 	}
 }

@@ -213,9 +213,10 @@ type lagrangeCommitter interface {
 
 // commitColumn commits a column held both as evaluations over the domain
 // and as coefficients: from the evaluations when the scheme has a Lagrange
-// basis — the grid values are small or sparse where the coefficients never
-// are, and the MSM's cost follows its scalars — and from the coefficients
-// otherwise. Both are the same group element.
+// basis — the grid values, and the row-to-row steps of running sums such as
+// phi and z, are small or sparse where the coefficients never are, and the
+// MSM's cost follows its scalars — and from the coefficients otherwise.
+// Both are the same group element.
 func commitColumn(s pcs.Scheme, evals, coeffs []ff.Element) curve.Affine {
 	if lc, ok := s.(lagrangeCommitter); ok {
 		return lc.CommitLagrange(evals)
