@@ -10,12 +10,14 @@
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once each
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
-#   make cross       the field, curve and polynomial tests plus the pinned
-#                    proof digests as 386 binaries (the generic field
-#                    kernel), and an arm64 vet + build
+#   make cross       the field, curve and polynomial tests, the pinned
+#                    proof digests and the untrusted-bytes decoder tests as
+#                    386 binaries (the generic field kernel, 32-bit int),
+#                    and an arm64 vet + build
 #   make trace-smoke fit the cost model from traced proves, prove once more
-#                    with tracing, and gate the trace report on cost-model
-#                    accuracy (trace-check -max-rel-err)
+#                    with tracing — compiled, then loaded from a key store —
+#                    and gate both trace reports on cost-model accuracy
+#                    (trace-check -max-rel-err)
 #   make daemon-smoke bring up the zkmld proving daemon, prove + verify over
 #                    HTTP, and assert the warm path does zero keygen/SRS
 #                    work while /stats surfaces the request trace
@@ -92,10 +94,14 @@ race:
 
 # 386 has no assembly field kernel, so these runs take the generic one; the
 # unchanged proof digests show both kernels produce the same proof bytes.
-# The arm64 vet + build keeps the !amd64 files compiling.
+# Its 32-bit int is also where a length prefix >= 2^31 turns negative, so
+# the decoders of untrusted bytes run there too. The arm64 vet + build keeps
+# the !amd64 files compiling.
 cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
-	GOARCH=386 $(GO) test -run TestSeededProofsPinned ./internal/plonkish/
+	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
+	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
+	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 
@@ -109,17 +115,21 @@ bench-smoke:
 	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient' -benchtime=1x ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (a fitted calibration), prove once more
-# with tracing, and check the report: the schema parses, every pipeline
-# stage is present, the cost-model comparison is populated, and — the
-# estimator-accuracy gate — the fitted model's total |rel_err| stays within
-# the threshold (DESIGN.md §11/§12). The raw unfitted model sat at -0.83.
+# with tracing — compiled into a fresh key store, then loaded from it — and
+# check both reports: the schema parses, every pipeline stage is present, the
+# cost-model comparison is populated, and — the estimator-accuracy gate — the
+# fitted model's total |rel_err| stays within the threshold (DESIGN.md
+# §11/§12). The unfitted static units sat at -0.14 … -0.32 over three runs.
 TRACE_MAX_REL_ERR ?= 0.5
 trace-smoke:
-	@tmp=$$(mktemp -t zkml-trace.XXXXXX.json); calib=$$(mktemp -t zkml-calib.XXXXXX.json); \
-	$(GO) run ./cmd/zkml calibrate -fit -min-k 8 -max-k 12 -out $$calib && \
-	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -trace $$tmp && \
-	$(GO) run ./cmd/zkml trace-check -in $$tmp -max-rel-err $(TRACE_MAX_REL_ERR); \
-	st=$$?; rm -f $$tmp $$calib; exit $$st
+	@tmp=$$(mktemp -t zkml-trace.XXXXXX.json); stored=$$(mktemp -t zkml-trace.XXXXXX.json); \
+	calib=$$(mktemp -t zkml-calib.XXXXXX.json); keys=$$(mktemp -d -t zkml-keys.XXXXXX); \
+	$(GO) run ./cmd/zkml calibrate -out $$calib && \
+	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -trace $$tmp && \
+	$(GO) run ./cmd/zkml trace-check -in $$tmp -max-rel-err $(TRACE_MAX_REL_ERR) && \
+	ZKML_CALIBRATION=$$calib $(GO) run ./cmd/zkml prove -model mnist -scale-bits 5 -lookup-bits 9 -max-cols 16 -keys $$keys -trace $$stored && \
+	$(GO) run ./cmd/zkml trace-check -in $$stored -max-rel-err $(TRACE_MAX_REL_ERR); \
+	st=$$?; rm -rf $$tmp $$stored $$calib $$keys; exit $$st
 
 # End-to-end daemon smoke check: start zkmld, prove and verify over HTTP,
 # assert a warm prove does zero keygen/SRS-extension work (setup-work

@@ -24,16 +24,6 @@ import (
 
 var benchFP = fixedpoint.Params{ScaleBits: 5, LookupBits: 9}
 
-var (
-	calibOnce  sync.Once
-	benchCalib *costmodel.Calibration
-)
-
-func calibration() *costmodel.Calibration {
-	calibOnce.Do(func() { benchCalib = costmodel.Calibrate(8, 10) })
-	return benchCalib
-}
-
 // mnist is the KZG-compiled mnist plan and keys, built once per process.
 var mnist struct {
 	once sync.Once
@@ -52,7 +42,7 @@ func compileMNIST(b *testing.B) (*core.Plan, *core.Keys, model.Spec) {
 		}
 		opt := core.DefaultOptions(pcs.KZG, benchFP)
 		opt.MinCols, opt.MaxCols = 6, 16
-		opt.Calibration = calibration()
+		opt.Calibration = costmodel.StaticCalibration()
 		mnist.plan, _, _, mnist.err = core.Optimize(mnist.spec.Build(), mnist.spec.Input(1), opt)
 		if mnist.err == nil {
 			mnist.keys, mnist.err = mnist.plan.Setup()
@@ -131,7 +121,7 @@ func polyEval(p []ff.Element, z ff.Element) ff.Element {
 func BenchmarkCostEstimate(b *testing.B) {
 	plan, _, _ := compileMNIST(b)
 	layout := plan.Layout
-	calib := calibration()
+	calib := costmodel.StaticCalibration()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		calib.EstimateProvingTime(layout)

@@ -20,8 +20,7 @@
 //	zkml trace-check -in t.json -max-rel-err 0.5   ... and gate on cost-model accuracy
 //	zkml audit -model mnist                   static soundness audit of the compiled circuit
 //	zkml audit -all -backend both -out a.json audit every bundled model, write the findings report
-//	zkml calibrate [-out calib.json]          benchmark this machine's cost profile
-//	zkml calibrate -fit                       ... and fit per-stage constants from traced proves
+//	zkml calibrate [-out calib.json]          fit per-stage cost constants from traced proves
 package main
 
 import (
@@ -573,42 +572,33 @@ func printAuditFindings(rep *zkml.AuditReport) {
 	}
 }
 
+// cmdCalibrate fits the cost model to this machine: it proves a small
+// traced sweep of mnist layouts on both backends and regresses each stage's
+// measured time on its static price and its column-rows (core.FitCalibration).
 func cmdCalibrate(args []string) error {
 	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
 	out := fs.String("out", "zkml-calibration.json", "output path")
-	minK := fs.Int("min-k", 10, "smallest 2^k size to measure")
-	maxK := fs.Int("max-k", 14, "largest 2^k size to measure")
-	fit := fs.Bool("fit", false, "prove a traced circuit sweep and fit per-stage constants (fitted calibration)")
-	fitModel := fs.String("fit-model", "mnist", "bundled model the fitting sweep proves")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Printf("calibrating FFT/MSM/lookup/field-op costs for 2^%d..2^%d...\n", *minK, *maxK)
-	c := costmodel.Calibrate(*minK, *maxK)
-	fmt.Printf("field op: %.1f ns\n", c.FieldOp*1e9)
-	for k := *minK; k <= *maxK; k++ {
-		fmt.Printf("  2^%d: fft %.3fms msm %.3fms lookup %.3fms\n",
-			k, c.FFT[k]*1000, c.MSM[k]*1000, c.Lookup[k]*1000)
+	c := costmodel.StaticCalibration()
+	c.Hardware = "local"
+	cfg := core.DefaultFitConfig()
+	fmt.Printf("fitting per-stage constants from a traced %s sweep (this proves real circuits)...\n", cfg.Model)
+	cfg.Log = func(format string, a ...any) { fmt.Printf("  "+format+"\n", a...) }
+	n, err := core.FitCalibration(c, cfg)
+	if err != nil {
+		return fmt.Errorf("calibration fit: %w", err)
 	}
-	if *fit {
-		fmt.Printf("fitting per-stage constants from a traced %s sweep (this proves real circuits)...\n", *fitModel)
-		cfg := core.DefaultFitConfig()
-		cfg.Model = *fitModel
-		cfg.Log = func(format string, a ...any) { fmt.Printf("  "+format+"\n", a...) }
-		n, err := core.FitCalibration(c, cfg)
-		if err != nil {
-			return fmt.Errorf("calibration fit: %w", err)
-		}
-		fmt.Printf("fitted %d stage corrections from %d traced proves:\n", len(c.Fits), n)
-		keys := make([]string, 0, len(c.Fits))
-		for key := range c.Fits {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			f := c.Fits[key]
-			fmt.Printf("  %-16s gain %6.2fx  per-row %8.2f ns\n", key, f.Gain, f.PerRow*1e9)
-		}
+	fmt.Printf("fitted %d stage corrections from %d traced proves:\n", len(c.Fits), n)
+	keys := make([]string, 0, len(c.Fits))
+	for key := range c.Fits {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		f := c.Fits[key]
+		fmt.Printf("  %-16s gain %6.2fx  per-row %8.2f ns\n", key, f.Gain, f.PerRow*1e9)
 	}
 	if err := c.Save(*out); err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/curve"
 	"repro/internal/obs"
 	"repro/internal/pcs"
@@ -23,8 +22,7 @@ func TestVerifyFromKeysDoesNoProvingWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := zkml.Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20,
-		Calibration: costmodel.Calibrate(8, 10)}
+	o := zkml.Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20}
 	sys, err := zkml.Compile(spec.Build(), spec.Input(1), o)
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/zkml"
 )
 
-var testCalib = costmodel.Calibrate(8, 10)
-
 func testConfig(keysDir string) config {
 	return config{
-		KeysDir: keysDir,
-		Options: zkml.Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20,
-			Calibration: testCalib},
+		KeysDir:     keysDir,
+		Options:     zkml.Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20},
 		MaxInflight: 2,
 	}
 }

@@ -20,9 +20,10 @@ func main() {
 	}
 
 	// Compile: the optimizer searches circuit layouts (column counts,
-	// gadget implementations) using a cost model calibrated on this
-	// machine, then generates the model-specific proving and verification
-	// keys. The sample input only drives layout simulation.
+	// gadget implementations) priced by the cost model — its static unit
+	// costs here, or a fitted calibration file from `zkml calibrate` via
+	// Options.CalibrationPath — then generates the model-specific proving
+	// and verification keys. The sample input only drives layout simulation.
 	start := time.Now()
 	sys, err := zkml.Compile(spec.Build(), spec.Input(1), zkml.Options{
 		ScaleBits:  6,

@@ -153,11 +153,20 @@ func (r *artifactReader) u8(what string) byte {
 	return 0
 }
 
+// u32 reads a 4-byte count or size. Values the encoder never writes (at or
+// above 2^31) are rejected before conversion, where a 32-bit int would turn
+// them negative and let them pass the signed bounds checks downstream.
 func (r *artifactReader) u32(what string) int {
-	if b := r.next(4, what); b != nil {
-		return int(binary.BigEndian.Uint32(b))
+	b := r.next(4, what)
+	if b == nil {
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint32(b)
+	if v > math.MaxInt32 {
+		r.err = errArtifact("%s %d out of range", what, v)
+		return 0
+	}
+	return int(v)
 }
 
 func (r *artifactReader) str(what string) string {

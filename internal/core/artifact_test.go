@@ -147,6 +147,8 @@ func TestDecodeArtifactRejectsCorruption(t *testing.T) {
 			"negative cost":            with(cfgEnd, 0x80|data[cfgEnd]),
 			"NaN cost":                 with(cfgEnd, 0x7f, 0xf8),
 			"fixed count 2^32-1":       with(digestEnd, count(1<<32-1)...),
+			"fixed count 2^31":         with(digestEnd, count(1<<31)...),
+			"column count 2^31":        with(73+strs, count(1<<31)...),
 			"sigma count past the end": with(fixedEnd, count(uint32(len(data)-fixedEnd)/32+1)...),
 			"SRS count one too many":   with(sigmaEnd, count(uint32(len(data)-sigmaEnd-4)/32+1)...),
 			"off-curve commitment":     with(digestEnd+4, bad[:]...),

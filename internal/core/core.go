@@ -122,8 +122,8 @@ type Stats struct {
 // input-independent; see model.TestTwoInputsSameCircuitShape).
 func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candidate, Stats, error) {
 	start := time.Now()
-	if opt.Calibration == nil {
-		return nil, nil, Stats{}, fmt.Errorf("core: options require a calibration")
+	if err := opt.Calibration.Validate(); err != nil {
+		return nil, nil, Stats{}, fmt.Errorf("core: options require a valid calibration: %w", err)
 	}
 	minCols, maxCols := opt.colRange()
 	var best *Candidate

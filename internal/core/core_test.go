@@ -13,7 +13,7 @@ import (
 	"repro/internal/plonkish"
 )
 
-var calib = costmodel.Calibrate(8, 10) // small, fast, shared across tests
+var calib = costmodel.StaticCalibration()
 
 func testOpts(backend pcs.Backend) Options {
 	opt := DefaultOptions(backend, fixedpoint.Params{ScaleBits: 6, LookupBits: 10})
@@ -230,19 +230,40 @@ func TestLayoutFormulas(t *testing.T) {
 }
 
 func TestCalibrationSaveLoad(t *testing.T) {
+	fitted := &costmodel.Calibration{Version: costmodel.CalibrationVersion, Hardware: "test", Fits: map[string]costmodel.StageFit{}}
+	for _, stage := range obs.StageNames() {
+		fitted.Fits[costmodel.FitKey(pcs.KZG, stage)] = costmodel.StageFit{Gain: 3, PerRow: 2e-9}
+	}
 	path := t.TempDir() + "/calib.json"
-	if err := calib.Save(path); err != nil {
+	if err := fitted.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := costmodel.LoadCalibration(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.FieldOp != calib.FieldOp || len(c2.FFT) != len(calib.FFT) {
+	if c2.Hardware != fitted.Hardware || len(c2.Fits) != len(fitted.Fits) {
 		t.Fatal("calibration round trip mismatch")
 	}
-	c3 := costmodel.LoadOrCalibrate(path)
-	if c3.FieldOp != calib.FieldOp {
-		t.Fatal("LoadOrCalibrate did not use cache")
+	if c3 := costmodel.LoadOrStatic(path); c3.Hardware != fitted.Hardware {
+		t.Fatal("LoadOrStatic did not use the file")
+	}
+}
+
+// TestOptimizeRejectsInvalidCalibration: Algorithm 1 must not rank layouts
+// with a calibration whose fitted constants cannot all be applied.
+func TestOptimizeRejectsInvalidCalibration(t *testing.T) {
+	spec, err := model.Get("mnist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &costmodel.Calibration{Version: costmodel.CalibrationVersion - 1,
+		Fits: map[string]costmodel.StageFit{costmodel.FitKey(pcs.KZG, "commit"): {Gain: 1}}}
+	for name, c := range map[string]*costmodel.Calibration{"nil": nil, "stale fit": stale} {
+		opt := DefaultOptions(pcs.KZG, fixedpoint.Params{ScaleBits: 5, LookupBits: 9})
+		opt.Calibration = c
+		if _, _, _, err := Optimize(spec.Build(), spec.Input(1), opt); err == nil {
+			t.Fatalf("%s calibration accepted", name)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func TestFittedModelRanksRealLayouts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("proves several real circuits")
 	}
-	calib := costmodel.Calibrate(6, 10)
+	calib := costmodel.StaticCalibration()
 	fp := fixedpoint.Params{ScaleBits: 5, LookupBits: 9}
 	n, err := FitCalibration(calib, FitConfig{
 		Model:    "mnist",
@@ -142,7 +142,7 @@ func TestFitCalibrationRejectsNil(t *testing.T) {
 	if _, err := FitCalibration(nil, FitConfig{}); err == nil {
 		t.Fatal("nil calibration accepted")
 	}
-	c := costmodel.DefaultCalibration()
+	c := costmodel.StaticCalibration()
 	if _, err := FitCalibration(c, FitConfig{Model: "no-such-model"}); err == nil {
 		t.Fatal("unknown sweep model accepted")
 	}

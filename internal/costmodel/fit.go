@@ -1,16 +1,16 @@
-// Trace-driven auto-calibration. BENCH_5.json showed the raw eq. (1)
-// estimator underpredicting every measured prover stage 5–20x: the kernel
-// microbenchmarks missed real input distributions, and eq. (1) carries no
-// term at all for transcript hashing, batch-to-affine conversion, blinding,
-// or allocation/copy traffic. FitFromSamples closes the gap empirically:
-// given (shape, traced report) pairs from real proves, it regresses a
+// Trace-driven calibration. The static unit costs are nominal: they fix
+// how the priced counts scale with a layout, not what a second of this
+// machine's prover buys, and equation (1) carries no term at all for
+// transcript hashing, batch-to-affine conversion, blinding, or
+// allocation/copy traffic. FitFromSamples closes the gap empirically: given
+// (shape, traced report) pairs from real proves, it regresses a
 // per-backend, per-stage affine correction
 //
 //	measured ≈ Gain·base + PerRow·work
 //
-// where base is the stage's priced counts and work its column-row count
-// (stageWork), both from the plonkish.Shape. Gain absorbs systematic
-// kernel-constant error, PerRow prices the omitted per-column overheads.
+// where base is the stage's static price and work its column-row count
+// (stageWork), both from the plonkish.Shape. Gain maps the nominal unit
+// costs onto this machine, PerRow prices the omitted per-column overheads.
 // The fitted constants persist in the calibration file (at
 // CalibrationVersion) and flow through PredictStages/EstimateProvingTime,
 // so Algorithm 1 ranks candidate layouts with a model that has been
@@ -47,15 +47,15 @@ func (c *Calibration) FitFromSamples(samples []Sample) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("costmodel: fit requires at least one traced sample")
 	}
-	// Group regression rows by (backend, stage). Base predictions come from
-	// the unfitted decomposition so refitting an already-fitted calibration
-	// regresses against the same regressors.
+	// Group regression rows by (backend, stage). Base predictions are the
+	// static prices, so refitting an already-fitted calibration regresses
+	// against the same regressors.
 	rows := map[string][]fitRow{}
 	for _, s := range samples {
 		if s.Report == nil {
 			return fmt.Errorf("costmodel: fit sample has nil report")
 		}
-		base := c.basePredictStages(s.Shape)
+		base := basePredictStages(s.Shape)
 		work := stageWork(s.Shape)
 		for _, stage := range obs.StageNames() {
 			key := FitKey(s.Shape.Backend, stage)

@@ -19,8 +19,8 @@ func fitLayout(k, cols int, backend pcs.Backend) plonkish.Shape {
 // gain·base + perRow·work exactly — the model family the fitter assumes —
 // so the regression must recover the constants and the fitted prediction
 // must reproduce the "measured" times.
-func reportFor(c *Calibration, l plonkish.Shape, gain, perRow float64) *obs.Report {
-	base := c.basePredictStages(l)
+func reportFor(l plonkish.Shape, gain, perRow float64) *obs.Report {
+	base := basePredictStages(l)
 	work := stageWork(l)
 	r := &obs.Report{}
 	for _, name := range obs.StageNames() {
@@ -34,12 +34,10 @@ func reportFor(c *Calibration, l plonkish.Shape, gain, perRow float64) *obs.Repo
 func TestFitRecoversPlantedConstants(t *testing.T) {
 	const gain, perRow = 7.5, 3e-9
 	c := *calib // copy the package-level calibration
-	c.Fits = nil
-	c.Version = 0
 	samples := []Sample{
-		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), gain, perRow)},
-		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), gain, perRow)},
-		{Shape: fitLayout(13, 16, pcs.KZG), Report: reportFor(&c, fitLayout(13, 16, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(fitLayout(10, 8, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(fitLayout(12, 12, pcs.KZG), gain, perRow)},
+		{Shape: fitLayout(13, 16, pcs.KZG), Report: reportFor(fitLayout(13, 16, pcs.KZG), gain, perRow)},
 	}
 	if err := c.FitFromSamples(samples); err != nil {
 		t.Fatal(err)
@@ -50,7 +48,7 @@ func TestFitRecoversPlantedConstants(t *testing.T) {
 	// The fitted prediction must reproduce the planted measurements on a
 	// layout inside the sweep and on one outside it.
 	for _, l := range []plonkish.Shape{fitLayout(12, 12, pcs.KZG), fitLayout(11, 10, pcs.KZG)} {
-		want := reportFor(&c, l, gain, perRow)
+		want := reportFor(l, gain, perRow)
 		got := c.PredictStages(l)
 		for _, name := range obs.StageNames() {
 			w := want.StageSeconds(name)
@@ -68,7 +66,7 @@ func TestFitRecoversPlantedConstants(t *testing.T) {
 func TestFitSumsToEstimate(t *testing.T) {
 	c := *calib
 	l := fitLayout(10, 8, pcs.IPA)
-	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(&c, l, 5, 1e-9)}}); err != nil {
+	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(l, 5, 1e-9)}}); err != nil {
 		t.Fatal(err)
 	}
 	p := c.PredictStages(l)
@@ -99,7 +97,7 @@ func TestFitOnlyAffectsFittedBackend(t *testing.T) {
 	c := *calib
 	base := c.PredictStages(fitLayout(10, 8, pcs.IPA))
 	l := fitLayout(10, 8, pcs.KZG)
-	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(&c, l, 9, 0)}}); err != nil {
+	if err := c.FitFromSamples([]Sample{{Shape: l, Report: reportFor(l, 9, 0)}}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.PredictStages(fitLayout(10, 8, pcs.IPA))
@@ -116,15 +114,15 @@ func TestFitOnlyAffectsFittedBackend(t *testing.T) {
 }
 
 // TestFittedRoundTrip pins the persistence contract: fit -> Save ->
-// LoadOrCalibrate must yield byte-identical predictions (encoding/json
+// LoadOrStatic must yield byte-identical predictions (encoding/json
 // round-trips float64 exactly), and a fitted file with missing fitted
 // constants must be rejected rather than silently half-applied.
 func TestFittedRoundTrip(t *testing.T) {
 	c := *calib
 	samples := []Sample{
-		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), 6, 2e-9)},
-		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(&c, fitLayout(12, 12, pcs.KZG), 6, 2e-9)},
-		{Shape: fitLayout(10, 8, pcs.IPA), Report: reportFor(&c, fitLayout(10, 8, pcs.IPA), 8, 4e-9)},
+		{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(fitLayout(10, 8, pcs.KZG), 6, 2e-9)},
+		{Shape: fitLayout(12, 12, pcs.KZG), Report: reportFor(fitLayout(12, 12, pcs.KZG), 6, 2e-9)},
+		{Shape: fitLayout(10, 8, pcs.IPA), Report: reportFor(fitLayout(10, 8, pcs.IPA), 8, 4e-9)},
 	}
 	if err := c.FitFromSamples(samples); err != nil {
 		t.Fatal(err)
@@ -133,7 +131,7 @@ func TestFittedRoundTrip(t *testing.T) {
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got := LoadOrCalibrate(path)
+	got := LoadOrStatic(path)
 	if got.Version != CalibrationVersion {
 		t.Fatalf("loaded version %d, want %d", got.Version, CalibrationVersion)
 	}
@@ -191,35 +189,38 @@ func TestV2FileMissingFitsRejected(t *testing.T) {
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadValidCalibration(path); ok {
+	if _, err := LoadCalibration(path); err == nil {
 		t.Fatal("fitted file with missing fitted constants accepted")
 	}
 }
 
-// TestStaleFitRefused: constants fitted at calibration version 2 were
-// regressed against eq. (2)'s hand-derived counts, so a saved v2 fitted
-// file must not be applied to Shape pricing: Validate rejects it and the
-// load path treats it as missing, so LoadOrCalibrate recalibrates.
+// TestStaleFitRefused: constants fitted at an earlier calibration version
+// were regressed against another base (eq. (2)'s hand-derived counts at
+// version 2, microbenchmarked unit costs at version 3), so a saved stale fit
+// must not be applied: Validate rejects it and the load path treats it as
+// missing, so LoadOrStatic prices at the static units.
 func TestStaleFitRefused(t *testing.T) {
 	c := *calib
-	if err := c.FitFromSamples([]Sample{{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(&c, fitLayout(10, 8, pcs.KZG), 6, 2e-9)}}); err != nil {
+	if err := c.FitFromSamples([]Sample{{Shape: fitLayout(10, 8, pcs.KZG), Report: reportFor(fitLayout(10, 8, pcs.KZG), 6, 2e-9)}}); err != nil {
 		t.Fatal(err)
 	}
-	c.Version = 2
-	if err := c.Validate(); err == nil {
-		t.Fatal("v2 fitted calibration validated")
+	for _, v := range []int{2, CalibrationVersion - 1} {
+		c.Version = v
+		if err := c.Validate(); err == nil {
+			t.Fatalf("v%d fitted calibration validated", v)
+		}
+		path := filepath.Join(t.TempDir(), "calib-stale.json")
+		if err := c.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCalibration(path); err == nil {
+			t.Fatalf("saved v%d fitted calibration accepted", v)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "calib-v2.json")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := loadValidCalibration(path); ok {
-		t.Fatal("saved v2 fitted calibration accepted")
-	}
-	// The same tables without the stale fit are still a usable v0 file.
+	// Without the stale fit it is a usable unfitted calibration.
 	c.Version, c.Fits = 0, nil
 	if err := c.Validate(); err != nil {
-		t.Fatalf("unfitted tables rejected: %v", err)
+		t.Fatalf("unfitted calibration rejected: %v", err)
 	}
 }
 

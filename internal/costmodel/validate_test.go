@@ -6,33 +6,38 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/curve"
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 )
 
-func TestValidateRejectsPartialCalibration(t *testing.T) {
-	full := func() *Calibration {
-		return &Calibration{
-			Hardware: "test",
-			FFT:      map[int]float64{10: 1e-3},
-			MSM:      map[int]float64{10: 2e-3},
-			Lookup:   map[int]float64{10: 5e-4},
-			FieldOp:  1e-8,
-		}
+// fittedCalibration returns a complete fit for KZG at CalibrationVersion.
+func fittedCalibration() *Calibration {
+	c := &Calibration{Version: CalibrationVersion, Hardware: "test", Fits: map[string]StageFit{}}
+	for _, stage := range obs.StageNames() {
+		c.Fits[FitKey(pcs.KZG, stage)] = StageFit{Gain: 2, PerRow: 1e-9}
 	}
-	if err := full().Validate(); err != nil {
-		t.Fatalf("complete calibration rejected: %v", err)
+	return c
+}
+
+func TestValidateRejectsPartialCalibration(t *testing.T) {
+	if err := StaticCalibration().Validate(); err != nil {
+		t.Fatalf("static calibration rejected: %v", err)
+	}
+	if err := fittedCalibration().Validate(); err != nil {
+		t.Fatalf("complete fitted calibration rejected: %v", err)
 	}
 	if err := (*Calibration)(nil).Validate(); err == nil {
 		t.Fatal("nil calibration validated")
 	}
 	for name, mod := range map[string]func(*Calibration){
-		"empty FFT":    func(c *Calibration) { c.FFT = nil },
-		"empty MSM":    func(c *Calibration) { c.MSM = map[int]float64{} },
-		"empty Lookup": func(c *Calibration) { c.Lookup = nil },
-		"zero FieldOp": func(c *Calibration) { c.FieldOp = 0 },
+		"unversioned fits": func(c *Calibration) { c.Version = 0 },
+		"other backend half-fitted": func(c *Calibration) {
+			c.Fits[FitKey(pcs.IPA, obs.StageCommit.String())] = StageFit{Gain: 1}
+		},
 	} {
-		c := full()
+		c := fittedCalibration()
 		mod(c)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("%s validated", name)
@@ -40,49 +45,80 @@ func TestValidateRejectsPartialCalibration(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsPartialFile is the regression test for LoadOrCalibrate
-// trusting any parseable JSON file: a calibration with only the FFT table
-// populated priced MSMs, lookups, and field ops at zero and skewed layout
-// selection. Such files must now be treated as missing.
+// TestLoadRejectsPartialFile: a file whose fitted constants cannot all be
+// applied is refused by LoadCalibration rather than half-applied; an
+// unfitted file in the older per-size table format still loads, and prices
+// as the static calibration.
 func TestLoadRejectsPartialFile(t *testing.T) {
 	dir := t.TempDir()
 
 	partial := filepath.Join(dir, "partial.json")
-	if err := os.WriteFile(partial, []byte(`{"hardware":"x","fft":{"10":0.001}}`), 0o644); err != nil {
+	c := fittedCalibration()
+	delete(c.Fits, FitKey(pcs.KZG, obs.StageOpen.String()))
+	if err := c.Save(partial); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadValidCalibration(partial); ok {
+	if _, err := LoadCalibration(partial); err == nil {
 		t.Fatal("partial calibration file accepted")
 	}
 
 	complete := filepath.Join(dir, "complete.json")
-	c := &Calibration{
-		Hardware: "test",
-		FFT:      map[int]float64{10: 1e-3},
-		MSM:      map[int]float64{10: 2e-3},
-		Lookup:   map[int]float64{10: 5e-4},
-		FieldOp:  1e-8,
-	}
-	if err := c.Save(complete); err != nil {
+	if err := fittedCalibration().Save(complete); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := loadValidCalibration(complete)
-	if !ok {
-		t.Fatal("complete calibration file rejected")
+	got, err := LoadCalibration(complete)
+	if err != nil {
+		t.Fatalf("complete calibration file rejected: %v", err)
 	}
-	if got.Hardware != "test" || got.FFT[10] != 1e-3 {
+	if got.Hardware != "test" || len(got.Fits) != len(obs.StageNames()) {
 		t.Fatalf("loaded calibration mangled: %+v", got)
 	}
 
-	if _, ok := loadValidCalibration(filepath.Join(dir, "missing.json")); ok {
+	legacy := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(legacy, []byte(`{"hardware":"local","fft":{"10":0.001},"msm":{"10":0.002},"lookup":{"10":0.0005},"field_op":1e-8}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCalibration(legacy); err != nil || len(got.Fits) != 0 {
+		t.Fatalf("legacy unfitted file: %+v, %v", got, err)
+	}
+
+	if _, err := LoadCalibration(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	garbage := filepath.Join(dir, "garbage.json")
 	if err := os.WriteFile(garbage, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadValidCalibration(garbage); ok {
+	if _, err := LoadCalibration(garbage); err == nil {
 		t.Fatal("unparseable file accepted")
+	}
+}
+
+// TestLoadOrStaticRunsNoKernel: with no usable file — no path, a missing
+// file, or a fit regressed before CalibrationVersion — the loader returns
+// the static calibration, and it never runs a transform or an MSM to get
+// there.
+func TestLoadOrStaticRunsNoKernel(t *testing.T) {
+	dir := t.TempDir()
+	stale := fittedCalibration()
+	stale.Version = CalibrationVersion - 1
+	stalePath := filepath.Join(dir, "stale.json")
+	if err := stale.Save(stalePath); err != nil {
+		t.Fatal(err)
+	}
+	var counters obs.KernelCounters
+	defer curve.SetKernelTrace(curve.SetKernelTrace(&counters))
+	defer poly.SetKernelTrace(poly.SetKernelTrace(&counters))
+	for _, path := range []string{"", filepath.Join(dir, "missing.json"), stalePath} {
+		c := LoadOrStatic(path)
+		if c.Hardware != "static" || c.Version != 0 || len(c.Fits) != 0 {
+			t.Fatalf("LoadOrStatic(%q) = %+v, want the static calibration", path, c)
+		}
+	}
+	for i := range counters.MSM {
+		if n := counters.MSM[i].Load() + counters.FFT[i].Load(); n != 0 {
+			t.Fatalf("loading ran %d kernels at 2^%d", n, i)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ type Config struct {
 	FP      fixedpoint.Params
 	MinCols int
 	MaxCols int
-	Calib   *costmodel.Calibration
 	// Models restricts experiments to a subset (nil = all).
 	Models []string
 	// AccuracySamples is the synthetic test-set size for Table 8.
@@ -57,13 +56,6 @@ func Quick() Config {
 	return c
 }
 
-func (c *Config) calibration() *costmodel.Calibration {
-	if c.Calib == nil {
-		c.Calib = costmodel.Calibrate(8, 11)
-	}
-	return c.Calib
-}
-
 func (c *Config) modelList() []model.Spec {
 	if c.Models == nil {
 		return model.Registry
@@ -82,7 +74,7 @@ func (c *Config) modelList() []model.Spec {
 func (c *Config) options(backend pcs.Backend) core.Options {
 	opt := core.DefaultOptions(backend, c.FP)
 	opt.MinCols, opt.MaxCols = c.MinCols, c.MaxCols
-	opt.Calibration = c.calibration()
+	opt.Calibration = costmodel.StaticCalibration()
 	return opt
 }
 

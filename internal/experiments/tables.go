@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/gadgets"
 	"repro/internal/layers"
 	"repro/internal/model"
@@ -141,7 +142,7 @@ func Table9(cfg Config) (*Table, error) {
 			fmtDur(opt.VerifyT), fmt.Sprintf("%d bytes", opt.ProofSize)})
 
 		base := core.BaselineConfig(cfg.FP)
-		plan, err := core.PlanFor(spec.Build(), spec.Input(cfg.Seed), base, pcs.KZG, cfg.calibration())
+		plan, err := core.PlanFor(spec.Build(), spec.Input(cfg.Seed), base, pcs.KZG, costmodel.StaticCalibration())
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +169,7 @@ func Table10(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		fixedCfg := gadgets.DefaultConfig(cfg.MaxCols, cfg.FP)
-		plan, err := core.PlanFor(spec.Build(), spec.Input(cfg.Seed), fixedCfg, pcs.KZG, cfg.calibration())
+		plan, err := core.PlanFor(spec.Build(), spec.Input(cfg.Seed), fixedCfg, pcs.KZG, costmodel.StaticCalibration())
 		if err != nil {
 			return nil, err
 		}

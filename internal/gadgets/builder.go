@@ -68,8 +68,8 @@ type openRow struct {
 	cap  int
 }
 
-// Stats counts gadget invocations (used by the optimizer's cost model and
-// by tests).
+// Stats counts gadget invocations, for tests and diagnostics; the cost
+// model prices plonkish.ShapeOf's counts of the finished circuit instead.
 type Stats struct {
 	RowsByKind  map[Kind]int
 	Ops         map[Kind]int

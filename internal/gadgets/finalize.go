@@ -21,9 +21,6 @@ type Artifact struct {
 	// chosen power-of-two grid height.
 	UsedRows int
 	N        int
-	// NumFixed / NumAdvice / NumLookups summarize the physical layout for
-	// the cost model.
-	Stats Stats
 }
 
 // MinRows returns the minimum usable rows this build needs: the layout
@@ -230,7 +227,6 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		return nil, fmt.Errorf("gadgets: %d public values exceed usable rows %d", len(inst), u)
 	}
 
-	stats := b.Stats()
 	return &Artifact{
 		CS:       cs,
 		Fixed:    fixed,
@@ -238,7 +234,6 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		Instance: [][]ff.Element{inst},
 		UsedRows: b.MinRows(),
 		N:        n,
-		Stats:    stats,
 	}, nil
 }
 

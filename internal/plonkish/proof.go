@@ -110,11 +110,13 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 		if _, err := io.ReadFull(r, n[:]); err != nil {
 			return 0, errMalformed("truncated length prefix")
 		}
-		l := int(binary.BigEndian.Uint32(n[:]))
-		if l > r.Len()/minItemSize {
+		// Compared unsigned before converting: on 32-bit platforms a
+		// prefix >= 2^31 is a negative int and would pass a signed bound.
+		l := binary.BigEndian.Uint32(n[:])
+		if uint64(l) > uint64(r.Len()/minItemSize) {
 			return 0, errMalformed("length %d exceeds %d remaining bytes", l, r.Len())
 		}
-		return l, nil
+		return int(l), nil
 	}
 	readPoints := func() ([]curve.Affine, error) {
 		n, err := readLen(wireScalarSize)

@@ -36,6 +36,11 @@ func TestProofDeserializationRejectsGarbage(t *testing.T) {
 	if err := p.UnmarshalBinary([]byte{99}); err == nil {
 		t.Fatal("accepted bad version")
 	}
+	// A count of 2^31 is a negative int on 32-bit platforms; it must be
+	// bounded as the unsigned count it is, not passed to make.
+	if err := p.UnmarshalBinary([]byte{proofVersion, 0x80, 0, 0, 0}); err == nil {
+		t.Fatal("accepted a 2^31 point count")
+	}
 	// Truncation at every prefix of a valid proof must error, not panic.
 	pk, _ := setup(t, pcs.KZG)
 	proof, err := Prove(pk, testInstance(24), testWitness(false, false, false))

@@ -446,9 +446,9 @@ func (s *ShardedSystem) ImportProof(data []byte) (*ShardedProof, error) {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("zkml: truncated chunk %d length: %w", c, ErrMalformedProof)
 		}
-		l := int(binary.BigEndian.Uint32(data[:4]))
+		l := uint64(binary.BigEndian.Uint32(data[:4])) // unsigned: int is 32 bits on 386
 		data = data[4:]
-		if l > len(data) {
+		if l > uint64(len(data)) {
 			return nil, fmt.Errorf("zkml: chunk %d claims %d bytes with %d left: %w",
 				c, l, len(data), ErrMalformedProof)
 		}

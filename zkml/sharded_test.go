@@ -604,3 +604,19 @@ func TestOneChunkChainIsTheSingleCircuit(t *testing.T) {
 		}
 	}
 }
+
+// TestImportProofRejectsHugeCounts: a length prefix of 2^31 is a negative
+// int on 32-bit platforms, so the transport decoders must bound it as the
+// unsigned count it is — the instance-column length of a proof and the
+// chunk length of a sharded proof alike — rather than pass it to make or a
+// slice expression. The length checks run before any chunk is touched, so
+// bare systems suffice.
+func TestImportProofRejectsHugeCounts(t *testing.T) {
+	if _, err := (&System{}).ImportProof([]byte{1, 0x80, 0, 0, 0}); !errors.Is(err, ErrMalformedProof) {
+		t.Fatalf("instance column of 2^31 values: want ErrMalformedProof, got %v", err)
+	}
+	chain := &ShardedSystem{Chunks: make([]*System, 2)}
+	if _, err := chain.ImportProof([]byte{2, 0x80, 0, 0, 0}); !errors.Is(err, ErrMalformedProof) {
+		t.Fatalf("chunk of 2^31 bytes: want ErrMalformedProof, got %v", err)
+	}
+}

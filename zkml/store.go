@@ -131,8 +131,10 @@ func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
 // model (cheap and deterministic); the stored material supplies the
 // commitments, so the load performs no layout search, no keygen MSMs, and no
 // SRS extension. The options must match the
-// ones the system was compiled with. If no matching artifact exists the
-// error wraps os.ErrNotExist — callers fall back to Compile.
+// ones the system was compiled with; the calibration they resolve to prices
+// the loaded plan, so CompareEstimate works as on a compiled system. If no
+// matching artifact exists the error wraps os.ErrNotExist — callers fall
+// back to Compile.
 func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -145,6 +147,7 @@ func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error)
 	if err != nil {
 		return nil, err
 	}
+	plan.Calibration = o.calibration()
 	return &System{Plan: plan, Keys: keys, opts: o}, nil
 }
 
@@ -164,5 +167,6 @@ func LoadVerifier(dir string, g *Graph, sample *Input, o Options) (*System, erro
 	if err != nil {
 		return nil, err
 	}
+	plan.Calibration = o.calibration()
 	return &System{Plan: plan, Keys: keys, opts: o}, nil
 }

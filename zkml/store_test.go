@@ -339,3 +339,41 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatalf("zero options: %v", err)
 	}
 }
+
+// TestStoreLoadedTraceHasEstimate: a system loaded from the store carries
+// the calibration its options resolve to, so a traced prove compares every
+// stage and the total against the cost model, as a compiled system does.
+func TestStoreLoadedTraceHasEstimate(t *testing.T) {
+	spec, err := Model("dlrm-micro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, sample := spec.Build(), spec.Input(1)
+	sys, err := Compile(g, sample, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSystem(dir, g, sample, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := loaded.ProveTraced(spec.Input(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, c := range loaded.CompareEstimate(rep) {
+		if c.PredictedSeconds > 0 {
+			got[c.Stage] = true
+		}
+	}
+	for _, stage := range append(obs.StageNames(), "total") {
+		if !got[stage] {
+			t.Errorf("store-loaded comparison has no prediction for %q (got %v)", stage, got)
+		}
+	}
+}

@@ -88,10 +88,24 @@ type Options struct {
 	LookupBits int
 	// MinCols / MaxCols bound the layout search (defaults 6..32).
 	MinCols, MaxCols int
-	// CalibrationPath caches the hardware calibration (optional).
+	// CalibrationPath names a fitted calibration file written by `zkml
+	// calibrate` (optional). Without one, or when the file is missing, stale
+	// or partial, layouts are priced at the static calibration; nothing is
+	// measured or written either way.
 	CalibrationPath string
-	// Calibration overrides the cost calibration (optional).
+	// Calibration overrides the cost calibration (optional; takes
+	// precedence over CalibrationPath).
 	Calibration *costmodel.Calibration
+}
+
+// calibration resolves the cost calibration the options name: the
+// override, else the file at CalibrationPath if it validates, else the
+// static calibration. It runs no kernel.
+func (o Options) calibration() *costmodel.Calibration {
+	if o.Calibration != nil {
+		return o.Calibration
+	}
+	return costmodel.LoadOrStatic(o.CalibrationPath)
 }
 
 func (o Options) withDefaults() Options {
@@ -185,10 +199,7 @@ func Optimize(g *Graph, sample *Input, o Options) (*core.Plan, []core.Candidate,
 	if err := opt.FP.Validate(); err != nil {
 		return nil, nil, core.Stats{}, err
 	}
-	opt.Calibration = o.Calibration
-	if opt.Calibration == nil {
-		opt.Calibration = costmodel.LoadOrCalibrate(o.CalibrationPath)
-	}
+	opt.Calibration = o.calibration()
 	return core.Optimize(g, sample, opt)
 }
 
@@ -341,14 +352,16 @@ func importProofBytes(data []byte) (*Proof, error) {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("zkml: truncated proof header: %w", ErrMalformedProof)
 		}
-		n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
+		// Compared unsigned: on 32-bit platforms int(n) of a prefix >= 2^31
+		// is negative and would pass a signed bound.
+		n := uint64(data[0])<<24 | uint64(data[1])<<16 | uint64(data[2])<<8 | uint64(data[3])
 		data = data[4:]
-		if len(data) < 32*n {
+		if n > uint64(len(data))/32 {
 			return nil, fmt.Errorf("zkml: instance column %d claims %d values with %d bytes left: %w",
 				c, n, len(data), ErrMalformedProof)
 		}
 		col := make([]ff.Element, n)
-		for i := 0; i < n; i++ {
+		for i := range col {
 			if bytes.Compare(data[:32], scalarModBytes[:]) >= 0 {
 				return nil, fmt.Errorf("zkml: instance column %d value %d has a non-canonical scalar encoding: %w",
 					c, i, ErrMalformedProof)

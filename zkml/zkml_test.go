@@ -5,13 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
+	"repro/internal/gadgets"
 )
 
-var calib = costmodel.Calibrate(8, 10)
-
 func opts() Options {
-	return Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20, Calibration: calib}
+	return Options{ScaleBits: 6, LookupBits: 10, MaxCols: 20}
 }
 
 func TestCompileProveVerify(t *testing.T) {
@@ -157,5 +155,26 @@ func TestProofTransferAcrossSystems(t *testing.T) {
 	}
 	if err := sysB.Verify(imported); err != nil {
 		t.Fatalf("cross-system verification failed: %v", err)
+	}
+}
+
+// TestDefaultCalibrationPicksPinnedPlan: without a calibration or a
+// calibration file the optimizer prices at the static calibration, so it
+// picks the mnist plan the benchmark pins (core's pinnedChoices) on both
+// backends, on any machine, without measuring anything.
+func TestDefaultCalibrationPicksPinnedPlan(t *testing.T) {
+	spec, err := Model("mnist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []Backend{KZG, IPA} {
+		p, _, _, err := Optimize(spec.Build(), spec.Input(1), Options{Backend: backend, ScaleBits: 6, LookupBits: 10, MaxCols: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Config.NumCols != 8 || p.K != 11 || p.Config.Dot != gadgets.DotBias || !p.Config.UseConstDot {
+			t.Errorf("%v: optimizer chose %d columns at 2^%d (dot %s, const %v), pinned 8 at 2^11 (bias, const)",
+				backend, p.Config.NumCols, p.K, p.Config.Dot, p.Config.UseConstDot)
+		}
 	}
 }
