@@ -99,7 +99,7 @@ race:
 # the !amd64 files compiling.
 cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
-	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
+	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestQuotientPiecesMatchReference|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
 	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
 	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/
 	GOARCH=arm64 $(GO) vet ./...

@@ -39,6 +39,7 @@ import (
 	"repro/internal/fsio"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/plonkish"
 	"repro/zkml"
 )
 
@@ -182,7 +183,7 @@ func cmdOptimize(args []string) error {
 			plan.Config.NumCols, plan.K, plan.UsedRows, plan.Config.Dot, plan.Config.UseConstDot,
 			plan.Cost, s.ProofBytes)
 		fmt.Printf("shape: d_max %d, %d coset parts, %d queried columns, %d openings; %d constraints, quotient program %d ops, %d row-varying\n",
-			s.DMax, s.ExtN/s.N, s.QueriedCols, s.Opens, s.NumConstraints, s.Ops, s.VaryingOps)
+			s.DMax, plonkish.QuotientPieces(s.DMax), s.QueriedCols, s.Opens, s.NumConstraints, s.Ops, s.VaryingOps)
 		fmt.Println("candidates:")
 		for _, c := range ch.Candidates {
 			fmt.Printf("  cols=%-3d rows=2^%-2d dot=%-5s constdot=%-5v est=%8.3fs size=%6dB\n",

@@ -57,6 +57,7 @@ func Analyze(c Circuit) (*Report, error) {
 	az := &analyzer{cs: cs, n: n, u: u, fixed: c.Fixed}
 	az.collectRefs()
 	az.degreePass(rep, c.DMax, c.ExtN)
+	az.blindingPass(rep)
 	az.coveragePass(rep)
 	uf := az.copyPass(rep)
 	az.cellPass(rep, c, uf)
@@ -93,7 +94,11 @@ func (az *analyzer) collectRefs() {
 
 // degreePass independently recomputes the maximum constraint degree over the
 // full flattened list (gates + lookup + permutation argument machinery) and
-// checks it against the bound and extended-domain size the prover will use.
+// checks the two facts the prover's quotient relies on: every constraint has
+// degree at most d_max, so t = C/Z_H has degree below pieces·n, pieces =
+// QuotientPieces(d_max); and the extended domain has ExtN/N ≥ pieces parts
+// of n rows, so the prover can evaluate t on pieces of them and separate
+// the pieces.
 func (az *analyzer) degreePass(rep *Report, dmax, extN int) {
 	cs, n, u := az.cs, az.n, az.u
 	if dmax == 0 {
@@ -131,11 +136,37 @@ func (az *analyzer) degreePass(rep *Report, dmax, extN int) {
 		}
 	}
 	rep.DMax, rep.MaxConstraintDegree, rep.ExtN = dmax, maxDeg, extN
-	if need := maxDeg*(n-1) + 1; maxDeg <= dmax && extN < need {
+	if pieces := plonkish.QuotientPieces(dmax); extN/n < pieces {
 		rep.add(Finding{
 			Code: CodeDegreeOverflow, Severity: SeverityError, Row: -1,
-			Message: fmt.Sprintf("extended domain %d too small for degree-%d constraints over %d rows (need >= %d): quotient evaluations alias", extN, maxDeg, n, need),
+			Message: fmt.Sprintf("extended domain %d has %d parts of %d rows, fewer than the %d the quotient of a d_max=%d circuit is interpolated from: its pieces cannot be separated", extN, extN/n, n, pieces, dmax),
 		})
+	}
+}
+
+// blindingPass checks halo2's blinding_factors rule on every column the
+// prover blinds (plonkish.BlindingRows): a column opened at q distinct
+// rotations reveals q evaluations plus a share of the batched opening, and
+// stays hiding only with at least q + 1 random rows.
+func (az *analyzer) blindingPass(rep *Report) {
+	var cols []plonkish.Col
+	rots := map[plonkish.Col]int{}
+	for _, q := range plonkish.CollectQueries(az.cs.AllConstraints(az.u)...) {
+		if plonkish.BlindingRows(q.Col.Kind) == 0 {
+			continue
+		}
+		if rots[q.Col] == 0 {
+			cols = append(cols, q.Col)
+		}
+		rots[q.Col]++
+	}
+	for _, c := range cols {
+		if q, b := rots[c], plonkish.BlindingRows(c.Kind); q+1 > b {
+			rep.add(Finding{
+				Code: CodeBlindingRows, Severity: SeverityError, Col: c.String(), Row: -1,
+				Message: fmt.Sprintf("column is opened at %d distinct rotations and needs %d blinding rows to stay hiding; the prover blinds %d", q, q+1, b),
+			})
+		}
 	}
 }
 

@@ -262,10 +262,42 @@ func TestPlantedDegreeOverflow(t *testing.T) {
 		t.Fatalf("overflow names %q, want \"quad\"", f.Name)
 	}
 
-	// An aliasing extended domain (too small for the real degree) is also
-	// an overflow, even when d_max itself is large enough.
-	rep = mustAnalyze(t, Circuit{CS: cs, DMax: 4, ExtN: pN})
-	wantOneError(t, rep, CodeDegreeOverflow)
+	// An extended domain with fewer parts than the d_max − 1 = 3 quotient
+	// pieces is also an overflow, even when d_max itself is large enough:
+	// one part (ExtN = N) or two (ExtN = 2N).
+	for _, ext := range []int{pN, 2 * pN} {
+		rep = mustAnalyze(t, Circuit{CS: cs, DMax: 4, ExtN: ext})
+		wantOneError(t, rep, CodeDegreeOverflow)
+	}
+	// Three parts' worth is what the prover needs; the keygen size has four.
+	for _, ext := range []int{4 * pN, plonkish.ExtDomainSize(pN, 4)} {
+		if rep = mustAnalyze(t, Circuit{CS: cs, DMax: 4, ExtN: ext}); len(errorCodes(rep)) != 0 {
+			t.Fatalf("ExtN %d: want no errors, got %v", ext, errorCodes(rep))
+		}
+	}
+}
+
+// TestPlantedBlindingRows opens one advice column at more rotations than
+// its ZKRows blinding rows can hide: four distinct rotations need five
+// blinding rows and pass, five need six and fail, naming the column.
+func TestPlantedBlindingRows(t *testing.T) {
+	build := func(rots int) *plonkish.CS {
+		cs := &plonkish.CS{NumFixed: 1, NumAdvice: 2}
+		terms := []plonkish.Expr{}
+		for r := 0; r < rots; r++ {
+			terms = append(terms, plonkish.VRot(plonkish.AdviceCol(1), r))
+		}
+		cs.AddGate("window", plonkish.Mul(plonkish.V(plonkish.FixedCol(0)),
+			plonkish.Sub(plonkish.V(plonkish.AdviceCol(0)), plonkish.Sum(terms...))))
+		return cs
+	}
+	if rep := mustAnalyze(t, Circuit{CS: build(plonkish.ZKRows - 1)}); len(errorCodes(rep)) != 0 {
+		t.Fatalf("%d rotations: want no errors, got %v", plonkish.ZKRows-1, errorCodes(rep))
+	}
+	f := wantOneError(t, mustAnalyze(t, Circuit{CS: build(plonkish.ZKRows)}), CodeBlindingRows)
+	if f.Col != "advice[1]" {
+		t.Fatalf("finding names %q, want advice[1]", f.Col)
+	}
 }
 
 func TestPlantedUnboundPublicInput(t *testing.T) {

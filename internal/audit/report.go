@@ -3,8 +3,9 @@
 // values) and reports soundness and liveness defects before key generation:
 // witness cells no constraint touches, gates and lookups whose selectors are
 // never set, malformed copy-constraint wiring, lookup inputs whose
-// statically-derivable range exceeds their table, and gate degrees that
-// overflow the quotient domain the prover will allocate. A mis-wired gadget
+// statically-derivable range exceeds their table, gate degrees that
+// overflow the quotient domain the prover will allocate, and columns opened
+// at more rotations than their blinding rows hide. A mis-wired gadget
 // proves nothing — silently — so the optimizer-selected layouts are audited
 // in CI over every bundled model (see `zkml audit` and `make audit-smoke`).
 package audit
@@ -64,9 +65,12 @@ const (
 	// rows (or is empty).
 	CodeLookupTableOverflow Code = "lookup-table-overflow"
 	// CodeDegreeOverflow: a constraint whose degree exceeds the bound used
-	// to size the quotient domain, or a quotient domain too small for the
-	// constraints it must evaluate exactly.
+	// to size the quotient domain, or an extended domain with fewer parts
+	// than the quotient has pieces.
 	CodeDegreeOverflow Code = "degree-overflow"
+	// CodeBlindingRows: a blinded column opened at more distinct rotations
+	// than its blinding rows can hide (halo2's blinding_factors rule).
+	CodeBlindingRows Code = "blinding-rows"
 )
 
 // Finding is one located defect.

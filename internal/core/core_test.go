@@ -199,7 +199,8 @@ func formulaCS() *plonkish.CS {
 // of known shape. Equation (2) counts n_FFT = N_i + N_a + 3 N_lk +
 // ceil(N_pm / (d-2)); this prover transforms two polynomials per lookup (m
 // and phi), so its size-n transforms are N_i + N_a at commit, 2 N_lk at
-// lookup, ceil(N_pm / (d-2)) at permutation, plus the quotient's coset parts.
+// lookup, ceil(N_pm / (d-2)) at permutation, plus the quotient's d − 1 coset
+// parts: one transform per queried column and one inverse per part.
 func TestLayoutFormulas(t *testing.T) {
 	const k = 10
 	cs := formulaCS()
@@ -212,7 +213,7 @@ func TestLayoutFormulas(t *testing.T) {
 			t.Fatalf("%v: ExtK = %d, want 12", backend, got)
 		}
 		chunks := (11 + 1) / 2
-		want := [obs.NumStages]int{1 + 10, 2 * 4, chunks, s.ExtN / s.N * s.QueriedCols, 0}
+		want := [obs.NumStages]int{1 + 10, 2 * 4, chunks, 3*s.QueriedCols + 3, 0}
 		if s.Transforms != want {
 			t.Fatalf("%v: Transforms = %v, want %v", backend, s.Transforms, want)
 		}

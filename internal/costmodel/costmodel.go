@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"strings"
 
@@ -31,8 +30,10 @@ import (
 // the base they were regressed over, so fits at any other version are
 // refused: version 2 fits were regressed against eq. (2)'s hand-derived
 // counts, version 3 against plonkish.Shape's counts at microbenchmarked unit
-// costs, version 4 against the same counts at the static unit costs.
-const CalibrationVersion = 4
+// costs, version 4 against the same counts at the static unit costs,
+// version 5 against those units once the quotient ran on d_max − 1 coset
+// parts and no longer on all ExtN/N of them.
+const CalibrationVersion = 5
 
 // fieldOp is the nominal cost of one field multiply-add on a current core,
 // the unit every static price is a multiple of.
@@ -203,10 +204,9 @@ func (c *Calibration) EstimateProvingTime(s plonkish.Shape) float64 {
 // basePredictStages prices a shape's counted work at the static unit
 // costs, stage by stage (eq. (1) over exact counts): every size-N transform
 // at fftTime, every commitment at the table-warm fixedMSMTime, each
-// lookup's construction at lookupTime, the quotient's size-ExtN inverse
-// transform at fftTime and its program at VaryingOps field ops per
-// extended-domain row, and an IPA opening's folds at msmTime per halving
-// MSM.
+// lookup's construction at lookupTime, the quotient's program at
+// VaryingOps field ops per row of each of its parts and of the check on H,
+// and an IPA opening's folds at msmTime per halving MSM.
 func basePredictStages(s plonkish.Shape) obs.StagePrediction {
 	fft, msm := fftTime(s.K), fixedMSMTime(s.K)
 	p := obs.StagePrediction{}
@@ -214,8 +214,7 @@ func basePredictStages(s plonkish.Shape) obs.StagePrediction {
 		p[st.String()] = float64(s.Transforms[st])*fft + float64(s.Commits[st])*msm
 	}
 	p[obs.StageLookup.String()] += float64(s.NumLookups) * lookupTime(s.K)
-	p[obs.StageQuotient.String()] += fftTime(bits.TrailingZeros(uint(s.ExtN))) +
-		float64(s.VaryingOps)*float64(s.ExtN)*fieldOp
+	p[obs.StageQuotient.String()] += float64(s.VaryingOps) * float64(plonkish.QuotientPieces(s.DMax)+1) * float64(s.N) * fieldOp
 	var fold float64
 	for r := 1; r <= s.FoldRounds; r++ {
 		fold += 2 * msmTime(s.K-r)
@@ -227,7 +226,7 @@ func basePredictStages(s plonkish.Shape) obs.StagePrediction {
 // stageWork counts each stage's column-rows, the regressor behind
 // StageFit.PerRow: the columns a stage builds or reads times the rows it
 // walks — advice and instance columns in commit, m and phi in lookup, the
-// permutation columns, the queried columns over the extended domain, and
+// permutation columns, the queried columns over the quotient's parts, and
 // the opened polynomials.
 func stageWork(s plonkish.Shape) map[string]float64 {
 	n := float64(s.N)
@@ -235,7 +234,7 @@ func stageWork(s plonkish.Shape) map[string]float64 {
 		obs.StageCommit.String():   float64(s.Transforms[obs.StageCommit]) * n,
 		obs.StageLookup.String():   float64(s.Transforms[obs.StageLookup]) * n,
 		obs.StagePerm.String():     float64(s.PermCols) * n,
-		obs.StageQuotient.String(): float64(s.QueriedCols) * float64(s.ExtN),
+		obs.StageQuotient.String(): float64(s.QueriedCols*plonkish.QuotientPieces(s.DMax)) * n,
 		obs.StageOpen.String():     float64(s.Queries+s.Commits[obs.StageQuotient]) * n,
 	}
 }

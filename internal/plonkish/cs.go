@@ -12,6 +12,21 @@ import (
 // rows are [0, N - ZKRows).
 const ZKRows = 5
 
+// BlindingRows is how many rows of a column of kind k the prover fills with
+// fresh randomness: all ZKRows of an advice or multiplicity column; one
+// fewer for the running sums phi and z, whose row N − ZKRows holds the sum
+// the argument closes on; none for the public kinds (fixed, instance,
+// sigma).
+func BlindingRows(k ColKind) int {
+	switch k {
+	case Advice, LookupM:
+		return ZKRows
+	case LookupPhi, PermZ:
+		return ZKRows - 1
+	}
+	return 0
+}
+
 // Gate is a named set of polynomial constraints (typically pre-multiplied
 // by a selector fixed column) enforced on every active row.
 type Gate struct {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ff"
-	"repro/internal/pcs"
 )
 
 // grid is a set of named columns over n rows plus the non-cell leaves, for
@@ -278,39 +277,4 @@ func FuzzProgramMatchesTree(f *testing.F) {
 			}
 		}
 	})
-}
-
-// BenchmarkQuotient times the quotient stage alone — every queried column
-// brought to the extended coset a part at a time and the compiled constraints
-// evaluated over it — for the test circuit at 2^11 rows on KZG, with random
-// polynomials standing in for the prover's columns.
-func BenchmarkQuotient(b *testing.B) {
-	const n = 1 << 11
-	pk, _, err := Setup(testCircuit(), n, testFixed(n), pcs.KZG)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coeff := map[Col][]ff.Element{}
-	for _, q := range pk.Quotient.vars {
-		switch q.Col.Kind {
-		case Fixed:
-			coeff[q.Col] = pk.FixedPolys[q.Col.Index]
-		case PermSigma:
-			coeff[q.Col] = pk.SigmaPolys[q.Col.Index]
-		default:
-			p := make([]ff.Element, n)
-			for i := range p {
-				p[i] = ff.Random()
-			}
-			coeff[q.Col] = p
-		}
-	}
-	arg := [3]ff.Element{ff.Random(), ff.Random(), ff.Random()}
-	y := ff.Random()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := quotientNumerator(pk, coeff, nil, &arg, &y); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/curve"
 	"repro/internal/ff"
@@ -103,6 +104,98 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		}()
 	}
 	defer trace.Finish()
+	st, err := commitStages(pk, instance, w, trace, rng)
+	if err != nil {
+		return nil, err
+	}
+	tr, proof, coeff := st.tr, st.proof, st.coeff
+
+	trace.Stage(obs.StageQuotient)
+	trace.RecordProgram(pk.Quotient.Len(), pk.Quotient.Varying())
+	y := tr.Challenge("y")
+	pieces, err := quotient(pk, st, &y)
+	if err != nil {
+		return nil, err
+	}
+	numPieces := len(pieces)
+	proof.QuotientCommits = make([]curve.Affine, numPieces)
+	for i, piece := range pieces {
+		proof.QuotientCommits[i] = pk.Scheme.Commit(piece)
+		tr.AppendPoint("quotient", proof.QuotientCommits[i])
+	}
+
+	trace.Stage(obs.StageOpen)
+	x := tr.Challenge("x")
+
+	// Evaluations at x (and rotations). Rotation points come from the
+	// domain's element table rather than a big.Int Exp per query.
+	pointOf := func(rot int) ff.Element {
+		w := pk.Domain.Element(rot)
+		w.Mul(&w, &x)
+		return w
+	}
+	proof.Evals = make([]ff.Element, len(pk.Queries))
+	parallel.For(len(pk.Queries), func(i int) {
+		q := pk.Queries[i]
+		proof.Evals[i] = poly.Eval(coeff[q.Col], pointOf(q.Rot))
+	})
+	tr.AppendScalars("evals", proof.Evals)
+	proof.QuotientEvals = make([]ff.Element, numPieces)
+	parallel.For(numPieces, func(i int) {
+		proof.QuotientEvals[i] = poly.Eval(pieces[i], x)
+	})
+	tr.AppendScalars("quotient-evals", proof.QuotientEvals)
+
+	v := tr.Challenge("v")
+
+	// Batched openings per rotation group: the v-combined polynomials build
+	// in parallel; the openings themselves absorb into the transcript and
+	// stay in rotation order.
+	rots := distinctRots(pk.Queries)
+	combined := parallel.Map(len(rots), func(ri int) []ff.Element {
+		rot := rots[ri]
+		var comb []ff.Element
+		vPow := ff.One()
+		addPoly := func(p []ff.Element) {
+			comb = poly.AddScaled(comb, vPow, p)
+			vPow.Mul(&vPow, &v)
+		}
+		for _, q := range pk.Queries {
+			if q.Rot == rot {
+				addPoly(coeff[q.Col])
+			}
+		}
+		if rot == 0 {
+			for _, piece := range pieces {
+				addPoly(piece)
+			}
+		}
+		return comb
+	})
+	proof.Openings = make([]*pcs.Opening, 0, len(rots))
+	for ri, rot := range rots {
+		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot)))
+	}
+	return proof, nil
+}
+
+// committed is what the commit, lookup and permutation stages leave for the
+// quotient and the openings: the transcript, the proof's commitments so
+// far, the challenges drawn, and every column the constraints read, as its
+// values over H (lag) and as coefficients (coeff), addressed by Col.
+type committed struct {
+	tr         *transcript.Transcript
+	proof      *Proof
+	lag, coeff map[Col][]ff.Element
+	challenges []ff.Element
+	arg        [3]ff.Element
+}
+
+// commitStages runs the prover's first three stages: it fills, blinds,
+// interpolates and commits the advice columns phase by phase, then the
+// lookup multiplicities m and accumulators phi, then the permutation grand
+// products z.
+func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace, rng io.Reader) (*committed, error) {
 	trace.Stage(obs.StageCommit)
 
 	cs := pk.CS
@@ -294,7 +387,9 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 
 	// Lookup accumulators phi: the per-row inverse terms parallelize (a
 	// batch inversion of a subrange is still a batch inversion); the prefix
-	// sum itself is cheap and stays serial per lookup.
+	// sum itself is cheap and stays serial per lookup. The table terms
+	// m/(β+t) stop at TableLen: past it t is zero and so is m on the usable
+	// rows, so only the table rows' β+t are inverted.
 	proof.PhiCommits = make([]curve.Affine, len(cs.Lookups))
 	phis := make([][]ff.Element, len(cs.Lookups))
 	phiCoeffs := make([][]ff.Element, len(cs.Lookups))
@@ -308,22 +403,30 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 	}
 	parallel.For(len(cs.Lookups), func(k int) {
 		ld := &lookups[k]
+		tl := cs.Lookups[k].TableLen
 		invF := make([]ff.Element, u)
-		invT := make([]ff.Element, u)
+		invT := make([]ff.Element, tl)
 		parallel.Range(u, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				invF[r].Add(&arg[Beta], &ld.f[r])
-				invT[r].Add(&arg[Beta], &ld.t[r])
 			}
 			ff.BatchInverse(invF[lo:hi])
-			ff.BatchInverse(invT[lo:hi])
+			if th := min(hi, tl); lo < th {
+				for r := lo; r < th; r++ {
+					invT[r].Add(&arg[Beta], &ld.t[r])
+				}
+				ff.BatchInverse(invT[lo:th])
+			}
 		})
 		phi := phis[k]
 		for r := 0; r < u; r++ {
-			var term, t2 ff.Element
+			var term ff.Element
 			term.Mul(&ld.sel[r], &invF[r])
-			t2.Mul(&ld.m[r], &invT[r])
-			term.Sub(&term, &t2)
+			if r < tl {
+				var t2 ff.Element
+				t2.Mul(&ld.m[r], &invT[r])
+				term.Sub(&term, &t2)
+			}
 			phi[r+1].Add(&phi[r], &term)
 		}
 		if !phi[u].IsZero() {
@@ -407,118 +510,47 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		}
 	}
 
-	trace.Stage(obs.StageQuotient)
-	trace.RecordProgram(pk.Quotient.Len(), pk.Quotient.Varying())
-	y := tr.Challenge("y")
-
-	numerator, err := quotientNumerator(pk, coeff, challenges, &arg, &y)
-	if err != nil {
-		return nil, err
-	}
-	pk.ExtDomain.CosetIFFT(numerator)
-	extN := len(numerator)
-
-	numPieces := quotientPieces(pk.DMax)
-	proof.QuotientCommits = make([]curve.Affine, numPieces)
-	pieces := make([][]ff.Element, numPieces)
-	for i := 0; i < numPieces; i++ {
-		lo := i * n
-		hi := lo + n
-		if hi > extN {
-			hi = extN
-		}
-		piece := make([]ff.Element, n)
-		if lo < extN {
-			copy(piece, numerator[lo:hi])
-		}
-		pieces[i] = piece
-		proof.QuotientCommits[i] = pk.Scheme.Commit(piece)
-		tr.AppendPoint("quotient", proof.QuotientCommits[i])
-	}
-	// Sanity: coefficients beyond the committed pieces must vanish, or the
-	// witness does not satisfy the constraints.
-	for j := numPieces * n; j < extN; j++ {
-		if !numerator[j].IsZero() {
-			return nil, fmt.Errorf("plonkish: constraint system unsatisfied (quotient overflow)")
-		}
-	}
-
-	trace.Stage(obs.StageOpen)
-	x := tr.Challenge("x")
-
-	// Evaluations at x (and rotations). Rotation points come from the
-	// domain's element table rather than a big.Int Exp per query.
-	pointOf := func(rot int) ff.Element {
-		w := pk.Domain.Element(rot)
-		w.Mul(&w, &x)
-		return w
-	}
-	proof.Evals = make([]ff.Element, len(pk.Queries))
-	parallel.For(len(pk.Queries), func(i int) {
-		q := pk.Queries[i]
-		proof.Evals[i] = poly.Eval(coeff[q.Col], pointOf(q.Rot))
-	})
-	tr.AppendScalars("evals", proof.Evals)
-	proof.QuotientEvals = make([]ff.Element, numPieces)
-	parallel.For(numPieces, func(i int) {
-		proof.QuotientEvals[i] = poly.Eval(pieces[i], x)
-	})
-	tr.AppendScalars("quotient-evals", proof.QuotientEvals)
-
-	v := tr.Challenge("v")
-
-	// Batched openings per rotation group: the v-combined polynomials build
-	// in parallel; the openings themselves absorb into the transcript and
-	// stay in rotation order.
-	rots := distinctRots(pk.Queries)
-	combined := parallel.Map(len(rots), func(ri int) []ff.Element {
-		rot := rots[ri]
-		var comb []ff.Element
-		vPow := ff.One()
-		addPoly := func(p []ff.Element) {
-			comb = poly.AddScaled(comb, vPow, p)
-			vPow.Mul(&vPow, &v)
-		}
-		for _, q := range pk.Queries {
-			if q.Rot == rot {
-				addPoly(coeff[q.Col])
-			}
-		}
-		if rot == 0 {
-			for _, piece := range pieces {
-				addPoly(piece)
-			}
-		}
-		return comb
-	})
-	proof.Openings = make([]*pcs.Opening, 0, len(rots))
-	for ri, rot := range rots {
-		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot)))
-	}
-	return proof, nil
+	return &committed{tr: tr, proof: proof, lag: lag, coeff: coeff, challenges: challenges, arg: arg}, nil
 }
 
-// quotientNumerator evaluates the y-combined constraints divided by Z_H at
-// every point of the extended coset, in the ExtDomain's CosetElements order,
-// from the coefficient forms of the queried columns. It goes one size-n part
-// of the coset at a time (poly.Domain.CosetPartFFT): part j brings every
-// queried column to the points g·ω_ext^j·H with one size-n transform into a
-// buffer of n elements that the next part reuses, then runs the quotient
-// program over the n rows, where rotations are offsets into those buffers.
-// Live memory is the queried columns times n plus the extN-element result.
-func quotientNumerator(pk *ProvingKey, coeff map[Col][]ff.Element, challenges []ff.Element, arg *[3]ff.Element, y *ff.Element) ([]ff.Element, error) {
+// quotient returns the pieces t_0, …, t_{p−1} of the quotient t = C/Z_H,
+// where C is the y-combined constraint polynomial and p =
+// QuotientPieces(d_max): t = Σ_i X^{i·n}·t_i, each t_i of degree below n.
+//
+// It first checks that C vanishes on H, evaluating the constraints over the
+// columns' values there (no transform). Then it takes p size-n parts of the
+// extended coset, one at a time (poly.Domain.CosetPartFFT): part j brings
+// every queried column to the points c_j·ω^i, c_j = g·ω_ext^j, with one
+// size-n transform into a buffer that the next part reuses, runs the
+// quotient program over the n rows (rotations are offsets into those
+// buffers) and divides by Z_H(c_j), and one CosetPartIFFT gives the
+// coefficients of P_j = Σ_i a_j^i·t_i, a_j = c_j^n — on part j, X^n is the
+// constant a_j. The a_j are distinct (ω_ext^n has order ExtN/n ≥ p), so
+// each coefficient of the t_i follows from the P_j by the inverse of the
+// Vandermonde matrix of the a_j.
+//
+// This is exact: C − t·Z_H has degree below d_max·n = (p+1)·n and vanishes
+// on the p·n part points, so it is zero if and only if C also vanishes on
+// the n points of H — the check that comes first.
+func quotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Element, error) {
 	n, prog := pk.N, pk.Quotient
-	extN := pk.ExtDomain.N
-	scale := extN / n
+	scale := pk.ExtDomain.N / n
+	numPieces := QuotientPieces(pk.DMax)
 
 	queried, slot := prog.columns()
 	cols := make([][]ff.Element, len(queried)) // coefficients of each queried column
-	bufs := make([][]ff.Element, len(queried)) // and its values on the current part
 	for s, c := range queried {
 		var assigned bool
-		if cols[s], assigned = coeff[c]; !assigned {
+		if cols[s], assigned = st.coeff[c]; !assigned {
 			return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", c.Kind, c.Index)
 		}
+	}
+	if !satisfiedOnDomain(pk, st, queried, slot, y) {
+		return nil, fmt.Errorf("plonkish: constraint system unsatisfied (constraints do not vanish on the domain)")
+	}
+
+	bufs := make([][]ff.Element, len(queried)) // each column's values on the current part
+	for s := range bufs {
 		bufs[s] = make([]ff.Element, n)
 	}
 	bind := make([][]ff.Element, len(prog.vars))
@@ -527,31 +559,120 @@ func quotientNumerator(pk *ProvingKey, coeff map[Col][]ff.Element, challenges []
 	}
 
 	// X over the extended coset: the domain's shared read-only table. Z_H
-	// is constant on each part: (g·ω_ext^j·ω^i)^n = (g·ω_ext^j)^n.
+	// is constant on each part: (c_j·ω^i)^n = c_j^n = a_j.
 	xs := pk.ExtDomain.CosetElements()
-	zhInv := make([]ff.Element, scale)
-	for j := range zhInv {
-		zhInv[j] = poly.VanishingEval(n, xs[j])
+	a := make([]ff.Element, numPieces)
+	zhInv := make([]ff.Element, numPieces)
+	one := ff.One()
+	for j := range a {
+		a[j].ExpUint64(&xs[j], uint64(n))
+		zhInv[j].Sub(&a[j], &one)
 	}
 	ff.BatchInverse(zhInv)
 
-	numerator := make([]ff.Element, extN)
-	for j := 0; j < scale; j++ {
+	parts := make([][]ff.Element, numPieces)
+	for j := range parts {
 		parallel.For(len(cols), func(c int) {
 			clear(bufs[c][copy(bufs[c], cols[c]):])
 			pk.ExtDomain.CosetPartFFT(bufs[c], j)
 		})
+		part := make([]ff.Element, n)
 		parallel.Range(n, func(lo, hi int) {
-			mc := prog.newMachine(bind, n-1, challenges, arg)
+			mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)
 			for i := lo; i < hi; i++ {
-				e := j + scale*i
-				mc.run(i, &xs[e])
+				mc.run(i, &xs[j+scale*i])
 				acc := mc.combine(y)
-				numerator[e].Mul(&acc, &zhInv[j])
+				part[i].Mul(&acc, &zhInv[j])
 			}
 		})
+		pk.ExtDomain.CosetPartIFFT(part, j)
+		parts[j] = part
 	}
-	return numerator, nil
+	if numPieces == 1 {
+		return parts, nil
+	}
+
+	// Coefficient k of the P_j is the polynomial Σ_i t_i[k]·Y^i at Y = a_j;
+	// interpolate it back, in place, one k at a time.
+	w := interpolationMatrix(a)
+	parallel.Range(n, func(lo, hi int) {
+		p := make([]ff.Element, numPieces)
+		for k := lo; k < hi; k++ {
+			for j := range p {
+				p[j] = parts[j][k]
+			}
+			for i := range parts {
+				var acc, t ff.Element
+				for j := range p {
+					t.Mul(&w[i][j], &p[j])
+					acc.Add(&acc, &t)
+				}
+				parts[i][k] = acc
+			}
+		}
+	})
+	return parts, nil
+}
+
+// satisfiedOnDomain reports whether the y-combined constraints vanish on
+// every row of H, evaluating the quotient program over the queried
+// columns' values there with X = ω^i: the condition under which C is
+// divisible by Z_H.
+func satisfiedOnDomain(pk *ProvingKey, st *committed, queried []Col, slot []int, y *ff.Element) bool {
+	n, prog := pk.N, pk.Quotient
+	bind := make([][]ff.Element, len(prog.vars))
+	for i, s := range slot {
+		bind[i] = st.lag[queried[s]]
+	}
+	omega := pk.Domain.Elements()
+	var bad atomic.Bool
+	parallel.Range(n, func(lo, hi int) {
+		mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)
+		for i := lo; i < hi && !bad.Load(); i++ {
+			mc.run(i, &omega[i])
+			if acc := mc.combine(y); !acc.IsZero() {
+				bad.Store(true)
+			}
+		}
+	})
+	return !bad.Load()
+}
+
+// interpolationMatrix returns the inverse W of the Vandermonde matrix
+// V[j][i] = a_j^i: W[i][j] is the coefficient of Y^i in the Lagrange
+// polynomial Π_{m≠j} (Y − a_m)/(a_j − a_m), so Σ_j W[i][j]·f(a_j) is
+// coefficient i of the polynomial of degree below len(a) through the points
+// (a_j, f(a_j)). The a_j must be distinct.
+func interpolationMatrix(a []ff.Element) [][]ff.Element {
+	w := make([][]ff.Element, len(a))
+	for i := range w {
+		w[i] = make([]ff.Element, len(a))
+	}
+	for j := range a {
+		num := []ff.Element{ff.One()} // Π_{m≠j} (Y − a_m), lowest degree first
+		den := ff.One()
+		for m := range a {
+			if m == j {
+				continue
+			}
+			next := make([]ff.Element, len(num)+1)
+			for d := range num {
+				var t ff.Element
+				t.Mul(&num[d], &a[m])
+				next[d].Sub(&next[d], &t)
+				next[d+1].Add(&next[d+1], &num[d])
+			}
+			num = next
+			var diff ff.Element
+			diff.Sub(&a[j], &a[m])
+			den.Mul(&den, &diff)
+		}
+		den.Inverse(&den)
+		for i := range num {
+			w[i][j].Mul(&num[i], &den)
+		}
+	}
+	return w
 }
 
 // compressRow folds one row's table cells or input values with powers of

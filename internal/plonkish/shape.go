@@ -15,8 +15,9 @@ import (
 // hand.
 type Shape struct {
 	Backend pcs.Backend
-	// K, N and ExtN are the grid (N = 2^K rows) and the extended domain the
-	// quotient is computed over.
+	// K and N are the grid (N = 2^K rows); ExtN is the size of the
+	// extended domain whose coset holds the points the quotient is
+	// evaluated at — QuotientPieces(DMax) of its ExtN/N size-N parts.
 	K, N, ExtN int
 	// DMax is the degree bound; the quotient is committed as DMax − 1
 	// size-N pieces (at least one).
@@ -29,12 +30,13 @@ type Shape struct {
 	//	             commitment per advice column
 	//	lookup       two of each per lookup (m and phi)
 	//	permutation  one of each per grand-product chunk
-	//	quotient     ExtN/N coset-part transforms per queried column, and
-	//	             one commitment per quotient piece
+	//	quotient     per quotient piece, one coset-part transform per
+	//	             queried column and one inverse transform of the
+	//	             part, and one commitment
 	//	open         one witness commitment per opening (KZG only)
 	//
-	// The quotient's one size-ExtN inverse transform and an IPA opening's
-	// folds (FoldRounds rounds of two MSMs at halving sizes) are apart.
+	// An IPA opening's folds (FoldRounds rounds of two MSMs at halving
+	// sizes) are apart.
 	Transforms, Commits [obs.NumStages]int
 
 	NumLookups     int
@@ -42,7 +44,7 @@ type Shape struct {
 	PermCols       int // columns under the permutation argument
 	QueriedCols    int // distinct columns the quotient program reads
 	// Ops is the size of the compiled quotient program; VaryingOps of them
-	// run per extended-domain row, the rest once.
+	// run per row — on each quotient part and on H — the rest once.
 	Ops, VaryingOps int
 	// Queries is the number of opened evaluations (instance cells excluded),
 	// Opens the number of opening proofs: one per distinct rotation.
@@ -67,11 +69,11 @@ func ShapeOf(cs *CS, n int, backend pcs.Backend) Shape {
 		QueriedCols: len(queried), Ops: prog.Len(), VaryingOps: prog.Varying(),
 		Queries: len(queries), Opens: len(distinctRots(queries)),
 	}
-	pieces, chunks := quotientPieces(dmax), cs.numZ()
+	pieces, chunks := QuotientPieces(dmax), cs.numZ()
 	s.Transforms[obs.StageCommit], s.Commits[obs.StageCommit] = cs.NumInstance+cs.NumAdvice, cs.NumAdvice
 	s.Transforms[obs.StageLookup], s.Commits[obs.StageLookup] = 2*s.NumLookups, 2*s.NumLookups
 	s.Transforms[obs.StagePerm], s.Commits[obs.StagePerm] = chunks, chunks
-	s.Transforms[obs.StageQuotient], s.Commits[obs.StageQuotient] = s.ExtN/n*s.QueriedCols, pieces
+	s.Transforms[obs.StageQuotient], s.Commits[obs.StageQuotient] = pieces*s.QueriedCols+pieces, pieces
 	if backend == pcs.IPA {
 		s.FoldRounds = s.K
 	} else {
@@ -93,6 +95,7 @@ func ExtDomainSize(n, dmax int) int {
 	return ext
 }
 
-// quotientPieces is the number of size-n pieces the quotient of a
-// degree-dmax circuit is committed as: dmax − 1, and at least one.
-func quotientPieces(dmax int) int { return max(dmax-1, 1) }
+// QuotientPieces is the number of size-n pieces the quotient of a
+// degree-dmax circuit is committed as, and the number of extended-coset
+// parts the prover evaluates it on: dmax − 1, and at least one.
+func QuotientPieces(dmax int) int { return max(dmax-1, 1) }

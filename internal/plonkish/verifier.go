@@ -46,7 +46,7 @@ func Verify(vk *VerifyingKey, instance [][]ff.Element, proof *Proof) error {
 	if len(proof.ZCommits) != cs.numZ() {
 		return errMalformed("proof permutation shape mismatch")
 	}
-	numPieces := quotientPieces(vk.DMax)
+	numPieces := QuotientPieces(vk.DMax)
 	if len(proof.QuotientCommits) != numPieces || len(proof.QuotientEvals) != numPieces {
 		return errMalformed("proof quotient shape mismatch")
 	}

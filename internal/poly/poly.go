@@ -47,10 +47,18 @@ type Domain struct {
 	cosetScale lazyTable // NInv·g^-i for i < N (CosetIFFT output scaling, NInv folded in)
 	cosetElems lazyTable // g·omega^i for i < N (the coset evaluation points)
 
-	// partPows holds, per part length n, the CosetPartFFT input scaling:
-	// (g·omega^j)^k at [j·n + k] for j < N/n and k < n.
+	// partPows holds, per part length n, the CosetPartFFT input scaling
+	// (g·omega^j)^k at [j·n + k] for j < N/n and k < n, and the
+	// CosetPartIFFT output scaling n⁻¹·(g·omega^j)^-k at the same index.
 	partMu   sync.Mutex
-	partPows map[int]*lazyTable
+	partPows map[partKey]*lazyTable
+}
+
+// partKey names a part-scaling table: the part length, and whether it is
+// the inverse transform's.
+type partKey struct {
+	n       int
+	inverse bool
 }
 
 // lazyTable is a build-once table slot; the built slice is read-only.
@@ -123,23 +131,31 @@ func (d *Domain) cosetScaleOut() []ff.Element {
 }
 
 // cosetPartScale returns the CosetPartFFT scaling table for parts of
-// length n (see partPows).
-func (d *Domain) cosetPartScale(n int) []ff.Element {
+// length n, or with inverse the CosetPartIFFT one (see partPows).
+func (d *Domain) cosetPartScale(n int, inverse bool) []ff.Element {
+	key := partKey{n, inverse}
 	d.partMu.Lock()
 	if d.partPows == nil {
-		d.partPows = map[int]*lazyTable{}
+		d.partPows = map[partKey]*lazyTable{}
 	}
-	t := d.partPows[n]
+	t := d.partPows[key]
 	if t == nil {
 		t = &lazyTable{}
-		d.partPows[n] = t
+		d.partPows[key] = t
 	}
 	d.partMu.Unlock()
 	return t.get(func() []ff.Element {
 		coset := d.CosetElements()
+		nInv := NewDomain(n).NInv
 		out := make([]ff.Element, 0, d.N)
 		for j := 0; j < d.N/n; j++ {
-			out = append(out, powers(coset[j], ff.One(), n)...)
+			if !inverse {
+				out = append(out, powers(coset[j], ff.One(), n)...)
+				continue
+			}
+			var cInv ff.Element
+			cInv.Inverse(&coset[j])
+			out = append(out, powers(cInv, nInv, n)...)
 		}
 		return out
 	})
@@ -306,13 +322,31 @@ func (d *Domain) CosetIFFT(v []ff.Element) {
 // size-n transform, and the s parts together give what CosetFFT gives for v
 // zero-padded to N — while holding n elements instead of N.
 func (d *Domain) CosetPartFFT(v []ff.Element, j int) {
+	d.checkPart("CosetPartFFT", len(v), j)
 	n := len(v)
-	if n == 0 || n&(n-1) != 0 || n > d.N || j < 0 || j >= d.N/n {
-		panic(fmt.Sprintf("poly: CosetPartFFT part %d of length %d on a size-%d domain", j, n, d.N))
-	}
 	kernelTrace.Load().RecordFFT(n)
-	mulByTable(v, d.cosetPartScale(n)[j*n:(j+1)*n])
+	mulByTable(v, d.cosetPartScale(n, false)[j*n:(j+1)*n])
 	ntt(v, NewDomain(n).elements())
+}
+
+// CosetPartIFFT inverts CosetPartFFT: given v[i], the value at
+// CosetElements()[j + s·i] (s = N/n) of a polynomial of degree below
+// n = len(v), it leaves that polynomial's coefficients in v. It is one
+// size-n inverse transform and a multiply by n⁻¹·c^-k, c =
+// CosetElements()[j].
+func (d *Domain) CosetPartIFFT(v []ff.Element, j int) {
+	d.checkPart("CosetPartIFFT", len(v), j)
+	n := len(v)
+	kernelTrace.Load().RecordFFT(n)
+	ntt(v, NewDomain(n).invTwiddles())
+	mulByTable(v, d.cosetPartScale(n, true)[j*n:(j+1)*n])
+}
+
+// checkPart panics unless part j of length n is a part of d's coset.
+func (d *Domain) checkPart(op string, n, j int) {
+	if n == 0 || n&(n-1) != 0 || n > d.N || j < 0 || j >= d.N/n {
+		panic(fmt.Sprintf("poly: %s part %d of length %d on a size-%d domain", op, j, n, d.N))
+	}
 }
 
 // Eval evaluates the coefficient-form polynomial p at x (Horner).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -104,6 +105,46 @@ func TestCosetPartFFTMatchesCosetFFT(t *testing.T) {
 				}
 			}()
 			NewDomain(16).CosetPartFFT(make([]ff.Element, bad.n), bad.j)
+		}()
+	}
+}
+
+// TestCosetPartIFFTInvertsCosetPartFFT takes a random polynomial of every
+// size 2^1 … 2^12 to each part of extended domains 2, 4 and 8 times its
+// size and back, and requires the coefficients it started from; each
+// inverse transform is one size-n transform in the kernel trace.
+func TestCosetPartIFFTInvertsCosetPartFFT(t *testing.T) {
+	for logN := 1; logN <= 12; logN++ {
+		n := 1 << logN
+		p := randPoly(n)
+		for _, scale := range []int{2, 4, 8} {
+			ext := NewDomain(n * scale)
+			for j := 0; j < scale; j++ {
+				part := append([]ff.Element(nil), p...)
+				ext.CosetPartFFT(part, j)
+				var k obs.KernelCounters
+				prev := SetKernelTrace(&k)
+				ext.CosetPartIFFT(part, j)
+				SetKernelTrace(prev)
+				for i := range part {
+					if !part[i].Equal(&p[i]) {
+						t.Fatalf("n=%d scale=%d part %d: coefficient %d differs after the round trip", n, scale, j, i)
+					}
+				}
+				if got := k.FFT[logN].Load(); got != 1 {
+					t.Fatalf("n=%d scale=%d part %d: traced %d size-n transforms, want 1", n, scale, j, got)
+				}
+			}
+		}
+	}
+	for _, bad := range []struct{ n, j int }{{3, 0}, {16, 1}, {4, 4}, {4, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CosetPartIFFT(len %d, part %d) on a size-16 domain did not panic", bad.n, bad.j)
+				}
+			}()
+			NewDomain(16).CosetPartIFFT(make([]ff.Element, bad.n), bad.j)
 		}()
 	}
 }
