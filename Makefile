@@ -58,7 +58,8 @@ FUZZ_TARGETS = \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
 	./internal/curve/:FuzzGLVDecompose \
-	./internal/limbs/:FuzzMontMul
+	./internal/limbs/:FuzzMontMul \
+	./zkml/:FuzzImportProof
 FUZZTIME ?= 5s
 
 .PHONY: ci vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke

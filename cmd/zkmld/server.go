@@ -133,7 +133,28 @@ func newServer(cfg config) *server {
 	return s
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// maxBodyBytes caps every request body, so one oversized POST cannot make
+// the daemon buffer all of it. The largest body a client has reason to send
+// is a /verify of a 255-chunk export (the format's chunk limit) of the
+// largest bundled proof: resnet-micro on IPA at the default options exports
+// 13,718 bytes, so that body's base64 is 4.45 MiB. 8 MiB leaves room for
+// wider column budgets and the JSON around the proof.
+const maxBodyBytes = 8 << 20
+
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
+
+// bodyStatus is the status for a request body that does not decode: 413 if
+// it ran past maxBodyBytes, else 400.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // system returns the compiled system for (model, shards), loading it on
 // first use: from the artifact store when possible (deserialize, zero
@@ -324,7 +345,8 @@ type proveResult struct {
 func (s *server) handleProve(w http.ResponseWriter, r *http.Request) {
 	var req proveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.failed.Add(1)
+		writeErr(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	if req.Model == "" {
@@ -448,10 +470,6 @@ type verifyRequest struct {
 func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req verifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
 	s.verifies.Add(1)
 	finish := func(status int, body any, errMsg string) {
 		s.record(requestRecord{Kind: "verify", Model: req.Model, Shards: req.Shards, Status: status,
@@ -462,6 +480,10 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, status, body)
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		finish(bodyStatus(err), nil, fmt.Sprintf("bad request body: %v", err))
+		return
 	}
 	if req.Model == "" {
 		finish(http.StatusBadRequest, nil, "missing model")

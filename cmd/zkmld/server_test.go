@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -379,6 +380,32 @@ func TestDaemonAdmissionControl(t *testing.T) {
 	httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: status %d, want 400", httpResp.StatusCode)
+	}
+}
+
+// TestDaemonBoundsRequestBodies: a /verify body past maxBodyBytes is refused
+// with 413 and counted as failed, and the daemon keeps serving afterwards.
+func TestDaemonBoundsRequestBodies(t *testing.T) {
+	ts := httptest.NewServer(newServer(testConfig("")))
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/prove", proveRequest{Model: "dlrm-micro", Seed: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prove: status %d: %s", resp.StatusCode, body["error"])
+	}
+	proof := unmarshalField[string](t, body, "proof")
+
+	resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Proof: strings.Repeat("A", maxBodyBytes)})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized verify: status %d, want 413 (%s)", resp.StatusCode, body["error"])
+	}
+	requests := unmarshalField[map[string]int64](t, getJSON(t, ts, "/stats"), "requests")
+	if requests["failed"] != 1 {
+		t.Fatalf("/stats counts %d failed requests after the oversized verify, want 1", requests["failed"])
+	}
+
+	resp, body = postJSON(t, ts, "/verify", verifyRequest{Model: "dlrm-micro", Proof: proof})
+	if resp.StatusCode != http.StatusOK || !unmarshalField[bool](t, body, "valid") {
+		t.Fatalf("verify after the oversized request: %d %s", resp.StatusCode, body["error"])
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pcs"
 	"repro/internal/plonkish"
+	"repro/internal/wire"
 	"repro/internal/zkerrors"
 )
 
@@ -35,9 +35,10 @@ import (
 // Everything else is re-derived at load by the code compilation runs: the
 // circuit, its grid (MinN of the re-synthesized circuit — the only grid
 // Optimize picks), used rows, layout, proof-size estimate, and the key
-// polynomials. The bytes are untrusted: every count is capped by the bytes
-// left before anything is allocated, every point is revalidated on the
-// curve, and every structural failure wraps zkerrors.ErrMalformedArtifact.
+// polynomials. The bytes are untrusted and read through wire.Reader: every
+// count is capped by the bytes left before anything is allocated, every
+// point is revalidated on the curve, and every structural failure wraps
+// zkerrors.ErrMalformedArtifact.
 
 // ArtifactVersion is the format version in the magic. The store carries it
 // in the file name too, so an artifact of another version is a miss.
@@ -96,143 +97,56 @@ func EncodeArtifact(meta ArtifactMeta, p *Plan, keys *Keys) ([]byte, error) {
 
 func (af *ArtifactFile) encode() []byte {
 	cfg := af.Config
-	out := append([]byte(nil), artifactMagic[:]...)
-	out = append(out, af.Meta.ModelHash[:]...)
-	out = append(out, af.Meta.Options[:]...)
-	out = append(out, byte(af.Backend))
+	var w wire.Writer
+	w.Raw(artifactMagic[:])
+	w.Raw(af.Meta.ModelHash[:])
+	w.Raw(af.Meta.Options[:])
+	w.Byte(byte(af.Backend))
 	for _, s := range []string{string(cfg.Dot), string(cfg.Arith), string(cfg.ReLU)} {
-		out = append(append(out, byte(len(s))), s...)
+		w.Str(s)
 	}
 	for _, v := range []int{cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits} {
-		out = binary.BigEndian.AppendUint32(out, uint32(v))
+		w.U32(v)
 	}
 	for _, b := range []bool{cfg.UseConstDot, cfg.MultiAdd, cfg.MultiMax, cfg.MultiDot} {
-		var v byte
-		if b {
-			v = 1
-		}
-		out = append(out, v)
+		w.Bool(b)
 	}
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(af.Cost))
-	out = append(out, af.VKDigest[:]...)
+	w.U64(math.Float64bits(af.Cost))
+	w.Raw(af.VKDigest[:])
 	for _, pts := range [][]curve.Affine{af.Material.FixedCommits, af.Material.SigmaCommits, af.SRS} {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(pts)))
-		for i := range pts {
-			b := pts[i].Bytes()
-			out = append(out, b[:]...)
-		}
+		w.Points(pts)
 	}
-	return out
-}
-
-// artifactReader walks artifact bytes, keeping the first failure: reads after
-// it return zero values, so the decoder reads straight through and checks
-// once.
-type artifactReader struct {
-	data []byte
-	err  error
-}
-
-// next returns the next n bytes, or nil once the input has run out.
-func (r *artifactReader) next(n int, what string) []byte {
-	if r.err == nil && n > len(r.data) {
-		r.err = errArtifact("truncated %s", what)
-	}
-	if r.err != nil {
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-func (r *artifactReader) u8(what string) byte {
-	if b := r.next(1, what); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// u32 reads a 4-byte count or size. Values the encoder never writes (at or
-// above 2^31) are rejected before conversion, where a 32-bit int would turn
-// them negative and let them pass the signed bounds checks downstream.
-func (r *artifactReader) u32(what string) int {
-	b := r.next(4, what)
-	if b == nil {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(b)
-	if v > math.MaxInt32 {
-		r.err = errArtifact("%s %d out of range", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *artifactReader) str(what string) string {
-	return string(r.next(int(r.u8(what)), what))
-}
-
-func (r *artifactReader) boolean(what string) bool {
-	v := r.u8(what)
-	if v > 1 && r.err == nil {
-		r.err = errArtifact("%s is %d, not a boolean", what, v)
-	}
-	return v == 1
-}
-
-// readPoints reads a count-prefixed section of compressed points. The count
-// is capped by the bytes left before anything is allocated, and every point
-// is revalidated on the curve.
-func (r *artifactReader) readPoints(what string) []curve.Affine {
-	n := r.u32(what + " count")
-	if r.err == nil && n > len(r.data)/32 {
-		r.err = errArtifact("%s section claims %d points with %d bytes left", what, n, len(r.data))
-	}
-	if r.err != nil {
-		return nil
-	}
-	out := make([]curve.Affine, n)
-	for i := range out {
-		if err := out[i].SetBytes([32]byte(r.next(32, what))); err != nil {
-			r.err = errArtifact("%s point %d: %v", what, i, err)
-			return nil
-		}
-	}
-	return out
+	return w.Bytes()
 }
 
 // DecodeArtifact parses artifact bytes. The input is untrusted; failures
 // wrap zkerrors.ErrMalformedArtifact and arbitrary bytes never panic or
 // allocate more than a constant multiple of len(data).
 func DecodeArtifact(data []byte) (*ArtifactFile, error) {
-	r := &artifactReader{data: data}
-	if !bytes.Equal(r.next(len(artifactMagic), "magic"), artifactMagic[:]) {
-		return nil, errArtifact("bad artifact magic")
+	r := wire.NewReader(data, zkerrors.ErrMalformedArtifact)
+	if !bytes.Equal(r.Next(len(artifactMagic), "magic"), artifactMagic[:]) {
+		r.Fail("bad artifact magic")
 	}
 	af := &ArtifactFile{}
-	copy(af.Meta.ModelHash[:], r.next(32, "model hash"))
-	copy(af.Meta.Options[:], r.next(32, "options fingerprint"))
-	af.Backend = pcs.Backend(r.u8("backend"))
+	copy(af.Meta.ModelHash[:], r.Next(32, "model hash"))
+	copy(af.Meta.Options[:], r.Next(32, "options fingerprint"))
+	af.Backend = pcs.Backend(r.Byte("backend"))
 	cfg := &af.Config
-	cfg.Dot = gadgets.DotStrategy(r.str("dot strategy"))
-	cfg.Arith = gadgets.ArithStrategy(r.str("arith strategy"))
-	cfg.ReLU = gadgets.ReLUStrategy(r.str("ReLU strategy"))
-	cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits = r.u32("column count"), r.u32("scale bits"), r.u32("lookup bits")
-	cfg.UseConstDot, cfg.MultiAdd = r.boolean("UseConstDot"), r.boolean("MultiAdd")
-	cfg.MultiMax, cfg.MultiDot = r.boolean("MultiMax"), r.boolean("MultiDot")
-	if b := r.next(8, "cost"); b != nil {
-		af.Cost = math.Float64frombits(binary.BigEndian.Uint64(b))
+	cfg.Dot = gadgets.DotStrategy(r.Str("dot strategy"))
+	cfg.Arith = gadgets.ArithStrategy(r.Str("arith strategy"))
+	cfg.ReLU = gadgets.ReLUStrategy(r.Str("ReLU strategy"))
+	cfg.NumCols, cfg.FP.ScaleBits, cfg.FP.LookupBits = r.Int("column count"), r.Int("scale bits"), r.Int("lookup bits")
+	cfg.UseConstDot, cfg.MultiAdd = r.Bool("UseConstDot"), r.Bool("MultiAdd")
+	cfg.MultiMax, cfg.MultiDot = r.Bool("MultiMax"), r.Bool("MultiDot")
+	af.Cost = math.Float64frombits(r.U64("cost"))
+	copy(af.VKDigest[:], r.Next(32, "VK digest"))
+	af.Material.FixedCommits = r.Points("fixed commitment")
+	af.Material.SigmaCommits = r.Points("sigma commitment")
+	af.SRS = r.Points("SRS point")
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
-	copy(af.VKDigest[:], r.next(32, "VK digest"))
-	af.Material.FixedCommits = r.readPoints("fixed commitment")
-	af.Material.SigmaCommits = r.readPoints("sigma commitment")
-	af.SRS = r.readPoints("SRS")
 	switch {
-	case r.err != nil:
-		return nil, r.err
-	case len(r.data) != 0:
-		return nil, errArtifact("%d trailing artifact bytes", len(r.data))
 	case af.Backend != pcs.KZG && af.Backend != pcs.IPA:
 		return nil, errArtifact("unknown backend %d", af.Backend)
 	case math.IsNaN(af.Cost) || math.IsInf(af.Cost, 0) || af.Cost < 0:

@@ -12,7 +12,8 @@ import (
 // FitConfig configures the calibration fitting sweep: which bundled model
 // to prove, at which column budgets (each distinct feasible column count
 // yields one physical layout; duplicates by row power are skipped), on
-// which backends.
+// which backends. DefaultFitConfig is the standard sweep; there are no
+// per-field defaults.
 type FitConfig struct {
 	Model    string
 	Backends []pcs.Backend
@@ -45,18 +46,6 @@ func DefaultFitConfig() FitConfig {
 func FitCalibration(c *costmodel.Calibration, cfg FitConfig) (int, error) {
 	if c == nil {
 		return 0, fmt.Errorf("core: fit requires a calibration")
-	}
-	if cfg.Model == "" {
-		cfg.Model = "mnist"
-	}
-	if len(cfg.Backends) == 0 {
-		cfg.Backends = []pcs.Backend{pcs.KZG, pcs.IPA}
-	}
-	if len(cfg.Cols) == 0 {
-		cfg.Cols = []int{6, 10, 16}
-	}
-	if cfg.FP == (fixedpoint.Params{}) {
-		cfg.FP = fixedpoint.Params{ScaleBits: 5, LookupBits: 9}
 	}
 	spec, err := model.Get(cfg.Model)
 	if err != nil {

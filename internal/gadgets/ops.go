@@ -531,10 +531,3 @@ func (b *Builder) AssertEqual(x, y *Value) {
 	b.ensurePlaced(y)
 	b.copies = append(b.copies, [2]plonkish.Cell{x.cell, y.cell})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

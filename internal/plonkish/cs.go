@@ -144,7 +144,7 @@ func (cs *CS) Degree() int {
 			}
 		}
 		ds := l.Selector.Degree()
-		ld := 1 + maxInt(1+df+1, ds+1, 1+df)
+		ld := 1 + max(1+df+1, ds+1, 1+df)
 		if ld > d {
 			d = ld
 		}
@@ -433,14 +433,4 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(vs ...int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

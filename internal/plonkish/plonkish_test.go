@@ -177,8 +177,8 @@ func TestCheckConstraintsSeesBlindingRows(t *testing.T) {
 
 func TestProverRejectsBrokenGate(t *testing.T) {
 	pk, _ := setup(t, pcs.KZG)
-	// a=3,b=4,c=13 violates the mul gate; prover must refuse to produce a
-	// proof (quotient overflow).
+	// a=3,b=4,c=13 violates the mul gate; the prover must refuse to produce
+	// a proof (its satisfaction check on H finds the row).
 	if _, err := Prove(pk, testInstance(26), testWitness(false, true, false)); err == nil {
 		t.Fatal("prover accepted a gate-violating witness")
 	}

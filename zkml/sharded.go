@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/plonkish"
+	"repro/internal/wire"
 )
 
 // Sharded proving (DESIGN.md §16): the model graph is partitioned at layer
@@ -408,16 +409,17 @@ func (s *ShardedSystem) ExportProof(p *ShardedProof) ([]byte, error) {
 	if len(p.Chunks) > 255 {
 		return nil, fmt.Errorf("zkml: sharded proof has %d chunks, export format supports at most 255", len(p.Chunks))
 	}
-	out := []byte{byte(len(p.Chunks))}
+	var w wire.Writer
+	w.Byte(byte(len(p.Chunks)))
 	for c, pf := range p.Chunks {
 		blob, err := exportProofBytes(pf)
 		if err != nil {
 			return nil, fmt.Errorf("zkml: chunk %d: %w", c, err)
 		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(blob)))
-		out = append(out, blob...)
+		w.U32(len(blob))
+		w.Raw(blob)
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // ImportProof deserializes a proof produced by ExportProof. The bytes are
@@ -432,35 +434,24 @@ func (s *ShardedSystem) ImportProof(data []byte) (*ShardedProof, error) {
 		}
 		return &ShardedProof{Chunks: []*Proof{pf}}, nil
 	}
-	if len(data) < 1 {
-		return nil, fmt.Errorf("zkml: empty sharded proof: %w", ErrMalformedProof)
+	r := wire.NewReader(data, ErrMalformedProof)
+	if n := int(r.Byte("chunk count")); r.Err() == nil && n != len(s.Chunks) {
+		r.Fail("sharded proof carries %d chunks, system has %d", n, len(s.Chunks))
 	}
-	nChunks := int(data[0])
-	data = data[1:]
-	if nChunks != len(s.Chunks) {
-		return nil, fmt.Errorf("zkml: sharded proof carries %d chunks, system has %d: %w",
-			nChunks, len(s.Chunks), ErrMalformedProof)
-	}
-	p := &ShardedProof{Chunks: make([]*Proof, 0, nChunks)}
-	for c := 0; c < nChunks; c++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("zkml: truncated chunk %d length: %w", c, ErrMalformedProof)
+	p := &ShardedProof{Chunks: make([]*Proof, len(s.Chunks))}
+	for c := range p.Chunks {
+		blob := r.Next(r.Count("chunk byte", 1), "chunk")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
-		l := uint64(binary.BigEndian.Uint32(data[:4])) // unsigned: int is 32 bits on 386
-		data = data[4:]
-		if l > uint64(len(data)) {
-			return nil, fmt.Errorf("zkml: chunk %d claims %d bytes with %d left: %w",
-				c, l, len(data), ErrMalformedProof)
-		}
-		pf, err := importProofBytes(data[:l])
+		pf, err := importProofBytes(blob)
 		if err != nil {
 			return nil, fmt.Errorf("zkml: chunk %d: %w", c, err)
 		}
-		p.Chunks = append(p.Chunks, pf)
-		data = data[l:]
+		p.Chunks[c] = pf
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("zkml: %d trailing sharded proof bytes: %w", len(data), ErrMalformedProof)
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

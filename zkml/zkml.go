@@ -14,7 +14,6 @@
 package zkml
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/audit"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/pcs"
 	"repro/internal/plonkish"
+	"repro/internal/wire"
 	"repro/internal/zkerrors"
 )
 
@@ -295,19 +295,9 @@ func (s *System) Outputs(p *Proof) []float64 {
 	return out
 }
 
-// scalarModBytes is the field modulus in canonical 32-byte big-endian form;
-// any instance encoding that compares >= it is non-canonical (v + r aliases
-// of a public value) and gets rejected at the decode boundary.
-var scalarModBytes = func() [32]byte {
-	var out [32]byte
-	ff.Modulus().FillBytes(out[:])
-	return out
-}()
-
 // exportProofBytes is the shared serialization behind System.ExportProof
 // and ShardedSystem.ExportProof: a one-byte instance-column count, each
-// column as a 4-byte big-endian length plus 32-byte canonical scalars,
-// then the proof body.
+// column as a count-prefixed section of scalars, then the proof body.
 func exportProofBytes(p *Proof) ([]byte, error) {
 	body, err := p.Proof.MarshalBinary()
 	if err != nil {
@@ -316,64 +306,31 @@ func exportProofBytes(p *Proof) ([]byte, error) {
 	if len(p.Instance) > 255 {
 		return nil, fmt.Errorf("zkml: proof has %d instance columns, export format supports at most 255", len(p.Instance))
 	}
-	var out []byte
-	out = append(out, byte(len(p.Instance)))
+	var w wire.Writer
+	w.Byte(byte(len(p.Instance)))
 	for _, col := range p.Instance {
-		var n [4]byte
-		n[0] = byte(len(col) >> 24)
-		n[1] = byte(len(col) >> 16)
-		n[2] = byte(len(col) >> 8)
-		n[3] = byte(len(col))
-		out = append(out, n[:]...)
-		for _, v := range col {
-			b := v.Bytes()
-			out = append(out, b[:]...)
-		}
+		w.Scalars(col)
 	}
-	return append(out, body...), nil
+	w.Raw(body)
+	return w.Bytes(), nil
 }
 
 // importProofBytes is the shared decoder behind System.ImportProof and
-// ShardedSystem.ImportProof. The bytes are untrusted: structural failures
-// wrap ErrMalformedProof and arbitrary input never panics or
-// over-allocates. Instance scalars must be canonical (strictly below the
-// field modulus) — ff.Element.SetBytes silently reduces mod r, so without
-// the check a non-canonical encoding (v + r) of a public output would
-// decode to the same proof, a malleability the PR 2 canonical boundary
-// rejects everywhere else.
+// ShardedSystem.ImportProof. The bytes are untrusted: structural failures,
+// non-canonical instance scalars included, wrap ErrMalformedProof, and
+// arbitrary input never panics or over-allocates.
 func importProofBytes(data []byte) (*Proof, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("zkml: empty proof: %w", ErrMalformedProof)
+	r := wire.NewReader(data, ErrMalformedProof)
+	inst := make([][]ff.Element, r.Byte("instance column count"))
+	for c := range inst {
+		inst[c] = r.Scalars("instance value")
 	}
-	nCols := int(data[0])
-	data = data[1:]
-	inst := make([][]ff.Element, 0, nCols)
-	for c := 0; c < nCols; c++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("zkml: truncated proof header: %w", ErrMalformedProof)
-		}
-		// Compared unsigned: on 32-bit platforms int(n) of a prefix >= 2^31
-		// is negative and would pass a signed bound.
-		n := uint64(data[0])<<24 | uint64(data[1])<<16 | uint64(data[2])<<8 | uint64(data[3])
-		data = data[4:]
-		if n > uint64(len(data))/32 {
-			return nil, fmt.Errorf("zkml: instance column %d claims %d values with %d bytes left: %w",
-				c, n, len(data), ErrMalformedProof)
-		}
-		col := make([]ff.Element, n)
-		for i := range col {
-			if bytes.Compare(data[:32], scalarModBytes[:]) >= 0 {
-				return nil, fmt.Errorf("zkml: instance column %d value %d has a non-canonical scalar encoding: %w",
-					c, i, ErrMalformedProof)
-			}
-			col[i].SetBytes(data[:32])
-			data = data[32:]
-		}
-		inst = append(inst, col)
+	body := r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	p := &Proof{Instance: inst}
-	p.Proof = new(plonkish.Proof)
-	if err := p.Proof.UnmarshalBinary(data); err != nil {
+	p := &Proof{Instance: inst, Proof: new(plonkish.Proof)}
+	if err := p.Proof.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}
 	return p, nil
