@@ -1,7 +1,8 @@
 // Package repro holds the kernel benchmarks nothing else measures: prover
-// scaling over worker counts, the IPA opening check, the cost estimator
-// itself, and the power-of-two row cliff. The paper's tables are reproduced
-// by cmd/zkml-bench (internal/experiments) and timed by benchmark/.
+// scaling over worker counts, the IPA opening and its check, the cost
+// estimator itself, and the power-of-two row cliff. The paper's tables are
+// reproduced by cmd/zkml-bench (internal/experiments) and timed by
+// benchmark/.
 package repro
 
 import (
@@ -78,11 +79,31 @@ func BenchmarkProveParallelism(b *testing.B) {
 	}
 }
 
+// BenchmarkIPAOpen isolates the IPA opening, the prover-side cost of an IPA
+// proof: log n rounds, each two commit-table MSMs over the basis.
+func BenchmarkIPAOpen(b *testing.B) {
+	for _, n := range []int{1 << 8, 1 << 10, 1 << 12} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := pcs.NewIPA(n)
+			p := make([]ff.Element, n)
+			for i := range p {
+				p[i] = ff.NewElement(uint64(i)*7 + 3)
+			}
+			s.Commit(p) // build the commit table outside the timed loop
+			z := ff.NewElement(12345)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Open(transcript.New("bench"), p, z)
+			}
+		})
+	}
+}
+
 // BenchmarkIPAVerify isolates the IPA opening check — the verifier-side
 // cost that makes IPA proofs cheap to produce but linear-time to verify
-// (Table 7's verification column). It covers the s-vector bit-flip DP,
-// whose per-round x_j^2 values are now computed once instead of inside the
-// O(n) inner loop.
+// (Table 7's verification column). It is one MSM over the basis, the 2·log n
+// cross terms and U, with the basis scalars built round by round from the
+// challenges.
 func BenchmarkIPAVerify(b *testing.B) {
 	for _, n := range []int{1 << 8, 1 << 10, 1 << 12} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

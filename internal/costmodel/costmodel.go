@@ -32,8 +32,10 @@ import (
 // counts, version 3 against plonkish.Shape's counts at microbenchmarked unit
 // costs, version 4 against the same counts at the static unit costs,
 // version 5 against those units once the quotient ran on d_max − 1 coset
-// parts and no longer on all ExtN/N of them.
-const CalibrationVersion = 5
+// parts and no longer on all ExtN/N of them, version 6 once an IPA
+// opening's rounds ran as commit-table MSMs rather than halving
+// variable-base ones.
+const CalibrationVersion = 6
 
 // fieldOp is the nominal cost of one field multiply-add on a current core,
 // the unit every static price is a multiple of.
@@ -154,18 +156,6 @@ func (c *Calibration) Validate() error {
 // fftShape is the n·log n operation count of a size-2^k transform.
 func fftShape(k int) float64 { return float64(int64(1)<<uint(k)) * float64(k) }
 
-// msmShape is the signed-window Pippenger operation count at the kernel's
-// own window schedule: windows·(points bucket adds + 2·2^(c-1) reduction
-// adds), with the window width c (and hence the bucket count) coming from
-// the kernel's own scheduler so the model tracks its memory-budget clamp.
-// The kernel runs 2n GLV half-scalar points through ~half the windows, so
-// the shape follows curve.GLVWindows.
-func msmShape(k int) float64 {
-	n := int64(1) << uint(k)
-	c, nw := curve.GLVWindows(int(n))
-	return float64(nw) * (float64(2*n) + 2*float64(int64(1)<<uint(c-1)))
-}
-
 // fixedShape is the table-warm fixed-base operation count: all 2n·nw window
 // digits share one pre-scaled bucket set, so there is a single reduction
 // and no Horner doublings (see curve.FixedBaseWindows for the schedule).
@@ -179,11 +169,10 @@ func fixedShape(k int) float64 {
 func linearShape(k int) float64 { return float64(int64(1) << uint(k)) }
 
 // The static unit prices, in seconds at size 2^k: ~2 field ops per
-// butterfly, ~10 per Pippenger bucket add (variable-base for IPA folds,
-// table-warm fixed-base for commitments), and ~10 per lookup row
-// (compression, index probe, inversions).
+// butterfly, ~10 per table-warm fixed-base bucket add (every commitment and
+// every IPA fold round), and ~10 per lookup row (compression, index probe,
+// inversions).
 func fftTime(k int) float64      { return fftShape(k) * 2 * fieldOp }
-func msmTime(k int) float64      { return msmShape(k) * 10 * fieldOp }
 func fixedMSMTime(k int) float64 { return fixedShape(k) * 10 * fieldOp }
 func lookupTime(k int) float64   { return linearShape(k) * 10 * fieldOp }
 
@@ -206,7 +195,8 @@ func (c *Calibration) EstimateProvingTime(s plonkish.Shape) float64 {
 // at fftTime, every commitment at the table-warm fixedMSMTime, each
 // lookup's construction at lookupTime, the quotient's program at
 // VaryingOps field ops per row of each of its parts and of the check on H,
-// and an IPA opening's folds at msmTime per halving MSM.
+// and an IPA opening's rounds at two fixed-base MSMs each, priced at the
+// N/2 scalars that are nonzero.
 func basePredictStages(s plonkish.Shape) obs.StagePrediction {
 	fft, msm := fftTime(s.K), fixedMSMTime(s.K)
 	p := obs.StagePrediction{}
@@ -215,11 +205,7 @@ func basePredictStages(s plonkish.Shape) obs.StagePrediction {
 	}
 	p[obs.StageLookup.String()] += float64(s.NumLookups) * lookupTime(s.K)
 	p[obs.StageQuotient.String()] += float64(s.VaryingOps) * float64(plonkish.QuotientPieces(s.DMax)+1) * float64(s.N) * fieldOp
-	var fold float64
-	for r := 1; r <= s.FoldRounds; r++ {
-		fold += 2 * msmTime(s.K-r)
-	}
-	p[obs.StageOpen.String()] += float64(s.Opens) * fold
+	p[obs.StageOpen.String()] += float64(s.Opens*s.FoldRounds) * 2 * fixedMSMTime(s.K-1)
 	return p
 }
 

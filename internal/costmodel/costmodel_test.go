@@ -42,7 +42,7 @@ func TestInterpolationExtrapolates(t *testing.T) {
 	if ratio := t14 / t10; ratio < 22.3 || ratio > 22.5 {
 		t.Fatalf("FFT price ratio %.2f, want n·log n's 22.4", ratio)
 	}
-	for name, price := range map[string]func(int) float64{"MSM": msmTime, "fixed-base MSM": fixedMSMTime, "lookup": lookupTime} {
+	for name, price := range map[string]func(int) float64{"fixed-base MSM": fixedMSMTime, "lookup": lookupTime} {
 		if price(14) <= price(10) || price(10) <= 0 {
 			t.Fatalf("%s price not positive and increasing: %v at 2^10, %v at 2^14", name, price(10), price(14))
 		}

@@ -150,9 +150,9 @@ func TestPredictStagesSumsToEstimate(t *testing.T) {
 	}
 }
 
-// An IPA opening folds the basis with variable-base MSMs where a KZG
-// opening commits one witness; the difference must land in the opening
-// stage, not perturb the others.
+// An IPA opening runs two commit-table MSMs per round where a KZG opening
+// commits one witness; the difference must land in the opening stage, not
+// perturb the others.
 func TestPredictStagesIPAExtraMSMInOpen(t *testing.T) {
 	kzg := calib.PredictStages(testShape(10, 10, 4, 300, pcs.KZG))
 	ipa := calib.PredictStages(testShape(10, 10, 4, 300, pcs.IPA))

@@ -483,7 +483,7 @@ func TestMSMLargeRandom(t *testing.T) {
 		scs[i] = ff.Random()
 	}
 	copy(pts, BatchToAffine(jacs))
-	if half := 1 << uint(WindowSize(n)-1); half < msmAffineMinBuckets {
+	if half := 1 << uint(windowSize(n)-1); half < msmAffineMinBuckets {
 		t.Fatalf("n=2^12 should select the batch-affine path (half=%d)", half)
 	}
 	parallel.SetWorkers(1)
@@ -512,20 +512,20 @@ func TestMSMLargeRandom(t *testing.T) {
 func TestWindowSizeBudget(t *testing.T) {
 	prev := 0
 	for k := 0; k <= 24; k++ {
-		c := WindowSize(1 << uint(k))
+		c := windowSize(1 << uint(k))
 		if c < 2 || c > 16 {
-			t.Fatalf("WindowSize(2^%d) = %d out of range", k, c)
+			t.Fatalf("windowSize(2^%d) = %d out of range", k, c)
 		}
 		if (72 << uint(c-1)) > maxBucketBytes {
-			t.Fatalf("WindowSize(2^%d) = %d violates bucket budget", k, c)
+			t.Fatalf("windowSize(2^%d) = %d violates bucket budget", k, c)
 		}
 		if c < prev {
-			t.Fatalf("WindowSize decreased at 2^%d", k)
+			t.Fatalf("windowSize decreased at 2^%d", k)
 		}
 		prev = c
 	}
-	if WindowSize(1<<24) != 13 {
-		t.Fatalf("budget clamp should cap huge inputs at c=13, got %d", WindowSize(1<<24))
+	if windowSize(1<<24) != 13 {
+		t.Fatalf("budget clamp should cap huge inputs at c=13, got %d", windowSize(1<<24))
 	}
 }
 

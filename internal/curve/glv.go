@@ -68,15 +68,6 @@ func init() {
 // GLVLambda returns λ, the scalar the endomorphism Phi multiplies by.
 func GLVLambda() *big.Int { return new(big.Int).Set(glvLambda) }
 
-// GLVWindows reports the signed-window schedule the GLV variable-base path
-// uses for an n-point MSM: the window width c (chosen for the doubled point
-// count) and the per-half-scalar window count. The cost model derives its
-// MSM operation count from the same schedule.
-func GLVWindows(n int) (c, nw int) {
-	c = WindowSize(2 * n)
-	return c, glvHalfBits/c + 1
-}
-
 // Phi applies the GLV endomorphism φ(x, y) = (β·x, y), which acts on G1 as
 // multiplication by λ. One field multiplication — vastly cheaper than the
 // scalar multiplication it stands in for.
@@ -395,7 +386,7 @@ func msmGLV(points []Affine, scalars []ff.Element) Jac {
 		return Jac{}
 	}
 	kernelTrace.Load().RecordGLVSplit(n)
-	c := WindowSize(2 * n)
+	c := windowSize(2 * n)
 	// nw·c ≥ maxBits+1, so the top signed digit absorbs its carry.
 	nw := maxBits/c + 1
 

@@ -40,7 +40,7 @@ const scalarBits = 254
 // roughly log2(n) - 3, clamped to [2, 16] and then shrunk until the
 // 2^(c-1)-entry bucket array fits maxBucketBytes. Exported because the cost
 // model derives its MSM operation count from the same schedule.
-func WindowSize(n int) int {
+func windowSize(n int) int {
 	c := bits.Len(uint(n)) - 3
 	if c < 2 {
 		c = 2
@@ -95,7 +95,7 @@ func MSM(points []Affine, scalars []ff.Element) Jac {
 // reference the kernel tests and benchmarks compare against.
 func msmPlain(points []Affine, scalars []ff.Element) Jac {
 	n := len(points)
-	c := WindowSize(n)
+	c := windowSize(n)
 	nw := NumWindows(c)
 	digits := signedDigits(scalars, c, nw)
 

@@ -66,7 +66,12 @@ func (s *IPAScheme) Commit(p []ff.Element) curve.Affine {
 }
 
 // Open implements Scheme. The recursion folds vectors a (coefficients) and
-// b (powers of z) along with the basis; each round emits cross terms L, R.
+// b (powers of z) and emits cross terms L, R each round. The basis is never
+// folded: after j rounds folded generator m is Σ_t w_t·G_{m+t·n'} over the
+// original generators (n' the current length, w the block weights of
+// foldWeights), so each cross term is one MSM over the original basis with
+// scalars w_t·a_m on the blocks it reads and zero elsewhere — a commit-table
+// MSM, like any commitment.
 func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
 	defer recordOpen()()
 	a := make([]ff.Element, s.n)
@@ -77,29 +82,27 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 		b[i] = acc
 		acc.Mul(&acc, &z)
 	}
-	g := make([]curve.Jac, s.n)
-	for i := range g {
-		g[i] = s.basis[i].ToJac()
-	}
 
 	rounds := bits.TrailingZeros(uint(s.n))
 	proof := &Opening{L: make([]curve.Affine, 0, rounds), R: make([]curve.Affine, 0, rounds)}
-	n := s.n
-	for n > 1 {
+	w := make([]ff.Element, 1, s.n)
+	w[0] = ff.One()
+	sl, sr := make([]ff.Element, s.n), make([]ff.Element, s.n)
+	for n := s.n; n > 1; n /= 2 {
 		h := n / 2
 		cl := innerProduct(a[:h], b[h:n])
 		cr := innerProduct(a[h:n], b[:h])
-		// L = <a_lo, G_hi> + c_L·U ; R = <a_hi, G_lo> + c_R·U.
-		gHi := curve.BatchToAffine(g[h:n])
-		gLo := curve.BatchToAffine(g[:h])
-		l := curve.MSM(gHi, a[:h])
-		t := curve.ScalarMul(&s.u, &cl)
-		l.AddAssign(&t)
-		r := curve.MSM(gLo, a[h:n])
-		t = curve.ScalarMul(&s.u, &cr)
-		r.AddAssign(&t)
-
-		la, ra := l.ToAffine(), r.ToAffine()
+		// L = <a_lo, G'_hi> + c_L·U ; R = <a_hi, G'_lo> + c_R·U. Block t of
+		// the basis holds G'_lo in its first half and G'_hi in its second.
+		for t := range w {
+			lo, hi := t*n, t*n+h
+			for m := 0; m < h; m++ {
+				sl[lo+m], sr[hi+m] = ff.Element{}, ff.Element{}
+				sl[hi+m].Mul(&w[t], &a[m])
+				sr[lo+m].Mul(&w[t], &a[h+m])
+			}
+		}
+		la, ra := s.crossTerm(sl, &cl), s.crossTerm(sr, &cr)
 		tr.AppendPoint("ipa-L", la)
 		tr.AppendPoint("ipa-R", ra)
 		proof.L = append(proof.L, la)
@@ -118,17 +121,40 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 			t1.Mul(&xInv, &b[i])
 			t2.Mul(&x, &b[i+h])
 			b[i].Add(&t1, &t2)
-			// G' = x^{-1}·G_lo + x·G_hi
-			lo := scalarMulJac(&g[i], &xInv)
-			hi := scalarMulJac(&g[i+h], &x)
-			lo.AddAssign(&hi)
-			g[i] = lo
 		}
-		n = h
+		// G' = x^{-1}·G_lo + x·G_hi, carried by the weights alone.
+		w = foldWeights(w, &x, &xInv)
 	}
 	proof.A = a[0]
 	tr.AppendScalar("ipa-a", proof.A)
 	return proof
+}
+
+// crossTerm returns <scalars, basis> + c·U, the basis MSM through the
+// commit table.
+func (s *IPAScheme) crossTerm(scalars []ff.Element, c *ff.Element) curve.Affine {
+	m := commitMSM(&ipaCommitTables, s.basis, scalars)
+	p, t := m.ToJac(), curve.ScalarMul(&s.u, c)
+	p.AddAssign(&t)
+	return p.ToAffine()
+}
+
+// foldWeights extends the block weights of a folded basis by one round. After
+// j rounds of G' = x^{-1}·G_lo + x·G_hi, folded generator m is
+// Σ_t w_t·G_{m+t·n'} over the original basis (len(w) = 2^j blocks of the
+// current length n'); the next round halves every block, so
+// w'_{2t} = w_t·x^{-1} and w'_{2t+1} = w_t·x. The prover extends w once per
+// round to place its cross-term scalars; the verifier extends it over every
+// round to get the final generator's weights s_i. Works in place, so w needs
+// capacity 2·len(w).
+func foldWeights(w []ff.Element, x, xInv *ff.Element) []ff.Element {
+	h := len(w)
+	w = w[:2*h]
+	for t := h - 1; t >= 0; t-- {
+		w[2*t+1].Mul(&w[t], x)
+		w[2*t].Mul(&w[t], xInv)
+	}
+	return w
 }
 
 // Verify implements Scheme. The opening is untrusted: nil openings, wrong
@@ -147,11 +173,6 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	if !o.KZGWitness.IsZero() {
 		return fmt.Errorf("pcs: IPA opening carries a KZG witness: %w", zkerrors.ErrMalformedProof)
 	}
-	// P_0 = C + y·U.
-	p := c.ToJac()
-	t := curve.ScalarMul(&s.u, &y)
-	p.AddAssign(&t)
-
 	xs := make([]ff.Element, rounds)
 	xInvs := make([]ff.Element, rounds)
 	for j := 0; j < rounds; j++ {
@@ -163,72 +184,50 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	ff.BatchInverse(xInvs)
 	tr.AppendScalar("ipa-a", o.A)
 
-	// Per-round squares, shared by the P_final fold below and the O(n)
-	// bit-flip DP (which previously recomputed x_j^2 for every i).
-	x2s := make([]ff.Element, rounds)
+	// The opening holds iff
+	//
+	//	C + y·U + Σ_j (x_j²·L_j + x_j^{-2}·R_j) − a·Σ_i s_i·G_i − a·b·U = 0,
+	//
+	// s the final generator's weights and b the fully folded b vector,
+	// Π_j (x_j^{-1} + x_j·z^(2^(rounds−1−j))): one MSM over
+	// basis ‖ L ‖ R ‖ U, plus C.
+	scalars := make([]ff.Element, 1, s.n+2*rounds+1)
+	scalars[0] = ff.One()
 	for j := 0; j < rounds; j++ {
-		x2s[j].Square(&xs[j])
+		scalars = foldWeights(scalars, &xs[j], &xInvs[j])
 	}
-
-	// P_final = P_0 + sum x_j^2 L_j + x_j^{-2} R_j.
+	var negA ff.Element
+	negA.Neg(&o.A)
+	for i := range scalars {
+		scalars[i].Mul(&scalars[i], &negA)
+	}
+	scalars = scalars[:s.n+2*rounds]
 	for j := 0; j < rounds; j++ {
-		var xInv2 ff.Element
-		xInv2.Square(&xInvs[j])
-		tl := curve.ScalarMul(&o.L[j], &x2s[j])
-		tr2 := curve.ScalarMul(&o.R[j], &xInv2)
-		p.AddAssign(&tl)
-		p.AddAssign(&tr2)
+		scalars[s.n+j].Square(&xs[j])
+		scalars[s.n+rounds+j].Square(&xInvs[j])
 	}
-
-	// s_i = prod_j (bit(i, rounds-1-j) ? x_j : x_j^{-1}).
-	sv := make([]ff.Element, s.n)
-	sv[0] = ff.One()
-	for j := 0; j < rounds; j++ {
-		sv[0].Mul(&sv[0], &xInvs[j])
-	}
-	// Build by bit-flip DP: s[i] = s[i without top set bit] * x_j^2 for the
-	// corresponding round j.
-	for i := 1; i < s.n; i++ {
-		top := bits.Len(uint(i)) - 1 // highest set bit position
-		j := rounds - 1 - top        // round index for that bit
-		prev := i &^ (1 << uint(top))
-		sv[i].Mul(&sv[prev], &x2s[j])
-	}
-	gFinal := curve.MSM(s.basis, sv)
-
-	// b_final = prod_j (x_j^{-1} + x_j z^(n/2^(j+1))).
-	bFinal := ff.One()
-	exp := s.n / 2
-	zp := z
-	// Precompute z^(2^k) values indexed by exponent.
-	zPows := map[int]ff.Element{1: z}
-	for e := 2; e <= s.n/2; e <<= 1 {
-		var sq ff.Element
-		sq.Square(&zp)
-		zp = sq
-		zPows[e] = zp
-	}
-	for j := 0; j < rounds; j++ {
+	bFinal, zp := ff.One(), z
+	for j := rounds - 1; j >= 0; j-- {
 		var term ff.Element
-		zpj := zPows[exp]
-		term.Mul(&xs[j], &zpj)
+		term.Mul(&xs[j], &zp)
 		term.Add(&term, &xInvs[j])
 		bFinal.Mul(&bFinal, &term)
-		exp /= 2
+		zp.Square(&zp)
 	}
-	if s.n == 1 {
-		bFinal = ff.One()
-	}
+	var uScalar ff.Element
+	uScalar.Mul(&negA, &bFinal)
+	uScalar.Add(&uScalar, &y)
+	scalars = append(scalars, uScalar)
 
-	// Check P_final == a·G_final + a·b_final·U.
-	rhs := gFinal
-	var ab ff.Element
-	ab.Mul(&o.A, &bFinal)
-	ru := curve.ScalarMul(&s.u, &ab)
-	rhsScaled := scalarMulJac(&rhs, &o.A)
-	rhsScaled.AddAssign(&ru)
-	pa, ra := p.ToAffine(), rhsScaled.ToAffine()
-	if !pa.Equal(&ra) {
+	points := make([]curve.Affine, 0, len(scalars))
+	points = append(points, s.basis...)
+	points = append(points, o.L...)
+	points = append(points, o.R...)
+	points = append(points, s.u)
+	check := curve.MSM(points, scalars)
+	cj := c.ToJac()
+	check.AddAssign(&cj)
+	if !check.IsInf() {
 		return fmt.Errorf("pcs: IPA opening check failed: %w", zkerrors.ErrVerifyFailed)
 	}
 	return nil
@@ -241,9 +240,4 @@ func innerProduct(a, b []ff.Element) ff.Element {
 		acc.Add(&acc, &t)
 	}
 	return acc
-}
-
-func scalarMulJac(p *curve.Jac, s *ff.Element) curve.Jac {
-	a := p.ToAffine()
-	return curve.ScalarMul(&a, s)
 }

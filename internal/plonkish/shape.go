@@ -35,8 +35,8 @@ type Shape struct {
 	//	             part, and one commitment
 	//	open         one witness commitment per opening (KZG only)
 	//
-	// An IPA opening's folds (FoldRounds rounds of two MSMs at halving
-	// sizes) are apart.
+	// An IPA opening's folds are apart: FoldRounds rounds of two size-N
+	// commit-table MSMs, each with N/2 nonzero scalars.
 	Transforms, Commits [obs.NumStages]int
 
 	NumLookups     int
@@ -49,8 +49,9 @@ type Shape struct {
 	// Queries is the number of opened evaluations (instance cells excluded),
 	// Opens the number of opening proofs: one per distinct rotation.
 	Queries, Opens int
-	// FoldRounds is the number of halving rounds in one IPA opening (zero
-	// for KZG).
+	// FoldRounds is the number of rounds in one IPA opening (zero for KZG);
+	// each runs two fixed-base MSMs over the size-N basis, half of whose
+	// scalars are zero.
 	FoldRounds int
 	// ProofBytes is Proof.Size of every proof made with these keys.
 	ProofBytes int
