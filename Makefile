@@ -11,9 +11,9 @@
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once each
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
 #   make cross       the field, curve and polynomial tests, the pinned
-#                    proof digests and the untrusted-bytes decoder tests as
-#                    386 binaries (the generic field kernel, 32-bit int),
-#                    and an arm64 vet + build
+#                    proof and circuit digests and the untrusted-bytes
+#                    decoder tests as 386 binaries (the generic field
+#                    kernel, 32-bit int), and an arm64 vet + build
 #   make trace-smoke fit the cost model from traced proves, prove once more
 #                    with tracing — compiled, then loaded from a key store —
 #                    and gate both trace reports on cost-model accuracy
@@ -102,6 +102,7 @@ cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
 	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestQuotientPiecesMatchReference|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
 	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
+	GOARCH=386 $(GO) test -short -run TestCircuitsPinned ./internal/gadgets/
 	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...

@@ -268,3 +268,47 @@ func TestOptimizeRejectsInvalidCalibration(t *testing.T) {
 		}
 	}
 }
+
+// TestManyOutputsTakeALargerGrid: a model with more public outputs than
+// layout rows needs a grid tall enough for its instance column. A two-input
+// add lays out few rows per output, so the grid is sized by the outputs.
+func TestManyOutputsTakeALargerGrid(t *testing.T) {
+	for _, n := range []int{16, 3000} {
+		g := &model.Graph{
+			Name: "wide-add",
+			Inputs: []model.InputSpec{
+				{Name: "x", Shape: []int{n}, Kind: model.FloatInput},
+				{Name: "y", Shape: []int{n}, Kind: model.FloatInput},
+			},
+			Weights: map[string]model.Weight{},
+			Nodes:   []model.Node{{Op: "add", Inputs: []string{"x", "y"}, Output: "z"}},
+			Outputs: []string{"z"},
+		}
+		in := model.NewInput()
+		for _, name := range []string{"x", "y"} {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i%7-3) / 4
+			}
+			in.Floats[name] = v
+		}
+		plan, _, _, err := Optimize(g, in, testOpts(pcs.KZG))
+		if err != nil {
+			t.Fatalf("%d outputs: %v", n, err)
+		}
+		if u := plan.N - plonkish.ZKRows; u < n {
+			t.Fatalf("%d outputs on %d usable rows", n, u)
+		}
+		keys, err := plan.Setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := plan.Prove(keys, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Verify(keys, proof); err != nil {
+			t.Fatalf("%d outputs: %v", n, err)
+		}
+	}
+}

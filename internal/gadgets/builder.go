@@ -3,7 +3,6 @@ package gadgets
 import (
 	"fmt"
 
-	"repro/internal/fixedpoint"
 	"repro/internal/plonkish"
 )
 
@@ -33,33 +32,28 @@ type Builder struct {
 	cfg Config
 	err error
 
-	grid    [][]int64 // [row][col]
-	rowKind []Kind
+	// catalog holds the entry of every kind the builder can lay out.
+	catalog map[Kind]*entry
 
-	// open tracks the current partially filled row per batched kind.
+	grid    [][]int64 // [row][col]
+	rowKind []Kind    // continuation rows carry their slot's kind too
+
+	// open tracks the current partially filled row per kind.
 	open map[Kind]*openRow
 
-	selIdx   map[Kind]int
-	selOrder []Kind
-
-	coefs    map[int]map[int]int64 // row -> advice col -> coefficient
-	coefUsed int                   // number of coefficient columns
+	coefs map[int]map[int]int64 // row -> advice col -> coefficient
 
 	constRow map[int64]int
 	constVal []int64
 
-	// gatherTables holds committed embedding tables, keyed by name; each
-	// gets dim+1 fixed columns and a gather gadget kind.
-	gatherTables map[string]*gatherTable
-	gatherOrder  []string
+	// nlTables (sorted) and gatherTables (in registration order) are the
+	// kinds with their own fixed table columns, which Finalize lays out in
+	// that order.
+	nlTables, gatherTables []Kind
 
-	copies    [][2]plonkish.Cell
-	instance  []int64
-	instCopy  []plonkish.Cell // advice cell exposed at instance row i
-	nls       map[fixedpoint.Nonlinearity]bool
-	rangeUsed bool
-
-	stats Stats
+	copies   [][2]plonkish.Cell
+	instance []int64
+	instCopy []plonkish.Cell // advice cell exposed at instance row i
 }
 
 type openRow struct {
@@ -71,24 +65,20 @@ type openRow struct {
 // Stats counts gadget invocations, for tests and diagnostics; the cost
 // model prices plonkish.ShapeOf's counts of the finished circuit instead.
 type Stats struct {
-	RowsByKind  map[Kind]int
-	Ops         map[Kind]int
-	Copies      int
-	Constants   int
-	LookupSites int
+	RowsByKind map[Kind]int
+	Ops        map[Kind]int
+	Copies     int
+	Constants  int
 }
 
 // NewBuilder returns a builder for the given configuration.
 func NewBuilder(cfg Config) *Builder {
 	b := &Builder{
-		cfg:          cfg,
-		open:         map[Kind]*openRow{},
-		selIdx:       map[Kind]int{},
-		coefs:        map[int]map[int]int64{},
-		constRow:     map[int64]int{},
-		gatherTables: map[string]*gatherTable{},
-		nls:          map[fixedpoint.Nonlinearity]bool{},
-		stats:        Stats{RowsByKind: map[Kind]int{}, Ops: map[Kind]int{}},
+		cfg:      cfg,
+		catalog:  newCatalog(cfg),
+		open:     map[Kind]*openRow{},
+		coefs:    map[int]map[int]int64{},
+		constRow: map[int64]int{},
 	}
 	if err := cfg.Validate(); err != nil {
 		b.err = err
@@ -105,11 +95,18 @@ func (b *Builder) Err() error { return b.err }
 // Rows returns the number of grid rows used so far.
 func (b *Builder) Rows() int { return len(b.grid) }
 
-// Stats returns invocation counts.
+// Stats returns invocation counts, read off the rows: every row of a kind
+// but its open one is full.
 func (b *Builder) Stats() Stats {
-	s := b.stats
-	s.Copies = len(b.copies)
-	s.Constants = len(b.constVal)
+	s := Stats{RowsByKind: map[Kind]int{}, Ops: map[Kind]int{},
+		Copies: len(b.copies), Constants: len(b.constVal)}
+	for _, k := range b.rowKind {
+		s.RowsByKind[k]++
+	}
+	for k, rows := range s.RowsByKind {
+		o := b.open[k]
+		s.Ops[k] = (rows/b.catalog[k].rows-1)*o.cap + o.slot
+	}
 	return s
 }
 
@@ -149,51 +146,49 @@ func (b *Builder) Constant(v int64) *Value {
 	// The constants column index is resolved at Finalize; Index -1 marks it.
 }
 
-// newRow appends a fresh row owned by kind, prefilled with the kind's
-// padding pattern so partially used rows still satisfy the kind's gates and
-// lookups.
-func (b *Builder) newRow(kind Kind) int {
-	row := make([]int64, b.cfg.NumCols)
-	b.padRow(kind, row, len(b.grid))
-	b.grid = append(b.grid, row)
-	b.rowKind = append(b.rowKind, kind)
-	b.stats.RowsByKind[kind]++
-	return len(b.grid) - 1
-}
-
-// slot allocates the next free slot in a row of the given kind, opening a
-// new row when the current one is full. slotCells is the number of advice
-// cells per slot; rowsSpan > 1 allocates trailing continuation rows
-// (multi-row gadgets).
-func (b *Builder) slot(kind Kind, slotCells, rowsSpan int) (int, int) {
-	capacity := b.cfg.NumCols / slotCells
-	if capacity == 0 {
-		b.fail("gadget %s needs %d cells but only %d columns", kind, slotCells, b.cfg.NumCols)
-		capacity = 1
-	}
+// slot allocates the next free slot of kind, opening a new row when the
+// current one is full. It returns the slot's first row and first column.
+func (b *Builder) slot(kind Kind) (row, col int) {
+	e := b.catalog[kind]
 	o := b.open[kind]
-	if o == nil || o.slot >= o.cap {
-		row := b.newRow(kind)
-		for s := 1; s < rowsSpan; s++ {
-			b.newRow(kind + ":cont")
-		}
-		o = &openRow{row: row, slot: 0, cap: capacity}
+	if o == nil {
+		o = &openRow{}
 		b.open[kind] = o
 	}
-	s := o.slot
+	if o.slot == o.cap {
+		capacity := b.cfg.NumCols / e.cells
+		if capacity == 0 {
+			b.fail("gadget %s needs %d cells but only %d columns", kind, e.cells, b.cfg.NumCols)
+			capacity = 1
+		}
+		*o = openRow{row: b.newRows(kind, e, capacity), cap: capacity}
+	}
 	o.slot++
-	b.stats.Ops[kind]++
-	return o.row, s
+	return o.row, (o.slot - 1) * e.cells
 }
 
-// fullRow allocates a whole fresh row for kind (dot products, sums).
-func (b *Builder) fullRow(kind Kind, rowsSpan int) int {
-	row := b.newRow(kind)
-	for s := 1; s < rowsSpan; s++ {
-		b.newRow(kind + ":cont")
-	}
-	b.stats.Ops[kind]++
+// fullRow allocates a row of a full-row kind (dot products, sums).
+func (b *Builder) fullRow(kind Kind) int {
+	row, _ := b.slot(kind)
 	return row
+}
+
+// newRows appends a fresh row of kind, e.rows grid rows tall, and pads its
+// first grid row from the entry so unused slots satisfy the kind's gate and
+// lookups. It returns the first grid row.
+func (b *Builder) newRows(kind Kind, e *entry, slots int) int {
+	first := len(b.grid)
+	for r := 0; r < e.rows; r++ {
+		b.grid = append(b.grid, make([]int64, b.cfg.NumCols))
+		b.rowKind = append(b.rowKind, kind)
+	}
+	for s := 0; s < slots; s++ {
+		copy(b.grid[first][s*e.cells:], e.pad)
+		for i, c := range e.padCoef {
+			b.coef(first, s*e.cells+i, c)
+		}
+	}
+	return first
 }
 
 // put writes a Value into a grid cell, adding a copy constraint to the
@@ -229,9 +224,6 @@ func (b *Builder) coef(row, col int, v int64) {
 		b.coefs[row] = m
 	}
 	m[col] = v
-	if col+1 > b.coefUsed {
-		b.coefUsed = col + 1
-	}
 }
 
 // checkRange validates that a value fits the shifted lookup-table input
@@ -258,8 +250,8 @@ func (b *Builder) ensurePlaced(v *Value) {
 	if v.placed {
 		return
 	}
-	row, s := b.slot(KindIO, 1, 1)
-	b.put(v, row, s)
+	row, col := b.slot(KindIO)
+	b.put(v, row, col)
 }
 
 // MakePublic exposes a value in the public instance column and returns its
@@ -275,87 +267,4 @@ func (b *Builder) MakePublic(v *Value) int {
 // PublicInputs returns the accumulated instance values.
 func (b *Builder) PublicInputs() []int64 {
 	return append([]int64(nil), b.instance...)
-}
-
-// padRow prefills a freshly allocated row with the kind's padding pattern:
-// values that satisfy the kind's gates and lookups in unused slots.
-func (b *Builder) padRow(kind Kind, row []int64, rowIdx int) {
-	switch kind {
-	case KindDivRound:
-		// Slots [x, c, r] with per-row divisor coefficient a: pad with
-		// a=1, x=0 => 2*0+1 = 0*2+r, r=1; lookups 1 and 2a-1-r=0 pass.
-		for s := 0; s*3+2 < len(row); s++ {
-			row[s*3+2] = 1
-			b.coef(rowIdx, s*3, 1)
-		}
-	case KindVarDiv, KindDivFloor:
-		// Slots [a, b, c, r]: a=1, b=0, c=0; r=1 for rounded (2b+a=1),
-		// r=0 for floor (b = 0*1 + 0).
-		for s := 0; s*4+3 < len(row); s++ {
-			row[s*4] = 1
-			if kind == KindVarDiv {
-				row[s*4+3] = 1
-			}
-		}
-	case KindReluDecomp:
-		// Slots [x, y, bits...]: x=0 => x+HalfRange has only the top bit
-		// set.
-		cells := b.cfg.FP.LookupBits + 2
-		for s := 0; (s+1)*cells <= len(row); s++ {
-			row[s*cells+2+b.cfg.FP.LookupBits-1] = 1
-		}
-	default:
-		if name, ok := gatherOfKind(kind); ok {
-			t := b.gatherTables[name]
-			cells := t.dim + 1
-			for s := 0; (s+1)*cells <= len(row); s++ {
-				for d := 0; d < t.dim; d++ {
-					row[s*cells+1+d] = t.data[d] // table row 0, id 0
-				}
-			}
-			return
-		}
-		// Kinds whose constraints and lookups hold on all-zero slots
-		// (add, mul, max, dot, sum, nl with f(0)=0, ...) need no pattern —
-		// except nonlinearities with f(0) != 0.
-		if nl, ok := nlOfKind(kind); ok {
-			y0 := b.cfg.FP.Fixed(nl, 0)
-			if y0 != 0 {
-				for s := 0; s*2+1 < len(row); s++ {
-					row[s*2+1] = y0
-				}
-			}
-		}
-	}
-}
-
-// gatherOfKind parses a gather_* kind back to its table name.
-func gatherOfKind(kind Kind) (string, bool) {
-	const prefix = "gather_"
-	s := string(kind)
-	if len(s) > len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
-}
-
-// nlOfKind parses an nl_* kind back to its nonlinearity.
-func nlOfKind(kind Kind) (fixedpoint.Nonlinearity, bool) {
-	const prefix = "nl_"
-	s := string(kind)
-	if len(s) > len(prefix) && s[:len(prefix)] == prefix {
-		return fixedpoint.Nonlinearity(s[len(prefix):]), true
-	}
-	return "", false
-}
-
-// selector returns (allocating on demand) the selector id for a kind.
-func (b *Builder) selector(kind Kind) int {
-	if i, ok := b.selIdx[kind]; ok {
-		return i
-	}
-	i := len(b.selOrder)
-	b.selIdx[kind] = i
-	b.selOrder = append(b.selOrder, kind)
-	return i
 }

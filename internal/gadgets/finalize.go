@@ -2,10 +2,9 @@ package gadgets
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/ff"
-	"repro/internal/fixedpoint"
 	"repro/internal/plonkish"
 )
 
@@ -24,22 +23,17 @@ type Artifact struct {
 }
 
 // MinRows returns the minimum usable rows this build needs: the layout
-// rows, the lookup tables, and the constants column must all fit in
-// [0, N - ZKRows).
+// rows, the public values, the lookup tables, and the constants column must
+// all fit in [0, N - ZKRows).
 func (b *Builder) MinRows() int {
-	rows := len(b.grid)
-	if b.needsRangeTable() {
-		if t := b.cfg.FP.TableSize(); t > rows {
-			rows = t
+	rows := max(len(b.grid), len(b.instance), len(b.constVal))
+	for _, k := range b.usedKinds() {
+		if b.catalog[k].rangeTable {
+			rows = max(rows, b.cfg.FP.TableSize())
 		}
 	}
-	if c := len(b.constVal); c > rows {
-		rows = c
-	}
-	for _, t := range b.gatherTables {
-		if t.vocab > rows {
-			rows = t.vocab
-		}
+	for _, k := range b.tables() {
+		rows = max(rows, len(b.catalog[k].table[0]))
 	}
 	return rows
 }
@@ -58,26 +52,12 @@ func (b *Builder) MinN() int {
 	return n
 }
 
-func (b *Builder) needsRangeTable() bool {
-	if b.rangeUsed || len(b.nls) > 0 {
-		return true
-	}
-	for kind := range b.stats.RowsByKind {
-		switch kind {
-		case KindDivRound, KindVarDiv, KindDivFloor, KindMax, KindMaxMR:
-			return true
-		}
-	}
-	return false
-}
-
-// usedKinds returns the gadget kinds with allocated rows, in first-use
-// order, excluding IO and continuation rows.
+// usedKinds returns the kinds with rows, in first-use order.
 func (b *Builder) usedKinds() []Kind {
 	seen := map[Kind]bool{}
 	var out []Kind
-	for _, k := range b.rowKind {
-		if k == KindIO || strings.HasSuffix(string(k), ":cont") || seen[k] {
+	for i, k := range b.rowKind {
+		if (i > 0 && k == b.rowKind[i-1]) || seen[k] {
 			continue
 		}
 		seen[k] = true
@@ -85,6 +65,10 @@ func (b *Builder) usedKinds() []Kind {
 	}
 	return out
 }
+
+// tables returns the kinds with their own fixed table columns, in column
+// order: nonlinearities by name, then gathers in registration order.
+func (b *Builder) tables() []Kind { return slices.Concat(b.nlTables, b.gatherTables) }
 
 // Finalize assembles the constraint system, fixed columns, and witness for
 // an n-row grid. n must be a power of two at least MinN().
@@ -95,61 +79,93 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	if n < b.MinN() {
 		return nil, fmt.Errorf("gadgets: %d rows insufficient (need %d)", n, b.MinN())
 	}
-	u := n - plonkish.ZKRows
+	N := b.cfg.NumCols
 	fp := b.cfg.FP
-	kinds := b.usedKinds()
 
 	// Fixed column map: selectors | coefficients | constants | range
-	// table | one output column per nonlinearity.
+	// table | the nonlinearity and gather tables. Only kinds that
+	// constrain something get a selector.
+	var kinds []Kind
 	selIdx := map[Kind]int{}
-	for i, k := range kinds {
-		selIdx[k] = i
-	}
-	// Gates of coefficient-using kinds reference coefficient columns for
-	// every slot position, so reserve the full width once any is present.
-	for _, k := range kinds {
-		switch k {
-		case KindMulC, KindDivRound, KindDotConst, KindDotConstAcc:
-			if b.coefUsed < b.cfg.NumCols {
-				b.coefUsed = b.cfg.NumCols
-			}
+	coefCols, useRange := 0, false
+	for _, k := range b.usedKinds() {
+		e := b.catalog[k]
+		if !e.constrains() {
+			continue
 		}
+		selIdx[k] = len(kinds)
+		kinds = append(kinds, k)
+		// Gates of coefficient-using kinds reference coefficient columns for
+		// every slot position, so reserve the full width once any is present.
+		if e.coefs {
+			coefCols = N
+		}
+		useRange = useRange || e.rangeTable
 	}
 	coefBase := len(kinds)
 	constCol := -1
-	next := coefBase + b.coefUsed
+	next := coefBase + coefCols
 	if len(b.constVal) > 0 {
 		constCol = next
 		next++
 	}
 	rangeCol := -1
-	if b.needsRangeTable() {
+	if useRange {
 		rangeCol = next
 		next++
 	}
-	nlCol := map[fixedpoint.Nonlinearity]int{}
-	for _, nl := range sortedNLs(b.nls) {
-		nlCol[nl] = next
-		next++
-	}
-	gatherBase := map[string]int{}
-	for _, name := range b.gatherOrder {
-		gatherBase[name] = next
-		next += b.gatherTables[name].dim + 1
+	tableCol := map[Kind]int{}
+	for _, k := range b.tables() {
+		tableCol[k] = next
+		next += len(b.catalog[k].table)
 	}
 	numFixed := next
 
 	cs := &plonkish.CS{
 		NumFixed:    numFixed,
-		NumAdvice:   b.cfg.NumCols,
+		NumAdvice:   N,
 		NumInstance: 1,
 	}
 	if constCol >= 0 {
 		cs.PermFixed = []int{constCol}
 	}
 
-	b.buildGates(cs, selIdx, coefBase)
-	b.buildLookups(cs, selIdx, rangeCol, nlCol, gatherBase)
+	// One gate per kind, holding every slot's constraints, then every
+	// slot's lookups.
+	var lookups []plonkish.Lookup
+	for si, k := range kinds {
+		e := b.catalog[k]
+		sel := plonkish.V(plonkish.FixedCol(si))
+		var table []plonkish.Col
+		tableLen := fp.TableSize()
+		if e.rangeTable {
+			table = append(table, plonkish.FixedCol(rangeCol))
+		} else if len(e.table) > 0 {
+			tableLen = len(e.table[0])
+		}
+		for j := range e.table {
+			table = append(table, plonkish.FixedCol(tableCol[k]+j))
+		}
+		var polys []plonkish.Expr
+		for s := 0; s < N/e.cells; s++ {
+			c := slotCells{base: s * e.cells, coefBase: coefBase}
+			if e.gate != nil {
+				for _, p := range e.gate(c) {
+					polys = append(polys, plonkish.Mul(sel, p))
+				}
+			}
+			if e.lookups != nil {
+				for _, p := range e.lookups(c) {
+					lookups = append(lookups, plonkish.Lookup{Name: fmt.Sprintf("%s/%s%d", k, p.name, s),
+						Selector: sel, Inputs: p.in, Table: table, TableLen: tableLen})
+				}
+			}
+		}
+		if len(polys) > 0 {
+			cs.AddGate(string(k), polys...)
+		}
+	}
+	cs.Lookups = append(cs.Lookups, lookups...)
 
 	// Copies: builder copies (patching the constants-column placeholder)
 	// plus public-instance exposures.
@@ -171,8 +187,8 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	for i := range fixed {
 		fixed[i] = make([]ff.Element, n)
 	}
-	for row, kind := range b.rowKind {
-		if si, ok := selIdx[kind]; ok {
+	for row := 0; row < len(b.rowKind); row += b.catalog[b.rowKind[row]].rows {
+		if si, ok := selIdx[b.rowKind[row]]; ok {
 			fixed[si][row] = ff.One()
 		}
 	}
@@ -191,17 +207,10 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 			fixed[rangeCol][i] = ff.NewElement(uint64(i))
 		}
 	}
-	for nl, col := range nlCol {
-		for i, v := range fp.Table(nl) {
-			fixed[col][i] = ff.NewInt64(v)
-		}
-	}
-	for name, base := range gatherBase {
-		t := b.gatherTables[name]
-		for r := 0; r < t.vocab; r++ {
-			fixed[base][r] = ff.NewElement(uint64(r))
-			for d := 0; d < t.dim; d++ {
-				fixed[base+1+d][r] = ff.NewInt64(t.data[r*t.dim+d])
+	for _, k := range b.tables() {
+		for j, col := range b.catalog[k].table {
+			for r, v := range col {
+				fixed[tableCol[k]+j][r] = ff.NewInt64(v)
 			}
 		}
 	}
@@ -223,9 +232,6 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	for i, v := range b.instance {
 		inst[i] = ff.NewInt64(v)
 	}
-	if len(inst) > u {
-		return nil, fmt.Errorf("gadgets: %d public values exceed usable rows %d", len(inst), u)
-	}
 
 	return &Artifact{
 		CS:       cs,
@@ -235,262 +241,4 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		UsedRows: b.MinRows(),
 		N:        n,
 	}, nil
-}
-
-// buildGates adds one gate (with one constraint per slot) per gadget kind.
-func (b *Builder) buildGates(cs *plonkish.CS, selIdx map[Kind]int, coefBase int) {
-	N := b.cfg.NumCols
-	fp := b.cfg.FP
-	adv := func(i int) plonkish.Expr { return plonkish.V(plonkish.AdviceCol(i)) }
-	advRot := func(i, r int) plonkish.Expr { return plonkish.VRot(plonkish.AdviceCol(i), r) }
-	coefOf := func(i int) plonkish.Expr { return plonkish.V(plonkish.FixedCol(coefBase + i)) }
-
-	for _, kind := range b.usedKinds() {
-		si := selIdx[kind]
-		sel := plonkish.V(plonkish.FixedCol(si))
-		var polys []plonkish.Expr
-		switch {
-		case kind == KindAdd:
-			for s := 0; s*3+2 < N; s++ {
-				polys = append(polys, plonkish.Sub(adv(s*3+2), plonkish.Sum(adv(s*3), adv(s*3+1))))
-			}
-		case kind == KindSub:
-			for s := 0; s*3+2 < N; s++ {
-				polys = append(polys, plonkish.Sub(adv(s*3+2), plonkish.Sub(adv(s*3), adv(s*3+1))))
-			}
-		case kind == KindMul:
-			for s := 0; s*3+2 < N; s++ {
-				polys = append(polys, plonkish.Sub(adv(s*3+2), plonkish.Mul(adv(s*3), adv(s*3+1))))
-			}
-		case kind == KindSquare:
-			for s := 0; s*2+1 < N; s++ {
-				polys = append(polys, plonkish.Sub(adv(s*2+1), plonkish.Mul(adv(s*2), adv(s*2))))
-			}
-		case kind == KindSqDiff:
-			for s := 0; s*3+2 < N; s++ {
-				d := plonkish.Sub(adv(s*3), adv(s*3+1))
-				polys = append(polys, plonkish.Sub(adv(s*3+2), plonkish.Mul(d, d)))
-			}
-		case kind == KindMulC:
-			for s := 0; s*2+1 < N; s++ {
-				polys = append(polys, plonkish.Sub(adv(s*2+1), plonkish.Mul(coefOf(s*2), adv(s*2))))
-			}
-		case kind == KindSum:
-			terms := make([]plonkish.Expr, N-1)
-			for i := 0; i < N-1; i++ {
-				terms[i] = adv(i)
-			}
-			polys = append(polys, plonkish.Sub(adv(N-1), plonkish.Sum(terms...)))
-		case kind == KindDot:
-			n := (N - 1) / 2
-			terms := make([]plonkish.Expr, n)
-			for i := 0; i < n; i++ {
-				terms[i] = plonkish.Mul(adv(i), adv(n+i))
-			}
-			polys = append(polys, plonkish.Sub(adv(2*n), plonkish.Sum(terms...)))
-		case kind == KindDotBias:
-			n := (N - 2) / 2
-			terms := make([]plonkish.Expr, 0, n+1)
-			terms = append(terms, adv(2*n))
-			for i := 0; i < n; i++ {
-				terms = append(terms, plonkish.Mul(adv(i), adv(n+i)))
-			}
-			polys = append(polys, plonkish.Sub(adv(2*n+1), plonkish.Sum(terms...)))
-		case kind == KindDotConst:
-			terms := make([]plonkish.Expr, N-1)
-			for i := 0; i < N-1; i++ {
-				terms[i] = plonkish.Mul(adv(i), coefOf(i))
-			}
-			polys = append(polys, plonkish.Sub(adv(N-1), plonkish.Sum(terms...)))
-		case kind == KindDotConstAcc:
-			terms := make([]plonkish.Expr, 0, N-1)
-			terms = append(terms, adv(N-2))
-			for i := 0; i < N-2; i++ {
-				terms = append(terms, plonkish.Mul(adv(i), coefOf(i)))
-			}
-			polys = append(polys, plonkish.Sub(adv(N-1), plonkish.Sum(terms...)))
-		case kind == KindDivRound:
-			// 2x + a - 2a*c - r = 0 over [x, c, r] with coefficient a.
-			for s := 0; s*3+2 < N; s++ {
-				x, c, r := adv(s*3), adv(s*3+1), adv(s*3+2)
-				a := coefOf(s * 3)
-				polys = append(polys, plonkish.Sum(
-					plonkish.Scale(ff.NewElement(2), x), a,
-					plonkish.Neg(plonkish.Scale(ff.NewElement(2), plonkish.Mul(a, c))),
-					plonkish.Neg(r)))
-			}
-		case kind == KindVarDiv:
-			for s := 0; s*4+3 < N; s++ {
-				a, num, c, r := adv(s*4), adv(s*4+1), adv(s*4+2), adv(s*4+3)
-				polys = append(polys, plonkish.Sum(
-					plonkish.Scale(ff.NewElement(2), num), a,
-					plonkish.Neg(plonkish.Scale(ff.NewElement(2), plonkish.Mul(a, c))),
-					plonkish.Neg(r)))
-			}
-		case kind == KindDivFloor:
-			for s := 0; s*4+3 < N; s++ {
-				a, num, c, r := adv(s*4), adv(s*4+1), adv(s*4+2), adv(s*4+3)
-				polys = append(polys, plonkish.Sum(num,
-					plonkish.Neg(plonkish.Mul(a, c)), plonkish.Neg(r)))
-			}
-		case kind == KindMax:
-			for s := 0; s*3+2 < N; s++ {
-				a, bb, c := adv(s*3), adv(s*3+1), adv(s*3+2)
-				polys = append(polys, plonkish.Mul(plonkish.Sub(c, a), plonkish.Sub(c, bb)))
-			}
-		case kind == KindReluDecomp:
-			k := fp.LookupBits
-			cells := k + 2
-			for s := 0; (s+1)*cells <= N; s++ {
-				base := s * cells
-				x, y := adv(base), adv(base+1)
-				recompose := []plonkish.Expr{plonkish.Neg(x), plonkish.CI(-fp.HalfRange())}
-				for i := 0; i < k; i++ {
-					bit := adv(base + 2 + i)
-					recompose = append(recompose, plonkish.Scale(ff.NewInt64(1<<uint(i)), bit))
-					polys = append(polys, plonkish.Mul(bit, plonkish.Sub(bit, plonkish.CI(1))))
-				}
-				polys = append(polys, plonkish.Sum(recompose...))
-				sign := adv(base + 2 + k - 1)
-				polys = append(polys, plonkish.Sub(y, plonkish.Mul(sign, x)))
-			}
-		case kind == KindAddMR:
-			for s := 0; s*2+1 < N; s++ {
-				polys = append(polys, plonkish.Sub(advRot(s*2, 1), plonkish.Sum(adv(s*2), adv(s*2+1))))
-			}
-		case kind == KindMaxMR:
-			for s := 0; s*2+1 < N; s++ {
-				c := advRot(s*2, 1)
-				polys = append(polys, plonkish.Mul(plonkish.Sub(c, adv(s*2)), plonkish.Sub(c, adv(s*2+1))))
-			}
-		case kind == KindDotMR:
-			n := N - 1
-			terms := make([]plonkish.Expr, n)
-			for i := 0; i < n; i++ {
-				terms[i] = plonkish.Mul(adv(i), advRot(i, 1))
-			}
-			polys = append(polys, plonkish.Sub(advRot(N-1, 1), plonkish.Sum(terms...)))
-		case kind == KindRange:
-			// Lookup only; no polynomial gate.
-		default:
-			_, isNL := nlOfKind(kind)
-			_, isGather := gatherOfKind(kind)
-			if !isNL && !isGather {
-				panic(fmt.Sprintf("gadgets: no gate builder for kind %q", kind))
-			}
-			// Nonlinearities and gathers are lookup-only.
-		}
-		if len(polys) == 0 {
-			continue
-		}
-		gated := make([]plonkish.Expr, len(polys))
-		for i, p := range polys {
-			gated[i] = plonkish.Mul(sel, p)
-		}
-		cs.AddGate(string(kind), gated...)
-	}
-}
-
-// buildLookups adds the lookup arguments: range checks for the division and
-// max gadgets, standalone range assertions, and the nonlinearity tables.
-func (b *Builder) buildLookups(cs *plonkish.CS, selIdx map[Kind]int, rangeCol int, nlCol map[fixedpoint.Nonlinearity]int, gatherBase map[string]int) {
-	N := b.cfg.NumCols
-	fp := b.cfg.FP
-	adv := func(i int) plonkish.Expr { return plonkish.V(plonkish.AdviceCol(i)) }
-	advRot := func(i, r int) plonkish.Expr { return plonkish.VRot(plonkish.AdviceCol(i), r) }
-	shift := plonkish.CI(fp.HalfRange())
-	tblLen := fp.TableSize()
-
-	addRange := func(kind Kind, name string, in plonkish.Expr) {
-		cs.AddLookup(plonkish.Lookup{
-			Name:     string(kind) + "/" + name,
-			Selector: plonkish.V(plonkish.FixedCol(selIdx[kind])),
-			Inputs:   []plonkish.Expr{in},
-			Table:    []plonkish.Col{plonkish.FixedCol(rangeCol)},
-			TableLen: tblLen,
-		})
-	}
-
-	for _, kind := range b.usedKinds() {
-		si := selIdx[kind]
-		switch {
-		case kind == KindDivRound:
-			coefBase := len(selIdx)
-			coefOf := func(i int) plonkish.Expr { return plonkish.V(plonkish.FixedCol(coefBase + i)) }
-			for s := 0; s*3+2 < N; s++ {
-				c, r := adv(s*3+1), adv(s*3+2)
-				a := coefOf(s * 3)
-				addRange(kind, fmt.Sprintf("r%d", s), r)
-				addRange(kind, fmt.Sprintf("rb%d", s), plonkish.Sum(
-					plonkish.Scale(ff.NewElement(2), a), plonkish.CI(-1), plonkish.Neg(r)))
-				addRange(kind, fmt.Sprintf("c%d", s), plonkish.Sum(c, shift))
-			}
-		case kind == KindVarDiv:
-			for s := 0; s*4+3 < N; s++ {
-				a, c, r := adv(s*4), adv(s*4+2), adv(s*4+3)
-				addRange(kind, fmt.Sprintf("r%d", s), r)
-				addRange(kind, fmt.Sprintf("rb%d", s), plonkish.Sum(
-					plonkish.Scale(ff.NewElement(2), a), plonkish.CI(-1), plonkish.Neg(r)))
-				addRange(kind, fmt.Sprintf("c%d", s), plonkish.Sum(c, shift))
-			}
-		case kind == KindDivFloor:
-			for s := 0; s*4+3 < N; s++ {
-				a, c, r := adv(s*4), adv(s*4+2), adv(s*4+3)
-				addRange(kind, fmt.Sprintf("r%d", s), r)
-				addRange(kind, fmt.Sprintf("rb%d", s), plonkish.Sum(a, plonkish.CI(-1), plonkish.Neg(r)))
-				addRange(kind, fmt.Sprintf("c%d", s), plonkish.Sum(c, shift))
-			}
-		case kind == KindMax:
-			for s := 0; s*3+2 < N; s++ {
-				a, bb, c := adv(s*3), adv(s*3+1), adv(s*3+2)
-				addRange(kind, fmt.Sprintf("ca%d", s), plonkish.Sub(c, a))
-				addRange(kind, fmt.Sprintf("cb%d", s), plonkish.Sub(c, bb))
-			}
-		case kind == KindMaxMR:
-			for s := 0; s*2+1 < N; s++ {
-				c := advRot(s*2, 1)
-				addRange(kind, fmt.Sprintf("ca%d", s), plonkish.Sub(c, adv(s*2)))
-				addRange(kind, fmt.Sprintf("cb%d", s), plonkish.Sub(c, adv(s*2+1)))
-			}
-		case kind == KindRange:
-			for s := 0; s < N; s++ {
-				addRange(kind, fmt.Sprintf("x%d", s), plonkish.Sum(adv(s), shift))
-			}
-		default:
-			if name, ok := gatherOfKind(kind); ok {
-				t := b.gatherTables[name]
-				base := gatherBase[name]
-				cells := t.dim + 1
-				for s := 0; (s+1)*cells <= N; s++ {
-					inputs := make([]plonkish.Expr, cells)
-					table := make([]plonkish.Col, cells)
-					for j := 0; j < cells; j++ {
-						inputs[j] = adv(s*cells + j)
-						table[j] = plonkish.FixedCol(base + j)
-					}
-					cs.AddLookup(plonkish.Lookup{
-						Name:     string(kind) + fmt.Sprintf("/%d", s),
-						Selector: plonkish.V(plonkish.FixedCol(si)),
-						Inputs:   inputs,
-						Table:    table,
-						TableLen: t.vocab,
-					})
-				}
-				continue
-			}
-			nl, ok := nlOfKind(kind)
-			if !ok {
-				continue
-			}
-			for s := 0; s*2+1 < N; s++ {
-				cs.AddLookup(plonkish.Lookup{
-					Name:     string(kind) + fmt.Sprintf("/%d", s),
-					Selector: plonkish.V(plonkish.FixedCol(si)),
-					Inputs:   []plonkish.Expr{plonkish.Sum(adv(s*2), shift), adv(s*2 + 1)},
-					Table:    []plonkish.Col{plonkish.FixedCol(rangeCol), plonkish.FixedCol(nlCol[nl])},
-					TableLen: tblLen,
-				})
-			}
-		}
-	}
 }

@@ -14,41 +14,9 @@ package gadgets
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fixedpoint"
 )
-
-// Kind names a gadget (one selector column each).
-type Kind string
-
-// The gadget catalog.
-const (
-	KindIO           Kind = "io" // unconstrained witness cells (inputs)
-	KindAdd          Kind = "add"
-	KindSub          Kind = "sub"
-	KindMul          Kind = "mul" // raw product, no rescale
-	KindSquare       Kind = "square"
-	KindSqDiff       Kind = "sqdiff"
-	KindSum          Kind = "sum"
-	KindDot          Kind = "dot"
-	KindDotBias      Kind = "dot_bias"
-	KindDotConst     Kind = "dot_const"      // weights in parallel fixed columns
-	KindDotBiasConst Kind = "dot_bias_const" // weights + bias in fixed columns
-	KindMulC         Kind = "mulc"           // multiply by per-row constant
-	KindDivRound     Kind = "divround"       // rounded division by per-row constant
-	KindVarDiv       Kind = "vardiv"         // rounded division by witness value
-	KindDivFloor     Kind = "divfloor"       // floor division by witness value
-	KindMax          Kind = "max"
-	KindRange        Kind = "range"
-	KindReluDecomp   Kind = "relu_decomp" // bit-decomposition ReLU (baseline)
-	KindAddMR        Kind = "add_mr"      // multi-row variants (Table 13)
-	KindMaxMR        Kind = "max_mr"
-	KindDotMR        Kind = "dot_mr"
-)
-
-// NLKind returns the gadget kind for a pointwise nonlinearity lookup.
-func NLKind(nl fixedpoint.Nonlinearity) Kind { return Kind("nl_" + string(nl)) }
 
 // DotStrategy selects how large dot products are aggregated (paper §5.2).
 type DotStrategy string
@@ -92,7 +60,7 @@ type Config struct {
 	Arith   ArithStrategy
 	ReLU    ReLUStrategy
 	// UseConstDot enables the fixed-column weight variants of the dot
-	// gadget (dot_const / dot_bias_const), ZKML's optimized
+	// gadget (dot_const / dot_const_acc), ZKML's optimized
 	// implementation for linear layers with constant weights.
 	UseConstDot bool
 	// MultiAdd / MultiMax / MultiDot switch one gadget each to its two-row
@@ -155,15 +123,5 @@ func EnumerateConfigs(numCols int, fp fixedpoint.Params) []Config {
 			out = append(out, c)
 		}
 	}
-	return out
-}
-
-// sortedNLs returns nonlinearities in deterministic order.
-func sortedNLs(m map[fixedpoint.Nonlinearity]bool) []fixedpoint.Nonlinearity {
-	out := make([]fixedpoint.Nonlinearity, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -23,22 +23,8 @@ func endToEnd(t *testing.T, b *Builder) {
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
-	art, err := b.Finalize(b.MinN())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Mock-prover oracle first: pinpoints the violated constraint.
-	a := plonkish.NewAssignment(art.CS, art.N)
-	for i := range art.Fixed {
-		copy(a.Fixed[i], art.Fixed[i])
-	}
-	copy(a.Instance[0], art.Instance[0])
-	if err := art.Witness.Fill(0, nil, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := plonkish.CheckConstraints(art.CS, a, nil); err != nil {
-		t.Fatal(err)
-	}
+	art := checkRows(t, b)
 	pk, vk, err := plonkish.Setup(art.CS, art.N, art.Fixed, pcs.KZG)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +36,28 @@ func endToEnd(t *testing.T, b *Builder) {
 	if err := plonkish.Verify(vk, art.Instance, proof); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkRows finalizes the build at its minimal grid and checks every gate,
+// lookup and copy row by row with plonkish.CheckConstraints.
+func checkRows(t *testing.T, b *Builder) *Artifact {
+	t.Helper()
+	art, err := b.Finalize(b.MinN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := plonkish.NewAssignment(art.CS, art.N)
+	for i := range art.Fixed {
+		copy(a.Fixed[i], art.Fixed[i])
+	}
+	copy(a.Instance[0], art.Instance[0])
+	if err := art.Witness.Fill(0, nil, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := plonkish.CheckConstraints(art.CS, a, nil); err != nil {
+		t.Fatal(err)
+	}
+	return art
 }
 
 func TestArithmeticOpsEndToEnd(t *testing.T) {

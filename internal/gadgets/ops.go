@@ -1,15 +1,9 @@
 package gadgets
 
 import (
-	"repro/internal/fixedpoint"
-	"repro/internal/plonkish"
-)
+	"slices"
 
-// Additional dot-gadget kinds with constant (fixed-column) weights.
-const (
-	// KindDotConstAcc is [x_1..x_n, acc, z] with weights in coefficient
-	// columns: z = acc + sum x_i*C_i (bias-chaining aggregation).
-	KindDotConstAcc Kind = "dot_const_acc"
+	"repro/internal/fixedpoint"
 )
 
 // Add returns x + y (same scale).
@@ -20,10 +14,10 @@ func (b *Builder) Add(x, y *Value) *Value {
 	if b.cfg.MultiAdd {
 		return b.addMR(x, y)
 	}
-	row, s := b.slot(KindAdd, 3, 1)
-	b.put(x, row, s*3)
-	b.put(y, row, s*3+1)
-	return b.out(x.v+y.v, row, s*3+2)
+	row, col := b.slot(KindAdd)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
+	return b.out(x.v+y.v, row, col+2)
 }
 
 // Sub returns x - y.
@@ -31,10 +25,10 @@ func (b *Builder) Sub(x, y *Value) *Value {
 	if b.cfg.Arith == ArithViaDot {
 		return b.DotRaw([]*Value{x, y}, nil, []int64{1, -1}, nil)
 	}
-	row, s := b.slot(KindSub, 3, 1)
-	b.put(x, row, s*3)
-	b.put(y, row, s*3+1)
-	return b.out(x.v-y.v, row, s*3+2)
+	row, col := b.slot(KindSub)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
+	return b.out(x.v-y.v, row, col+2)
 }
 
 // MulRaw returns the double-scale product x*y (caller rescales).
@@ -42,10 +36,10 @@ func (b *Builder) MulRaw(x, y *Value) *Value {
 	if b.cfg.Arith == ArithViaDot {
 		return b.dotAdviceRaw([]*Value{x}, []*Value{y}, nil)
 	}
-	row, s := b.slot(KindMul, 3, 1)
-	b.put(x, row, s*3)
-	b.put(y, row, s*3+1)
-	return b.out(x.v*y.v, row, s*3+2)
+	row, col := b.slot(KindMul)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
+	return b.out(x.v*y.v, row, col+2)
 }
 
 // Mul returns the rescaled fixed-point product.
@@ -58,9 +52,9 @@ func (b *Builder) SquareRaw(x *Value) *Value {
 	if b.cfg.Arith == ArithViaDot {
 		return b.dotAdviceRaw([]*Value{x}, []*Value{x}, nil)
 	}
-	row, s := b.slot(KindSquare, 2, 1)
-	b.put(x, row, s*2)
-	return b.out(x.v*x.v, row, s*2+1)
+	row, col := b.slot(KindSquare)
+	b.put(x, row, col)
+	return b.out(x.v*x.v, row, col+1)
 }
 
 // Square returns the rescaled square.
@@ -72,11 +66,11 @@ func (b *Builder) SqDiffRaw(x, y *Value) *Value {
 		d := b.Sub(x, y)
 		return b.dotAdviceRaw([]*Value{d}, []*Value{d}, nil)
 	}
-	row, s := b.slot(KindSqDiff, 3, 1)
-	b.put(x, row, s*3)
-	b.put(y, row, s*3+1)
+	row, col := b.slot(KindSqDiff)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
 	d := x.v - y.v
-	return b.out(d*d, row, s*3+2)
+	return b.out(d*d, row, col+2)
 }
 
 // MulC returns c*x without rescaling (integer constant multiply).
@@ -84,10 +78,10 @@ func (b *Builder) MulC(x *Value, c int64) *Value {
 	if b.cfg.Arith == ArithViaDot {
 		return b.DotRaw([]*Value{x}, nil, []int64{c}, nil)
 	}
-	row, s := b.slot(KindMulC, 2, 1)
-	b.put(x, row, s*2)
-	b.coef(row, s*2, c)
-	return b.out(c*x.v, row, s*2+1)
+	row, col := b.slot(KindMulC)
+	b.put(x, row, col)
+	b.coef(row, col, c)
+	return b.out(c*x.v, row, col+1)
 }
 
 // SumVec reduces a vector to its sum using full-row sum gadgets (arity
@@ -109,7 +103,7 @@ func (b *Builder) SumVec(vals []*Value) *Value {
 				next = append(next, group[0])
 				continue
 			}
-			row := b.fullRow(KindSum, 1)
+			row := b.fullRow(KindSum)
 			var total int64
 			for i, v := range group {
 				b.put(v, row, i)
@@ -188,11 +182,11 @@ func (b *Builder) dotAdviceRaw(xs, ws []*Value, acc *Value) *Value {
 	var total int64
 	var row int
 	if acc != nil {
-		row = b.fullRow(KindDotBias, 1)
+		row = b.fullRow(KindDotBias)
 		b.put(acc, row, 2*n)
 		total = acc.v
 	} else {
-		row = b.fullRow(KindDot, 1)
+		row = b.fullRow(KindDot)
 	}
 	for i := range xs {
 		b.put(xs[i], row, i)
@@ -230,7 +224,7 @@ func (b *Builder) dotConstChained(xs []*Value, consts []int64, init *Value) *Val
 	}
 	for lo := 0; lo < len(xs); lo += n {
 		hi := min(lo+n, len(xs))
-		row := b.fullRow(KindDotConstAcc, 1)
+		row := b.fullRow(KindDotConstAcc)
 		total := acc.v
 		for i := lo; i < hi; i++ {
 			b.put(xs[i], row, i-lo)
@@ -252,7 +246,7 @@ func (b *Builder) dotConstSummed(xs []*Value, consts []int64, init *Value) *Valu
 	}
 	for lo := 0; lo < len(xs); lo += n {
 		hi := min(lo+n, len(xs))
-		row := b.fullRow(KindDotConst, 1)
+		row := b.fullRow(KindDotConst)
 		var total int64
 		for i := lo; i < hi; i++ {
 			b.put(xs[i], row, i-lo)
@@ -274,7 +268,7 @@ func (b *Builder) dotMRSummed(xs, ws []*Value, init *Value) *Value {
 	}
 	for lo := 0; lo < len(xs); lo += n {
 		hi := min(lo+n, len(xs))
-		row := b.fullRow(KindDotMR, 2)
+		row := b.fullRow(KindDotMR)
 		var total int64
 		for i := lo; i < hi; i++ {
 			b.put(xs[i], row, i-lo)
@@ -288,10 +282,10 @@ func (b *Builder) dotMRSummed(xs, ws []*Value, init *Value) *Value {
 
 // addMR is the two-row adder (Table 13): x, y on row r; z on row r+1.
 func (b *Builder) addMR(x, y *Value) *Value {
-	row, s := b.slot(KindAddMR, 2, 2)
-	b.put(x, row, s*2)
-	b.put(y, row, s*2+1)
-	return b.out(x.v+y.v, row+1, s*2)
+	row, col := b.slot(KindAddMR)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
+	return b.out(x.v+y.v, row+1, col)
 }
 
 // DivRoundConst returns Round(x / a) for a positive constant divisor
@@ -303,15 +297,15 @@ func (b *Builder) DivRoundConst(x *Value, a int64) *Value {
 		b.fail("DivRoundConst divisor %d out of (0, %d]", a, b.cfg.FP.HalfRange())
 		return b.val(0)
 	}
-	row, s := b.slot(KindDivRound, 3, 1)
+	row, col := b.slot(KindDivRound)
 	c := fixedpoint.DivRound(x.v, a)
 	r := 2*x.v + a - 2*a*c
 	b.checkRange(c, "DivRound quotient")
 	b.checkRangeUnsigned(r, "DivRound remainder")
-	b.put(x, row, s*3)
-	b.coef(row, s*3, a)
-	b.raw(r, row, s*3+2)
-	return b.out(c, row, s*3+1)
+	b.put(x, row, col)
+	b.coef(row, col, a)
+	b.raw(r, row, col+2)
+	return b.out(c, row, col+1)
 }
 
 // Rescale divides a double-scale value back to single scale.
@@ -327,15 +321,15 @@ func (b *Builder) VarDiv(num, den *Value) *Value {
 		b.fail("VarDiv divisor %d out of (0, %d]", den.v, b.cfg.FP.HalfRange())
 		return b.val(0)
 	}
-	row, s := b.slot(KindVarDiv, 4, 1)
+	row, col := b.slot(KindVarDiv)
 	c := fixedpoint.DivRound(num.v, den.v)
 	r := 2*num.v + den.v - 2*den.v*c
 	b.checkRange(c, "VarDiv quotient")
 	b.checkRangeUnsigned(r, "VarDiv remainder")
-	b.put(den, row, s*4)
-	b.put(num, row, s*4+1)
-	b.raw(r, row, s*4+3)
-	return b.out(c, row, s*4+2)
+	b.put(den, row, col)
+	b.put(num, row, col+1)
+	b.raw(r, row, col+3)
+	return b.out(c, row, col+2)
 }
 
 // DivFloor returns floor(num / den) for a positive witness divisor
@@ -345,15 +339,15 @@ func (b *Builder) DivFloor(num, den *Value) *Value {
 		b.fail("DivFloor divisor %d out of (0, %d]", den.v, b.cfg.FP.HalfRange())
 		return b.val(0)
 	}
-	row, s := b.slot(KindDivFloor, 4, 1)
+	row, col := b.slot(KindDivFloor)
 	c := fixedpoint.FloorDiv(num.v, den.v)
 	r := num.v - den.v*c
 	b.checkRange(c, "DivFloor quotient")
 	b.checkRangeUnsigned(r, "DivFloor remainder")
-	b.put(den, row, s*4)
-	b.put(num, row, s*4+1)
-	b.raw(r, row, s*4+3)
-	return b.out(c, row, s*4+2)
+	b.put(den, row, col)
+	b.put(num, row, col+1)
+	b.raw(r, row, col+3)
+	return b.out(c, row, col+2)
 }
 
 // Max returns max(x, y) via the constraint (c-x)(c-y) = 0 plus two range
@@ -362,26 +356,26 @@ func (b *Builder) Max(x, y *Value) *Value {
 	if b.cfg.MultiMax {
 		return b.maxMR(x, y)
 	}
-	row, s := b.slot(KindMax, 3, 1)
-	b.put(x, row, s*3)
-	b.put(y, row, s*3+1)
+	row, col := b.slot(KindMax)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
 	m := x.v
 	if y.v > m {
 		m = y.v
 	}
-	return b.out(m, row, s*3+2)
+	return b.out(m, row, col+2)
 }
 
 // maxMR is the two-row max (Table 13).
 func (b *Builder) maxMR(x, y *Value) *Value {
-	row, s := b.slot(KindMaxMR, 2, 2)
-	b.put(x, row, s*2)
-	b.put(y, row, s*2+1)
+	row, col := b.slot(KindMaxMR)
+	b.put(x, row, col)
+	b.put(y, row, col+1)
 	m := x.v
 	if y.v > m {
 		m = y.v
 	}
-	return b.out(m, row+1, s*2)
+	return b.out(m, row+1, col)
 }
 
 // MaxVec folds a vector with the max gadget.
@@ -412,11 +406,20 @@ func (b *Builder) Nonlinear(nl fixedpoint.Nonlinearity, x *Value) *Value {
 		return b.reluDecomp(x)
 	}
 	b.checkRange(x.v, string(nl)+" input")
-	b.nls[nl] = true
-	row, s := b.slot(NLKind(nl), 2, 1)
-	b.stats.LookupSites++
-	b.put(x, row, s*2)
-	return b.out(b.cfg.FP.Fixed(nl, x.v), row, s*2+1)
+	row, col := b.slot(b.nlKind(nl))
+	b.put(x, row, col)
+	return b.out(b.cfg.FP.Fixed(nl, x.v), row, col+1)
+}
+
+// nlKind returns the kind of nl, adding its catalog entry on first use.
+func (b *Builder) nlKind(nl fixedpoint.Nonlinearity) Kind {
+	kind := NLKind(nl)
+	if b.catalog[kind] == nil {
+		b.catalog[kind] = nlEntry(b.cfg.FP, nl)
+		i, _ := slices.BinarySearch(b.nlTables, kind)
+		b.nlTables = slices.Insert(b.nlTables, i, kind)
+	}
+	return kind
 }
 
 // ReLU is a convenience wrapper.
@@ -429,8 +432,7 @@ func (b *Builder) ReLU(x *Value) *Value { return b.Nonlinear(fixedpoint.ReLU, x)
 func (b *Builder) reluDecomp(x *Value) *Value {
 	k := b.cfg.FP.LookupBits
 	b.checkRange(x.v, "relu input")
-	row, s := b.slot(KindReluDecomp, k+2, 1)
-	base := s * (k + 2)
+	row, base := b.slot(KindReluDecomp)
 	b.put(x, row, base)
 	shifted := x.v + b.cfg.FP.HalfRange()
 	for i := 0; i < k; i++ {
@@ -443,27 +445,17 @@ func (b *Builder) reluDecomp(x *Value) *Value {
 	return b.out(y, row, base+1)
 }
 
-// gatherTable is a committed embedding table for in-circuit gathers.
-type gatherTable struct {
-	name  string
-	vocab int
-	dim   int
-	data  []int64 // row-major [vocab][dim]
-}
-
-// gatherKind returns the gadget kind for gathers from a named table.
-func gatherKind(name string) Kind { return Kind("gather_" + name) }
-
 // RegisterTable registers (idempotently) an embedding table for Gather.
 // data is row-major [vocab][dim].
 func (b *Builder) RegisterTable(name string, vocab, dim int, data []int64) {
-	if t, ok := b.gatherTables[name]; ok {
-		if t.vocab != vocab || t.dim != dim {
+	kind := gatherKind(name)
+	if e := b.catalog[kind]; e != nil {
+		if len(e.table[0]) != vocab || len(e.table)-1 != dim {
 			b.fail("table %q re-registered with different shape", name)
 		}
 		return
 	}
-	if len(data) != vocab*dim {
+	if vocab < 1 || len(data) != vocab*dim {
 		b.fail("table %q: %d values do not fit %dx%d", name, len(data), vocab, dim)
 		return
 	}
@@ -471,9 +463,8 @@ func (b *Builder) RegisterTable(name string, vocab, dim int, data []int64) {
 		b.fail("table %q: row width %d exceeds %d columns", name, dim+1, b.cfg.NumCols)
 		return
 	}
-	b.gatherTables[name] = &gatherTable{name: name, vocab: vocab, dim: dim,
-		data: append([]int64(nil), data...)}
-	b.gatherOrder = append(b.gatherOrder, name)
+	b.catalog[kind] = gatherEntry(vocab, dim, data)
+	b.gatherTables = append(b.gatherTables, kind)
 }
 
 // Gather selects row id of a registered table via a lookup argument: the
@@ -487,27 +478,25 @@ func (b *Builder) RegisterTable(name string, vocab, dim int, data []int64) {
 // dim is unknown — returns nil, and callers that know their width (Embed)
 // substitute zeros.
 func (b *Builder) Gather(name string, id *Value) []*Value {
-	t, ok := b.gatherTables[name]
-	if !ok {
+	kind := gatherKind(name)
+	e := b.catalog[kind]
+	if e == nil {
 		b.fail("Gather from unregistered table %q", name)
 		return nil
 	}
-	idv := int(id.v)
-	if idv < 0 || idv >= t.vocab {
-		b.fail("Gather id %d out of range [0,%d)", idv, t.vocab)
-		out := make([]*Value, t.dim)
+	idv, vocab := int(id.v), len(e.table[0])
+	out := make([]*Value, e.cells-1)
+	if idv < 0 || idv >= vocab {
+		b.fail("Gather id %d out of range [0,%d)", idv, vocab)
 		for d := range out {
 			out[d] = b.val(0)
 		}
 		return out
 	}
-	row, s := b.slot(gatherKind(name), t.dim+1, 1)
-	base := s * (t.dim + 1)
+	row, base := b.slot(kind)
 	b.put(id, row, base)
-	b.stats.LookupSites++
-	out := make([]*Value, t.dim)
-	for d := 0; d < t.dim; d++ {
-		out[d] = b.out(t.data[idv*t.dim+d], row, base+1+d)
+	for d := range out {
+		out[d] = b.out(e.table[1+d][idv], row, base+1+d)
 	}
 	return out
 }
@@ -515,19 +504,6 @@ func (b *Builder) Gather(name string, id *Value) []*Value {
 // RangeAssert constrains x to the lookup-table input range.
 func (b *Builder) RangeAssert(x *Value) {
 	b.checkRange(x.v, "range assert")
-	b.rangeUsed = true
-	row, s := b.slot(KindRange, 1, 1)
-	b.stats.LookupSites++
-	b.put(x, row, s)
-}
-
-// AssertEqual copy-constrains two values (and checks them at build time).
-func (b *Builder) AssertEqual(x, y *Value) {
-	if x.v != y.v {
-		b.fail("AssertEqual: %d != %d", x.v, y.v)
-		return
-	}
-	b.ensurePlaced(x)
-	b.ensurePlaced(y)
-	b.copies = append(b.copies, [2]plonkish.Cell{x.cell, y.cell})
+	row, col := b.slot(KindRange)
+	b.put(x, row, col)
 }

@@ -87,6 +87,11 @@ func TestGatherRejectsBadShapes(t *testing.T) {
 	if b2.Err() == nil {
 		t.Fatal("accepted size-mismatched table")
 	}
+	b5 := NewBuilder(DefaultConfig(10, fp))
+	b5.RegisterTable("empty", 0, 2, nil)
+	if b5.Err() == nil {
+		t.Fatal("accepted empty table")
+	}
 	b3 := NewBuilder(DefaultConfig(10, fp))
 	b3.Gather("missing", b3.Witness(0))
 	if b3.Err() == nil {

@@ -224,8 +224,9 @@ func commitColumn(s pcs.Scheme, evals, coeffs []ff.Element) curve.Affine {
 	return s.Commit(coeffs)
 }
 
-// Digest returns a hash binding the verifying key contents, absorbed into
-// the transcript so proofs are bound to the exact circuit.
+// Digest returns a hash of the verifying key, absorbed into the transcript:
+// n, u, d, the gate and lookup counts, and the fixed and sigma commitments.
+// The gate and lookup expressions are not hashed.
 func (vk *VerifyingKey) Digest() []byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "n=%d u=%d d=%d g=%d lk=%d", vk.N, vk.U, vk.DMax, len(vk.CS.Gates), len(vk.CS.Lookups))

@@ -352,9 +352,13 @@ func (s *System) ImportProof(data []byte) (*Proof, error) {
 	return importProofBytes(data)
 }
 
-// ModelCommitment returns a digest binding the compiled circuit, including
-// the committed (but hidden) weight columns — the public commitment an
-// auditor pins (Figure 2 of the paper).
+// ModelCommitment returns the verifying key's digest — the public
+// commitment an auditor pins (Figure 2 of the paper). It binds the grid size,
+// the degree bound, the number of gates and lookups, and the commitments to
+// every fixed column (selectors, weights, constants, tables) and to the
+// permutation. It does not bind the gate and lookup expressions themselves:
+// two circuits that differ only there (an add and a sub of the same shape)
+// share it.
 func (s *System) ModelCommitment() []byte {
 	return s.Keys.VK.Digest()
 }
