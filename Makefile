@@ -94,15 +94,16 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # 386 has no assembly field kernel, so these runs take the generic one; the
-# unchanged proof digests show both kernels produce the same proof bytes.
-# Its 32-bit int is also where a length prefix >= 2^31 turns negative, so
-# the decoders of untrusted bytes run there too. The arm64 vet + build keeps
-# the !amd64 files compiling.
+# unchanged proof digests show both kernels produce the same proof bytes,
+# and the Freivalds gadget tests fold negative int64 operands into phase-1
+# cells through ff.NewInt64 on it. Its 32-bit int is also where a length
+# prefix >= 2^31 turns negative, so the decoders of untrusted bytes run
+# there too. The arm64 vet + build keeps the !amd64 files compiling.
 cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
 	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestQuotientPiecesMatchReference|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
 	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
-	GOARCH=386 $(GO) test -short -run TestCircuitsPinned ./internal/gadgets/
+	GOARCH=386 $(GO) test -short -run 'TestCircuitsPinned|TestFreivalds' ./internal/gadgets/
 	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...

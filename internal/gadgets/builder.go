@@ -3,6 +3,7 @@ package gadgets
 import (
 	"fmt"
 
+	"repro/internal/ff"
 	"repro/internal/plonkish"
 )
 
@@ -50,6 +51,11 @@ type Builder struct {
 	// kinds with their own fixed table columns, which Finalize lays out in
 	// that order.
 	nlTables, gatherTables []Kind
+
+	// late fills the phase-1 cells of one gadget each from the challenge
+	// r, into the second advice block ([col][row], col counted from
+	// NumCols), when the prover fills phase 1.
+	late []func(r ff.Element, block [][]ff.Element)
 
 	copies   [][2]plonkish.Cell
 	instance []int64

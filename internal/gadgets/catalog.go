@@ -34,6 +34,10 @@ const (
 	KindAddMR       Kind = "add_mr"      // multi-row variants (Table 13)
 	KindMaxMR       Kind = "max_mr"
 	KindDotMR       Kind = "dot_mr"
+	// Freivalds-checked products (FreivaldsMatMul): rows whose phase-1
+	// cells hold functions of the challenge r.
+	KindFvFold Kind = "fv_fold" // [x_0 .. x_{N-1} | y]: y = Σ x_j·r^(j+1)
+	KindFvDot  Kind = "fv_dot"  // [a_0 .. a_{N-2} | t_0 .. t_{N-2}, u]: u = Σ a_l·t_l
 )
 
 // NLKind returns the gadget kind for a pointwise nonlinearity lookup.
@@ -61,6 +65,10 @@ type entry struct {
 	// coefficients: values that satisfy the gate and lookups. Nil is zero.
 	pad, padCoef []int64
 	coefs        bool // the gate reads the per-row coefficient columns
+	// phase1 gives the slot a second block of cells, committed after the
+	// challenge r is squeezed: the cells at the same offsets in advice
+	// columns [NumCols, 2·NumCols), read with slotCells.late.
+	phase1 bool
 }
 
 // constrains reports whether the kind has a gate or lookups, and so a
@@ -72,6 +80,7 @@ func (e *entry) constrains() bool { return e.gate != nil || e.lookups != nil }
 type slotCells struct {
 	base     int // the slot's first advice column
 	coefBase int // the first coefficient fixed column
+	lateBase int // the first phase-1 advice column
 }
 
 // at is the slot's cell i on the current row; below is the cell on the next
@@ -82,6 +91,11 @@ func (s slotCells) below(i int) plonkish.Expr {
 }
 func (s slotCells) coef(i int) plonkish.Expr {
 	return plonkish.V(plonkish.FixedCol(s.coefBase + s.base + i))
+}
+
+// late is the slot's phase-1 cell i, in a phase1 entry's second block.
+func (s slotCells) late(i int) plonkish.Expr {
+	return plonkish.V(plonkish.AdviceCol(s.lateBase + s.base + i))
 }
 
 // probe is one lookup of a slot: its name, which Finalize completes with
@@ -124,6 +138,15 @@ func newCatalog(cfg Config) map[Kind]*entry {
 			terms = append(terms, plonkish.Mul(x(i), w(i)))
 		}
 		return []plonkish.Expr{plonkish.Sub(out, plonkish.Sum(terms...))}
+	}
+	// fold is Σ_{j<N} x_j·r^(j+1) for the challenge r, in Horner form.
+	r := plonkish.ChallengeExpr{}
+	fold := func(x func(j int) plonkish.Expr) plonkish.Expr {
+		h := x(N - 1)
+		for j := N - 2; j >= 0; j-- {
+			h = plonkish.Sum(x(j), plonkish.Mul(r, h))
+		}
+		return plonkish.Mul(r, h)
 	}
 	k := fp.LookupBits
 	decompPad := make([]int64, k+2)
@@ -230,6 +253,12 @@ func newCatalog(cfg Config) map[Kind]*entry {
 		// xs on the first row, ws below, the result in the last cell below.
 		KindDotMR: {cells: N, rows: 2, gate: func(s slotCells) []plonkish.Expr {
 			return dot(s.below(N-1), nil, N-1, s.at, s.below)
+		}},
+		KindFvFold: {cells: N, rows: 1, phase1: true, gate: func(s slotCells) []plonkish.Expr {
+			return []plonkish.Expr{plonkish.Sub(s.late(0), fold(s.at))}
+		}},
+		KindFvDot: {cells: N, rows: 1, phase1: true, gate: func(s slotCells) []plonkish.Expr {
+			return dot(s.late(N-1), nil, N-1, s.at, s.late)
 		}},
 	}
 }

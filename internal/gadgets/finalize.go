@@ -87,7 +87,7 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	// constrain something get a selector.
 	var kinds []Kind
 	selIdx := map[Kind]int{}
-	coefCols, useRange := 0, false
+	coefCols, useRange, phase1 := 0, false, false
 	for _, k := range b.usedKinds() {
 		e := b.catalog[k]
 		if !e.constrains() {
@@ -101,6 +101,7 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 			coefCols = N
 		}
 		useRange = useRange || e.rangeTable
+		phase1 = phase1 || e.phase1
 	}
 	coefBase := len(kinds)
 	constCol := -1
@@ -129,6 +130,15 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	if constCol >= 0 {
 		cs.PermFixed = []int{constCol}
 	}
+	// Phase-1 cells take a second block of N advice columns, committed
+	// after the one challenge is squeezed.
+	if phase1 {
+		cs.NumAdvice, cs.NumChallenges = 2*N, 1
+		cs.AdvicePhase = make([]int, 2*N)
+		for i := N; i < 2*N; i++ {
+			cs.AdvicePhase[i] = 1
+		}
+	}
 
 	// One gate per kind, holding every slot's constraints, then every
 	// slot's lookups.
@@ -148,7 +158,7 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		}
 		var polys []plonkish.Expr
 		for s := 0; s < N/e.cells; s++ {
-			c := slotCells{base: s * e.cells, coefBase: coefBase}
+			c := slotCells{base: s * e.cells, coefBase: coefBase, lateBase: N}
 			if e.gate != nil {
 				for _, p := range e.gate(c) {
 					polys = append(polys, plonkish.Mul(sel, p))
@@ -215,9 +225,15 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		}
 	}
 
-	// Witness: the grid, padded to n rows.
-	grid := b.grid
+	// Witness: the grid, padded to n rows, then the phase-1 cells.
+	grid, late := b.grid, b.late
 	witness := plonkish.WitnessFunc(func(phase int, ch []ff.Element, a *plonkish.Assignment) error {
+		if phase == 1 {
+			for _, fill := range late {
+				fill(ch[0], a.Advice[N:])
+			}
+			return nil
+		}
 		for row := range grid {
 			for col, v := range grid[row] {
 				if v != 0 {

@@ -1,8 +1,9 @@
 // Package gadgets implements ZKML's gadget library (paper §5): low-level
 // constraint templates — arithmetic ops, dot products, variable division,
 // max, pointwise non-linearities via lookup tables, bit-decomposition
-// baselines, and multi-row variants — plus the Builder that lays gadget
-// invocations out into a Plonkish grid row by row.
+// baselines, multi-row variants, and Freivalds-checked matrix products —
+// plus the Builder that lays gadget invocations out into a Plonkish grid
+// row by row.
 //
 // Every gadget follows the paper's single-row design by default: each
 // constraint spans one row; each row is owned by exactly one gadget kind,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/pcs"
 	"repro/internal/plonkish"
@@ -38,6 +39,10 @@ func endToEnd(t *testing.T, b *Builder) {
 	}
 }
 
+// testChallenge stands in for the challenge the prover squeezes after
+// phase 0.
+var testChallenge = []ff.Element{ff.NewElement(7)}
+
 // checkRows finalizes the build at its minimal grid and checks every gate,
 // lookup and copy row by row with plonkish.CheckConstraints.
 func checkRows(t *testing.T, b *Builder) *Artifact {
@@ -46,18 +51,27 @@ func checkRows(t *testing.T, b *Builder) *Artifact {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := plonkish.CheckConstraints(art.CS, assign(t, art), testChallenge); err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// assign fills both witness phases of art's grid, phase 1 with
+// testChallenge.
+func assign(t *testing.T, art *Artifact) *plonkish.Assignment {
+	t.Helper()
 	a := plonkish.NewAssignment(art.CS, art.N)
 	for i := range art.Fixed {
 		copy(a.Fixed[i], art.Fixed[i])
 	}
 	copy(a.Instance[0], art.Instance[0])
-	if err := art.Witness.Fill(0, nil, a); err != nil {
-		t.Fatal(err)
+	for phase := 0; phase < 2; phase++ {
+		if err := art.Witness.Fill(phase, testChallenge, a); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := plonkish.CheckConstraints(art.CS, a, nil); err != nil {
-		t.Fatal(err)
-	}
-	return art
+	return a
 }
 
 func TestArithmeticOpsEndToEnd(t *testing.T) {

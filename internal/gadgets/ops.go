@@ -3,7 +3,9 @@ package gadgets
 import (
 	"slices"
 
+	"repro/internal/ff"
 	"repro/internal/fixedpoint"
+	"repro/internal/plonkish"
 )
 
 // Add returns x + y (same scale).
@@ -506,4 +508,98 @@ func (b *Builder) RangeAssert(x *Value) {
 	b.checkRange(x.v, "range assert")
 	row, col := b.slot(KindRange)
 	b.put(x, row, col)
+}
+
+// FreivaldsMatMul returns C = A·W at double scale for A: M×K and W: K×N,
+// checked by Freivalds' algorithm (paper §6) in K + 2M rows rather than
+// M·N dot products. With ρ_j = r^(j+1) for the challenge r squeezed after
+// phase 0, fv_fold rows fold each row l of W into t_l = Σ_j W_lj·ρ_j and
+// each row i of C into v_i; row i of A sits in an fv_dot row beside copies
+// of t, with u_i = Σ_l A_il·t_l copied to v_i. A wrong C passes with
+// probability at most N/|F|. The product must fit one row: K ≤ NumCols−1
+// and N ≤ NumCols.
+func (b *Builder) FreivaldsMatMul(a, w [][]*Value) [][]*Value {
+	m, k, n, nc := len(a), len(w), 0, b.cfg.NumCols
+	if k > 0 {
+		n = len(w[0])
+	}
+	fits := k > 0 && n > 0 && k < nc && n <= nc
+	for _, row := range a {
+		fits = fits && len(row) == k
+	}
+	for _, row := range w {
+		fits = fits && len(row) == n
+	}
+	c := make([][]*Value, m)
+	for i := range c {
+		c[i] = make([]*Value, n)
+		for j := range c[i] {
+			var sum int64
+			for l := 0; fits && l < k; l++ {
+				sum += a[i][l].v * w[l][j].v
+			}
+			c[i][j] = b.val(sum)
+		}
+	}
+	if !fits {
+		b.fail("freivalds: %d×%d by %d×%d product does not fit one row of %d columns", m, k, k, n, nc)
+		return c
+	}
+	// lay puts xs in a new row of kind and committed zeros after them up
+	// to width; late addresses a phase-1 cell.
+	lay := func(kind Kind, xs []*Value, width int) int {
+		row := b.fullRow(kind)
+		for j := 0; j < width; j++ {
+			if j < len(xs) {
+				b.put(xs[j], row, j)
+			} else {
+				b.put(b.Constant(0), row, j)
+			}
+		}
+		return row
+	}
+	late := func(row, col int) plonkish.Cell { return plonkish.Cell{Col: plonkish.AdviceCol(nc + col), Row: row} }
+	tRows, uRows, vRows := make([]int, k), make([]int, m), make([]int, m)
+	for l := range w {
+		tRows[l] = lay(KindFvFold, w[l], n)
+	}
+	for i := range a {
+		// Zeros pad A's row: a free a_l would let the prover pick its
+		// phase-1 partner t_l after seeing r.
+		uRows[i] = lay(KindFvDot, a[i], nc-1)
+		for l, row := range tRows {
+			b.copies = append(b.copies, [2]plonkish.Cell{late(uRows[i], l), late(row, 0)})
+		}
+	}
+	for i := range c {
+		vRows[i] = lay(KindFvFold, c[i], n)
+		b.copies = append(b.copies, [2]plonkish.Cell{late(uRows[i], nc-1), late(vRows[i], 0)})
+	}
+
+	b.late = append(b.late, func(r ff.Element, block [][]ff.Element) {
+		rho := []ff.Element{r} // ρ_j = r^(j+1)
+		for j := 1; j < n; j++ {
+			rho = append(rho, *new(ff.Element).Mul(&rho[j-1], &r))
+		}
+		dot := func(xs []*Value, ys []ff.Element) (sum ff.Element) {
+			for j, x := range xs {
+				e := ff.NewInt64(x.v)
+				sum.Add(&sum, e.Mul(&e, &ys[j]))
+			}
+			return sum
+		}
+		t := make([]ff.Element, k)
+		for l, row := range tRows {
+			t[l] = dot(w[l], rho)
+			block[0][row] = t[l]
+		}
+		for i, row := range uRows {
+			for l := range t {
+				block[l][row] = t[l]
+			}
+			block[nc-1][row] = dot(a[i], t)
+			block[0][vRows[i]] = dot(c[i], rho)
+		}
+	})
+	return c
 }

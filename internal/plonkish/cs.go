@@ -235,6 +235,17 @@ func (cs *CS) Validate() error {
 		exprs = append(exprs, l.Selector)
 		exprs = append(exprs, l.Inputs...)
 	}
+	var badChallenge error
+	for _, e := range exprs {
+		WalkExpr(e, func(x Expr) {
+			if c, ok := x.(ChallengeExpr); ok && (c.Index < 0 || c.Index >= cs.NumChallenges) {
+				badChallenge = fmt.Errorf("plonkish: challenge %d out of range [0,%d)", c.Index, cs.NumChallenges)
+			}
+		})
+	}
+	if badChallenge != nil {
+		return badChallenge
+	}
 	for _, q := range CollectQueries(exprs...) {
 		if err := check(q.Col); err != nil {
 			return err
@@ -261,6 +272,15 @@ func (cs *CS) Validate() error {
 	}
 	if cs.AdvicePhase != nil && len(cs.AdvicePhase) != cs.NumAdvice {
 		return fmt.Errorf("plonkish: AdvicePhase length %d != NumAdvice %d", len(cs.AdvicePhase), cs.NumAdvice)
+	}
+	for i, p := range cs.AdvicePhase {
+		if p != 0 && p != 1 {
+			return fmt.Errorf("plonkish: advice column %d has phase %d, want 0 or 1", i, p)
+		}
+	}
+	// The prover squeezes challenges only between phase 0 and phase 1.
+	if (cs.maxPhase() == 1) != (cs.NumChallenges > 0) {
+		return fmt.Errorf("plonkish: NumChallenges %d with highest advice phase %d: challenges and phase-1 columns need each other", cs.NumChallenges, cs.maxPhase())
 	}
 	return nil
 }
@@ -347,6 +367,9 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 	n, u := a.N, a.N-ZKRows
 	if n < 2*ZKRows || n&(n-1) != 0 {
 		return fmt.Errorf("plonkish: rows %d must be a power of two of at least %d", n, 2*ZKRows)
+	}
+	if len(challenges) < cs.NumChallenges {
+		return fmt.Errorf("plonkish: got %d challenges, want %d", len(challenges), cs.NumChallenges)
 	}
 	grid := *a
 	grid.Advice = make([][]ff.Element, len(a.Advice))

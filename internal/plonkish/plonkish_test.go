@@ -301,6 +301,52 @@ func TestCSValidate(t *testing.T) {
 	}
 }
 
+// TestCSValidateChallenges covers challenge setups that Setup used to take
+// and Prove then indexed out of range: each must fail Validate, and so
+// Setup, and CheckConstraints must refuse too few challenges.
+func TestCSValidateChallenges(t *testing.T) {
+	r := func(i int) Expr { return ChallengeExpr{Index: i} }
+	cases := []struct {
+		name   string
+		phases []int
+		nch    int
+		gate   Expr
+	}{
+		{"challenge index past NumChallenges", []int{0, 1}, 1, r(3)},
+		{"negative challenge index", []int{0, 1}, 1, r(-1)},
+		{"challenges without phase-1 columns", []int{0, 0}, 1, r(0)},
+		{"challenges with nil AdvicePhase", nil, 1, r(0)},
+		{"phase-1 columns without challenges", []int{0, 1}, 0, CI(1)},
+		{"advice phase 2", []int{0, 2}, 1, r(0)},
+		{"negative advice phase", []int{0, -1}, 1, r(0)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cs := &CS{NumFixed: 1, NumAdvice: 2, NumInstance: 1, AdvicePhase: c.phases, NumChallenges: c.nch}
+			cs.AddGate("g", Mul(V(FixedCol(0)), Sub(V(AdviceCol(1)), Mul(c.gate, V(AdviceCol(0))))))
+			if err := cs.Validate(); err == nil {
+				t.Fatal("Validate accepted the circuit")
+			}
+			if _, _, err := Setup(cs, 32, [][]ff.Element{make([]ff.Element, 32)}, pcs.KZG); err == nil {
+				t.Fatal("Setup accepted the circuit")
+			}
+		})
+	}
+
+	cs := &CS{NumFixed: 1, NumAdvice: 2, NumInstance: 1, AdvicePhase: []int{0, 1}, NumChallenges: 1}
+	cs.AddGate("g", Mul(V(FixedCol(0)), Sub(V(AdviceCol(1)), Mul(r(0), V(AdviceCol(0))))))
+	if err := cs.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAssignment(cs, 32)
+	if err := CheckConstraints(cs, a, nil); err == nil || !strings.Contains(err.Error(), "challenges") {
+		t.Fatalf("CheckConstraints without challenges: %v", err)
+	}
+	if err := CheckConstraints(cs, a, []ff.Element{ff.NewElement(5)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDegreeAndChunks(t *testing.T) {
 	cs := testCircuit()
 	// mul gate: sel*(c - a*b) has degree 3; lookup constraint degree 4.
