@@ -1,10 +1,11 @@
 # Standard entry points for local development and CI.
 #
-#   make ci          vet + build + full test suite + race detector on the
-#                    concurrency-sensitive packages + 386/arm64 cross
-#                    checks + short fuzz pass on the untrusted-input
-#                    decoders and kernels + kernel benchmark smoke run
-#                    (what CI runs)
+#   make ci          gofmt check + vet + build + full test suite + race
+#                    detector on the concurrency-sensitive packages +
+#                    386/arm64 cross checks + short fuzz pass on the
+#                    untrusted-input decoders and kernels + kernel
+#                    benchmark smoke run (what CI runs)
+#   make fmt         fail if any Go file is not gofmt-formatted (lists them)
 #   make test        full test suite only
 #   make race        race detector on the proving engine packages
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
@@ -62,9 +63,9 @@ FUZZ_TARGETS = \
 	./zkml/:FuzzImportProof
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
+.PHONY: ci fmt vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
 
-ci: vet lint build test race cross audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
+ci: fmt vet lint build test race cross audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
 
 fuzz-smoke:
 	@found=$$(grep -rE --include='*_test.go' '^func Fuzz' . | sed 's|^\(.*/\)[^/]*:func \(Fuzz[A-Za-z0-9_]*\).*|\1:\2|' | sort); \
@@ -80,6 +81,9 @@ fuzz-smoke:
 		echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 	done
+
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -13,13 +13,15 @@ import (
 	"repro/internal/gadgets"
 	"repro/internal/model"
 	"repro/internal/plonkish"
+	"repro/internal/tensor"
 )
 
 // pinnedCircuits are the fingerprints of every circuit TestCircuitsPinned
 // finalizes: per bundled model, all of its pinConfigs at 6, 12 and 24
-// columns; "fixtures", the per-kind fixtures. A gadget-layer change that is
-// meant to leave the circuits alone must leave these digests alone. The VK
-// digest cannot stand in for them: it does not bind the gate polynomials.
+// columns; "layers", the layerCases at the same layouts; "fixtures", the
+// per-kind fixtures. A gadget-layer change that is meant to leave the
+// circuits alone must leave these digests alone. The VK digest cannot stand
+// in for them: it does not bind the gate polynomials.
 var pinnedCircuits = map[string]string{
 	"diffusion-micro": "2a8b306f9979bf17951fd07bebb0672d098bae3d5019ae9b69b838f3b453984b",
 	"dlrm-micro":      "c6ffca16b89279659e6487d3551a0ecae3766d6cf0fed4ad8e6b910760e32e61",
@@ -30,6 +32,7 @@ var pinnedCircuits = map[string]string{
 	"resnet-micro":    "0d514e03820449c41f3e8368c4805a031db575a5f6d5ce7a97d14fb889312cd8",
 	"twitter-micro":   "9145e03c2d091ec7acb966ed803c743898395486bc48747586b35c90b7fea6ef",
 	"vgg-micro":       "309a7a7290db889af52831848a2e701dec2dfd7fc27c439f70dbf5201d5304ea",
+	"layers":          "01ea0feeb3a71ab4f47a5b617a970029147f805ab12fda4f9a422e54f1516f40",
 	"fixtures":        "8f25ed2e4bac637c99b44d7e813110dd09f8f4a918e4c8df691bcba138950325",
 }
 
@@ -66,24 +69,21 @@ func TestCircuitsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, in := spec.Build(), spec.Input(1)
 		h := sha256.New()
-		for _, cols := range []int{6, 12, 24} {
-			for _, cfg := range pinConfigs(cols) {
-				fmt.Fprintf(h, "config %+v\n", cfg)
-				b, _, err := g.BuildCircuit(cfg, in)
-				if err != nil {
-					// A layout the model cannot take is pinned as such.
-					fmt.Fprintf(h, "infeasible\n")
-					continue
-				}
-				built++
-				fingerprint(t, h, b)
-			}
-		}
+		built += pinGraph(t, h, spec.Build(), spec.Input(1))
 		got[name] = hex.EncodeToString(h.Sum(nil))
 	}
 	h := sha256.New()
+	for _, c := range layerCases {
+		g, in := c.graph()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "layer %s\n", c.name)
+		built += pinGraph(t, h, g, in)
+	}
+	got["layers"] = hex.EncodeToString(h.Sum(nil))
+	h = sha256.New()
 	for _, f := range kindFixtures {
 		cfg := gadgets.DefaultConfig(8, fixedpoint.Params{ScaleBits: 4, LookupBits: 8})
 		if f.cfg != nil {
@@ -101,6 +101,93 @@ func TestCircuitsPinned(t *testing.T) {
 			t.Errorf("%s: circuit digest %s, pinned %s", name, digest, want)
 		}
 	}
+}
+
+// pinGraph fingerprints g on in at every pinConfigs layout for 6, 12 and 24
+// columns, and returns how many of them it could build.
+func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
+	t.Helper()
+	built := 0
+	for _, cols := range []int{6, 12, 24} {
+		for _, cfg := range pinConfigs(cols) {
+			fmt.Fprintf(h, "config %+v\n", cfg)
+			b, _, err := g.BuildCircuit(cfg, in)
+			if err != nil {
+				// A layout the model cannot take is pinned as such.
+				fmt.Fprintf(h, "infeasible\n")
+				continue
+			}
+			built++
+			fingerprint(t, h, b)
+		}
+	}
+	return built
+}
+
+// layerCases are one-node graphs for the layer lowerings that no bundled
+// model reaches: strided convolutions, average pooling, a non-square global
+// pool, a bias-free fc and rectangular products. They are pinned together
+// under "layers".
+var layerCases = []layerCase{
+	{"conv2d same stride 2 bias", model.Node{Op: "conv2d", Weight: "k", Bias: "b", Stride: 2, Pad: "same"},
+		[][]int{{5, 5, 2}}, map[string][]int{"k": {3, 3, 2, 3}, "b": {3}}},
+	{"conv2d same stride 2", model.Node{Op: "conv2d", Weight: "k", Stride: 2, Pad: "same"},
+		[][]int{{6, 5, 2}}, map[string][]int{"k": {2, 3, 2, 3}}},
+	{"conv2d valid stride 2 bias", model.Node{Op: "conv2d", Weight: "k", Bias: "b", Stride: 2, Pad: "valid"},
+		[][]int{{5, 6, 3}}, map[string][]int{"k": {3, 2, 3, 2}, "b": {2}}},
+	{"conv2d valid stride 2", model.Node{Op: "conv2d", Weight: "k", Stride: 2, Pad: "valid"},
+		[][]int{{5, 5, 2}}, map[string][]int{"k": {3, 3, 2, 3}}},
+	{"depthwise_conv2d same stride 2", model.Node{Op: "depthwise_conv2d", Weight: "k", Bias: "b", Stride: 2, Pad: "same"},
+		[][]int{{5, 4, 3}}, map[string][]int{"k": {3, 3, 3}, "b": {3}}},
+	{"avg_pool", model.Node{Op: "avg_pool", PoolK: 2, Stride: 2},
+		[][]int{{4, 5, 2}}, nil},
+	{"avg_pool overlapping", model.Node{Op: "avg_pool", PoolK: 3, Stride: 1},
+		[][]int{{4, 4, 2}}, nil},
+	{"max_pool overlapping", model.Node{Op: "max_pool", PoolK: 2, Stride: 1},
+		[][]int{{3, 4, 2}}, nil},
+	{"global_avg_pool", model.Node{Op: "global_avg_pool"},
+		[][]int{{2, 5, 3}}, nil},
+	{"fc", model.Node{Op: "fc", Weight: "w"},
+		[][]int{{2, 5}}, map[string][]int{"w": {3, 5}}},
+	{"matmul", model.Node{Op: "matmul"},
+		[][]int{{2, 3}, {3, 4}}, nil},
+	{"batch_matmul", model.Node{Op: "batch_matmul"},
+		[][]int{{2, 3, 2}, {2, 2, 4}}, nil},
+}
+
+// layerCase is one node applied to float inputs x0, x1, … of the given
+// shapes, with weights of the given shapes; inputs and weights get small
+// deterministic values.
+type layerCase struct {
+	name    string
+	node    model.Node
+	inputs  [][]int
+	weights map[string][]int
+}
+
+func (c layerCase) graph() (*model.Graph, *model.Input) {
+	g := &model.Graph{Name: c.name, Weights: map[string]model.Weight{}, Outputs: []string{"y"}}
+	in := model.NewInput()
+	values := func(n, seed int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64((i*5+seed)%9-4) / 8
+		}
+		return v
+	}
+	n := c.node
+	n.Output = "y"
+	for i, shape := range c.inputs {
+		name := fmt.Sprintf("x%d", i)
+		g.Inputs = append(g.Inputs, model.InputSpec{Name: name, Shape: shape, Kind: model.FloatInput})
+		in.Floats[name] = values(tensor.NumElems(shape), i)
+		n.Inputs = append(n.Inputs, name)
+	}
+	for name, shape := range c.weights {
+		g.Weights[name] = model.Weight{Shape: shape, Data: values(tensor.NumElems(shape), int(name[0]))}
+	}
+	g.Nodes = []model.Node{n}
+	return g, in
 }
 
 // fingerprint writes a finalized circuit of b, at its minimal grid, to h.

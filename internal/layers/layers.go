@@ -6,8 +6,6 @@
 package layers
 
 import (
-	"fmt"
-
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/tensor"
@@ -28,58 +26,16 @@ const (
 	Same  Padding = "same"
 )
 
-// FullyConnected computes y = x·W^T + bias with constant weights.
-// x: [batch, in]; w: [out, in]; bias: [out] (nil for none). The product is
-// accumulated at double scale with the bias pre-scaled, then rescaled once
-// (paper §6.2: fusing the bias into the dot-product accumulation).
+// FullyConnected computes y = x·wᵀ + bias with constant weights.
+// x: [batch, in]; w: [out, in]; bias: [out] (nil for none).
 func FullyConnected(b *gadgets.Builder, x *T, w *IT, bias *IT) *T {
-	batch, in := x.Shape[0], x.Shape[1]
-	out := w.Shape[0]
-	if w.Shape[1] != in {
-		panic(fmt.Sprintf("layers: FC shape mismatch: x %v, w %v", x.Shape, w.Shape))
-	}
-	sf := b.Config().FP.SF()
-	y := tensor.New[*gadgets.Value](batch, out)
-	for bi := 0; bi < batch; bi++ {
-		xRow := make([]*gadgets.Value, in)
-		for i := 0; i < in; i++ {
-			xRow[i] = x.At(bi, i)
-		}
-		for o := 0; o < out; o++ {
-			var init *gadgets.Value
-			if bias != nil {
-				init = b.Constant(bias.At(o) * sf)
-			}
-			raw := b.DotRaw(xRow, nil, w.Data[o*in:(o+1)*in], init)
-			y.Set(b.Rescale(raw), bi, o)
-		}
-	}
-	return y
+	return product(b, "FullyConnected", x, w, bias)
 }
 
 // MatMul computes x [m,k] · y [k,n] where both operands are witness tensors
-// (e.g. attention scores), rescaling each output element.
+// (e.g. attention scores).
 func MatMul(b *gadgets.Builder, x, y *T) *T {
-	m, k := x.Shape[0], x.Shape[1]
-	n := y.Shape[1]
-	if y.Shape[0] != k {
-		panic(fmt.Sprintf("layers: MatMul shape mismatch: %v x %v", x.Shape, y.Shape))
-	}
-	out := tensor.New[*gadgets.Value](m, n)
-	for i := 0; i < m; i++ {
-		xi := make([]*gadgets.Value, k)
-		for kk := 0; kk < k; kk++ {
-			xi[kk] = x.At(i, kk)
-		}
-		for j := 0; j < n; j++ {
-			yj := make([]*gadgets.Value, k)
-			for kk := 0; kk < k; kk++ {
-				yj[kk] = y.At(kk, j)
-			}
-			out.Set(b.Rescale(b.DotRaw(xi, yj, nil, nil)), i, j)
-		}
-	}
-	return out
+	return product(b, "MatMul", x, y.Transpose(), nil)
 }
 
 // BatchMatMul applies MatMul over a leading batch axis: x [B,m,k]·y [B,k,n].
@@ -93,6 +49,56 @@ func BatchMatMul(b *gadgets.Builder, x, y *T) *T {
 		outs[i] = m.Reshape(1, m.Shape[0], m.Shape[1])
 	}
 	return tensor.Concat(0, outs...)
+}
+
+// product is the one lowering of a linear layer's matrix product: a [M,K]
+// times wᵀ for w [N,K], whose entries are constants (a layer's weights) or
+// witness values. Each output, in row-major order, is one double-scale
+// DotRaw that starts from the pre-scaled bias [N] (nil for none), then one
+// Rescale (paper §6.2: the bias fused into the accumulation). Operands that
+// disagree are a shape error recorded on the builder under the layer's
+// name; the result is then empty and callers must check b.Err().
+func product[W int64 | *gadgets.Value](b *gadgets.Builder, layer string, a *T, w *tensor.Tensor[W], bias *IT) *T {
+	if a.Rank() != 2 || w.Rank() != 2 || a.Shape[1] != w.Shape[1] {
+		b.Failf("layers: %s: input %v does not match weights %v", layer, a.Shape, w.Shape)
+		return tensor.New[*gadgets.Value](0, 0)
+	}
+	m, n := a.Shape[0], w.Shape[0]
+	if bias != nil && bias.Len() != n {
+		b.Failf("layers: %s: %d biases for %d outputs", layer, bias.Len(), n)
+		return tensor.New[*gadgets.Value](0, 0)
+	}
+	out := tensor.New[*gadgets.Value](m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var ws []*gadgets.Value
+			var consts []int64
+			switch wj := any(row(w, j)).(type) {
+			case []int64:
+				consts = wj
+			case []*gadgets.Value:
+				ws = wj
+			}
+			out.Data[i*n+j] = b.Rescale(b.DotRaw(row(a, i), ws, consts, biasInit(b, bias, j)))
+		}
+	}
+	return out
+}
+
+// biasInit is the accumulator start of output i: bias[i] pre-scaled to the
+// double scale of a dot product, or nil without a bias.
+func biasInit(b *gadgets.Builder, bias *IT, i int) *gadgets.Value {
+	if bias == nil {
+		return nil
+	}
+	return b.Constant(bias.Data[i] * b.Config().FP.SF())
+}
+
+// row returns row i of a rank-2 tensor as a view of its data, capped so an
+// append cannot reach row i+1.
+func row[E any](t *tensor.Tensor[E], i int) []E {
+	n := t.Shape[1]
+	return t.Data[i*n : (i+1)*n : (i+1)*n]
 }
 
 // convDims computes output size and pre-padding for a convolution axis. A
@@ -122,9 +128,18 @@ func convDims(b *gadgets.Builder, layer string, in, k, stride int, pad Padding) 
 	return out, before, after
 }
 
+// convInput zero-pads x [H, W, C] for a kh×kw convolution at stride and
+// returns it with the output extent (see convDims).
+func convInput(b *gadgets.Builder, layer string, x *T, kh, kw, stride int, pad Padding) (padded *T, oh, ow int) {
+	oh, ph0, ph1 := convDims(b, layer, x.Shape[0], kh, stride, pad)
+	ow, pw0, pw1 := convDims(b, layer, x.Shape[1], kw, stride, pad)
+	return x.Pad([]int{ph0, pw0, 0}, []int{ph1, pw1, 0}, b.Constant(0)), oh, ow
+}
+
 // poolDims validates a pooling window against the input extents, recording
 // a shape error naming the layer (see convDims).
-func poolDims(b *gadgets.Builder, layer string, h, w, k, stride int) (oh, ow int) {
+func poolDims(b *gadgets.Builder, layer string, x *T, k, stride int) (oh, ow int) {
+	h, w := x.Shape[0], x.Shape[1]
 	if k > h || k > w {
 		b.Failf("layers: %s: window size %d exceeds input %dx%d", layer, k, h, w)
 		return 0, 0
@@ -132,149 +147,81 @@ func poolDims(b *gadgets.Builder, layer string, h, w, k, stride int) (oh, ow int
 	return (h-k)/stride + 1, (w-k)/stride + 1
 }
 
-// Conv2D computes a 2D convolution with constant weights.
-// x: [H, W, Cin]; kernel: [KH, KW, Cin, Cout]; bias: [Cout] or nil.
-func Conv2D(b *gadgets.Builder, x *T, kernel *IT, bias *IT, stride int, pad Padding) *T {
-	h, w, cin := x.Shape[0], x.Shape[1], x.Shape[2]
-	kh, kw, kcin, cout := kernel.Shape[0], kernel.Shape[1], kernel.Shape[2], kernel.Shape[3]
-	if kcin != cin {
-		panic(fmt.Sprintf("layers: Conv2D channel mismatch: x %v, k %v", x.Shape, kernel.Shape))
-	}
-	oh, ph0, ph1 := convDims(b, "Conv2D", h, kh, stride, pad)
-	ow, pw0, pw1 := convDims(b, "Conv2D", w, kw, stride, pad)
-	sf := b.Config().FP.SF()
-	zero := b.Constant(0)
-	padded := x.Pad([]int{ph0, pw0, 0}, []int{ph1, pw1, 0}, zero)
+// window returns the kh×kw window of x [H, W, C] whose top-left corner is
+// (y, x0), as one slice flattened to [kh·kw, C].
+func window(x *T, y, x0, kh, kw int) *T {
+	c := x.Shape[2]
+	return x.Slice([]int{y, x0, 0}, []int{y + kh, x0 + kw, c}).Reshape(kh*kw, c)
+}
 
-	out := tensor.New[*gadgets.Value](oh, ow, cout)
-	patch := make([]*gadgets.Value, kh*kw*cin)
-	wcol := make([]int64, kh*kw*cin)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			idx := 0
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					for c := 0; c < cin; c++ {
-						patch[idx] = padded.At(oy*stride+ky, ox*stride+kx, c)
-						idx++
-					}
-				}
-			}
-			for f := 0; f < cout; f++ {
-				idx = 0
-				for ky := 0; ky < kh; ky++ {
-					for kx := 0; kx < kw; kx++ {
-						for c := 0; c < cin; c++ {
-							wcol[idx] = kernel.At(ky, kx, c, f)
-							idx++
-						}
-					}
-				}
-				var init *gadgets.Value
-				if bias != nil {
-					init = b.Constant(bias.At(f) * sf)
-				}
-				raw := b.DotRaw(patch, nil, wcol, init)
-				out.Set(b.Rescale(raw), oy, ox, f)
-			}
+// windowed reduces every kh×kw window of x [H, W, C] taken at stride, one
+// channel at a time, to one value; the result is [oh, ow, C]. reduce gets
+// the channel and its kh·kw window values in row-major order.
+func windowed(x *T, oh, ow, kh, kw, stride int, reduce func(ch int, vals []*gadgets.Value) *gadgets.Value) *T {
+	c := x.Shape[2]
+	out := tensor.New[*gadgets.Value](oh, ow, c)
+	for i := 0; i < oh*ow; i++ {
+		chans := window(x, i/ow*stride, i%ow*stride, kh, kw).Transpose()
+		for ch := 0; ch < c; ch++ {
+			out.Data[i*c+ch] = reduce(ch, row(chans, ch))
 		}
 	}
 	return out
+}
+
+// Conv2D computes a 2D convolution with constant weights as one product:
+// the im2col patches [OH·OW, KH·KW·Cin] times the kernel rearranged to
+// [Cout, KH·KW·Cin].
+// x: [H, W, Cin]; kernel: [KH, KW, Cin, Cout]; bias: [Cout] or nil.
+func Conv2D(b *gadgets.Builder, x *T, kernel *IT, bias *IT, stride int, pad Padding) *T {
+	kh, kw, cout := kernel.Shape[0], kernel.Shape[1], kernel.Shape[3]
+	padded, oh, ow := convInput(b, "Conv2D", x, kh, kw, stride, pad)
+	k := kh * kw * x.Shape[2]
+	patches := tensor.New[*gadgets.Value](oh*ow, k)
+	for i := 0; i < oh*ow; i++ {
+		copy(row(patches, i), window(padded, i/ow*stride, i%ow*stride, kh, kw).Data)
+	}
+	y := product(b, "Conv2D", patches, kernel.Reshape(kh*kw*kernel.Shape[2], cout).Transpose(), bias)
+	return y.Reshape(oh, ow, y.Shape[1])
 }
 
 // DepthwiseConv2D convolves each channel with its own kernel.
 // x: [H, W, C]; kernel: [KH, KW, C]; bias: [C] or nil.
 func DepthwiseConv2D(b *gadgets.Builder, x *T, kernel *IT, bias *IT, stride int, pad Padding) *T {
-	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
 	kh, kw := kernel.Shape[0], kernel.Shape[1]
-	oh, ph0, ph1 := convDims(b, "DepthwiseConv2D", h, kh, stride, pad)
-	ow, pw0, pw1 := convDims(b, "DepthwiseConv2D", w, kw, stride, pad)
-	sf := b.Config().FP.SF()
-	zero := b.Constant(0)
-	padded := x.Pad([]int{ph0, pw0, 0}, []int{ph1, pw1, 0}, zero)
-
-	out := tensor.New[*gadgets.Value](oh, ow, c)
-	patch := make([]*gadgets.Value, kh*kw)
-	wcol := make([]int64, kh*kw)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < c; ch++ {
-				idx := 0
-				for ky := 0; ky < kh; ky++ {
-					for kx := 0; kx < kw; kx++ {
-						patch[idx] = padded.At(oy*stride+ky, ox*stride+kx, ch)
-						wcol[idx] = kernel.At(ky, kx, ch)
-						idx++
-					}
-				}
-				var init *gadgets.Value
-				if bias != nil {
-					init = b.Constant(bias.At(ch) * sf)
-				}
-				raw := b.DotRaw(patch, nil, wcol, init)
-				out.Set(b.Rescale(raw), oy, ox, ch)
-			}
-		}
+	if kernel.Shape[2] != x.Shape[2] {
+		b.Failf("layers: DepthwiseConv2D: input %v does not match kernel %v", x.Shape, kernel.Shape)
+		return tensor.New[*gadgets.Value](0, 0, 0)
 	}
-	return out
+	padded, oh, ow := convInput(b, "DepthwiseConv2D", x, kh, kw, stride, pad)
+	wcols := kernel.Reshape(kh*kw, kernel.Shape[2]).Transpose() // [C, KH·KW]
+	return windowed(padded, oh, ow, kh, kw, stride, func(ch int, patch []*gadgets.Value) *gadgets.Value {
+		return b.Rescale(b.DotRaw(patch, nil, row(wcols, ch), biasInit(b, bias, ch)))
+	})
 }
 
 // AveragePool2D averages non-overlapping (or strided) windows.
 func AveragePool2D(b *gadgets.Builder, x *T, k, stride int) *T {
-	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := poolDims(b, "AveragePool2D", h, w, k, stride)
-	out := tensor.New[*gadgets.Value](oh, ow, c)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < c; ch++ {
-				vals := make([]*gadgets.Value, 0, k*k)
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						vals = append(vals, x.At(oy*stride+ky, ox*stride+kx, ch))
-					}
-				}
-				out.Set(b.DivRoundConst(b.SumVec(vals), int64(k*k)), oy, ox, ch)
-			}
-		}
-	}
-	return out
+	oh, ow := poolDims(b, "AveragePool2D", x, k, stride)
+	return windowed(x, oh, ow, k, k, stride, func(_ int, vals []*gadgets.Value) *gadgets.Value {
+		return b.DivRoundConst(b.SumVec(vals), int64(k*k))
+	})
 }
 
 // MaxPool2D takes window maxima via the max gadget.
 func MaxPool2D(b *gadgets.Builder, x *T, k, stride int) *T {
-	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := poolDims(b, "MaxPool2D", h, w, k, stride)
-	out := tensor.New[*gadgets.Value](oh, ow, c)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < c; ch++ {
-				vals := make([]*gadgets.Value, 0, k*k)
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						vals = append(vals, x.At(oy*stride+ky, ox*stride+kx, ch))
-					}
-				}
-				out.Set(b.MaxVec(vals), oy, ox, ch)
-			}
-		}
-	}
-	return out
+	oh, ow := poolDims(b, "MaxPool2D", x, k, stride)
+	return windowed(x, oh, ow, k, k, stride, func(_ int, vals []*gadgets.Value) *gadgets.Value {
+		return b.MaxVec(vals)
+	})
 }
 
 // GlobalAveragePool reduces [H, W, C] to [C].
 func GlobalAveragePool(b *gadgets.Builder, x *T) *T {
-	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New[*gadgets.Value](c)
-	for ch := 0; ch < c; ch++ {
-		vals := make([]*gadgets.Value, 0, h*w)
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				vals = append(vals, x.At(y, xx, ch))
-			}
-		}
-		out.Set(b.DivRoundConst(b.SumVec(vals), int64(h*w)), ch)
-	}
-	return out
+	h, w := x.Shape[0], x.Shape[1]
+	return windowed(x, 1, 1, h, w, 1, func(_ int, vals []*gadgets.Value) *gadgets.Value {
+		return b.DivRoundConst(b.SumVec(vals), int64(h*w))
+	}).Reshape(x.Shape[2])
 }
 
 // Activation applies a pointwise nonlinearity.
@@ -338,10 +285,7 @@ func Softmax(b *gadgets.Builder, x *T) *T {
 	sf := b.Config().FP.SF()
 	out := tensor.New[*gadgets.Value](rows, last)
 	for r := 0; r < rows; r++ {
-		vals := make([]*gadgets.Value, last)
-		for i := 0; i < last; i++ {
-			vals[i] = flat.At(r, i)
-		}
+		vals := row(flat, r)
 		m := b.MaxVec(vals)
 		exps := make([]*gadgets.Value, last)
 		for i := 0; i < last; i++ {
@@ -395,10 +339,7 @@ func LayerNorm(b *gadgets.Builder, x *T, gamma, beta *IT) *T {
 	eps := b.Constant(1) // smallest positive fixed-point value
 	out := tensor.New[*gadgets.Value](rows, last)
 	for r := 0; r < rows; r++ {
-		vals := make([]*gadgets.Value, last)
-		for i := 0; i < last; i++ {
-			vals[i] = flat.At(r, i)
-		}
+		vals := row(flat, r)
 		mean := b.DivRoundConst(b.SumVec(vals), int64(last))
 		diffs := make([]*gadgets.Value, last)
 		sq := make([]*gadgets.Value, last)
@@ -412,13 +353,10 @@ func LayerNorm(b *gadgets.Builder, x *T, gamma, beta *IT) *T {
 		rstd := b.Nonlinear(fixedpoint.Rsqrt, b.Add(variance, eps))
 		for i := 0; i < last; i++ {
 			norm := b.Rescale(b.MulRaw(diffs[i], rstd))
-			var init *gadgets.Value
-			if beta != nil {
-				init = b.Constant(beta.At(i) * sf)
-			}
-			g := int64(sf) // identity scale when gamma is nil
+			init := biasInit(b, beta, i)
+			g := sf // identity scale when gamma is nil
 			if gamma != nil {
-				g = gamma.At(i)
+				g = gamma.Data[i]
 			}
 			out.Set(b.Rescale(b.DotRaw([]*gadgets.Value{norm}, nil, []int64{g}, init)), r, i)
 		}
@@ -438,16 +376,17 @@ func RMSNorm(b *gadgets.Builder, x *T, gamma *IT) *T {
 	out := tensor.New[*gadgets.Value](rows, last)
 	for r := 0; r < rows; r++ {
 		sq := make([]*gadgets.Value, last)
-		for i := 0; i < last; i++ {
-			sq[i] = b.Rescale(b.SquareRaw(flat.At(r, i)))
+		vals := row(flat, r)
+		for i, v := range vals {
+			sq[i] = b.Rescale(b.SquareRaw(v))
 		}
 		ms := b.DivRoundConst(b.SumVec(sq), int64(last))
 		rstd := b.Nonlinear(fixedpoint.Rsqrt, b.Add(ms, eps))
 		for i := 0; i < last; i++ {
-			norm := b.Rescale(b.MulRaw(flat.At(r, i), rstd))
+			norm := b.Rescale(b.MulRaw(vals[i], rstd))
 			g := sf
 			if gamma != nil {
-				g = gamma.At(i)
+				g = gamma.Data[i]
 			}
 			out.Set(b.Rescale(b.DotRaw([]*gadgets.Value{norm}, nil, []int64{g}, nil)), r, i)
 		}
@@ -460,12 +399,8 @@ func ReduceSum(b *gadgets.Builder, x *T) *T {
 	last := x.Shape[len(x.Shape)-1]
 	flat := x.Reshape(-1, last)
 	out := tensor.New[*gadgets.Value](flat.Shape[0])
-	for r := 0; r < flat.Shape[0]; r++ {
-		vals := make([]*gadgets.Value, last)
-		for i := range vals {
-			vals[i] = flat.At(r, i)
-		}
-		out.Set(b.SumVec(vals), r)
+	for r := range out.Data {
+		out.Data[r] = b.SumVec(row(flat, r))
 	}
 	return out.Reshape(x.Shape[:len(x.Shape)-1]...)
 }
@@ -484,12 +419,8 @@ func ReduceMax(b *gadgets.Builder, x *T) *T {
 	last := x.Shape[len(x.Shape)-1]
 	flat := x.Reshape(-1, last)
 	out := tensor.New[*gadgets.Value](flat.Shape[0])
-	for r := 0; r < flat.Shape[0]; r++ {
-		vals := make([]*gadgets.Value, last)
-		for i := range vals {
-			vals[i] = flat.At(r, i)
-		}
-		out.Set(b.MaxVec(vals), r)
+	for r := range out.Data {
+		out.Data[r] = b.MaxVec(row(flat, r))
 	}
 	return out.Reshape(x.Shape[:len(x.Shape)-1]...)
 }

@@ -1,8 +1,6 @@
 package layers
 
 import (
-	"fmt"
-
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/tensor"
@@ -24,15 +22,11 @@ import (
 func LSTM(b *gadgets.Builder, x *T, wx, wh, bias *IT) *T {
 	tLen, d := x.Shape[0], x.Shape[1]
 	h4 := wx.Shape[0]
-	if h4%4 != 0 {
-		panic(fmt.Sprintf("layers: LSTM packed weight rows %d not divisible by 4", h4))
-	}
 	hDim := h4 / 4
-	if wx.Shape[1] != d || wh.Shape[0] != h4 || wh.Shape[1] != hDim {
-		panic(fmt.Sprintf("layers: LSTM weight shapes wx %v wh %v for input %v", wx.Shape, wh.Shape, x.Shape))
+	if h4%4 != 0 || wx.Shape[1] != d || wh.Shape[0] != h4 || wh.Shape[1] != hDim {
+		b.Failf("layers: LSTM: weight shapes wx %v wh %v do not fit input %v", wx.Shape, wh.Shape, x.Shape)
+		return tensor.New[*gadgets.Value](0, 0)
 	}
-	sf := b.Config().FP.SF()
-
 	hPrev := make([]*gadgets.Value, hDim)
 	cPrev := make([]*gadgets.Value, hDim)
 	for i := range hPrev {
@@ -41,21 +35,13 @@ func LSTM(b *gadgets.Builder, x *T, wx, wh, bias *IT) *T {
 	}
 	out := tensor.New[*gadgets.Value](tLen, hDim)
 
-	gate := func(row int, xs, hs []*gadgets.Value) *gadgets.Value {
-		var init *gadgets.Value
-		if bias != nil {
-			init = b.Constant(bias.At(row) * sf)
-		}
-		acc := b.DotRaw(xs, nil, wx.Data[row*d:(row+1)*d], init)
-		acc = b.DotRaw(hs, nil, wh.Data[row*hDim:(row+1)*hDim], acc)
-		return b.Rescale(acc)
+	gate := func(r int, xs, hs []*gadgets.Value) *gadgets.Value {
+		acc := b.DotRaw(xs, nil, row(wx, r), biasInit(b, bias, r))
+		return b.Rescale(b.DotRaw(hs, nil, row(wh, r), acc))
 	}
 
 	for step := 0; step < tLen; step++ {
-		xs := make([]*gadgets.Value, d)
-		for j := 0; j < d; j++ {
-			xs[j] = x.At(step, j)
-		}
+		xs := row(x, step)
 		hNext := make([]*gadgets.Value, hDim)
 		cNext := make([]*gadgets.Value, hDim)
 		for u := 0; u < hDim; u++ {

@@ -48,23 +48,15 @@ func TrainStep(b *gadgets.Builder, p MLPParams, x, y *T, lr float64) (MLPParams,
 	sf := fp.SF()
 	lrQ := fp.Quantize(lr)
 
-	row := func(t *T, r, width int) []*gadgets.Value {
-		vals := make([]*gadgets.Value, width)
-		for j := 0; j < width; j++ {
-			vals[j] = t.Data[r*width+j]
-		}
-		return vals
-	}
-
 	// Forward: pre = W1·x + b1, h = sigmoid(pre), yhat = W2·h + b2.
 	h := make([]*gadgets.Value, hidden)
 	for u := 0; u < hidden; u++ {
-		acc := b.DotRaw(x.Data, row(p.W1, u, in), nil, b.MulC(p.B1.Data[u], sf))
+		acc := b.DotRaw(x.Data, row(p.W1, u), nil, b.MulC(p.B1.Data[u], sf))
 		h[u] = b.Nonlinear(fixedpoint.Sigmoid, b.Rescale(acc))
 	}
 	yhat := make([]*gadgets.Value, out)
 	for o := 0; o < out; o++ {
-		acc := b.DotRaw(h, row(p.W2, o, hidden), nil, b.MulC(p.B2.Data[o], sf))
+		acc := b.DotRaw(h, row(p.W2, o), nil, b.MulC(p.B2.Data[o], sf))
 		yhat[o] = b.Rescale(acc)
 	}
 
@@ -76,12 +68,9 @@ func TrainStep(b *gadgets.Builder, p MLPParams, x, y *T, lr float64) (MLPParams,
 	// dh_u = sum_o dyhat_o * W2[o][u]; dpre_u = dh_u * h_u * (1 - h_u).
 	oneC := b.Constant(sf)
 	dpre := make([]*gadgets.Value, hidden)
+	w2T := p.W2.Transpose()
 	for u := 0; u < hidden; u++ {
-		col := make([]*gadgets.Value, out)
-		for o := 0; o < out; o++ {
-			col[o] = p.W2.Data[o*hidden+u]
-		}
-		dh := b.Rescale(b.DotRaw(dyhat, col, nil, nil))
+		dh := b.Rescale(b.DotRaw(dyhat, row(w2T, u), nil, nil))
 		hu := h[u]
 		sgPrime := b.Rescale(b.MulRaw(hu, b.Sub(oneC, hu)))
 		dpre[u] = b.Rescale(b.MulRaw(dh, sgPrime))

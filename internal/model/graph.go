@@ -114,6 +114,42 @@ var OpCatalog = []string{
 	"embed",
 }
 
+// opRule is what Validate requires of a node of one op, beyond the op
+// being in OpCatalog.
+type opRule struct {
+	inputs  int  // exact input count; -1 means one or more
+	weight  bool // Weight must name a weight
+	weight2 bool // Weight2 must name a weight
+	conv    bool // stride ≥ 1 and pad "same" or "valid"
+	pool    bool // pool_k ≥ 1 and stride ≥ 1
+}
+
+var (
+	unaryRule  = opRule{inputs: 1}
+	binaryRule = opRule{inputs: 2}
+)
+
+// opRules lists every op whose rule is not unaryRule.
+var opRules = map[string]opRule{
+	"conv2d":             {inputs: 1, weight: true, conv: true},
+	"depthwise_conv2d":   {inputs: 1, weight: true, conv: true},
+	"fc":                 {inputs: 1, weight: true},
+	"matmul":             binaryRule,
+	"batch_matmul":       binaryRule,
+	"avg_pool":           {inputs: 1, pool: true},
+	"max_pool":           {inputs: 1, pool: true},
+	"add":                binaryRule,
+	"sub":                binaryRule,
+	"mul":                binaryRule,
+	"div":                binaryRule,
+	"squared_difference": binaryRule,
+	"minimum":            binaryRule,
+	"maximum":            binaryRule,
+	"concat":             {inputs: -1},
+	"lstm":               {inputs: 1, weight: true, weight2: true},
+	"embed":              {inputs: 1, weight: true},
+}
+
 // weightTensor materializes a weight as a float tensor.
 func (g *Graph) weightTensor(name string) *tensor.Tensor[float64] {
 	w, ok := g.Weights[name]
@@ -137,9 +173,12 @@ var knownOps = func() map[string]bool {
 // treats the graph as untrusted input (a model file is attacker-controlled;
 // see DESIGN.md §9): weight data must match its declared shape, all shapes
 // must be non-negative and bounded by MaxTensorElems, every op must be in
-// the catalog, and per-node numeric fields must be structurally sane — so
-// that no downstream executor panic is reachable from a loaded file. All
-// failures wrap zkerrors.ErrMalformedModel.
+// the catalog, and each node must meet its op's rule (opRules: input count,
+// required weights, conv stride and padding, pool window and stride). Shape
+// agreement between a node's inputs and its weights is not checked here:
+// the circuit layers report the disagreements they meet as errors, but
+// RunFloat does not check it (ROADMAP 2(e)). All failures wrap
+// zkerrors.ErrMalformedModel.
 func (g *Graph) Validate() error {
 	avail := map[string]bool{}
 	for i, in := range g.Inputs {
@@ -170,6 +209,22 @@ func (g *Graph) Validate() error {
 	for i, n := range g.Nodes {
 		if !knownOps[n.Op] {
 			return errModel("%s: node %d has unknown op %q", g.Name, i, n.Op)
+		}
+		rule, ok := opRules[n.Op]
+		if !ok {
+			rule = unaryRule
+		}
+		if want := rule.inputs; want >= 0 && len(n.Inputs) != want || want < 0 && len(n.Inputs) == 0 {
+			return errModel("%s: node %d (%s) has %d inputs", g.Name, i, n.Op, len(n.Inputs))
+		}
+		if rule.weight && n.Weight == "" || rule.weight2 && n.Weight2 == "" {
+			return errModel("%s: node %d (%s) lacks a required weight", g.Name, i, n.Op)
+		}
+		if rule.conv && (n.Stride < 1 || n.Pad != "same" && n.Pad != "valid") {
+			return errModel("%s: node %d (%s) needs stride >= 1 and pad same or valid", g.Name, i, n.Op)
+		}
+		if rule.pool && (n.Stride < 1 || n.PoolK < 1) {
+			return errModel("%s: node %d (%s) needs pool_k >= 1 and stride >= 1", g.Name, i, n.Op)
 		}
 		for _, in := range n.Inputs {
 			if !avail[in] {

@@ -233,6 +233,17 @@ func TestOpCatalogSize(t *testing.T) {
 	}
 }
 
+// TestOpRulesInCatalog keeps opRules from naming an op the executors do
+// not know, which would leave the catalog op it was meant for on the
+// default rule.
+func TestOpRulesInCatalog(t *testing.T) {
+	for op := range opRules {
+		if !knownOps[op] {
+			t.Errorf("opRules names %q, which is not in OpCatalog", op)
+		}
+	}
+}
+
 var _ = layers.Values // keep the import for helpers used in other tests
 
 // TestLSTMCircuitMatchesFloat exercises the step-unrolled LSTM end to end.

@@ -1,11 +1,15 @@
 package zkml
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/gadgets"
+	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 func opts() Options {
@@ -44,6 +48,47 @@ func TestCompileProveVerify(t *testing.T) {
 	}
 	if !strings.Contains(sys.Describe(), "dlrm-micro") {
 		t.Fatal("describe missing model name")
+	}
+}
+
+// TestMalformedModelsRejected feeds model files that are well-formed JSON
+// but name impossible layers. Each must be refused with an error, by
+// model.Parse as ErrMalformedModel or else by Compile, and none may panic.
+func TestMalformedModelsRejected(t *testing.T) {
+	const head = `{"name":"bad","inputs":[{"name":"x","shape":%s,"kind":"float"}],` +
+		`"weights":{"k":{"shape":[3,3,1,2],"data":[%s]},"w":{"shape":[4,5],"data":[%s]}},` +
+		`"outputs":["y"],"nodes":[%s]}`
+	zeros := func(n int) string { return strings.TrimSuffix(strings.Repeat("0,", n), ",") }
+	file := func(shape, node string) string {
+		return fmt.Sprintf(head, shape, zeros(18), zeros(20), node)
+	}
+	cases := []struct{ name, file string }{
+		{"add with one input", file("[1,4]", `{"op":"add","inputs":["x"],"output":"y"}`)},
+		{"relu with no input", file("[1,4]", `{"op":"relu","inputs":[],"output":"y"}`)},
+		{"fc without weight", file("[1,5]", `{"op":"fc","inputs":["x"],"output":"y"}`)},
+		{"conv2d stride 0", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","pad":"valid"}`)},
+		{"conv2d without pad", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1}`)},
+		{"max_pool stride 0", file("[4,4,1]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2}`)},
+		{"avg_pool pool_k 0", file("[4,4,1]", `{"op":"avg_pool","inputs":["x"],"output":"y","stride":1}`)},
+		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := model.Parse([]byte(c.file))
+			if err != nil {
+				if !errors.Is(err, ErrMalformedModel) {
+					t.Fatalf("parse error does not wrap ErrMalformedModel: %v", err)
+				}
+				return
+			}
+			in := model.NewInput()
+			for _, spec := range g.Inputs {
+				in.Floats[spec.Name] = make([]float64, tensor.NumElems(spec.Shape))
+			}
+			if _, err := Compile(g, in, opts()); err == nil {
+				t.Fatal("Compile accepted a malformed model")
+			}
+		})
 	}
 }
 
