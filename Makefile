@@ -38,6 +38,8 @@
 #                    determinism, panic-decode; see DESIGN.md §15)
 #   make audit-smoke static circuit audit (`zkml audit`) of every bundled
 #                    model on both backends; fails on any error finding
+#   make examples-smoke the five README examples end to end; each stops on
+#                    an error with log.Fatal
 
 GO ?= go
 
@@ -63,9 +65,9 @@ FUZZ_TARGETS = \
 	./zkml/:FuzzImportProof
 FUZZTIME ?= 5s
 
-.PHONY: ci fmt vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke
+.PHONY: ci fmt vet build test race cross fuzz-smoke bench bench-smoke trace-smoke daemon-smoke shard-smoke benchmark benchmark-smoke benchmark-compare lint audit-smoke examples-smoke
 
-ci: fmt vet lint build test race cross audit-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
+ci: fmt vet lint build test race cross audit-smoke examples-smoke fuzz-smoke bench-smoke trace-smoke daemon-smoke shard-smoke benchmark-smoke
 
 fuzz-smoke:
 	@found=$$(grep -rE --include='*_test.go' '^func Fuzz' . | sed 's|^\(.*/\)[^/]*:func \(Fuzz[A-Za-z0-9_]*\).*|\1:\2|' | sort); \
@@ -156,6 +158,17 @@ lint:
 # lookup gap, or degree overflow fails CI here — before any proving runs.
 audit-smoke:
 	$(GO) run ./cmd/zkml audit -all -backend both -scale-bits 5 -lookup-bits 9 -max-cols 16
+
+# The README's examples, run as a user would: custom-model authors a model
+# and takes it through the JSON format (Parse, then Compile), biometric
+# checks a proof against the float reference (RunFloat). Each example exits
+# nonzero through log.Fatal on any error.
+EXAMPLES = quickstart audit credit-score biometric custom-model
+examples-smoke:
+	@for e in $(EXAMPLES); do \
+		echo "examples-smoke: $$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # Sharded proving smoke check (DESIGN.md §16), through the one key store:
 # keygen splits mnist into 3 chunks and writes one .zka per chunk, prove

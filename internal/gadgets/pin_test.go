@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math"
 	"testing"
 
 	"repro/internal/ff"
@@ -18,8 +19,8 @@ import (
 
 // pinnedCircuits are the fingerprints of every circuit TestCircuitsPinned
 // finalizes: per bundled model, all of its pinConfigs at 6, 12 and 24
-// columns; "layers", the layerCases at the same layouts; "fixtures", the
-// per-kind fixtures. A gadget-layer change that is meant to leave the
+// columns; "layers" and "ops", the layerCases and opCases at the same
+// layouts; "fixtures", the per-kind fixtures. A gadget-layer change that is meant to leave the
 // circuits alone must leave these digests alone. The VK digest cannot stand
 // in for them: it does not bind the gate polynomials.
 var pinnedCircuits = map[string]string{
@@ -33,6 +34,7 @@ var pinnedCircuits = map[string]string{
 	"twitter-micro":   "9145e03c2d091ec7acb966ed803c743898395486bc48747586b35c90b7fea6ef",
 	"vgg-micro":       "309a7a7290db889af52831848a2e701dec2dfd7fc27c439f70dbf5201d5304ea",
 	"layers":          "01ea0feeb3a71ab4f47a5b617a970029147f805ab12fda4f9a422e54f1516f40",
+	"ops":             "1f78fc463f52bcb0541b0812f7ebeb68d3ecda5f562302a7250fdef9778196cd",
 	"fixtures":        "8f25ed2e4bac637c99b44d7e813110dd09f8f4a918e4c8df691bcba138950325",
 }
 
@@ -73,17 +75,19 @@ func TestCircuitsPinned(t *testing.T) {
 		built += pinGraph(t, h, spec.Build(), spec.Input(1))
 		got[name] = hex.EncodeToString(h.Sum(nil))
 	}
-	h := sha256.New()
-	for _, c := range layerCases {
-		g, in := c.graph()
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+	for name, cases := range map[string][]layerCase{"layers": layerCases, "ops": opCases} {
+		h := sha256.New()
+		for _, c := range cases {
+			g, in := c.graph()
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "layer %s\n", c.name)
+			built += pinGraph(t, h, g, in)
 		}
-		fmt.Fprintf(h, "layer %s\n", c.name)
-		built += pinGraph(t, h, g, in)
+		got[name] = hex.EncodeToString(h.Sum(nil))
 	}
-	got["layers"] = hex.EncodeToString(h.Sum(nil))
-	h = sha256.New()
+	h := sha256.New()
 	for _, f := range kindFixtures {
 		cfg := gadgets.DefaultConfig(8, fixedpoint.Params{ScaleBits: 4, LookupBits: 8})
 		if f.cfg != nil {
@@ -155,6 +159,44 @@ var layerCases = []layerCase{
 		[][]int{{2, 3, 2}, {2, 2, 4}}, nil},
 }
 
+// opCases are one-node graphs for the ops that neither a bundled model nor
+// layerCases reach, pinned together under "ops": the lookup activations no
+// model uses, the binary ops (with a broadcast second operand where its
+// shape differs), the pointwise and reduction ops, rms_norm with and
+// without gamma, and the free shape ops.
+var opCases = []layerCase{
+	{"leaky_relu", model.Node{Op: "leaky_relu"}, [][]int{{2, 3}}, nil},
+	{"elu", model.Node{Op: "elu"}, [][]int{{2, 3}}, nil},
+	{"tanh", model.Node{Op: "tanh"}, [][]int{{2, 3}}, nil},
+	{"softplus", model.Node{Op: "softplus"}, [][]int{{2, 3}}, nil},
+	{"exp", model.Node{Op: "exp"}, [][]int{{2, 3}}, nil},
+	{"sqrt", model.Node{Op: "sqrt"}, [][]int{{2, 3}}, nil},
+	{"rsqrt", model.Node{Op: "rsqrt"}, [][]int{{2, 3}}, nil},
+	{"erf", model.Node{Op: "erf"}, [][]int{{2, 3}}, nil},
+	{"sub broadcast", model.Node{Op: "sub"}, [][]int{{2, 3}, {3}}, nil},
+	{"div broadcast", model.Node{Op: "div"}, [][]int{{2, 3}, {1, 3}}, nil},
+	{"div", model.Node{Op: "div"}, [][]int{{2, 3}, {2, 3}}, nil},
+	{"squared_difference broadcast", model.Node{Op: "squared_difference"}, [][]int{{2, 3}, {3}}, nil},
+	{"square", model.Node{Op: "square"}, [][]int{{2, 3}}, nil},
+	{"neg", model.Node{Op: "neg"}, [][]int{{2, 3}}, nil},
+	{"abs", model.Node{Op: "abs"}, [][]int{{2, 3}}, nil},
+	{"minimum broadcast", model.Node{Op: "minimum"}, [][]int{{2, 3}, {1, 3}}, nil},
+	{"minimum", model.Node{Op: "minimum"}, [][]int{{2, 3}, {2, 3}}, nil},
+	{"maximum broadcast", model.Node{Op: "maximum"}, [][]int{{2, 3}, {3}}, nil},
+	{"reduce_sum", model.Node{Op: "reduce_sum"}, [][]int{{2, 3}}, nil},
+	{"reduce_mean", model.Node{Op: "reduce_mean"}, [][]int{{2, 3}}, nil},
+	{"reduce_max", model.Node{Op: "reduce_max"}, [][]int{{2, 3}}, nil},
+	{"rms_norm gamma", model.Node{Op: "rms_norm", Weight: "g"}, [][]int{{2, 3}}, map[string][]int{"g": {3}}},
+	{"rms_norm", model.Node{Op: "rms_norm"}, [][]int{{2, 3}}, nil},
+	{"flatten", model.Node{Op: "flatten"}, [][]int{{2, 3}}, nil},
+	{"pad_zero", model.Node{Op: "pad_zero", Starts: []int{1, 0}, Ends: []int{0, 2}}, [][]int{{2, 3}}, nil},
+	{"split_last", model.Node{Op: "split_last", Parts: 2, Axis: 1}, [][]int{{2, 4}}, nil},
+	{"identity shape", model.Node{Op: "identity", Shape: []int{3, 2}}, [][]int{{2, 3}}, nil},
+	{"identity", model.Node{Op: "identity"}, [][]int{{2, 3}}, nil},
+	{"expand_dims", model.Node{Op: "expand_dims", Shape: []int{1, 2, 3}}, [][]int{{2, 3}}, nil},
+	{"squeeze", model.Node{Op: "squeeze", Shape: []int{2, 3}}, [][]int{{1, 2, 3}}, nil},
+}
+
 // layerCase is one node applied to float inputs x0, x1, … of the given
 // shapes, with weights of the given shapes; inputs and weights get small
 // deterministic values.
@@ -180,7 +222,13 @@ func (c layerCase) graph() (*model.Graph, *model.Input) {
 	for i, shape := range c.inputs {
 		name := fmt.Sprintf("x%d", i)
 		g.Inputs = append(g.Inputs, model.InputSpec{Name: name, Shape: shape, Kind: model.FloatInput})
-		in.Floats[name] = values(tensor.NumElems(shape), i)
+		v := values(tensor.NumElems(shape), i)
+		if n.Op == "div" && i == 1 {
+			for j := range v {
+				v[j] = math.Abs(v[j]) + 0.25 // a positive divisor
+			}
+		}
+		in.Floats[name] = v
 		n.Inputs = append(n.Inputs, name)
 	}
 	for name, shape := range c.weights {

@@ -1,9 +1,6 @@
 package model
 
 import (
-	"fmt"
-
-	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/layers"
 	"repro/internal/tensor"
@@ -14,166 +11,38 @@ import (
 // rows, and the declared outputs are exposed as public values. The builder
 // afterwards holds both the circuit layout and the witness for this input.
 func (g *Graph) RunCircuit(b *gadgets.Builder, in *Input) ([]*layers.T, error) {
-	fp := b.Config().FP
-	env := map[string]*layers.T{}
-	for _, spec := range g.Inputs {
-		switch spec.Kind {
-		case FloatInput:
-			v, ok := in.Floats[spec.Name]
-			if !ok {
-				return nil, fmt.Errorf("model: missing float input %q", spec.Name)
-			}
-			if len(v) != tensor.NumElems(spec.Shape) {
-				return nil, fmt.Errorf("model: input %q has %d values, want %d", spec.Name, len(v), tensor.NumElems(spec.Shape))
-			}
-			q := make([]int64, len(v))
-			for i, f := range v {
-				q[i] = fp.Quantize(f)
-			}
-			env[spec.Name] = layers.Inputs(b, tensor.FromSlice(q, spec.Shape...))
-		case IDInput:
-			// Read directly by embed nodes.
-		case ActInput:
+	env, err := walk(g, in, func(spec InputSpec) (*layers.T, error) {
+		if spec.Kind == ActInput {
 			// A chunk-boundary activation: values are already quantized
 			// fixed-point integers from the producing chunk, placed
 			// verbatim (no requantization — the chain stays exact) and
 			// made public immediately so the boundary lands at a
 			// deterministic prefix of the instance column, in g.Inputs
 			// order, ahead of the chunk's own outputs.
-			v, ok := in.Acts[spec.Name]
-			if !ok {
-				return nil, fmt.Errorf("model: missing act input %q", spec.Name)
-			}
-			if len(v) != tensor.NumElems(spec.Shape) {
-				return nil, fmt.Errorf("model: act input %q has %d values, want %d", spec.Name, len(v), tensor.NumElems(spec.Shape))
+			v, err := values(in.Acts, spec)
+			if err != nil {
+				return nil, err
 			}
 			t := layers.Inputs(b, tensor.FromSlice(append([]int64(nil), v...), spec.Shape...))
 			layers.Outputs(b, t)
-			env[spec.Name] = t
+			return t, nil
 		}
-	}
-	quant := func(name string) *layers.IT {
-		w := g.weightTensor(name)
-		return tensor.Map(w, fp.Quantize)
-	}
-	optQuant := func(name string) *layers.IT {
-		if name == "" {
-			return nil
+		v, err := values(in.Floats, spec)
+		if err != nil {
+			return nil, err
 		}
-		return quant(name)
-	}
-
-	for i, n := range g.Nodes {
-		arg := func(i int) *layers.T { return env[n.Inputs[i]] }
-		var out *layers.T
-		switch n.Op {
-		case "conv2d":
-			out = layers.Conv2D(b, arg(0), quant(n.Weight), optQuant(n.Bias), n.Stride, layers.Padding(n.Pad))
-		case "depthwise_conv2d":
-			out = layers.DepthwiseConv2D(b, arg(0), quant(n.Weight), optQuant(n.Bias), n.Stride, layers.Padding(n.Pad))
-		case "fc":
-			out = layers.FullyConnected(b, arg(0), quant(n.Weight), optQuant(n.Bias))
-		case "matmul":
-			out = layers.MatMul(b, arg(0), arg(1))
-		case "batch_matmul":
-			out = layers.BatchMatMul(b, arg(0), arg(1))
-		case "avg_pool":
-			out = layers.AveragePool2D(b, arg(0), n.PoolK, n.Stride)
-		case "max_pool":
-			out = layers.MaxPool2D(b, arg(0), n.PoolK, n.Stride)
-		case "global_avg_pool":
-			out = layers.GlobalAveragePool(b, arg(0))
-		case "relu", "relu6", "leaky_relu", "elu", "gelu", "sigmoid", "tanh",
-			"softplus", "silu", "exp", "sqrt", "rsqrt", "erf":
-			out = layers.Activation(b, fixedpoint.Nonlinearity(n.Op), arg(0))
-		case "add":
-			out = layers.Add(b, arg(0), arg(1))
-		case "sub":
-			out = layers.Sub(b, arg(0), arg(1))
-		case "mul":
-			out = layers.Mul(b, arg(0), arg(1))
-		case "div":
-			out = layers.Div(b, arg(0), arg(1))
-		case "squared_difference":
-			out = layers.SquaredDifference(b, arg(0), arg(1))
-		case "minimum":
-			out = tensor.Zip(arg(0), maybeB(arg(1), arg(0)), func(x, y *gadgets.Value) *gadgets.Value {
-				return b.MulC(b.Max(b.MulC(x, -1), b.MulC(y, -1)), -1)
-			})
-		case "maximum":
-			out = tensor.Zip(arg(0), maybeB(arg(1), arg(0)), func(x, y *gadgets.Value) *gadgets.Value {
-				return b.Max(x, y)
-			})
-		case "square":
-			out = tensor.Map(arg(0), func(v *gadgets.Value) *gadgets.Value { return b.Square(v) })
-		case "neg":
-			out = tensor.Map(arg(0), func(v *gadgets.Value) *gadgets.Value { return b.MulC(v, -1) })
-		case "abs":
-			out = tensor.Map(arg(0), func(v *gadgets.Value) *gadgets.Value {
-				return b.Max(v, b.MulC(v, -1))
-			})
-		case "scale":
-			q := fp.Quantize(n.Scale)
-			out = tensor.Map(arg(0), func(v *gadgets.Value) *gadgets.Value {
-				return b.Rescale(b.DotRaw([]*gadgets.Value{v}, nil, []int64{q}, nil))
-			})
-		case "reduce_sum":
-			out = layers.ReduceSum(b, arg(0))
-		case "reduce_mean":
-			out = layers.ReduceMean(b, arg(0))
-		case "reduce_max":
-			out = layers.ReduceMax(b, arg(0))
-		case "softmax":
-			out = layers.Softmax(b, arg(0))
-		case "layer_norm":
-			out = layers.LayerNorm(b, arg(0), optQuant(n.Weight), optQuant(n.Bias))
-		case "rms_norm":
-			out = layers.RMSNorm(b, arg(0), optQuant(n.Weight))
-		case "reshape":
-			out = arg(0).Reshape(n.Shape...)
-		case "flatten":
-			out = arg(0).Flatten()
-		case "transpose":
-			out = arg(0).Transpose(n.Perm...)
-		case "concat":
-			ts := make([]*layers.T, len(n.Inputs))
-			for i := range n.Inputs {
-				ts[i] = arg(i)
-			}
-			out = tensor.Concat(n.Axis, ts...)
-		case "slice":
-			out = arg(0).Slice(n.Starts, n.Ends)
-		case "pad_zero":
-			out = arg(0).Pad(n.Starts, n.Ends, b.Constant(0))
-		case "split_last":
-			out = arg(0).Split(arg(0).Rank()-1, n.Parts)[n.Axis]
-		case "identity", "squeeze", "expand_dims":
-			out = arg(0)
-			if len(n.Shape) > 0 {
-				out = out.Reshape(n.Shape...)
-			}
-		case "lstm":
-			out = layers.LSTM(b, arg(0), quant(n.Weight), quant(n.Weight2), optQuant(n.Bias))
-		case "embed":
-			ids, ok := in.IDs[n.Inputs[0]]
-			if !ok {
-				return nil, fmt.Errorf("model: missing id input %q", n.Inputs[0])
-			}
-			out = layers.Embed(b, n.Weight, quant(n.Weight), ids)
-		default:
-			return nil, fmt.Errorf("model %s: node %d: unsupported op %q", g.Name, i, n.Op)
+		return layers.Inputs(b, tensor.Map(tensor.FromSlice(v, spec.Shape...), b.Config().FP.Quantize)), nil
+	}, func(o op, c call, x []*layers.T) (*layers.T, error) {
+		y, err := o.circuit(b, c, x)
+		if err == nil {
+			err = b.Err()
 		}
-		if err := b.Err(); err != nil {
-			return nil, fmt.Errorf("model %s: node %d (%s -> %s): %w", g.Name, i, n.Op, n.Output, err)
-		}
-		env[n.Output] = out
+		return y, err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	outs := make([]*layers.T, len(g.Outputs))
-	for i, name := range g.Outputs {
-		outs[i] = env[name]
-	}
-	return outs, nil
+	return outputs(g, env), nil
 }
 
 // BuildCircuit runs the graph on a fresh builder and exposes all outputs as
@@ -192,11 +61,4 @@ func (g *Graph) BuildCircuit(cfg gadgets.Config, in *Input) (*gadgets.Builder, [
 		return nil, nil, err
 	}
 	return b, outs, nil
-}
-
-func maybeB(y, x *layers.T) *layers.T {
-	if tensor.NumElems(y.Shape) != tensor.NumElems(x.Shape) {
-		return y.BroadcastTo(x.Shape...)
-	}
-	return y
 }

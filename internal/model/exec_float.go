@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fixedpoint"
+	"repro/internal/layers"
 	"repro/internal/tensor"
 )
 
@@ -15,38 +15,18 @@ type FT = tensor.Tensor[float64]
 // reference semantics the circuit's fixed-point results are compared
 // against (Table 8).
 func (g *Graph) RunFloat(in *Input) (map[string]*FT, error) {
-	env := map[string]*FT{}
-	for _, spec := range g.Inputs {
-		switch spec.Kind {
-		case FloatInput:
-			v, ok := in.Floats[spec.Name]
-			if !ok {
-				return nil, fmt.Errorf("model: missing float input %q", spec.Name)
-			}
-			if len(v) != tensor.NumElems(spec.Shape) {
-				return nil, fmt.Errorf("model: input %q has %d values, want %d", spec.Name, len(v), tensor.NumElems(spec.Shape))
-			}
-			env[spec.Name] = tensor.FromSlice(append([]float64(nil), v...), spec.Shape...)
-		case IDInput:
-			// Carried separately; embed nodes read in.IDs directly.
-		case ActInput:
-			// Boundary activations are fixed-point values tied to a
-			// specific circuit scale; there is no float reference
-			// semantics for a lone chunk. Run the full (unsharded) graph
-			// for reference outputs instead.
+	return walk(g, in, func(spec InputSpec) (*FT, error) {
+		if spec.Kind == ActInput {
+			// Boundary activations are fixed-point values at one circuit's
+			// scale: run the full (unsharded) graph for reference outputs.
 			return nil, fmt.Errorf("model: float execution does not support act input %q (chunk subgraph)", spec.Name)
-		default:
-			return nil, fmt.Errorf("model: unknown input kind %q", spec.Kind)
 		}
-	}
-	for i, n := range g.Nodes {
-		out, err := g.execFloatNode(n, env, in)
+		v, err := values(in.Floats, spec)
 		if err != nil {
-			return nil, fmt.Errorf("model %s: node %d (%s -> %s): %w", g.Name, i, n.Op, n.Output, err)
+			return nil, err
 		}
-		env[n.Output] = out
-	}
-	return env, nil
+		return tensor.FromSlice(append([]float64(nil), v...), spec.Shape...), nil
+	}, func(o op, c call, x []*FT) (*FT, error) { return o.float(c, x) })
 }
 
 // OutputsFloat runs the graph and returns the declared outputs in order.
@@ -55,137 +35,7 @@ func (g *Graph) OutputsFloat(in *Input) ([]*FT, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]*FT, len(g.Outputs))
-	for i, name := range g.Outputs {
-		outs[i] = env[name]
-	}
-	return outs, nil
-}
-
-func (g *Graph) execFloatNode(n Node, env map[string]*FT, in *Input) (*FT, error) {
-	arg := func(i int) *FT {
-		t, ok := env[n.Inputs[i]]
-		if !ok {
-			panic(fmt.Sprintf("model: undefined tensor %q", n.Inputs[i]))
-		}
-		return t
-	}
-	switch n.Op {
-	case "conv2d":
-		return floatConv2D(arg(0), g.weightTensor(n.Weight), g.optBias(n), n.Stride, Padding(n.Pad)), nil
-	case "depthwise_conv2d":
-		return floatDWConv2D(arg(0), g.weightTensor(n.Weight), g.optBias(n), n.Stride, Padding(n.Pad)), nil
-	case "fc":
-		return floatFC(arg(0), g.weightTensor(n.Weight), g.optBias(n)), nil
-	case "matmul":
-		return floatMatMul(arg(0), arg(1)), nil
-	case "batch_matmul":
-		return floatBatchMatMul(arg(0), arg(1)), nil
-	case "avg_pool":
-		return floatPool(arg(0), n.PoolK, n.Stride, true), nil
-	case "max_pool":
-		return floatPool(arg(0), n.PoolK, n.Stride, false), nil
-	case "global_avg_pool":
-		return floatGlobalAvgPool(arg(0)), nil
-	case "relu", "relu6", "leaky_relu", "elu", "gelu", "sigmoid", "tanh",
-		"softplus", "silu", "exp", "sqrt", "rsqrt", "erf":
-		nl := fixedpoint.Nonlinearity(n.Op)
-		return tensor.Map(arg(0), nl.Float), nil
-	case "add":
-		return floatBinop(arg(0), arg(1), func(a, b float64) float64 { return a + b }), nil
-	case "sub":
-		return floatBinop(arg(0), arg(1), func(a, b float64) float64 { return a - b }), nil
-	case "mul":
-		return floatBinop(arg(0), arg(1), func(a, b float64) float64 { return a * b }), nil
-	case "div":
-		return floatBinop(arg(0), arg(1), func(a, b float64) float64 { return a / b }), nil
-	case "squared_difference":
-		return floatBinop(arg(0), arg(1), func(a, b float64) float64 { return (a - b) * (a - b) }), nil
-	case "minimum":
-		return floatBinop(arg(0), arg(1), math.Min), nil
-	case "maximum":
-		return floatBinop(arg(0), arg(1), math.Max), nil
-	case "square":
-		return tensor.Map(arg(0), func(v float64) float64 { return v * v }), nil
-	case "neg":
-		return tensor.Map(arg(0), func(v float64) float64 { return -v }), nil
-	case "abs":
-		return tensor.Map(arg(0), math.Abs), nil
-	case "scale":
-		return tensor.Map(arg(0), func(v float64) float64 { return v * n.Scale }), nil
-	case "reduce_sum":
-		return floatReduce(arg(0), func(vs []float64) float64 { return sum(vs) }), nil
-	case "reduce_mean":
-		return floatReduce(arg(0), func(vs []float64) float64 { return sum(vs) / float64(len(vs)) }), nil
-	case "reduce_max":
-		return floatReduce(arg(0), func(vs []float64) float64 {
-			m := vs[0]
-			for _, v := range vs[1:] {
-				m = math.Max(m, v)
-			}
-			return m
-		}), nil
-	case "softmax":
-		return floatSoftmax(arg(0)), nil
-	case "layer_norm":
-		return floatLayerNorm(arg(0), g.optWeight(n.Weight), g.optWeight(n.Bias)), nil
-	case "rms_norm":
-		return floatRMSNorm(arg(0), g.optWeight(n.Weight)), nil
-	case "reshape":
-		return arg(0).Reshape(n.Shape...), nil
-	case "flatten":
-		return arg(0).Flatten(), nil
-	case "transpose":
-		return arg(0).Transpose(n.Perm...), nil
-	case "concat":
-		ts := make([]*FT, len(n.Inputs))
-		for i := range n.Inputs {
-			ts[i] = arg(i)
-		}
-		return tensor.Concat(n.Axis, ts...), nil
-	case "slice":
-		return arg(0).Slice(n.Starts, n.Ends), nil
-	case "pad_zero":
-		return arg(0).Pad(n.Starts, n.Ends, 0), nil
-	case "split_last":
-		parts := arg(0).Split(arg(0).Rank()-1, n.Parts)
-		return parts[n.Axis], nil
-	case "identity", "squeeze", "expand_dims":
-		if len(n.Shape) > 0 {
-			return arg(0).Reshape(n.Shape...), nil
-		}
-		return arg(0), nil
-	case "lstm":
-		return floatLSTM(arg(0), g.weightTensor(n.Weight), g.weightTensor(n.Weight2), g.optWeight(n.Bias)), nil
-	case "embed":
-		ids, ok := in.IDs[n.Inputs[0]]
-		if !ok {
-			return nil, fmt.Errorf("missing id input %q", n.Inputs[0])
-		}
-		table := g.weightTensor(n.Weight)
-		out := tensor.New[float64](len(ids), table.Shape[1])
-		for i, id := range ids {
-			for d := 0; d < table.Shape[1]; d++ {
-				out.Set(table.At(id, d), i, d)
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("unsupported op %q", n.Op)
-}
-
-func (g *Graph) optBias(n Node) *FT {
-	if n.Bias == "" {
-		return nil
-	}
-	return g.weightTensor(n.Bias)
-}
-
-func (g *Graph) optWeight(name string) *FT {
-	if name == "" {
-		return nil
-	}
-	return g.weightTensor(name)
+	return outputs(g, env), nil
 }
 
 func sum(vs []float64) float64 {
@@ -196,10 +46,7 @@ func sum(vs []float64) float64 {
 	return s
 }
 
-// Padding mirrors layers.Padding without importing the circuit packages.
-type Padding string
-
-func convDimsF(in, k, stride int, pad Padding) (out, before, after int) {
+func convDimsF(in, k, stride int, pad layers.Padding) (out, before, after int) {
 	switch pad {
 	case "valid", "":
 		return (in-k)/stride + 1, 0, 0
@@ -214,7 +61,7 @@ func convDimsF(in, k, stride int, pad Padding) (out, before, after int) {
 	panic("model: unknown padding " + string(pad))
 }
 
-func floatConv2D(x, k, bias *FT, stride int, pad Padding) *FT {
+func floatConv2D(x, k, bias *FT, stride int, pad layers.Padding) *FT {
 	h, w, cin := x.Shape[0], x.Shape[1], x.Shape[2]
 	kh, kw, _, cout := k.Shape[0], k.Shape[1], k.Shape[2], k.Shape[3]
 	oh, ph0, ph1 := convDimsF(h, kh, stride, pad)
@@ -242,7 +89,7 @@ func floatConv2D(x, k, bias *FT, stride int, pad Padding) *FT {
 	return out
 }
 
-func floatDWConv2D(x, k, bias *FT, stride int, pad Padding) *FT {
+func floatDWConv2D(x, k, bias *FT, stride int, pad layers.Padding) *FT {
 	h, w, c := x.Shape[0], x.Shape[1], x.Shape[2]
 	kh, kw := k.Shape[0], k.Shape[1]
 	oh, ph0, ph1 := convDimsF(h, kh, stride, pad)
@@ -361,11 +208,14 @@ func floatGlobalAvgPool(x *FT) *FT {
 	return out
 }
 
-func floatBinop(x, y *FT, fn func(a, b float64) float64) *FT {
-	if tensor.NumElems(y.Shape) != tensor.NumElems(x.Shape) {
-		y = y.BroadcastTo(x.Shape...)
+// floatEmbed gathers one row of table per id.
+func floatEmbed(table *FT, ids []int) *FT {
+	d := table.Shape[1]
+	out := tensor.New[float64](len(ids), d)
+	for i, id := range ids {
+		copy(out.Data[i*d:], table.Data[id*d:(id+1)*d])
 	}
-	return tensor.Zip(x, y, fn)
+	return out
 }
 
 func floatReduce(x *FT, fn func([]float64) float64) *FT {

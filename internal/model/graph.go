@@ -87,100 +87,23 @@ type Graph struct {
 	Outputs []string          `json:"outputs"`
 }
 
-// OpCatalog lists every graph operation the executors support — ZKML's
-// layer catalog (the paper reports 43 supported layers; shape operations
-// are free, compute operations lower to gadgets).
-var OpCatalog = []string{
-	// Linear layers.
-	"conv2d", "depthwise_conv2d", "fc", "matmul", "batch_matmul",
-	// Pooling.
-	"avg_pool", "max_pool", "global_avg_pool",
-	// Activations (pointwise nonlinearities via lookup).
-	"relu", "relu6", "leaky_relu", "elu", "gelu", "sigmoid", "tanh",
-	"softplus", "silu", "exp", "sqrt", "rsqrt", "erf",
-	// Arithmetic layers.
-	"add", "sub", "mul", "div", "squared_difference", "square", "neg",
-	"scale", "abs", "minimum", "maximum",
-	// Reductions.
-	"reduce_sum", "reduce_mean", "reduce_max",
-	// Vector-valued non-linear layers.
-	"softmax", "layer_norm", "rms_norm",
-	// Shape operations (free).
-	"reshape", "flatten", "transpose", "concat", "slice", "pad_zero",
-	"split_last", "identity", "expand_dims", "squeeze",
-	// Recurrent.
-	"lstm",
-	// Embedding.
-	"embed",
-}
-
-// opRule is what Validate requires of a node of one op, beyond the op
-// being in OpCatalog.
-type opRule struct {
-	inputs  int  // exact input count; -1 means one or more
-	weight  bool // Weight must name a weight
-	weight2 bool // Weight2 must name a weight
-	conv    bool // stride ≥ 1 and pad "same" or "valid"
-	pool    bool // pool_k ≥ 1 and stride ≥ 1
-}
-
-var (
-	unaryRule  = opRule{inputs: 1}
-	binaryRule = opRule{inputs: 2}
-)
-
-// opRules lists every op whose rule is not unaryRule.
-var opRules = map[string]opRule{
-	"conv2d":             {inputs: 1, weight: true, conv: true},
-	"depthwise_conv2d":   {inputs: 1, weight: true, conv: true},
-	"fc":                 {inputs: 1, weight: true},
-	"matmul":             binaryRule,
-	"batch_matmul":       binaryRule,
-	"avg_pool":           {inputs: 1, pool: true},
-	"max_pool":           {inputs: 1, pool: true},
-	"add":                binaryRule,
-	"sub":                binaryRule,
-	"mul":                binaryRule,
-	"div":                binaryRule,
-	"squared_difference": binaryRule,
-	"minimum":            binaryRule,
-	"maximum":            binaryRule,
-	"concat":             {inputs: -1},
-	"lstm":               {inputs: 1, weight: true, weight2: true},
-	"embed":              {inputs: 1, weight: true},
-}
-
-// weightTensor materializes a weight as a float tensor.
-func (g *Graph) weightTensor(name string) *tensor.Tensor[float64] {
-	w, ok := g.Weights[name]
-	if !ok {
-		panic(fmt.Sprintf("model: unknown weight %q", name))
-	}
-	return tensor.FromSlice(append([]float64(nil), w.Data...), w.Shape...)
-}
-
-// knownOps indexes OpCatalog for Validate.
-var knownOps = func() map[string]bool {
-	m := make(map[string]bool, len(OpCatalog))
-	for _, op := range OpCatalog {
-		m[op] = true
-	}
-	return m
-}()
-
 // Validate checks graph consistency: every node input must be produced by a
 // prior node, a graph input, or a weight; outputs must exist. It also
 // treats the graph as untrusted input (a model file is attacker-controlled;
 // see DESIGN.md §9): weight data must match its declared shape, all shapes
 // must be non-negative and bounded by MaxTensorElems, every op must be in
-// the catalog, and each node must meet its op's rule (opRules: input count,
-// required weights, conv stride and padding, pool window and stride). Shape
-// agreement between a node's inputs and its weights is not checked here:
-// the circuit layers report the disagreements they meet as errors, but
-// RunFloat does not check it (ROADMAP 2(e)). All failures wrap
-// zkerrors.ErrMalformedModel.
+// the catalog, and each node must meet its op's rules (input count,
+// required weights and their rank, conv stride and padding, pool window and
+// stride). Only ops that take ids read an ids input, they read nothing
+// else, and no output names one. Operand ranks and shape-op fields are
+// checked, as errors, where the graph runs. Whether a node's operands fit
+// each other and its weights is not checked (ROADMAP 2(e)): the circuit
+// layers report some disagreements as errors, but RunFloat reads a
+// wrong-size fc weight or layer_norm gamma without error, and panics on an
+// embed id past its table or an operand that cannot broadcast. All
+// failures wrap zkerrors.ErrMalformedModel.
 func (g *Graph) Validate() error {
-	avail := map[string]bool{}
+	avail, ids := map[string]bool{}, map[string]bool{}
 	for i, in := range g.Inputs {
 		if in.Name == "" {
 			return errModel("%s: input %d has no name", g.Name, i)
@@ -195,6 +118,7 @@ func (g *Graph) Validate() error {
 			return errModel("%s: input %q has unknown kind %q", g.Name, in.Name, in.Kind)
 		}
 		avail[in.Name] = true
+		ids[in.Name] = in.Kind == IDInput
 	}
 	for name, w := range g.Weights {
 		elems, err := tensor.CheckShape(w.Shape, MaxTensorElems)
@@ -207,43 +131,37 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for i, n := range g.Nodes {
-		if !knownOps[n.Op] {
+		o, ok := ops[n.Op]
+		if !ok {
 			return errModel("%s: node %d has unknown op %q", g.Name, i, n.Op)
 		}
-		rule, ok := opRules[n.Op]
-		if !ok {
-			rule = unaryRule
-		}
-		if want := rule.inputs; want >= 0 && len(n.Inputs) != want || want < 0 && len(n.Inputs) == 0 {
+		if !o.takes(len(n.Inputs)) {
 			return errModel("%s: node %d (%s) has %d inputs", g.Name, i, n.Op, len(n.Inputs))
 		}
-		if rule.weight && n.Weight == "" || rule.weight2 && n.Weight2 == "" {
+		if o.weight && n.Weight == "" || o.weight2 && n.Weight2 == "" {
 			return errModel("%s: node %d (%s) lacks a required weight", g.Name, i, n.Op)
 		}
-		if rule.conv && (n.Stride < 1 || n.Pad != "same" && n.Pad != "valid") {
+		if o.conv && (n.Stride < 1 || n.Pad != "same" && n.Pad != "valid") {
 			return errModel("%s: node %d (%s) needs stride >= 1 and pad same or valid", g.Name, i, n.Op)
 		}
-		if rule.pool && (n.Stride < 1 || n.PoolK < 1) {
+		if o.pool && (n.Stride < 1 || n.PoolK < 1) {
 			return errModel("%s: node %d (%s) needs pool_k >= 1 and stride >= 1", g.Name, i, n.Op)
 		}
 		for _, in := range n.Inputs {
 			if !avail[in] {
 				return errModel("%s: node %d (%s) consumes undefined tensor %q", g.Name, i, n.Op, in)
 			}
-		}
-		if n.Weight != "" {
-			if _, ok := g.Weights[n.Weight]; !ok {
-				return errModel("%s: node %d references missing weight %q", g.Name, i, n.Weight)
+			if ids[in] != o.ids {
+				return errModel("%s: node %d (%s) reads %q: only ops that take ids read an ids input, and they read nothing else", g.Name, i, n.Op, in)
 			}
 		}
-		if n.Weight2 != "" {
-			if _, ok := g.Weights[n.Weight2]; !ok {
-				return errModel("%s: node %d references missing weight %q", g.Name, i, n.Weight2)
+		for j, name := range []string{n.Weight, n.Weight2, n.Bias} {
+			w, ok := g.Weights[name]
+			if name != "" && !ok {
+				return errModel("%s: node %d references missing weight %q", g.Name, i, name)
 			}
-		}
-		if n.Bias != "" {
-			if _, ok := g.Weights[n.Bias]; !ok {
-				return errModel("%s: node %d references missing bias %q", g.Name, i, n.Bias)
+			if o.weightRank > 0 && (j == 0 || j == 1 && o.weight2) && len(w.Shape) != o.weightRank {
+				return errModel("%s: node %d (%s) needs rank-%d weights", g.Name, i, n.Op, o.weightRank)
 			}
 		}
 		if n.Stride < 0 || n.PoolK < 0 || n.Parts < 0 || n.Axis < 0 {
@@ -276,8 +194,8 @@ func (g *Graph) Validate() error {
 		avail[n.Output] = true
 	}
 	for _, out := range g.Outputs {
-		if !avail[out] {
-			return errModel("%s: output %q never produced", g.Name, out)
+		if !avail[out] || ids[out] {
+			return errModel("%s: output %q never produced (an ids input is no output)", g.Name, out)
 		}
 	}
 	return nil

@@ -53,24 +53,46 @@ func TestCompileProveVerify(t *testing.T) {
 
 // TestMalformedModelsRejected feeds model files that are well-formed JSON
 // but name impossible layers. Each must be refused with an error, by
-// model.Parse as ErrMalformedModel or else by Compile, and none may panic.
+// model.Parse as ErrMalformedModel or else by Compile (and, where float is
+// set, by RunFloat too), and none may panic.
 func TestMalformedModelsRejected(t *testing.T) {
-	const head = `{"name":"bad","inputs":[{"name":"x","shape":%s,"kind":"float"}],` +
-		`"weights":{"k":{"shape":[3,3,1,2],"data":[%s]},"w":{"shape":[4,5],"data":[%s]}},` +
-		`"outputs":["y"],"nodes":[%s]}`
+	const head = `{"name":"bad","inputs":[{"name":"x","shape":%s,"kind":"float"},{"name":"ids","shape":[2],"kind":"ids"}],` +
+		`"weights":{"k":{"shape":[3,3,1,2],"data":[%s]},"w":{"shape":[4,5],"data":[%s]},"d":{"shape":[2,2,1],"data":[0,0,0,0]}},` +
+		`"outputs":[%s],"nodes":[%s]}`
 	zeros := func(n int) string { return strings.TrimSuffix(strings.Repeat("0,", n), ",") }
-	file := func(shape, node string) string {
-		return fmt.Sprintf(head, shape, zeros(18), zeros(20), node)
+	fileOut := func(shape, out, nodes string) string {
+		return fmt.Sprintf(head, shape, zeros(18), zeros(20), out, nodes)
 	}
-	cases := []struct{ name, file string }{
-		{"add with one input", file("[1,4]", `{"op":"add","inputs":["x"],"output":"y"}`)},
-		{"relu with no input", file("[1,4]", `{"op":"relu","inputs":[],"output":"y"}`)},
-		{"fc without weight", file("[1,5]", `{"op":"fc","inputs":["x"],"output":"y"}`)},
-		{"conv2d stride 0", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","pad":"valid"}`)},
-		{"conv2d without pad", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1}`)},
-		{"max_pool stride 0", file("[4,4,1]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2}`)},
-		{"avg_pool pool_k 0", file("[4,4,1]", `{"op":"avg_pool","inputs":["x"],"output":"y","stride":1}`)},
-		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`)},
+	file := func(shape, nodes string) string { return fileOut(shape, `"y"`, nodes) }
+	cases := []struct {
+		name, file string
+		float      bool // RunFloat must fail too
+	}{
+		{"add with one input", file("[1,4]", `{"op":"add","inputs":["x"],"output":"y"}`), false},
+		{"relu with no input", file("[1,4]", `{"op":"relu","inputs":[],"output":"y"}`), false},
+		{"fc without weight", file("[1,5]", `{"op":"fc","inputs":["x"],"output":"y"}`), false},
+		{"conv2d stride 0", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","pad":"valid"}`), false},
+		{"conv2d without pad", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1}`), false},
+		{"max_pool stride 0", file("[4,4,1]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2}`), false},
+		{"avg_pool pool_k 0", file("[4,4,1]", `{"op":"avg_pool","inputs":["x"],"output":"y","stride":1}`), false},
+		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`), false},
+		{"reshape 6 to 8", file("[2,3]", `{"op":"reshape","inputs":["x"],"output":"y","shape":[4,2]}`), true},
+		{"reshape inferred", file("[2,3]", `{"op":"reshape","inputs":["x"],"output":"y","shape":[-1,5]}`), true},
+		{"transpose repeated axis", file("[2,3]", `{"op":"transpose","inputs":["x"],"output":"y","perm":[0,0]}`), true},
+		{"transpose short perm", file("[2,3]", `{"op":"transpose","inputs":["x"],"output":"y","perm":[0]}`), true},
+		{"slice past the end", file("[2,3]", `{"op":"slice","inputs":["x"],"output":"y","starts":[0,0],"ends":[5,5]}`), true},
+		{"split_last parts 0", file("[2,4]", `{"op":"split_last","inputs":["x"],"output":"y"}`), true},
+		{"split_last axis past parts", file("[2,4]", `{"op":"split_last","inputs":["x"],"output":"y","parts":2,"axis":2}`), true},
+		{"concat shape mismatch", file("[2,3]", `{"op":"transpose","inputs":["x"],"output":"t"},`+
+			`{"op":"concat","inputs":["x","t"],"output":"y"}`), true},
+		{"pad_zero rank mismatch", file("[2,3]", `{"op":"pad_zero","inputs":["x"],"output":"y","starts":[1],"ends":[1]}`), true},
+		{"conv2d rank 2 input", file("[4,4]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1,"pad":"valid"}`), true},
+		{"depthwise_conv2d rank 2 input", file("[4,4]", `{"op":"depthwise_conv2d","inputs":["x"],"output":"y","weight":"d","stride":1,"pad":"valid"}`), true},
+		{"max_pool rank 2 input", file("[4,4]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2,"stride":2}`), true},
+		{"global_avg_pool rank 2 input", file("[4,4]", `{"op":"global_avg_pool","inputs":["x"],"output":"y"}`), true},
+		{"conv2d rank 2 kernel", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"w","stride":1,"pad":"valid"}`), true},
+		{"relu reads ids", file("[1,4]", `{"op":"relu","inputs":["ids"],"output":"y"}`), true},
+		{"output names ids", fileOut("[1,4]", `"ids"`, `{"op":"relu","inputs":["x"],"output":"y"}`), true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -83,10 +105,17 @@ func TestMalformedModelsRejected(t *testing.T) {
 			}
 			in := model.NewInput()
 			for _, spec := range g.Inputs {
-				in.Floats[spec.Name] = make([]float64, tensor.NumElems(spec.Shape))
+				if spec.Kind == model.IDInput {
+					in.IDs[spec.Name] = make([]int, tensor.NumElems(spec.Shape))
+				} else {
+					in.Floats[spec.Name] = make([]float64, tensor.NumElems(spec.Shape))
+				}
 			}
 			if _, err := Compile(g, in, opts()); err == nil {
 				t.Fatal("Compile accepted a malformed model")
+			}
+			if _, err := g.RunFloat(in); c.float && err == nil {
+				t.Fatal("RunFloat accepted a malformed model")
 			}
 		})
 	}
