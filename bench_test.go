@@ -1,8 +1,8 @@
 // Package repro holds the kernel benchmarks nothing else measures: prover
 // scaling over worker counts, the IPA opening and its check, the cost
-// estimator itself, and the power-of-two row cliff. The paper's tables are
-// reproduced by cmd/zkml-bench (internal/experiments) and timed by
-// benchmark/.
+// estimator itself, the optimizer, and the power-of-two row cliff. The
+// paper's tables are reproduced by cmd/zkml-bench (internal/experiments) and
+// timed by benchmark/.
 package repro
 
 import (
@@ -146,6 +146,27 @@ func BenchmarkCostEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		calib.EstimateProvingTime(layout)
+	}
+}
+
+// BenchmarkOptimize runs Algorithm 1 on vgg-micro under the compile options
+// of benchmark/ (static calibration, 6–24 columns, scale 6, lookup 10
+// bits): the optimizer's own time and allocations, most of vgg-kzg's set-up.
+func BenchmarkOptimize(b *testing.B) {
+	spec, err := model.Get("vgg-micro")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, in := spec.Build(), spec.Input(1)
+	opt := core.DefaultOptions(pcs.KZG, fixedpoint.Params{ScaleBits: 6, LookupBits: 10})
+	opt.MinCols, opt.MaxCols = 6, 24
+	opt.Calibration = costmodel.StaticCalibration()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := core.Optimize(g, in, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -189,7 +189,7 @@ func (af *ArtifactFile) rebuild(g *model.Graph, sample *model.Input) (*gadgets.A
 // plan reconstructs the optimizer plan: the stored config and cost, and
 // everything else from the rebuilt circuit, as Optimize derived it.
 func (af *ArtifactFile) plan(g *model.Graph, sample *model.Input, art *gadgets.Artifact) *Plan {
-	cand := candidateOf(art, af.Config, af.Backend)
+	cand := candidateOf(art.CS, art.N, art.UsedRows, af.Config, af.Backend)
 	cand.Cost = af.Cost
 	return &Plan{Graph: g, Sample: sample, Candidate: cand, Backend: af.Backend}
 }

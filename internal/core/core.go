@@ -128,6 +128,7 @@ func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candid
 	minCols, maxCols := opt.colRange()
 	var best *Candidate
 	var all []Candidate
+	var firstErr error // why the first layout the model cannot fit failed
 	stats := Stats{}
 	for _, tmpl := range opt.templates() {
 		seenK := map[int]bool{}
@@ -141,8 +142,11 @@ func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candid
 			// FindOptimalK in Algorithm 1). Configurations the model
 			// cannot fit (e.g. an embedding row wider than the column
 			// budget) are skipped, not fatal.
-			b, _, err := g.BuildCircuit(cfg, sample)
+			b, err := g.SimulateCircuit(cfg, sample)
 			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
 				continue
 			}
 			k := bits.TrailingZeros(uint(b.MinN()))
@@ -167,7 +171,11 @@ func Optimize(g *model.Graph, sample *model.Input, opt Options) (*Plan, []Candid
 	}
 	stats.Duration = time.Since(start)
 	if best == nil {
-		return nil, all, stats, fmt.Errorf("core: no feasible layout for %s in [%d,%d] columns", g.Name, minCols, maxCols)
+		err := fmt.Errorf("core: no feasible layout for %s in [%d,%d] columns", g.Name, minCols, maxCols)
+		if firstErr != nil {
+			err = fmt.Errorf("%w: %w", err, firstErr)
+		}
+		return nil, all, stats, err
 	}
 	plan := &Plan{Graph: g, Sample: sample, Candidate: *best, Backend: opt.Backend, Calibration: opt.Calibration}
 	return plan, all, stats, nil
@@ -225,21 +233,21 @@ func score(c *Candidate, obj Objective) float64 {
 // price estimates the cost of a simulated layout (EstimateCost in
 // Algorithm 1) at the minimal grid that fits.
 func price(b *gadgets.Builder, cfg gadgets.Config, opt Options) (*Candidate, error) {
-	art, err := b.Finalize(b.MinN())
+	cs, err := b.ConstraintSystem()
 	if err != nil {
 		return nil, err
 	}
-	cand := candidateOf(art, cfg, opt.Backend)
+	cand := candidateOf(cs, b.MinN(), b.MinRows(), cfg, opt.Backend)
 	cand.Cost = opt.Calibration.EstimateProvingTime(cand.Layout)
 	return &cand, nil
 }
 
-// candidateOf describes a finalized circuit as a layout candidate — grid,
-// used rows and shape — on the domain the keys and proofs use. Cost is the
-// caller's.
-func candidateOf(art *gadgets.Artifact, cfg gadgets.Config, backend pcs.Backend) Candidate {
-	s := plonkish.ShapeOf(art.CS, art.N, backend)
-	return Candidate{Config: cfg, N: art.N, K: s.K, UsedRows: art.UsedRows, Layout: s}
+// candidateOf describes a circuit on an n-row grid as a layout candidate —
+// grid, used rows and shape — on the domain the keys and proofs use. Cost is
+// the caller's.
+func candidateOf(cs *plonkish.CS, n, usedRows int, cfg gadgets.Config, backend pcs.Backend) Candidate {
+	s := plonkish.ShapeOf(cs, n, backend)
+	return Candidate{Config: cfg, N: n, K: s.K, UsedRows: usedRows, Layout: s}
 }
 
 // PlanFor builds a plan from one explicit configuration without running the
@@ -249,7 +257,7 @@ func PlanFor(g *model.Graph, sample *model.Input, cfg gadgets.Config, backend pc
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b, _, err := g.BuildCircuit(cfg, sample)
+	b, err := g.SimulateCircuit(cfg, sample)
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,18 @@ func (v *Value) Float() float64 { return v.b.cfg.FP.Dequantize(v.v) }
 
 // Builder lays out gadget invocations into rows of an advice grid,
 // accumulating selectors, gates, lookups, copy constraints, and constants.
-// The builder evaluates eagerly: values are computed as gadgets are issued,
-// so a finished build is simultaneously the circuit shape and its witness.
+// The builder evaluates eagerly: values are computed, and every failure
+// check runs, as gadgets are issued. A real build (NewBuilder) stores the
+// grid, so when finished it is both the circuit and its witness. A dry build
+// (NewDryBuilder) stores no cells: it advances the same rows, constants and
+// public values, which is all the row-exact layout simulation of Algorithm 1
+// prices, and its Finalize fails.
 type Builder struct {
 	cfg Config
 	err error
+	// dry skips storing grid cells, row padding, coefficients, copies and
+	// phase-1 fills; copies are still counted.
+	dry bool
 
 	// catalog holds the entry of every kind the builder can lay out.
 	catalog map[Kind]*entry
@@ -57,9 +64,10 @@ type Builder struct {
 	// NumCols), when the prover fills phase 1.
 	late []func(r ff.Element, block [][]ff.Element)
 
-	copies   [][2]plonkish.Cell
-	instance []int64
-	instCopy []plonkish.Cell // advice cell exposed at instance row i
+	copies    [][2]plonkish.Cell
+	numCopies int
+	instance  []int64
+	instCopy  []plonkish.Cell // advice cell exposed at instance row i
 }
 
 type openRow struct {
@@ -92,6 +100,14 @@ func NewBuilder(cfg Config) *Builder {
 	return b
 }
 
+// NewDryBuilder returns a builder that simulates a build: it yields the
+// layout's row counts and constraint system, never a witness.
+func NewDryBuilder(cfg Config) *Builder {
+	b := NewBuilder(cfg)
+	b.dry = true
+	return b
+}
+
 // Config returns the builder's configuration.
 func (b *Builder) Config() Config { return b.cfg }
 
@@ -99,13 +115,13 @@ func (b *Builder) Config() Config { return b.cfg }
 func (b *Builder) Err() error { return b.err }
 
 // Rows returns the number of grid rows used so far.
-func (b *Builder) Rows() int { return len(b.grid) }
+func (b *Builder) Rows() int { return len(b.rowKind) }
 
 // Stats returns invocation counts, read off the rows: every row of a kind
 // but its open one is full.
 func (b *Builder) Stats() Stats {
 	s := Stats{RowsByKind: map[Kind]int{}, Ops: map[Kind]int{},
-		Copies: len(b.copies), Constants: len(b.constVal)}
+		Copies: b.numCopies, Constants: len(b.constVal)}
 	for _, k := range b.rowKind {
 		s.RowsByKind[k]++
 	}
@@ -183,10 +199,15 @@ func (b *Builder) fullRow(kind Kind) int {
 // first grid row from the entry so unused slots satisfy the kind's gate and
 // lookups. It returns the first grid row.
 func (b *Builder) newRows(kind Kind, e *entry, slots int) int {
-	first := len(b.grid)
+	first := len(b.rowKind)
+	for r := 0; r < e.rows; r++ {
+		b.rowKind = append(b.rowKind, kind)
+	}
+	if b.dry {
+		return first
+	}
 	for r := 0; r < e.rows; r++ {
 		b.grid = append(b.grid, make([]int64, b.cfg.NumCols))
-		b.rowKind = append(b.rowKind, kind)
 	}
 	for s := 0; s < slots; s++ {
 		copy(b.grid[first][s*e.cells:], e.pad)
@@ -200,10 +221,10 @@ func (b *Builder) newRows(kind Kind, e *entry, slots int) int {
 // put writes a Value into a grid cell, adding a copy constraint to the
 // value's canonical cell (or adopting this cell as canonical).
 func (b *Builder) put(v *Value, row, col int) {
-	b.grid[row][col] = v.v
+	b.raw(v.v, row, col)
 	cell := plonkish.Cell{Col: plonkish.AdviceCol(col), Row: row}
 	if v.placed {
-		b.copies = append(b.copies, [2]plonkish.Cell{cell, v.cell})
+		b.equate(cell, v.cell)
 		return
 	}
 	v.placed = true
@@ -212,18 +233,31 @@ func (b *Builder) put(v *Value, row, col int) {
 
 // out creates a new Value canonically placed at a grid cell.
 func (b *Builder) out(v int64, row, col int) *Value {
-	b.grid[row][col] = v
+	b.raw(v, row, col)
 	return &Value{b: b, v: v, placed: true,
 		cell: plonkish.Cell{Col: plonkish.AdviceCol(col), Row: row}}
 }
 
 // raw writes a bare witness value (remainders, bits) with no Value handle.
 func (b *Builder) raw(v int64, row, col int) {
-	b.grid[row][col] = v
+	if !b.dry {
+		b.grid[row][col] = v
+	}
+}
+
+// equate copy-constrains two cells.
+func (b *Builder) equate(x, y plonkish.Cell) {
+	b.numCopies++
+	if !b.dry {
+		b.copies = append(b.copies, [2]plonkish.Cell{x, y})
+	}
 }
 
 // coef records a per-row fixed coefficient aligned with an advice column.
 func (b *Builder) coef(row, col int, v int64) {
+	if b.dry {
+		return
+	}
 	m := b.coefs[row]
 	if m == nil {
 		m = map[int]int64{}

@@ -1,6 +1,7 @@
 package gadgets
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -26,7 +27,7 @@ type Artifact struct {
 // rows, the public values, the lookup tables, and the constants column must
 // all fit in [0, N - ZKRows).
 func (b *Builder) MinRows() int {
-	rows := max(len(b.grid), len(b.instance), len(b.constVal))
+	rows := max(len(b.rowKind), len(b.instance), len(b.constVal))
 	for _, k := range b.usedKinds() {
 		if b.catalog[k].rangeTable {
 			rows = max(rows, b.cfg.FP.TableSize())
@@ -70,30 +71,44 @@ func (b *Builder) usedKinds() []Kind {
 // order: nonlinearities by name, then gathers in registration order.
 func (b *Builder) tables() []Kind { return slices.Concat(b.nlTables, b.gatherTables) }
 
-// Finalize assembles the constraint system, fixed columns, and witness for
-// an n-row grid. n must be a power of two at least MinN().
-func (b *Builder) Finalize(n int) (*Artifact, error) {
+// columns is where a build's constraint system puts its fixed columns:
+// selectors | coefficients | constants | range table | the nonlinearity and
+// gather tables. An absent column is -1.
+type columns struct {
+	selIdx             map[Kind]int
+	coefBase           int
+	constCol, rangeCol int
+	tableCol           map[Kind]int
+}
+
+// ConstraintSystem returns the circuit's constraint system: its columns,
+// gates, lookups and copies. A dry build stores only the copies that expose
+// public values, which is all plonkish.ShapeOf asks of them (whether there
+// are any) as long as the build exposes one, as every model build does.
+func (b *Builder) ConstraintSystem() (*plonkish.CS, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if n < b.MinN() {
-		return nil, fmt.Errorf("gadgets: %d rows insufficient (need %d)", n, b.MinN())
-	}
+	cs, _ := b.constraints()
+	return cs, nil
+}
+
+// constraints builds the constraint system and returns it with its fixed
+// column map.
+func (b *Builder) constraints() (*plonkish.CS, columns) {
 	N := b.cfg.NumCols
 	fp := b.cfg.FP
 
-	// Fixed column map: selectors | coefficients | constants | range
-	// table | the nonlinearity and gather tables. Only kinds that
-	// constrain something get a selector.
+	// Only kinds that constrain something get a selector.
 	var kinds []Kind
-	selIdx := map[Kind]int{}
+	cols := columns{selIdx: map[Kind]int{}, constCol: -1, rangeCol: -1, tableCol: map[Kind]int{}}
 	coefCols, useRange, phase1 := 0, false, false
 	for _, k := range b.usedKinds() {
 		e := b.catalog[k]
 		if !e.constrains() {
 			continue
 		}
-		selIdx[k] = len(kinds)
+		cols.selIdx[k] = len(kinds)
 		kinds = append(kinds, k)
 		// Gates of coefficient-using kinds reference coefficient columns for
 		// every slot position, so reserve the full width once any is present.
@@ -103,32 +118,28 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		useRange = useRange || e.rangeTable
 		phase1 = phase1 || e.phase1
 	}
-	coefBase := len(kinds)
-	constCol := -1
-	next := coefBase + coefCols
+	cols.coefBase = len(kinds)
+	next := cols.coefBase + coefCols
 	if len(b.constVal) > 0 {
-		constCol = next
+		cols.constCol = next
 		next++
 	}
-	rangeCol := -1
 	if useRange {
-		rangeCol = next
+		cols.rangeCol = next
 		next++
 	}
-	tableCol := map[Kind]int{}
 	for _, k := range b.tables() {
-		tableCol[k] = next
+		cols.tableCol[k] = next
 		next += len(b.catalog[k].table)
 	}
-	numFixed := next
 
 	cs := &plonkish.CS{
-		NumFixed:    numFixed,
+		NumFixed:    next,
 		NumAdvice:   N,
 		NumInstance: 1,
 	}
-	if constCol >= 0 {
-		cs.PermFixed = []int{constCol}
+	if cols.constCol >= 0 {
+		cs.PermFixed = []int{cols.constCol}
 	}
 	// Phase-1 cells take a second block of N advice columns, committed
 	// after the one challenge is squeezed.
@@ -149,16 +160,16 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		var table []plonkish.Col
 		tableLen := fp.TableSize()
 		if e.rangeTable {
-			table = append(table, plonkish.FixedCol(rangeCol))
+			table = append(table, plonkish.FixedCol(cols.rangeCol))
 		} else if len(e.table) > 0 {
 			tableLen = len(e.table[0])
 		}
 		for j := range e.table {
-			table = append(table, plonkish.FixedCol(tableCol[k]+j))
+			table = append(table, plonkish.FixedCol(cols.tableCol[k]+j))
 		}
 		var polys []plonkish.Expr
 		for s := 0; s < N/e.cells; s++ {
-			c := slotCells{base: s * e.cells, coefBase: coefBase, lateBase: N}
+			c := slotCells{base: s * e.cells, coefBase: cols.coefBase, lateBase: N}
 			if e.gate != nil {
 				for _, p := range e.gate(c) {
 					polys = append(polys, plonkish.Mul(sel, p))
@@ -181,7 +192,7 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	// plus public-instance exposures.
 	patch := func(c plonkish.Cell) plonkish.Cell {
 		if c.Col.Kind == plonkish.Fixed && c.Col.Index == -1 {
-			c.Col.Index = constCol
+			c.Col.Index = cols.constCol
 		}
 		return c
 	}
@@ -191,36 +202,55 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	for i, cell := range b.instCopy {
 		cs.Copy(patch(cell), plonkish.Cell{Col: plonkish.InstanceCol(0), Row: i})
 	}
+	return cs, cols
+}
+
+// Finalize assembles the constraint system, fixed columns, and witness for
+// an n-row grid. n must be a power of two at least MinN(). A dry build has
+// no witness and fails.
+func (b *Builder) Finalize(n int) (*Artifact, error) {
+	if b.dry {
+		return nil, errors.New("gadgets: a dry build has no witness to finalize")
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	if n < b.MinN() {
+		return nil, fmt.Errorf("gadgets: %d rows insufficient (need %d)", n, b.MinN())
+	}
+	N := b.cfg.NumCols
+	fp := b.cfg.FP
+	cs, cols := b.constraints()
 
 	// Fixed column values.
-	fixed := make([][]ff.Element, numFixed)
+	fixed := make([][]ff.Element, cs.NumFixed)
 	for i := range fixed {
 		fixed[i] = make([]ff.Element, n)
 	}
 	for row := 0; row < len(b.rowKind); row += b.catalog[b.rowKind[row]].rows {
-		if si, ok := selIdx[b.rowKind[row]]; ok {
+		if si, ok := cols.selIdx[b.rowKind[row]]; ok {
 			fixed[si][row] = ff.One()
 		}
 	}
 	for row, m := range b.coefs {
 		for col, v := range m {
-			fixed[coefBase+col][row] = ff.NewInt64(v)
+			fixed[cols.coefBase+col][row] = ff.NewInt64(v)
 		}
 	}
-	if constCol >= 0 {
+	if cols.constCol >= 0 {
 		for row, v := range b.constVal {
-			fixed[constCol][row] = ff.NewInt64(v)
+			fixed[cols.constCol][row] = ff.NewInt64(v)
 		}
 	}
-	if rangeCol >= 0 {
+	if cols.rangeCol >= 0 {
 		for i := 0; i < fp.TableSize(); i++ {
-			fixed[rangeCol][i] = ff.NewElement(uint64(i))
+			fixed[cols.rangeCol][i] = ff.NewElement(uint64(i))
 		}
 	}
 	for _, k := range b.tables() {
 		for j, col := range b.catalog[k].table {
 			for r, v := range col {
-				fixed[tableCol[k]+j][r] = ff.NewInt64(v)
+				fixed[cols.tableCol[k]+j][r] = ff.NewInt64(v)
 			}
 		}
 	}

@@ -568,14 +568,16 @@ func (b *Builder) FreivaldsMatMul(a, w [][]*Value) [][]*Value {
 		// phase-1 partner t_l after seeing r.
 		uRows[i] = lay(KindFvDot, a[i], nc-1)
 		for l, row := range tRows {
-			b.copies = append(b.copies, [2]plonkish.Cell{late(uRows[i], l), late(row, 0)})
+			b.equate(late(uRows[i], l), late(row, 0))
 		}
 	}
 	for i := range c {
 		vRows[i] = lay(KindFvFold, c[i], n)
-		b.copies = append(b.copies, [2]plonkish.Cell{late(uRows[i], nc-1), late(vRows[i], 0)})
+		b.equate(late(uRows[i], nc-1), late(vRows[i], 0))
 	}
-
+	if b.dry {
+		return c
+	}
 	b.late = append(b.late, func(r ff.Element, block [][]ff.Element) {
 		rho := []ff.Element{r} // ρ_j = r^(j+1)
 		for j := 1; j < n; j++ {

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/gadgets"
 	"repro/internal/model"
+	"repro/internal/pcs"
 	"repro/internal/plonkish"
 	"repro/internal/tensor"
 )
@@ -108,7 +110,10 @@ func TestCircuitsPinned(t *testing.T) {
 }
 
 // pinGraph fingerprints g on in at every pinConfigs layout for 6, 12 and 24
-// columns, and returns how many of them it could build.
+// columns, and returns how many of them it could build. It also checks that
+// the optimizer's dry simulation of each layout agrees with the build:
+// feasibility, grid, rows, gadget counts and the priced shape on both
+// backends.
 func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
 	t.Helper()
 	built := 0
@@ -116,16 +121,45 @@ func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
 		for _, cfg := range pinConfigs(cols) {
 			fmt.Fprintf(h, "config %+v\n", cfg)
 			b, _, err := g.BuildCircuit(cfg, in)
+			sim, simErr := g.SimulateCircuit(cfg, in)
+			if (err == nil) != (simErr == nil) {
+				t.Errorf("%s %+v: build error %v, simulation error %v", g.Name, cfg, err, simErr)
+			}
 			if err != nil {
 				// A layout the model cannot take is pinned as such.
 				fmt.Fprintf(h, "infeasible\n")
 				continue
 			}
 			built++
-			fingerprint(t, h, b)
+			art := fingerprint(t, h, b)
+			if simErr == nil {
+				checkSimulation(t, g.Name, cfg, art, b, sim)
+			}
 		}
 	}
 	return built
+}
+
+// checkSimulation compares a dry build of a layout with its real build b and
+// b's finalized artifact.
+func checkSimulation(t *testing.T, name string, cfg gadgets.Config, art *gadgets.Artifact, b, sim *gadgets.Builder) {
+	t.Helper()
+	if sim.MinN() != art.N || sim.MinRows() != art.UsedRows || !reflect.DeepEqual(sim.Stats(), b.Stats()) {
+		t.Errorf("%s %+v: simulated N %d, rows %d, stats %+v; built N %d, rows %d, stats %+v",
+			name, cfg, sim.MinN(), sim.MinRows(), sim.Stats(), art.N, art.UsedRows, b.Stats())
+	}
+	cs, err := sim.ConstraintSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		if got, want := plonkish.ShapeOf(cs, art.N, backend), plonkish.ShapeOf(art.CS, art.N, backend); got != want {
+			t.Errorf("%s %+v on %v: simulated shape %+v, built %+v", name, cfg, backend, got, want)
+		}
+	}
+	if _, err := sim.Finalize(art.N); err == nil {
+		t.Errorf("%s %+v: a dry build finalized", name, cfg)
+	}
 }
 
 // layerCases are one-node graphs for the layer lowerings that no bundled
@@ -238,8 +272,9 @@ func (c layerCase) graph() (*model.Graph, *model.Input) {
 	return g, in
 }
 
-// fingerprint writes a finalized circuit of b, at its minimal grid, to h.
-func fingerprint(t *testing.T, h hash.Hash, b *gadgets.Builder) {
+// fingerprint writes a finalized circuit of b, at its minimal grid, to h,
+// and returns it.
+func fingerprint(t *testing.T, h hash.Hash, b *gadgets.Builder) *gadgets.Artifact {
 	t.Helper()
 	art, err := b.Finalize(b.MinN())
 	if err != nil {
@@ -287,6 +322,7 @@ func fingerprint(t *testing.T, h hash.Hash, b *gadgets.Builder) {
 			h.Write(buf)
 		}
 	}
+	return art
 }
 
 // kindFixtures are small builds that between them use every gadget kind,

@@ -8,8 +8,9 @@ import (
 
 // RunCircuit lowers the graph onto a gadget builder: weights are quantized
 // to the builder's fixed-point format, every compute node emits gadget
-// rows, and the declared outputs are exposed as public values. The builder
-// afterwards holds both the circuit layout and the witness for this input.
+// rows, and the declared outputs are exposed as public values. A real
+// builder afterwards holds both the circuit layout and the witness for this
+// input; a dry one, the layout's counts.
 func (g *Graph) RunCircuit(b *gadgets.Builder, in *Input) ([]*layers.T, error) {
 	env, err := walk(g, in, func(spec InputSpec) (*layers.T, error) {
 		if spec.Kind == ActInput {
@@ -49,7 +50,18 @@ func (g *Graph) RunCircuit(b *gadgets.Builder, in *Input) ([]*layers.T, error) {
 // public values. Returns the builder (layout + witness) and the output
 // tensors.
 func (g *Graph) BuildCircuit(cfg gadgets.Config, in *Input) (*gadgets.Builder, []*layers.T, error) {
-	b := gadgets.NewBuilder(cfg)
+	return g.build(gadgets.NewBuilder(cfg), in)
+}
+
+// SimulateCircuit is BuildCircuit on a dry builder: the same rows, checks
+// and constraint system, without storing the grid. The optimizer prices
+// layouts from it.
+func (g *Graph) SimulateCircuit(cfg gadgets.Config, in *Input) (*gadgets.Builder, error) {
+	b, _, err := g.build(gadgets.NewDryBuilder(cfg), in)
+	return b, err
+}
+
+func (g *Graph) build(b *gadgets.Builder, in *Input) (*gadgets.Builder, []*layers.T, error) {
 	outs, err := g.RunCircuit(b, in)
 	if err != nil {
 		return nil, nil, err

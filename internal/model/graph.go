@@ -95,13 +95,13 @@ type Graph struct {
 // the catalog, and each node must meet its op's rules (input count,
 // required weights and their rank, conv stride and padding, pool window and
 // stride). Only ops that take ids read an ids input, they read nothing
-// else, and no output names one. Operand ranks and shape-op fields are
-// checked, as errors, where the graph runs. Whether a node's operands fit
-// each other and its weights is not checked (ROADMAP 2(e)): the circuit
-// layers report some disagreements as errors, but RunFloat reads a
-// wrong-size fc weight or layer_norm gamma without error, and panics on an
-// embed id past its table or an operand that cannot broadcast. All
-// failures wrap zkerrors.ErrMalformedModel.
+// else, and no output names one. The rest is checked where the graph runs,
+// by both executors alike, before a node's op: operand ranks, shape-op
+// fields, broadcasts, and each op entry's fit of the operands to each other
+// and to the node's weights (an embed's ids must index its table). A
+// convolution kernel or pool window larger than its input is still caught
+// only by the circuit layers (ROADMAP 2(e)). All failures wrap
+// zkerrors.ErrMalformedModel.
 func (g *Graph) Validate() error {
 	avail, ids := map[string]bool{}, map[string]bool{}
 	for i, in := range g.Inputs {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gadgets"
 	"repro/internal/layers"
 	"repro/internal/tensor"
+	"repro/internal/zkerrors"
 )
 
 // op is one entry of ZKML's layer catalog (the paper reports 43 supported
@@ -24,6 +25,10 @@ type op struct {
 	conv       bool // stride ≥ 1 and pad "same" or "valid"
 	pool       bool // pool_k ≥ 1 and stride ≥ 1
 	ids        bool // reads one ids input (Input.IDs), and no other op may
+	// fit checks that the operand shapes x fit each other and the node's
+	// weights, and that an ids op's ids index its table; nil accepts any
+	// operands of the right rank.
+	fit func(c call, x [][]int) error
 
 	float   func(c call, x []*FT) (*FT, error)
 	circuit func(b *gadgets.Builder, c call, x []*layers.T) (*layers.T, error)
@@ -40,7 +45,7 @@ func (o op) takes(k int) bool { return k == o.inputs || o.inputs < 0 && k > 0 }
 // ops is the layer catalog, keyed by Node.Op.
 var ops = func() map[string]op {
 	m := map[string]op{
-		"conv2d": layer(op{inputs: 1, weight: true, weightRank: 4, rank: 3, conv: true,
+		"conv2d": layer(op{inputs: 1, weight: true, weightRank: 4, rank: 3, conv: true, fit: channels(2, 3),
 			flops: func(_ Node, w []int, _, y *FT) int64 { return 2 * int64(y.Len()) * int64(w[0]*w[1]*w[2]) }},
 			func(c call, x []*FT) *FT {
 				return floatConv2D(x[0], c.weight(c.Weight), c.weight(c.Bias), c.Stride, layers.Padding(c.Pad))
@@ -48,7 +53,7 @@ var ops = func() map[string]op {
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.Conv2D(b, x[0], c.quant(b, c.Weight), c.quant(b, c.Bias), c.Stride, layers.Padding(c.Pad))
 			}),
-		"depthwise_conv2d": layer(op{inputs: 1, weight: true, weightRank: 3, rank: 3, conv: true,
+		"depthwise_conv2d": layer(op{inputs: 1, weight: true, weightRank: 3, rank: 3, conv: true, fit: channels(2, 2),
 			flops: func(_ Node, w []int, _, y *FT) int64 { return 2 * int64(y.Len()) * int64(w[0]*w[1]) }},
 			func(c call, x []*FT) *FT {
 				return floatDWConv2D(x[0], c.weight(c.Weight), c.weight(c.Bias), c.Stride, layers.Padding(c.Pad))
@@ -56,14 +61,14 @@ var ops = func() map[string]op {
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.DepthwiseConv2D(b, x[0], c.quant(b, c.Weight), c.quant(b, c.Bias), c.Stride, layers.Padding(c.Pad))
 			}),
-		"fc": layer(op{inputs: 1, weight: true, weightRank: 2, rank: 2,
+		"fc": layer(op{inputs: 1, weight: true, weightRank: 2, rank: 2, fit: fcFit,
 			flops: func(_ Node, w []int, _, y *FT) int64 { return 2 * int64(y.Len()) * int64(w[1]) }},
 			func(c call, x []*FT) *FT { return floatFC(x[0], c.weight(c.Weight), c.weight(c.Bias)) },
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.FullyConnected(b, x[0], c.quant(b, c.Weight), c.quant(b, c.Bias))
 			}),
-		"matmul":             binary(op{rank: 2, flops: matmulFlops}, floatMatMul, layers.MatMul),
-		"batch_matmul":       binary(op{rank: 3, flops: matmulFlops}, floatBatchMatMul, layers.BatchMatMul),
+		"matmul":             binary(op{rank: 2, fit: matmulFit, flops: matmulFlops}, floatMatMul, layers.MatMul),
+		"batch_matmul":       binary(op{rank: 3, fit: matmulFit, flops: matmulFlops}, floatBatchMatMul, layers.BatchMatMul),
 		"avg_pool":           pool(true, layers.AveragePool2D),
 		"max_pool":           pool(false, layers.MaxPool2D),
 		"global_avg_pool":    unary(op{rank: 3, flops: inputFlops}, floatGlobalAvgPool, layers.GlobalAveragePool),
@@ -89,31 +94,31 @@ var ops = func() map[string]op {
 					return b.Rescale(b.DotRaw([]*gadgets.Value{v}, nil, []int64{q}, nil))
 				})
 			}),
-		"reduce_sum": unary(op{flops: inputFlops}, func(x *FT) *FT { return floatReduce(x, sum) }, layers.ReduceSum),
-		"reduce_mean": unary(op{flops: inputFlops}, func(x *FT) *FT {
+		"reduce_sum": unary(op{fit: lastAxis, flops: inputFlops}, func(x *FT) *FT { return floatReduce(x, sum) }, layers.ReduceSum),
+		"reduce_mean": unary(op{fit: lastAxis, flops: inputFlops}, func(x *FT) *FT {
 			return floatReduce(x, func(vs []float64) float64 { return sum(vs) / float64(len(vs)) })
 		}, layers.ReduceMean),
-		"reduce_max": unary(op{flops: inputFlops}, func(x *FT) *FT { return floatReduce(x, slices.Max) }, layers.ReduceMax),
+		"reduce_max": unary(op{fit: lastAxis, flops: inputFlops}, func(x *FT) *FT { return floatReduce(x, slices.Max) }, layers.ReduceMax),
 
-		"softmax": unary(op{flops: perOutput(5)}, floatSoftmax, layers.Softmax),
-		"layer_norm": layer(op{inputs: 1, flops: perOutput(8)},
+		"softmax": unary(op{fit: lastAxis, flops: perOutput(5)}, floatSoftmax, layers.Softmax),
+		"layer_norm": layer(op{inputs: 1, fit: lastAxis, flops: perOutput(8)},
 			func(c call, x []*FT) *FT { return floatLayerNorm(x[0], c.weight(c.Weight), c.weight(c.Bias)) },
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.LayerNorm(b, x[0], c.quant(b, c.Weight), c.quant(b, c.Bias))
 			}),
-		"rms_norm": layer(op{inputs: 1, flops: perOutput(8)},
+		"rms_norm": layer(op{inputs: 1, fit: lastAxis, flops: perOutput(8)},
 			func(c call, x []*FT) *FT { return floatRMSNorm(x[0], c.weight(c.Weight)) },
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.RMSNorm(b, x[0], c.quant(b, c.Weight))
 			}),
-		"lstm": layer(op{inputs: 1, weight: true, weight2: true, weightRank: 2, rank: 2},
+		"lstm": layer(op{inputs: 1, weight: true, weight2: true, weightRank: 2, rank: 2, fit: lstmFit},
 			func(c call, x []*FT) *FT {
 				return floatLSTM(x[0], c.weight(c.Weight), c.weight(c.Weight2), c.weight(c.Bias))
 			},
 			func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
 				return layers.LSTM(b, x[0], c.quant(b, c.Weight), c.quant(b, c.Weight2), c.quant(b, c.Bias))
 			}),
-		"embed": layer(op{inputs: 1, weight: true, weightRank: 2, ids: true, flops: noFlops},
+		"embed": layer(op{inputs: 1, weight: true, weightRank: 2, ids: true, fit: embedFit, flops: noFlops},
 			func(c call, _ []*FT) *FT { return floatEmbed(c.weight(c.Weight), c.in.IDs[c.Inputs[0]]) },
 			func(b *gadgets.Builder, c call, _ []*layers.T) *layers.T {
 				return layers.Embed(b, c.Weight, c.quant(b, c.Weight), c.in.IDs[c.Inputs[0]])
@@ -182,7 +187,7 @@ func binary(rule op, f func(x, y *FT) *FT, lower func(b *gadgets.Builder, x, y *
 
 // elementwise is a binary op applying f to each pair of elements.
 func elementwise(f func(a, b float64) float64, lower func(b *gadgets.Builder, x, y *layers.T) *layers.T) op {
-	return binary(op{}, func(x, y *FT) *FT { return zip(x, y, f) }, lower)
+	return binary(op{fit: broadcasts}, func(x, y *FT) *FT { return zip(x, y, f) }, lower)
 }
 
 // pointwise is a unary op applying f, in the circuit g, to each element.
@@ -232,9 +237,97 @@ func zip[E any](x, y *tensor.Tensor[E], f func(a, b E) E) *tensor.Tensor[E] {
 	return tensor.Zip(x, y, f)
 }
 
+// misfit is an error of operands that do not fit: the model is malformed.
+func misfit(format string, args ...any) error {
+	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), zkerrors.ErrMalformedModel)
+}
+
+// broadcasts is the fit of an elementwise op: its second operand has the
+// first's size (zip then pairs them in order) or broadcasts to its shape.
+func broadcasts(_ call, x [][]int) error {
+	if tensor.NumElems(x[0]) != tensor.NumElems(x[1]) && !tensor.Broadcasts(x[1], x[0]) {
+		return misfit("cannot broadcast %v to %v", x[1], x[0])
+	}
+	return nil
+}
+
+// sized checks that the named weight, unless "", has n elements.
+func (c call) sized(name string, n int) error {
+	if w, ok := c.g.Weights[name]; ok && name != "" && len(w.Data) != n {
+		return misfit("weight %q has %d elements, want %d", name, len(w.Data), n)
+	}
+	return nil
+}
+
+// channels is the fit of a convolution: axis in of its kernel matches the
+// input's channels, and the bias has one element per kernel axis out.
+func channels(in, out int) func(c call, x [][]int) error {
+	return func(c call, x [][]int) error {
+		k := c.g.Weights[c.Weight].Shape
+		if x[0][2] != k[in] {
+			return misfit("input %v does not fit kernel %v", x[0], k)
+		}
+		return c.sized(c.Bias, k[out])
+	}
+}
+
+// fcFit: input [M,K] by weight [N,K], bias [N].
+func fcFit(c call, x [][]int) error {
+	w := c.g.Weights[c.Weight].Shape
+	if x[0][1] != w[1] {
+		return misfit("input %v does not fit weight %v", x[0], w)
+	}
+	return c.sized(c.Bias, w[0])
+}
+
+// matmulFit: [..., M, K] by [..., K, N] over the same batch.
+func matmulFit(_ call, x [][]int) error {
+	a, w, r := x[0], x[1], len(x[0])
+	if a[r-1] != w[r-2] || r == 3 && a[0] != w[0] {
+		return misfit("cannot multiply %v by %v", a, w)
+	}
+	return nil
+}
+
+// lastAxis is the fit of an op over its operand's last axis: the operand
+// has one, and a norm's gamma (Weight) and beta (Bias) have one element per
+// entry of it.
+func lastAxis(c call, x [][]int) error {
+	r := len(x[0])
+	if r == 0 {
+		return misfit("a scalar has no last axis")
+	}
+	if err := c.sized(c.Weight, x[0][r-1]); err != nil {
+		return err
+	}
+	return c.sized(c.Bias, x[0][r-1])
+}
+
+// lstmFit: input [T,D], input weights [4H,D], recurrent weights [4H,H] and
+// bias [4H].
+func lstmFit(c call, x [][]int) error {
+	wx, wh := c.g.Weights[c.Weight].Shape, c.g.Weights[c.Weight2].Shape
+	h4 := wx[0]
+	if h4%4 != 0 || wx[1] != x[0][1] || wh[0] != h4 || wh[1] != h4/4 {
+		return misfit("weights %v and %v do not fit input %v", wx, wh, x[0])
+	}
+	return c.sized(c.Bias, h4)
+}
+
+// embedFit: every id indexes a row of the table.
+func embedFit(c call, _ [][]int) error {
+	rows := c.g.Weights[c.Weight].Shape[0]
+	for _, id := range c.in.IDs[c.Inputs[0]] {
+		if id < 0 || id >= rows {
+			return misfit("id %d outside the %d rows of table %q", id, rows, c.Weight)
+		}
+	}
+	return nil
+}
+
 // shape runs the free shape op n on x for either executor, returning an
-// error where the tensor package would panic. zero makes pad_zero's
-// padding value and is called only there.
+// error (a misfit) where the tensor package would panic. zero makes
+// pad_zero's padding value and is called only there.
 func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[E], error) {
 	t, rank := x[0], x[0].Rank()
 	switch n.Op {
@@ -244,7 +337,7 @@ func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[
 		seen := make([]bool, rank)
 		for _, p := range n.Perm {
 			if len(n.Perm) != rank || p < 0 || p >= rank || seen[p] {
-				return nil, fmt.Errorf("perm %v does not permute the axes of %v", n.Perm, t.Shape)
+				return nil, misfit("perm %v does not permute the axes of %v", n.Perm, t.Shape)
 			}
 			seen[p] = true
 		}
@@ -256,7 +349,7 @@ func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[
 				bad = i != n.Axis && u.Shape[i] != t.Shape[i]
 			}
 			if bad {
-				return nil, fmt.Errorf("cannot concat %v and %v on axis %d", t.Shape, u.Shape, n.Axis)
+				return nil, misfit("cannot concat %v and %v on axis %d", t.Shape, u.Shape, n.Axis)
 			}
 		}
 		return tensor.Concat(n.Axis, x...), nil
@@ -268,18 +361,18 @@ func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[
 			padded[i] = n.Starts[i] + t.Shape[i] + n.Ends[i]
 		}
 		if bad {
-			return nil, fmt.Errorf("starts %v and ends %v do not fit %v", n.Starts, n.Ends, t.Shape)
+			return nil, misfit("starts %v and ends %v do not fit %v", n.Starts, n.Ends, t.Shape)
 		}
 		if n.Op == "slice" {
 			return t.Slice(n.Starts, n.Ends), nil
 		}
 		if _, err := tensor.CheckShape(padded, MaxTensorElems); err != nil {
-			return nil, err
+			return nil, misfit("%v", err)
 		}
 		return t.Pad(n.Starts, n.Ends, zero()), nil
 	case "split_last":
 		if rank == 0 || n.Parts < 1 || n.Axis >= n.Parts || t.Shape[rank-1]%n.Parts != 0 {
-			return nil, fmt.Errorf("cannot take part %d of %d from the last axis of %v", n.Axis, n.Parts, t.Shape)
+			return nil, misfit("cannot take part %d of %d from the last axis of %v", n.Axis, n.Parts, t.Shape)
 		}
 		return t.Split(rank-1, n.Parts)[n.Axis], nil
 	}
@@ -292,7 +385,7 @@ func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[
 		if d == -1 && !inferred {
 			inferred = true
 		} else if d < 0 {
-			return nil, fmt.Errorf("bad dimension %d in %v", d, n.Shape)
+			return nil, misfit("bad dimension %d in %v", d, n.Shape)
 		} else {
 			known *= d
 		}
@@ -302,7 +395,7 @@ func shape[E any](n Node, x []*tensor.Tensor[E], zero func() E) (*tensor.Tensor[
 		fits = known > 0 && t.Len()%known == 0
 	}
 	if !fits {
-		return nil, fmt.Errorf("cannot reshape %v to %v", t.Shape, n.Shape)
+		return nil, misfit("cannot reshape %v to %v", t.Shape, n.Shape)
 	}
 	return t.Reshape(n.Shape...), nil
 }
@@ -329,12 +422,13 @@ func walk[E any](g *Graph, in *Input, bind func(InputSpec) (*tensor.Tensor[E], e
 	}
 	for i, n := range g.Nodes {
 		o, ok := ops[n.Op]
-		x, err := operands(o, n, env)
+		c := call{n, g, in}
+		x, err := operands(o, c, env)
 		var y *tensor.Tensor[E]
 		if !ok {
-			err = fmt.Errorf("unsupported op %q", n.Op)
+			err = misfit("unsupported op %q", n.Op)
 		} else if err == nil {
-			y, err = run(o, call{n, g, in}, x)
+			y, err = run(o, c, x)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("model %s: node %d (%s -> %s): %w", g.Name, i, n.Op, n.Output, err)
@@ -344,24 +438,33 @@ func walk[E any](g *Graph, in *Input, bind func(InputSpec) (*tensor.Tensor[E], e
 	return env, nil
 }
 
-// operands gathers n's input tensors from env and checks them against o.
-func operands[E any](o op, n Node, env map[string]*tensor.Tensor[E]) ([]*tensor.Tensor[E], error) {
-	if !o.takes(len(n.Inputs)) {
-		return nil, fmt.Errorf("%d inputs", len(n.Inputs))
+// operands gathers c's input tensors from env and checks them against o.
+func operands[E any](o op, c call, env map[string]*tensor.Tensor[E]) ([]*tensor.Tensor[E], error) {
+	if !o.takes(len(c.Inputs)) {
+		return nil, misfit("%d inputs", len(c.Inputs))
 	}
 	if o.ids {
+		if o.fit != nil {
+			return nil, o.fit(c, nil)
+		}
 		return nil, nil
 	}
-	x := make([]*tensor.Tensor[E], len(n.Inputs))
-	for j, name := range n.Inputs {
+	x := make([]*tensor.Tensor[E], len(c.Inputs))
+	shapes := make([][]int, len(c.Inputs))
+	for j, name := range c.Inputs {
 		t, ok := env[name]
 		if !ok {
-			return nil, fmt.Errorf("undefined tensor %q", name)
+			return nil, misfit("undefined tensor %q", name)
 		}
 		if o.rank > 0 && t.Rank() != o.rank {
-			return nil, fmt.Errorf("operand %q has shape %v, want rank %d", name, t.Shape, o.rank)
+			return nil, misfit("operand %q has shape %v, want rank %d", name, t.Shape, o.rank)
 		}
-		x[j] = t
+		x[j], shapes[j] = t, t.Shape
+	}
+	if o.fit != nil {
+		if err := o.fit(c, shapes); err != nil {
+			return nil, err
+		}
 	}
 	return x, nil
 }

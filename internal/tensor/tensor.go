@@ -334,11 +334,27 @@ func Zip[T, U, V any](a *Tensor[T], b *Tensor[U], fn func(T, U) V) *Tensor[V] {
 	return out
 }
 
+// Broadcasts reports whether BroadcastTo takes shape from to shape to: to
+// has no lower rank, and each axis of from, aligned from the right, is 1 or
+// equal to to's.
+func Broadcasts(from, to []int) bool {
+	off := len(to) - len(from)
+	if off < 0 {
+		return false
+	}
+	for i, d := range from {
+		if d != 1 && d != to[off+i] {
+			return false
+		}
+	}
+	return true
+}
+
 // BroadcastTo materializes a broadcast of t to the target shape following
 // NumPy rules (size-1 axes stretch; missing leading axes are added).
 func (t *Tensor[T]) BroadcastTo(shape ...int) *Tensor[T] {
-	if len(shape) < t.Rank() {
-		panic(fmt.Sprintf("tensor: cannot broadcast %v to lower rank %v", t.Shape, shape))
+	if !Broadcasts(t.Shape, shape) {
+		panic(fmt.Sprintf("tensor: cannot broadcast %v to %v", t.Shape, shape))
 	}
 	// Left-pad the source shape with 1s.
 	src := make([]int, len(shape))
@@ -346,11 +362,6 @@ func (t *Tensor[T]) BroadcastTo(shape ...int) *Tensor[T] {
 		src[i] = 1
 	}
 	copy(src[len(shape)-t.Rank():], t.Shape)
-	for i := range shape {
-		if src[i] != shape[i] && src[i] != 1 {
-			panic(fmt.Sprintf("tensor: cannot broadcast %v to %v", t.Shape, shape))
-		}
-	}
 	srcT := &Tensor[T]{Shape: src, Data: t.Data}
 	out := New[T](shape...)
 	srcStr := srcT.Strides()

@@ -54,10 +54,12 @@ func TestCompileProveVerify(t *testing.T) {
 // TestMalformedModelsRejected feeds model files that are well-formed JSON
 // but name impossible layers. Each must be refused with an error, by
 // model.Parse as ErrMalformedModel or else by Compile (and, where float is
-// set, by RunFloat too), and none may panic.
+// set, by RunFloat too), and none may panic. Either way the error wraps
+// ErrMalformedModel. The ids input holds zeros unless ids names the case.
 func TestMalformedModelsRejected(t *testing.T) {
 	const head = `{"name":"bad","inputs":[{"name":"x","shape":%s,"kind":"float"},{"name":"ids","shape":[2],"kind":"ids"}],` +
-		`"weights":{"k":{"shape":[3,3,1,2],"data":[%s]},"w":{"shape":[4,5],"data":[%s]},"d":{"shape":[2,2,1],"data":[0,0,0,0]}},` +
+		`"weights":{"k":{"shape":[3,3,1,2],"data":[%s]},"w":{"shape":[4,5],"data":[%s]},"d":{"shape":[2,2,1],"data":[0,0,0,0]},` +
+		`"e":{"shape":[3,2],"data":[0,0,0,0,0,0]},"g":{"shape":[5],"data":[0,0,0,0,0]}},` +
 		`"outputs":[%s],"nodes":[%s]}`
 	zeros := func(n int) string { return strings.TrimSuffix(strings.Repeat("0,", n), ",") }
 	fileOut := func(shape, out, nodes string) string {
@@ -75,7 +77,11 @@ func TestMalformedModelsRejected(t *testing.T) {
 		{"conv2d without pad", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1}`), false},
 		{"max_pool stride 0", file("[4,4,1]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2}`), false},
 		{"avg_pool pool_k 0", file("[4,4,1]", `{"op":"avg_pool","inputs":["x"],"output":"y","stride":1}`), false},
-		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`), false},
+		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`), true},
+		{"add operands do not broadcast", file("[2,3]", `{"op":"reduce_sum","inputs":["x"],"output":"z"},`+
+			`{"op":"add","inputs":["x","z"],"output":"y"}`), true},
+		{"embed id past the table", file("[1,4]", `{"op":"embed","inputs":["ids"],"output":"y","weight":"e"}`), true},
+		{"layer_norm gamma too long", file("[2,3]", `{"op":"layer_norm","inputs":["x"],"output":"y","weight":"g"}`), true},
 		{"reshape 6 to 8", file("[2,3]", `{"op":"reshape","inputs":["x"],"output":"y","shape":[4,2]}`), true},
 		{"reshape inferred", file("[2,3]", `{"op":"reshape","inputs":["x"],"output":"y","shape":[-1,5]}`), true},
 		{"transpose repeated axis", file("[2,3]", `{"op":"transpose","inputs":["x"],"output":"y","perm":[0,0]}`), true},
@@ -94,6 +100,7 @@ func TestMalformedModelsRejected(t *testing.T) {
 		{"relu reads ids", file("[1,4]", `{"op":"relu","inputs":["ids"],"output":"y"}`), true},
 		{"output names ids", fileOut("[1,4]", `"ids"`, `{"op":"relu","inputs":["x"],"output":"y"}`), true},
 	}
+	ids := map[string][]int{"embed id past the table": {7, 0}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g, err := model.Parse([]byte(c.file))
@@ -107,12 +114,15 @@ func TestMalformedModelsRejected(t *testing.T) {
 			for _, spec := range g.Inputs {
 				if spec.Kind == model.IDInput {
 					in.IDs[spec.Name] = make([]int, tensor.NumElems(spec.Shape))
+					copy(in.IDs[spec.Name], ids[c.name])
 				} else {
 					in.Floats[spec.Name] = make([]float64, tensor.NumElems(spec.Shape))
 				}
 			}
 			if _, err := Compile(g, in, opts()); err == nil {
 				t.Fatal("Compile accepted a malformed model")
+			} else if !errors.Is(err, ErrMalformedModel) {
+				t.Fatalf("Compile error does not wrap ErrMalformedModel: %v", err)
 			}
 			if _, err := g.RunFloat(in); c.float && err == nil {
 				t.Fatal("RunFloat accepted a malformed model")
