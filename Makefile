@@ -121,7 +121,7 @@ bench:
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkFFT|BenchmarkMSM|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (a fitted calibration), prove once more
 # with tracing — compiled into a fresh key store, then loaded from it — and

@@ -1,8 +1,8 @@
 // Package repro holds the kernel benchmarks nothing else measures: prover
-// scaling over worker counts, the IPA opening and its check, the cost
-// estimator itself, the optimizer, and the power-of-two row cliff. The
-// paper's tables are reproduced by cmd/zkml-bench (internal/experiments) and
-// timed by benchmark/.
+// scaling over worker counts, the IPA opening, its check and its Lagrange
+// basis, the cost estimator itself, the optimizer, and the power-of-two row
+// cliff. The paper's tables are reproduced by cmd/zkml-bench
+// (internal/experiments) and timed by benchmark/.
 package repro
 
 import (
@@ -123,6 +123,26 @@ func BenchmarkIPAVerify(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIPALagrangeDerive measures what the first IPA commit from
+// evaluations at 2^11 (mnist's domain) costs a process: the group-FFT
+// derivation of the Lagrange basis, its commit-table build and the commit.
+// plonkish.Setup pays it once per domain size, before keygen fans out.
+func BenchmarkIPALagrangeDerive(b *testing.B) {
+	const n = 1 << 11
+	s := pcs.NewIPA(n)
+	evals := make([]ff.Element, n)
+	for i := range evals {
+		evals[i] = ff.NewInt64(int64(i%17) - 8)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pcs.ResetLagrangeBases()
+		b.StartTimer()
+		s.CommitLagrange(evals)
 	}
 }
 

@@ -18,7 +18,7 @@ func TestGeneratorOnCurve(t *testing.T) {
 func TestGeneratorOrder(t *testing.T) {
 	// r * G == infinity for the scalar field order r.
 	g := Generator()
-	p := ScalarMulBig(&g, ff.Modulus())
+	p := scalarMulBinary(&g, ff.Modulus())
 	if !p.IsInf() {
 		t.Fatal("r*G != infinity: wrong group order")
 	}
@@ -292,6 +292,50 @@ func TestHashToCurve(t *testing.T) {
 	if !a.Equal(&b) {
 		t.Fatal("hash-to-curve not deterministic")
 	}
+}
+
+// TestScalarMulMatchesBinary cross-checks the GLV ScalarMul against the
+// plain double-and-add reference on 0, ±1, r−1, λ, small negatives, short
+// scalars of both signs on either side of the short-split threshold, and
+// random scalars, over the generator, a hashed point, a φ-image and ∞.
+func TestScalarMulMatchesBinary(t *testing.T) {
+	g := Generator()
+	h := HashToCurve("scalar-mul", 0)
+	points := []Affine{g, h, Phi(&h), Infinity()}
+	scalars := append(edgeScalars(), shortEdgeScalars()...)
+	for _, v := range []int64{-1, -2, -3, -1000, -(1 << 19)} {
+		scalars = append(scalars, ff.NewInt64(v))
+	}
+	for i := 0; i < 32; i++ {
+		scalars = append(scalars, ff.Random())
+	}
+	for pi := range points {
+		for si := range scalars {
+			got := ScalarMul(&points[pi], &scalars[si]).ToAffine()
+			want := scalarMulBinary(&points[pi], scalars[si].BigInt()).ToAffine()
+			if !got.Equal(&want) {
+				t.Fatalf("point %d, scalar %v: ScalarMul != double-and-add", pi, scalars[si].BigInt())
+			}
+		}
+	}
+}
+
+// BenchmarkScalarMul times one full-width scalar multiplication: the GLV
+// ScalarMul against the double-and-add reference it replaced.
+func BenchmarkScalarMul(b *testing.B) {
+	p := HashToCurve("scalar-mul", 1)
+	s := ff.Random()
+	e := s.BigInt()
+	b.Run("glv", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ScalarMul(&p, &s)
+		}
+	})
+	b.Run("binary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			scalarMulBinary(&p, e)
+		}
+	})
 }
 
 func BenchmarkMSM(b *testing.B) {

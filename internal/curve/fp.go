@@ -7,7 +7,6 @@ package curve
 import (
 	"math/big"
 
-	"repro/internal/ff"
 	"repro/internal/limbs"
 )
 
@@ -71,6 +70,3 @@ func (z *Fp) sqrt(x *Fp) bool {
 	*z = r
 	return true
 }
-
-// scalarToBig converts an Fr scalar to its canonical integer.
-func scalarToBig(s *ff.Element) *big.Int { return s.BigInt() }

@@ -117,7 +117,7 @@ func glvDeriveConstants() {
 		phiX.mul(&beta, &g.X)
 		phiG := Affine{X: phiX, Y: g.Y}
 		for _, lc := range []*big.Int{wr, wr2} {
-			lg := ScalarMulBig(&g, lc).ToAffine()
+			lg := scalarMulBinary(&g, lc).ToAffine()
 			if lg.Equal(&phiG) {
 				glvBeta = beta
 				glvLambda = lc

@@ -85,8 +85,8 @@ func checkDecompose(t *testing.T, s *ff.Element) {
 	g := Generator()
 	phiG := Phi(&g)
 	combine := func(a, b *big.Int) Affine {
-		p := ScalarMulBig(&g, new(big.Int).Mod(a, r))
-		q := ScalarMulBig(&phiG, new(big.Int).Mod(b, r))
+		p := scalarMulBinary(&g, new(big.Int).Mod(a, r))
+		q := scalarMulBinary(&phiG, new(big.Int).Mod(b, r))
 		p.AddAssign(&q)
 		return p.ToAffine()
 	}
@@ -113,7 +113,7 @@ func TestPhiActsAsLambda(t *testing.T) {
 		k := ff.Random()
 		p := ScalarMul(&g, &k).ToAffine()
 		phi := Phi(&p)
-		want := ScalarMulBig(&p, lambda).ToAffine()
+		want := scalarMulBinary(&p, lambda).ToAffine()
 		if !phi.Equal(&want) {
 			t.Fatalf("φ(P) != λ·P at sample %d", i)
 		}

@@ -279,11 +279,47 @@ func (p *Jac) NegAssign() *Jac {
 	return p
 }
 
-// ScalarMul returns s*p (double-and-add; not constant-time — the prover's
-// scalars here are either public or already committed).
+// ScalarMul returns s*p by Shamir's trick over the GLV split s = k₁ + λ·k₂
+// (glv.go): one doubling chain as long as the longer half-scalar (≤ 129
+// bits, where a plain ladder walks all 254) adds ±p, ±φ(p) or their sum per
+// bit. Not constant-time — the prover's scalars here are either public or
+// already committed.
 func ScalarMul(p *Affine, s *ff.Element) Jac {
+	if p.Inf {
+		return Jac{}
+	}
+	var sc glvScratch
+	l := s.Limbs()
+	sp := sc.split(&l)
+	p1, p2 := *p, Phi(p)
+	if sp.neg1 {
+		p1 = p1.Neg()
+	}
+	if sp.neg2 {
+		p2 = p2.Neg()
+	}
+	both := p1.ToJac()
+	both.AddMixed(&p2)
 	var acc Jac
-	e := scalarToBig(s)
+	for i := sp.bits() - 1; i >= 0; i-- {
+		acc.Double()
+		switch windowDigit(&sp.k1, i, 1)<<1 | windowDigit(&sp.k2, i, 1) {
+		case 0b11:
+			acc.AddAssign(&both)
+		case 0b10:
+			acc.AddMixed(&p1)
+		case 0b01:
+			acc.AddMixed(&p2)
+		}
+	}
+	return acc
+}
+
+// scalarMulBinary returns e*p by plain double-and-add over the bits of e.
+// The GLV constants are derived with it at init, before ScalarMul can run,
+// and the tests use it as ScalarMul's reference.
+func scalarMulBinary(p *Affine, e *big.Int) Jac {
+	var acc Jac
 	pj := p.ToJac()
 	for i := e.BitLen() - 1; i >= 0; i-- {
 		acc.Double()
@@ -292,13 +328,6 @@ func ScalarMul(p *Affine, s *ff.Element) Jac {
 		}
 	}
 	return acc
-}
-
-// ScalarMulBig returns e*p for a big.Int scalar.
-func ScalarMulBig(p *Affine, e *big.Int) Jac {
-	var s ff.Element
-	s.SetBigInt(e)
-	return ScalarMul(p, &s)
 }
 
 // Bytes returns a 32-byte compressed encoding: big-endian x with flag bits

@@ -199,7 +199,7 @@ func pointwise(f func(float64) float64, g func(b *gadgets.Builder, v *gadgets.Va
 
 // pool is avg_pool (avg) or max_pool.
 func pool(avg bool, lower func(b *gadgets.Builder, x *layers.T, k, stride int) *layers.T) op {
-	return layer(op{inputs: 1, rank: 3, pool: true,
+	return layer(op{inputs: 1, rank: 3, pool: true, fit: window,
 		flops: func(n Node, _ []int, _, y *FT) int64 { return int64(y.Len()) * int64(n.PoolK*n.PoolK) }},
 		func(c call, x []*FT) *FT { return floatPool(x[0], c.PoolK, c.Stride, avg) },
 		func(b *gadgets.Builder, c call, x []*layers.T) *layers.T {
@@ -260,15 +260,28 @@ func (c call) sized(name string, n int) error {
 }
 
 // channels is the fit of a convolution: axis in of its kernel matches the
-// input's channels, and the bias has one element per kernel axis out.
+// input's channels, the bias has one element per kernel axis out, and under
+// valid padding the kernel [KH, KW, …] fits inside the input [H, W, C].
 func channels(in, out int) func(c call, x [][]int) error {
 	return func(c call, x [][]int) error {
 		k := c.g.Weights[c.Weight].Shape
 		if x[0][2] != k[in] {
 			return misfit("input %v does not fit kernel %v", x[0], k)
 		}
+		if layers.Padding(c.Pad) == layers.Valid && (k[0] > x[0][0] || k[1] > x[0][1]) {
+			return misfit("kernel %v exceeds input %v under valid padding", k, x[0])
+		}
 		return c.sized(c.Bias, k[out])
 	}
+}
+
+// window is the fit of a pool: the PoolK×PoolK window fits inside the input
+// [H, W, C].
+func window(c call, x [][]int) error {
+	if c.PoolK > x[0][0] || c.PoolK > x[0][1] {
+		return misfit("pool window %d exceeds input %v", c.PoolK, x[0])
+	}
+	return nil
 }
 
 // fcFit: input [M,K] by weight [N,K], bias [N].

@@ -12,8 +12,8 @@ import (
 // powers-of-tau or the IPA hash-to-curve generators — which never changes
 // for a loaded key. Each backend therefore keeps one lazily-built
 // curve.FixedBaseTable over its process-wide basis and routes every Commit
-// through it (KZG keeps one more per domain size over the Lagrange basis,
-// for columns committed from their evaluations; see lagrange.go), so the
+// through it (each backend keeps one more per domain size over its Lagrange
+// basis, for columns committed from their evaluations; see lagrange.go), so the
 // table construction cost is paid once per key size and amortized across
 // all subsequent commitments (every witness column, lookup, permutation,
 // and quotient piece of every proof). Builds and hits are counted in
@@ -29,11 +29,11 @@ const commitTableMinLen = 64
 // rebuilds them. Benchmarks use this to measure the cold path.
 func ResetCommitTables() {
 	caches := []*commitTableCache{&kzgCommitTables, &ipaCommitTables}
-	kzgLagrangeMu.Lock()
-	for _, l := range kzgLagranges {
+	lagrangeMu.Lock()
+	for _, l := range lagrangeBases {
 		caches = append(caches, &l.tables)
 	}
-	kzgLagrangeMu.Unlock()
+	lagrangeMu.Unlock()
 	for _, cc := range caches {
 		cc.mu.Lock()
 		cc.table.Store(nil)

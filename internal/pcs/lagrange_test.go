@@ -12,10 +12,11 @@ import (
 
 // columnShapes are the kinds of column the prover commits from evaluations:
 // dense (sigma), signed fixed-point activations of at most 20 bits
-// (advice), logUp multiplicities (mostly zero, small counts), running sums
-// that change on about 2 % of rows (logUp phi), and all-zero. Every shape but zero ends in a few dense rows, as blinding
+// (advice), small negative values, logUp multiplicities (mostly zero, small
+// counts), running sums that change on about 2 % of rows (logUp phi), and
+// all-zero. Every shape but zero ends in a few dense rows, as blinding
 // leaves them.
-var columnShapes = []string{"dense", "small", "sparse", "running", "zero"}
+var columnShapes = []string{"dense", "small", "negative", "sparse", "running", "zero"}
 
 func column(shape string, n int) []ff.Element {
 	v := make([]ff.Element, n)
@@ -33,6 +34,8 @@ func column(shape string, n int) []ff.Element {
 			v[i] = ff.Random()
 		case "small":
 			v[i] = ff.NewInt64(int64(next()%(1<<20)) - 1<<19)
+		case "negative":
+			v[i] = ff.NewInt64(-1 - int64(next()%(1<<8)))
 		case "sparse":
 			if r := next(); r%16 == 0 {
 				v[i] = ff.NewElement(1 + (r>>8)%200)
@@ -53,34 +56,48 @@ func column(shape string, n int) []ff.Element {
 	return v
 }
 
+// lagrangeOf returns s's Lagrange basis slot for the size-n domain.
+func lagrangeOf(s Scheme, n int) *lagrangeBasis {
+	switch s := s.(type) {
+	case *KZGScheme:
+		return s.lagrange(n)
+	case *IPAScheme:
+		return s.lagrange(n)
+	}
+	panic("pcs: no Lagrange basis for this scheme")
+}
+
 // TestCommitLagrangeMatchesCoefficientCommit pins the tentpole invariant:
 // committing a column from its evaluations yields the group element that
-// committing its interpolated coefficients does — for every column shape,
-// below and above the table's minimum length, at several worker counts, on
-// the table path and through the generic MSM of the row differences over
-// the suffix basis.
+// committing its interpolated coefficients does — on both backends, at every
+// size from 2^3 to 2^11 (straddling the table's minimum length), for every
+// column shape, through the generic MSM of the row differences over the
+// suffix basis and on the table path at several worker counts.
 func TestCommitLagrangeMatchesCoefficientCommit(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	if commitTableMinLen != 1<<6 {
 		t.Fatalf("commitTableMinLen = %d: pick sizes that straddle it again", commitTableMinLen)
 	}
-	for _, n := range []int{1 << 5, 1 << 6, 1 << 10, 1 << 12} {
-		k := NewKZG(n)
-		d := poly.NewDomain(n)
-		for _, shape := range columnShapes {
-			evals := column(shape, n)
-			coeffs := append([]ff.Element(nil), evals...)
-			d.IFFT(coeffs)
-			want := k.Commit(coeffs)
-			for _, workers := range []int{1, 2, 4} {
-				parallel.SetWorkers(workers)
-				got := map[string]curve.Affine{
-					"table":       k.CommitLagrange(evals),
-					"generic MSM": curve.MSM(k.lagrange(n).basis, rowDiffs(evals)).ToAffine(),
+	for _, b := range []Backend{KZG, IPA} {
+		for logN := 3; logN <= 11; logN++ {
+			n := 1 << logN
+			s, err := New(b, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := poly.NewDomain(n)
+			for _, shape := range columnShapes {
+				evals := column(shape, n)
+				coeffs := append([]ff.Element(nil), evals...)
+				d.IFFT(coeffs)
+				want := s.Commit(coeffs)
+				if c := curve.MSM(lagrangeOf(s, n).basis, rowDiffs(evals)).ToAffine(); !c.Equal(&want) {
+					t.Fatalf("%s n=%d %s: generic MSM over the suffix basis != Commit(IFFT)", b, n, shape)
 				}
-				for path, c := range got {
-					if !c.Equal(&want) {
-						t.Fatalf("n=%d %s workers=%d %s: Lagrange commitment != Commit(IFFT)", n, shape, workers, path)
+				for _, workers := range []int{1, 2, 4} {
+					parallel.SetWorkers(workers)
+					if c := s.CommitLagrange(evals); !c.Equal(&want) {
+						t.Fatalf("%s n=%d %s workers=%d: CommitLagrange != Commit(IFFT)", b, n, shape, workers)
 					}
 				}
 			}
@@ -88,98 +105,128 @@ func TestCommitLagrangeMatchesCoefficientCommit(t *testing.T) {
 	}
 }
 
-// TestLagrangeBasisIsSuffixSums checks the derived SRS directly against the
-// closed form Lᵢ(τ) = ωⁱ·(τⁿ-1) / (n·(τ-ωⁱ)) taken through the generator
-// comb: D₀ = G (the Lᵢ(τ) sum to one), and Dᵢ − Dᵢ₊₁ = Lᵢ(τ)·G for every i,
-// with Dₙ the identity.
+// TestLagrangeBasisIsSuffixSums checks the derived bases directly: D₀ is
+// the first coefficient basis point (the Lagrange polynomials sum to one),
+// and Dᵢ − Dᵢ₊₁ is the i-th Lagrange basis point for every i, with Dₙ the
+// identity. KZG's is checked against the closed form Lᵢ(τ) = ωⁱ·(τⁿ-1) /
+// (n·(τ-ωⁱ)) taken through the generator comb, IPA's group FFT against the
+// inverse DFT written out, Λᵢ = MSM(G, n⁻¹·ω^{-ij}).
 func TestLagrangeBasisIsSuffixSums(t *testing.T) {
 	const n = 64
-	k := NewKZG(n)
-	basis := k.lagrange(n).basis
-	if g := curve.Generator(); !basis[0].Equal(&g) {
-		t.Fatal("D₀ != G")
-	}
 	d := poly.NewDomain(n)
 	omega := d.Elements()
+	k := NewKZG(n)
 	c := poly.VanishingEval(n, k.tau)
 	c.Mul(&c, &d.NInv)
 	kzgMu.Lock()
 	comb := generatorComb()
 	kzgMu.Unlock()
-	for i := 0; i < n; i++ {
+	kzgPoint := func(i int) curve.Affine {
 		var li ff.Element
 		li.Sub(&k.tau, &omega[i])
 		li.Inverse(&li)
 		li.Mul(&li, &omega[i])
 		li.Mul(&li, &c)
-		want := comb.mul(&li).ToAffine()
-		step := basis[i].ToJac()
-		if i+1 < n {
-			next := basis[i+1].ToJac()
-			next.NegAssign()
-			step.AddAssign(&next)
+		return comb.mul(&li).ToAffine()
+	}
+	ipa := NewIPA(n)
+	ipaPoint := func(i int) curve.Affine {
+		row := make([]ff.Element, n)
+		for j := range row {
+			row[j].Mul(&d.NInv, &omega[(n-i*j%n)%n])
 		}
-		if got := step.ToAffine(); !got.Equal(&want) {
-			t.Fatalf("D%d − D%d != L%d(τ)·G", i, i+1, i)
+		return curve.MSM(ipa.basis, row).ToAffine()
+	}
+	for _, tc := range []struct {
+		s     Scheme
+		first curve.Affine
+		point func(i int) curve.Affine
+	}{
+		{k, curve.Generator(), kzgPoint},
+		{ipa, ipa.basis[0], ipaPoint},
+	} {
+		basis := lagrangeOf(tc.s, n).basis
+		if !basis[0].Equal(&tc.first) {
+			t.Fatalf("%s: D₀ is not the first coefficient basis point", tc.s.Backend())
+		}
+		for i := 0; i < n; i++ {
+			want := tc.point(i)
+			step := basis[i].ToJac()
+			if i+1 < n {
+				next := basis[i+1].ToJac()
+				next.NegAssign()
+				step.AddAssign(&next)
+			}
+			if got := step.ToAffine(); !got.Equal(&want) {
+				t.Fatalf("%s: D%d − D%d is not Lagrange basis point %d", tc.s.Backend(), i, i+1, i)
+			}
 		}
 	}
 }
 
 // TestLagrangeFirstUseBuildsOnce races two first commits on a domain size
-// no one has used (the daemon runs two proves in flight): the basis is
-// derived once, its table built once, and both results are right. `make
-// race` runs it under the detector.
+// no one has used (the daemon runs two proves in flight), on each backend:
+// the basis is derived once — n points, counted as that backend's set-up
+// work — its table built once, and both results are right. `make race` runs
+// it under the detector.
 func TestLagrangeFirstUseBuildsOnce(t *testing.T) {
 	const n = 1 << 9
-	k := NewKZG(n)
-	kzgLagrangeMu.Lock()
-	delete(kzgLagranges, n) // a fresh first use on every -count repetition
-	kzgLagrangeMu.Unlock()
-
-	evals := column("small", n)
-	coeffs := append([]ff.Element(nil), evals...)
-	poly.NewDomain(n).IFFT(coeffs)
-	want := k.Commit(coeffs)
-
-	before := SetupWorkSnapshot()
-	var got [2]curve.Affine
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = k.CommitLagrange(evals)
-		}(g)
+	derived := map[Backend]func(SetupWork) int64{
+		KZG: func(w SetupWork) int64 { return w.KZGLagrangeDerived },
+		IPA: func(w SetupWork) int64 { return w.IPALagrangeDerived },
 	}
-	wg.Wait()
-	d := SetupWorkSnapshot().Sub(before)
-	if d.KZGLagrangeDerived != n || d.CommitTableBuilds != 1 {
-		t.Fatalf("first use derived %d points and built %d tables, want %d and 1", d.KZGLagrangeDerived, d.CommitTableBuilds, n)
-	}
-	if d.IsZero() {
-		t.Fatal("a Lagrange derivation must count as set-up work")
-	}
-	for g := range got {
-		if !got[g].Equal(&want) {
-			t.Fatalf("concurrent first commit %d is wrong", g)
+	for _, b := range []Backend{KZG, IPA} {
+		s, err := New(b, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		ResetLagrangeBases() // a fresh first use on every -count repetition
 
-	warm := SetupWorkSnapshot()
-	k.CommitLagrange(evals)
-	if w := SetupWorkSnapshot().Sub(warm); !w.IsZero() || w.CommitTableHits != 1 {
-		t.Fatalf("warm Lagrange commit did set-up work or missed the table: %+v", w)
-	}
+		evals := column("small", n)
+		coeffs := append([]ff.Element(nil), evals...)
+		poly.NewDomain(n).IFFT(coeffs)
+		want := s.Commit(coeffs)
 
-	// ResetCommitTables drops the Lagrange table (not the basis, which is
-	// SRS); the next commit rebuilds it and nothing else.
-	ResetCommitTables()
-	cold := SetupWorkSnapshot()
-	if c := k.CommitLagrange(evals); !c.Equal(&want) {
-		t.Fatal("commit after ResetCommitTables is wrong")
-	}
-	if w := SetupWorkSnapshot().Sub(cold); w.CommitTableBuilds != 1 || w.KZGLagrangeDerived != 0 {
-		t.Fatalf("after reset: %+v, want one table build and no derivation", w)
+		before := SetupWorkSnapshot()
+		var got [2]curve.Affine
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = s.CommitLagrange(evals)
+			}(g)
+		}
+		wg.Wait()
+		d := SetupWorkSnapshot().Sub(before)
+		if derived[b](d) != n || d.CommitTableBuilds != 1 {
+			t.Fatalf("%s: first use derived %d points and built %d tables, want %d and 1", b, derived[b](d), d.CommitTableBuilds, n)
+		}
+		if d.IsZero() {
+			t.Fatalf("%s: a Lagrange derivation must count as set-up work", b)
+		}
+		for g := range got {
+			if !got[g].Equal(&want) {
+				t.Fatalf("%s: concurrent first commit %d is wrong", b, g)
+			}
+		}
+
+		warm := SetupWorkSnapshot()
+		s.CommitLagrange(evals)
+		if w := SetupWorkSnapshot().Sub(warm); !w.IsZero() || w.CommitTableHits != 1 {
+			t.Fatalf("%s: warm Lagrange commit did set-up work or missed the table: %+v", b, w)
+		}
+
+		// ResetCommitTables drops the Lagrange table (not the basis, which
+		// is setup); the next commit rebuilds it and nothing else.
+		ResetCommitTables()
+		cold := SetupWorkSnapshot()
+		if c := s.CommitLagrange(evals); !c.Equal(&want) {
+			t.Fatalf("%s: commit after ResetCommitTables is wrong", b)
+		}
+		if w := SetupWorkSnapshot().Sub(cold); w.CommitTableBuilds != 1 || derived[b](w) != 0 {
+			t.Fatalf("%s: after reset: %+v, want one table build and no derivation", b, w)
+		}
 	}
 }
 

@@ -75,6 +75,12 @@ type Scheme interface {
 	MaxLen() int
 	// Commit returns a binding commitment to the coefficient vector.
 	Commit(p []ff.Element) curve.Affine
+	// CommitLagrange commits to the polynomial whose evaluations over the
+	// size-len(evals) domain are evals (a power of two up to MaxLen): the
+	// same group element as Commit of the interpolated coefficients, with
+	// an MSM whose cost follows the row-to-row changes of evals rather than
+	// n dense coefficients (lagrange.go).
+	CommitLagrange(evals []ff.Element) curve.Affine
 	// Open proves p(z) == y, absorbing proof messages into tr.
 	Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening
 	// Verify checks an opening against a commitment, mirroring Open's

@@ -17,6 +17,7 @@ var setupWork struct {
 	kzgCombBuilds      atomic.Int64
 	kzgLagrangeDerived atomic.Int64
 	ipaPointsDerived   atomic.Int64
+	ipaLagrangeDerived atomic.Int64
 	commitTableBuilds  atomic.Int64
 	commitTableHits    atomic.Int64
 }
@@ -36,10 +37,13 @@ type SetupWork struct {
 	KZGLagrangeDerived int64 `json:"kzg_lagrange_derived"`
 	// IPAPointsDerived counts hash-to-curve basis points derived.
 	IPAPointsDerived int64 `json:"ipa_points_derived"`
+	// IPALagrangeDerived counts IPA Lagrange-basis points derived (n per
+	// domain size, by one group FFT on its first Lagrange commit).
+	IPALagrangeDerived int64 `json:"ipa_lagrange_derived"`
 	// CommitTableBuilds counts fixed-base commitment-table constructions:
 	// at most one per backend per basis size over the coefficient basis,
-	// plus one per KZG domain size over its Lagrange basis (fixedbase.go,
-	// lagrange.go).
+	// plus one per backend and domain size over its Lagrange basis
+	// (fixedbase.go, lagrange.go).
 	CommitTableBuilds int64 `json:"commit_table_builds"`
 	// CommitTableHits counts commitments served by a cached table. Hits are
 	// the amortized fast path, not setup work, so IsZero ignores them.
@@ -54,6 +58,7 @@ func SetupWorkSnapshot() SetupWork {
 		KZGCombBuilds:      setupWork.kzgCombBuilds.Load(),
 		KZGLagrangeDerived: setupWork.kzgLagrangeDerived.Load(),
 		IPAPointsDerived:   setupWork.ipaPointsDerived.Load(),
+		IPALagrangeDerived: setupWork.ipaLagrangeDerived.Load(),
 		CommitTableBuilds:  setupWork.commitTableBuilds.Load(),
 		CommitTableHits:    setupWork.commitTableHits.Load(),
 	}
@@ -66,6 +71,7 @@ func (w SetupWork) Sub(prev SetupWork) SetupWork {
 		KZGCombBuilds:      w.KZGCombBuilds - prev.KZGCombBuilds,
 		KZGLagrangeDerived: w.KZGLagrangeDerived - prev.KZGLagrangeDerived,
 		IPAPointsDerived:   w.IPAPointsDerived - prev.IPAPointsDerived,
+		IPALagrangeDerived: w.IPALagrangeDerived - prev.IPALagrangeDerived,
 		CommitTableBuilds:  w.CommitTableBuilds - prev.CommitTableBuilds,
 		CommitTableHits:    w.CommitTableHits - prev.CommitTableHits,
 	}
@@ -77,15 +83,15 @@ func (w SetupWork) Sub(prev SetupWork) SetupWork {
 func (w SetupWork) IsZero() bool {
 	return w.KZGPowersExtended == 0 && w.KZGCombBuilds == 0 &&
 		w.KZGLagrangeDerived == 0 && w.IPAPointsDerived == 0 &&
-		w.CommitTableBuilds == 0
+		w.IPALagrangeDerived == 0 && w.CommitTableBuilds == 0
 }
 
 // SRSPoints returns the commitment-scheme setup a size-n circuit uses, as
 // the points a ceremony (KZG) or a hash-to-curve derivation (IPA) produces:
 // the n powers of tau, or the n basis points followed by the inner-product
 // anchor. The setup is generated first if the process has not yet grown it to
-// n. The generator comb and the Lagrange bases are not part of it; they are
-// rebuilt on first use (kzg.go, lagrange.go).
+// n. The generator comb and the Lagrange bases of either backend are not part
+// of it; they are rebuilt on first use (kzg.go, lagrange.go).
 func SRSPoints(b Backend, n int) ([]curve.Affine, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pcs: SRS size %d must be positive", n)

@@ -50,9 +50,7 @@ func TestImportedPowersCommitLagrange(t *testing.T) {
 	kzgMu.Lock()
 	kzgTable = nil // as in a process that has only imported
 	kzgMu.Unlock()
-	kzgLagrangeMu.Lock()
-	delete(kzgLagranges, n)
-	kzgLagrangeMu.Unlock()
+	ResetLagrangeBases()
 
 	before := SetupWorkSnapshot()
 	if err := InstallSRS(KZG, powers); err != nil {

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/curve"
 	"repro/internal/ff"
 	"repro/internal/parallel"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 )
 
 // ctrReader is a deterministic SHA-256 counter stream, used to stand in for
@@ -157,16 +159,24 @@ func TestProverDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
-// coeffOnly hides a scheme's Lagrange path: embedding the interface promotes
-// only pcs.Scheme's methods, so commitColumn falls back to Commit(coeffs).
+// coeffOnly replaces a scheme's Lagrange path by its definition: a column
+// committed from its evaluations is interpolated and committed from its
+// coefficients.
 type coeffOnly struct{ pcs.Scheme }
 
+func (s coeffOnly) CommitLagrange(evals []ff.Element) curve.Affine {
+	coeffs := append([]ff.Element(nil), evals...)
+	poly.NewDomain(len(coeffs)).IFFT(coeffs)
+	return s.Commit(coeffs)
+}
+
 // TestLagrangeCommitsInvisibleOnTheWire proves the same statement with the
-// same seeded blinding twice — columns committed from their evaluations, and
-// every column committed from its coefficients — and requires byte-identical
-// proofs; the verifying key's commitments must likewise equal coefficient
-// commitments of the interpolated columns. KZG takes the Lagrange path, IPA
-// has none (DESIGN.md §14), and on neither can the wire tell.
+// same seeded blinding twice — columns committed from their evaluations over
+// the scheme's Lagrange basis, and every column interpolated and committed
+// from its coefficients — and requires byte-identical proofs; the verifying
+// key's commitments must likewise equal coefficient commitments of the
+// interpolated columns. Both backends take the Lagrange path (DESIGN.md §14),
+// and on neither can the wire tell.
 func TestLagrangeCommitsInvisibleOnTheWire(t *testing.T) {
 	const n = 256 // above the commit tables' minimum length
 	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
@@ -174,9 +184,6 @@ func TestLagrangeCommitsInvisibleOnTheWire(t *testing.T) {
 			pk, vk, err := Setup(testCircuit(), n, testFixed(n), backend)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if _, has := pk.Scheme.(lagrangeCommitter); has != (backend == pcs.KZG) {
-				t.Fatalf("%s Lagrange path present = %v", backend, has)
 			}
 			coeffPK := *pk
 			coeffPK.Scheme = coeffOnly{pk.Scheme}

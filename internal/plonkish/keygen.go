@@ -178,50 +178,39 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 		return nil, nil, err
 	}
 
-	commits := make([]curve.Affine, len(pk.FixedVals)+len(pk.SigmaVals))
-	interpolateColumns(pk, func(i int, vals, coeffs []ff.Element) {
-		commits[i] = commitColumn(pk.Scheme, vals, coeffs)
+	// Fixed and sigma columns are committed from their values. The first
+	// commit derives the scheme's Lagrange basis and builds its table with
+	// the whole worker pool; made inside the fan-out over columns it would
+	// run on one worker (nested parallel calls run inline) while the others
+	// wait on it, about +0.5 s of IPA keygen at 2^11 on two cores.
+	cols := keyColumns(pk)
+	commits := make([]curve.Affine, len(cols))
+	commits[0] = pk.Scheme.CommitLagrange(cols[0])
+	parallel.For(len(cols)-1, func(i int) {
+		commits[i+1] = pk.Scheme.CommitLagrange(cols[i+1])
 	})
+	interpolateColumns(pk)
 	nf := len(pk.FixedVals)
 	return finishKeys(pk, commits[:nf:nf], commits[nf:])
 }
 
+// keyColumns returns the key's fixed columns, then its sigma columns, as
+// values over the domain.
+func keyColumns(pk *ProvingKey) [][]ff.Element {
+	return append(append([][]ff.Element(nil), pk.FixedVals...), pk.SigmaVals...)
+}
+
 // interpolateColumns fills the key's coefficient-form fixed and sigma
-// columns: one IFFT per column, fanned out across columns, each followed by
-// then(i, values, coefficients) when then is non-nil (i counts fixed columns
-// first, then sigmas). Setup commits there; SetupFromMaterial passes nil and
-// pairs the polynomials with stored commitments.
-func interpolateColumns(pk *ProvingKey, then func(i int, vals, coeffs []ff.Element)) {
-	cols := append(append([][]ff.Element(nil), pk.FixedVals...), pk.SigmaVals...)
+// columns: one IFFT per column, fanned out across columns.
+func interpolateColumns(pk *ProvingKey) {
+	cols := keyColumns(pk)
 	polys := make([][]ff.Element, len(cols))
 	parallel.For(len(cols), func(i int) {
 		polys[i] = append([]ff.Element(nil), cols[i]...)
 		pk.Domain.IFFT(polys[i])
-		if then != nil {
-			then(i, cols[i], polys[i])
-		}
 	})
 	nf := len(pk.FixedVals)
 	pk.FixedPolys, pk.SigmaPolys = polys[:nf:nf], polys[nf:]
-}
-
-// lagrangeCommitter is a commitment scheme that can commit a column from
-// its evaluations over the domain (pcs.KZGScheme; see DESIGN.md §14).
-type lagrangeCommitter interface {
-	CommitLagrange(evals []ff.Element) curve.Affine
-}
-
-// commitColumn commits a column held both as evaluations over the domain
-// and as coefficients: from the evaluations when the scheme has a Lagrange
-// basis — the grid values, and the row-to-row steps of running sums such as
-// phi and z, are small or sparse where the coefficients never are, and the
-// MSM's cost follows its scalars — and from the coefficients otherwise.
-// Both are the same group element.
-func commitColumn(s pcs.Scheme, evals, coeffs []ff.Element) curve.Affine {
-	if lc, ok := s.(lagrangeCommitter); ok {
-		return lc.CommitLagrange(evals)
-	}
-	return s.Commit(coeffs)
 }
 
 // Digest returns a hash of the verifying key, absorbed into the transcript:

@@ -59,7 +59,7 @@ func SetupFromMaterial(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend,
 	if err != nil {
 		return nil, nil, err
 	}
-	interpolateColumns(pk, nil)
+	interpolateColumns(pk)
 	return finishKeys(pk, m.FixedCommits, m.SigmaCommits)
 }
 

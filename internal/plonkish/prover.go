@@ -241,7 +241,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		coeff[c] = coeffs
 	}
 	commitCol := func(c Col, label string) curve.Affine {
-		cm := commitColumn(pk.Scheme, lag[c], coeff[c])
+		cm := pk.Scheme.CommitLagrange(lag[c])
 		tr.AppendPoint(label, cm)
 		return cm
 	}

@@ -97,6 +97,11 @@ func TestMalformedModelsRejected(t *testing.T) {
 		{"max_pool rank 2 input", file("[4,4]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":2,"stride":2}`), true},
 		{"global_avg_pool rank 2 input", file("[4,4]", `{"op":"global_avg_pool","inputs":["x"],"output":"y"}`), true},
 		{"conv2d rank 2 kernel", file("[4,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"w","stride":1,"pad":"valid"}`), true},
+		{"conv2d kernel taller than input", file("[2,4,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1,"pad":"valid"}`), true},
+		{"conv2d kernel wider than input", file("[4,2,1]", `{"op":"conv2d","inputs":["x"],"output":"y","weight":"k","stride":1,"pad":"valid"}`), true},
+		{"depthwise_conv2d kernel larger than input", file("[1,4,1]", `{"op":"depthwise_conv2d","inputs":["x"],"output":"y","weight":"d","stride":1,"pad":"valid"}`), true},
+		{"max_pool window larger than input", file("[2,2,1]", `{"op":"max_pool","inputs":["x"],"output":"y","pool_k":3,"stride":1}`), true},
+		{"avg_pool window wider than input", file("[4,2,1]", `{"op":"avg_pool","inputs":["x"],"output":"y","pool_k":3,"stride":1}`), true},
 		{"relu reads ids", file("[1,4]", `{"op":"relu","inputs":["ids"],"output":"y"}`), true},
 		{"output names ids", fileOut("[1,4]", `"ids"`, `{"op":"relu","inputs":["x"],"output":"y"}`), true},
 	}
@@ -126,6 +131,8 @@ func TestMalformedModelsRejected(t *testing.T) {
 			}
 			if _, err := g.RunFloat(in); c.float && err == nil {
 				t.Fatal("RunFloat accepted a malformed model")
+			} else if c.float && !errors.Is(err, ErrMalformedModel) {
+				t.Fatalf("RunFloat error does not wrap ErrMalformedModel: %v", err)
 			}
 		})
 	}
