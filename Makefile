@@ -104,10 +104,13 @@ race:
 # and the Freivalds gadget tests fold negative int64 operands into phase-1
 # cells through ff.NewInt64 on it. Its 32-bit int is also where a length
 # prefix >= 2^31 turns negative, so the decoders of untrusted bytes run
-# there too. The arm64 vet + build keeps the !amd64 files compiling.
+# there too, and so do the pcs setup-record tests (growth, install, the
+# comb and the Lagrange derivations on the generic kernel). The arm64 vet +
+# build keeps the !amd64 files compiling.
 cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
 	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestQuotientPiecesMatchReference|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
+	GOARCH=386 $(GO) test -run 'TestSRSRoundTrip|TestImportedPowersCommitLagrange|TestSRSImportRejectsCorruption|TestLagrangeFirstUseBuildsOnce|TestCommitTableSetupWorkAccounting|TestInstallSRSKeepsNoCallerArray' ./internal/pcs/
 	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
 	GOARCH=386 $(GO) test -short -run 'TestCircuitsPinned|TestFreivalds' ./internal/gadgets/
 	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/

@@ -242,10 +242,13 @@ func misfit(format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), zkerrors.ErrMalformedModel)
 }
 
-// broadcasts is the fit of an elementwise op: its second operand has the
-// first's size (zip then pairs them in order) or broadcasts to its shape.
+// broadcasts is the fit of an elementwise op: its second operand
+// broadcasts to the first's shape. An operand of the same size then has the
+// same shape up to leading 1s, so zip pairs its elements in order; one of
+// the same size but another shape ([3,2] into [2,3], [1,6] into [6]) does
+// not fit.
 func broadcasts(_ call, x [][]int) error {
-	if tensor.NumElems(x[0]) != tensor.NumElems(x[1]) && !tensor.Broadcasts(x[1], x[0]) {
+	if !tensor.Broadcasts(x[1], x[0]) {
 		return misfit("cannot broadcast %v to %v", x[1], x[0])
 	}
 	return nil

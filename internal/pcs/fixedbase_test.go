@@ -13,14 +13,18 @@ import (
 // basis, bypassing the fixed-base tables: the reference the table path must
 // equal.
 func plainCommit(s Scheme, p []ff.Element) curve.Affine {
-	var basis []curve.Affine
+	return curve.MSM(prefixOf(s).basis[:len(p)], p).ToAffine()
+}
+
+// prefixOf returns s's share of its backend's setup record.
+func prefixOf(s Scheme) prefix {
 	switch s := s.(type) {
 	case *KZGScheme:
-		basis = s.powers
+		return s.prefix
 	case *IPAScheme:
-		basis = s.basis
+		return s.prefix
 	}
-	return curve.MSM(basis[:len(p)], p).ToAffine()
+	panic("pcs: no setup prefix for this scheme")
 }
 
 // TestCommitTableMatchesPlainMSM pins the routing invariant: a commitment
@@ -156,7 +160,7 @@ func BenchmarkCommitNoTable(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("KZG/2^%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				curve.MSM(s.powers, p)
+				curve.MSM(s.basis, p)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package pcs
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/curve"
 	"repro/internal/ff"
@@ -17,53 +16,19 @@ import (
 // verification costs one size-n MSM — the "larger proofs, higher
 // verification time" trade-off Table 7 of the paper reports for IPA.
 type IPAScheme struct {
-	basis []curve.Affine // G_i
-	u     curve.Affine   // inner-product anchor
-	n     int            // padded (power-of-two) vector length
+	prefix // the generators G_i
 }
-
-var (
-	ipaMu    sync.Mutex
-	ipaBasis []curve.Affine
-	ipaU     *curve.Affine
-)
 
 // NewIPA returns an IPA scheme supporting polynomials of up to maxLen
 // coefficients (rounded up to a power of two). The basis is derived by
 // hash-to-curve, so no trusted setup exists; basis points are memoized
-// process-wide because derivation dominates setup time.
+// process-wide because derivation dominates setup time (srs.go).
 func NewIPA(maxLen int) *IPAScheme {
-	n := 1
-	for n < maxLen {
-		n <<= 1
-	}
-	ipaMu.Lock()
-	defer ipaMu.Unlock()
-	if ipaU == nil {
-		u := curve.HashToCurve("ipa-u", 0)
-		ipaU = &u
-	}
-	for len(ipaBasis) < n {
-		ipaBasis = append(ipaBasis, curve.HashToCurve("ipa-basis", len(ipaBasis)))
-		setupWork.ipaPointsDerived.Add(1)
-	}
-	return &IPAScheme{basis: ipaBasis[:n], u: *ipaU, n: n}
+	return &IPAScheme{setups[IPA].prefix(maxLen)}
 }
 
 // Backend implements Scheme.
 func (s *IPAScheme) Backend() Backend { return IPA }
-
-// MaxLen implements Scheme.
-func (s *IPAScheme) MaxLen() int { return s.n }
-
-// Commit implements Scheme. Large commitments run against the lazily-built
-// fixed-base table over the shared basis (see fixedbase.go).
-func (s *IPAScheme) Commit(p []ff.Element) curve.Affine {
-	if len(p) > s.n {
-		panic("pcs: polynomial exceeds IPA basis size")
-	}
-	return commitMSM(&ipaCommitTables, s.basis, p)
-}
 
 // Open implements Scheme. The recursion folds vectors a (coefficients) and
 // b (powers of z) and emits cross terms L, R each round. The basis is never
@@ -74,21 +39,22 @@ func (s *IPAScheme) Commit(p []ff.Element) curve.Affine {
 // MSM, like any commitment.
 func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
 	defer recordOpen()()
-	a := make([]ff.Element, s.n)
+	size := len(s.basis)
+	a := make([]ff.Element, size)
 	copy(a, p)
-	b := make([]ff.Element, s.n)
+	b := make([]ff.Element, size)
 	acc := ff.One()
 	for i := range b {
 		b[i] = acc
 		acc.Mul(&acc, &z)
 	}
 
-	rounds := bits.TrailingZeros(uint(s.n))
+	rounds := bits.TrailingZeros(uint(size))
 	proof := &Opening{L: make([]curve.Affine, 0, rounds), R: make([]curve.Affine, 0, rounds)}
-	w := make([]ff.Element, 1, s.n)
+	w := make([]ff.Element, 1, size)
 	w[0] = ff.One()
-	sl, sr := make([]ff.Element, s.n), make([]ff.Element, s.n)
-	for n := s.n; n > 1; n /= 2 {
+	sl, sr := make([]ff.Element, size), make([]ff.Element, size)
+	for n := size; n > 1; n /= 2 {
 		h := n / 2
 		cl := innerProduct(a[:h], b[h:n])
 		cr := innerProduct(a[h:n], b[:h])
@@ -133,8 +99,8 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 // crossTerm returns <scalars, basis> + c·U, the basis MSM through the
 // commit table.
 func (s *IPAScheme) crossTerm(scalars []ff.Element, c *ff.Element) curve.Affine {
-	m := commitMSM(&ipaCommitTables, s.basis, scalars)
-	p, t := m.ToJac(), curve.ScalarMul(&s.u, c)
+	m, u := s.Commit(scalars), ipaAnchor()
+	p, t := m.ToJac(), curve.ScalarMul(&u, c)
 	p.AddAssign(&t)
 	return p.ToAffine()
 }
@@ -165,7 +131,8 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	if o == nil {
 		return fmt.Errorf("pcs: nil IPA opening: %w", zkerrors.ErrMalformedProof)
 	}
-	rounds := bits.TrailingZeros(uint(s.n))
+	n := len(s.basis)
+	rounds := bits.TrailingZeros(uint(n))
 	if len(o.L) != rounds || len(o.R) != rounds {
 		return fmt.Errorf("pcs: IPA proof has %d/%d cross terms, want %d rounds: %w",
 			len(o.L), len(o.R), rounds, zkerrors.ErrMalformedProof)
@@ -191,7 +158,7 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	// s the final generator's weights and b the fully folded b vector,
 	// Π_j (x_j^{-1} + x_j·z^(2^(rounds−1−j))): one MSM over
 	// basis ‖ L ‖ R ‖ U, plus C.
-	scalars := make([]ff.Element, 1, s.n+2*rounds+1)
+	scalars := make([]ff.Element, 1, n+2*rounds+1)
 	scalars[0] = ff.One()
 	for j := 0; j < rounds; j++ {
 		scalars = foldWeights(scalars, &xs[j], &xInvs[j])
@@ -201,10 +168,10 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	for i := range scalars {
 		scalars[i].Mul(&scalars[i], &negA)
 	}
-	scalars = scalars[:s.n+2*rounds]
+	scalars = scalars[:n+2*rounds]
 	for j := 0; j < rounds; j++ {
-		scalars[s.n+j].Square(&xs[j])
-		scalars[s.n+rounds+j].Square(&xInvs[j])
+		scalars[n+j].Square(&xs[j])
+		scalars[n+rounds+j].Square(&xInvs[j])
 	}
 	bFinal, zp := ff.One(), z
 	for j := rounds - 1; j >= 0; j-- {
@@ -223,7 +190,7 @@ func (s *IPAScheme) Verify(tr *transcript.Transcript, c curve.Affine, z, y ff.El
 	points = append(points, s.basis...)
 	points = append(points, o.L...)
 	points = append(points, o.R...)
-	points = append(points, s.u)
+	points = append(points, ipaAnchor())
 	check := curve.MSM(points, scalars)
 	cj := c.ToJac()
 	check.AddAssign(&cj)

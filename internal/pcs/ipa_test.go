@@ -17,15 +17,16 @@ import (
 // and R as MSMs over the folded points. Kept as the reference Open must
 // match point for point.
 func openFolding(s *IPAScheme, tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
-	a := make([]ff.Element, s.n)
+	u := ipaAnchor()
+	a := make([]ff.Element, len(s.basis))
 	copy(a, p)
-	b := make([]ff.Element, s.n)
+	b := make([]ff.Element, len(s.basis))
 	acc := ff.One()
 	for i := range b {
 		b[i] = acc
 		acc.Mul(&acc, &z)
 	}
-	g := make([]curve.Jac, s.n)
+	g := make([]curve.Jac, len(s.basis))
 	for i := range g {
 		g[i] = s.basis[i].ToJac()
 	}
@@ -34,17 +35,17 @@ func openFolding(s *IPAScheme, tr *transcript.Transcript, p []ff.Element, z ff.E
 		return curve.ScalarMul(&a, e)
 	}
 
-	rounds := bits.TrailingZeros(uint(s.n))
+	rounds := bits.TrailingZeros(uint(len(s.basis)))
 	proof := &Opening{L: make([]curve.Affine, 0, rounds), R: make([]curve.Affine, 0, rounds)}
-	for n := s.n; n > 1; n /= 2 {
+	for n := len(s.basis); n > 1; n /= 2 {
 		h := n / 2
 		cl := innerProduct(a[:h], b[h:n])
 		cr := innerProduct(a[h:n], b[:h])
 		l := curve.MSM(curve.BatchToAffine(g[h:n]), a[:h])
-		t := curve.ScalarMul(&s.u, &cl)
+		t := curve.ScalarMul(&u, &cl)
 		l.AddAssign(&t)
 		r := curve.MSM(curve.BatchToAffine(g[:h]), a[h:n])
-		t = curve.ScalarMul(&s.u, &cr)
+		t = curve.ScalarMul(&u, &cr)
 		r.AddAssign(&t)
 
 		la, ra := l.ToAffine(), r.ToAffine()

@@ -58,13 +58,8 @@ func column(shape string, n int) []ff.Element {
 
 // lagrangeOf returns s's Lagrange basis slot for the size-n domain.
 func lagrangeOf(s Scheme, n int) *lagrangeBasis {
-	switch s := s.(type) {
-	case *KZGScheme:
-		return s.lagrange(n)
-	case *IPAScheme:
-		return s.lagrange(n)
-	}
-	panic("pcs: no Lagrange basis for this scheme")
+	p := prefixOf(s)
+	return p.setup.lagrangeBasis(p.basis[:n])
 }
 
 // TestCommitLagrangeMatchesCoefficientCommit pins the tentpole invariant:
@@ -115,15 +110,16 @@ func TestLagrangeBasisIsSuffixSums(t *testing.T) {
 	const n = 64
 	d := poly.NewDomain(n)
 	omega := d.Elements()
-	k := NewKZG(n)
-	c := poly.VanishingEval(n, k.tau)
+	k, tau := NewKZG(n), kzgTau()
+	c := poly.VanishingEval(n, tau)
 	c.Mul(&c, &d.NInv)
-	kzgMu.Lock()
-	comb := generatorComb()
-	kzgMu.Unlock()
+	kzgSetup := &setups[KZG]
+	kzgSetup.mu.Lock()
+	comb := kzgSetup.generatorComb()
+	kzgSetup.mu.Unlock()
 	kzgPoint := func(i int) curve.Affine {
 		var li ff.Element
-		li.Sub(&k.tau, &omega[i])
+		li.Sub(&tau, &omega[i])
 		li.Inverse(&li)
 		li.Mul(&li, &omega[i])
 		li.Mul(&li, &c)

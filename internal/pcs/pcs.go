@@ -4,6 +4,9 @@
 // verification). The Plonkish prover batches many polynomial openings per
 // point via random linear combination, so each backend only needs
 // single-polynomial, single-point open/verify.
+//
+// Each backend's setup lives in one process-wide record (srs.go) that both
+// schemes commit through; the backend files keep Open and Verify.
 package pcs
 
 import (

@@ -47,9 +47,10 @@ func TestImportedPowersCommitLagrange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kzgMu.Lock()
-	kzgTable = nil // as in a process that has only imported
-	kzgMu.Unlock()
+	kzgSetup := &setups[KZG]
+	kzgSetup.mu.Lock()
+	kzgSetup.comb = nil // as in a process that has only imported
+	kzgSetup.mu.Unlock()
 	ResetLagrangeBases()
 
 	before := SetupWorkSnapshot()
@@ -69,6 +70,46 @@ func TestImportedPowersCommitLagrange(t *testing.T) {
 	}
 	if d := SetupWorkSnapshot().Sub(before); d.KZGCombBuilds != 1 || d.KZGLagrangeDerived != n {
 		t.Fatalf("first Lagrange commit after install: %+v, want one comb build and %d derived points", d, n)
+	}
+}
+
+// TestInstallSRSKeepsNoCallerArray: an install longer than the process's
+// setup must not leave the process basis in the caller's array, where the
+// next growth would append into it — over the caller's spare capacity on
+// KZG, over the anchor that follows the basis on IPA.
+func TestInstallSRSKeepsNoCallerArray(t *testing.T) {
+	g := curve.Generator()
+	for _, b := range []Backend{KZG, IPA} {
+		s := &setups[b]
+		s.mu.Lock()
+		m := len(s.basis)
+		pts := append(make([]curve.Affine, 0, 2*m+8), s.basis...)
+		s.mu.Unlock()
+		// The process's basis, one point past it, then IPA's anchor.
+		if b == KZG {
+			tau := kzgTau()
+			var tm ff.Element
+			tm.ExpUint64(&tau, uint64(m))
+			pts = append(pts, curve.ScalarMul(&g, &tm).ToAffine())
+		} else {
+			pts = append(pts, curve.HashToCurve("ipa-basis", m), ipaAnchor())
+		}
+		whole := pts[:cap(pts)]
+		for i := len(pts); i < len(whole); i++ {
+			whole[i] = g
+		}
+		want := append([]curve.Affine(nil), whole...)
+		if err := InstallSRS(b, pts); err != nil {
+			t.Fatalf("%v install: %v", b, err)
+		}
+		if _, err := New(b, m+2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range whole {
+			if !whole[i].Equal(&want[i]) {
+				t.Fatalf("%v: growth after an install of %d points overwrote the caller's point %d", b, len(pts), i)
+			}
+		}
 	}
 }
 

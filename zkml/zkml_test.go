@@ -80,6 +80,10 @@ func TestMalformedModelsRejected(t *testing.T) {
 		{"fc weight mismatch", file("[1,3]", `{"op":"fc","inputs":["x"],"output":"y","weight":"w"}`), true},
 		{"add operands do not broadcast", file("[2,3]", `{"op":"reduce_sum","inputs":["x"],"output":"z"},`+
 			`{"op":"add","inputs":["x","z"],"output":"y"}`), true},
+		{"add operands of one size, transposed", file("[2,3]", `{"op":"transpose","inputs":["x"],"output":"t","perm":[1,0]},`+
+			`{"op":"add","inputs":["x","t"],"output":"y"}`), true},
+		{"add [1,6] operand into [6]", file("[6]", `{"op":"reshape","inputs":["x"],"output":"r","shape":[1,6]},`+
+			`{"op":"add","inputs":["x","r"],"output":"y"}`), true},
 		{"embed id past the table", file("[1,4]", `{"op":"embed","inputs":["ids"],"output":"y","weight":"e"}`), true},
 		{"layer_norm gamma too long", file("[2,3]", `{"op":"layer_norm","inputs":["x"],"output":"y","weight":"g"}`), true},
 		{"reshape 6 to 8", file("[2,3]", `{"op":"reshape","inputs":["x"],"output":"y","shape":[4,2]}`), true},
