@@ -51,6 +51,8 @@ RACE_PKGS = ./internal/parallel/ ./internal/poly/ ./internal/curve/ ./internal/p
 # test` allows one -fuzz pattern per invocation, so fuzz-smoke loops. The
 # list must name every `func Fuzz*` in a *_test.go file: fuzz-smoke checks
 # that first, so a renamed or new target cannot silently drop out.
+# Minimizing a new input is capped at 20 runs: the default 60 s cap would
+# spend the whole fuzz time on one input.
 FUZZ_TARGETS = \
 	./internal/core/:FuzzDecodeArtifact \
 	./internal/pcs/:FuzzImportSRS \
@@ -81,7 +83,7 @@ fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%:*}; target=$${t#*:}; \
 		echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 20x $$pkg || exit 1; \
 	done
 
 fmt:

@@ -77,8 +77,12 @@ type ArtifactFile struct {
 	Config   gadgets.Config
 	Cost     float64
 	VKDigest [32]byte
-	Material plonkish.KeyMaterial
-	SRS      []curve.Affine
+	// FixedCommits / SigmaCommits are the verifying key's commitments: one
+	// per fixed column (the circuit's, then q_active, l_0, l_u) and one per
+	// permutation column's sigma.
+	FixedCommits []curve.Affine
+	SigmaCommits []curve.Affine
+	SRS          []curve.Affine
 }
 
 // EncodeArtifact serializes a compiled plan and its keys.
@@ -91,7 +95,8 @@ func EncodeArtifact(meta ArtifactMeta, p *Plan, keys *Keys) ([]byte, error) {
 		return nil, err
 	}
 	af := &ArtifactFile{Meta: meta, Backend: p.Backend, Config: p.Config, Cost: p.Cost,
-		VKDigest: [32]byte(keys.VK.Digest()), Material: *keys.PK.Material(), SRS: srs}
+		VKDigest: [32]byte(keys.VK.Digest()), FixedCommits: keys.VK.FixedCommits,
+		SigmaCommits: keys.VK.SigmaCommits, SRS: srs}
 	return af.encode(), nil
 }
 
@@ -113,7 +118,7 @@ func (af *ArtifactFile) encode() []byte {
 	}
 	w.U64(math.Float64bits(af.Cost))
 	w.Raw(af.VKDigest[:])
-	for _, pts := range [][]curve.Affine{af.Material.FixedCommits, af.Material.SigmaCommits, af.SRS} {
+	for _, pts := range [][]curve.Affine{af.FixedCommits, af.SigmaCommits, af.SRS} {
 		w.Points(pts)
 	}
 	return w.Bytes()
@@ -140,8 +145,8 @@ func DecodeArtifact(data []byte) (*ArtifactFile, error) {
 	cfg.MultiMax, cfg.MultiDot = r.Bool("MultiMax"), r.Bool("MultiDot")
 	af.Cost = math.Float64frombits(r.U64("cost"))
 	copy(af.VKDigest[:], r.Next(32, "VK digest"))
-	af.Material.FixedCommits = r.Points("fixed commitment")
-	af.Material.SigmaCommits = r.Points("sigma commitment")
+	af.FixedCommits = r.Points("fixed commitment")
+	af.SigmaCommits = r.Points("sigma commitment")
 	af.SRS = r.Points("SRS point")
 	if err := r.Close(); err != nil {
 		return nil, err
@@ -194,47 +199,48 @@ func (af *ArtifactFile) plan(g *model.Graph, sample *model.Input, art *gadgets.A
 	return &Plan{Graph: g, Sample: sample, Candidate: cand, Backend: af.Backend}
 }
 
-// checkDigest verifies the reconstructed verifying key against the digest
-// stored at save time, binding the material to the exact circuit.
-func (af *ArtifactFile) checkDigest(vk *plonkish.VerifyingKey) error {
-	if !bytes.Equal(vk.Digest(), af.VKDigest[:]) {
-		return errArtifact("verifying-key digest mismatch: artifact does not match this model")
-	}
-	return nil
-}
-
-// Instantiate rebuilds a full proving system from the artifact: the circuit
-// and fixed values are re-synthesized from the model and interpolated
-// (cheap), the SRS is imported, and the keys take the stored commitments —
-// no optimizer sweep, no keygen MSMs, no SRS extension.
-func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
+// verifier rebuilds the circuit and its verifying key from the stored
+// commitments, and checks the key against the digest stored at save time,
+// which binds the commitments to the exact circuit. It interpolates nothing
+// and runs no MSM, so a tampered artifact is rejected before any key column
+// is touched.
+func (af *ArtifactFile) verifier(g *model.Graph, sample *model.Input) (*gadgets.Artifact, *plonkish.VerifyingKey, error) {
 	art, err := af.rebuild(g, sample)
 	if err != nil {
 		return nil, nil, err
 	}
-	pk, vk, err := plonkish.SetupFromMaterial(art.CS, art.N, art.Fixed, af.Backend, &af.Material)
+	vk, err := plonkish.SetupVK(art.CS, art.N, af.Backend, af.FixedCommits, af.SigmaCommits)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := af.checkDigest(vk); err != nil {
+	if !bytes.Equal(vk.Digest(), af.VKDigest[:]) {
+		return nil, nil, errArtifact("verifying-key digest mismatch: artifact does not match this model")
+	}
+	return art, vk, nil
+}
+
+// Instantiate rebuilds a full proving system from the artifact: the
+// verifying key as InstantiateVerifier builds it, completed into a proving
+// key from the re-synthesized fixed values (one IFFT per column) — no
+// optimizer sweep, no keygen MSMs, no SRS extension.
+func (af *ArtifactFile) Instantiate(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
+	art, vk, err := af.verifier(g, sample)
+	if err != nil {
+		return nil, nil, err
+	}
+	pk, err := vk.ProvingKey(art.Fixed)
+	if err != nil {
 		return nil, nil, err
 	}
 	return af.plan(g, sample, art), &Keys{PK: pk, VK: vk}, nil
 }
 
-// InstantiateVerifier rebuilds a verification-only system: same circuit
-// re-synthesis, but the keys carry only the verifying side (Keys.PK is nil)
-// and the path performs no interpolation or MSM work at all.
+// InstantiateVerifier rebuilds a verification-only system: the circuit is
+// re-synthesized and the verifying key takes the stored commitments (Keys.PK
+// is nil). The path performs no interpolation or MSM work at all.
 func (af *ArtifactFile) InstantiateVerifier(g *model.Graph, sample *model.Input) (*Plan, *Keys, error) {
-	art, err := af.rebuild(g, sample)
+	art, vk, err := af.verifier(g, sample)
 	if err != nil {
-		return nil, nil, err
-	}
-	vk, err := plonkish.SetupVK(art.CS, art.N, af.Backend, &af.Material)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := af.checkDigest(vk); err != nil {
 		return nil, nil, err
 	}
 	return af.plan(g, sample, art), &Keys{VK: vk}, nil

@@ -13,7 +13,9 @@ import (
 	"repro/internal/curve"
 	"repro/internal/fixedpoint"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 	"repro/internal/zkerrors"
 )
 
@@ -62,8 +64,8 @@ func artifactFor(tb testing.TB, backend pcs.Backend) *artifactFixture {
 
 // TestArtifactRejectsTamperedCommitment: a stored commitment that decodes
 // to a valid point but is not the column's commitment is caught by the
-// verifying-key digest on both load paths, and an artifact of an older
-// version is rejected by the magic rather than half-decoded.
+// verifying-key digest on both load paths before any FFT, and an artifact of
+// an older version is rejected by the magic rather than half-decoded.
 func TestArtifactRejectsTamperedCommitment(t *testing.T) {
 	fx := artifactFor(t, pcs.KZG)
 	data := fx.data
@@ -79,14 +81,27 @@ func TestArtifactRejectsTamperedCommitment(t *testing.T) {
 	}
 
 	gen := curve.Generator()
-	c := af.Material.FixedCommits[0].ToJac()
+	c := af.FixedCommits[0].ToJac()
 	c.AddMixed(&gen)
-	af.Material.FixedCommits[0] = c.ToAffine()
-	if _, _, err := af.Instantiate(fx.g, fx.in); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-		t.Fatalf("Instantiate with a tampered commitment: got %v, want ErrMalformedArtifact", err)
-	}
-	if _, _, err := af.InstantiateVerifier(fx.g, fx.in); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-		t.Fatalf("InstantiateVerifier with a tampered commitment: got %v, want ErrMalformedArtifact", err)
+	af.FixedCommits[0] = c.ToAffine()
+	for name, load := range map[string]func(*model.Graph, *model.Input) (*Plan, *Keys, error){
+		"Instantiate":         af.Instantiate,
+		"InstantiateVerifier": af.InstantiateVerifier,
+	} {
+		var counters obs.KernelCounters
+		prev := poly.SetKernelTrace(&counters)
+		_, _, err := load(fx.g, fx.in)
+		poly.SetKernelTrace(prev)
+		if !errors.Is(err, zkerrors.ErrMalformedArtifact) {
+			t.Fatalf("%s with a tampered commitment: got %v, want ErrMalformedArtifact", name, err)
+		}
+		var ffts int64
+		for i := range counters.FFT {
+			ffts += counters.FFT[i].Load()
+		}
+		if ffts != 0 {
+			t.Fatalf("%s ran %d FFTs before rejecting a tampered commitment, want 0", name, ffts)
+		}
 	}
 
 	for _, v := range []byte{1, 2} {

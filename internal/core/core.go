@@ -321,18 +321,7 @@ type Proof struct {
 // Prove synthesizes the witness for an input and produces a proof plus the
 // public values.
 func (p *Plan) Prove(keys *Keys, in *model.Input) (*Proof, error) {
-	if keys == nil || keys.PK == nil {
-		return nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
-	}
-	art, err := p.Synthesize(in)
-	if err != nil {
-		return nil, err
-	}
-	proof, err := plonkish.Prove(keys.PK, art.Instance, art.Witness)
-	if err != nil {
-		return nil, err
-	}
-	return &Proof{Proof: proof, Instance: art.Instance}, nil
+	return p.prove(keys, in, nil)
 }
 
 // ProveTraced is Prove with stage-level observability: it returns the
@@ -341,19 +330,28 @@ func (p *Plan) Prove(keys *Keys, in *model.Input) (*Proof, error) {
 // covers only the plonkish proving pipeline; witness synthesis happens
 // before tracing starts.
 func (p *Plan) ProveTraced(keys *Keys, in *model.Input) (*Proof, *obs.Report, error) {
+	trace := obs.NewTrace()
+	proof, err := p.prove(keys, in, trace)
+	if err != nil {
+		return nil, nil, err
+	}
+	return proof, trace.Report(), nil
+}
+
+// prove is Prove and ProveTraced: a nil trace records nothing.
+func (p *Plan) prove(keys *Keys, in *model.Input, trace *obs.Trace) (*Proof, error) {
 	if keys == nil || keys.PK == nil {
-		return nil, nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
+		return nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
 	}
 	art, err := p.Synthesize(in)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	trace := obs.NewTrace()
 	proof, err := plonkish.ProveTraced(keys.PK, art.Instance, art.Witness, trace)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Proof{Proof: proof, Instance: art.Instance}, trace.Report(), nil
+	return &Proof{Proof: proof, Instance: art.Instance}, nil
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the

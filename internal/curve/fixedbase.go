@@ -178,8 +178,7 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 // buckets (the table entries are pre-scaled by 2^(c·w)), then one
 // running-sum reduction yields the range's partial sum.
 func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
-	half := 1 << uint(t.c-1)
-	a := newBatchAdder(half)
+	a := newBatchAdder(1 << uint(t.c-1))
 	row := make([]int32, t.nw)
 	for i := lo; i < hi; i++ {
 		for h := 0; h < 2; h++ {
@@ -208,13 +207,5 @@ func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
 			}
 		}
 	}
-	a.flushAll()
-	var running, sum Jac
-	for b := half - 1; b >= 0; b-- {
-		if !a.buckets[b].Inf {
-			running.AddMixed(&a.buckets[b])
-		}
-		sum.AddAssign(&running)
-	}
-	return sum
+	return a.reduce()
 }

@@ -414,28 +414,5 @@ func msmGLV(points []Affine, scalars []ff.Element) Jac {
 		expand(0, n)
 	}
 
-	sums := make([]Jac, nw)
-	window := func(w int) {
-		if half := 1 << uint(c-1); half >= msmAffineMinBuckets {
-			sums[w] = windowSumAffine(pts2, digits, w, nw, c)
-		} else {
-			sums[w] = windowSumJac(pts2, digits, w, nw, c)
-		}
-	}
-	if n >= msmParallelMin && parallel.Workers() > 1 {
-		parallel.For(nw, window)
-	} else {
-		for w := 0; w < nw; w++ {
-			window(w)
-		}
-	}
-
-	total := sums[nw-1]
-	for w := nw - 2; w >= 0; w-- {
-		for i := 0; i < c; i++ {
-			total.Double()
-		}
-		total.AddAssign(&sums[w])
-	}
-	return total
+	return windowedSum(pts2, digits, c, nw, n >= msmParallelMin)
 }

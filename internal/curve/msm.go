@@ -98,7 +98,15 @@ func msmPlain(points []Affine, scalars []ff.Element) Jac {
 	c := windowSize(n)
 	nw := NumWindows(c)
 	digits := signedDigits(scalars, c, nw)
+	return windowedSum(points, digits, c, nw, n >= msmParallelMin)
+}
 
+// windowedSum runs one bucket pass per signed window of digits (point i's
+// window-w digit at digits[i*nw+w]), across workers when par is set, and
+// combines the window sums Horner-style, high window first:
+// total = sum_w 2^(cw) · sums[w]. The combine is serial and in fixed order,
+// so the result is bit-identical at every worker count.
+func windowedSum(points []Affine, digits []int32, c, nw int, par bool) Jac {
 	sums := make([]Jac, nw)
 	window := func(w int) {
 		if half := 1 << uint(c-1); half >= msmAffineMinBuckets {
@@ -107,15 +115,13 @@ func msmPlain(points []Affine, scalars []ff.Element) Jac {
 			sums[w] = windowSumJac(points, digits, w, nw, c)
 		}
 	}
-	if n >= msmParallelMin && parallel.Workers() > 1 {
+	if par && parallel.Workers() > 1 {
 		parallel.For(nw, window)
 	} else {
 		for w := 0; w < nw; w++ {
 			window(w)
 		}
 	}
-
-	// Horner combine, high window first: total = sum_w 2^(cw) · sums[w].
 	total := sums[nw-1]
 	for w := nw - 2; w >= 0; w-- {
 		for i := 0; i < c; i++ {
@@ -232,8 +238,7 @@ func bucketReduce(buckets []Jac) Jac {
 // windowSumAffine accumulates one window's buckets in affine coordinates
 // through a batchAdder, then reduces them with the running-sum trick.
 func windowSumAffine(points []Affine, digits []int32, w, nw, c int) Jac {
-	half := 1 << uint(c-1)
-	a := newBatchAdder(half)
+	a := newBatchAdder(1 << uint(c-1))
 	for i := range points {
 		d := digits[i*nw+w]
 		if d == 0 {
@@ -245,15 +250,7 @@ func windowSumAffine(points []Affine, digits []int32, w, nw, c int) Jac {
 			a.add(int(-d-1), points[i].Neg())
 		}
 	}
-	a.flushAll()
-	var running, sum Jac
-	for i := half - 1; i >= 0; i-- {
-		if !a.buckets[i].Inf {
-			running.AddMixed(&a.buckets[i])
-		}
-		sum.AddAssign(&running)
-	}
-	return sum
+	return a.reduce()
 }
 
 // batchOp is one pending affine bucket addition.
@@ -446,4 +443,18 @@ func (a *batchAdder) flushAll() {
 	for len(a.ops) > 0 || len(a.pairs) > 0 || len(a.pendIdx) > 0 {
 		a.flushOnce()
 	}
+}
+
+// reduce drains every pending op and returns sum_b (b+1)·buckets[b] with the
+// running-sum trick.
+func (a *batchAdder) reduce() Jac {
+	a.flushAll()
+	var running, sum Jac
+	for b := len(a.buckets) - 1; b >= 0; b-- {
+		if !a.buckets[b].Inf {
+			running.AddMixed(&a.buckets[b])
+		}
+		sum.AddAssign(&running)
+	}
+	return sum
 }

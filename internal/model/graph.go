@@ -98,10 +98,9 @@ type Graph struct {
 // else, and no output names one. The rest is checked where the graph runs,
 // by both executors alike, before a node's op: operand ranks, shape-op
 // fields, broadcasts, and each op entry's fit of the operands to each other
-// and to the node's weights (an embed's ids must index its table). A
-// convolution kernel or pool window larger than its input is still caught
-// only by the circuit layers (ROADMAP 2(e)). All failures wrap
-// zkerrors.ErrMalformedModel.
+// and to the node's weights (an embed's ids must index its table, a
+// valid-padded convolution kernel and a pool window must fit inside their
+// input). All failures wrap zkerrors.ErrMalformedModel.
 func (g *Graph) Validate() error {
 	avail, ids := map[string]bool{}, map[string]bool{}
 	for i, in := range g.Inputs {

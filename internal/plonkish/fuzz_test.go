@@ -83,30 +83,30 @@ func FuzzProofUnmarshal(f *testing.F) {
 	})
 }
 
-// materialFuzzBytes lays key material out as FuzzKeyMaterialUnmarshal reads
-// it: a backend byte, the fixed-commitment count, then every fixed and sigma
-// commitment's 32-byte encoding.
-func materialFuzzBytes(b pcs.Backend, m *KeyMaterial) []byte {
-	out := []byte{byte(b), byte(len(m.FixedCommits))}
-	for _, c := range append(append([]curve.Affine(nil), m.FixedCommits...), m.SigmaCommits...) {
+// materialFuzzBytes lays a verifying key's commitments out as
+// FuzzKeyMaterialUnmarshal reads them: a backend byte, the fixed-commitment
+// count, then every fixed and sigma commitment's 32-byte encoding.
+func materialFuzzBytes(b pcs.Backend, vk *VerifyingKey) []byte {
+	out := []byte{byte(b), byte(len(vk.FixedCommits))}
+	for _, c := range append(append([]curve.Affine(nil), vk.FixedCommits...), vk.SigmaCommits...) {
 		enc := c.Bytes()
 		out = append(out, enc[:]...)
 	}
 	return out
 }
 
-// FuzzKeyMaterialUnmarshal turns arbitrary bytes into key material — the
-// commitments a stored artifact hands to the key builders once core has
-// decoded its points — and rebuilds both keys for the test circuit from it.
-// Neither builder may panic, every rejection must wrap ErrMalformedArtifact,
-// and an accepted material must bind the keys: the verify-only and full keys
-// share one digest, which equals the fixture's exactly when the commitments
-// do, so a tampered commitment cannot pass the loader's digest check.
+// FuzzKeyMaterialUnmarshal turns arbitrary bytes into key commitments — what
+// a stored artifact hands to SetupVK once core has decoded its points — and
+// builds both key layers for the test circuit from them. Neither may panic,
+// every rejection must wrap ErrMalformedArtifact, accepted commitments must
+// complete into a proving key over the same verifying key, and that key's
+// digest equals the fixture's exactly when the commitments do, so a tampered
+// commitment cannot pass the loader's digest check.
 func FuzzKeyMaterialUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(pcs.KZG), 0})
 	for _, b := range []pcs.Backend{pcs.KZG, pcs.IPA} {
-		f.Add(materialFuzzBytes(b, fixture(f, b).pk.Material()))
+		f.Add(materialFuzzBytes(b, fixture(f, b).vk))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || (len(data)-2)%32 != 0 {
@@ -123,25 +123,23 @@ func FuzzKeyMaterialUnmarshal(f *testing.F) {
 		if nf > len(pts) {
 			return
 		}
-		m := &KeyMaterial{FixedCommits: pts[:nf], SigmaCommits: pts[nf:]}
 		fx := fixture(t, b)
-		vk, err := SetupVK(fx.vk.CS, fx.vk.N, b, m)
-		_, full, ferr := SetupFromMaterial(fx.vk.CS, fx.vk.N, testFixed(fx.vk.N), b, m)
-		if (err == nil) != (ferr == nil) {
-			t.Fatalf("key builders disagree on the material: verify-only %v, full %v", err, ferr)
-		}
+		vk, err := SetupVK(fx.vk.CS, fx.vk.N, b, pts[:nf], pts[nf:])
 		if err != nil {
-			if !errors.Is(err, zkerrors.ErrMalformedArtifact) || !errors.Is(ferr, zkerrors.ErrMalformedArtifact) {
-				t.Fatalf("rejection does not wrap ErrMalformedArtifact: %v / %v", err, ferr)
+			if !errors.Is(err, zkerrors.ErrMalformedArtifact) {
+				t.Fatalf("rejection does not wrap ErrMalformedArtifact: %v", err)
 			}
 			return
 		}
-		if !bytes.Equal(vk.Digest(), full.Digest()) {
-			t.Fatal("verify-only and full keys built from one material have different digests")
+		full, err := vk.ProvingKey(testFixed(fx.vk.N))
+		if err != nil {
+			t.Fatalf("accepted commitments do not complete a proving key: %v", err)
 		}
-		want := fx.pk.Material()
+		if full.VK != vk {
+			t.Fatal("the proving key does not carry the verifying key it completed")
+		}
 		same := true
-		for i, c := range append(append([]curve.Affine(nil), want.FixedCommits...), want.SigmaCommits...) {
+		for i, c := range append(append([]curve.Affine(nil), fx.vk.FixedCommits...), fx.vk.SigmaCommits...) {
 			same = same && c.Equal(&pts[i])
 		}
 		if bytes.Equal(vk.Digest(), fx.vk.Digest()) != same {

@@ -13,7 +13,9 @@ import (
 
 // ProvingKey holds everything the prover needs: the circuit, the fixed
 // column values and polynomials, the permutation sigmas, the compiled
-// constraint and lookup programs, and the commitment scheme.
+// constraint and lookup programs, and the commitment scheme. It is always
+// completed from its verifying key ((*VerifyingKey).ProvingKey), whose
+// quotient program, queries and scheme it shares.
 type ProvingKey struct {
 	CS *CS
 	N  int // rows (power of two)
@@ -71,8 +73,8 @@ func phiCol(k int) Col   { return Col{Kind: LookupPhi, Index: k} }
 func zCol(j int) Col     { return Col{Kind: PermZ, Index: j} }
 func sigmaCol(i int) Col { return Col{Kind: PermSigma, Index: i} }
 
-// validateShape checks the circuit/row-count invariants shared by every
-// setup path (full keygen, material-based setup, VK-only setup).
+// validateShape checks the circuit/row-count invariants every key is built
+// on.
 func validateShape(cs *CS, n int) error {
 	if err := cs.Validate(); err != nil {
 		return err
@@ -99,81 +101,20 @@ func validateShape(cs *CS, n int) error {
 	return nil
 }
 
-// setupSkeleton builds the parts of a proving key that are cheap and
-// deterministic from the circuit shape: domains, the commitment scheme, the
-// fixed-column values (circuit columns plus the internal q_active/l_0/l_u),
-// the permutation sigma values, and the compiled constraint and lookup
-// programs. It does no polynomial interpolation (interpolateColumns) and no
-// commitment MSMs — those are performed by Setup or supplied from persisted
-// KeyMaterial.
-func setupSkeleton(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKey, error) {
-	if len(fixed) != cs.NumFixed {
-		return nil, fmt.Errorf("plonkish: got %d fixed columns, want %d", len(fixed), cs.NumFixed)
-	}
-	u := n - ZKRows
-	pk := &ProvingKey{CS: cs, N: n, U: u}
-	pk.Domain = poly.NewDomain(n)
-	pk.DMax = cs.Degree()
-	pk.ExtDomain = poly.NewDomain(ExtDomainSize(n, pk.DMax))
-
-	scheme, err := pcs.New(backend, n)
-	if err != nil {
-		return nil, err
-	}
-	pk.Scheme = scheme
-
-	// Internal fixed columns.
-	pk.FixedVals = make([][]ff.Element, cs.NumFixed+3)
-	for i, col := range fixed {
-		if len(col) != n {
-			return nil, fmt.Errorf("plonkish: fixed column %d has %d rows, want %d", i, len(col), n)
-		}
-		pk.FixedVals[i] = col
-	}
-	qa := make([]ff.Element, n)
-	for r := 0; r < u; r++ {
-		qa[r] = ff.One()
-	}
-	l0 := make([]ff.Element, n)
-	l0[0] = ff.One()
-	lu := make([]ff.Element, n)
-	lu[u] = ff.One()
-	pk.FixedVals[cs.NumFixed] = qa
-	pk.FixedVals[cs.NumFixed+1] = l0
-	pk.FixedVals[cs.NumFixed+2] = lu
-
-	// Sigma values from the copy constraints.
-	pk.SigmaVals, err = buildSigmas(cs, cs.PermCols(), n, u)
-	if err != nil {
-		return nil, err
-	}
-
-	pk.Quotient, pk.Queries = compileConstraints(cs, u)
-	pk.LookupInputs = compileLookupInputs(cs)
-	return pk, nil
-}
-
-// finishKeys assembles the verifying key and links it into the proving key.
-func finishKeys(pk *ProvingKey, fixedCommits, sigmaCommits []curve.Affine) (*ProvingKey, *VerifyingKey, error) {
-	vk := &VerifyingKey{
-		CS: pk.CS, N: pk.N, U: pk.U, DMax: pk.DMax,
-		FixedCommits: fixedCommits,
-		SigmaCommits: sigmaCommits,
-		Quotient:     pk.Quotient,
-		Queries:      pk.Queries,
-		Scheme:       pk.Scheme,
-	}
-	pk.VK = vk
-	return pk, vk, nil
-}
-
 // Setup generates the proving and verifying keys for a circuit with n rows
-// and the given fixed-column values (length cs.NumFixed, each of length n).
+// and the given fixed-column values (length cs.NumFixed, each of length n):
+// it commits every key column, builds the verifying key over the
+// commitments (SetupVK), and completes the proving key from the same column
+// values.
 func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKey, *VerifyingKey, error) {
 	if err := validateShape(cs, n); err != nil {
 		return nil, nil, err
 	}
-	pk, err := setupSkeleton(cs, n, fixed, backend)
+	cols, err := keyColumns(cs, n, fixed)
+	if err != nil {
+		return nil, nil, err
+	}
+	scheme, err := pcs.New(backend, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,34 +124,50 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 	// the whole worker pool; made inside the fan-out over columns it would
 	// run on one worker (nested parallel calls run inline) while the others
 	// wait on it, about +0.5 s of IPA keygen at 2^11 on two cores.
-	cols := keyColumns(pk)
 	commits := make([]curve.Affine, len(cols))
-	commits[0] = pk.Scheme.CommitLagrange(cols[0])
+	commits[0] = scheme.CommitLagrange(cols[0])
 	parallel.For(len(cols)-1, func(i int) {
-		commits[i+1] = pk.Scheme.CommitLagrange(cols[i+1])
+		commits[i+1] = scheme.CommitLagrange(cols[i+1])
 	})
-	interpolateColumns(pk)
-	nf := len(pk.FixedVals)
-	return finishKeys(pk, commits[:nf:nf], commits[nf:])
+	nf := numKeyFixed(cs)
+	vk, err := SetupVK(cs, n, backend, commits[:nf:nf], commits[nf:])
+	if err != nil {
+		return nil, nil, err
+	}
+	return vk.complete(cols), vk, nil
 }
 
-// keyColumns returns the key's fixed columns, then its sigma columns, as
-// values over the domain.
-func keyColumns(pk *ProvingKey) [][]ff.Element {
-	return append(append([][]ff.Element(nil), pk.FixedVals...), pk.SigmaVals...)
-}
+// numKeyFixed is the key's fixed-column count: the circuit's own, then
+// q_active, l_0 and l_u.
+func numKeyFixed(cs *CS) int { return cs.NumFixed + 3 }
 
-// interpolateColumns fills the key's coefficient-form fixed and sigma
-// columns: one IFFT per column, fanned out across columns.
-func interpolateColumns(pk *ProvingKey) {
-	cols := keyColumns(pk)
-	polys := make([][]ff.Element, len(cols))
-	parallel.For(len(cols), func(i int) {
-		polys[i] = append([]ff.Element(nil), cols[i]...)
-		pk.Domain.IFFT(polys[i])
-	})
-	nf := len(pk.FixedVals)
-	pk.FixedPolys, pk.SigmaPolys = polys[:nf:nf], polys[nf:]
+// keyColumns returns the values over the n-row domain of every key column:
+// the circuit's fixed columns, the internal q_active, l_0 and l_u, then one
+// sigma per permutation column.
+func keyColumns(cs *CS, n int, fixed [][]ff.Element) ([][]ff.Element, error) {
+	if len(fixed) != cs.NumFixed {
+		return nil, fmt.Errorf("plonkish: got %d fixed columns, want %d", len(fixed), cs.NumFixed)
+	}
+	for i, col := range fixed {
+		if len(col) != n {
+			return nil, fmt.Errorf("plonkish: fixed column %d has %d rows, want %d", i, len(col), n)
+		}
+	}
+	u := n - ZKRows
+	qa := make([]ff.Element, n)
+	for r := 0; r < u; r++ {
+		qa[r] = ff.One()
+	}
+	l0 := make([]ff.Element, n)
+	l0[0] = ff.One()
+	lu := make([]ff.Element, n)
+	lu[u] = ff.One()
+	sigmas, err := buildSigmas(cs, cs.PermCols(), n, u)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([][]ff.Element, 0, numKeyFixed(cs)+len(sigmas))
+	return append(append(append(cols, fixed...), qa, l0, lu), sigmas...), nil
 }
 
 // Digest returns a hash of the verifying key, absorbed into the transcript:

@@ -5,75 +5,31 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/parallel"
 	"repro/internal/pcs"
+	"repro/internal/poly"
 	"repro/internal/zkerrors"
 )
 
-// KeyMaterial is the expensive numeric output of Setup: the fixed and sigma
-// commitments (the keygen MSMs). Everything else in a proving key — domains,
-// fixed and sigma values, their interpolated polynomials, the compiled
-// constraint programs — is rebuilt from the circuit by the code keygen runs, so
-// supplying this block turns keygen into one IFFT per column. The artifact
-// store (core's ZKMLART format) persists it.
-type KeyMaterial struct {
-	// FixedCommits / SigmaCommits are the verifying key's content: one
-	// commitment per fixed column (circuit fixed columns, then q_active,
-	// l_0, l_u) and one per permutation column's sigma.
-	FixedCommits []curve.Affine
-	SigmaCommits []curve.Affine
-}
+// Keys come in two layers. SetupVK builds the verifying key from the circuit
+// and its column commitments: no column values, no interpolation, no MSM.
+// (*VerifyingKey).ProvingKey completes it with the fixed values: one IFFT per
+// column, no MSM. Setup runs both after committing the columns itself; a
+// stored artifact supplies the commitments instead (DESIGN.md §13).
 
-// Material extracts the persistable key material from a proving key.
-func (pk *ProvingKey) Material() *KeyMaterial {
-	return &KeyMaterial{FixedCommits: pk.VK.FixedCommits, SigmaCommits: pk.VK.SigmaCommits}
-}
-
-// checkMaterialShape verifies that persisted material carries one
-// commitment per column of the circuit it claims to serve.
-func checkMaterialShape(cs *CS, m *KeyMaterial) error {
-	if m == nil {
-		return fmt.Errorf("plonkish: nil key material: %w", zkerrors.ErrMalformedArtifact)
-	}
-	if nf, ns := cs.NumFixed+3, len(cs.PermCols()); len(m.FixedCommits) != nf || len(m.SigmaCommits) != ns {
-		return fmt.Errorf("plonkish: key material has %d fixed and %d sigma commitments, circuit wants %d and %d: %w",
-			len(m.FixedCommits), len(m.SigmaCommits), nf, ns, zkerrors.ErrMalformedArtifact)
-	}
-	return nil
-}
-
-// SetupFromMaterial rebuilds full proving and verifying keys from persisted
-// key material, skipping the commitment MSMs that dominate Setup. The
-// circuit, row count, and fixed values are re-derived by the caller (they
-// are deterministic per model) and interpolated exactly as Setup does; the
-// material supplies only the commitments. Commitments from a different
-// model, layout, or a tampered file are caught by the caller's
-// verifying-key digest check.
-func SetupFromMaterial(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend, m *KeyMaterial) (*ProvingKey, *VerifyingKey, error) {
+// SetupVK builds the verifying key for a circuit with n rows from its
+// fixed-column commitments (the circuit's fixed columns, then q_active, l_0
+// and l_u) and one sigma commitment per permutation column. The commitments
+// are taken as given: a verifying key over the wrong ones carries another
+// Digest, which is what a loader checks. A shape or commitment-count
+// mismatch wraps zkerrors.ErrMalformedArtifact.
+func SetupVK(cs *CS, n int, backend pcs.Backend, fixedCommits, sigmaCommits []curve.Affine) (*VerifyingKey, error) {
 	if err := validateShape(cs, n); err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%w: %w", err, zkerrors.ErrMalformedArtifact)
 	}
-	if err := checkMaterialShape(cs, m); err != nil {
-		return nil, nil, err
-	}
-	pk, err := setupSkeleton(cs, n, fixed, backend)
-	if err != nil {
-		return nil, nil, err
-	}
-	interpolateColumns(pk)
-	return finishKeys(pk, m.FixedCommits, m.SigmaCommits)
-}
-
-// SetupVK builds a verification-only key from persisted material: the
-// commitments come straight from the material and no fixed-column values
-// are needed, so the path performs no interpolation and no MSM work at all
-// — the verify-side answer to Setup's full keygen. The returned key
-// verifies proofs; it cannot prove.
-func SetupVK(cs *CS, n int, backend pcs.Backend, m *KeyMaterial) (*VerifyingKey, error) {
-	if err := validateShape(cs, n); err != nil {
-		return nil, err
-	}
-	if err := checkMaterialShape(cs, m); err != nil {
-		return nil, err
+	if nf, ns := numKeyFixed(cs), len(cs.PermCols()); len(fixedCommits) != nf || len(sigmaCommits) != ns {
+		return nil, fmt.Errorf("plonkish: got %d fixed and %d sigma commitments, circuit wants %d and %d: %w",
+			len(fixedCommits), len(sigmaCommits), nf, ns, zkerrors.ErrMalformedArtifact)
 	}
 	scheme, err := pcs.New(backend, n)
 	if err != nil {
@@ -83,10 +39,49 @@ func SetupVK(cs *CS, n int, backend pcs.Backend, m *KeyMaterial) (*VerifyingKey,
 	quotient, queries := compileConstraints(cs, u)
 	return &VerifyingKey{
 		CS: cs, N: n, U: u, DMax: cs.Degree(),
-		FixedCommits: m.FixedCommits,
-		SigmaCommits: m.SigmaCommits,
+		FixedCommits: fixedCommits,
+		SigmaCommits: sigmaCommits,
 		Quotient:     quotient,
 		Queries:      queries,
 		Scheme:       scheme,
 	}, nil
+}
+
+// ProvingKey completes the verifying key into a proving key from the
+// circuit's fixed-column values (length cs.NumFixed, each of length n). It
+// commits nothing: the values must be the ones the verifying key's
+// commitments were made from, or the proofs will not verify.
+func (vk *VerifyingKey) ProvingKey(fixed [][]ff.Element) (*ProvingKey, error) {
+	cols, err := keyColumns(vk.CS, vk.N, fixed)
+	if err != nil {
+		return nil, err
+	}
+	return vk.complete(cols), nil
+}
+
+// complete builds the proving key over the key columns' values (keyColumns'
+// order): one IFFT per column, fanned out across columns, and the lookup
+// program. The quotient program, queries and scheme are the verifying key's.
+func (vk *VerifyingKey) complete(cols [][]ff.Element) *ProvingKey {
+	dom := poly.NewDomain(vk.N)
+	polys := make([][]ff.Element, len(cols))
+	parallel.For(len(cols), func(i int) {
+		polys[i] = append([]ff.Element(nil), cols[i]...)
+		dom.IFFT(polys[i])
+	})
+	nf := numKeyFixed(vk.CS)
+	return &ProvingKey{
+		CS: vk.CS, N: vk.N, U: vk.U, DMax: vk.DMax,
+		Domain:       dom,
+		ExtDomain:    poly.NewDomain(ExtDomainSize(vk.N, vk.DMax)),
+		FixedVals:    cols[:nf:nf],
+		FixedPolys:   polys[:nf:nf],
+		SigmaVals:    cols[nf:],
+		SigmaPolys:   polys[nf:],
+		Quotient:     vk.Quotient,
+		LookupInputs: compileLookupInputs(vk.CS),
+		Queries:      vk.Queries,
+		Scheme:       vk.Scheme,
+		VK:           vk,
+	}
 }

@@ -56,34 +56,36 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Copies, so nothing below can lean on sharing the original key's slices.
-		m := KeyMaterial{
-			FixedCommits: append([]curve.Affine(nil), pk.Material().FixedCommits...),
-			SigmaCommits: append([]curve.Affine(nil), pk.Material().SigmaCommits...),
-		}
+		fixedCommits := append([]curve.Affine(nil), vk.FixedCommits...)
+		sigmaCommits := append([]curve.Affine(nil), vk.SigmaCommits...)
 
-		// Material-based setup re-interpolates the columns but must do zero
-		// MSM work and yield keys that produce byte-identical proofs and an
-		// identical VK digest.
+		// Keys from stored commitments re-interpolate the columns but must do
+		// zero MSM work and yield keys that produce byte-identical proofs and
+		// an identical VK digest.
 		var pk2 *ProvingKey
 		var vk2 *VerifyingKey
-		msms, _ := kernelWork(func() { pk2, vk2, err = SetupFromMaterial(testCircuit(), n, testFixed(n), backend, &m) })
+		msms, _ := kernelWork(func() {
+			if vk2, err = SetupVK(testCircuit(), n, backend, fixedCommits, sigmaCommits); err == nil {
+				pk2, err = vk2.ProvingKey(testFixed(n))
+			}
+		})
 		if err != nil {
-			t.Fatalf("%v SetupFromMaterial: %v", backend, err)
+			t.Fatalf("%v SetupVK + ProvingKey: %v", backend, err)
 		}
 		if msms != 0 {
-			t.Fatalf("%v SetupFromMaterial performed %d MSMs, want 0", backend, msms)
+			t.Fatalf("%v SetupVK + ProvingKey performed %d MSMs, want 0", backend, msms)
 		}
 		if !bytes.Equal(vk.Digest(), vk2.Digest()) {
-			t.Fatalf("%v VK digest differs after material round trip", backend)
+			t.Fatalf("%v VK digest differs after the commitment round trip", backend)
 		}
 		if got, want := proveBytes(t, pk2), proveBytes(t, pk); !bytes.Equal(got, want) {
-			t.Fatalf("%v proof bytes differ between fresh and material-based keys", backend)
+			t.Fatalf("%v proof bytes differ between fresh and rebuilt keys", backend)
 		}
 
 		// VK-only setup: no fixed values, no MSMs, no FFTs, verifies real
 		// proofs.
 		var vkOnly *VerifyingKey
-		msms, ffts := kernelWork(func() { vkOnly, err = SetupVK(testCircuit(), n, backend, &m) })
+		msms, ffts := kernelWork(func() { vkOnly, err = SetupVK(testCircuit(), n, backend, fixedCommits, sigmaCommits) })
 		if err != nil {
 			t.Fatalf("%v SetupVK: %v", backend, err)
 		}
@@ -106,46 +108,42 @@ func TestKeyMaterialRoundTripAndSetupEquivalence(t *testing.T) {
 func TestKeyMaterialRejectsMismatch(t *testing.T) {
 	cs := testCircuit()
 	const n = 32
-	pk, vk, err := Setup(cs, n, testFixed(n), pcs.KZG)
+	_, vk, err := Setup(cs, n, testFixed(n), pcs.KZG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := pk.Material()
+	fixed, sigma := vk.FixedCommits, vk.SigmaCommits
 
-	// A commitment short on either side, or none at all, is the wrong shape
-	// on both setup paths.
-	short := map[string]*KeyMaterial{
-		"nil":   nil,
-		"fixed": {FixedCommits: m.FixedCommits[1:], SigmaCommits: m.SigmaCommits},
-		"sigma": {FixedCommits: m.FixedCommits, SigmaCommits: m.SigmaCommits[1:]},
+	// A commitment short on either side, or none at all, is the wrong shape.
+	short := map[string][2][]curve.Affine{
+		"nil":   {nil, nil},
+		"fixed": {fixed[1:], sigma},
+		"sigma": {fixed, sigma[1:]},
 	}
 	for name, bad := range short {
-		if _, _, err := SetupFromMaterial(testCircuit(), n, testFixed(n), pcs.KZG, bad); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-			t.Fatalf("SetupFromMaterial with %s material short: got %v", name, err)
-		}
-		if _, err := SetupVK(testCircuit(), n, pcs.KZG, bad); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
-			t.Fatalf("SetupVK with %s material short: got %v", name, err)
+		if _, err := SetupVK(testCircuit(), n, pcs.KZG, bad[0], bad[1]); !errors.Is(err, zkerrors.ErrMalformedArtifact) {
+			t.Fatalf("SetupVK with %s commitments short: got %v", name, err)
 		}
 	}
 	// Tampered commitment: a well-formed point that is not the column's
-	// commitment. Both setup paths take it as given; the keys they build
-	// carry a different VK digest, which is what the artifact loader checks
-	// (core.TestArtifactRejectsTamperedCommitment runs it end to end).
-	tampered := *m
-	tampered.SigmaCommits = append([]curve.Affine(nil), m.SigmaCommits...)
+	// commitment. SetupVK takes it as given, and the verifying key and the
+	// proving key completed from it carry a different VK digest, which is
+	// what the artifact loader checks (core.TestArtifactRejectsTamperedCommitment
+	// runs it end to end).
+	tampered := append([]curve.Affine(nil), sigma...)
 	g := curve.Generator()
-	bumped := tampered.SigmaCommits[0].ToJac()
+	bumped := tampered[0].ToJac()
 	bumped.AddMixed(&g)
-	tampered.SigmaCommits[0] = bumped.ToAffine()
-	_, vkFull, err := SetupFromMaterial(testCircuit(), n, testFixed(n), pcs.KZG, &tampered)
+	tampered[0] = bumped.ToAffine()
+	vkOnly, err := SetupVK(testCircuit(), n, pcs.KZG, fixed, tampered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vkOnly, err := SetupVK(testCircuit(), n, pcs.KZG, &tampered)
+	pkFull, err := vkOnly.ProvingKey(testFixed(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, k := range map[string]*VerifyingKey{"SetupFromMaterial": vkFull, "SetupVK": vkOnly} {
+	for name, k := range map[string]*VerifyingKey{"ProvingKey": pkFull.VK, "SetupVK": vkOnly} {
 		if bytes.Equal(k.Digest(), vk.Digest()) {
 			t.Fatalf("%s: tampered commitment left the VK digest unchanged", name)
 		}

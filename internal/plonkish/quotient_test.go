@@ -14,8 +14,9 @@ import (
 // referenceQuotient computes the quotient pieces the way the prover did
 // before it interpolated them part by part: every queried column on all
 // ExtN/N coset parts, the y-combined constraints over the ExtN points of the
-// coset divided by Z_H, one size-ExtN CosetIFFT, the pieces copied out of
-// the coefficients, and the coefficients past them required to vanish.
+// coset divided by Z_H, one size-ExtN coset interpolation, the pieces copied
+// out of the coefficients, and the coefficients past them required to
+// vanish.
 func referenceQuotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Element, error) {
 	n, prog := pk.N, pk.Quotient
 	extN := pk.ExtDomain.N
@@ -51,7 +52,14 @@ func referenceQuotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Ele
 			numerator[e].Mul(&acc, &zhInv[j])
 		}
 	}
-	pk.ExtDomain.CosetIFFT(numerator)
+	// Interpolate over g·H: the IFFT yields the coefficients of p(g·X), and
+	// coefficient k times g^-k is p's.
+	pk.ExtDomain.IFFT(numerator)
+	gInvK := ff.One()
+	for k := range numerator {
+		numerator[k].Mul(&numerator[k], &gInvK)
+		gInvK.Mul(&gInvK, &pk.ExtDomain.CosetGenInv)
+	}
 
 	pieces := make([][]ff.Element, QuotientPieces(pk.DMax))
 	for i := range pieces {

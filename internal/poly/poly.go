@@ -44,7 +44,6 @@ type Domain struct {
 	omegaPows  lazyTable // omega^i for i < N
 	invPows    lazyTable // omegaInv^i for i < N/2 (inverse twiddles)
 	cosetPows  lazyTable // g^i for i < N (CosetFFT input scaling)
-	cosetScale lazyTable // NInv·g^-i for i < N (CosetIFFT output scaling, NInv folded in)
 	cosetElems lazyTable // g·omega^i for i < N (the coset evaluation points)
 
 	// partPows holds, per part length n, the CosetPartFFT input scaling
@@ -124,10 +123,6 @@ func (d *Domain) invTwiddles() []ff.Element {
 
 func (d *Domain) cosetScaleIn() []ff.Element {
 	return d.cosetPows.get(func() []ff.Element { return powers(d.CosetGen, ff.One(), d.N) })
-}
-
-func (d *Domain) cosetScaleOut() []ff.Element {
-	return d.cosetScale.get(func() []ff.Element { return powers(d.CosetGenInv, d.NInv, d.N) })
 }
 
 // cosetPartScale returns the CosetPartFFT scaling table for parts of
@@ -304,17 +299,6 @@ func (d *Domain) CosetFFT(v []ff.Element) {
 	ntt(v, d.elements())
 }
 
-// CosetIFFT interpolates evaluations over g·H back to coefficient form,
-// in place.
-func (d *Domain) CosetIFFT(v []ff.Element) {
-	if len(v) != d.N {
-		panic("poly: CosetIFFT length mismatch")
-	}
-	kernelTrace.Load().RecordFFT(d.N)
-	ntt(v, d.invTwiddles())
-	mulByTable(v, d.cosetScaleOut())
-}
-
 // CosetPartFFT evaluates the coefficient-form polynomial v, of degree below
 // n = len(v), in place over part j of the coset g·H: afterwards v[i] is its
 // value at CosetElements()[j + s·i], where s = N/n and j < s. Part j is the
@@ -409,17 +393,6 @@ func DivideByLinear(p []ff.Element, z ff.Element) []ff.Element {
 	return q
 }
 
-// Add returns p + q as a new coefficient slice.
-func Add(p, q []ff.Element) []ff.Element {
-	n := max(len(p), len(q))
-	out := make([]ff.Element, n)
-	copy(out, p)
-	for i := range q {
-		out[i].Add(&out[i], &q[i])
-	}
-	return out
-}
-
 // AddScaled sets p += c*q in place, growing p if needed, and returns p.
 func AddScaled(p []ff.Element, c ff.Element, q []ff.Element) []ff.Element {
 	if len(q) > len(p) {
@@ -433,31 +406,4 @@ func AddScaled(p []ff.Element, c ff.Element, q []ff.Element) []ff.Element {
 		p[i].Add(&p[i], &t)
 	}
 	return p
-}
-
-// MulNaive returns p*q by schoolbook multiplication (used in tests and for
-// small polynomials only).
-func MulNaive(p, q []ff.Element) []ff.Element {
-	if len(p) == 0 || len(q) == 0 {
-		return nil
-	}
-	out := make([]ff.Element, len(p)+len(q)-1)
-	for i := range p {
-		if p[i].IsZero() {
-			continue
-		}
-		for j := range q {
-			var t ff.Element
-			t.Mul(&p[i], &q[j])
-			out[i+j].Add(&out[i+j], &t)
-		}
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

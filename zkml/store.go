@@ -128,27 +128,14 @@ func loadArtifact(dir string, g *Graph, o Options) (*core.ArtifactFile, error) {
 
 // LoadSystem reconstructs a compiled system from an artifact saved in dir.
 // The circuit and fixed columns are re-synthesized and interpolated from the
-// model (cheap and deterministic); the stored material supplies the
-// commitments, so the load performs no layout search, no keygen MSMs, and no
-// SRS extension. The options must match the
-// ones the system was compiled with; the calibration they resolve to prices
-// the loaded plan, so CompareEstimate works as on a compiled system. If no
-// matching artifact exists the error wraps os.ErrNotExist — callers fall
-// back to Compile.
+// model (cheap and deterministic); the artifact supplies the commitments, so
+// the load performs no layout search, no keygen MSMs, and no SRS extension.
+// The options must match the ones the system was compiled with; the
+// calibration they resolve to prices the loaded plan, so CompareEstimate
+// works as on a compiled system. If no matching artifact exists the error
+// wraps os.ErrNotExist — callers fall back to Compile.
 func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	af, err := loadArtifact(dir, g, o)
-	if err != nil {
-		return nil, err
-	}
-	plan, keys, err := af.Instantiate(g, sample)
-	if err != nil {
-		return nil, err
-	}
-	plan.Calibration = o.calibration()
-	return &System{Plan: plan, Keys: keys, opts: o}, nil
+	return load(dir, g, sample, o, (*core.ArtifactFile).Instantiate)
 }
 
 // LoadVerifier reconstructs a verification-only system from an artifact
@@ -156,6 +143,12 @@ func LoadSystem(dir string, g *Graph, sample *Input, o Options) (*System, error)
 // commitments with no interpolation and no MSM work at all. The result
 // verifies proofs and exposes the model commitment; Prove returns an error.
 func LoadVerifier(dir string, g *Graph, sample *Input, o Options) (*System, error) {
+	return load(dir, g, sample, o, (*core.ArtifactFile).InstantiateVerifier)
+}
+
+// load reads the artifact matching g and o from dir and instantiates it.
+func load(dir string, g *Graph, sample *Input, o Options,
+	instantiate func(*core.ArtifactFile, *Graph, *Input) (*core.Plan, *core.Keys, error)) (*System, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
@@ -163,7 +156,7 @@ func LoadVerifier(dir string, g *Graph, sample *Input, o Options) (*System, erro
 	if err != nil {
 		return nil, err
 	}
-	plan, keys, err := af.InstantiateVerifier(g, sample)
+	plan, keys, err := instantiate(af, g, sample)
 	if err != nil {
 		return nil, err
 	}
