@@ -11,10 +11,12 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/curve"
+	"repro/internal/ff"
 	"repro/internal/fixedpoint"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pcs"
+	"repro/internal/plonkish"
 	"repro/internal/poly"
 	"repro/internal/zkerrors"
 )
@@ -60,6 +62,51 @@ func artifactFor(tb testing.TB, backend pcs.Backend) *artifactFixture {
 		tb.Fatalf("building the %v artifact fixture: %v", backend, fx.err)
 	}
 	return fx
+}
+
+// TestArtifactKeyCosetParts: the proving key built by keygen and the one
+// a .zka load completes both hold every fixed and sigma column the quotient
+// reads on each coset part, equal to CosetPartFFT of its polynomial; the
+// artifact carries none of them.
+func TestArtifactKeyCosetParts(t *testing.T) {
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		fx := artifactFor(t, backend)
+		af, err := DecodeArtifact(fx.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, loaded, err := af.Instantiate(fx.g, fx.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pk := range map[string]*plonkish.ProvingKey{"keygen": fx.keys.PK, "load": loaded.PK} {
+			where := backend.String() + " " + name
+			shape := plonkish.ShapeOf(pk.CS, pk.N, backend)
+			if len(pk.CosetParts) != shape.KeyCols || shape.KeyCols == 0 {
+				t.Fatalf("%s: key holds %d columns' coset parts, the shape counts %d", where, len(pk.CosetParts), shape.KeyCols)
+			}
+			for c, parts := range pk.CosetParts {
+				p := pk.FixedPolys
+				if c.Kind == plonkish.PermSigma {
+					p = pk.SigmaPolys
+				} else if c.Kind != plonkish.Fixed {
+					t.Fatalf("%s: key holds coset parts of column kind %v", where, c.Kind)
+				}
+				if len(parts) != plonkish.QuotientPieces(pk.DMax) {
+					t.Fatalf("%s: column %v/%d has %d parts", where, c.Kind, c.Index, len(parts))
+				}
+				for j, part := range parts {
+					want := append([]ff.Element(nil), p[c.Index]...)
+					pk.ExtDomain.CosetPartFFT(want, j)
+					for i := range want {
+						if !part[i].Equal(&want[i]) {
+							t.Fatalf("%s: part %d of column %v/%d differs from its transform at %d", where, j, c.Kind, c.Index, i)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestArtifactRejectsTamperedCommitment: a stored commitment that decodes

@@ -347,11 +347,14 @@ func (p *Plan) prove(keys *Keys, in *model.Input, trace *obs.Trace) (*Proof, err
 	if err != nil {
 		return nil, err
 	}
-	proof, err := plonkish.ProveTraced(keys.PK, art.Instance, art.Witness, trace)
+	// The prover reads the key's fixed columns, not the ones this synthesis
+	// built: holding only the instance and the witness lets those go.
+	instance, witness := art.Instance, art.Witness
+	proof, err := plonkish.ProveTraced(keys.PK, instance, witness, trace)
 	if err != nil {
 		return nil, err
 	}
-	return &Proof{Proof: proof, Instance: art.Instance}, nil
+	return &Proof{Proof: proof, Instance: instance}, nil
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the

@@ -200,7 +200,9 @@ func formulaCS() *plonkish.CS {
 // ceil(N_pm / (d-2)); this prover transforms two polynomials per lookup (m
 // and phi), so its size-n transforms are N_i + N_a at commit, 2 N_lk at
 // lookup, ceil(N_pm / (d-2)) at permutation, plus the quotient's d − 1 coset
-// parts: one transform per queried column and one inverse per part.
+// parts: one transform per queried column of the proof's own — the 11
+// permutation columns, m and phi per lookup, z per chunk — and one inverse
+// per part. The 3 + 3 fixed and 11 sigma columns are the proving key's.
 func TestLayoutFormulas(t *testing.T) {
 	const k = 10
 	cs := formulaCS()
@@ -213,7 +215,11 @@ func TestLayoutFormulas(t *testing.T) {
 			t.Fatalf("%v: ExtK = %d, want 12", backend, got)
 		}
 		chunks := (11 + 1) / 2
-		want := [obs.NumStages]int{1 + 10, 2 * 4, chunks, 3*s.QueriedCols + 3, 0}
+		if s.KeyCols != 3+3+11 || s.QueriedCols != s.KeyCols+11+2*4+chunks {
+			t.Fatalf("%v: %d queried columns, %d of the key, want %d and %d",
+				backend, s.QueriedCols, s.KeyCols, 3+3+11+11+2*4+chunks, 3+3+11)
+		}
+		want := [obs.NumStages]int{1 + 10, 2 * 4, chunks, 3*(11+2*4+chunks) + 3, 0}
 		if s.Transforms != want {
 			t.Fatalf("%v: Transforms = %v, want %v", backend, s.Transforms, want)
 		}

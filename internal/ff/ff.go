@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"unsafe"
 
 	"repro/internal/limbs"
 )
@@ -204,6 +205,33 @@ func (z *Element) Sub(x, y *Element) *Element { mod.Sub(&z.l, &x.l, &y.l); retur
 
 // Mul sets z = x * y.
 func (z *Element) Mul(x, y *Element) *Element { mod.MontMul(&z.l, &x.l, &y.l); return z }
+
+// ButterflyRun applies n NTT butterflies in one call of the field kernel:
+// for i < n it sets x[i·xs], y[i·xs] = x[i·xs] + w[i·ws]·y[i·xs],
+// x[i·xs] − w[i·ws]·y[i·xs]. Pairs advance by xs ≥ 1 elements, twiddles by
+// ws ≥ 0 (0 reuses w[0]); the 2n elements of the pairs must be distinct.
+// See limbs.Modulus.ButterflyRun, which checks the bounds.
+func ButterflyRun(x, y, w []Element, n, xs, ws int) {
+	mod.ButterflyRun(limbsOf(x), limbsOf(y), limbsOf(w), n, xs, ws)
+}
+
+// AddSubRun is ButterflyRun with every twiddle 1: no multiplication.
+func AddSubRun(x, y []Element, n, xs int) {
+	mod.AddSubRun(limbsOf(x), limbsOf(y), n, xs)
+}
+
+// An Element is exactly its four limbs, 32 bytes, so a slice of elements is
+// a slice of limbs in place: limbsOf relies on it, and this fails to compile
+// otherwise.
+var _ = [1]struct{}{}[unsafe.Sizeof(Element{})-32]
+
+// limbsOf returns v's memory as limbs, without copying.
+func limbsOf(v []Element) []limbs.Limbs {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&v[0].l, len(v))
+}
 
 // Square sets z = x^2.
 func (z *Element) Square(x *Element) *Element { mod.MontSquare(&z.l, &x.l); return z }

@@ -295,20 +295,17 @@ type Assignment struct {
 
 // NewAssignment allocates a zeroed grid for the constraint system.
 func NewAssignment(cs *CS, n int) *Assignment {
-	a := &Assignment{N: n}
-	a.Fixed = make([][]ff.Element, cs.NumFixed)
-	for i := range a.Fixed {
-		a.Fixed[i] = make([]ff.Element, n)
+	return &Assignment{N: n, Fixed: zeroColumns(cs.NumFixed, n),
+		Advice: zeroColumns(cs.NumAdvice, n), Instance: zeroColumns(cs.NumInstance, n)}
+}
+
+// zeroColumns allocates k zeroed columns of n rows.
+func zeroColumns(k, n int) [][]ff.Element {
+	cols := make([][]ff.Element, k)
+	for i := range cols {
+		cols[i] = make([]ff.Element, n)
 	}
-	a.Advice = make([][]ff.Element, cs.NumAdvice)
-	for i := range a.Advice {
-		a.Advice[i] = make([]ff.Element, n)
-	}
-	a.Instance = make([][]ff.Element, cs.NumInstance)
-	for i := range a.Instance {
-		a.Instance[i] = make([]ff.Element, n)
-	}
-	return a
+	return cols
 }
 
 // Get returns the value at a cell.

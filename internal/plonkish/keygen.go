@@ -12,10 +12,11 @@ import (
 )
 
 // ProvingKey holds everything the prover needs: the circuit, the fixed
-// column values and polynomials, the permutation sigmas, the compiled
-// constraint and lookup programs, and the commitment scheme. It is always
-// completed from its verifying key ((*VerifyingKey).ProvingKey), whose
-// quotient program, queries and scheme it shares.
+// column values and polynomials, the permutation sigmas, those columns'
+// values on the quotient's coset parts, the compiled constraint and lookup
+// programs, and the commitment scheme. It is always completed from its
+// verifying key ((*VerifyingKey).ProvingKey), whose quotient program,
+// queries and scheme it shares.
 type ProvingKey struct {
 	CS *CS
 	N  int // rows (power of two)
@@ -31,6 +32,12 @@ type ProvingKey struct {
 	FixedPolys [][]ff.Element // coefficient form
 	SigmaVals  [][]ff.Element // per permutation column
 	SigmaPolys [][]ff.Element
+	// CosetParts holds, for every fixed and sigma column the quotient
+	// program reads, its values on each of the QuotientPieces(DMax) parts of
+	// the extended coset: CosetParts[c][j] is ExtDomain.CosetPartFFT(·, j)
+	// of the column's polynomial. Built once per key from the polynomials
+	// above, never stored: p·N·32 bytes per column.
+	CosetParts map[Col][][]ff.Element
 
 	// Quotient is the flattened constraint list compiled to one program,
 	// output order shared with the verifier; LookupInputs computes, per

@@ -60,8 +60,10 @@ func (vk *VerifyingKey) ProvingKey(fixed [][]ff.Element) (*ProvingKey, error) {
 }
 
 // complete builds the proving key over the key columns' values (keyColumns'
-// order): one IFFT per column, fanned out across columns, and the lookup
-// program. The quotient program, queries and scheme are the verifying key's.
+// order): one IFFT per column, fanned out across columns, the lookup
+// program, and the key columns' values on the quotient's coset parts
+// (keyCosetParts). The quotient program, queries and scheme are the
+// verifying key's.
 func (vk *VerifyingKey) complete(cols [][]ff.Element) *ProvingKey {
 	dom := poly.NewDomain(vk.N)
 	polys := make([][]ff.Element, len(cols))
@@ -70,7 +72,7 @@ func (vk *VerifyingKey) complete(cols [][]ff.Element) *ProvingKey {
 		dom.IFFT(polys[i])
 	})
 	nf := numKeyFixed(vk.CS)
-	return &ProvingKey{
+	pk := &ProvingKey{
 		CS: vk.CS, N: vk.N, U: vk.U, DMax: vk.DMax,
 		Domain:       dom,
 		ExtDomain:    poly.NewDomain(ExtDomainSize(vk.N, vk.DMax)),
@@ -84,4 +86,41 @@ func (vk *VerifyingKey) complete(cols [][]ff.Element) *ProvingKey {
 		Scheme:       vk.Scheme,
 		VK:           vk,
 	}
+	pk.CosetParts = keyCosetParts(pk)
+	return pk
 }
+
+// keyCosetParts transforms every fixed and sigma column the quotient program
+// reads onto each of the quotient's QuotientPieces(DMax) coset parts:
+// parts[c][j] is CosetPartFFT j of column c's polynomial. These values are
+// the same for every proof the key makes, so the prover binds them instead
+// of transforming the columns again; they are never stored.
+func keyCosetParts(pk *ProvingKey) map[Col][][]ff.Element {
+	queried, _ := pk.Quotient.columns()
+	var cols []Col
+	for _, c := range queried {
+		if keyCol(c) {
+			cols = append(cols, c)
+		}
+	}
+	pieces := QuotientPieces(pk.DMax)
+	vals := make([][]ff.Element, len(cols)*pieces)
+	parallel.For(len(vals), func(i int) {
+		c := cols[i/pieces]
+		p := pk.FixedPolys
+		if c.Kind == PermSigma {
+			p = pk.SigmaPolys
+		}
+		vals[i] = append(make([]ff.Element, 0, pk.N), p[c.Index]...)
+		pk.ExtDomain.CosetPartFFT(vals[i], i%pieces)
+	})
+	parts := make(map[Col][][]ff.Element, len(cols))
+	for k, c := range cols {
+		parts[c] = vals[k*pieces : (k+1)*pieces : (k+1)*pieces]
+	}
+	return parts
+}
+
+// keyCol reports whether c is a column of the key (fixed or sigma), whose
+// values are the same for every proof.
+func keyCol(c Col) bool { return c.Kind == Fixed || c.Kind == PermSigma }

@@ -149,3 +149,69 @@ func TestKeyMaterialRejectsMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyCosetParts: a proving key from Setup, and one completed from its
+// verifying key's commitments as a store load completes it, holds every
+// fixed and sigma column the quotient program reads — and no other — on
+// each coset part, equal to CosetPartFFT of the column's polynomial.
+func TestKeyCosetParts(t *testing.T) {
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		const n = 32
+		pk, vk, err := Setup(testCircuit(), n, testFixed(n), backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vk2, err := SetupVK(testCircuit(), n, backend, vk.FixedCommits, vk.SigmaCommits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := vk2.ProvingKey(testFixed(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, k := range map[string]*ProvingKey{"Setup": pk, "ProvingKey": loaded} {
+			checkKeyCosetParts(t, backend.String()+" "+name, k)
+		}
+	}
+}
+
+func checkKeyCosetParts(t *testing.T, where string, pk *ProvingKey) {
+	t.Helper()
+	queried, _ := pk.Quotient.columns()
+	keyCols, sigmas := 0, 0
+	for _, c := range queried {
+		parts, ok := pk.CosetParts[c]
+		if !keyCol(c) {
+			if ok {
+				t.Fatalf("%s: the key holds coset parts of the proof's column %v/%d", where, c.Kind, c.Index)
+			}
+			continue
+		}
+		keyCols++
+		if c.Kind == PermSigma {
+			sigmas++
+		}
+		if len(parts) != QuotientPieces(pk.DMax) {
+			t.Fatalf("%s: column %v/%d has %d parts, want %d", where, c.Kind, c.Index, len(parts), QuotientPieces(pk.DMax))
+		}
+		p := pk.FixedPolys[c.Index]
+		if c.Kind == PermSigma {
+			p = pk.SigmaPolys[c.Index]
+		}
+		for j, part := range parts {
+			want := append([]ff.Element(nil), p...)
+			pk.ExtDomain.CosetPartFFT(want, j)
+			if len(part) != len(want) {
+				t.Fatalf("%s: part %d of column %v/%d has %d values, want %d", where, j, c.Kind, c.Index, len(part), len(want))
+			}
+			for i := range want {
+				if !part[i].Equal(&want[i]) {
+					t.Fatalf("%s: part %d of column %v/%d differs from its transform at %d", where, j, c.Kind, c.Index, i)
+				}
+			}
+		}
+	}
+	if len(pk.CosetParts) != keyCols || sigmas == 0 || sigmas == keyCols {
+		t.Fatalf("%s: key holds %d columns' parts, want %d fixed and sigma columns (%d sigma)", where, len(pk.CosetParts), keyCols, sigmas)
+	}
+}

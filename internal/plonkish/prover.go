@@ -17,7 +17,8 @@ import (
 
 // Witness supplies advice values. Fill is called once per commitment phase;
 // phase-1 fills see the challenges squeezed after phase 0 (used by
-// Freivalds-checked layers).
+// Freivalds-checked layers). It must not write the assignment's fixed
+// columns: in a prove they are the proving key's own.
 type Witness interface {
 	Fill(phase int, challenges []ff.Element, a *Assignment) error
 }
@@ -57,7 +58,11 @@ func (p *Proof) Size() int {
 
 // Prove produces a proof that the witness satisfies pk's circuit with the
 // given public instance values (one slice per instance column, each at most
-// U values; missing tail values are zero).
+// U values; missing tail values are zero). It transforms only the proof's
+// own columns: the key's fixed and sigma columns come with their
+// polynomials and their values on the quotient's coset parts, computed once
+// when the key was completed (ShapeOf counts the transforms that remain).
+// pk is only read, so concurrent proves may share it.
 //
 // Concurrency (DESIGN.md §8): every numeric stage — per-column IFFTs,
 // lookup compression and multiplicity counting, permutation products, the
@@ -204,10 +209,8 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		return nil, fmt.Errorf("plonkish: got %d instance columns, want %d", len(instance), cs.NumInstance)
 	}
 
-	a := NewAssignment(cs, n)
-	for i := 0; i < cs.NumFixed; i++ {
-		copy(a.Fixed[i], pk.FixedVals[i])
-	}
+	a := &Assignment{N: n, Fixed: pk.FixedVals[:cs.NumFixed:cs.NumFixed],
+		Advice: zeroColumns(cs.NumAdvice, n), Instance: zeroColumns(cs.NumInstance, n)}
 	for i, col := range instance {
 		if len(col) > u {
 			return nil, fmt.Errorf("plonkish: instance column %d has %d values, max %d", i, len(col), u)
@@ -306,10 +309,11 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	// per worker chunk), then compress each lookup's table and count its
 	// multiplicities in parallel across lookups, and commit in lookup order.
 	type lookupData struct {
-		f, t, sel []ff.Element // compressed input, compressed table, selector
-		m         []ff.Element
-		mCoeff    []ff.Element
-		err       error
+		f, sel []ff.Element // compressed input and selector, on the usable rows
+		t      []ff.Element // compressed table, on its TableLen rows
+		m      []ff.Element
+		mCoeff []ff.Element
+		err    error
 	}
 	lookups := make([]lookupData, len(cs.Lookups))
 	proof.MCommits = make([]curve.Affine, len(cs.Lookups))
@@ -319,7 +323,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		for r := u; r < n; r++ {
 			m[r] = ff.RandomFrom(rng)
 		}
-		lookups[k] = lookupData{f: make([]ff.Element, n), sel: make([]ff.Element, n), m: m}
+		lookups[k] = lookupData{f: make([]ff.Element, u), sel: make([]ff.Element, u), m: m}
 		maxInputs = max(maxInputs, len(l.Inputs))
 	}
 	omega := pk.Domain.Elements()
@@ -343,7 +347,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	parallel.For(len(cs.Lookups), func(k int) {
 		l := cs.Lookups[k]
 		ld := &lookups[k]
-		ld.t = make([]ff.Element, n)
+		ld.t = make([]ff.Element, l.TableLen)
 		parallel.Range(l.TableLen, func(lo, hi int) {
 			vals := make([]ff.Element, len(l.Table))
 			for r := lo; r < hi; r++ {
@@ -389,7 +393,9 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	// batch inversion of a subrange is still a batch inversion); the prefix
 	// sum itself is cheap and stays serial per lookup. The table terms
 	// m/(β+t) stop at TableLen: past it t is zero and so is m on the usable
-	// rows, so only the table rows' β+t are inverted.
+	// rows, so only the table rows' β+t are inverted. The inverses overwrite
+	// f and t, and once phi is built f, t and sel are dropped: they are a
+	// lookup stage's largest buffers, and nothing after it reads them.
 	proof.PhiCommits = make([]curve.Affine, len(cs.Lookups))
 	phis := make([][]ff.Element, len(cs.Lookups))
 	phiCoeffs := make([][]ff.Element, len(cs.Lookups))
@@ -404,16 +410,15 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	parallel.For(len(cs.Lookups), func(k int) {
 		ld := &lookups[k]
 		tl := cs.Lookups[k].TableLen
-		invF := make([]ff.Element, u)
-		invT := make([]ff.Element, tl)
+		invF, invT := ld.f, ld.t
 		parallel.Range(u, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
-				invF[r].Add(&arg[Beta], &ld.f[r])
+				invF[r].Add(&arg[Beta], &invF[r])
 			}
 			ff.BatchInverse(invF[lo:hi])
 			if th := min(hi, tl); lo < th {
 				for r := lo; r < th; r++ {
-					invT[r].Add(&arg[Beta], &ld.t[r])
+					invT[r].Add(&arg[Beta], &invT[r])
 				}
 				ff.BatchInverse(invT[lo:th])
 			}
@@ -434,6 +439,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			return
 		}
 		phiCoeffs[k] = ifft(phi)
+		ld.f, ld.t, ld.sel = nil, nil, nil
 	})
 	for k := range cs.Lookups {
 		if phiErrs[k] != nil {
@@ -519,11 +525,13 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 //
 // It first checks that C vanishes on H, evaluating the constraints over the
 // columns' values there (no transform). Then it takes p size-n parts of the
-// extended coset, one at a time (poly.Domain.CosetPartFFT): part j brings
-// every queried column to the points c_j·ω^i, c_j = g·ω_ext^j, with one
-// size-n transform into a buffer that the next part reuses, runs the
+// extended coset, one at a time (poly.Domain.CosetPartFFT): part j needs
+// every queried column at the points c_j·ω^i, c_j = g·ω_ext^j. The key
+// holds its fixed and sigma columns there already (ProvingKey.CosetParts);
+// each of the proof's own columns (instance, advice, m, phi, z) takes one
+// size-n transform into a buffer that the next part reuses. It runs the
 // quotient program over the n rows (rotations are offsets into those
-// buffers) and divides by Z_H(c_j), and one CosetPartIFFT gives the
+// values) and divides by Z_H(c_j), and one CosetPartIFFT gives the
 // coefficients of P_j = Σ_i a_j^i·t_i, a_j = c_j^n — on part j, X^n is the
 // constant a_j. The a_j are distinct (ω_ext^n has order ExtN/n ≥ p), so
 // each coefficient of the t_i follows from the P_j by the inverse of the
@@ -538,25 +546,29 @@ func quotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Element, err
 	numPieces := QuotientPieces(pk.DMax)
 
 	queried, slot := prog.columns()
-	cols := make([][]ff.Element, len(queried)) // coefficients of each queried column
+	var own []int                                // slots of the proof's own columns
+	coeffs := make([][]ff.Element, len(queried)) // their coefficients, by slot
 	for s, c := range queried {
+		if _, inKey := pk.CosetParts[c]; inKey {
+			continue
+		}
 		var assigned bool
-		if cols[s], assigned = st.coeff[c]; !assigned {
+		if coeffs[s], assigned = st.coeff[c]; !assigned {
 			return nil, fmt.Errorf("plonkish: constraint references unassigned column %v/%d", c.Kind, c.Index)
 		}
+		own = append(own, s)
 	}
 	if !satisfiedOnDomain(pk, st, queried, slot, y) {
 		return nil, fmt.Errorf("plonkish: constraint system unsatisfied (constraints do not vanish on the domain)")
 	}
 
-	bufs := make([][]ff.Element, len(queried)) // each column's values on the current part
-	for s := range bufs {
-		bufs[s] = make([]ff.Element, n)
+	// Each column's values on the current part: the key's own for fixed and
+	// sigma columns, a buffer that every part reuses for the rest.
+	vals := make([][]ff.Element, len(queried))
+	for _, s := range own {
+		vals[s] = make([]ff.Element, n)
 	}
 	bind := make([][]ff.Element, len(prog.vars))
-	for i, s := range slot {
-		bind[i] = bufs[s]
-	}
 
 	// X over the extended coset: the domain's shared read-only table. Z_H
 	// is constant on each part: (c_j·ω^i)^n = c_j^n = a_j.
@@ -572,10 +584,19 @@ func quotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Element, err
 
 	parts := make([][]ff.Element, numPieces)
 	for j := range parts {
-		parallel.For(len(cols), func(c int) {
-			clear(bufs[c][copy(bufs[c], cols[c]):])
-			pk.ExtDomain.CosetPartFFT(bufs[c], j)
+		parallel.For(len(own), func(o int) {
+			s := own[o]
+			clear(vals[s][copy(vals[s], coeffs[s]):])
+			pk.ExtDomain.CosetPartFFT(vals[s], j)
 		})
+		for s, c := range queried {
+			if key, inKey := pk.CosetParts[c]; inKey {
+				vals[s] = key[j]
+			}
+		}
+		for i, s := range slot {
+			bind[i] = vals[s]
+		}
 		part := make([]ff.Element, n)
 		parallel.Range(n, func(lo, hi int) {
 			mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)

@@ -8,7 +8,8 @@ import (
 )
 
 // Shape is the work one proof of a circuit does on an n-row grid, counted
-// from the code that builds its keys and proves it: the transforms and
+// from the code that builds its keys and proves it with a completed proving
+// key (whose work, done once per key, is not counted): the transforms and
 // commitments of each prover stage, the compiled quotient program, the
 // opening queries and the proof's length. The cost model prices these
 // counts (costmodel.Calibration.PredictStages); nothing re-derives them by
@@ -31,8 +32,9 @@ type Shape struct {
 	//	lookup       two of each per lookup (m and phi)
 	//	permutation  one of each per grand-product chunk
 	//	quotient     per quotient piece, one coset-part transform per
-	//	             queried column and one inverse transform of the
-	//	             part, and one commitment
+	//	             queried column that is neither fixed nor sigma (the
+	//	             proving key holds those on the parts) and one inverse
+	//	             transform of the part, and one commitment
 	//	open         one witness commitment per opening (KZG only)
 	//
 	// An IPA opening's folds are apart: FoldRounds rounds of two size-N
@@ -43,6 +45,9 @@ type Shape struct {
 	NumConstraints int // flattened constraints: gates plus argument constraints
 	PermCols       int // columns under the permutation argument
 	QueriedCols    int // distinct columns the quotient program reads
+	// KeyCols of them are fixed or sigma columns, which the proving key
+	// holds on the quotient's coset parts (ProvingKey.CosetParts).
+	KeyCols int
 	// Ops is the size of the compiled quotient program; VaryingOps of them
 	// run per row — on each quotient part and on H — the rest once.
 	Ops, VaryingOps int
@@ -64,17 +69,23 @@ func ShapeOf(cs *CS, n int, backend pcs.Backend) Shape {
 	dmax := cs.Degree()
 	prog, queries := compileConstraints(cs, n-ZKRows)
 	queried, _ := prog.columns()
+	keyCols := 0
+	for _, c := range queried {
+		if keyCol(c) {
+			keyCols++
+		}
+	}
 	s := Shape{
 		Backend: backend, K: bits.TrailingZeros(uint(n)), N: n, ExtN: ExtDomainSize(n, dmax), DMax: dmax,
 		NumLookups: len(cs.Lookups), NumConstraints: len(prog.outputs), PermCols: len(cs.PermCols()),
-		QueriedCols: len(queried), Ops: prog.Len(), VaryingOps: prog.Varying(),
+		QueriedCols: len(queried), KeyCols: keyCols, Ops: prog.Len(), VaryingOps: prog.Varying(),
 		Queries: len(queries), Opens: len(distinctRots(queries)),
 	}
 	pieces, chunks := QuotientPieces(dmax), cs.numZ()
 	s.Transforms[obs.StageCommit], s.Commits[obs.StageCommit] = cs.NumInstance+cs.NumAdvice, cs.NumAdvice
 	s.Transforms[obs.StageLookup], s.Commits[obs.StageLookup] = 2*s.NumLookups, 2*s.NumLookups
 	s.Transforms[obs.StagePerm], s.Commits[obs.StagePerm] = chunks, chunks
-	s.Transforms[obs.StageQuotient], s.Commits[obs.StageQuotient] = pieces*s.QueriedCols+pieces, pieces
+	s.Transforms[obs.StageQuotient], s.Commits[obs.StageQuotient] = pieces*(s.QueriedCols-s.KeyCols)+pieces, pieces
 	if backend == pcs.IPA {
 		s.FoldRounds = s.K
 	} else {

@@ -204,38 +204,51 @@ func ntt(v []ff.Element, tw []ff.Element) {
 	bitReverse(v)
 	par := n >= parallelMin && parallel.Workers() > 1
 	for s := 0; s < logN; s++ {
-		half := 1 << uint(s)
-		size := half << 1
-		shift := uint(logN - 1 - s)
 		if !par {
-			for start := 0; start < n; start += size {
-				ti := 0
-				for i := start; i < start+half; i++ {
-					butterfly(v, i, half, &tw[ti])
-					ti += 1 << shift
-				}
-			}
+			nttStage(v, tw, s, logN, 0, n/2)
 			continue
 		}
-		parallel.Range(n/2, func(lo, hi int) {
-			// Butterfly t lives in block t/half at offset t%half with
-			// twiddle root^(off·n/size).
-			for t := lo; t < hi; t++ {
-				off := t & (half - 1)
-				i := (t>>uint(s))<<uint(s+1) | off
-				butterfly(v, i, half, &tw[off<<shift])
-			}
-		})
+		parallel.Range(n/2, func(lo, hi int) { nttStage(v, tw, s, logN, lo, hi) })
 	}
 }
 
-// butterfly applies one NTT butterfly at index i with stride half and
-// twiddle w.
-func butterfly(v []ff.Element, i, half int, w *ff.Element) {
-	var t ff.Element
-	t.Mul(w, &v[i+half])
-	v[i+half].Sub(&v[i], &t)
-	v[i].Add(&v[i], &t)
+// nttStage runs butterflies [lo, hi) of stage s as runs of the field
+// kernel (ff.ButterflyRun), numbered so that each run is a contiguous range.
+// Where blocks are at least as long as they are many, butterfly t is offset
+// t%half of block t/half, and a run is one block's offsets, its twiddles
+// strided through tw. In the early stages, where blocks are short and many,
+// butterfly t is block t%blocks at offset t/blocks, and a run is one offset
+// across the blocks, under one twiddle. Offset 0's twiddle is 1: those
+// butterflies are an add and a subtract (ff.AddSubRun).
+func nttStage(v, tw []ff.Element, s, logN, lo, hi int) {
+	half := 1 << uint(s)
+	size, shift := half<<1, uint(logN-1-s)
+	blocks := len(v) / size
+	if half >= blocks {
+		for t := lo; t < hi; {
+			blk, off := t>>uint(s), t&(half-1)
+			end := min(hi, (blk+1)<<uint(s))
+			i, cnt := blk*size+off, end-t
+			if off == 0 {
+				ff.AddSubRun(v[i:], v[i+half:], 1, 1)
+				i, off, cnt = i+1, 1, cnt-1
+			}
+			ff.ButterflyRun(v[i:], v[i+half:], tw[off<<shift:], cnt, 1, 1<<shift)
+			t = end
+		}
+		return
+	}
+	for t := lo; t < hi; { // blocks = 1 << shift
+		off, blk := t>>shift, t&(blocks-1)
+		end := min(hi, (off+1)<<shift)
+		i := blk*size + off
+		if off == 0 {
+			ff.AddSubRun(v[i:], v[i+half:], end-t, size)
+		} else {
+			ff.ButterflyRun(v[i:], v[i+half:], tw[off<<shift:], end-t, size, 0)
+		}
+		t = end
+	}
 }
 
 // mulByTable multiplies v[i] by table[i] in place, chunked across the

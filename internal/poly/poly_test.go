@@ -322,6 +322,25 @@ func BenchmarkFFT(b *testing.B) {
 	}
 }
 
+// BenchmarkCosetPartFFT times one quotient transform of vgg-micro's shape:
+// part 1 of the 2^15 extended coset for a 2^13-row column, on one worker and
+// on the whole pool.
+func BenchmarkCosetPartFFT(b *testing.B) {
+	d := NewDomain(1 << 15)
+	p := randPoly(1 << 13)
+	v := make([]ff.Element, len(p))
+	defer parallel.SetWorkers(0)
+	for _, workers := range []int{1, 0} {
+		parallel.SetWorkers(workers)
+		b.Run(map[int]string{1: "serial", 0: "pool"}[workers], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(v, p)
+				d.CosetPartFFT(v, 1)
+			}
+		})
+	}
+}
+
 // naiveDFT evaluates p at every power of root by Horner — the O(n²)
 // reference the table-driven NTT is cross-checked against.
 func naiveDFT(p []ff.Element, root ff.Element) []ff.Element {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ff"
-	"repro/internal/gadgets"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -213,15 +212,21 @@ func (s *ShardedSystem) Prove(in *Input) (*ShardedProof, error) {
 		}
 	}
 	acts := map[string][]int64{}
-	arts := make([]*gadgets.Artifact, len(s.Chunks))
+	instances := make([][][]ff.Element, len(s.Chunks))
+	witnesses := make([]plonkish.Witness, len(s.Chunks))
 	for c, ch := range s.Chunks {
 		cin, err := s.Part.ChunkInput(c, in, acts)
 		if err != nil {
 			return nil, err
 		}
-		if arts[c], err = ch.Plan.SynthesizeLink(cin, acts); err != nil {
+		art, err := ch.Plan.SynthesizeLink(cin, acts)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ch.Plan.Graph.Name, err)
 		}
+		// The prover reads the key's fixed columns, not the ones this
+		// synthesis built: holding only the instance and the witness lets
+		// those go.
+		instances[c], witnesses[c] = art.Instance, art.Witness
 	}
 	// Blinding: each chunk gets an independent SHA-256 counter stream whose
 	// seed is derived here, sequentially, on this goroutine. With the default
@@ -230,21 +235,20 @@ func (s *ShardedSystem) Prove(in *Input) (*ShardedProof, error) {
 	// derivation is replayable, and because no chunk ever touches the shared
 	// source from a worker goroutine, proof bytes do not depend on the
 	// parallel schedule.
-	rngs := make([]*blindStream, len(arts))
-	for c := range arts {
+	rngs := make([]*blindStream, len(s.Chunks))
+	for c := range rngs {
 		rngs[c] = newBlindStream(c)
 	}
 	type res struct {
 		proof *Proof
 		err   error
 	}
-	results := parallel.Map(len(arts), func(c int) res {
-		art := arts[c]
-		proof, err := plonkish.ProveWithRand(s.Chunks[c].Keys.PK, art.Instance, art.Witness, rngs[c])
+	results := parallel.Map(len(s.Chunks), func(c int) res {
+		proof, err := plonkish.ProveWithRand(s.Chunks[c].Keys.PK, instances[c], witnesses[c], rngs[c])
 		if err != nil {
 			return res{err: fmt.Errorf("%s: %w", s.Chunks[c].Plan.Graph.Name, err)}
 		}
-		return res{proof: &Proof{Proof: proof, Instance: art.Instance}}
+		return res{proof: &Proof{Proof: proof, Instance: instances[c]}}
 	})
 	out := &ShardedProof{Chunks: make([]*Proof, len(results))}
 	for c, r := range results {
