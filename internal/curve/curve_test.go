@@ -454,10 +454,39 @@ func TestMSMParallelMatchesSerial(t *testing.T) {
 		serial := MSM(pts, scs)
 		parallel.SetWorkers(4)
 		par := MSM(pts, scs)
-		parallel.SetWorkers(0)
 		a, b := serial.ToAffine(), par.ToAffine()
 		if !a.Equal(&b) {
 			t.Fatalf("parallel MSM differs from serial at n=%d", n)
+		}
+
+		// The table MSM splits across the workers idle when it starts: all
+		// of them here, none when it runs as one item of a fan-out whose
+		// other items hold every pool worker until it is done.
+		table := NewFixedBaseTable(pts)
+		idle := table.MSM(scs).ToAffine()
+		var busy Affine
+		busyIdle := -1
+		started := make(chan struct{}, parallel.Workers())
+		done := make(chan struct{})
+		parallel.For(parallel.Workers(), func(i int) {
+			if i > 0 {
+				started <- struct{}{}
+				<-done
+				return
+			}
+			for j := 1; j < parallel.Workers(); j++ {
+				<-started
+			}
+			busyIdle = parallel.Idle()
+			busy = table.MSM(scs).ToAffine()
+			close(done)
+		})
+		parallel.SetWorkers(0)
+		if busyIdle != 0 {
+			t.Fatalf("n=%d: %d workers idle beside the blocked items, want 0", n, busyIdle)
+		}
+		if !idle.Equal(&a) || !busy.Equal(&a) {
+			t.Fatalf("n=%d: table MSM with idle workers or with every worker busy differs from the serial MSM", n)
 		}
 	}
 }
@@ -599,6 +628,38 @@ func TestBatchAdderAgainstJac(t *testing.T) {
 		want := ref[b].ToAffine()
 		if !a.buckets[b].Equal(&want) {
 			t.Fatalf("batch adder bucket %d mismatch", b)
+		}
+	}
+}
+
+// TestBatchAdderReuse runs bucket passes of varying width through pooled
+// adders: an adder a wider pass left behind, reused for a narrower one and
+// then a wider one again, must start empty and give the Jacobian reference
+// sums every time.
+func TestBatchAdderReuse(t *testing.T) {
+	g := Generator()
+	pool := make([]Affine, 7)
+	for i := range pool {
+		k := ff.NewElement(uint64(3*i + 5))
+		pool[i] = ScalarMul(&g, &k).ToAffine()
+	}
+	for round, nb := range []int{64, 8, 1024, 2, 64, 600} {
+		a := getBatchAdder(nb)
+		ref := make([]Jac, nb)
+		for i := 0; i < 3000; i++ {
+			b := (i*31 + round) % nb
+			p := pool[(i*13)%len(pool)]
+			if i%9 == 0 {
+				p = p.Neg()
+			}
+			a.add(b, p)
+			ref[b].AddMixed(&p)
+		}
+		got := a.reduce().ToAffine()
+		putBatchAdder(a)
+		want := bucketReduce(ref).ToAffine()
+		if !got.Equal(&want) {
+			t.Fatalf("round %d (nb=%d): reused adder's reduction differs from the reference", round, nb)
 		}
 	}
 }

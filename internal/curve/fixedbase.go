@@ -118,11 +118,14 @@ func NewFixedBaseTable(basis []Affine) *FixedBaseTable {
 func (t *FixedBaseTable) Len() int { return t.n }
 
 // MSM computes sum scalars[i]·Bᵢ over the table's first len(scalars) basis
-// points. Workers process disjoint scalar ranges into private bucket sets
-// and reduce them independently; the partial sums are combined in index
-// order, and since each partial is an exact group element the result — and
-// therefore every proof byte — is identical at any worker count. Falls back
-// to the generic kernel when the input is tiny.
+// points. The scalar range splits into at most 1 + parallel.Idle() chunks,
+// one per worker free when the call starts: an MSM that runs beside others
+// in a fan-out keeps one bucket set and one reduction, and one that runs
+// alone takes every worker. Each chunk fills a private bucket set and
+// reduces it; the partial sums are combined in index order, and since each
+// partial is an exact group element the result — and therefore every proof
+// byte — is identical at any split. Falls back to the generic kernel when
+// the input is tiny.
 func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 	n := len(scalars)
 	if n > t.n {
@@ -134,7 +137,9 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 	if n < 8 {
 		return MSM(t.basis[:n], scalars)
 	}
-	splits := make([]glvSplit, n)
+	buf := splitScratch.Get(n)
+	defer splitScratch.Put(buf)
+	splits := *buf
 	maxBits := glvDecomposeAll(scalars, splits)
 	if maxBits >= t.nw*t.c {
 		// The top digit could not absorb its carry (unreachable with
@@ -148,24 +153,21 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 		return Jac{}
 	}
 
-	chunks := parallel.Workers()
-	if n < msmParallelMin || chunks < 1 {
-		chunks = 1
+	chunks := 1
+	if n >= msmParallelMin {
+		chunks = min(parallel.Workers(), 1+parallel.Idle())
+	}
+	if chunks == 1 {
+		return t.accumulate(splits, 0, n)
 	}
 	per := (n + chunks - 1) / chunks
 	partials := make([]Jac, chunks)
-	work := func(j int) {
+	parallel.For(chunks, func(j int) {
 		lo := j * per
-		hi := min(lo+per, n)
-		if lo < hi {
+		if hi := min(lo+per, n); lo < hi {
 			partials[j] = t.accumulate(splits, lo, hi)
 		}
-	}
-	if chunks == 1 {
-		work(0)
-	} else {
-		parallel.For(chunks, work)
-	}
+	})
 	var total Jac
 	for j := range partials {
 		total.AddAssign(&partials[j])
@@ -178,7 +180,8 @@ func (t *FixedBaseTable) MSM(scalars []ff.Element) Jac {
 // buckets (the table entries are pre-scaled by 2^(c·w)), then one
 // running-sum reduction yields the range's partial sum.
 func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
-	a := newBatchAdder(1 << uint(t.c-1))
+	a := getBatchAdder(1 << uint(t.c-1))
+	defer putBatchAdder(a)
 	row := make([]int32, t.nw)
 	for i := lo; i < hi; i++ {
 		for h := 0; h < 2; h++ {

@@ -342,6 +342,10 @@ func absLimbs(v *big.Int) [4]uint64 {
 	return l
 }
 
+// splitScratch holds the per-worker scalar-split buffers of the GLV MSM
+// kernels (msmGLV and FixedBaseTable.MSM).
+var splitScratch parallel.Scratch[glvSplit]
+
 // glvDecomposeAll decomposes every scalar into splits and returns the
 // maximum half-scalar bit length (0 when every scalar is zero mod r).
 func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
@@ -375,7 +379,9 @@ func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
 // bucket reductions, and Horner doublings of the plain kernel.
 func msmGLV(points []Affine, scalars []ff.Element) Jac {
 	n := len(points)
-	splits := make([]glvSplit, n)
+	buf := splitScratch.Get(n)
+	defer splitScratch.Put(buf)
+	splits := *buf
 	maxBits := glvDecomposeAll(scalars, splits)
 	if maxBits > glvHalfBits {
 		// Unreachable with self-checked constants; never compute a wrong

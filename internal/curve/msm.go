@@ -2,6 +2,7 @@ package curve
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/ff"
 	"repro/internal/limbs"
@@ -238,7 +239,8 @@ func bucketReduce(buckets []Jac) Jac {
 // windowSumAffine accumulates one window's buckets in affine coordinates
 // through a batchAdder, then reduces them with the running-sum trick.
 func windowSumAffine(points []Affine, digits []int32, w, nw, c int) Jac {
-	a := newBatchAdder(1 << uint(c-1))
+	a := getBatchAdder(1 << uint(c-1))
+	defer putBatchAdder(a)
 	for i := range points {
 		d := digits[i*nw+w]
 		if d == 0 {
@@ -290,11 +292,15 @@ type batchAdder struct {
 	scratch []limbs.Limbs // reused BatchInverse prefix buffer
 }
 
+// adders keeps finished batch adders for the next bucket pass, so an MSM
+// reuses the buckets, pend slots and batch buffers an earlier one left
+// instead of allocating them per window or per worker; each goroutine holds
+// its own adder while it runs.
+var adders sync.Pool
+
+// newBatchAdder allocates an empty batch adder over nb buckets.
 func newBatchAdder(nb int) *batchAdder {
-	batch := msmBatchSize
-	if nb < batch {
-		batch = nb
-	}
+	batch := min(msmBatchSize, nb)
 	a := &batchAdder{
 		buckets: make([]Affine, nb),
 		busy:    make([]bool, nb),
@@ -311,6 +317,31 @@ func newBatchAdder(nb int) *batchAdder {
 	}
 	return a
 }
+
+// getBatchAdder returns an empty batch adder over nb buckets: a pooled one
+// whose buffers are large enough, emptied, or a new one. Give it back with
+// putBatchAdder once reduce has returned.
+func getBatchAdder(nb int) *batchAdder {
+	a, _ := adders.Get().(*batchAdder)
+	if a == nil || cap(a.buckets) < nb {
+		return newBatchAdder(nb)
+	}
+	// Built for at least nb buckets, its batch buffers hold at least
+	// min(msmBatchSize, nb) entries.
+	a.batch = min(msmBatchSize, nb)
+	a.buckets, a.busy = a.buckets[:nb], a.busy[:nb]
+	a.pend, a.hasPend = a.pend[:nb], a.hasPend[:nb]
+	a.ops, a.pairs, a.pendIdx = a.ops[:0], a.pairs[:0], a.pendIdx[:0]
+	for i := range a.buckets {
+		a.buckets[i].Inf = true
+	}
+	clear(a.busy)
+	clear(a.hasPend)
+	return a
+}
+
+// putBatchAdder returns a reduced adder to the pool.
+func putBatchAdder(a *batchAdder) { adders.Put(a) }
 
 // add schedules p into bucket b and flushes when a batch is full.
 func (a *batchAdder) add(b int, p Affine) {

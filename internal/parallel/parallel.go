@@ -5,11 +5,14 @@
 // into independent chunks, so the whole prover scales with cores as long as
 // transcript absorption stays sequential (see DESIGN.md §8).
 //
-// The pool is a process-wide token semaphore: a For/Range/Map call runs up
-// to Workers() chunks concurrently (counting the calling goroutine), and
-// nested calls — e.g. a per-column IFFT inside a per-phase column fan-out —
-// degrade gracefully to inline execution instead of oversubscribing or
-// deadlocking, because workers acquire tokens with a non-blocking try.
+// The pool is a process-wide token semaphore: a For/Range/Map call runs on
+// up to Workers() goroutines (counting the calling one), and nested calls —
+// e.g. a per-column IFFT inside a per-phase column fan-out — degrade
+// gracefully to inline execution instead of oversubscribing or deadlocking,
+// because workers acquire tokens with a non-blocking try. Range splits its
+// span into fixed chunks; For and Map hand out indices on demand, so items
+// of uneven cost keep every worker busy until the last one is claimed, and
+// Idle tells a kernel how many workers it could split across right now.
 package parallel
 
 import (
@@ -67,73 +70,89 @@ func tokens() chan struct{} {
 }
 
 // Range splits [0, n) into up to Workers() contiguous chunks and runs fn on
-// each, returning when all chunks are done. The calling goroutine always
-// executes at least one chunk; additional chunks run on pooled goroutines
-// when tokens are free and inline otherwise. Chunk boundaries depend only on
-// n and the worker bound, so callers may precompute per-chunk state. A panic
-// in any chunk is re-raised in the caller after all chunks finish.
+// each, returning when all chunks are done. The chunks are scheduled as For
+// schedules its items. Chunk boundaries depend only on n and the worker
+// bound, so callers may precompute per-chunk state. A panic in any chunk is
+// re-raised in the caller after all chunks finish.
 func Range(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers()
-	if w <= 1 || n == 1 {
-		fn(0, n)
+	chunks := min(Workers(), n)
+	size := (n + chunks - 1) / chunks
+	For((n+size-1)/size, func(j int) {
+		lo := j * size
+		fn(lo, min(lo+size, n))
+	})
+}
+
+// Idle returns how many pool workers are free at this moment: the tokens a
+// For, Range or Map could take now, in [0, Workers()−1]. It is a snapshot —
+// other calls may take or return tokens right after — so a kernel uses it
+// only to decide how finely to split work that is exact at any split.
+func Idle() int {
+	pool := tokens()
+	return cap(pool) - len(pool)
+}
+
+// For runs fn for every i in [0, n) and returns when all are done. The
+// calling goroutine and up to Workers()−1 pooled ones (as many as tokens are
+// free) claim indices one at a time from a shared counter, so a worker that
+// finishes a cheap item takes the next instead of idling beside a long one.
+// A panic in any item is re-raised in the caller after every other item has
+// run.
+func For(n int, fn func(i int)) {
+	if n <= 0 {
 		return
 	}
-	chunks := w
-	if chunks > n {
-		chunks = n
+	var next atomic.Int64
+	var firstPanic atomic.Pointer[any]
+	claim := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			runItem(fn, i, &firstPanic)
+		}
 	}
-	size := (n + chunks - 1) / chunks
-
 	pool := tokens()
 	var wg sync.WaitGroup
-	var firstPanic atomic.Pointer[any]
-	run := func(lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				firstPanic.CompareAndSwap(nil, &r)
-			}
-		}()
-		fn(lo, hi)
-	}
-	for lo := size; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+spawn:
+	for h := min(n, Workers()) - 1; h > 0; h-- {
 		select {
 		case pool <- struct{}{}:
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func() {
 				defer func() {
 					<-pool
 					wg.Done()
 				}()
-				run(lo, hi)
-			}(lo, hi)
+				claim()
+			}()
 		default:
-			run(lo, hi)
+			break spawn // the pool is saturated
 		}
 	}
-	run(0, size)
+	claim()
 	wg.Wait()
 	if p := firstPanic.Load(); p != nil {
 		panic(*p)
 	}
 }
 
-// For runs fn for every i in [0, n), parallelized as in Range.
-func For(n int, fn func(i int)) {
-	Range(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
+// runItem runs fn(i), recording its panic, if any, as the call's first.
+func runItem(fn func(i int), i int, firstPanic *atomic.Pointer[any]) {
+	defer func() {
+		if r := recover(); r != nil {
+			firstPanic.CompareAndSwap(nil, &r)
 		}
-	})
+	}()
+	fn(i)
 }
 
-// Map runs fn for every i in [0, n) and collects the results in order.
+// Map runs fn for every i in [0, n), scheduled as in For, and collects the
+// results in order.
 func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, func(i int) {
@@ -141,3 +160,26 @@ func Map[T any](n int, fn func(i int) T) []T {
 	})
 	return out
 }
+
+// Scratch hands out reusable slices to concurrent workers, so a kernel that
+// runs many times (an MSM's scalar splits, a commit's row differences) does
+// not allocate its working buffer on every call. Get returns a buffer no
+// other goroutine holds; Put gives it back. Buffers the garbage collector
+// reclaims between calls are allocated anew. The zero value is ready to use.
+type Scratch[T any] struct{ pool sync.Pool }
+
+// Get returns a buffer of length n. Its contents are unspecified: the
+// caller overwrites what it reads.
+func (s *Scratch[T]) Get(n int) *[]T {
+	b, _ := s.pool.Get().(*[]T)
+	if b == nil || cap(*b) < n {
+		b = new([]T)
+		*b = make([]T, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// Put returns a buffer from Get for reuse. The caller must not touch it
+// afterwards.
+func (s *Scratch[T]) Put(b *[]T) { s.pool.Put(b) }

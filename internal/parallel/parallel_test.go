@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -96,5 +97,131 @@ func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	SetWorkers(-5)
 	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("Workers() = %d after reset, want %d", got, want)
+	}
+}
+
+// claimShapes runs fn(n, visit) the ways the prover calls For and Map: from
+// one caller, nested inside another For, and from two callers at once (two
+// proves in flight). visit(i) must be called once per index of each
+// logical call; each shape checks that.
+func claimShapes(t *testing.T, run func(n int, visit func(i int))) {
+	t.Helper()
+	const n = 97
+	check := func(shape string, hits []int32) {
+		t.Helper()
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d %s: index %d visited %d times", Workers(), shape, i%n, h)
+			}
+		}
+	}
+
+	hits := make([]int32, n)
+	run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	check("single", hits)
+
+	const outer = 5
+	hits = make([]int32, outer*n)
+	For(outer, func(o int) {
+		run(n, func(i int) { atomic.AddInt32(&hits[o*n+i], 1) })
+	})
+	check("nested", hits)
+
+	hits = make([]int32, 2*n)
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			run(n, func(i int) { atomic.AddInt32(&hits[c*n+i], 1) })
+		}(c)
+	}
+	wg.Wait()
+	check("concurrent", hits)
+}
+
+// TestForAndMapClaimEachIndexOnce checks that For and Map, which hand out
+// indices on demand, visit every index exactly once — alone, nested and
+// from concurrent callers — and that Map keeps its results in order.
+func TestForAndMapClaimEachIndexOnce(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		claimShapes(t, func(n int, visit func(i int)) { For(n, visit) })
+		claimShapes(t, func(n int, visit func(i int)) {
+			out := Map(n, func(i int) int {
+				visit(i)
+				return 3 * i
+			})
+			for i, v := range out {
+				if v != 3*i {
+					t.Errorf("workers=%d: Map out[%d] = %d, want %d", workers, i, v, 3*i)
+				}
+			}
+		})
+	}
+}
+
+// TestForPanicAfterEveryItem panics in one item and requires every other
+// item to have run before the panic reaches the caller, at each worker
+// count.
+func TestForPanicAfterEveryItem(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		const n = 64
+		var ran atomic.Int32
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want the item's panic", workers, r)
+				}
+				if got := ran.Load(); got != n-1 {
+					t.Fatalf("workers=%d: %d of %d other items ran before the panic was re-raised", workers, got, n-1)
+				}
+			}()
+			For(n, func(i int) {
+				if i == 3 {
+					panic("boom")
+				}
+				ran.Add(1)
+			})
+		}()
+	}
+}
+
+// TestIdleWithinBounds checks Idle against the pool: every worker free
+// when nothing runs, none while a For holds them all, and always within
+// [0, Workers()−1].
+func TestIdleWithinBounds(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		if got := Idle(); got != workers-1 {
+			t.Fatalf("workers=%d: Idle() = %d with nothing running, want %d", workers, got, workers-1)
+		}
+		started := make(chan struct{}, workers)
+		done := make(chan struct{})
+		busy := -1
+		For(workers, func(i int) {
+			if i > 0 {
+				started <- struct{}{}
+				<-done
+				return
+			}
+			for j := 1; j < workers; j++ {
+				<-started
+			}
+			busy = Idle()
+			close(done)
+		})
+		if busy != 0 {
+			t.Fatalf("workers=%d: Idle() = %d while every worker runs an item, want 0", workers, busy)
+		}
+		For(200, func(int) {
+			if n := Idle(); n < 0 || n > workers-1 {
+				t.Errorf("workers=%d: Idle() = %d during a For, outside [0, %d]", workers, n, workers-1)
+			}
+		})
 	}
 }

@@ -36,7 +36,9 @@ func (s *IPAScheme) Backend() Backend { return IPA }
 // original generators (n' the current length, w the block weights of
 // foldWeights), so each cross term is one MSM over the original basis with
 // scalars w_t·a_m on the blocks it reads and zero elsewhere — a commit-table
-// MSM, like any commitment.
+// MSM, like any commitment. A round's L and R are committed together
+// (CommitBatch): each runs whole on its own worker, so neither is split into
+// index halves of which one is all zeros.
 func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element) *Opening {
 	defer recordOpen()()
 	size := len(s.basis)
@@ -68,7 +70,8 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 				sr[lo+m].Mul(&w[t], &a[h+m])
 			}
 		}
-		la, ra := s.crossTerm(sl, &cl), s.crossTerm(sr, &cr)
+		lr := CommitBatch(s, [][]ff.Element{sl, sr}, false)
+		la, ra := crossTerm(lr[0], &cl), crossTerm(lr[1], &cr)
 		tr.AppendPoint("ipa-L", la)
 		tr.AppendPoint("ipa-R", ra)
 		proof.L = append(proof.L, la)
@@ -96,10 +99,10 @@ func (s *IPAScheme) Open(tr *transcript.Transcript, p []ff.Element, z ff.Element
 	return proof
 }
 
-// crossTerm returns <scalars, basis> + c·U, the basis MSM through the
-// commit table.
-func (s *IPAScheme) crossTerm(scalars []ff.Element, c *ff.Element) curve.Affine {
-	m, u := s.Commit(scalars), ipaAnchor()
+// crossTerm returns m + c·U for m = <scalars, basis>, the cross term's basis
+// MSM, which Open runs through the commit table beside its twin.
+func crossTerm(m curve.Affine, c *ff.Element) curve.Affine {
+	u := ipaAnchor()
 	p, t := m.ToJac(), curve.ScalarMul(&u, c)
 	p.AddAssign(&t)
 	return p.ToAffine()

@@ -145,12 +145,15 @@ func ipaLagrange(_ *setup, g []curve.Affine) []curve.Affine {
 	return curve.BatchToAffine(jacs)
 }
 
-// rowDiffs returns d₀ = v₀, dᵢ = vᵢ − vᵢ₋₁: the scalars of v over the
-// suffix basis.
-func rowDiffs(v []ff.Element) []ff.Element {
-	d := append([]ff.Element(nil), v...)
-	for i := len(d) - 1; i > 0; i-- {
-		d[i].Sub(&d[i], &d[i-1])
+// rowDiffs writes d₀ = v₀, dᵢ = vᵢ − vᵢ₋₁ — the scalars of v over the
+// suffix basis — into d (of v's length) and returns it.
+func rowDiffs(d, v []ff.Element) []ff.Element {
+	d[0] = v[0]
+	for i := 1; i < len(v); i++ {
+		d[i].Sub(&v[i], &v[i-1])
 	}
 	return d
 }
+
+// diffScratch holds the per-worker row-difference buffers of CommitLagrange.
+var diffScratch parallel.Scratch[ff.Element]

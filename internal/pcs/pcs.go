@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
+	"repro/internal/parallel"
 	"repro/internal/transcript"
 )
 
@@ -102,4 +103,36 @@ func New(b Backend, maxLen int) (Scheme, error) {
 	default:
 		return nil, errors.New("pcs: unknown backend")
 	}
+}
+
+// CommitBatch commits every vector — as coefficients through s.Commit, or as
+// values over the size-len(v) domain through s.CommitLagrange when lagrange
+// is set — and returns the commitments in input order. The commitments are
+// independent, so they run side by side, each MSM whole on one worker
+// (parallel.For hands out the vectors; a table MSM splits only across the
+// workers idle when it starts). One step comes first: the set-up work the
+// first commit would do — deriving the Lagrange basis, building the commit
+// table — runs before the fan-out, so it gets the whole pool instead of one
+// worker while the others wait on it (DESIGN.md §8, §14). Callers batch
+// vectors of one length.
+func CommitBatch(s Scheme, vecs [][]ff.Element, lagrange bool) []curve.Affine {
+	commit := s.Commit
+	if lagrange {
+		commit = s.CommitLagrange
+	}
+	if w, ok := s.(warmer); ok && len(vecs) > 0 {
+		w.warm(len(vecs[0]), lagrange)
+	}
+	out := make([]curve.Affine, len(vecs))
+	parallel.For(len(vecs), func(i int) {
+		out[i] = commit(vecs[i])
+	})
+	return out
+}
+
+// warmer is the side of a scheme that CommitBatch has do a commit's set-up
+// work ahead of the fan-out; both backends have it through their setup
+// prefix (srs.go).
+type warmer interface {
+	warm(n int, lagrange bool)
 }

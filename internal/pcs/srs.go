@@ -81,21 +81,45 @@ func (p prefix) MaxLen() int { return len(p.basis) }
 // Commit implements Scheme. Large commitments run against the lazily-built
 // fixed-base table over the backend's basis (see fixedbase.go).
 func (p prefix) Commit(c []ff.Element) curve.Affine {
-	if len(c) > len(p.basis) {
-		panic("pcs: polynomial exceeds the setup size")
-	}
-	return commitMSM(&p.setup.tables, p.basis, c)
+	cc, basis := p.target(len(c), false)
+	return commitMSM(cc, basis, c)
 }
 
 // CommitLagrange implements Scheme: the MSM of the row differences of evals
 // over the domain's suffix-summed Lagrange basis (lagrange.go).
 func (p prefix) CommitLagrange(evals []ff.Element) curve.Affine {
-	n := len(evals)
+	cc, basis := p.target(len(evals), true)
+	buf := diffScratch.Get(len(evals))
+	defer diffScratch.Put(buf)
+	return commitMSM(cc, basis, rowDiffs(*buf, evals))
+}
+
+// target returns the basis an n-vector commits against, with its table
+// cache: the coefficient basis, or with lagrange set the suffix-summed
+// Lagrange basis of the size-n domain, derived here on first use.
+func (p prefix) target(n int, lagrange bool) (*commitTableCache, []curve.Affine) {
+	if !lagrange {
+		if n > len(p.basis) {
+			panic("pcs: polynomial exceeds the setup size")
+		}
+		return &p.setup.tables, p.basis
+	}
 	if n == 0 || n > len(p.basis) || n&(n-1) != 0 {
 		panic("pcs: column length is not a power of two within the setup")
 	}
 	l := p.setup.lagrangeBasis(p.basis[:n])
-	return commitMSM(&l.tables, l.basis, rowDiffs(evals))
+	return &l.tables, l.basis
+}
+
+// warm does the set-up work a first commit of an n-vector would do — the
+// Lagrange derivation and the table build — and nothing else, so that
+// CommitBatch runs that work with the whole pool before it fans out. Once
+// both are built it costs two atomic loads.
+func (p prefix) warm(n int, lagrange bool) {
+	cc, basis := p.target(n, lagrange)
+	if n >= commitTableMinLen {
+		cc.get(basis, n)
+	}
 }
 
 // lagrangeBasis returns the suffix-summed Lagrange basis of the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/curve"
@@ -235,5 +236,60 @@ func TestEmptyLookupRejected(t *testing.T) {
 	}
 	if _, _, err := Setup(cs, 32, testFixed(32)[:1], pcs.KZG); err == nil {
 		t.Fatal("Setup accepted a lookup with no inputs")
+	}
+}
+
+// TestConcurrentProvesMatchSequential is the daemon's pattern: two proves in
+// flight at once on one proving key, each with its own seeded blinding
+// stream, share the worker pool, the commit tables and the batch commits
+// beneath them. Each must give the bytes the same prove gives alone. The
+// 256-row domain keeps commitments on the table path; `make race` runs it
+// under the detector.
+func TestConcurrentProvesMatchSequential(t *testing.T) {
+	const n = 256
+	for _, backend := range []pcs.Backend{pcs.KZG, pcs.IPA} {
+		t.Run(backend.String(), func(t *testing.T) {
+			pk, vk, err := Setup(testCircuit(), n, testFixed(n), backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := []string{"serve-a", "serve-b"}
+			prove := func(seed string) ([]byte, error) {
+				rng := &ctrReader{seed: sha256.Sum256([]byte(seed))}
+				proof, err := ProveWithRand(pk, testInstance(24), testWitness(false, false, false), rng)
+				if err != nil {
+					return nil, err
+				}
+				if err := Verify(vk, testInstance(24), proof); err != nil {
+					return nil, err
+				}
+				return proof.MarshalBinary()
+			}
+			want := make([][]byte, len(seeds))
+			for i, seed := range seeds {
+				if want[i], err = prove(seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make([][]byte, len(seeds))
+			errs := make([]error, len(seeds))
+			var wg sync.WaitGroup
+			for i, seed := range seeds {
+				wg.Add(1)
+				go func(i int, seed string) {
+					defer wg.Done()
+					got[i], errs[i] = prove(seed)
+				}(i, seed)
+			}
+			wg.Wait()
+			for i := range seeds {
+				if errs[i] != nil {
+					t.Fatalf("concurrent prove %d: %v", i, errs[i])
+				}
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("concurrent prove %d differs from the same prove run alone", i)
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/ff"
-	"repro/internal/parallel"
 	"repro/internal/pcs"
 	"repro/internal/poly"
 )
@@ -126,16 +125,10 @@ func Setup(cs *CS, n int, fixed [][]ff.Element, backend pcs.Backend) (*ProvingKe
 		return nil, nil, err
 	}
 
-	// Fixed and sigma columns are committed from their values. The first
-	// commit derives the scheme's Lagrange basis and builds its table with
-	// the whole worker pool; made inside the fan-out over columns it would
-	// run on one worker (nested parallel calls run inline) while the others
-	// wait on it, about +0.5 s of IPA keygen at 2^11 on two cores.
-	commits := make([]curve.Affine, len(cols))
-	commits[0] = scheme.CommitLagrange(cols[0])
-	parallel.For(len(cols)-1, func(i int) {
-		commits[i+1] = scheme.CommitLagrange(cols[i+1])
-	})
+	// Fixed and sigma columns are committed from their values, side by
+	// side; the batch derives the scheme's Lagrange basis and builds its
+	// table with the whole worker pool before it fans out.
+	commits := pcs.CommitBatch(scheme, cols, true)
 	nf := numKeyFixed(cs)
 	vk, err := SetupVK(cs, n, backend, commits[:nf:nf], commits[nf:])
 	if err != nil {

@@ -123,10 +123,9 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		return nil, err
 	}
 	numPieces := len(pieces)
-	proof.QuotientCommits = make([]curve.Affine, numPieces)
-	for i, piece := range pieces {
-		proof.QuotientCommits[i] = pk.Scheme.Commit(piece)
-		tr.AppendPoint("quotient", proof.QuotientCommits[i])
+	proof.QuotientCommits = pcs.CommitBatch(pk.Scheme, pieces, false)
+	for _, cm := range proof.QuotientCommits {
+		tr.AppendPoint("quotient", cm)
 	}
 
 	trace.Stage(obs.StageOpen)
@@ -153,35 +152,49 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 
 	v := tr.Challenge("v")
 
-	// Batched openings per rotation group: the v-combined polynomials build
-	// in parallel; the openings themselves absorb into the transcript and
-	// stay in rotation order.
+	// Batched openings per rotation group, in rotation order: each group's
+	// v-combined polynomial is built over coefficient ranges across the pool
+	// (rotation 0 alone holds every quotient piece and most columns), then
+	// opened, which absorbs into the transcript.
 	rots := distinctRots(pk.Queries)
-	combined := parallel.Map(len(rots), func(ri int) []ff.Element {
-		rot := rots[ri]
-		var comb []ff.Element
-		vPow := ff.One()
-		addPoly := func(p []ff.Element) {
-			comb = poly.AddScaled(comb, vPow, p)
-			vPow.Mul(&vPow, &v)
-		}
+	proof.Openings = make([]*pcs.Opening, 0, len(rots))
+	for _, rot := range rots {
+		var polys [][]ff.Element
 		for _, q := range pk.Queries {
 			if q.Rot == rot {
-				addPoly(coeff[q.Col])
+				polys = append(polys, coeff[q.Col])
 			}
 		}
 		if rot == 0 {
-			for _, piece := range pieces {
-				addPoly(piece)
-			}
+			polys = append(polys, pieces...)
 		}
-		return comb
-	})
-	proof.Openings = make([]*pcs.Opening, 0, len(rots))
-	for ri, rot := range rots {
-		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combined[ri], pointOf(rot)))
+		proof.Openings = append(proof.Openings, pk.Scheme.Open(tr, combine(polys, &v), pointOf(rot)))
 	}
 	return proof, nil
+}
+
+// combine returns Σ_j v^j·polys[j], each worker summing every polynomial
+// over its own range of coefficients.
+func combine(polys [][]ff.Element, v *ff.Element) []ff.Element {
+	pows := make([]ff.Element, len(polys))
+	size := 0
+	for j, p := range polys {
+		if j == 0 {
+			pows[j] = ff.One()
+		} else {
+			pows[j].Mul(&pows[j-1], v)
+		}
+		size = max(size, len(p))
+	}
+	comb := make([]ff.Element, size)
+	parallel.Range(size, func(lo, hi int) {
+		for j, p := range polys {
+			if lo < len(p) {
+				poly.AddScaled(comb[lo:hi], pows[j], p[lo:min(hi, len(p))])
+			}
+		}
+	})
+	return comb
 }
 
 // committed is what the commit, lookup and permutation stages leave for the
@@ -238,15 +251,16 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	}
 	register := func(c Col, vals, coeffs []ff.Element) {
 		lag[c] = vals
-		if coeffs == nil {
-			coeffs = ifft(vals)
-		}
 		coeff[c] = coeffs
 	}
-	commitCol := func(c Col, label string) curve.Affine {
-		cm := pk.Scheme.CommitLagrange(lag[c])
-		tr.AppendPoint(label, cm)
-		return cm
+	// commit commits columns from their values, side by side
+	// (pcs.CommitBatch), and absorbs the commitments in column order.
+	commit := func(vals [][]ff.Element, label string) []curve.Affine {
+		cms := pcs.CommitBatch(pk.Scheme, vals, true)
+		for _, cm := range cms {
+			tr.AppendPoint(label, cm)
+		}
+		return cms
 	}
 	for i := range pk.FixedVals {
 		lag[FixedCol(i)] = pk.FixedVals[i]
@@ -266,7 +280,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	}
 
 	// Advice phases: blind on this goroutine, IFFT all of the phase's
-	// columns in parallel, then commit in column order.
+	// columns in parallel, then commit them side by side.
 	var challenges []ff.Element
 	proof.AdviceCommits = make([]curve.Affine, cs.NumAdvice)
 	maxPhase := cs.maxPhase()
@@ -288,9 +302,13 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		adviceCoeffs := parallel.Map(len(cols), func(idx int) []ff.Element {
 			return ifft(a.Advice[cols[idx]])
 		})
+		vals := make([][]ff.Element, len(cols))
 		for idx, i := range cols {
 			register(AdviceCol(i), a.Advice[i], adviceCoeffs[idx])
-			proof.AdviceCommits[i] = commitCol(AdviceCol(i), "advice")
+			vals[idx] = a.Advice[i]
+		}
+		for idx, cm := range commit(vals, "advice") {
+			proof.AdviceCommits[cols[idx]] = cm
 		}
 		if phase == 0 && maxPhase > 0 {
 			challenges = make([]ff.Element, cs.NumChallenges)
@@ -307,7 +325,7 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	// Lookup multiplicities: evaluate every lookup's selector and inputs in
 	// one pass of the lookup program over the usable rows (one register file
 	// per worker chunk), then compress each lookup's table and count its
-	// multiplicities in parallel across lookups, and commit in lookup order.
+	// multiplicities in parallel across lookups, and commit them side by side.
 	type lookupData struct {
 		f, sel []ff.Element // compressed input and selector, on the usable rows
 		t      []ff.Element // compressed table, on its TableLen rows
@@ -316,7 +334,6 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		err    error
 	}
 	lookups := make([]lookupData, len(cs.Lookups))
-	proof.MCommits = make([]curve.Affine, len(cs.Lookups))
 	maxInputs := 0
 	for k, l := range cs.Lookups {
 		m := make([]ff.Element, n)
@@ -378,13 +395,15 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		}
 		ld.mCoeff = ifft(ld.m)
 	})
+	ms := make([][]ff.Element, len(lookups))
 	for k := range lookups {
 		if err := lookups[k].err; err != nil {
 			return nil, err
 		}
 		register(mCol(k), lookups[k].m, lookups[k].mCoeff)
-		proof.MCommits[k] = commitCol(mCol(k), "lookup-m")
+		ms[k] = lookups[k].m
 	}
+	proof.MCommits = commit(ms, "lookup-m")
 
 	arg[Beta] = tr.Challenge("beta")
 	arg[Gamma] = tr.Challenge("gamma")
@@ -396,7 +415,6 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	// rows, so only the table rows' β+t are inverted. The inverses overwrite
 	// f and t, and once phi is built f, t and sel are dropped: they are a
 	// lookup stage's largest buffers, and nothing after it reads them.
-	proof.PhiCommits = make([]curve.Affine, len(cs.Lookups))
 	phis := make([][]ff.Element, len(cs.Lookups))
 	phiCoeffs := make([][]ff.Element, len(cs.Lookups))
 	phiErrs := make([]error, len(cs.Lookups))
@@ -446,12 +464,13 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			return nil, phiErrs[k]
 		}
 		register(phiCol(k), phis[k], phiCoeffs[k])
-		proof.PhiCommits[k] = commitCol(phiCol(k), "lookup-phi")
 	}
+	proof.PhiCommits = commit(phis, "lookup-phi")
 
 	// Permutation grand products: the num/den row loops of every chunk run
 	// in parallel; the carry-linked z prefix walks stay serial in chunk
-	// order (they are O(u) multiplications).
+	// order (they are O(u) multiplications); the z columns then interpolate
+	// and commit side by side.
 	trace.Stage(obs.StagePerm)
 	if numChunks := cs.numZ(); numChunks > 0 {
 		permCols := cs.PermCols()
@@ -463,7 +482,6 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			dp[i] = acc
 			acc.Mul(&acc, &delta)
 		}
-		proof.ZCommits = make([]curve.Affine, numChunks)
 		ratios := parallel.Map(numChunks, func(j int) []ff.Element {
 			lo := j * chunk
 			hi := lo + chunk
@@ -497,8 +515,9 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			})
 			return num
 		})
+		zs := make([][]ff.Element, numChunks)
 		carry := ff.One()
-		for j := 0; j < numChunks; j++ {
+		for j := range zs {
 			z := make([]ff.Element, n)
 			z[0] = carry
 			for r := 0; r < u; r++ {
@@ -508,12 +527,16 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			for r := u + 1; r < n; r++ {
 				z[r] = ff.RandomFrom(rng)
 			}
-			register(zCol(j), z, nil)
-			proof.ZCommits[j] = commitCol(zCol(j), "perm-z")
+			zs[j] = z
 		}
 		if !carry.IsOne() {
 			return nil, fmt.Errorf("plonkish: permutation product != 1 (copy constraint violated)")
 		}
+		zCoeffs := parallel.Map(numChunks, func(j int) []ff.Element { return ifft(zs[j]) })
+		for j := range zs {
+			register(zCol(j), zs[j], zCoeffs[j])
+		}
+		proof.ZCommits = commit(zs, "perm-z")
 	}
 
 	return &committed{tr: tr, proof: proof, lag: lag, coeff: coeff, challenges: challenges, arg: arg}, nil
