@@ -9,7 +9,9 @@
 #   make test        full test suite only
 #   make race        race detector on the proving engine packages
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
-#   make bench       the repo-root kernel benchmarks (bench_test.go), once each
+#   make bench       the repo-root kernel benchmarks (bench_test.go), once
+#                    each, then the MSM kernels' per-scalar and per-addition
+#                    costs (ns/scalar, flushes/op, ns/add)
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
 #   make cross       the field, curve and polynomial tests, the pinned
 #                    proof and circuit digests and the untrusted-bytes
@@ -63,6 +65,7 @@ FUZZ_TARGETS = \
 	./internal/model/:FuzzModelLoad \
 	./internal/curve/:FuzzPointSetBytes \
 	./internal/curve/:FuzzGLVDecompose \
+	./internal/limbs/:FuzzAddRun \
 	./internal/limbs/:FuzzButterfly \
 	./internal/limbs/:FuzzMontMul \
 	./zkml/:FuzzImportProof
@@ -108,12 +111,14 @@ race:
 # cells through ff.NewInt64 on it. Its 32-bit int is also where a length
 # prefix >= 2^31 turns negative, so the decoders of untrusted bytes run
 # there too, and so do the pcs setup-record tests (growth, install, the
-# comb and the Lagrange derivations on the generic kernel). The arm64 vet +
-# build keeps the !amd64 files compiling.
+# comb and the Lagrange derivations on the generic kernel) and the batch
+# commit tests, which run the generic batch-addition run (limbs.AddRun)
+# through every commit path. The arm64 vet + build keeps the !amd64 files
+# compiling.
 cross:
 	GOARCH=386 $(GO) test ./internal/limbs/ ./internal/ff/ ./internal/curve/ ./internal/poly/
 	GOARCH=386 $(GO) test -run 'TestSeededProofsPinned|TestQuotientPiecesMatchReference|TestProofDeserializationRejectsGarbage' ./internal/plonkish/
-	GOARCH=386 $(GO) test -run 'TestSRSRoundTrip|TestImportedPowersCommitLagrange|TestSRSImportRejectsCorruption|TestLagrangeFirstUseBuildsOnce|TestCommitTableSetupWorkAccounting|TestInstallSRSKeepsNoCallerArray' ./internal/pcs/
+	GOARCH=386 $(GO) test -run 'TestSRSRoundTrip|TestImportedPowersCommitLagrange|TestSRSImportRejectsCorruption|TestLagrangeFirstUseBuildsOnce|TestCommitTableSetupWorkAccounting|TestInstallSRSKeepsNoCallerArray|TestCommitBatchMatchesPerVector|TestCommitBatchBuildsOnce' ./internal/pcs/
 	GOARCH=386 $(GO) test -run TestDecodeArtifactRejectsCorruption ./internal/core/
 	GOARCH=386 $(GO) test -short -run 'TestCircuitsPinned|TestFreivalds' ./internal/gadgets/
 	GOARCH=386 $(GO) test -run TestImportProofRejectsHugeCounts ./zkml/
@@ -122,12 +127,13 @@ cross:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -run '^$$' -bench 'BenchmarkAddRun|BenchmarkMSM|BenchmarkFixedBaseMSM' ./internal/limbs/ ./internal/curve/
 
 # One iteration of the kernel benchmarks: compiles and runs the bench code
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkButterflyRun|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkAddRun|BenchmarkButterflyRun|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (a fitted calibration), prove once more
 # with tracing — compiled into a fresh key store, then loaded from it — and

@@ -269,17 +269,25 @@ func PlanFor(g *model.Graph, sample *model.Input, cfg gadgets.Config, backend pc
 	return &Plan{Graph: g, Sample: sample, Candidate: *cand, Backend: backend, Calibration: calib}, nil
 }
 
-// Synthesize builds the circuit and witness for an input under this plan.
+// Synthesize builds the circuit and witness for an input under this plan:
+// a full build, with the constraint system and fixed columns keygen reads.
 func (p *Plan) Synthesize(in *model.Input) (*gadgets.Artifact, error) {
-	return p.SynthesizeLink(in, nil)
+	b, _, err := p.Graph.BuildCircuit(p.Config, in)
+	if err != nil {
+		return nil, err
+	}
+	return b.Finalize(p.N)
 }
 
-// SynthesizeLink is Synthesize for one link of a sharded chain: it also
-// records the quantized values of every graph output into acts, keyed by
-// tensor name — the boundary activations the following chunks take as their
-// act inputs (model.Partitioning.ChunkInput). A nil acts records nothing.
+// SynthesizeLink builds what a prove of one link of a sharded chain (or of
+// a plain plan, with a nil acts) reads: a witness build, whose artifact has
+// the witness and the instance but no constraint system or fixed columns —
+// the prover takes both from its key. It also records the quantized values
+// of every graph output into acts, keyed by tensor name — the boundary
+// activations the following chunks take as their act inputs
+// (model.Partitioning.ChunkInput). A nil acts records nothing.
 func (p *Plan) SynthesizeLink(in *model.Input, acts map[string][]int64) (*gadgets.Artifact, error) {
-	b, outs, err := p.Graph.BuildCircuit(p.Config, in)
+	b, outs, err := p.Graph.BuildWitness(p.Config, in)
 	if err != nil {
 		return nil, err
 	}
@@ -343,18 +351,15 @@ func (p *Plan) prove(keys *Keys, in *model.Input, trace *obs.Trace) (*Proof, err
 	if keys == nil || keys.PK == nil {
 		return nil, fmt.Errorf("core: keys carry no proving key (verify-only system)")
 	}
-	art, err := p.Synthesize(in)
+	art, err := p.SynthesizeLink(in, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The prover reads the key's fixed columns, not the ones this synthesis
-	// built: holding only the instance and the witness lets those go.
-	instance, witness := art.Instance, art.Witness
-	proof, err := plonkish.ProveTraced(keys.PK, instance, witness, trace)
+	proof, err := plonkish.ProveTraced(keys.PK, art.Instance, art.Witness, trace)
 	if err != nil {
 		return nil, err
 	}
-	return &Proof{Proof: proof, Instance: instance}, nil
+	return &Proof{Proof: proof, Instance: art.Instance}, nil
 }
 
 // CompareEstimate lines a traced run's measured stage times up against the

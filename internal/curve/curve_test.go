@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ff"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -358,12 +359,26 @@ func BenchmarkMSM(b *testing.B) {
 				sub, kernel = name+"/glv=off", msmPlain
 			}
 			b.Run(sub, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					kernel(pts, scs)
-				}
+				reportPerScalar(b, n, func() { kernel(pts, scs) })
 			})
 		}
 	}
+}
+
+// reportPerScalar times run, an MSM over n scalars, and reports its cost
+// per scalar and its batch-inversion flushes per MSM (the RecordBatchInvFlush
+// counter).
+func reportPerScalar(b *testing.B, n int, run func()) {
+	k := &obs.KernelCounters{}
+	prev := SetKernelTrace(k)
+	defer SetKernelTrace(prev)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/scalar")
+	b.ReportMetric(float64(k.BatchInvFlushes.Load())/float64(b.N), "flushes/op")
 }
 
 // BenchmarkFixedBaseMSM measures the precomputed-table commitment path
@@ -386,9 +401,7 @@ func BenchmarkFixedBaseMSM(b *testing.B) {
 			b.Fatal("table build declined")
 		}
 		b.Run(map[int]string{1 << 10: "2^10", 1 << 12: "2^12"}[n], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.MSM(scs)
-			}
+			reportPerScalar(b, n, func() { tab.MSM(scs) })
 		})
 	}
 }
@@ -616,17 +629,19 @@ func TestBatchAdderAgainstJac(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		b := (i * 7) % nb
-		p := pool[(i*13)%len(pool)]
-		if i%11 == 0 {
-			p = p.Neg() // exercise cancellations to infinity
+		p := &pool[(i*13)%len(pool)]
+		neg := i%11 == 0 // exercise cancellations to infinity
+		a.add(b, p, neg)
+		q := *p
+		if neg {
+			q = q.Neg()
 		}
-		a.add(b, p)
-		ref[b].AddMixed(&p)
+		ref[b].AddMixed(&q)
 	}
 	a.flushAll()
 	for b := 0; b < nb; b++ {
-		want := ref[b].ToAffine()
-		if !a.buckets[b].Equal(&want) {
+		got, want := bucketPoint(&a.buckets[b]), ref[b].ToAffine()
+		if !got.Equal(&want) {
 			t.Fatalf("batch adder bucket %d mismatch", b)
 		}
 	}
@@ -648,18 +663,125 @@ func TestBatchAdderReuse(t *testing.T) {
 		ref := make([]Jac, nb)
 		for i := 0; i < 3000; i++ {
 			b := (i*31 + round) % nb
-			p := pool[(i*13)%len(pool)]
-			if i%9 == 0 {
-				p = p.Neg()
+			p := &pool[(i*13)%len(pool)]
+			neg := i%9 == 0
+			a.add(b, p, neg)
+			q := *p
+			if neg {
+				q = q.Neg()
 			}
-			a.add(b, p)
-			ref[b].AddMixed(&p)
+			ref[b].AddMixed(&q)
 		}
 		got := a.reduce().ToAffine()
 		putBatchAdder(a)
 		want := bucketReduce(ref).ToAffine()
 		if !got.Equal(&want) {
 			t.Fatalf("round %d (nb=%d): reused adder's reduction differs from the reference", round, nb)
+		}
+	}
+}
+
+// bucketPoint returns a batch adder bucket as an affine point.
+func bucketPoint(p *xy) Affine {
+	if isEmpty(p) {
+		return Infinity()
+	}
+	return Affine{X: Fp{l: p[0]}, Y: Fp{l: p[1]}}
+}
+
+// TestBatchAdderEdgeCases runs the batch kernel's degenerate sums through
+// the adder, each against the Jacobian reference: P + P (a doubling) and
+// P + (−P) (a cancellation) queued in one batch, one point queued with
+// both signs into one bucket and into two, and every op bound for one
+// bucket, so the batch is all pend slots and pairs.
+func TestBatchAdderEdgeCases(t *testing.T) {
+	g := Generator()
+	two := ff.NewElement(2)
+	h := ScalarMul(&g, &two).ToAffine()
+	type op struct {
+		b   int
+		p   *Affine
+		neg bool
+	}
+	cases := map[string][]op{
+		"doubling":                {{0, &g, false}, {0, &g, false}, {1, &h, false}, {1, &h, false}},
+		"doubling negated":        {{0, &g, true}, {0, &g, true}},
+		"cancellation":            {{0, &g, false}, {0, &g, true}, {1, &h, true}, {1, &h, false}},
+		"both signs, one bucket":  {{0, &h, false}, {0, &g, false}, {0, &h, true}, {0, &g, true}},
+		"both signs, two buckets": {{0, &h, false}, {1, &h, true}, {0, &h, true}, {1, &h, false}, {1, &g, false}},
+	}
+	var one []op
+	for i := 0; i < 3*msmBatchSize; i++ {
+		p := &g
+		if i%3 == 1 {
+			p = &h
+		}
+		one = append(one, op{0, p, i%5 == 2})
+	}
+	cases["every op in one bucket"] = one
+	for name, ops := range cases {
+		for _, nb := range []int{2, 8, 1024} {
+			a := getBatchAdder(nb)
+			ref := make([]Jac, nb)
+			for _, o := range ops {
+				a.add(o.b, o.p, o.neg)
+				q := *o.p
+				if o.neg {
+					q = q.Neg()
+				}
+				ref[o.b].AddMixed(&q)
+			}
+			// One flush sees the whole batch before reduce drains the rest.
+			a.flushOnce()
+			got := a.reduce().ToAffine()
+			putBatchAdder(a)
+			want := bucketReduce(ref).ToAffine()
+			if !got.Equal(&want) {
+				t.Errorf("%s (nb=%d): adder sum differs from the Jacobian reference", name, nb)
+			}
+		}
+	}
+}
+
+// TestFixedBaseMSMEdgeCases holds the table MSM to the double-and-add
+// reference where its bucket additions degenerate: a basis with repeated
+// points and their negations (doublings and cancellations inside one
+// batch, and the same table entry queued with both signs), and every
+// scalar equal, so each window's ops all hit one bucket.
+func TestFixedBaseMSMEdgeCases(t *testing.T) {
+	g := Generator()
+	const n = 300
+	basis := make([]Affine, n)
+	for i := range basis {
+		k := ff.NewElement(uint64(i%4 + 1))
+		basis[i] = ScalarMul(&g, &k).ToAffine()
+		if i%8 >= 4 {
+			basis[i] = basis[i].Neg()
+		}
+	}
+	tab := NewFixedBaseTable(basis)
+	if tab == nil {
+		t.Fatal("table build declined")
+	}
+	same := ff.Random()
+	var negSame ff.Element
+	negSame.Neg(&same)
+	cases := map[string]func(i int) ff.Element{
+		"every scalar equal":      func(int) ff.Element { return same },
+		"every scalar one":        func(int) ff.Element { return ff.One() },
+		"equal scalars, ± signs":  func(i int) ff.Element { return []ff.Element{same, negSame}[i%2] },
+		"random on repeat points": func(int) ff.Element { return ff.Random() },
+	}
+	for name, scalar := range cases {
+		scs := make([]ff.Element, n)
+		for i := range scs {
+			scs[i] = scalar(i)
+		}
+		for _, m := range []int{8, 64, n} {
+			got, want := tab.MSM(scs[:m]).ToAffine(), naiveMSM(basis[:m], scs[:m]).ToAffine()
+			if !got.Equal(&want) {
+				t.Errorf("%s (m=%d): table MSM differs from the reference", name, m)
+			}
 		}
 	}
 }

@@ -12,9 +12,11 @@ import (
 // multiples pre-scaled, all windows of all scalars share a single bucket
 // set: one bucket pass, one reduction, zero Horner doublings — versus one
 // reduction per window and a 254-doubling combine chain in the generic
-// kernel. GLV decomposition halves the stored windows per point (129-bit
-// half-scalars instead of 254-bit scalars) and the φ-images are stored
-// alongside, so the hot loop never multiplies by β.
+// kernel. GLV decomposition splits each scalar into two 129-bit halves, so
+// a point needs windows for half the bits; its φ-images are stored beside
+// them, so the hot loop never multiplies by β. A point therefore holds as
+// many entries as a plain table's 254-bit windows would: what GLV saves is
+// half the doublings that build them.
 
 // fixedBaseBudgetBytes caps a table's memory. NewFixedBaseTable returns nil
 // over budget and callers fall back to the generic kernel; at the cap the
@@ -195,18 +197,11 @@ func (t *FixedBaseTable) accumulate(splits []glvSplit, lo, hi int) Jac {
 			recodeRow(limbs, row, t.c)
 			base := (i*t.nw)*2 + h
 			for w := 0; w < t.nw; w++ {
-				d := row[w]
-				if d == 0 {
-					continue
+				if d := row[w]; d > 0 {
+					a.add(int(d-1), &t.tab[base+2*w], neg)
+				} else if d < 0 {
+					a.add(int(-d-1), &t.tab[base+2*w], !neg)
 				}
-				pt := t.tab[base+2*w]
-				if (d < 0) != neg {
-					pt = pt.Neg()
-				}
-				if d < 0 {
-					d = -d
-				}
-				a.add(int(d-1), pt)
 			}
 		}
 	}

@@ -58,7 +58,18 @@ var (
 	glvRoundHalf *big.Int // 2^(shift-1)
 
 	glvR [4]uint64 // r as little-endian limbs, for the short-scalar path
+
+	// The same constants in limbs, for split: g1 and g2 (non-negative, at
+	// most five limbs) and the lattice basis as sign and two-limb magnitude.
+	glvG1L, glvG2L                 [5]uint64
+	glvA1L, glvA2L, glvB1L, glvB2L glvLimbs
 )
+
+// glvLimbs is a signed lattice-basis entry: |v| in two little-endian limbs.
+type glvLimbs struct {
+	mag [2]uint64
+	neg bool
+}
 
 func init() {
 	glvDeriveConstants()
@@ -187,6 +198,34 @@ func glvDeriveConstants() {
 	glvG2 = roundDiv(new(big.Int).Neg(glvB1))
 	glvRoundHalf = new(big.Int).Lsh(big.NewInt(1), glvRoundShift-1)
 	glvR = absLimbs(r)
+
+	glvG1L, glvG2L = roundLimbs(glvG1), roundLimbs(glvG2)
+	glvA1L, glvA2L = basisLimbs(glvA1), basisLimbs(glvA2)
+	glvB1L, glvB2L = basisLimbs(glvB1), basisLimbs(glvB2)
+}
+
+// roundLimbs packs a rounding constant for split, which multiplies it in
+// five limbs and so needs it non-negative and below 2^320.
+func roundLimbs(g *big.Int) [5]uint64 {
+	if g.Sign() < 0 || g.BitLen() > 320 {
+		panic("curve: GLV rounding constant outside the limb split's range")
+	}
+	var b [40]byte
+	g.FillBytes(b[:])
+	var l [5]uint64
+	for i := range l {
+		l[i] = binary.BigEndian.Uint64(b[40-8*(i+1) : 40-8*i])
+	}
+	return l
+}
+
+// basisLimbs packs a lattice-basis entry for split, which needs |v| < 2^128.
+func basisLimbs(v *big.Int) glvLimbs {
+	if v.BitLen() > 128 {
+		panic("curve: GLV basis entry outside the limb split's range")
+	}
+	l := absLimbs(v)
+	return glvLimbs{mag: [2]uint64{l[0], l[1]}, neg: v.Sign() < 0}
 }
 
 // glvSelfCheck validates the derived constants on adversarial scalars: the
@@ -211,6 +250,10 @@ func glvSelfCheck() {
 	got := new(big.Int)
 	for _, k := range checks {
 		sc.decompose(k, k1, k2)
+		l := absLimbs(k)
+		if sp := lattice(&l); !sp.equals(k1, k2) {
+			panic("curve: GLV limb split differs from the reference reduction")
+		}
 		got.Mul(glvLambda, k2)
 		got.Add(got, k1)
 		got.Mod(got, r)
@@ -223,17 +266,17 @@ func glvSelfCheck() {
 	}
 }
 
-// glvScratch holds the per-goroutine big.Int temporaries for decompose, so
-// bulk decomposition allocates per chunk instead of per scalar.
+// glvScratch holds the big.Int temporaries of decompose.
 type glvScratch struct {
 	c1, c2, t big.Int
-	k, k1, k2 big.Int
 }
 
 // decompose writes the lattice reduction of k into k1, k2: k₁ + λ·k₂ ≡ k
 // (mod r). c₁, c₂ = round(k·bᵢ/det) computed with the precomputed
 // fixed-point constants; the identity holds exactly for any c₁, c₂ (they
-// cancel lattice vectors), rounding only controls the result's size.
+// cancel lattice vectors), rounding only controls the result's size. This
+// is the math/big reference that lattice, the kernels' limb reduction, is
+// checked against at init and in the tests.
 func (sc *glvScratch) decompose(k, k1, k2 *big.Int) {
 	c1 := &sc.c1
 	c1.Mul(k, glvG1)
@@ -287,7 +330,7 @@ func isShort(l *[4]uint64) bool {
 // stored as r-|v|, which is what circuit columns mostly hold — are emitted
 // as (±l, 0) straight from the limbs; everything else goes through the
 // lattice reduction.
-func (sc *glvScratch) split(l *[4]uint64) glvSplit {
+func split(l *[4]uint64) glvSplit {
 	if isShort(l) {
 		return glvSplit{k1: *l}
 	}
@@ -300,26 +343,112 @@ func (sc *glvScratch) split(l *[4]uint64) glvSplit {
 	if isShort(&n) {
 		return glvSplit{k1: n, neg1: true}
 	}
-	var be [32]byte
+	return lattice(l)
+}
+
+// lattice is decompose in 64-bit limbs, giving the same (k₁, k₂) for any
+// k < 2^256: c₁ and c₂ are the same fixed-point roundings, from full
+// products against the five-limb constants, and the rest is computed mod
+// 2^256 in two's complement. That is exact because |k₁| and |k₂| are below
+// 2^129 (glvHalfBits), far from 2^255, whatever the intermediate terms.
+func lattice(k *[4]uint64) glvSplit {
+	c1, c2 := roundedQuotient(k, &glvG1L), roundedQuotient(k, &glvG2L)
+	k1 := sub256(*k, add256(basisTerm(&c1, &glvA1L), basisTerm(&c2, &glvA2L)))
+	k2 := neg256(add256(basisTerm(&c1, &glvB1L), basisTerm(&c2, &glvB2L)))
+	var s glvSplit
+	s.k1, s.neg1 = abs256(k1)
+	s.k2, s.neg2 = abs256(k2)
+	return s
+}
+
+// roundedQuotient returns (k·g + 2^383) >> 384, decompose's round(k·g/2^384)
+// for non-negative g, as four limbs (the top one zero).
+func roundedQuotient(k *[4]uint64, g *[5]uint64) [4]uint64 {
+	var p [9]uint64
 	for i := 0; i < 4; i++ {
-		binary.BigEndian.PutUint64(be[32-8*(i+1):32-8*i], l[i])
+		var carry uint64
+		for j := 0; j < 5; j++ {
+			hi, lo := bits.Mul64(k[i], g[j])
+			var c uint64
+			lo, c = bits.Add64(lo, p[i+j], 0)
+			hi += c
+			lo, c = bits.Add64(lo, carry, 0)
+			hi += c
+			p[i+j], carry = lo, hi
+		}
+		p[i+5] = carry
 	}
-	sc.decompose(sc.k.SetBytes(be[:]), &sc.k1, &sc.k2)
-	return glvSplit{
-		k1:   absLimbs(&sc.k1),
-		k2:   absLimbs(&sc.k2),
-		neg1: sc.k1.Sign() < 0,
-		neg2: sc.k2.Sign() < 0,
+	var c uint64
+	_, c = bits.Add64(p[5], 1<<63, 0)
+	p[6], c = bits.Add64(p[6], 0, c)
+	p[7], c = bits.Add64(p[7], 0, c)
+	p[8] += c
+	return [4]uint64{p[6], p[7], p[8], 0}
+}
+
+// basisTerm returns c·v mod 2^256 for a non-negative c and a signed basis
+// entry v.
+func basisTerm(c *[4]uint64, v *glvLimbs) [4]uint64 {
+	var r [4]uint64
+	for j := 0; j < 2; j++ {
+		var carry uint64
+		for i := 0; i+j < 4; i++ {
+			hi, lo := bits.Mul64(c[i], v.mag[j])
+			var cc uint64
+			lo, cc = bits.Add64(lo, r[i+j], 0)
+			hi += cc
+			lo, cc = bits.Add64(lo, carry, 0)
+			hi += cc
+			r[i+j], carry = lo, hi
+		}
 	}
+	if v.neg {
+		return neg256(r)
+	}
+	return r
+}
+
+func add256(x, y [4]uint64) [4]uint64 {
+	var c uint64
+	x[0], c = bits.Add64(x[0], y[0], 0)
+	x[1], c = bits.Add64(x[1], y[1], c)
+	x[2], c = bits.Add64(x[2], y[2], c)
+	x[3], _ = bits.Add64(x[3], y[3], c)
+	return x
+}
+
+func sub256(x, y [4]uint64) [4]uint64 {
+	var b uint64
+	x[0], b = bits.Sub64(x[0], y[0], 0)
+	x[1], b = bits.Sub64(x[1], y[1], b)
+	x[2], b = bits.Sub64(x[2], y[2], b)
+	x[3], _ = bits.Sub64(x[3], y[3], b)
+	return x
+}
+
+func neg256(x [4]uint64) [4]uint64 { return sub256([4]uint64{}, x) }
+
+// abs256 reads x as a two's-complement value and returns its magnitude and
+// sign.
+func abs256(x [4]uint64) ([4]uint64, bool) {
+	if x[3]>>63 == 0 {
+		return x, false
+	}
+	return neg256(x), true
+}
+
+// equals reports whether s holds the signed halves k1, k2.
+func (s *glvSplit) equals(k1, k2 *big.Int) bool {
+	return s.neg1 == (k1.Sign() < 0) && s.k1 == absLimbs(k1) &&
+		s.neg2 == (k2.Sign() < 0) && s.k2 == absLimbs(k2)
 }
 
 // GLVDecompose splits a scalar into (k₁, k₂) with k₁ + λ·k₂ ≡ k (mod r) and
 // |k₁|, |k₂| < 2^129, exactly as the kernels do (short-scalar path
 // included). Exported for tests and the fuzz target.
 func GLVDecompose(s *ff.Element) (k1, k2 *big.Int) {
-	var sc glvScratch
 	l := s.Limbs()
-	sp := sc.split(&l)
+	sp := split(&l)
 	signed := func(l *[4]uint64, neg bool) *big.Int {
 		v := limbs.ToBig(l)
 		if neg {
@@ -351,11 +480,10 @@ var splitScratch parallel.Scratch[glvSplit]
 func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
 	var maxBits atomic.Int32
 	chunk := func(lo, hi int) {
-		var sc glvScratch
 		mb := 0
 		for i := lo; i < hi; i++ {
 			l := scalars[i].Limbs()
-			splits[i] = sc.split(&l)
+			splits[i] = split(&l)
 			mb = max(mb, splits[i].bits())
 		}
 		for {
@@ -373,8 +501,20 @@ func glvDecomposeAll(scalars []ff.Element, splits []glvSplit) int {
 	return int(maxBits.Load())
 }
 
+// recodeSigned is recodeRow for the half-scalar ±l: a negative half's
+// digits are negated, so its sign rides on the digits, not the point.
+func recodeSigned(l *[4]uint64, neg bool, row []int32, c int) {
+	recodeRow(l, row, c)
+	if neg {
+		for w := range row {
+			row[w] = -row[w]
+		}
+	}
+}
+
 // msmGLV is the GLV variable-base MSM: decompose every scalar, expand to 2n
-// points (sign-folded, φ-image interleaved), and run the same signed-window
+// points (each point and its φ-image; the split's signs ride on the
+// digits), and run the same signed-window
 // bucket machinery over half-length scalars — half the window passes,
 // bucket reductions, and Horner doublings of the plain kernel.
 func msmGLV(points []Affine, scalars []ff.Element) Jac {
@@ -400,18 +540,10 @@ func msmGLV(points []Affine, scalars []ff.Element) Jac {
 	digits := make([]int32, 2*n*nw)
 	expand := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := points[i]
-			if splits[i].neg1 {
-				p = p.Neg()
-			}
-			pts2[2*i] = p
-			ph := Phi(&points[i])
-			if splits[i].neg2 {
-				ph = ph.Neg()
-			}
-			pts2[2*i+1] = ph
-			recodeRow(&splits[i].k1, digits[(2*i)*nw:(2*i+1)*nw], c)
-			recodeRow(&splits[i].k2, digits[(2*i+1)*nw:(2*i+2)*nw], c)
+			pts2[2*i] = points[i]
+			pts2[2*i+1] = Phi(&points[i])
+			recodeSigned(&splits[i].k1, splits[i].neg1, digits[(2*i)*nw:(2*i+1)*nw], c)
+			recodeSigned(&splits[i].k2, splits[i].neg2, digits[(2*i+1)*nw:(2*i+2)*nw], c)
 		}
 	}
 	if n >= msmParallelMin && parallel.Workers() > 1 {

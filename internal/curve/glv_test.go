@@ -2,6 +2,7 @@ package curve
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ff"
@@ -82,6 +83,10 @@ func checkDecompose(t *testing.T, s *ff.Element) {
 	var sc glvScratch
 	l1, l2 := new(big.Int), new(big.Int)
 	sc.decompose(k, l1, l2)
+	kl := absLimbs(k)
+	if sp := lattice(&kl); !sp.equals(l1, l2) {
+		t.Fatalf("k=%v: limb lattice reduction differs from the math/big reference (%v, %v)", k, l1, l2)
+	}
 	g := Generator()
 	phiG := Phi(&g)
 	combine := func(a, b *big.Int) Affine {
@@ -103,6 +108,39 @@ func TestGLVDecomposeIdentity(t *testing.T) {
 	}
 	for i := range scalars {
 		checkDecompose(t, &scalars[i])
+	}
+}
+
+// TestGLVLatticeMatchesReference holds the limb lattice reduction to the
+// math/big one, exactly, on 0, 1, r−1, λ, r−λ, ±2^127, all-ones (2^256 − 1,
+// above r, and its value mod r) and random values below 2^256.
+func TestGLVLatticeMatchesReference(t *testing.T) {
+	r := ff.Modulus()
+	p127 := new(big.Int).Lsh(big.NewInt(1), 127)
+	ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	ks := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		new(big.Int).Sub(r, big.NewInt(1)),
+		GLVLambda(),
+		new(big.Int).Sub(r, GLVLambda()),
+		p127,
+		new(big.Int).Sub(r, p127),
+		ones,
+		new(big.Int).Mod(ones, r),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		ks = append(ks, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 256)))
+	}
+	var sc glvScratch
+	k1, k2 := new(big.Int), new(big.Int)
+	for _, k := range ks {
+		sc.decompose(k, k1, k2)
+		l := absLimbs(k)
+		if sp := lattice(&l); !sp.equals(k1, k2) {
+			t.Errorf("k=%v: limb reduction (%v %v, %v %v), reference (%v, %v)", k, sp.neg1, sp.k1, sp.neg2, sp.k2, k1, k2)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package curve
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/ff"
 	"repro/internal/limbs"
@@ -15,11 +16,11 @@ const msmParallelMin = 256
 
 // msmBatchSize is the number of pending additions (scheduled bucket ops
 // plus conflict pairs) accumulated before one shared Fp batch inversion
-// resolves them all. The binary-xgcd field inversion costs a few
-// microseconds, so at 512 its amortized share is well under one
-// multiplication per addition, and the pending-op working set stays
-// L2-resident. Windows with fewer buckets than this cap the batch at the
-// bucket count.
+// resolves them all. The binary-xgcd field inversion costs about 5.8 µs
+// against 31–33 ns for a multiplication (two-vCPU Xeon, ADX kernel), so at
+// 512 its share is about 11 ns per addition, a third of one
+// multiplication, and the pending-op working set stays L2-resident.
+// Windows with fewer buckets than this cap the batch at the bucket count.
 const msmBatchSize = 512
 
 // msmAffineMinBuckets is the smallest bucket count for which the
@@ -243,53 +244,83 @@ func windowSumAffine(points []Affine, digits []int32, w, nw, c int) Jac {
 	defer putBatchAdder(a)
 	for i := range points {
 		d := digits[i*nw+w]
-		if d == 0 {
-			continue
-		}
 		if d > 0 {
-			a.add(int(d-1), points[i])
-		} else {
-			a.add(int(-d-1), points[i].Neg())
+			a.add(int(d-1), &points[i], false)
+		} else if d < 0 {
+			a.add(int(-d-1), &points[i], true)
 		}
 	}
 	return a.reduce()
 }
 
-// batchOp is one pending affine bucket addition.
-type batchOp struct {
-	bucket int32
-	point  Affine
+// xy is a point's (x, y) coordinates as the batch kernel (limbs.AddRun)
+// reads them; (0, 0) is the point at infinity, since no BN254 point has
+// x = 0.
+type xy = [2]limbs.Limbs
+
+// The batch kernel reads an Affine's coordinates in place: X and Y are its
+// first 64 bytes. This fails to compile otherwise.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(Affine{}.X)]
+	_ = [1]struct{}{}[unsafe.Offsetof(Affine{}.Y)-32]
+)
+
+// coords returns p's coordinates, in place, as the batch kernel reads them.
+func coords(p *Affine) *xy { return (*xy)(unsafe.Pointer(&p.X)) }
+
+// setSigned sets dst to src, negated when neg.
+func setSigned(dst, src *xy, neg bool) {
+	dst[0] = src[0]
+	if neg {
+		fpMod.Neg(&dst[1], &src[1])
+	} else {
+		dst[1] = src[1]
+	}
 }
 
-// pairOp is an independent affine addition of two points destined for the
-// same bucket. Pairing is how bucket conflicts stay batched: the pair sum
-// does not read the bucket, so it shares a flush with a scheduled op on
-// that same bucket, and its result re-enters the queue as a single pending
-// point. This is a tree reduction — k hits on one bucket still cost exactly
-// k affine additions — but repeated conflicts resolve in log(k) flushes
-// instead of stalling k sequential ones.
-type pairOp struct {
-	bucket int32
-	p, q   Affine
+// isEmpty reports whether p is the point at infinity.
+func isEmpty(p *xy) bool { return limbs.IsZero(&p[0]) && limbs.IsZero(&p[1]) }
+
+// pendRef is a point waiting for its busy bucket: the coordinates it adds
+// (nil: none waiting) and whether it is added negated.
+type pendRef struct {
+	p   *xy
+	neg bool
 }
 
 // batchAdder accumulates affine bucket additions and resolves them in
-// batches: each flush computes every pending slope denominator (bucket ops
-// and conflict pairs together), inverts them all with one shared Fp batch
-// inversion, and applies the additions. A bucket carries at most one
-// scheduled op per batch (the busy flag); a conflicting second hit waits in
-// the bucket's pend slot, and a third hit pairs with it.
+// batches: each flush is one limbs.AddRun, which forms every queued
+// addition's slope, inverts them all with one shared Fp batch inversion and
+// applies the sums. The queue holds references — the point's coordinates
+// where the caller keeps them and the sign to add it with — never a copy.
+//
+// A bucket carries at most one op per batch (busy); a conflicting second
+// hit waits in the bucket's pend slot, and a third pairs with it. A pair is
+// an independent addition of two points bound for the same bucket: it does
+// not read the bucket, so it shares the flush with the bucket's op, and its
+// sum re-enters the queue as one point. This is a tree reduction — k hits
+// on one bucket still cost exactly k affine additions — but repeated
+// conflicts resolve in log(k) flushes instead of stalling k sequential ones.
+//
+// Only what the adder makes itself is copied: a pair's first point, with
+// its sign applied, into the pair's slot in sums[cur] where AddRun writes
+// the pair's sum, and a pair sum that has to wait, into its bucket's parked
+// slot. Pair sums are requeued from one sums buffer while the next batch's
+// pairs fill the other, so every queued reference stays valid until the
+// flush that reads it.
 type batchAdder struct {
-	buckets []Affine
-	busy    []bool
-	ops     []batchOp
-	pairs   []pairOp
-	pend    []Affine // one deferred point per busy bucket
-	hasPend []bool
-	pendIdx []int32 // buckets with a (possibly stale) pend entry
-	batch   int     // flush threshold on len(ops)+len(pairs)
-	den     []limbs.Limbs
-	scratch []limbs.Limbs // reused BatchInverse prefix buffer
+	buckets []xy     // (0, 0) while empty
+	busy    []uint32 // busy[b] == epoch: bucket b has an op in this batch
+	epoch   uint32
+	ops     []limbs.AddOp // this batch's bucket ops and pair ops
+	pend    []pendRef     // one waiting point per busy bucket
+	pendIdx []int32       // buckets with a (possibly stale) pend entry
+	parked  []xy          // pair sums waiting in pend, one slot per bucket
+	sums    [2][]xy       // pair slots: this batch's, and the last batch's sums
+	cur     int           // sums[cur] takes this batch's pairs
+	pairDst []int32       // bucket of each of this batch's pairs
+	batch   int           // flush threshold on len(ops)
+	scratch []limbs.Limbs // AddRun's denominators, numerators and prefix
 }
 
 // adders keeps finished batch adders for the next bucket pass, so an MSM
@@ -301,21 +332,18 @@ var adders sync.Pool
 // newBatchAdder allocates an empty batch adder over nb buckets.
 func newBatchAdder(nb int) *batchAdder {
 	batch := min(msmBatchSize, nb)
-	a := &batchAdder{
-		buckets: make([]Affine, nb),
-		busy:    make([]bool, nb),
-		ops:     make([]batchOp, 0, batch),
-		pairs:   make([]pairOp, 0, batch),
-		pend:    make([]Affine, nb),
-		hasPend: make([]bool, nb),
+	return &batchAdder{
+		buckets: make([]xy, nb),
+		busy:    make([]uint32, nb),
+		epoch:   1,
+		ops:     make([]limbs.AddOp, 0, batch),
+		pend:    make([]pendRef, nb),
+		parked:  make([]xy, nb),
+		sums:    [2][]xy{make([]xy, batch), make([]xy, batch)},
+		pairDst: make([]int32, 0, batch),
 		batch:   batch,
-		den:     make([]limbs.Limbs, batch),
-		scratch: make([]limbs.Limbs, batch),
+		scratch: make([]limbs.Limbs, 3*batch),
 	}
-	for i := range a.buckets {
-		a.buckets[i].Inf = true
-	}
-	return a
 }
 
 // getBatchAdder returns an empty batch adder over nb buckets: a pooled one
@@ -330,148 +358,101 @@ func getBatchAdder(nb int) *batchAdder {
 	// min(msmBatchSize, nb) entries.
 	a.batch = min(msmBatchSize, nb)
 	a.buckets, a.busy = a.buckets[:nb], a.busy[:nb]
-	a.pend, a.hasPend = a.pend[:nb], a.hasPend[:nb]
-	a.ops, a.pairs, a.pendIdx = a.ops[:0], a.pairs[:0], a.pendIdx[:0]
-	for i := range a.buckets {
-		a.buckets[i].Inf = true
-	}
+	a.pend, a.parked = a.pend[:nb], a.parked[:nb]
+	clear(a.buckets)
 	clear(a.busy)
-	clear(a.hasPend)
+	a.epoch = 1
 	return a
 }
 
-// putBatchAdder returns a reduced adder to the pool.
-func putBatchAdder(a *batchAdder) { adders.Put(a) }
+// putBatchAdder returns a reduced adder to the pool, dropping the
+// references its last batch held so the pool keeps no caller's points
+// alive.
+func putBatchAdder(a *batchAdder) {
+	clear(a.ops[:cap(a.ops)])
+	adders.Put(a)
+}
 
-// add schedules p into bucket b and flushes when a batch is full.
-func (a *batchAdder) add(b int, p Affine) {
-	a.schedule(b, p)
-	if len(a.ops)+len(a.pairs) >= a.batch {
+// add queues p, negated when neg, into bucket b and flushes when a batch is
+// full. p must stay unchanged until reduce returns.
+func (a *batchAdder) add(b int, p *Affine, neg bool) {
+	if p.IsZero() {
+		return
+	}
+	a.schedule(b, coords(p), neg, false)
+	if len(a.ops) >= a.batch {
 		a.flushOnce()
 	}
 }
 
-// schedule queues p for bucket b without triggering a flush: empty buckets
-// are set directly (free), idle buckets get a scheduled op, a first
-// conflict parks in the pend slot, and a second conflict pairs with it.
-func (a *batchAdder) schedule(b int, p Affine) {
+// schedule queues p (negated when neg) for bucket b without triggering a
+// flush: an empty bucket takes the point directly, an idle bucket gets an
+// op, a first conflict waits in the pend slot, and a second conflict pairs
+// with it. temp marks a pair sum, which a later batch's pairs overwrite,
+// so it is copied if it has to wait.
+func (a *batchAdder) schedule(b int, p *xy, neg, temp bool) {
 	switch {
-	case p.Inf:
-	case !a.busy[b]:
-		if a.buckets[b].Inf {
-			a.buckets[b] = p
+	case a.busy[b] != a.epoch:
+		if bk := &a.buckets[b]; isEmpty(bk) {
+			setSigned(bk, p, neg)
 			return
 		}
-		a.busy[b] = true
-		a.ops = append(a.ops, batchOp{int32(b), p})
-	case !a.hasPend[b]:
-		a.pend[b] = p
-		a.hasPend[b] = true
+		a.busy[b] = a.epoch
+		a.ops = append(a.ops, limbs.AddOp{P: &a.buckets[b], Q: p, Neg: neg})
+	case a.pend[b].p == nil:
+		if temp {
+			a.parked[b] = *p
+			p = &a.parked[b]
+		}
+		a.pend[b] = pendRef{p, neg}
 		a.pendIdx = append(a.pendIdx, int32(b))
 	default:
-		a.pairs = append(a.pairs, pairOp{int32(b), a.pend[b], p})
-		a.hasPend[b] = false
+		w := a.pend[b]
+		a.pend[b] = pendRef{}
+		slot := &a.sums[a.cur][len(a.pairDst)]
+		setSigned(slot, w.p, w.neg)
+		a.ops = append(a.ops, limbs.AddOp{P: slot, Q: p, Neg: neg})
+		a.pairDst = append(a.pairDst, int32(b))
 	}
 }
 
-// slopeDen writes the affine-addition denominator for p + q into t: x_q -
-// x_p normally, 2y for a doubling, and zero when q = -p. Zero is an
-// unambiguous cancellation marker — BN254 G1 has no 2-torsion, so 2y is
-// never zero — and BatchInverse passes zero entries through untouched.
-func slopeDen(t *Fp, p, q *Affine) {
-	if p.X.equal(&q.X) {
-		if p.Y.equal(&q.Y) {
-			t.double(&p.Y)
-		} else {
-			*t = Fp{}
-		}
-	} else {
-		t.sub(&q.X, &p.X)
-	}
-}
-
-// affineApply completes p + q given inv, the inverted slope denominator,
-// and stores the sum in *p. A zero inv means the points cancelled.
-func affineApply(p, q *Affine, inv *Fp) {
-	if inv.isZero() {
-		*p = Affine{Inf: true}
-		return
-	}
-	var lam Fp
-	if p.X.equal(&q.X) {
-		// λ = 3x² / 2y
-		var x2 Fp
-		x2.square(&p.X)
-		lam.double(&x2)
-		lam.add(&lam, &x2)
-		lam.mul(&lam, inv)
-	} else {
-		// λ = (y2 - y1) / (x2 - x1)
-		lam.sub(&q.Y, &p.Y)
-		lam.mul(&lam, inv)
-	}
-	var x3, y3 Fp
-	x3.square(&lam)
-	x3.sub(&x3, &p.X)
-	x3.sub(&x3, &q.X)
-	y3.sub(&p.X, &x3)
-	y3.mul(&y3, &lam)
-	y3.sub(&y3, &p.Y)
-	p.X, p.Y = x3, y3
-	p.Inf = false
-}
-
-// flushOnce resolves every scheduled op and conflict pair with one batch
-// inversion, then requeues the pair results and parked pend points.
+// flushOnce applies every queued op and pair in one AddRun, then requeues
+// the pair sums and the waiting pend points.
 func (a *batchAdder) flushOnce() {
 	kernelTrace.Load().RecordBatchInvFlush()
-	ops, pairs := a.ops, a.pairs
-	den := a.den[:len(ops)+len(pairs)]
-	for k := range ops {
-		var t Fp
-		slopeDen(&t, &a.buckets[ops[k].bucket], &ops[k].point)
-		den[k] = t.l
-	}
-	for k := range pairs {
-		var t Fp
-		slopeDen(&t, &pairs[k].p, &pairs[k].q)
-		den[len(ops)+k] = t.l
-	}
-	fpMod.BatchInverseScratch(den, a.scratch)
-	for k := range ops {
-		b := ops[k].bucket
-		a.busy[b] = false
-		inv := Fp{l: den[k]}
-		affineApply(&a.buckets[b], &ops[k].point, &inv)
-	}
-	for k := range pairs {
-		inv := Fp{l: den[len(ops)+k]}
-		affineApply(&pairs[k].p, &pairs[k].q, &inv)
-	}
+	fpMod.AddRun(a.ops, a.scratch)
 	a.ops = a.ops[:0]
+	if a.epoch++; a.epoch == 0 { // every bucket idle again
+		clear(a.busy)
+		a.epoch = 1
+	}
 
-	// Requeue with every busy flag clear: pair sums first (they may pair
-	// again with a parked point), then the surviving pend entries.
-	// schedule() appends at most one entry per requeued item and both
-	// slices start empty, so capacity cannot overflow here.
-	a.pairs = a.pairs[:0]
-	for k := range pairs {
-		a.schedule(int(pairs[k].bucket), pairs[k].p)
+	// Requeue pair sums first (they may pair again with a waiting point),
+	// then the surviving pend entries. schedule appends at most one entry
+	// per requeued item, so the appends never overtake the reads.
+	sums := a.sums[a.cur]
+	a.cur ^= 1
+	dst := a.pairDst
+	a.pairDst = a.pairDst[:0]
+	for j := range dst {
+		if b := dst[j]; !isEmpty(&sums[j]) {
+			a.schedule(int(b), &sums[j], false, true)
+		}
 	}
 	pendIdx := a.pendIdx
 	a.pendIdx = a.pendIdx[:0]
 	for _, b := range pendIdx {
-		if a.hasPend[b] { // stale entries: pend was consumed by a pair
-			a.hasPend[b] = false
-			a.schedule(int(b), a.pend[b])
+		if w := a.pend[b]; w.p != nil { // stale entries: pend was consumed by a pair
+			a.pend[b] = pendRef{}
+			a.schedule(int(b), w.p, w.neg, false)
 		}
 	}
 }
 
 // flushAll drains every pending op. Terminates because each pass applies
-// all scheduled ops and halves each bucket's remaining conflict chain.
+// all queued ops and halves each bucket's remaining conflict chain.
 func (a *batchAdder) flushAll() {
-	for len(a.ops) > 0 || len(a.pairs) > 0 || len(a.pendIdx) > 0 {
+	for len(a.ops) > 0 || len(a.pendIdx) > 0 {
 		a.flushOnce()
 	}
 }
@@ -482,8 +463,9 @@ func (a *batchAdder) reduce() Jac {
 	a.flushAll()
 	var running, sum Jac
 	for b := len(a.buckets) - 1; b >= 0; b-- {
-		if !a.buckets[b].Inf {
-			running.AddMixed(&a.buckets[b])
+		if bk := &a.buckets[b]; !isEmpty(bk) {
+			p := Affine{X: Fp{l: bk[0]}, Y: Fp{l: bk[1]}}
+			running.AddMixed(&p)
 		}
 		sum.AddAssign(&running)
 	}

@@ -288,9 +288,8 @@ func ScalarMul(p *Affine, s *ff.Element) Jac {
 	if p.Inf {
 		return Jac{}
 	}
-	var sc glvScratch
 	l := s.Limbs()
-	sp := sc.split(&l)
+	sp := split(&l)
 	p1, p2 := *p, Phi(p)
 	if sp.neg1 {
 		p1 = p1.Neg()

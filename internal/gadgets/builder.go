@@ -28,17 +28,14 @@ func (v *Value) Float() float64 { return v.b.cfg.FP.Dequantize(v.v) }
 // Builder lays out gadget invocations into rows of an advice grid,
 // accumulating selectors, gates, lookups, copy constraints, and constants.
 // The builder evaluates eagerly: values are computed, and every failure
-// check runs, as gadgets are issued. A real build (NewBuilder) stores the
-// grid, so when finished it is both the circuit and its witness. A dry build
-// (NewDryBuilder) stores no cells: it advances the same rows, constants and
-// public values, which is all the row-exact layout simulation of Algorithm 1
-// prices, and its Finalize fails.
+// check runs, as gadgets are issued. What a build stores is its mode: a
+// full build (NewBuilder) stores everything, so when finished it is both
+// the circuit and its witness; a witness build (NewWitnessBuilder) stores
+// only what the prover reads; a dry build (NewDryBuilder) stores no cells.
 type Builder struct {
-	cfg Config
-	err error
-	// dry skips storing grid cells, row padding, coefficients, copies and
-	// phase-1 fills; copies are still counted.
-	dry bool
+	cfg  Config
+	err  error
+	mode buildMode
 
 	// catalog holds the entry of every kind the builder can lay out.
 	catalog map[Kind]*entry
@@ -70,6 +67,23 @@ type Builder struct {
 	instCopy  []plonkish.Cell // advice cell exposed at instance row i
 }
 
+// buildMode is what a build stores. Every mode advances the same rows,
+// constants and public values, runs the same checks and counts copies.
+type buildMode uint8
+
+const (
+	// fullBuild stores the grid, row padding, coefficients, copies and
+	// phase-1 fills: the circuit and its witness, which keygen needs.
+	fullBuild buildMode = iota
+	// witnessBuild stores the grid, row padding and phase-1 fills, and no
+	// copies or coefficients: what a prove reads, which takes the
+	// constraint system and the fixed columns from its key.
+	witnessBuild
+	// dryBuild stores none of them: the row-exact layout simulation of
+	// Algorithm 1 prices rows, constants and public values only.
+	dryBuild
+)
+
 type openRow struct {
 	row  int
 	slot int
@@ -100,11 +114,19 @@ func NewBuilder(cfg Config) *Builder {
 	return b
 }
 
+// NewWitnessBuilder returns a builder for a prove: it yields the witness
+// and the public values, never a constraint system or fixed columns.
+func NewWitnessBuilder(cfg Config) *Builder {
+	b := NewBuilder(cfg)
+	b.mode = witnessBuild
+	return b
+}
+
 // NewDryBuilder returns a builder that simulates a build: it yields the
 // layout's row counts and constraint system, never a witness.
 func NewDryBuilder(cfg Config) *Builder {
 	b := NewBuilder(cfg)
-	b.dry = true
+	b.mode = dryBuild
 	return b
 }
 
@@ -203,7 +225,7 @@ func (b *Builder) newRows(kind Kind, e *entry, slots int) int {
 	for r := 0; r < e.rows; r++ {
 		b.rowKind = append(b.rowKind, kind)
 	}
-	if b.dry {
+	if b.mode == dryBuild {
 		return first
 	}
 	for r := 0; r < e.rows; r++ {
@@ -240,7 +262,7 @@ func (b *Builder) out(v int64, row, col int) *Value {
 
 // raw writes a bare witness value (remainders, bits) with no Value handle.
 func (b *Builder) raw(v int64, row, col int) {
-	if !b.dry {
+	if b.mode != dryBuild {
 		b.grid[row][col] = v
 	}
 }
@@ -248,14 +270,14 @@ func (b *Builder) raw(v int64, row, col int) {
 // equate copy-constrains two cells.
 func (b *Builder) equate(x, y plonkish.Cell) {
 	b.numCopies++
-	if !b.dry {
+	if b.mode == fullBuild {
 		b.copies = append(b.copies, [2]plonkish.Cell{x, y})
 	}
 }
 
 // coef records a per-row fixed coefficient aligned with an advice column.
 func (b *Builder) coef(row, col int, v int64) {
-	if b.dry {
+	if b.mode != fullBuild {
 		return
 	}
 	m := b.coefs[row]

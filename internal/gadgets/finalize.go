@@ -11,7 +11,7 @@ import (
 
 // Artifact is a finalized circuit: the constraint system, fixed column
 // values, the witness, and the public instance — everything Setup/Prove
-// need.
+// need. A witness build's artifact leaves CS and Fixed nil.
 type Artifact struct {
 	CS       *plonkish.CS
 	Fixed    [][]ff.Element
@@ -84,8 +84,12 @@ type columns struct {
 // ConstraintSystem returns the circuit's constraint system: its columns,
 // gates, lookups and copies. A dry build stores only the copies that expose
 // public values, which is all plonkish.ShapeOf asks of them (whether there
-// are any) as long as the build exposes one, as every model build does.
+// are any) as long as the build exposes one, as every model build does. A
+// witness build has none to give.
 func (b *Builder) ConstraintSystem() (*plonkish.CS, error) {
+	if b.mode == witnessBuild {
+		return nil, errors.New("gadgets: a witness build has no constraint system")
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -206,10 +210,11 @@ func (b *Builder) constraints() (*plonkish.CS, columns) {
 }
 
 // Finalize assembles the constraint system, fixed columns, and witness for
-// an n-row grid. n must be a power of two at least MinN(). A dry build has
-// no witness and fails.
+// an n-row grid. n must be a power of two at least MinN(). A witness build's
+// artifact has only the witness, the instance and the sizes; a dry build
+// has no witness and fails.
 func (b *Builder) Finalize(n int) (*Artifact, error) {
-	if b.dry {
+	if b.mode == dryBuild {
 		return nil, errors.New("gadgets: a dry build has no witness to finalize")
 	}
 	if b.err != nil {
@@ -218,7 +223,15 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 	if n < b.MinN() {
 		return nil, fmt.Errorf("gadgets: %d rows insufficient (need %d)", n, b.MinN())
 	}
-	N := b.cfg.NumCols
+	art := &Artifact{
+		Witness:  b.witness(),
+		Instance: [][]ff.Element{b.instanceValues()},
+		UsedRows: b.MinRows(),
+		N:        n,
+	}
+	if b.mode == witnessBuild {
+		return art, nil
+	}
 	fp := b.cfg.FP
 	cs, cols := b.constraints()
 
@@ -255,9 +268,16 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		}
 	}
 
-	// Witness: the grid, padded to n rows, then the phase-1 cells.
+	art.CS, art.Fixed = cs, fixed
+	return art, nil
+}
+
+// witness returns the build's witness: the grid, padded to the prover's n
+// rows, then the phase-1 cells.
+func (b *Builder) witness() plonkish.Witness {
+	N := b.cfg.NumCols
 	grid, late := b.grid, b.late
-	witness := plonkish.WitnessFunc(func(phase int, ch []ff.Element, a *plonkish.Assignment) error {
+	return plonkish.WitnessFunc(func(phase int, ch []ff.Element, a *plonkish.Assignment) error {
 		if phase == 1 {
 			for _, fill := range late {
 				fill(ch[0], a.Advice[N:])
@@ -273,18 +293,13 @@ func (b *Builder) Finalize(n int) (*Artifact, error) {
 		}
 		return nil
 	})
+}
 
+// instanceValues returns the public values as field elements.
+func (b *Builder) instanceValues() []ff.Element {
 	inst := make([]ff.Element, len(b.instance))
 	for i, v := range b.instance {
 		inst[i] = ff.NewInt64(v)
 	}
-
-	return &Artifact{
-		CS:       cs,
-		Fixed:    fixed,
-		Witness:  witness,
-		Instance: [][]ff.Element{inst},
-		UsedRows: b.MinRows(),
-		N:        n,
-	}, nil
+	return inst
 }

@@ -575,7 +575,7 @@ func (b *Builder) FreivaldsMatMul(a, w [][]*Value) [][]*Value {
 		vRows[i] = lay(KindFvFold, c[i], n)
 		b.equate(late(uRows[i], nc-1), late(vRows[i], 0))
 	}
-	if b.dry {
+	if b.mode == dryBuild {
 		return c
 	}
 	b.late = append(b.late, func(r ff.Element, block [][]ff.Element) {

@@ -113,7 +113,7 @@ func TestCircuitsPinned(t *testing.T) {
 // columns, and returns how many of them it could build. It also checks that
 // the optimizer's dry simulation of each layout agrees with the build:
 // feasibility, grid, rows, gadget counts and the priced shape on both
-// backends.
+// backends; and that a prove's witness build gives the build's witness.
 func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
 	t.Helper()
 	built := 0
@@ -122,8 +122,9 @@ func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
 			fmt.Fprintf(h, "config %+v\n", cfg)
 			b, _, err := g.BuildCircuit(cfg, in)
 			sim, simErr := g.SimulateCircuit(cfg, in)
-			if (err == nil) != (simErr == nil) {
-				t.Errorf("%s %+v: build error %v, simulation error %v", g.Name, cfg, err, simErr)
+			wit, _, witErr := g.BuildWitness(cfg, in)
+			if (err == nil) != (simErr == nil) || (err == nil) != (witErr == nil) {
+				t.Errorf("%s %+v: build error %v, simulation error %v, witness build error %v", g.Name, cfg, err, simErr, witErr)
 			}
 			if err != nil {
 				// A layout the model cannot take is pinned as such.
@@ -134,6 +135,9 @@ func pinGraph(t *testing.T, h hash.Hash, g *model.Graph, in *model.Input) int {
 			art := fingerprint(t, h, b)
 			if simErr == nil {
 				checkSimulation(t, g.Name, cfg, art, b, sim)
+			}
+			if witErr == nil {
+				checkWitnessBuild(t, g.Name, cfg, art, b, wit)
 			}
 		}
 	}
@@ -159,6 +163,41 @@ func checkSimulation(t *testing.T, name string, cfg gadgets.Config, art *gadgets
 	}
 	if _, err := sim.Finalize(art.N); err == nil {
 		t.Errorf("%s %+v: a dry build finalized", name, cfg)
+	}
+}
+
+// checkWitnessBuild compares a witness build of a layout with its real
+// build b and b's finalized artifact: the same rows and gadget counts, the
+// same instance and the same witness in both phases, and no constraint
+// system or fixed columns.
+func checkWitnessBuild(t *testing.T, name string, cfg gadgets.Config, art *gadgets.Artifact, b, wit *gadgets.Builder) {
+	t.Helper()
+	if !reflect.DeepEqual(wit.Stats(), b.Stats()) {
+		t.Errorf("%s %+v: witness build stats %+v, built %+v", name, cfg, wit.Stats(), b.Stats())
+	}
+	if _, err := wit.ConstraintSystem(); err == nil {
+		t.Errorf("%s %+v: a witness build gave a constraint system", name, cfg)
+	}
+	wart, err := wit.Finalize(art.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wart.CS != nil || wart.Fixed != nil || wart.N != art.N || wart.UsedRows != art.UsedRows ||
+		!reflect.DeepEqual(wart.Instance, art.Instance) {
+		t.Errorf("%s %+v: witness build artifact differs from the build's beyond its witness", name, cfg)
+	}
+	want, got := plonkish.NewAssignment(art.CS, art.N), plonkish.NewAssignment(art.CS, art.N)
+	ch := []ff.Element{ff.NewElement(7)}
+	for phase := 0; phase <= art.CS.NumChallenges; phase++ {
+		if err := art.Witness.Fill(phase, ch, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := wart.Witness.Fill(phase, ch, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got.Advice, want.Advice) {
+		t.Errorf("%s %+v: witness build's witness differs from the build's", name, cfg)
 	}
 }
 

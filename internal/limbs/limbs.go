@@ -266,57 +266,14 @@ func (m *Modulus) ExpUint64(z, x *Limbs, e uint64) {
 	*z = res
 }
 
-// BatchInverse inverts every non-zero element of vs in place (Montgomery
-// form) using Montgomery's trick: one Inverse plus 3(n-1) multiplications.
-// Zero entries are left as zero. This is the base-field mirror of
-// ff.BatchInverse, shared by the batch-affine MSM bucket kernel.
-func (m *Modulus) BatchInverse(vs []Limbs) {
-	m.BatchInverseScratch(vs, nil)
-}
-
-// BatchInverseScratch is BatchInverse with a caller-provided prefix buffer
-// (len(scratch) >= len(vs)), so hot loops that flush repeatedly — the MSM
-// bucket accumulator inverts a batch every few hundred additions — avoid
-// one slice allocation per call. A nil or short scratch falls back to
-// allocating.
-func (m *Modulus) BatchInverseScratch(vs, scratch []Limbs) {
-	n := len(vs)
-	if n == 0 {
-		return
-	}
-	prefix := scratch
-	if len(prefix) < n {
-		prefix = make([]Limbs, n)
-	} else {
-		prefix = prefix[:n]
-	}
-	acc := m.R
-	for i := range vs {
-		prefix[i] = acc
-		if !IsZero(&vs[i]) {
-			m.MontMul(&acc, &acc, &vs[i])
-		}
-	}
-	var inv Limbs
-	m.Inverse(&inv, &acc)
-	for i := n - 1; i >= 0; i-- {
-		if IsZero(&vs[i]) {
-			continue
-		}
-		var tmp Limbs
-		m.MontMul(&tmp, &inv, &prefix[i])
-		m.MontMul(&inv, &inv, &vs[i])
-		vs[i] = tmp
-	}
-}
-
 // Inverse sets z = x^{-1} mod M (Montgomery form) using the binary extended
 // Euclidean algorithm (HAC 14.61 shape). This is 5-10x cheaper than the
 // Fermat exponentiation it replaced (~510 shift/add word operations versus
 // ~380 Montgomery multiplications), which matters because batch-affine MSM
-// accumulation pays one inversion per bucket flush. Not constant-time; no
-// secret is ever inverted (curve coordinates and transcript challenges
-// only). Panics on zero input: inverting zero is always a caller bug.
+// accumulation pays one inversion per bucket flush (AddRun). Not
+// constant-time; no secret is ever inverted (curve coordinates and
+// transcript challenges only). Panics on zero input: inverting zero is
+// always a caller bug.
 func (m *Modulus) Inverse(z, x *Limbs) {
 	if IsZero(x) {
 		panic("limbs: inverse of zero")

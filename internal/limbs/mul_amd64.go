@@ -1,5 +1,7 @@
 package limbs
 
+import "unsafe"
+
 // hasADX reports whether the CPU has BMI2 (MULX) and ADX (ADCX/ADOX), the
 // instructions montMulADX is written in (Intel Broadwell, AMD Zen and
 // later). Set once at package init from CPUID.
@@ -31,3 +33,26 @@ func butterflyRunADX(x, y, w *Limbs, n, xs, ws int, q *Limbs, inv uint64)
 
 // cpuid executes the CPUID instruction for (leaf, sub-leaf).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// The assembly passes read an AddOp as P at 0, Q at 8 and Neg at 16, 24
+// bytes in all; this fails to compile otherwise.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(AddOp{}.Q)-8]
+	_ = [1]struct{}{}[unsafe.Offsetof(AddOp{}.Neg)-16]
+	_ = [1]struct{}{}[unsafe.Sizeof(AddOp{})-24]
+)
+
+// addRunFirstADX is AddRun's first pass in assembly (mul_amd64.s): for each
+// of the n ≥ 1 ops it writes the slope's denominator and numerator and the
+// running prefix product of the nonzero denominators before it, and leaves
+// the product of them all in acc.
+//
+//go:noescape
+func addRunFirstADX(ops *AddOp, n int, den, num, prefix, acc, q *Limbs, inv uint64)
+
+// addRunSecondADX is AddRun's second pass in assembly: with inv holding the
+// inverse of the first pass's product, it walks the ops backwards and
+// applies each sum. It overwrites *inv.
+//
+//go:noescape
+func addRunSecondADX(ops *AddOp, n int, den, num, prefix, inv, q *Limbs, minv uint64)

@@ -16,3 +16,13 @@ func montMulADX(z, x, y, q *Limbs, inv uint64) {
 func butterflyRunADX(x, y, w *Limbs, n, xs, ws int, q *Limbs, inv uint64) {
 	panic("limbs: no ADX kernel on this platform")
 }
+
+// addRunFirstADX and addRunSecondADX exist off amd64 only so AddRun
+// compiles everywhere; their calls are compiled out.
+func addRunFirstADX(ops *AddOp, n int, den, num, prefix, acc, q *Limbs, inv uint64) {
+	panic("limbs: no ADX kernel on this platform")
+}
+
+func addRunSecondADX(ops *AddOp, n int, den, num, prefix, inv, q *Limbs, minv uint64) {
+	panic("limbs: no ADX kernel on this platform")
+}

@@ -53,6 +53,13 @@ func (g *Graph) BuildCircuit(cfg gadgets.Config, in *Input) (*gadgets.Builder, [
 	return g.build(gadgets.NewBuilder(cfg), in)
 }
 
+// BuildWitness is BuildCircuit on a witness builder: the same rows, checks,
+// witness and public values, without the copy constraints and coefficients
+// only keygen reads. Proves synthesize through it.
+func (g *Graph) BuildWitness(cfg gadgets.Config, in *Input) (*gadgets.Builder, []*layers.T, error) {
+	return g.build(gadgets.NewWitnessBuilder(cfg), in)
+}
+
 // SimulateCircuit is BuildCircuit on a dry builder: the same rows, checks
 // and constraint system, without storing the grid. The optimizer prices
 // layouts from it.

@@ -223,9 +223,6 @@ func (s *ShardedSystem) Prove(in *Input) (*ShardedProof, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ch.Plan.Graph.Name, err)
 		}
-		// The prover reads the key's fixed columns, not the ones this
-		// synthesis built: holding only the instance and the witness lets
-		// those go.
 		instances[c], witnesses[c] = art.Instance, art.Witness
 	}
 	// Blinding: each chunk gets an independent SHA-256 counter stream whose
