@@ -11,7 +11,8 @@
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once
 #                    each, then the MSM kernels' per-scalar and per-addition
-#                    costs (ns/scalar, flushes/op, ns/add)
+#                    costs (ns/scalar, flushes/op, ns/add) and the block
+#                    kernels' ns per row (product, sum) beside MontMul's
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
 #   make cross       the field, curve and polynomial tests, the pinned
 #                    proof and circuit digests and the untrusted-bytes
@@ -66,6 +67,7 @@ FUZZ_TARGETS = \
 	./internal/curve/:FuzzPointSetBytes \
 	./internal/curve/:FuzzGLVDecompose \
 	./internal/limbs/:FuzzAddRun \
+	./internal/limbs/:FuzzBlockKernels \
 	./internal/limbs/:FuzzButterfly \
 	./internal/limbs/:FuzzMontMul \
 	./zkml/:FuzzImportProof
@@ -105,7 +107,8 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# 386 has no assembly field kernel, so these runs take the generic one; the
+# 386 has no assembly field kernel, so these runs take the generic one and
+# the portable block kernels (the quotient program's evaluator); the
 # unchanged proof digests show both kernels produce the same proof bytes,
 # and the Freivalds gadget tests fold negative int64 operands into phase-1
 # cells through ff.NewInt64 on it. Its 32-bit int is also where a length
@@ -128,12 +131,13 @@ cross:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -run '^$$' -bench 'BenchmarkAddRun|BenchmarkMSM|BenchmarkFixedBaseMSM' ./internal/limbs/ ./internal/curve/
+	$(GO) test -run '^$$' -bench 'BenchmarkMontMul|BenchmarkBlockKernels' ./internal/limbs/
 
 # One iteration of the kernel benchmarks: compiles and runs the bench code
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkAddRun|BenchmarkButterflyRun|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkAddRun|BenchmarkBlockKernels|BenchmarkButterflyRun|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (a fitted calibration), prove once more
 # with tracing — compiled into a fresh key store, then loaded from it — and

@@ -220,6 +220,45 @@ func AddSubRun(x, y []Element, n, xs int) {
 	mod.AddSubRun(limbsOf(x), limbsOf(y), n, xs)
 }
 
+// Block holds BlockRows field elements in the layout of the block kernels
+// this CPU runs (limbs.Block): the unit the compiled quotient program is
+// evaluated in. The block operations below apply one operation to the
+// first n rows of their blocks, 1 ≤ n ≤ BlockRows; z may alias x or y.
+type Block = limbs.Block
+
+// BlockScalar is one element in the block kernels' form: the broadcast
+// operand of MulBlockScalar and BroadcastBlock.
+type BlockScalar = limbs.BlockScalar
+
+// BlockRows is the number of rows a Block holds.
+const BlockRows = limbs.BlockRows
+
+// LoadBlock sets the first len(src) rows of z to src, 1 ≤ len(src) ≤
+// BlockRows.
+func LoadBlock(z *Block, src []Element) { mod.LoadBlock(z, limbsOf(src)) }
+
+// StoreBlock writes the first len(dst) rows of x to dst, 1 ≤ len(dst) ≤
+// BlockRows.
+func StoreBlock(dst []Element, x *Block) { mod.StoreBlock(limbsOf(dst), x) }
+
+// BlockScalarOf sets s to v in the block kernels' form.
+func BlockScalarOf(s *BlockScalar, v *Element) { mod.BlockScalarOf(s, &v.l) }
+
+// BroadcastBlock sets every row of z to s.
+func BroadcastBlock(z *Block, s *BlockScalar) { mod.BroadcastBlock(z, s) }
+
+// MulBlock sets z = x·y on the first n rows.
+func MulBlock(z, x, y *Block, n int) { mod.MulBlock(z, x, y, n) }
+
+// MulBlockScalar sets z = x·s on the first n rows.
+func MulBlockScalar(z, x *Block, s *BlockScalar, n int) { mod.MulBlockScalar(z, x, s, n) }
+
+// AddBlock sets z = x + y on the first n rows.
+func AddBlock(z, x, y *Block, n int) { mod.AddBlock(z, x, y, n) }
+
+// NegBlock sets z = −x on the first n rows.
+func NegBlock(z, x *Block, n int) { mod.NegBlock(z, x, n) }
+
 // An Element is exactly its four limbs, 32 bytes, so a slice of elements is
 // a slice of limbs in place: limbsOf relies on it, and this fails to compile
 // otherwise.

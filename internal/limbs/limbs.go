@@ -24,6 +24,8 @@ type Modulus struct {
 	R3   Limbs    // 2^768 mod M
 	Big  *big.Int // modulus as big.Int
 	Bits int      // bit length of the modulus
+
+	ifma ifmaConst // the IFMA block kernels' constants (block.go)
 }
 
 // NewModulus builds a Modulus from a decimal string. The modulus must be an
@@ -59,6 +61,7 @@ func NewModulus(dec string) *Modulus {
 	r3 := new(big.Int).Lsh(big.NewInt(1), 768)
 	r3.Mod(r3, n)
 	m.R3 = fromBig(r3)
+	m.ifma = newIFMAConst(m)
 	return m
 }
 
@@ -115,13 +118,15 @@ func (m *Modulus) MontMul(z, x, y *Limbs) {
 	m.montMulGeneric(z, x, y)
 }
 
-// Kernel names the Montgomery multiplication MontMul runs on this machine:
-// "adx" (the MULX/ADCX/ADOX assembly) or "generic" (portable Go).
+// Kernel names the field kernels that run on this machine: MontMul's —
+// "adx" (the MULX/ADCX/ADOX assembly) or "generic" (portable Go) — and,
+// after a "+", the block kernels' (BlockKernel), e.g. "adx+ifma".
 func Kernel() string {
+	mul := "generic"
 	if hasADX {
-		return "adx"
+		mul = "adx"
 	}
-	return "generic"
+	return mul + "+" + BlockKernel()
 }
 
 // montMulGeneric is the portable CIOS Montgomery multiplication: the only

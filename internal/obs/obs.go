@@ -281,9 +281,9 @@ type Report struct {
 	// all, and the ops evaluated per extended-coset row.
 	QuotientOps        int `json:"quotient_ops,omitempty"`
 	QuotientVaryingOps int `json:"quotient_varying_ops,omitempty"`
-	// FieldKernel is the Montgomery multiplication that ran (limbs.Kernel:
-	// "adx" or "generic"), so a trace taken elsewhere says which
-	// arithmetic produced its timings.
+	// FieldKernel names the field kernels that ran (limbs.Kernel: MontMul's
+	// and the block kernels', e.g. "adx+ifma" or "generic+portable"), so a
+	// trace taken elsewhere says which arithmetic produced its timings.
 	FieldKernel string `json:"field_kernel,omitempty"`
 }
 

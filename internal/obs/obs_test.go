@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,8 +88,8 @@ func TestKernelHistogram(t *testing.T) {
 		t.Fatalf("counter snapshot wrong: flushes=%d opens=%d open_s=%v",
 			r.BatchInvFlushes, r.Opens, r.OpenSeconds)
 	}
-	if r.FieldKernel != limbs.Kernel() {
-		t.Fatalf("FieldKernel = %q, want %q", r.FieldKernel, limbs.Kernel())
+	if r.FieldKernel != limbs.Kernel() || !strings.HasSuffix(r.FieldKernel, "+"+limbs.BlockKernel()) {
+		t.Fatalf("FieldKernel = %q, want %q, naming the block kernel %q", r.FieldKernel, limbs.Kernel(), limbs.BlockKernel())
 	}
 }
 

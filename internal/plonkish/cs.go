@@ -326,8 +326,8 @@ func (a *Assignment) column(c Col) []ff.Element {
 	panic(fmt.Sprintf("plonkish: Get on internal column %v", c.Kind))
 }
 
-// bind resolves every var of p to its grid column, for a machine over the
-// grid's rows.
+// bind resolves every var of p to its grid column, for an evaluator over
+// the grid's rows.
 func (a *Assignment) bind(p *Program) [][]ff.Element {
 	cols := make([][]ff.Element, len(p.vars))
 	for i, q := range p.vars {
@@ -392,16 +392,23 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 		}
 	}
 	gates := Compile(polys...)
-	mc := gates.newMachine(grid.bind(gates), n-1, challenges, &arg)
+	ev := gates.newEvaluator(grid.bind(gates), n-1, challenges, &arg)
+	defer ev.release()
 	// Report the first violated polynomial in gate order at its first row.
 	bad, badRow := len(polys), 0
 	var badVal ff.Element
-	for row := 0; row < n && bad > 0; row++ {
-		mc.run(row, &omega[row])
+	var vals [ff.BlockRows]ff.Element
+	for row := 0; row < n && bad > 0; row += ff.BlockRows {
+		rows := min(ff.BlockRows, n-row)
+		ev.run(row, rows, omega[row:row+rows])
+	polys:
 		for k := 0; k < bad; k++ {
-			if v := mc.out(k); !v.IsZero() {
-				bad, badRow, badVal = k, row, *v
-				break
+			ev.out(k, vals[:rows])
+			for r, v := range vals[:rows] {
+				if !v.IsZero() {
+					bad, badRow, badVal = k, row+r, v
+					break polys
+				}
 			}
 		}
 	}
@@ -410,7 +417,8 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 	}
 
 	lookups := compileLookupInputs(cs)
-	mc = lookups.newMachine(grid.bind(lookups), n-1, challenges, &arg)
+	lev := lookups.newEvaluator(grid.bind(lookups), n-1, challenges, &arg)
+	defer lev.release()
 	tables := make([]map[string]bool, len(cs.Lookups))
 	for k, l := range cs.Lookups {
 		tables[k] = map[string]bool{}
@@ -423,25 +431,32 @@ func CheckConstraints(cs *CS, a *Assignment, challenges []ff.Element) error {
 			tables[k][key] = true
 		}
 	}
-	for row := 0; row < u; row++ {
-		mc.run(row, &omega[row])
-		o := 0
-		for k, l := range cs.Lookups {
-			sel, in := mc.out(o), o+1
-			o += 1 + len(l.Inputs)
-			if sel.IsZero() {
-				continue
-			}
-			if !sel.IsOne() {
-				return fmt.Errorf("plonkish: lookup %q selector not boolean at row %d", l.Name, row)
-			}
-			key := ""
-			for i := range l.Inputs {
-				b := mc.out(in + i).Bytes()
-				key += string(b[:])
-			}
-			if !tables[k][key] {
-				return fmt.Errorf("plonkish: lookup %q input at row %d not in table", l.Name, row)
+	outs := make([][ff.BlockRows]ff.Element, len(lookups.outputs))
+	for row := 0; row < u; row += ff.BlockRows {
+		rows := min(ff.BlockRows, u-row)
+		lev.run(row, rows, omega[row:row+rows])
+		for o := range outs {
+			lev.out(o, outs[o][:rows])
+		}
+		for r := range rows {
+			o := 0
+			for k, l := range cs.Lookups {
+				sel, in := &outs[o][r], o+1
+				o += 1 + len(l.Inputs)
+				if sel.IsZero() {
+					continue
+				}
+				if !sel.IsOne() {
+					return fmt.Errorf("plonkish: lookup %q selector not boolean at row %d", l.Name, row+r)
+				}
+				key := ""
+				for i := range l.Inputs {
+					b := outs[in+i][r].Bytes()
+					key += string(b[:])
+				}
+				if !tables[k][key] {
+					return fmt.Errorf("plonkish: lookup %q input at row %d not in table", l.Name, row+r)
+				}
 			}
 		}
 	}

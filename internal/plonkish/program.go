@@ -3,6 +3,7 @@ package plonkish
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/ff"
 )
@@ -53,6 +54,7 @@ type Program struct {
 	vars      []Query // distinct queried cells, in order of first use
 	outputs   []int32 // the register holding each lowered expression
 	invariant int     // ops[:invariant] do not depend on the row
+	blocks    blockCode
 }
 
 // Compile lowers exprs into one Program whose outputs are the expressions'
@@ -230,105 +232,272 @@ func (l *lowerer) finish(outputs []int32) *Program {
 	for i, r := range outputs {
 		p.outputs[i] = reg[r]
 	}
+	p.blocks = p.compileBlocks()
 	return p
 }
 
-// machine is one worker's register file over a Program, with every var
+// blockKind is the instruction set of a Program's block code: its
+// row-varying ops, with each operand resolved to where the evaluator holds
+// it.
+type blockKind uint8
+
+const (
+	blockVar       blockKind = iota // load var a at rotation b
+	blockX                          // load X
+	blockAdd                        // slots a + b
+	blockMul                        // slots a · b
+	blockMulScalar                  // slot a · row-invariant scalar b
+	blockNeg                        // −slot a
+)
+
+// blockOp is one op of the block code; its result goes to slot z.
+type blockOp struct {
+	kind    blockKind
+	z, a, b int32
+}
+
+// blockCode is how an evaluator runs a Program over a block of rows: the
+// row-varying ops in order, each writing a slot of a register file of
+// slots blocks. A row-invariant register that a varying add reads, or that
+// is an output, is broadcast once per evaluator into its own slot (bcast[i]
+// into slot i); one that a varying mul reads is a scalar operand
+// (scalars[i] is scalar i). A varying result gets a slot freed by a value
+// past its last use, so the register file holds what is live, not every op:
+// a slot is 640 bytes on the IFMA kernel.
+type blockCode struct {
+	code     []blockOp
+	slots    int
+	bcast    []int32
+	scalars  []int32
+	outSlots []int32
+}
+
+// compileBlocks derives p's block code.
+func (p *Program) compileBlocks() blockCode {
+	var bc blockCode
+	slot := make([]int32, len(p.ops))
+	scalar := make([]int32, len(p.ops))
+	for i := range slot {
+		slot[i], scalar[i] = -1, -1
+	}
+	broadcast := func(r int32) {
+		if slot[r] < 0 {
+			slot[r] = int32(bc.slots)
+			bc.slots++
+			bc.bcast = append(bc.bcast, r)
+		}
+	}
+	inv := int32(p.invariant)
+	// last[r] is the last varying op that reads register r; outputs stay
+	// live to the end.
+	last := make([]int, len(p.ops))
+	for k := p.invariant; k < len(p.ops); k++ {
+		switch o := p.ops[k]; o.kind {
+		case opAdd:
+			for _, r := range []int32{o.a, o.b} {
+				if r < inv {
+					broadcast(r)
+				}
+				last[r] = k
+			}
+		case opMul:
+			for _, r := range []int32{o.a, o.b} {
+				if r < inv && scalar[r] < 0 {
+					scalar[r] = int32(len(bc.scalars))
+					bc.scalars = append(bc.scalars, r)
+				}
+				last[r] = k
+			}
+		case opNeg:
+			last[o.a] = k
+		}
+	}
+	for _, r := range p.outputs {
+		if r < inv {
+			broadcast(r)
+		}
+		last[r] = len(p.ops)
+	}
+
+	var free []int32
+	release := func(r int32, k int) {
+		if r >= inv && last[r] == k {
+			free = append(free, slot[r])
+			last[r] = -1 // a square reads its operand twice
+		}
+	}
+	for k := p.invariant; k < len(p.ops); k++ {
+		o := p.ops[k]
+		b := blockOp{a: o.a, b: o.b}
+		switch o.kind {
+		case opVar:
+			b.kind = blockVar
+		case opX:
+			b.kind = blockX
+		case opAdd:
+			b.kind, b.a, b.b = blockAdd, slot[o.a], slot[o.b]
+		case opMul:
+			b.kind, b.a, b.b = blockMul, slot[o.a], slot[o.b]
+			if o.a < inv {
+				b.kind, b.a, b.b = blockMulScalar, slot[o.b], scalar[o.a]
+			} else if o.b < inv {
+				b.kind, b.b = blockMulScalar, scalar[o.b]
+			}
+		case opNeg:
+			b.kind, b.a = blockNeg, slot[o.a]
+		}
+		if o.kind == opAdd || o.kind == opMul || o.kind == opNeg {
+			release(o.a, k)
+			if o.kind != opNeg {
+				release(o.b, k)
+			}
+		}
+		if n := len(free); n > 0 {
+			b.z, free = free[n-1], free[:n-1]
+		} else {
+			b.z = int32(bc.slots)
+			bc.slots++
+		}
+		slot[k] = b.z
+		bc.code = append(bc.code, b)
+	}
+	bc.outSlots = make([]int32, len(p.outputs))
+	for i, r := range p.outputs {
+		bc.outSlots[i] = slot[r]
+	}
+	return bc
+}
+
+// evaluator is one worker's register file over a Program, with every var
 // resolved to a column slice: a var at rotation rot reads
 // cols[v][(row+rot) & mask], so rows wrap around a power-of-two domain,
 // and a single-point evaluation binds one-element slices with mask 0.
 //
-// The vars' values are gathered for gatherRows rows at a time, var by var,
-// into vals. A row reads a cell of every queried column, hundreds of
-// columns on the bundled models; read row by row, each of those reads
-// waited on its own cache miss, while a gather copies each column's
-// consecutive rows in one pass. The columns must not change while the
-// machine is in use.
-type machine struct {
-	p    *Program
-	regs []ff.Element
-	cols [][]ff.Element
-	mask int
-
-	vals        []ff.Element // var v at row base+i is vals[v·block + i]
-	base, block int
+// It runs the program op by op over a block of up to ff.BlockRows
+// consecutive rows: each op is one call of a block kernel (limbs.Block),
+// eight rows per instruction on the IFMA kernel, so the dispatch is paid
+// once per op per block, and a var's rows are read in one pass over its
+// column. The columns must not change while the evaluator is in use, and
+// release returns its register file to the pool.
+type evaluator struct {
+	p       *Program
+	cols    [][]ff.Element
+	mask    int
+	regs    []ff.Block
+	scalars []ff.BlockScalar
+	n       int // rows in the last run
+	acc     ff.Block
+	stage   [ff.BlockRows]ff.Element // a wrapping var's rows
 }
 
-// gatherRows is how many rows a machine gathers its vars' values for at
-// once; 8, 16 and 64 timed the same on gpt2-micro's quotient.
-const gatherRows = 16
+// regFiles pools evaluators' register files, so the blocks of one prove's
+// many evaluators are allocated about once per worker.
+var regFiles sync.Pool
 
-// newMachine binds cols (one slice per entry of p.vars) and evaluates the
-// row-invariant ops.
-func (p *Program) newMachine(cols [][]ff.Element, mask int, challenges []ff.Element, arg *[3]ff.Element) *machine {
-	block := min(gatherRows, mask+1)
-	m := &machine{p: p, regs: make([]ff.Element, len(p.ops)), cols: cols, mask: mask,
-		vals: make([]ff.Element, len(p.vars)*block), base: -block, block: block}
-	regs := m.regs
+// newEvaluator binds cols (one slice per entry of p.vars), evaluates the
+// row-invariant ops and broadcasts the ones the block code reads.
+func (p *Program) newEvaluator(cols [][]ff.Element, mask int, challenges []ff.Element, arg *[3]ff.Element) *evaluator {
+	inv := make([]ff.Element, p.invariant)
 	for k, o := range p.ops[:p.invariant] {
 		switch o.kind {
 		case opConst:
-			regs[k] = p.consts[o.a]
+			inv[k] = p.consts[o.a]
 		case opChallenge:
-			regs[k] = challenges[o.a]
+			inv[k] = challenges[o.a]
 		case opArg:
-			regs[k] = arg[o.a]
+			inv[k] = arg[o.a]
 		case opAdd:
-			regs[k].Add(&regs[o.a], &regs[o.b])
+			inv[k].Add(&inv[o.a], &inv[o.b])
 		case opMul:
-			regs[k].Mul(&regs[o.a], &regs[o.b])
+			inv[k].Mul(&inv[o.a], &inv[o.b])
 		case opNeg:
-			regs[k].Neg(&regs[o.a])
+			inv[k].Neg(&inv[o.a])
 		}
 	}
-	return m
+	e := &evaluator{p: p, cols: cols, mask: mask, scalars: make([]ff.BlockScalar, len(p.blocks.scalars))}
+	if regs, ok := regFiles.Get().(*[]ff.Block); ok && cap(*regs) >= p.blocks.slots {
+		e.regs = (*regs)[:p.blocks.slots]
+	} else {
+		e.regs = make([]ff.Block, p.blocks.slots)
+	}
+	for i, r := range p.blocks.bcast {
+		var s ff.BlockScalar
+		ff.BlockScalarOf(&s, &inv[r])
+		ff.BroadcastBlock(&e.regs[i], &s)
+	}
+	for i, r := range p.blocks.scalars {
+		ff.BlockScalarOf(&e.scalars[i], &inv[r])
+	}
+	return e
 }
 
-// gather fills vals for the rows [row, row+block).
-func (m *machine) gather(row int) {
-	m.base = row
-	for v, q := range m.p.vars {
-		col, dst := m.cols[v], m.vals[v*m.block:(v+1)*m.block]
-		for i := range dst {
-			dst[i] = col[(row+i+q.Rot)&m.mask]
+// release returns the register file to the pool; e must not be used after.
+func (e *evaluator) release() {
+	regs := e.regs
+	e.regs = nil
+	regFiles.Put(&regs)
+}
+
+// run evaluates the row-varying ops on the n rows [row, row+n), 1 ≤ n ≤
+// ff.BlockRows, with X = xs[i] on row+i (xs is unread when the program has
+// no x).
+func (e *evaluator) run(row, n int, xs []ff.Element) {
+	regs := e.regs
+	for _, o := range e.p.blocks.code {
+		z := &regs[o.z]
+		switch o.kind {
+		case blockVar:
+			e.load(z, e.cols[o.a], row+int(o.b), n)
+		case blockX:
+			ff.LoadBlock(z, xs[:n])
+		case blockAdd:
+			ff.AddBlock(z, &regs[o.a], &regs[o.b], n)
+		case blockMul:
+			ff.MulBlock(z, &regs[o.a], &regs[o.b], n)
+		case blockMulScalar:
+			ff.MulBlockScalar(z, &regs[o.a], &e.scalars[o.b], n)
+		case blockNeg:
+			ff.NegBlock(z, &regs[o.a], n)
 		}
 	}
+	e.n = n
 }
 
-// run evaluates the row-varying ops at row, with X = x.
-func (m *machine) run(row int, x *ff.Element) {
-	if row < m.base || row >= m.base+m.block {
-		m.gather(row)
+// load sets z to the n cells of col from row start on, wrapping at mask.
+func (e *evaluator) load(z *ff.Block, col []ff.Element, start, n int) {
+	start &= e.mask
+	if start+n <= e.mask+1 {
+		ff.LoadBlock(z, col[start:start+n])
+		return
 	}
-	ops, regs, vals := m.p.ops, m.regs, m.vals
-	i, block := row-m.base, m.block
-	for k := m.p.invariant; k < len(ops); k++ {
-		switch o := ops[k]; o.kind {
-		case opVar:
-			regs[k] = vals[int(o.a)*block+i]
-		case opX:
-			regs[k] = *x
-		case opAdd:
-			regs[k].Add(&regs[o.a], &regs[o.b])
-		case opMul:
-			regs[k].Mul(&regs[o.a], &regs[o.b])
-		case opNeg:
-			regs[k].Neg(&regs[o.a])
-		}
+	for i := range n {
+		e.stage[i] = col[(start+i)&e.mask]
 	}
+	ff.LoadBlock(z, e.stage[:n])
 }
 
-// out returns output i of the last run.
-func (m *machine) out(i int) *ff.Element { return &m.regs[m.p.outputs[i]] }
+// out writes output i of the last run to dst, one value per row.
+func (e *evaluator) out(i int, dst []ff.Element) {
+	ff.StoreBlock(dst[:e.n], &e.regs[e.p.blocks.outSlots[i]])
+}
 
-// combine folds the outputs of the last run with powers of y, the first
-// output carrying the highest power: the y-combined constraint value the
-// prover and verifier agree on.
-func (m *machine) combine(y *ff.Element) ff.Element {
-	var acc ff.Element
-	for _, r := range m.p.outputs {
-		acc.Mul(&acc, y)
-		acc.Add(&acc, &m.regs[r])
+// combine writes to dst, per row of the last run, its outputs folded with
+// powers of y, the first output carrying the highest power: the y-combined
+// constraint value the prover and verifier agree on.
+func (e *evaluator) combine(y *ff.Element, dst []ff.Element) {
+	dst = dst[:e.n]
+	outs := e.p.blocks.outSlots
+	if len(outs) == 0 {
+		clear(dst)
+		return
 	}
-	return acc
+	var ys ff.BlockScalar
+	ff.BlockScalarOf(&ys, y)
+	acc := &e.acc
+	*acc = e.regs[outs[0]]
+	for _, s := range outs[1:] {
+		ff.MulBlockScalar(acc, acc, &ys, e.n)
+		ff.AddBlock(acc, acc, &e.regs[s], e.n)
+	}
+	ff.StoreBlock(dst, acc)
 }

@@ -44,17 +44,42 @@ func (g *grid) col(c Col) []ff.Element {
 	return g.cols[c]
 }
 
-// eval runs p at row and returns its outputs.
-func (g *grid) eval(p *Program, row int) []ff.Element {
+// eval runs p's block evaluator on the n rows from row on (wrapping past
+// the last row) and returns its outputs, out[i][r] being output i on row
+// row+r.
+func (g *grid) eval(p *Program, row, n int) [][]ff.Element {
 	cols := make([][]ff.Element, len(p.vars))
 	for i, q := range p.vars {
 		cols[i] = g.col(q.Col)
 	}
-	mc := p.newMachine(cols, g.n-1, g.challenges, &g.arg)
-	mc.run(row, &g.xs[row])
+	xs := make([]ff.Element, n)
+	for r := range xs {
+		xs[r] = g.xs[(row+r)%g.n]
+	}
+	ev := p.newEvaluator(cols, g.n-1, g.challenges, &g.arg)
+	defer ev.release()
+	ev.run(row, n, xs)
+	out := make([][]ff.Element, len(p.outputs))
+	for i := range out {
+		out[i] = make([]ff.Element, n)
+		ev.out(i, out[i])
+	}
+	return out
+}
+
+// evalPoint runs p over one point, as the verifier does: every var bound to
+// a one-element slice holding its cell at row, mask 0.
+func (g *grid) evalPoint(p *Program, row int) []ff.Element {
+	cols := make([][]ff.Element, len(p.vars))
+	for i, q := range p.vars {
+		cols[i] = []ff.Element{g.tree(VRot(q.Col, q.Rot), row)}
+	}
+	ev := p.newEvaluator(cols, 0, g.challenges, &g.arg)
+	defer ev.release()
+	ev.run(0, 1, g.xs[row:row+1])
 	out := make([]ff.Element, len(p.outputs))
 	for i := range out {
-		out[i] = *mc.out(i)
+		ev.out(i, out[i:i+1])
 	}
 	return out
 }
@@ -106,7 +131,7 @@ func TestExprEval(t *testing.T) {
 	aNext := VRot(AdviceCol(0), 1)
 	check := func(e Expr, want int64) {
 		t.Helper()
-		got := g.eval(Compile(e), 0)[0]
+		got := g.eval(Compile(e), 0, 1)[0][0]
 		w := ff.NewInt64(want)
 		if !got.Equal(&w) {
 			t.Fatalf("eval = %s, want %d", got, want)
@@ -151,11 +176,11 @@ func TestProgramKeepsDistinctCells(t *testing.T) {
 		seen[r] = i
 	}
 	g := newGrid(8)
+	got := g.eval(p, 0, g.n)
 	for row := 0; row < g.n; row++ {
-		got := g.eval(p, row)
 		for i, e := range cells {
-			if want := g.tree(e, row); !got[i].Equal(&want) {
-				t.Fatalf("row %d: %v reads %s, want %s", row, e, got[i], want)
+			if want := g.tree(e, row); !got[i][row].Equal(&want) {
+				t.Fatalf("row %d: %v reads %s, want %s", row, e, got[i][row], want)
 			}
 		}
 	}
@@ -251,16 +276,19 @@ func (d *exprDecoder) expr(depth int) Expr {
 	return e
 }
 
-// FuzzProgramMatchesTree is the differential check on the lowering: for any
-// expressions the decoder builds, every output of the compiled program must
-// equal the reference tree interpreter's value, at every row of the grid.
+// FuzzProgramMatchesTree is the differential check on the lowering and the
+// block evaluator: for any expressions the decoder builds, every output of
+// the compiled program must equal the reference tree interpreter's value —
+// on full blocks at several offsets, wrapping past the last row, on partial
+// blocks, and over one point (every var bound to a one-element slice, mask
+// 0, as the verifier runs it).
 func FuzzProgramMatchesTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 1, 1, 0, 7, 6, 2, 1, 1, 1, 8, 11, 0, 7, 11, 1})
 	f.Add([]byte{2, 10, 6, 3, 1, 2, 1, 0, 1, 1, 2, 5, 9, 3, 200, 4, 1, 12, 0, 12, 1, 5, 0})
 	f.Add([]byte{1, 7, 8, 7, 9, 255, 1, 6, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const n = 16
+		const n = 32
 		d := &exprDecoder{data: data, u: n - ZKRows}
 		exprs := make([]Expr, 1+d.next()%4)
 		for i := range exprs {
@@ -268,11 +296,26 @@ func FuzzProgramMatchesTree(f *testing.F) {
 		}
 		p := Compile(exprs...)
 		g := newGrid(n)
-		for row := 0; row < n; row++ {
-			got := g.eval(p, row)
+		blocks := []struct{ row, rows int }{
+			{0, ff.BlockRows}, {ff.BlockRows, ff.BlockRows}, {5, ff.BlockRows}, {n - 3, ff.BlockRows},
+			{3, 1}, {n - 1, 7}, {9, 8}, {20, 9},
+		}
+		for _, b := range blocks {
+			got := g.eval(p, b.row, b.rows)
+			for r := range b.rows {
+				row := (b.row + r) % n
+				for i, e := range exprs {
+					if want := g.tree(e, row); !got[i][r].Equal(&want) {
+						t.Fatalf("block of %d rows at %d, row %d, expression %d: program %s, tree %s", b.rows, b.row, row, i, got[i][r], want)
+					}
+				}
+			}
+		}
+		for _, row := range []int{0, 7, n - 1} {
+			got := g.evalPoint(p, row)
 			for i, e := range exprs {
 				if want := g.tree(e, row); !got[i].Equal(&want) {
-					t.Fatalf("row %d, expression %d: program %s, tree %s", row, i, got[i], want)
+					t.Fatalf("one point at row %d, expression %d: program %s, tree %s", row, i, got[i], want)
 				}
 			}
 		}

@@ -323,74 +323,109 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	arg[Theta] = tr.Challenge("theta")
 
 	// Lookup multiplicities: evaluate every lookup's selector and inputs in
-	// one pass of the lookup program over the usable rows (one register file
-	// per worker chunk), then compress each lookup's table and count its
-	// multiplicities in parallel across lookups, and commit them side by side.
+	// one pass of the lookup program over the usable rows (one evaluator per
+	// worker chunk), compressing the inputs only on the rows the lookup
+	// selects; compress and index each distinct table once, however many
+	// lookups read it; then count each lookup's multiplicities in parallel
+	// across lookups, and commit them side by side.
+	type tableData struct {
+		cols []Col
+		t    []ff.Element // compressed, on the table's rows; then (β+t)⁻¹ on the usable ones
+		idx  map[[32]byte]int
+	}
 	type lookupData struct {
-		f, sel []ff.Element // compressed input and selector, on the usable rows
-		t      []ff.Element // compressed table, on its TableLen rows
+		sel, f []ff.Element // selector, and compressed input where it is nonzero, on the usable rows
+		rows   []int        // the rows whose selector is nonzero, ascending
+		table  *tableData
 		m      []ff.Element
 		mCoeff []ff.Element
 		err    error
 	}
 	lookups := make([]lookupData, len(cs.Lookups))
+	var tables []*tableData
+	tableOf := map[string]*tableData{}
 	maxInputs := 0
 	for k, l := range cs.Lookups {
 		m := make([]ff.Element, n)
 		for r := u; r < n; r++ {
 			m[r] = ff.RandomFrom(rng)
 		}
-		lookups[k] = lookupData{f: make([]ff.Element, u), sel: make([]ff.Element, u), m: m}
+		key := fmt.Sprint(l.Table, l.TableLen)
+		tbl, ok := tableOf[key]
+		if !ok {
+			tbl = &tableData{cols: l.Table, t: make([]ff.Element, l.TableLen)}
+			tableOf[key] = tbl
+			tables = append(tables, tbl)
+		}
+		lookups[k] = lookupData{f: make([]ff.Element, u), sel: make([]ff.Element, u), table: tbl, m: m}
 		maxInputs = max(maxInputs, len(l.Inputs))
 	}
 	omega := pk.Domain.Elements()
 	lookupCols := a.bind(pk.LookupInputs)
 	parallel.Range(u, func(lo, hi int) {
-		mc := pk.LookupInputs.newMachine(lookupCols, n-1, challenges, &arg)
+		ev := pk.LookupInputs.newEvaluator(lookupCols, n-1, challenges, &arg)
+		defer ev.release()
+		in := make([][ff.BlockRows]ff.Element, maxInputs)
 		vals := make([]ff.Element, maxInputs)
-		for r := lo; r < hi; r++ {
-			mc.run(r, &omega[r])
+		for r := lo; r < hi; r += ff.BlockRows {
+			rows := min(ff.BlockRows, hi-r)
+			ev.run(r, rows, omega[r:r+rows])
 			o := 0
 			for k, l := range cs.Lookups {
-				lookups[k].sel[r] = *mc.out(o)
-				for i := range l.Inputs {
-					vals[i] = *mc.out(o + 1 + i)
+				sel := lookups[k].sel[r : r+rows]
+				ev.out(o, sel)
+				stored := false
+				for q := range sel {
+					if sel[q].IsZero() {
+						continue
+					}
+					if !stored {
+						for i := range l.Inputs {
+							ev.out(o+1+i, in[i][:rows])
+						}
+						stored = true
+					}
+					for i := range l.Inputs {
+						vals[i] = in[i][q]
+					}
+					lookups[k].f[r+q] = compressRow(&arg[Theta], vals[:len(l.Inputs)])
 				}
-				lookups[k].f[r] = compressRow(&arg[Theta], vals[:len(l.Inputs)])
 				o += 1 + len(l.Inputs)
 			}
 		}
 	})
-	parallel.For(len(cs.Lookups), func(k int) {
-		l := cs.Lookups[k]
-		ld := &lookups[k]
-		ld.t = make([]ff.Element, l.TableLen)
-		parallel.Range(l.TableLen, func(lo, hi int) {
-			vals := make([]ff.Element, len(l.Table))
+	parallel.For(len(tables), func(k int) {
+		tbl := tables[k]
+		parallel.Range(len(tbl.t), func(lo, hi int) {
+			vals := make([]ff.Element, len(tbl.cols))
 			for r := lo; r < hi; r++ {
-				for i, c := range l.Table {
+				for i, c := range tbl.cols {
 					vals[i] = a.Get(c, r)
 				}
-				ld.t[r] = compressRow(&arg[Theta], vals)
+				tbl.t[r] = compressRow(&arg[Theta], vals)
 			}
 		})
-		tblIdx := make(map[[32]byte]int, l.TableLen)
-		for r := 0; r < l.TableLen; r++ {
-			key := ld.t[r].Bytes()
-			if _, dup := tblIdx[key]; !dup {
-				tblIdx[key] = r
+		tbl.idx = make(map[[32]byte]int, len(tbl.t))
+		for r := range tbl.t {
+			key := tbl.t[r].Bytes()
+			if _, dup := tbl.idx[key]; !dup {
+				tbl.idx[key] = r
 			}
 		}
+	})
+	parallel.For(len(cs.Lookups), func(k int) {
+		ld := &lookups[k]
+		one := ff.One()
 		for r := 0; r < u; r++ {
 			if ld.sel[r].IsZero() {
 				continue
 			}
-			ti, ok := tblIdx[ld.f[r].Bytes()]
+			ti, ok := ld.table.idx[ld.f[r].Bytes()]
 			if !ok {
-				ld.err = fmt.Errorf("plonkish: lookup %q: input at row %d not in table", l.Name, r)
+				ld.err = fmt.Errorf("plonkish: lookup %q: input at row %d not in table", cs.Lookups[k].Name, r)
 				return
 			}
-			one := ff.One()
+			ld.rows = append(ld.rows, r)
 			ld.m[ti].Add(&ld.m[ti], &one)
 		}
 		ld.mCoeff = ifft(ld.m)
@@ -408,13 +443,15 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 	arg[Beta] = tr.Challenge("beta")
 	arg[Gamma] = tr.Challenge("gamma")
 
-	// Lookup accumulators phi: the per-row inverse terms parallelize (a
-	// batch inversion of a subrange is still a batch inversion); the prefix
-	// sum itself is cheap and stays serial per lookup. The table terms
-	// m/(β+t) stop at TableLen: past it t is zero and so is m on the usable
-	// rows, so only the table rows' β+t are inverted. The inverses overwrite
-	// f and t, and once phi is built f, t and sel are dropped: they are a
-	// lookup stage's largest buffers, and nothing after it reads them.
+	// Lookup accumulators phi: the inverse terms parallelize (a batch
+	// inversion of a subrange is still a batch inversion); the prefix sum
+	// itself is cheap and stays serial per lookup. A table's terms 1/(β+t)
+	// are inverted once for every lookup that reads it, on the usable rows
+	// below TableLen: past it t is zero and so is m. A lookup's 1/(β+f) are
+	// inverted on its selected rows only, packed into the front of f; an
+	// unselected row adds only its table term. Once phi is built f, t and
+	// sel are dropped: they are a lookup stage's largest buffers, and
+	// nothing after it reads them.
 	phis := make([][]ff.Element, len(cs.Lookups))
 	phiCoeffs := make([][]ff.Element, len(cs.Lookups))
 	phiErrs := make([]error, len(cs.Lookups))
@@ -425,27 +462,33 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 		}
 		phis[k] = phi
 	}
+	parallel.For(len(tables), func(k int) {
+		invT := tables[k].t[:min(len(tables[k].t), u)]
+		parallel.Range(len(invT), func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				invT[r].Add(&arg[Beta], &invT[r])
+			}
+			ff.BatchInverse(invT[lo:hi])
+		})
+	})
 	parallel.For(len(cs.Lookups), func(k int) {
 		ld := &lookups[k]
-		tl := cs.Lookups[k].TableLen
-		invF, invT := ld.f, ld.t
-		parallel.Range(u, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				invF[r].Add(&arg[Beta], &invF[r])
-			}
+		invF, invT := ld.f[:len(ld.rows)], ld.table.t[:min(len(ld.table.t), u)]
+		for j, r := range ld.rows {
+			invF[j].Add(&arg[Beta], &ld.f[r])
+		}
+		parallel.Range(len(invF), func(lo, hi int) {
 			ff.BatchInverse(invF[lo:hi])
-			if th := min(hi, tl); lo < th {
-				for r := lo; r < th; r++ {
-					invT[r].Add(&arg[Beta], &invT[r])
-				}
-				ff.BatchInverse(invT[lo:th])
-			}
 		})
 		phi := phis[k]
+		j := 0
 		for r := 0; r < u; r++ {
 			var term ff.Element
-			term.Mul(&ld.sel[r], &invF[r])
-			if r < tl {
+			if j < len(ld.rows) && ld.rows[j] == r {
+				term.Mul(&ld.sel[r], &invF[j])
+				j++
+			}
+			if r < len(invT) {
 				var t2 ff.Element
 				t2.Mul(&ld.m[r], &invT[r])
 				term.Sub(&term, &t2)
@@ -457,8 +500,11 @@ func commitStages(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs
 			return
 		}
 		phiCoeffs[k] = ifft(phi)
-		ld.f, ld.t, ld.sel = nil, nil, nil
+		ld.f, ld.sel, ld.rows = nil, nil, nil
 	})
+	for _, tbl := range tables {
+		tbl.t, tbl.idx = nil, nil
+	}
 	for k := range cs.Lookups {
 		if phiErrs[k] != nil {
 			return nil, phiErrs[k]
@@ -622,11 +668,19 @@ func quotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Element, err
 		}
 		part := make([]ff.Element, n)
 		parallel.Range(n, func(lo, hi int) {
-			mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)
-			for i := lo; i < hi; i++ {
-				mc.run(i, &xs[j+scale*i])
-				acc := mc.combine(y)
-				part[i].Mul(&acc, &zhInv[j])
+			ev := prog.newEvaluator(bind, n-1, st.challenges, &st.arg)
+			defer ev.release()
+			var x [ff.BlockRows]ff.Element
+			for i := lo; i < hi; i += ff.BlockRows {
+				rows := min(ff.BlockRows, hi-i)
+				for r := range rows {
+					x[r] = xs[j+scale*(i+r)]
+				}
+				ev.run(i, rows, x[:rows])
+				ev.combine(y, part[i:i+rows])
+				for r := i; r < i+rows; r++ {
+					part[r].Mul(&part[r], &zhInv[j])
+				}
 			}
 		})
 		pk.ExtDomain.CosetPartIFFT(part, j)
@@ -671,11 +725,17 @@ func satisfiedOnDomain(pk *ProvingKey, st *committed, queried []Col, slot []int,
 	omega := pk.Domain.Elements()
 	var bad atomic.Bool
 	parallel.Range(n, func(lo, hi int) {
-		mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)
-		for i := lo; i < hi && !bad.Load(); i++ {
-			mc.run(i, &omega[i])
-			if acc := mc.combine(y); !acc.IsZero() {
-				bad.Store(true)
+		ev := prog.newEvaluator(bind, n-1, st.challenges, &st.arg)
+		defer ev.release()
+		var acc [ff.BlockRows]ff.Element
+		for i := lo; i < hi && !bad.Load(); i += ff.BlockRows {
+			rows := min(ff.BlockRows, hi-i)
+			ev.run(i, rows, omega[i:i+rows])
+			ev.combine(y, acc[:rows])
+			for r := range rows {
+				if !acc[r].IsZero() {
+					bad.Store(true)
+				}
 			}
 		}
 	})

@@ -44,13 +44,20 @@ func referenceQuotient(pk *ProvingKey, st *committed, y *ff.Element) ([][]ff.Ele
 			clear(bufs[s][copy(bufs[s], st.coeff[c]):])
 			pk.ExtDomain.CosetPartFFT(bufs[s], j)
 		}
-		mc := prog.newMachine(bind, n-1, st.challenges, &st.arg)
-		for i := 0; i < n; i++ {
-			e := j + scale*i
-			mc.run(i, &xs[e])
-			acc := mc.combine(y)
-			numerator[e].Mul(&acc, &zhInv[j])
+		ev := prog.newEvaluator(bind, n-1, st.challenges, &st.arg)
+		var x, acc [ff.BlockRows]ff.Element
+		for i := 0; i < n; i += ff.BlockRows {
+			rows := min(ff.BlockRows, n-i)
+			for r := range rows {
+				x[r] = xs[j+scale*(i+r)]
+			}
+			ev.run(i, rows, x[:rows])
+			ev.combine(y, acc[:rows])
+			for r := range rows {
+				numerator[j+scale*(i+r)].Mul(&acc[r], &zhInv[j])
+			}
 		}
+		ev.release()
 	}
 	// Interpolate over g·H: the IFFT yields the coefficients of p(g·X), and
 	// coefficient k times g^-k is p's.

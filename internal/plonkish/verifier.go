@@ -144,9 +144,11 @@ func Verify(vk *VerifyingKey, instance [][]ff.Element, proof *Proof) error {
 		}
 		cells[s] = proof.Evals[i : i+1]
 	}
-	mc := vk.Quotient.newMachine(cells, 0, challenges, &arg)
-	mc.run(0, &x)
-	lhs := mc.combine(&y)
+	ev := vk.Quotient.newEvaluator(cells, 0, challenges, &arg)
+	var lhs [1]ff.Element
+	ev.run(0, 1, []ff.Element{x})
+	ev.combine(&y, lhs[:])
+	ev.release()
 	// t(x) = sum x^(n·i) · piece_i(x).
 	var tEval, xn ff.Element
 	xn.ExpUint64(&x, uint64(n))
@@ -157,7 +159,7 @@ func Verify(vk *VerifyingKey, instance [][]ff.Element, proof *Proof) error {
 	zh := poly.VanishingEval(n, x)
 	var rhs ff.Element
 	rhs.Mul(&zh, &tEval)
-	if !lhs.Equal(&rhs) {
+	if !lhs[0].Equal(&rhs) {
 		return errVerify("vanishing identity check failed")
 	}
 
