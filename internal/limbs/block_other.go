@@ -9,20 +9,28 @@ const hasIFMA = false
 // compile everywhere; hasIFMA is a false constant here, so their calls are
 // compiled out.
 
-func blockLoadIFMA(z *Block, src *Limbs, n int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
+func blockLoadIFMA(z *Block, src *Limbs, n int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
 
 func blockStoreIFMA(dst *Limbs, x *Block, n int, c *ifmaConst) {
 	panic("limbs: no IFMA kernel on this platform")
 }
 
-func blockMulIFMA(z, x, y *Block, nv int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
+func blockMulIFMA(z, x, y *Block, nv int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
 
 func blockMulScalarIFMA(z, x *Block, s *BlockScalar, nv int, c *ifmaConst) {
 	panic("limbs: no IFMA kernel on this platform")
 }
 
-func blockAddIFMA(z, x, y *Block, nv int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
+func blockAddIFMA(z, x, y *Block, nv int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
 
-func blockSubIFMA(z, x, y *Block, nv int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
+func blockSubIFMA(z, x, y *Block, nv int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
 
 func blockNegIFMA(z, x *Block, nv int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
