@@ -205,6 +205,12 @@ TEXT ·blockLoadIFMA(SB), NOSPLIT, $0-32
 	VMOVDQU64 gatherIdx<>(SB), ZIDX
 
 loadLoop:
+	// The same rows of the next block, which a caller walking a column
+	// loads next, into L2: a load is otherwise a wait on memory.
+	PREFETCHT1 512(SI)
+	PREFETCHT1 576(SI)
+	PREFETCHT1 640(SI)
+	PREFETCHT1 704(SI)
 	ROW_MASK
 	VPXORQ     D0, D0, D0
 	KMOVW      K2, K1
