@@ -53,18 +53,16 @@ func newIFMAConst(m *Modulus) ifmaConst {
 		return fromBig(v.Mod(v, m.Big))
 	}
 	return ifmaConst{
-		q:      split52(&m.M),
+		q:      split52(m.M),
 		k:      m.Inv & mask52,
-		in:     split52(ptr(pow(264))),
-		out:    split52(ptr(pow(256))),
+		in:     split52(pow(264)),
+		out:    split52(pow(256)),
 		scalar: pow(260),
 	}
 }
 
-func ptr(l Limbs) *Limbs { return &l }
-
 // split52 cuts a value below 2^256 into five 52-bit limbs.
-func split52(a *Limbs) [5]uint64 {
+func split52(a Limbs) [5]uint64 {
 	return [5]uint64{
 		a[0] & mask52,
 		(a[0]>>52 | a[1]<<12) & mask52,
@@ -105,7 +103,7 @@ func (m *Modulus) LoadBlock(z *Block, src []Limbs) {
 		blockLoadIFMA(z, &src[0], len(src), &m.ifma)
 		return
 	}
-	copy(rows(z)[:], src)
+	loadBlockPortable(z, src)
 }
 
 // StoreBlock writes the first len(dst) rows of x to dst in MontMul form;
@@ -116,7 +114,7 @@ func (m *Modulus) StoreBlock(dst []Limbs, x *Block) {
 		blockStoreIFMA(&dst[0], x, len(dst), &m.ifma)
 		return
 	}
-	copy(dst, rows(x)[:])
+	storeBlockPortable(dst, x)
 }
 
 // BlockScalarOf sets s to v, a MontMul-form value below M, in the block
@@ -126,7 +124,7 @@ func (m *Modulus) BlockScalarOf(s *BlockScalar, v *Limbs) {
 		m.scalarIFMA(s, v)
 		return
 	}
-	*s = BlockScalar{v[0], v[1], v[2], v[3]}
+	scalarPortable(s, v)
 }
 
 // BroadcastBlock sets every row of z to s.
@@ -135,9 +133,7 @@ func (m *Modulus) BroadcastBlock(z *Block, s *BlockScalar) {
 		broadcastIFMA(z, s)
 		return
 	}
-	for i := range rows(z) {
-		rows(z)[i] = Limbs{s[0], s[1], s[2], s[3]}
-	}
+	broadcastPortable(z, s)
 }
 
 // MulBlock sets the first n rows of z to the products of x's and y's rows.
@@ -196,6 +192,18 @@ func (m *Modulus) NegBlock(z, x *Block, n int) {
 // loop over the one-value operation, so it runs MontMul's ADX assembly
 // where the CPU has it.
 
+func loadBlockPortable(z *Block, src []Limbs) { copy(rows(z)[:], src) }
+
+func storeBlockPortable(dst []Limbs, x *Block) { copy(dst, rows(x)[:]) }
+
+func scalarPortable(s *BlockScalar, v *Limbs) { *s = BlockScalar{v[0], v[1], v[2], v[3]} }
+
+func broadcastPortable(z *Block, s *BlockScalar) {
+	for i := range rows(z) {
+		rows(z)[i] = Limbs{s[0], s[1], s[2], s[3]}
+	}
+}
+
 func (m *Modulus) mulBlockPortable(z, x, y *Block, n int) {
 	zr, xr, yr := rows(z), rows(x), rows(y)
 	for i := 0; i < n; i++ {
@@ -237,7 +245,7 @@ func (m *Modulus) negBlockPortable(z, x *Block, n int) {
 func (m *Modulus) scalarIFMA(s *BlockScalar, v *Limbs) {
 	var t Limbs
 	m.MontMul(&t, v, &m.ifma.scalar)
-	*s = split52(&t)
+	*s = split52(t)
 }
 
 // broadcastIFMA is BroadcastBlock in the IFMA layout.

@@ -23,15 +23,11 @@ type blockKernel struct {
 }
 
 var portableKernel = blockKernel{
-	name:   "portable",
-	load:   func(m *Modulus, z *Block, src []Limbs) { copy(rows(z)[:], src) },
-	store:  func(m *Modulus, dst []Limbs, x *Block) { copy(dst, rows(x)[:]) },
-	scalar: func(m *Modulus, s *BlockScalar, v *Limbs) { *s = BlockScalar{v[0], v[1], v[2], v[3]} },
-	broadcast: func(m *Modulus, z *Block, s *BlockScalar) {
-		for i := range rows(z) {
-			rows(z)[i] = Limbs{s[0], s[1], s[2], s[3]}
-		}
-	},
+	name:      "portable",
+	load:      func(m *Modulus, z *Block, src []Limbs) { loadBlockPortable(z, src) },
+	store:     func(m *Modulus, dst []Limbs, x *Block) { storeBlockPortable(dst, x) },
+	scalar:    func(m *Modulus, s *BlockScalar, v *Limbs) { scalarPortable(s, v) },
+	broadcast: func(m *Modulus, z *Block, s *BlockScalar) { broadcastPortable(z, s) },
 	mul:       (*Modulus).mulBlockPortable,
 	mulScalar: (*Modulus).mulBlockScalarPortable,
 	add:       (*Modulus).addBlockPortable,
