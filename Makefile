@@ -11,8 +11,10 @@
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once
 #                    each, then the MSM kernels' per-scalar and per-addition
-#                    costs (ns/scalar, flushes/op, ns/add) and the block
-#                    kernels' ns per row (product, sum) beside MontMul's
+#                    costs (ns/scalar, flushes/op, ns/add), the block
+#                    kernels' ns per row (product, sum) and ns per butterfly
+#                    beside MontMul's, and the NTTs they run (BenchmarkFFT,
+#                    BenchmarkCosetPartFFT)
 #   make bench-smoke kernel benchmarks once each, so bench code can't rot
 #   make cross       the field, curve and polynomial tests, the pinned
 #                    proof and circuit digests and the untrusted-bytes
@@ -108,9 +110,9 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # 386 has no assembly field kernel, so these runs take the generic one and
-# the portable block kernels (the quotient program's evaluator); the
-# unchanged proof digests show both kernels produce the same proof bytes,
-# and the Freivalds gadget tests fold negative int64 operands into phase-1
+# the portable block kernels (the quotient program's evaluator and every
+# NTT); the unchanged proof digests show both kernels produce the same
+# proof bytes, and the Freivalds gadget tests fold negative int64 operands into phase-1
 # cells through ff.NewInt64 on it. Its 32-bit int is also where a length
 # prefix >= 2^31 turns negative, so the decoders of untrusted bytes run
 # there too, and so do the pcs setup-record tests (growth, install, the
@@ -131,13 +133,13 @@ cross:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -run '^$$' -bench 'BenchmarkAddRun|BenchmarkMSM|BenchmarkFixedBaseMSM' ./internal/limbs/ ./internal/curve/
-	$(GO) test -run '^$$' -bench 'BenchmarkMontMul|BenchmarkBlockKernels' ./internal/limbs/
+	$(GO) test -run '^$$' -bench 'BenchmarkMontMul|BenchmarkBlockKernels|BenchmarkButterflies|BenchmarkFFT|BenchmarkCosetPartFFT' ./internal/limbs/ ./internal/poly/
 
 # One iteration of the kernel benchmarks: compiles and runs the bench code
 # without measuring anything meaningful. -short keeps the commitment
 # benchmarks at sizes that don't grow the shared SRS past CI budgets.
 bench-smoke:
-	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkAddRun|BenchmarkBlockKernels|BenchmarkButterflyRun|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
+	$(GO) test -run '^$$' -short -bench 'BenchmarkMontMul|BenchmarkAddSub|BenchmarkAddRun|BenchmarkBlockKernels|BenchmarkButterflies|BenchmarkFFT|BenchmarkCosetPartFFT|BenchmarkMSM|BenchmarkScalarMul|BenchmarkFixedBaseMSM|BenchmarkCommit|BenchmarkQuotient|BenchmarkIPA|BenchmarkOptimize' -benchtime=1x . ./internal/limbs/ ./internal/poly/ ./internal/curve/ ./internal/pcs/ ./internal/plonkish/
 
 # Fit the cost model from traced proves (a fitted calibration), prove once more
 # with tracing — compiled into a fresh key store, then loaded from it — and

@@ -206,58 +206,92 @@ func (z *Element) Sub(x, y *Element) *Element { mod.Sub(&z.l, &x.l, &y.l); retur
 // Mul sets z = x * y.
 func (z *Element) Mul(x, y *Element) *Element { mod.MontMul(&z.l, &x.l, &y.l); return z }
 
-// ButterflyRun applies n NTT butterflies in one call of the field kernel:
-// for i < n it sets x[i·xs], y[i·xs] = x[i·xs] + w[i·ws]·y[i·xs],
-// x[i·xs] − w[i·ws]·y[i·xs]. Pairs advance by xs ≥ 1 elements, twiddles by
-// ws ≥ 0 (0 reuses w[0]); the 2n elements of the pairs must be distinct.
-// See limbs.Modulus.ButterflyRun, which checks the bounds.
-func ButterflyRun(x, y, w []Element, n, xs, ws int) {
-	mod.ButterflyRun(limbsOf(x), limbsOf(y), limbsOf(w), n, xs, ws)
-}
-
-// AddSubRun is ButterflyRun with every twiddle 1: no multiplication.
-func AddSubRun(x, y []Element, n, xs int) {
-	mod.AddSubRun(limbsOf(x), limbsOf(y), n, xs)
-}
-
-// Block holds BlockRows field elements in the layout of the block kernels
-// this CPU runs (limbs.Block): the unit the compiled quotient program is
-// evaluated in. The block operations below apply one operation to the
-// first n rows of their blocks, 1 ≤ n ≤ BlockRows; z may alias x or y.
+// Block holds BlockRows field elements in the layout of one block kernel
+// (limbs.Block): the unit the compiled quotient program is evaluated in and
+// the NTT runs its stages on. The block operations of a BlockKernel apply
+// one operation to the first n rows of their blocks, 1 ≤ n ≤ BlockRows; z
+// may alias x or y.
 type Block = limbs.Block
 
-// BlockScalar is one element in the block kernels' form: the broadcast
+// BlockScalar is one element in a block kernel's form: the broadcast
 // operand of MulBlockScalar and BroadcastBlock.
 type BlockScalar = limbs.BlockScalar
+
+// InBlockTwiddles holds an NTT's in-block twiddles in a block kernel's form
+// (limbs.InBlockTwiddles).
+type InBlockTwiddles = limbs.InBlockTwiddles
 
 // BlockRows is the number of rows a Block holds.
 const BlockRows = limbs.BlockRows
 
+// BlockKernel runs the block operations on one block kernel: Blocks, the
+// kernel this CPU runs (AVX-512 IFMA where it has it), or PortableBlocks,
+// the portable reference tests hold it to. Blocks pass only between the
+// operations of one kernel.
+type BlockKernel struct{ m *limbs.Modulus }
+
+var (
+	// Blocks is the block kernel this CPU runs.
+	Blocks = BlockKernel{mod}
+	// PortableBlocks runs the portable block kernel on every CPU.
+	PortableBlocks = BlockKernel{mod.Portable()}
+)
+
 // LoadBlock sets the first len(src) rows of z to src, 1 ≤ len(src) ≤
-// BlockRows.
-func LoadBlock(z *Block, src []Element) { mod.LoadBlock(z, limbsOf(src)) }
+// BlockRows, in the form of operands and tables (limbs.Modulus.LoadBlock).
+func (k BlockKernel) LoadBlock(z *Block, src []Element) { k.m.LoadBlock(z, limbsOf(src)) }
 
-// StoreBlock writes the first len(dst) rows of x to dst, 1 ≤ len(dst) ≤
-// BlockRows.
-func StoreBlock(dst []Element, x *Block) { mod.StoreBlock(limbsOf(dst), x) }
+// StoreBlock writes the first len(dst) rows of x, a LoadBlock-form block,
+// to dst; 1 ≤ len(dst) ≤ BlockRows.
+func (k BlockKernel) StoreBlock(dst []Element, x *Block) { k.m.StoreBlock(limbsOf(dst), x) }
 
-// BlockScalarOf sets s to v in the block kernels' form.
-func BlockScalarOf(s *BlockScalar, v *Element) { mod.BlockScalarOf(s, &v.l) }
+// BlockScalarOf sets s to v in the block kernel's form.
+func (k BlockKernel) BlockScalarOf(s *BlockScalar, v *Element) { k.m.BlockScalarOf(s, &v.l) }
 
 // BroadcastBlock sets every row of z to s.
-func BroadcastBlock(z *Block, s *BlockScalar) { mod.BroadcastBlock(z, s) }
+func (k BlockKernel) BroadcastBlock(z *Block, s *BlockScalar) { k.m.BroadcastBlock(z, s) }
 
 // MulBlock sets z = x·y on the first n rows.
-func MulBlock(z, x, y *Block, n int) { mod.MulBlock(z, x, y, n) }
+func (k BlockKernel) MulBlock(z, x, y *Block, n int) { k.m.MulBlock(z, x, y, n) }
 
 // MulBlockScalar sets z = x·s on the first n rows.
-func MulBlockScalar(z, x *Block, s *BlockScalar, n int) { mod.MulBlockScalar(z, x, s, n) }
+func (k BlockKernel) MulBlockScalar(z, x *Block, s *BlockScalar, n int) {
+	k.m.MulBlockScalar(z, x, s, n)
+}
 
 // AddBlock sets z = x + y on the first n rows.
-func AddBlock(z, x, y *Block, n int) { mod.AddBlock(z, x, y, n) }
+func (k BlockKernel) AddBlock(z, x, y *Block, n int) { k.m.AddBlock(z, x, y, n) }
 
 // NegBlock sets z = −x on the first n rows.
-func NegBlock(z, x *Block, n int) { mod.NegBlock(z, x, n) }
+func (k BlockKernel) NegBlock(z, x *Block, n int) { k.m.NegBlock(z, x, n) }
+
+// GatherBlock sets row r of z to src[idx[r]] for r < n in the NTT's data
+// form, whose product by a LoadBlock-form block is again data
+// (limbs.Modulus.GatherBlock).
+func (k BlockKernel) GatherBlock(z *Block, src []Element, idx *[BlockRows]int, n int) {
+	k.m.GatherBlock(z, limbsOf(src), idx, n)
+}
+
+// PutBlock writes the first len(dst) rows of x, a data block, to dst.
+func (k BlockKernel) PutBlock(dst []Element, x *Block) { k.m.PutBlock(limbsOf(dst), x) }
+
+// Butterflies runs NTT butterflies between the data blocks of x under the
+// twiddle blocks w (limbs.Modulus.Butterflies).
+func (k BlockKernel) Butterflies(x []Block, groups, dist, cnt int, w []Block) {
+	k.m.Butterflies(x, groups, dist, cnt, w)
+}
+
+// InBlockStages runs the first stages of an NTT's in-block stages on the
+// data blocks of x (limbs.Modulus.InBlockStages).
+func (k BlockKernel) InBlockStages(x []Block, t *InBlockTwiddles, stages int) {
+	k.m.InBlockStages(x, t, stages)
+}
+
+// InBlockTwiddlesOf sets t to the in-block twiddles of a transform whose
+// primitive 16th root of unity is w16.
+func (k BlockKernel) InBlockTwiddlesOf(t *InBlockTwiddles, w16 *Element) {
+	k.m.InBlockTwiddlesOf(t, &w16.l)
+}
 
 // An Element is exactly its four limbs, 32 bytes, so a slice of elements is
 // a slice of limbs in place: limbsOf relies on it, and this fails to compile

@@ -15,7 +15,9 @@ const BlockRows = 16
 // 40·(r/8) + 8·j + r%8, so each limb of eight rows is one 512-bit vector.
 // On the portable kernel row r is the Limbs at words 4r … 4r+3, in the
 // MontMul form (R = 2^256), and the last 16 words are unused. Values enter
-// and leave a Block only through LoadBlock and StoreBlock, in MontMul form.
+// and leave a Block only through LoadBlock and StoreBlock, in MontMul form,
+// or, as an NTT's data at R = 2^256, through GatherBlock and PutBlock
+// (ntt.go).
 type Block [BlockRows * 5]uint64
 
 // BlockScalar is one value in the block kernel's form, the broadcast operand
@@ -81,6 +83,20 @@ func BlockKernel() string {
 	return "portable"
 }
 
+// useIFMA reports whether m's block operations run the IFMA kernels: the
+// CPU has them and m is not a Portable copy.
+func (m *Modulus) useIFMA() bool { return hasIFMA && !m.portable }
+
+// Portable returns a copy of m whose block operations run the portable
+// kernels on every CPU: the reference the IFMA kernels are held to by
+// tests of the code above them. Blocks pass only between the operations of
+// one of the two.
+func (m *Modulus) Portable() *Modulus {
+	p := *m
+	p.portable = true
+	return &p
+}
+
 // checkRows panics unless 1 ≤ n ≤ BlockRows: the kernels trust n.
 func checkRows(n int) {
 	if uint(n-1) >= BlockRows {
@@ -99,7 +115,7 @@ func rows(b *Block) *[BlockRows]Limbs { return (*[BlockRows]Limbs)(unsafe.Pointe
 // unspecified, as every block operation leaves the rows past its n.
 func (m *Modulus) LoadBlock(z *Block, src []Limbs) {
 	checkRows(len(src))
-	if hasIFMA {
+	if m.useIFMA() {
 		blockLoadIFMA(z, &src[0], len(src), &m.ifma)
 		return
 	}
@@ -110,7 +126,7 @@ func (m *Modulus) LoadBlock(z *Block, src []Limbs) {
 // 1 ≤ len(dst) ≤ BlockRows.
 func (m *Modulus) StoreBlock(dst []Limbs, x *Block) {
 	checkRows(len(dst))
-	if hasIFMA {
+	if m.useIFMA() {
 		blockStoreIFMA(&dst[0], x, len(dst), &m.ifma)
 		return
 	}
@@ -120,7 +136,7 @@ func (m *Modulus) StoreBlock(dst []Limbs, x *Block) {
 // BlockScalarOf sets s to v, a MontMul-form value below M, in the block
 // kernel's form.
 func (m *Modulus) BlockScalarOf(s *BlockScalar, v *Limbs) {
-	if hasIFMA {
+	if m.useIFMA() {
 		m.scalarIFMA(s, v)
 		return
 	}
@@ -129,7 +145,7 @@ func (m *Modulus) BlockScalarOf(s *BlockScalar, v *Limbs) {
 
 // BroadcastBlock sets every row of z to s.
 func (m *Modulus) BroadcastBlock(z *Block, s *BlockScalar) {
-	if hasIFMA {
+	if m.useIFMA() {
 		broadcastIFMA(z, s)
 		return
 	}
@@ -140,7 +156,7 @@ func (m *Modulus) BroadcastBlock(z *Block, s *BlockScalar) {
 // z may alias x or y, as in every block operation.
 func (m *Modulus) MulBlock(z, x, y *Block, n int) {
 	checkRows(n)
-	if hasIFMA {
+	if m.useIFMA() {
 		blockMulIFMA(z, x, y, vectors(n), &m.ifma)
 		return
 	}
@@ -150,7 +166,7 @@ func (m *Modulus) MulBlock(z, x, y *Block, n int) {
 // MulBlockScalar sets the first n rows of z to x's rows times s.
 func (m *Modulus) MulBlockScalar(z, x *Block, s *BlockScalar, n int) {
 	checkRows(n)
-	if hasIFMA {
+	if m.useIFMA() {
 		blockMulScalarIFMA(z, x, s, vectors(n), &m.ifma)
 		return
 	}
@@ -160,7 +176,7 @@ func (m *Modulus) MulBlockScalar(z, x *Block, s *BlockScalar, n int) {
 // AddBlock sets the first n rows of z to the sums of x's and y's rows.
 func (m *Modulus) AddBlock(z, x, y *Block, n int) {
 	checkRows(n)
-	if hasIFMA {
+	if m.useIFMA() {
 		blockAddIFMA(z, x, y, vectors(n), &m.ifma)
 		return
 	}
@@ -170,7 +186,7 @@ func (m *Modulus) AddBlock(z, x, y *Block, n int) {
 // SubBlock sets the first n rows of z to x's rows minus y's.
 func (m *Modulus) SubBlock(z, x, y *Block, n int) {
 	checkRows(n)
-	if hasIFMA {
+	if m.useIFMA() {
 		blockSubIFMA(z, x, y, vectors(n), &m.ifma)
 		return
 	}
@@ -180,7 +196,7 @@ func (m *Modulus) SubBlock(z, x, y *Block, n int) {
 // NegBlock sets the first n rows of z to the negations of x's rows.
 func (m *Modulus) NegBlock(z, x *Block, n int) {
 	checkRows(n)
-	if hasIFMA {
+	if m.useIFMA() {
 		blockNegIFMA(z, x, vectors(n), &m.ifma)
 		return
 	}

@@ -56,3 +56,19 @@ func blockSubIFMA(z, x, y *Block, nv int, c *ifmaConst)
 
 //go:noescape
 func blockNegIFMA(z, x *Block, nv int, c *ifmaConst)
+
+// The IFMA NTT kernels (block_amd64.s, ntt.go). The gather and put work on
+// n rows, 1 ≤ n ≤ BlockRows, touching no element of src or dst past them;
+// butterfliesIFMA and inBlockIFMA on whole blocks, groups, cnt and nb ≥ 1.
+
+//go:noescape
+func blockGatherIFMA(z *Block, src *Limbs, idx *[BlockRows]int, n int, c *ifmaConst)
+
+//go:noescape
+func blockPutIFMA(dst *Limbs, x *Block, n int, c *ifmaConst)
+
+//go:noescape
+func butterfliesIFMA(x, w *Block, groups, dist, cnt int, c *ifmaConst)
+
+//go:noescape
+func inBlockIFMA(x *Block, nb int, tw *InBlockTwiddles, stages int, c *ifmaConst)

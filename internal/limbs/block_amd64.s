@@ -432,3 +432,343 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// The NTT kernels (ntt.go). A transform's data rides in its blocks at
+// R = 2^256, the MontMul form cut into 52-bit limbs, and its twiddle and
+// scaling tables at R = 2^260 (LoadBlock's form), so a product of the two
+// is again at R = 2^256 and data enters and leaves block form by shifts
+// alone. X0..X4 hold a butterfly's first operand; A0..A4 its second, the
+// MONT operand.
+
+#define X0 Z27
+#define X1 Z28
+#define X2 Z29
+#define X3 Z30
+#define X4 Z31
+
+// SUMDIFF forms a butterfly's unreduced sum x + t into A0..A4 and its
+// difference x + (M − t) into X0..X4, for x in X0..X4 and t in D0..D4.
+#define SUMDIFF \
+	VPADDQ D0, X0, A0; \
+	VPADDQ Q0, X0, X0; \
+	VPSUBQ D0, X0, X0; \
+	VPADDQ D1, X1, A1; \
+	VPADDQ Q1, X1, X1; \
+	VPSUBQ D1, X1, X1; \
+	VPADDQ D2, X2, A2; \
+	VPADDQ Q2, X2, X2; \
+	VPSUBQ D2, X2, X2; \
+	VPADDQ D3, X3, A3; \
+	VPADDQ Q3, X3, X3; \
+	VPSUBQ D3, X3, X3; \
+	VPADDQ D4, X4, A4; \
+	VPADDQ Q4, X4, X4; \
+	VPSUBQ D4, X4, X4
+
+// LOAD_X loads the five limbs of the vector at p into X0..X4.
+#define LOAD_X(p) \
+	VMOVDQU64 0(p), X0;   \
+	VMOVDQU64 64(p), X1;  \
+	VMOVDQU64 128(p), X2; \
+	VMOVDQU64 192(p), X3; \
+	VMOVDQU64 256(p), X4
+
+// SPLIT cuts the four 64-bit words in D0..D3 into five 52-bit limbs in
+// A0..A4.
+#define SPLIT \
+	VPANDQ ZMASK, D0, A0; \
+	VPSRLQ $52, D0, A1;   \
+	VPSLLQ $12, D1, ZS;   \
+	VPORQ  ZS, A1, A1;    \
+	VPANDQ ZMASK, A1, A1; \
+	VPSRLQ $40, D1, A2;   \
+	VPSLLQ $24, D2, ZS;   \
+	VPORQ  ZS, A2, A2;    \
+	VPANDQ ZMASK, A2, A2; \
+	VPSRLQ $28, D2, A3;   \
+	VPSLLQ $36, D3, ZS;   \
+	VPORQ  ZS, A3, A3;    \
+	VPANDQ ZMASK, A3, A3; \
+	VPSRLQ $16, D3, A4
+
+// JOIN joins the five normalized 52-bit limbs in D0..D4 into four 64-bit
+// words in A0..A3.
+#define JOIN \
+	VPSLLQ $52, D1, ZS;  \
+	VPORQ  ZS, D0, A0;   \
+	VPSRLQ $12, D1, A1;  \
+	VPSLLQ $40, D2, ZS;  \
+	VPORQ  ZS, A1, A1;   \
+	VPSRLQ $24, D2, A2;  \
+	VPSLLQ $28, D3, ZS;  \
+	VPORQ  ZS, A2, A2;   \
+	VPSRLQ $36, D3, A3;  \
+	VPSLLQ $16, D4, ZS;  \
+	VPORQ  ZS, A3, A3
+
+// func blockGatherIFMA(z *Block, src *Limbs, idx *[BlockRows]int, n int, c *ifmaConst)
+//
+// Per vector: gather each 64-bit limb of up to eight rows src[idx[r]]
+// (masked, so no row past n is read, and its lanes are zero) and cut the
+// four words into five 52-bit limbs, keeping R = 2^256.
+TEXT ·blockGatherIFMA(SB), NOSPLIT, $0-40
+	MOVQ z+0(FP), R8
+	MOVQ src+8(FP), SI
+	MOVQ idx+16(FP), DI
+	MOVQ n+24(FP), BX
+	MOVQ c+32(FP), R9
+	SETUP
+
+gatherLoop:
+	ROW_MASK
+	VMOVDQU64  0(DI), ZIDX
+	VPSLLQ     $2, ZIDX, ZIDX
+	VPXORQ     D0, D0, D0
+	KMOVW      K2, K1
+	VPGATHERQQ 0(SI)(ZIDX*8), K1, D0
+	VPXORQ     D1, D1, D1
+	KMOVW      K2, K1
+	VPGATHERQQ 8(SI)(ZIDX*8), K1, D1
+	VPXORQ     D2, D2, D2
+	KMOVW      K2, K1
+	VPGATHERQQ 16(SI)(ZIDX*8), K1, D2
+	VPXORQ     D3, D3, D3
+	KMOVW      K2, K1
+	VPGATHERQQ 24(SI)(ZIDX*8), K1, D3
+	SPLIT
+	VMOVDQU64  A0, 0(R8)
+	VMOVDQU64  A1, 64(R8)
+	VMOVDQU64  A2, 128(R8)
+	VMOVDQU64  A3, 192(R8)
+	VMOVDQU64  A4, 256(R8)
+	ADDQ       $320, R8
+	ADDQ       $64, DI
+	SUBQ       $8, BX
+	JGT        gatherLoop
+	VZEROUPPER
+	RET
+
+// func blockPutIFMA(dst *Limbs, x *Block, n int, c *ifmaConst)
+//
+// Per vector: join the five limbs into four words, keeping R = 2^256, and
+// scatter them (masked, so no row past n is written).
+TEXT ·blockPutIFMA(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), BX
+	MOVQ c+24(FP), R9
+	SETUP
+	VMOVDQU64 gatherIdx<>(SB), ZIDX
+
+putLoop:
+	VMOVDQU64   0(SI), D0
+	VMOVDQU64   64(SI), D1
+	VMOVDQU64   128(SI), D2
+	VMOVDQU64   192(SI), D3
+	VMOVDQU64   256(SI), D4
+	JOIN
+	ROW_MASK
+	KMOVW       K2, K1
+	VPSCATTERQQ A0, K1, 0(DI)(ZIDX*8)
+	KMOVW       K2, K1
+	VPSCATTERQQ A1, K1, 8(DI)(ZIDX*8)
+	KMOVW       K2, K1
+	VPSCATTERQQ A2, K1, 16(DI)(ZIDX*8)
+	KMOVW       K2, K1
+	VPSCATTERQQ A3, K1, 24(DI)(ZIDX*8)
+	ADDQ        $320, SI
+	ADDQ        $256, DI
+	SUBQ        $8, BX
+	JGT         putLoop
+	VZEROUPPER
+	RET
+
+// BFLY_OUT reduces the butterfly SUMDIFF formed and stores the sum as the
+// vector at px and the difference as the vector at py.
+#define BFLY_OUT(px, py) \
+	NORM(VPSRLQ, A0, A1, A2, A3, A4); \
+	CSUB(A0, A1, A2, A3, A4);         \
+	STORE_D(px);                      \
+	NORM(VPSRAQ, X0, X1, X2, X3, X4); \
+	CSUB(X0, X1, X2, X3, X4);         \
+	STORE_D(py)
+
+// func butterfliesIFMA(x, w *Block, groups, dist, cnt int, c *ifmaConst)
+//
+// For each of groups groups of 2·dist blocks from x, and k < cnt: with a
+// block k of the group, b block dist + k and t = b·w[k]·2^-260, it sets
+// them to a + t and a − t. Both vectors of every block are processed.
+TEXT ·butterfliesIFMA(SB), NOSPLIT, $0-48
+	MOVQ  x+0(FP), R8
+	MOVQ  groups+16(FP), R10
+	MOVQ  dist+24(FP), R11
+	IMULQ $640, R11
+	MOVQ  cnt+32(FP), R12
+	SHLQ  $1, R12
+	MOVQ  c+40(FP), R9
+	SETUP
+
+groupLoop:
+	MOVQ R8, SI
+	LEAQ (R8)(R11*1), CX
+	MOVQ w+8(FP), DI
+	MOVQ R12, BX
+
+pairLoop:
+	LOAD_A(CX)
+	MONT(VMOVDQU64, 0(DI), 64(DI), 128(DI), 192(DI), 256(DI))
+	LOAD_X(SI)
+	SUMDIFF
+	BFLY_OUT(SI, CX)
+	ADDQ $320, SI
+	ADDQ $320, CX
+	ADDQ $320, DI
+	DECQ BX
+	JNZ  pairLoop
+	ADDQ R11, R8
+	ADDQ R11, R8
+	DECQ R10
+	JNZ  groupLoop
+	VZEROUPPER
+	RET
+
+// The in-block stages pair lane i of a vector of first operands with lane i
+// of a vector of second ones, shuffled out of the block's two vectors V0
+// (rows 0–7, at R8) and V1 (rows 8–15, at R13 = R8 + 320); c0..c3 below are
+// a vector's 128-bit chunks, two rows each. After the butterfly the sums S
+// (in D0..D4) and differences T (in X0..X4) are shuffled back.
+//
+//   h = 1: first rows 0,8,2,10,4,12,6,14, second 1,9,3,11,5,13,7,15
+//          (VPUNPCKLQDQ and VPUNPCKHQDQ of V0 and V1, and of S and T back)
+//   h = 2: first [V0.c0 V0.c2 V1.c0 V1.c2], second [V0.c1 V0.c3 V1.c1 V1.c3]
+//   h = 4: first [V0.c0 V0.c1 V1.c0 V1.c1], second [V0.c2 V0.c3 V1.c2 V1.c3]
+//   h = 8: first V0, second V1
+
+// IN_UNPCK(off, a) loads limb off/64 of V0 and V1 and sets X_a to the
+// first operands of stage h = 1 and D_a to the second.
+#define IN_UNPCK(off, xa, da) \
+	VMOVDQU64   off(R8), ZS;      \
+	VPUNPCKLQDQ off(R13), ZS, xa; \
+	VPUNPCKHQDQ off(R13), ZS, da
+
+// IN_SHUF(off, i1, i2, xa, aa) loads limb off/64 of V0 and V1 and sets xa
+// to the first operands (chunk shuffle i1) and aa to the second (i2).
+#define IN_SHUF(off, i1, i2, xa, aa) \
+	VMOVDQU64  off(R8), ZS;         \
+	VSHUFI64X2 i1, off(R13), ZS, xa; \
+	VSHUFI64X2 i2, off(R13), ZS, aa
+
+// The shuffles back, per limb, from S in da and T in xa.
+#define OUT_UNPCK(off, da, xa) \
+	VPUNPCKLQDQ xa, da, ZS; \
+	VMOVDQU64   ZS, off(R8); \
+	VPUNPCKHQDQ xa, da, ZS;  \
+	VMOVDQU64   ZS, off(R13)
+
+#define OUT_H2(off, da, xa) \
+	VSHUFI64X2 $0x44, xa, da, ZS; \
+	VSHUFI64X2 $0xd8, ZS, ZS, ZS; \
+	VMOVDQU64  ZS, off(R8);       \
+	VSHUFI64X2 $0xee, xa, da, ZS; \
+	VSHUFI64X2 $0xd8, ZS, ZS, ZS; \
+	VMOVDQU64  ZS, off(R13)
+
+#define OUT_H4(off, da, xa) \
+	VSHUFI64X2 $0x44, xa, da, ZS; \
+	VMOVDQU64  ZS, off(R8);       \
+	VSHUFI64X2 $0xee, xa, da, ZS; \
+	VMOVDQU64  ZS, off(R13)
+
+// STAGE_TAIL reduces the butterfly SUMDIFF formed: the differences into
+// X0..X4, then the sums into D0..D4.
+#define STAGE_TAIL \
+	NORM(VPSRAQ, X0, X1, X2, X3, X4); \
+	CSUB(X0, X1, X2, X3, X4);         \
+	VMOVDQA64 D0, X0;                 \
+	VMOVDQA64 D1, X1;                 \
+	VMOVDQA64 D2, X2;                 \
+	VMOVDQA64 D3, X3;                 \
+	VMOVDQA64 D4, X4;                 \
+	NORM(VPSRLQ, A0, A1, A2, A3, A4); \
+	CSUB(A0, A1, A2, A3, A4)
+
+// func inBlockIFMA(x *Block, nb int, tw *InBlockTwiddles, stages int, c *ifmaConst)
+//
+// Runs the first stages (1 ≤ stages ≤ 4) of the in-block stages h = 1, 2,
+// 4, 8 of a decimation-in-time NTT on each of the nb blocks from x. Stage
+// h = 1's twiddles are 1; tw holds those of h = 2, 4 and 8 as one vector
+// each, in the lane order of the stage's first operands.
+TEXT ·inBlockIFMA(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), R8
+	MOVQ nb+8(FP), BX
+	MOVQ tw+16(FP), DI
+	MOVQ stages+24(FP), DX
+	MOVQ c+32(FP), R9
+	SETUP
+
+inBlockLoop:
+	LEAQ 320(R8), R13
+
+	// h = 1: t is the second operand itself.
+	IN_UNPCK(0, X0, D0)
+	IN_UNPCK(64, X1, D1)
+	IN_UNPCK(128, X2, D2)
+	IN_UNPCK(192, X3, D3)
+	IN_UNPCK(256, X4, D4)
+	SUMDIFF
+	STAGE_TAIL
+	OUT_UNPCK(0, D0, X0)
+	OUT_UNPCK(64, D1, X1)
+	OUT_UNPCK(128, D2, X2)
+	OUT_UNPCK(192, D3, X3)
+	OUT_UNPCK(256, D4, X4)
+	CMPQ DX, $2
+	JLT  inBlockNext
+
+	// h = 2
+	IN_SHUF(0, $0x88, $0xdd, X0, A0)
+	IN_SHUF(64, $0x88, $0xdd, X1, A1)
+	IN_SHUF(128, $0x88, $0xdd, X2, A2)
+	IN_SHUF(192, $0x88, $0xdd, X3, A3)
+	IN_SHUF(256, $0x88, $0xdd, X4, A4)
+	MONT(VMOVDQU64, 0(DI), 64(DI), 128(DI), 192(DI), 256(DI))
+	SUMDIFF
+	STAGE_TAIL
+	OUT_H2(0, D0, X0)
+	OUT_H2(64, D1, X1)
+	OUT_H2(128, D2, X2)
+	OUT_H2(192, D3, X3)
+	OUT_H2(256, D4, X4)
+	CMPQ DX, $3
+	JLT  inBlockNext
+
+	// h = 4
+	IN_SHUF(0, $0x44, $0xee, X0, A0)
+	IN_SHUF(64, $0x44, $0xee, X1, A1)
+	IN_SHUF(128, $0x44, $0xee, X2, A2)
+	IN_SHUF(192, $0x44, $0xee, X3, A3)
+	IN_SHUF(256, $0x44, $0xee, X4, A4)
+	MONT(VMOVDQU64, 320(DI), 384(DI), 448(DI), 512(DI), 576(DI))
+	SUMDIFF
+	STAGE_TAIL
+	OUT_H4(0, D0, X0)
+	OUT_H4(64, D1, X1)
+	OUT_H4(128, D2, X2)
+	OUT_H4(192, D3, X3)
+	OUT_H4(256, D4, X4)
+	CMPQ DX, $4
+	JLT  inBlockNext
+
+	// h = 8
+	LOAD_A(R13)
+	MONT(VMOVDQU64, 640(DI), 704(DI), 768(DI), 832(DI), 896(DI))
+	LOAD_X(R8)
+	SUMDIFF
+	BFLY_OUT(R8, R13)
+
+inBlockNext:
+	ADDQ $640, R8
+	DECQ BX
+	JNZ  inBlockLoop
+	VZEROUPPER
+	RET

@@ -34,3 +34,19 @@ func blockSubIFMA(z, x, y *Block, nv int, c *ifmaConst) {
 }
 
 func blockNegIFMA(z, x *Block, nv int, c *ifmaConst) { panic("limbs: no IFMA kernel on this platform") }
+
+func blockGatherIFMA(z *Block, src *Limbs, idx *[BlockRows]int, n int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
+
+func blockPutIFMA(dst *Limbs, x *Block, n int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
+
+func butterfliesIFMA(x, w *Block, groups, dist, cnt int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
+
+func inBlockIFMA(x *Block, nb int, tw *InBlockTwiddles, stages int, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}

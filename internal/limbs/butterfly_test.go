@@ -1,87 +1,169 @@
 package limbs
 
 import (
-	"math"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// runCase is one strided butterfly run: n pairs x[i·xs], y[i·xs] and
-// twiddles w[i·ws], in slices as long as the run needs plus one element, so
-// a kernel that strays past the run shows as a changed gap element.
-type runCase struct {
-	x, y, w   []Limbs
-	n, xs, ws int
+// bigButterfly is one butterfly computed with big.Int: a + t and a − t mod
+// M for t = w·b·2^-256, on MontMul-form operands.
+func bigButterfly(mod *Modulus, a, b, w Limbs) (Limbs, Limbs) {
+	rInv := new(big.Int).Lsh(big.NewInt(1), 256)
+	rInv.ModInverse(rInv, mod.Big)
+	t := new(big.Int).Mul(ToBig(&w), ToBig(&b))
+	t.Mul(t, rInv).Mod(t, mod.Big)
+	return mod.FromBig(new(big.Int).Add(ToBig(&a), t)), mod.FromBig(new(big.Int).Sub(ToBig(&a), t))
 }
 
-// newRunCase draws a run's operands from vals, cycling through them from
-// start.
-func newRunCase(vals []Limbs, start, n, xs, ws int) runCase {
-	next := func() Limbs {
-		v := vals[start%len(vals)]
-		start++
-		return v
+// nttKernels are m's block operations on each kernel this CPU runs: the
+// portable one always, the IFMA one where hasIFMA.
+func nttKernels(mod *Modulus) map[string]*Modulus {
+	k := map[string]*Modulus{"portable": mod.Portable()}
+	if hasIFMA {
+		k["ifma"] = mod
 	}
-	fill := func(l int) []Limbs {
-		s := make([]Limbs, l)
-		for i := range s {
-			s[i] = next()
-		}
-		return s
-	}
-	l := max(n-1, 0)*xs + 2
-	return runCase{x: fill(l), y: fill(l), w: fill(max(n-1, 0)*ws + 2), n: n, xs: xs, ws: ws}
+	return k
 }
 
-func (c runCase) clone() runCase {
-	c.x = append([]Limbs(nil), c.x...)
-	c.y = append([]Limbs(nil), c.y...)
-	c.w = append([]Limbs(nil), c.w...)
+// nttCase is the operands of one check of the NTT block operations: data
+// rows for 2·groups·dist blocks, twiddle rows for dist blocks and a 16th
+// "root" for the in-block stages (any value serves: the kernels and the
+// reference take the same powers of it).
+type nttCase struct {
+	data, tw       []Limbs
+	root           Limbs
+	groups, dist   int
+	cnt, inStages  int
+	gatherN, shift int
+}
+
+// newNTTCase draws a case's operands with pick.
+func newNTTCase(pick func() Limbs, groups, dist, cnt, inStages, gatherN, shift int) nttCase {
+	c := nttCase{groups: groups, dist: dist, cnt: cnt, inStages: inStages, gatherN: gatherN, shift: shift, root: pick()}
+	c.data = make([]Limbs, 2*groups*dist*BlockRows)
+	for i := range c.data {
+		c.data[i] = pick()
+	}
+	c.tw = make([]Limbs, dist*BlockRows)
+	for i := range c.tw {
+		c.tw[i] = pick()
+	}
 	return c
 }
 
-// want computes the run with big.Int: x + w·b·2^-256 and x − w·b·2^-256 mod
-// M at the run's indices, every other element unchanged.
-func (c runCase) want(mod *Modulus, unit bool) (x, y []Limbs) {
-	x, y = append([]Limbs(nil), c.x...), append([]Limbs(nil), c.y...)
-	rInv := new(big.Int).Lsh(big.NewInt(1), 256)
-	rInv.ModInverse(rInv, mod.Big)
-	for i := 0; i < c.n; i++ {
-		a, b := ToBig(&c.x[i*c.xs]), ToBig(&c.y[i*c.xs])
-		t := b
-		if !unit {
-			t = new(big.Int).Mul(ToBig(&c.w[i*c.ws]), b)
-			t.Mul(t, rInv).Mod(t, mod.Big)
+// checkNTTKernel holds mod's NTT block operations to big.Int on c: a
+// gather of gatherN rows under a rotated index and its put, the
+// butterflies of c's groups, and c.inStages in-block stages.
+func checkNTTKernel(t testing.TB, name string, mod *Modulus, c nttCase) {
+	t.Helper()
+	nb := len(c.data) / BlockRows
+	blocks := make([]Block, nb)
+	for b := range blocks {
+		var idx [BlockRows]int
+		for r := range idx {
+			idx[r] = b*BlockRows + r
 		}
-		x[i*c.xs] = mod.FromBig(new(big.Int).Add(a, t))
-		y[i*c.xs] = mod.FromBig(new(big.Int).Sub(a, t))
+		mod.GatherBlock(&blocks[b], c.data, &idx, BlockRows)
 	}
-	return x, y
+	tw := make([]Block, c.dist)
+	for b := range tw {
+		mod.LoadBlock(&tw[b], c.tw[b*BlockRows:(b+1)*BlockRows])
+	}
+	read := func() []Limbs {
+		out := make([]Limbs, len(c.data))
+		for b := range blocks {
+			mod.PutBlock(out[b*BlockRows:(b+1)*BlockRows], &blocks[b])
+		}
+		return out
+	}
+	compare := func(op string, got, want []Limbs) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %s, modulus %s: row %d = %s, want %s", name, op, mod.Big, i, String(&got[i]), String(&want[i]))
+			}
+		}
+	}
+	compare("gather/put", read(), c.data)
+
+	// A gather of the first gatherN rows under a rotated index, and a put of
+	// them that must not write past them.
+	var idx [BlockRows]int
+	for r := range idx {
+		idx[r] = (r + c.shift) % BlockRows
+	}
+	var g Block
+	mod.GatherBlock(&g, c.data[:BlockRows], &idx, c.gatherN)
+	guard := Limbs{0xdead, 0xbeef, 0xf00d, 0xcafe}
+	got := make([]Limbs, BlockRows)
+	for i := range got {
+		got[i] = guard
+	}
+	mod.PutBlock(got[:c.gatherN], &g)
+	for r := range got {
+		want := guard
+		if r < c.gatherN {
+			want = c.data[idx[r]]
+		}
+		if got[r] != want {
+			t.Fatalf("%s gather of %d rows under shift %d: row %d = %s, want %s", name, c.gatherN, c.shift, r, String(&got[r]), String(&want))
+		}
+	}
+
+	want := append([]Limbs(nil), c.data...)
+	for gr := 0; gr < c.groups; gr++ {
+		for k := 0; k < c.cnt; k++ {
+			x, y := (2*gr*c.dist+k)*BlockRows, (2*gr*c.dist+c.dist+k)*BlockRows
+			for r := 0; r < BlockRows; r++ {
+				want[x+r], want[y+r] = bigButterfly(mod, want[x+r], want[y+r], c.tw[k*BlockRows+r])
+			}
+		}
+	}
+	mod.Butterflies(blocks, c.groups, c.dist, c.cnt, tw)
+	compare(fmt.Sprintf("butterflies (%d groups, dist %d, cnt %d)", c.groups, c.dist, c.cnt), read(), want)
+
+	var pw [8]Limbs
+	pw[0] = mod.R
+	for i := 1; i < len(pw); i++ {
+		mod.MontMul(&pw[i], &pw[i-1], &c.root)
+	}
+	for b := 0; b < nb; b++ {
+		v := want[b*BlockRows : (b+1)*BlockRows]
+		for s := 0; s < c.inStages; s++ {
+			h := 1 << s
+			for r := range v {
+				if r&h == 0 {
+					v[r], v[r+h] = bigButterfly(mod, v[r], v[r+h], pw[(r%h)*8/h])
+				}
+			}
+		}
+	}
+	var itw InBlockTwiddles
+	mod.InBlockTwiddlesOf(&itw, &c.root)
+	mod.InBlockStages(blocks, &itw, c.inStages)
+	compare(fmt.Sprintf("%d in-block stages", c.inStages), read(), want)
 }
 
-// checkButterflyRun holds ButterflyRun's generic loop and, where the CPU has it, its
-// assembly run to big.Int on one case, and AddSubRun too.
-func checkButterflyRun(t testing.TB, mod *Modulus, c runCase) {
+// checkButterflyRows holds the portable row butterfly — its assembly run
+// where the CPU has ADX, and the generic loop — to big.Int on n rows.
+func checkButterflyRows(t testing.TB, mod *Modulus, x, y, w []Limbs) {
 	t.Helper()
-	wantX, wantY := c.want(mod, false)
-	kernels := map[string]func(x, y, w []Limbs, n, xs, ws int){"generic": mod.butterflyRunGeneric}
+	wantX, wantY := append([]Limbs(nil), x...), append([]Limbs(nil), y...)
+	for i := range x {
+		wantX[i], wantY[i] = bigButterfly(mod, x[i], y[i], w[i])
+	}
+	runs := map[string]func(x, y, w []Limbs){"generic": mod.butterflyRunGeneric}
 	if hasADX {
-		kernels["adx"] = mod.ButterflyRun
+		runs["dispatch"] = mod.butterflyRows
 	}
-	for name, run := range kernels {
-		got := c.clone()
-		run(got.x, got.y, got.w, c.n, c.xs, c.ws)
-		if !equalLimbs(got.x, wantX) || !equalLimbs(got.y, wantY) || !equalLimbs(got.w, c.w) {
-			t.Fatalf("%s run of %d pairs, xs %d, ws %d: x %v y %v, want %v %v",
-				name, c.n, c.xs, c.ws, got.x, got.y, wantX, wantY)
+	for name, run := range runs {
+		gx, gy := append([]Limbs(nil), x...), append([]Limbs(nil), y...)
+		run(gx, gy, w)
+		if !equalLimbs(gx, wantX) || !equalLimbs(gy, wantY) {
+			t.Fatalf("%s run of %d rows: x %v y %v, want %v %v", name, len(x), gx, gy, wantX, wantY)
 		}
-	}
-	wantX, wantY = c.want(mod, true)
-	got := c.clone()
-	mod.AddSubRun(got.x, got.y, c.n, c.xs)
-	if !equalLimbs(got.x, wantX) || !equalLimbs(got.y, wantY) {
-		t.Fatalf("AddSubRun of %d pairs, xs %d: x %v y %v, want %v %v", c.n, c.xs, got.x, got.y, wantX, wantY)
 	}
 }
 
@@ -97,87 +179,160 @@ func equalLimbs(a, b []Limbs) bool {
 	return true
 }
 
-// TestButterflyKernelsAgree holds the assembly butterfly run to the generic
-// one and both to big.Int, on both BN254 moduli and the edge modulus, over
-// unit and wider pair strides, constant, unit and wider twiddle strides and
-// runs of 0, 1 and many pairs.
+// TestButterflyKernelsAgree holds the butterfly kernels to big.Int, on both
+// BN254 moduli and the edge modulus: the portable row butterfly (assembly
+// and generic, with and without a first twiddle of 1) on runs of 1 to 40
+// rows, and the NTT block operations of every block kernel this CPU runs —
+// gathers and puts, butterflies over one and several groups of blocks with
+// every count up to the distance, and one to four in-block stages.
 func TestButterflyKernelsAgree(t *testing.T) {
-	if !hasADX {
-		t.Logf("kernel %q: checking the generic run only", Kernel())
+	if !hasIFMA {
+		t.Logf("kernel %q: checking the portable block kernel only", Kernel())
 	}
 	rng := rand.New(rand.NewSource(2))
 	for _, mod := range []*Modulus{m, fpM, edgeM} {
 		vals := kernelOperands(mod, rng, 29)
-		start := 0
-		for _, xs := range []int{1, 3} {
-			for _, ws := range []int{0, 1, 2} {
-				for _, n := range []int{0, 1, 2 * len(vals)} {
-					checkButterflyRun(t, mod, newRunCase(vals, start, n, xs, ws))
-					start += 7
+		next := 0
+		pick := func() Limbs {
+			next = (next + 7) % len(vals)
+			return vals[next]
+		}
+		for n := 1; n <= 40; n += 3 {
+			x, y, w := make([]Limbs, n), make([]Limbs, n), make([]Limbs, n)
+			for i := range x {
+				x[i], y[i], w[i] = pick(), pick(), pick()
+			}
+			checkButterflyRows(t, mod, x, y, w)
+			w[0] = mod.R
+			checkButterflyRows(t, mod, x, y, w)
+		}
+		for _, shape := range [][3]int{{1, 1, 1}, {3, 1, 1}, {2, 2, 1}, {2, 2, 2}, {1, 4, 3}} {
+			for stages := 1; stages <= 4; stages++ {
+				c := newNTTCase(pick, shape[0], shape[1], shape[2], stages, 1+rng.Intn(BlockRows), rng.Intn(BlockRows))
+				for name, k := range nttKernels(mod) {
+					checkNTTKernel(t, name, k, c)
 				}
 			}
 		}
 	}
 }
 
-// TestButterflyRunChecksBounds: a run that does not fit its slices, or has
-// a negative count or a bad stride, panics before any kernel runs.
-func TestButterflyRunChecksBounds(t *testing.T) {
-	four := make([]Limbs, 4)
-	for name, run := range map[string]func(){
-		"x short":          func() { m.ButterflyRun(four[:2], four, four, 3, 1, 0) },
-		"y short":          func() { m.ButterflyRun(four, four[:1], four, 2, 2, 0) },
-		"w short":          func() { m.ButterflyRun(four, four, four[:2], 2, 1, 2) },
-		"w empty":          func() { m.ButterflyRun(four, four, nil, 1, 1, 0) },
-		"negative count":   func() { m.ButterflyRun(four, four, four, -1, 1, 0) },
-		"zero pair stride": func() { m.ButterflyRun(four, four, four, 1, 0, 0) },
-		"negative twiddle": func() { m.ButterflyRun(four, four, four, 1, 1, -1) },
-		"huge stride":      func() { m.ButterflyRun(four, four, four, 3, math.MaxInt/2+1, 0) },
-		"add-sub short":    func() { m.AddSubRun(four, four[:1], 2, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
+// TestButterfliesCheckBounds: block butterflies, in-block stages, gathers
+// and puts that name rows, blocks or twiddles outside their slices panic
+// before any kernel runs.
+func TestButterfliesCheckBounds(t *testing.T) {
+	for name, k := range nttKernels(m) {
+		x, w := make([]Block, 4), make([]Block, 2)
+		var tw InBlockTwiddles
+		var b Block
+		four := make([]Limbs, 4)
+		idx := [BlockRows]int{0, 1, 2, 3, 4}
+		for op, run := range map[string]func(){
+			"no groups":         func() { k.Butterflies(x, 0, 1, 1, w) },
+			"zero distance":     func() { k.Butterflies(x, 1, 0, 1, w) },
+			"zero count":        func() { k.Butterflies(x, 1, 1, 0, w) },
+			"count past dist":   func() { k.Butterflies(x, 1, 1, 2, w) },
+			"twiddles short":    func() { k.Butterflies(x, 1, 3, 3, w) },
+			"groups past x":     func() { k.Butterflies(x, 2, 2, 1, w) },
+			"pairs past x":      func() { k.Butterflies(x[:3], 1, 2, 2, w) },
+			"no stages":         func() { k.InBlockStages(x, &tw, 0) },
+			"five stages":       func() { k.InBlockStages(x, &tw, 5) },
+			"gather past src":   func() { k.GatherBlock(&b, four, &idx, 5) },
+			"gather negative":   func() { k.GatherBlock(&b, four, &[BlockRows]int{-1}, 1) },
+			"gather no rows":    func() { k.GatherBlock(&b, four, &idx, 0) },
+			"put too many":      func() { k.PutBlock(make([]Limbs, BlockRows+1), &b) },
+			"put no rows":       func() { k.PutBlock(nil, &b) },
+			"gather too many":   func() { k.GatherBlock(&b, four, &idx, BlockRows+1) },
+			"butterflies nil x": func() { k.Butterflies(nil, 1, 1, 1, w) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: no panic", name, op)
+					}
+				}()
+				run()
 			}()
-			run()
-		}()
+		}
+		k.Butterflies(x, 2, 1, 1, w[:1]) // the largest shape that fits
+		k.InBlockStages(nil, &tw, 4)     // no blocks, no work
 	}
-	m.ButterflyRun(nil, nil, nil, 0, 1, 0) // an empty run needs no slices
 }
 
-// FuzzButterfly runs checkButterflyRun on a fuzzed run: operand seeds,
-// strides and a count, for each modulus of TestButterflyKernelsAgree.
+// FuzzButterfly runs checkNTTKernel on every block kernel and
+// checkButterflyRows on a fuzzed case: a seed for the values, a shape, a
+// stage count, a gather, and an operand every value is pinned to where
+// fill is 1–5 (0, 1, R, M − 1, M − 2), for each modulus of
+// TestButterflyKernelsAgree.
 func FuzzButterfly(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(1), uint8(1))
-	f.Add(int64(2), uint8(1), uint8(3), uint8(0))
-	f.Add(int64(3), uint8(0), uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, n, xs, ws uint8) {
+	f.Add(int64(1), uint8(0), uint8(4), uint8(16), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(2), uint8(3), uint8(4)) // every operand M − 1
+	f.Add(int64(3), uint8(5), uint8(1), uint8(9), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, shape, stages, gatherN, fill uint8) {
 		rng := rand.New(rand.NewSource(seed))
+		groups, dist := 1+int(shape&3), 1<<(shape>>2&3)
+		cnt := 1 + int(shape>>4)%dist
 		for _, mod := range []*Modulus{m, fpM, edgeM} {
-			vals := kernelOperands(mod, rng, 4)
-			checkButterflyRun(t, mod, newRunCase(vals, int(seed&0xff), int(n%64), int(xs%8)+1, int(ws%8)))
+			vals := kernelOperands(mod, rng, 8)
+			pick := func() Limbs { return vals[rng.Intn(len(vals))] }
+			if fill%6 != 0 {
+				v := vals[fill%6-1]
+				pick = func() Limbs { return v }
+			}
+			c := newNTTCase(pick, groups, dist, cnt, 1+int(stages%4), 1+int(gatherN)%BlockRows, rng.Intn(BlockRows))
+			for name, k := range nttKernels(mod) {
+				checkNTTKernel(t, name, k, c)
+			}
+			n := 1 + int(seed&31)
+			x, y, w := make([]Limbs, n), make([]Limbs, n), make([]Limbs, n)
+			for i := range x {
+				x[i], y[i], w[i] = pick(), pick(), pick()
+			}
+			checkButterflyRows(t, mod, x, y, w)
 		}
 	})
 }
 
-// BenchmarkButterflyRun times one run of 1024 pairs with a twiddle per pair,
-// the shape of a late NTT stage, on the dispatching and the generic loop.
-func BenchmarkButterflyRun(b *testing.B) {
-	const n = 1024
-	x, y, w := make([]Limbs, n), make([]Limbs, n), make([]Limbs, n)
-	for i := range x {
-		x[i], y[i], w[i] = toMont(randBig(int64(3*i))), toMont(randBig(int64(3*i+1))), toMont(randBig(int64(3*i+2)))
+// BenchmarkButterflies times a late NTT stage's shape — one group of 64
+// block pairs, 1024 butterflies — and the four in-block stages over 64
+// blocks on each block kernel this CPU runs, and reports ns per butterfly.
+func BenchmarkButterflies(b *testing.B) {
+	const pairs = 64
+	rng := rand.New(rand.NewSource(5))
+	vals := kernelOperands(m, rng, 64)
+	for _, name := range []string{"portable", "ifma"} {
+		k := nttKernels(m)[name]
+		if k == nil {
+			continue
+		}
+		x, w := make([]Block, 2*pairs), make([]Block, pairs)
+		src := make([]Limbs, BlockRows)
+		var idx [BlockRows]int
+		for i := range idx {
+			idx[i] = i
+		}
+		for i := range x {
+			for r := range src {
+				src[r] = vals[rng.Intn(len(vals))]
+			}
+			k.GatherBlock(&x[i], src, &idx, BlockRows)
+			if i < pairs {
+				k.LoadBlock(&w[i], src)
+			}
+		}
+		var tw InBlockTwiddles
+		k.InBlockTwiddlesOf(&tw, &vals[len(vals)-1])
+		b.Run(name+"/blocks", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.Butterflies(x, 1, pairs, pairs, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs*BlockRows), "ns/butterfly")
+		})
+		b.Run(name+"/in-block", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.InBlockStages(x, &tw, 4)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)*4*BlockRows/2), "ns/butterfly")
+		})
 	}
-	b.Run("dispatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.ButterflyRun(x, y, w, n, 1, 1)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.butterflyRunGeneric(x, y, w, n, 1, 1)
-		}
-	})
 }

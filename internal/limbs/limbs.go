@@ -25,7 +25,8 @@ type Modulus struct {
 	Big  *big.Int // modulus as big.Int
 	Bits int      // bit length of the modulus
 
-	ifma ifmaConst // the IFMA block kernels' constants (block.go)
+	ifma     ifmaConst // the IFMA block kernels' constants (block.go)
+	portable bool      // the block operations run the portable kernels (Portable)
 }
 
 // NewModulus builds a Modulus from a decimal string. The modulus must be an

@@ -24,12 +24,12 @@ func detectADX() bool {
 //go:noescape
 func montMulADX(z, x, y, q *Limbs, inv uint64)
 
-// butterflyRunADX is ButterflyRun's loop in assembly (mul_amd64.s), under
-// montMulADX's conditions on q and inv, for n ≥ 1 pairs whose indices the
-// caller has checked. Strides are in elements.
+// butterflyRunADX is the portable block butterfly's loop in assembly
+// (mul_amd64.s), under montMulADX's conditions on q and inv, for n ≥ 1
+// consecutive pairs the caller has checked.
 //
 //go:noescape
-func butterflyRunADX(x, y, w *Limbs, n, xs, ws int, q *Limbs, inv uint64)
+func butterflyRunADX(x, y, w *Limbs, n int, q *Limbs, inv uint64)
 
 // cpuid executes the CPUID instruction for (leaf, sub-leaf).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

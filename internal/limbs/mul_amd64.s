@@ -130,15 +130,14 @@ TEXT ·montMulADX(SB), NOSPLIT, $0-40
 	MOVQ R14, 24(DI)
 	RET
 
-// func butterflyRunADX(x, y, w *Limbs, n, xs, ws int, q *Limbs, inv uint64)
+// func butterflyRunADX(x, y, w *Limbs, n int, q *Limbs, inv uint64)
 //
-// For i < n, with a = x[i·xs], b = y[i·xs] and t = w[i·ws]·b·2^-256 mod q:
-// x[i·xs] = a + t, y[i·xs] = a − t mod q. n ≥ 1, strides in elements of 32
-// bytes. The multiplication needs every general register, so the three
+// For i < n, with a = x[i], b = y[i] and t = w[i]·b·2^-256 mod q: x[i] =
+// a + t, y[i] = a − t mod q. n ≥ 1. The multiplication needs every general register, so the three
 // cursors and the count live in the frame. The difference is formed as
 // a + (q − t), which lies in [1, 2q), so that both results are a sum below
 // 2q and one REDUCE_Q each.
-TEXT ·butterflyRunADX(SB), NOSPLIT, $32-64
+TEXT ·butterflyRunADX(SB), NOSPLIT, $32-48
 	MOVQ n+24(FP), AX
 	MOVQ AX, cnt-32(SP)
 	MOVQ x+0(FP), AX
@@ -147,7 +146,7 @@ TEXT ·butterflyRunADX(SB), NOSPLIT, $32-64
 	MOVQ AX, yp-16(SP)
 	MOVQ w+16(FP), AX
 	MOVQ AX, wp-24(SP)
-	MOVQ q+48(FP), SI
+	MOVQ q+32(FP), SI
 
 loop:
 	// t = w * b into (BX, R12, R13, R14).
@@ -157,7 +156,7 @@ loop:
 	MOVQ 16(DI), R10
 	MOVQ 24(DI), R11
 	MOVQ yp-16(SP), DI
-	MONT_MUL(inv+56(FP))
+	MONT_MUL(inv+40(FP))
 
 	// y = a + (q − t).
 	MOVQ xp-8(SP), R15
@@ -191,13 +190,9 @@ loop:
 	MOVQ R13, 16(R15)
 	MOVQ R14, 24(R15)
 
-	MOVQ xs+32(FP), AX
-	SHLQ $5, AX
-	ADDQ AX, xp-8(SP)
-	ADDQ AX, yp-16(SP)
-	MOVQ ws+40(FP), AX
-	SHLQ $5, AX
-	ADDQ AX, wp-24(SP)
+	ADDQ $32, xp-8(SP)
+	ADDQ $32, yp-16(SP)
+	ADDQ $32, wp-24(SP)
 	DECQ cnt-32(SP)
 	JNZ  loop
 	RET

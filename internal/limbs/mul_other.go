@@ -11,9 +11,9 @@ func montMulADX(z, x, y, q *Limbs, inv uint64) {
 	panic("limbs: no ADX kernel on this platform")
 }
 
-// butterflyRunADX exists off amd64 only so ButterflyRun compiles everywhere;
-// like montMulADX, its call is compiled out.
-func butterflyRunADX(x, y, w *Limbs, n, xs, ws int, q *Limbs, inv uint64) {
+// butterflyRunADX exists off amd64 only so the portable block butterfly
+// compiles everywhere; like montMulADX, its call is compiled out.
+func butterflyRunADX(x, y, w *Limbs, n int, q *Limbs, inv uint64) {
 	panic("limbs: no ADX kernel on this platform")
 }
 

@@ -422,11 +422,11 @@ func (p *Program) newEvaluator(cols [][]ff.Element, mask int, challenges []ff.El
 	}
 	for i, r := range p.blocks.bcast {
 		var s ff.BlockScalar
-		ff.BlockScalarOf(&s, &inv[r])
-		ff.BroadcastBlock(&e.regs[i], &s)
+		ff.Blocks.BlockScalarOf(&s, &inv[r])
+		ff.Blocks.BroadcastBlock(&e.regs[i], &s)
 	}
 	for i, r := range p.blocks.scalars {
-		ff.BlockScalarOf(&e.scalars[i], &inv[r])
+		ff.Blocks.BlockScalarOf(&e.scalars[i], &inv[r])
 	}
 	return e
 }
@@ -449,15 +449,15 @@ func (e *evaluator) run(row, n int, xs []ff.Element) {
 		case blockVar:
 			e.load(z, e.cols[o.a], row+int(o.b), n)
 		case blockX:
-			ff.LoadBlock(z, xs[:n])
+			ff.Blocks.LoadBlock(z, xs[:n])
 		case blockAdd:
-			ff.AddBlock(z, &regs[o.a], &regs[o.b], n)
+			ff.Blocks.AddBlock(z, &regs[o.a], &regs[o.b], n)
 		case blockMul:
-			ff.MulBlock(z, &regs[o.a], &regs[o.b], n)
+			ff.Blocks.MulBlock(z, &regs[o.a], &regs[o.b], n)
 		case blockMulScalar:
-			ff.MulBlockScalar(z, &regs[o.a], &e.scalars[o.b], n)
+			ff.Blocks.MulBlockScalar(z, &regs[o.a], &e.scalars[o.b], n)
 		case blockNeg:
-			ff.NegBlock(z, &regs[o.a], n)
+			ff.Blocks.NegBlock(z, &regs[o.a], n)
 		}
 	}
 	e.n = n
@@ -467,18 +467,18 @@ func (e *evaluator) run(row, n int, xs []ff.Element) {
 func (e *evaluator) load(z *ff.Block, col []ff.Element, start, n int) {
 	start &= e.mask
 	if start+n <= e.mask+1 {
-		ff.LoadBlock(z, col[start:start+n])
+		ff.Blocks.LoadBlock(z, col[start:start+n])
 		return
 	}
 	for i := range n {
 		e.stage[i] = col[(start+i)&e.mask]
 	}
-	ff.LoadBlock(z, e.stage[:n])
+	ff.Blocks.LoadBlock(z, e.stage[:n])
 }
 
 // out writes output i of the last run to dst, one value per row.
 func (e *evaluator) out(i int, dst []ff.Element) {
-	ff.StoreBlock(dst[:e.n], &e.regs[e.p.blocks.outSlots[i]])
+	ff.Blocks.StoreBlock(dst[:e.n], &e.regs[e.p.blocks.outSlots[i]])
 }
 
 // combine writes to dst, per row of the last run, its outputs folded with
@@ -492,12 +492,12 @@ func (e *evaluator) combine(y *ff.Element, dst []ff.Element) {
 		return
 	}
 	var ys ff.BlockScalar
-	ff.BlockScalarOf(&ys, y)
+	ff.Blocks.BlockScalarOf(&ys, y)
 	acc := &e.acc
 	*acc = e.regs[outs[0]]
 	for _, s := range outs[1:] {
-		ff.MulBlockScalar(acc, acc, &ys, e.n)
-		ff.AddBlock(acc, acc, &e.regs[s], e.n)
+		ff.Blocks.MulBlockScalar(acc, acc, &ys, e.n)
+		ff.Blocks.AddBlock(acc, acc, &e.regs[s], e.n)
 	}
-	ff.StoreBlock(dst, acc)
+	ff.Blocks.StoreBlock(dst, acc)
 }

@@ -138,16 +138,29 @@ func prove(pk *ProvingKey, instance [][]ff.Element, w Witness, trace *obs.Trace,
 		w.Mul(&w, &x)
 		return w
 	}
+	// One table of powers per point (poly.Evals): every query at a
+	// rotation, and at rotation 0 the quotient pieces too.
 	proof.Evals = make([]ff.Element, len(pk.Queries))
-	parallel.For(len(pk.Queries), func(i int) {
-		q := pk.Queries[i]
-		proof.Evals[i] = poly.Eval(coeff[q.Col], pointOf(q.Rot))
-	})
-	tr.AppendScalars("evals", proof.Evals)
 	proof.QuotientEvals = make([]ff.Element, numPieces)
-	parallel.For(numPieces, func(i int) {
-		proof.QuotientEvals[i] = poly.Eval(pieces[i], x)
-	})
+	for _, rot := range distinctRots(pk.Queries) {
+		var polys [][]ff.Element
+		var at []int
+		for i, q := range pk.Queries {
+			if q.Rot == rot {
+				polys = append(polys, coeff[q.Col])
+				at = append(at, i)
+			}
+		}
+		if rot == 0 {
+			polys = append(polys, pieces...)
+		}
+		vals := poly.Evals(polys, pointOf(rot))
+		for j, i := range at {
+			proof.Evals[i] = vals[j]
+		}
+		copy(proof.QuotientEvals, vals[len(at):])
+	}
+	tr.AppendScalars("evals", proof.Evals)
 	tr.AppendScalars("quotient-evals", proof.QuotientEvals)
 
 	v := tr.Challenge("v")

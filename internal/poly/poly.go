@@ -3,11 +3,11 @@
 // basic coefficient-form operations. FFT cost is the dominant prover cost
 // tracked by the ZKML cost model (eq. (1) of the paper).
 //
-// Domains are cached per size and carry lazily-built, shared power tables
-// (forward/inverse twiddles, coset scale factors, domain elements), so the
-// butterfly loops are pure table-indexed multiply-adds: no per-butterfly
-// twiddle advance and no per-chunk Exp reseeds survive on any hot path (see
-// DESIGN.md §10).
+// Every transform runs one stage loop over ff.Blocks on the block
+// butterfly kernels (ntt.go). Domains are cached per size and carry
+// lazily-built, shared tables in the block kernel's form — per-stage
+// twiddles, coset and part scalings — so no table is derived on a hot path
+// (see DESIGN.md §10).
 package poly
 
 import (
@@ -16,12 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/ff"
-	"repro/internal/parallel"
 )
-
-// parallelMin is the smallest transform size worth fanning out across
-// workers; below it goroutine dispatch costs more than the butterflies.
-const parallelMin = 1 << 11
 
 // Domain is a multiplicative subgroup H = <omega> of size N = 2^LogN,
 // optionally shifted by a coset generator for extended-domain evaluation.
@@ -39,36 +34,43 @@ type Domain struct {
 	CosetGen    ff.Element
 	CosetGenInv ff.Element
 
-	// Lazily-built shared tables. omegaPows doubles as the forward twiddle
-	// table: stage s of the NTT reads omega^(j·N/2^(s+1)) = omegaPows[j<<shift].
-	omegaPows  lazyTable // omega^i for i < N
-	invPows    lazyTable // omegaInv^i for i < N/2 (inverse twiddles)
-	cosetPows  lazyTable // g^i for i < N (CosetFFT input scaling)
-	cosetElems lazyTable // g·omega^i for i < N (the coset evaluation points)
+	omegaPows  lazy[[]ff.Element] // omega^i for i < N
+	cosetElems lazy[[]ff.Element] // g·omega^i for i < N (the coset evaluation points)
+
+	// The transforms' tables in block form, per block kernel (kernelSlot).
+	kernels [2]kernelTables
 
 	// partPows holds, per part length n, the CosetPartFFT input scaling
-	// (g·omega^j)^k at [j·n + k] for j < N/n and k < n, and the
-	// CosetPartIFFT output scaling n⁻¹·(g·omega^j)^-k at the same index.
+	// (g·omega^j)^k of part j, or the CosetPartIFFT output scaling
+	// n⁻¹·(g·omega^j)^-k, in block form (partScale).
 	partMu   sync.Mutex
-	partPows map[partKey]*lazyTable
+	partPows map[partKey]*lazy[[]ff.Block]
 }
 
-// partKey names a part-scaling table: the part length, and whether it is
-// the inverse transform's.
+// kernelTables are a domain's tables on one block kernel: the forward and
+// inverse transforms' twiddles and the CosetFFT input scaling g^i.
+type kernelTables struct {
+	fwd, inv lazy[*twiddles]
+	coset    lazy[[]ff.Block]
+}
+
+// partKey names a part-scaling table: the part length, whether it is the
+// inverse transform's, and the block kernel's slot.
 type partKey struct {
 	n       int
 	inverse bool
+	slot    int
 }
 
-// lazyTable is a build-once table slot; the built slice is read-only.
-type lazyTable struct {
+// lazy is a build-once table slot; the built value is read-only.
+type lazy[T any] struct {
 	once sync.Once
-	t    []ff.Element
+	v    T
 }
 
-func (l *lazyTable) get(build func() []ff.Element) []ff.Element {
-	l.once.Do(func() { l.t = build() })
-	return l.t
+func (l *lazy[T]) get(build func() T) T {
+	l.once.Do(func() { l.v = build() })
+	return l.v
 }
 
 // powers returns {c0·base^i : i < n}.
@@ -101,6 +103,13 @@ func NewDomain(n int) *Domain {
 	if d, ok := domainCache[n]; ok {
 		return d
 	}
+	d := newDomain(n)
+	domainCache[n] = d
+	return d
+}
+
+// newDomain builds a domain of size n with none of its tables built.
+func newDomain(n int) *Domain {
 	logN := bits.TrailingZeros(uint(n))
 	d := &Domain{N: n, LogN: logN}
 	d.Omega = ff.RootOfUnity(logN)
@@ -109,7 +118,6 @@ func NewDomain(n int) *Domain {
 	d.NInv.Inverse(&nEl)
 	d.CosetGen = ff.MultiplicativeGen()
 	d.CosetGenInv.Inverse(&d.CosetGen)
-	domainCache[n] = d
 	return d
 }
 
@@ -117,43 +125,57 @@ func (d *Domain) elements() []ff.Element {
 	return d.omegaPows.get(func() []ff.Element { return powers(d.Omega, ff.One(), d.N) })
 }
 
-func (d *Domain) invTwiddles() []ff.Element {
-	return d.invPows.get(func() []ff.Element { return powers(d.OmegaInv, ff.One(), d.N/2) })
+// twiddles returns d's forward or inverse transform tables on kernel k.
+func (d *Domain) twiddles(k ff.BlockKernel, inverse bool) *twiddles {
+	t := &d.kernels[kernelSlot(k)]
+	if inverse {
+		return t.inv.get(func() *twiddles { return newTwiddles(k, d, true) })
+	}
+	return t.fwd.get(func() *twiddles { return newTwiddles(k, d, false) })
 }
 
-func (d *Domain) cosetScaleIn() []ff.Element {
-	return d.cosetPows.get(func() []ff.Element { return powers(d.CosetGen, ff.One(), d.N) })
+// cosetScale returns the CosetFFT input scaling g^i on kernel k, in the
+// gather order of d's transform.
+func (d *Domain) cosetScale(k ff.BlockKernel) []ff.Block {
+	return d.kernels[kernelSlot(k)].coset.get(func() []ff.Block {
+		return gatherTable(k, powers(d.CosetGen, ff.One(), d.N))
+	})
 }
 
-// cosetPartScale returns the CosetPartFFT scaling table for parts of
-// length n, or with inverse the CosetPartIFFT one (see partPows).
-func (d *Domain) cosetPartScale(n int, inverse bool) []ff.Element {
-	key := partKey{n, inverse}
+// partScale returns part j's scaling for parts of length n on kernel k:
+// the CosetPartFFT input scaling (g·omega^j)^k in the gather order of the
+// size-n transform, or with inverse the CosetPartIFFT output scaling
+// n⁻¹·(g·omega^j)^-k in natural order (see partPows). One table holds
+// every part, so it builds once per part length.
+func (d *Domain) partScale(k ff.BlockKernel, n, j int, inverse bool) []ff.Block {
+	key := partKey{n, inverse, kernelSlot(k)}
 	d.partMu.Lock()
 	if d.partPows == nil {
-		d.partPows = map[partKey]*lazyTable{}
+		d.partPows = map[partKey]*lazy[[]ff.Block]{}
 	}
 	t := d.partPows[key]
 	if t == nil {
-		t = &lazyTable{}
+		t = &lazy[[]ff.Block]{}
 		d.partPows[key] = t
 	}
 	d.partMu.Unlock()
-	return t.get(func() []ff.Element {
+	per := max(n/ff.BlockRows, 1)
+	all := t.get(func() []ff.Block {
 		coset := d.CosetElements()
 		nInv := NewDomain(n).NInv
-		out := make([]ff.Element, 0, d.N)
+		out := make([]ff.Block, 0, d.N/n*per)
 		for j := 0; j < d.N/n; j++ {
 			if !inverse {
-				out = append(out, powers(coset[j], ff.One(), n)...)
+				out = append(out, gatherTable(k, powers(coset[j], ff.One(), n))...)
 				continue
 			}
 			var cInv ff.Element
 			cInv.Inverse(&coset[j])
-			out = append(out, powers(cInv, nInv, n)...)
+			out = append(out, naturalTable(k, powers(cInv, nInv, n))...)
 		}
 		return out
 	})
+	return all[j*per : (j+1)*per]
 }
 
 // Element returns omega^i (table lookup; i may be negative or exceed N).
@@ -175,141 +197,38 @@ func (d *Domain) CosetElements() []ff.Element {
 	return d.cosetElems.get(func() []ff.Element { return powers(d.Omega, d.CosetGen, d.N) })
 }
 
-// bitReverse permutes v in place by bit-reversed index.
-func bitReverse(v []ff.Element) {
-	n := len(v)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if i < j {
-			v[i], v[j] = v[j], v[i]
-		}
-	}
-}
-
-// ntt runs an in-place radix-2 NTT reading twiddles from tw, where
-// tw[i] = root^i for i < n/2. Stage s (blocks of size 2^(s+1)) uses the
-// strided subset tw[off<<(logN-1-s)] = root^(off·n/2^(s+1)), so every
-// butterfly is one table read plus one multiply-add — no running twiddle
-// product. Each stage's n/2 butterflies touch disjoint index pairs, so large
-// transforms split the butterfly range across the worker pool; chunks index
-// the same shared table, making the result bit-identical to the serial
-// schedule at every worker count.
-func ntt(v []ff.Element, tw []ff.Element) {
-	n := len(v)
-	if n <= 1 {
-		return
-	}
-	logN := bits.TrailingZeros(uint(n))
-	bitReverse(v)
-	par := n >= parallelMin && parallel.Workers() > 1
-	for s := 0; s < logN; s++ {
-		if !par {
-			nttStage(v, tw, s, logN, 0, n/2)
-			continue
-		}
-		parallel.Range(n/2, func(lo, hi int) { nttStage(v, tw, s, logN, lo, hi) })
-	}
-}
-
-// nttStage runs butterflies [lo, hi) of stage s as runs of the field
-// kernel (ff.ButterflyRun), numbered so that each run is a contiguous range.
-// Where blocks are at least as long as they are many, butterfly t is offset
-// t%half of block t/half, and a run is one block's offsets, its twiddles
-// strided through tw. In the early stages, where blocks are short and many,
-// butterfly t is block t%blocks at offset t/blocks, and a run is one offset
-// across the blocks, under one twiddle. Offset 0's twiddle is 1: those
-// butterflies are an add and a subtract (ff.AddSubRun).
-func nttStage(v, tw []ff.Element, s, logN, lo, hi int) {
-	half := 1 << uint(s)
-	size, shift := half<<1, uint(logN-1-s)
-	blocks := len(v) / size
-	if half >= blocks {
-		for t := lo; t < hi; {
-			blk, off := t>>uint(s), t&(half-1)
-			end := min(hi, (blk+1)<<uint(s))
-			i, cnt := blk*size+off, end-t
-			if off == 0 {
-				ff.AddSubRun(v[i:], v[i+half:], 1, 1)
-				i, off, cnt = i+1, 1, cnt-1
-			}
-			ff.ButterflyRun(v[i:], v[i+half:], tw[off<<shift:], cnt, 1, 1<<shift)
-			t = end
-		}
-		return
-	}
-	for t := lo; t < hi; { // blocks = 1 << shift
-		off, blk := t>>shift, t&(blocks-1)
-		end := min(hi, (off+1)<<shift)
-		i := blk*size + off
-		if off == 0 {
-			ff.AddSubRun(v[i:], v[i+half:], end-t, size)
-		} else {
-			ff.ButterflyRun(v[i:], v[i+half:], tw[off<<shift:], end-t, size, 0)
-		}
-		t = end
-	}
-}
-
-// mulByTable multiplies v[i] by table[i] in place, chunked across the
-// worker pool.
-func mulByTable(v, table []ff.Element) {
-	if len(v) < parallelMin || parallel.Workers() <= 1 {
-		for i := range v {
-			v[i].Mul(&v[i], &table[i])
-		}
-		return
-	}
-	parallel.Range(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i].Mul(&v[i], &table[i])
-		}
-	})
-}
-
-// scaleUniform multiplies every element of v by c in place.
-func scaleUniform(v []ff.Element, c ff.Element) {
-	if len(v) < parallelMin || parallel.Workers() <= 1 {
-		for i := range v {
-			v[i].Mul(&v[i], &c)
-		}
-		return
-	}
-	parallel.Range(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i].Mul(&v[i], &c)
-		}
-	})
-}
-
 // FFT converts coefficient form to evaluation form over H, in place.
-func (d *Domain) FFT(v []ff.Element) {
+func (d *Domain) FFT(v []ff.Element) { d.fft(ff.Blocks, v) }
+
+func (d *Domain) fft(k ff.BlockKernel, v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: FFT length mismatch")
 	}
 	kernelTrace.Load().RecordFFT(d.N)
-	ntt(v, d.elements())
+	ntt(k, v, d.twiddles(k, false), nil, nil)
 }
 
 // IFFT converts evaluation form over H to coefficient form, in place.
-func (d *Domain) IFFT(v []ff.Element) {
+func (d *Domain) IFFT(v []ff.Element) { d.ifft(ff.Blocks, v) }
+
+func (d *Domain) ifft(k ff.BlockKernel, v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: IFFT length mismatch")
 	}
 	kernelTrace.Load().RecordFFT(d.N)
-	ntt(v, d.invTwiddles())
-	scaleUniform(v, d.NInv)
+	ntt(k, v, d.twiddles(k, true), nil, nil)
 }
 
 // CosetFFT evaluates the coefficient-form polynomial over the coset g·H,
 // in place.
-func (d *Domain) CosetFFT(v []ff.Element) {
+func (d *Domain) CosetFFT(v []ff.Element) { d.cosetFFT(ff.Blocks, v) }
+
+func (d *Domain) cosetFFT(k ff.BlockKernel, v []ff.Element) {
 	if len(v) != d.N {
 		panic("poly: CosetFFT length mismatch")
 	}
 	kernelTrace.Load().RecordFFT(d.N)
-	mulByTable(v, d.cosetScaleIn())
-	ntt(v, d.elements())
+	ntt(k, v, d.twiddles(k, false), d.cosetScale(k), nil)
 }
 
 // CosetPartFFT evaluates the coefficient-form polynomial v, of degree below
@@ -318,25 +237,27 @@ func (d *Domain) CosetFFT(v []ff.Element) {
 // coset g·omega^j·H_n of the size-n subgroup H_n = <omega^s>, so this is one
 // size-n transform, and the s parts together give what CosetFFT gives for v
 // zero-padded to N — while holding n elements instead of N.
-func (d *Domain) CosetPartFFT(v []ff.Element, j int) {
+func (d *Domain) CosetPartFFT(v []ff.Element, j int) { d.cosetPartFFT(ff.Blocks, v, j) }
+
+func (d *Domain) cosetPartFFT(k ff.BlockKernel, v []ff.Element, j int) {
 	d.checkPart("CosetPartFFT", len(v), j)
 	n := len(v)
 	kernelTrace.Load().RecordFFT(n)
-	mulByTable(v, d.cosetPartScale(n, false)[j*n:(j+1)*n])
-	ntt(v, NewDomain(n).elements())
+	ntt(k, v, NewDomain(n).twiddles(k, false), d.partScale(k, n, j, false), nil)
 }
 
 // CosetPartIFFT inverts CosetPartFFT: given v[i], the value at
 // CosetElements()[j + s·i] (s = N/n) of a polynomial of degree below
 // n = len(v), it leaves that polynomial's coefficients in v. It is one
-// size-n inverse transform and a multiply by n⁻¹·c^-k, c =
+// size-n inverse transform whose output is scaled by n⁻¹·c^-k, c =
 // CosetElements()[j].
-func (d *Domain) CosetPartIFFT(v []ff.Element, j int) {
+func (d *Domain) CosetPartIFFT(v []ff.Element, j int) { d.cosetPartIFFT(ff.Blocks, v, j) }
+
+func (d *Domain) cosetPartIFFT(k ff.BlockKernel, v []ff.Element, j int) {
 	d.checkPart("CosetPartIFFT", len(v), j)
 	n := len(v)
 	kernelTrace.Load().RecordFFT(n)
-	ntt(v, NewDomain(n).invTwiddles())
-	mulByTable(v, d.cosetPartScale(n, true)[j*n:(j+1)*n])
+	ntt(k, v, NewDomain(n).twiddles(k, true), nil, d.partScale(k, n, j, true))
 }
 
 // checkPart panics unless part j of length n is a part of d's coset.
@@ -344,16 +265,6 @@ func (d *Domain) checkPart(op string, n, j int) {
 	if n == 0 || n&(n-1) != 0 || n > d.N || j < 0 || j >= d.N/n {
 		panic(fmt.Sprintf("poly: %s part %d of length %d on a size-%d domain", op, j, n, d.N))
 	}
-}
-
-// Eval evaluates the coefficient-form polynomial p at x (Horner).
-func Eval(p []ff.Element, x ff.Element) ff.Element {
-	var acc ff.Element
-	for i := len(p) - 1; i >= 0; i-- {
-		acc.Mul(&acc, &x)
-		acc.Add(&acc, &p[i])
-	}
-	return acc
 }
 
 // VanishingEval returns Z_H(x) = x^N - 1 for a domain of size n.
