@@ -11,7 +11,8 @@
 #   make fuzz-smoke  each fuzz target briefly, from the committed corpora
 #   make bench       the repo-root kernel benchmarks (bench_test.go), once
 #                    each, then the MSM kernels' per-scalar and per-addition
-#                    costs (ns/scalar, flushes/op, ns/add), the block
+#                    costs (ns/scalar, flushes/op, and ns/add per AddRun
+#                    kernel by name: generic, adx, ifma), the block
 #                    kernels' ns per row (product, sum) and ns per butterfly
 #                    beside MontMul's, and the NTTs they run (BenchmarkFFT,
 #                    BenchmarkCosetPartFFT)

@@ -146,6 +146,23 @@ func jitter() int64 { return rand.Int63() + time.Now().UnixNano() }
 	}
 }
 
+func TestDeterminismRuleInFieldKernels(t *testing.T) {
+	// The field kernels under every MSM and NTT are kernel packages too.
+	for _, path := range []string{"repro/internal/limbs", "repro/internal/ff"} {
+		name := path[strings.LastIndex(path, "/")+1:]
+		pkg := parsePkg(t, path, "package "+name+`
+
+import "time"
+
+func seed() int64 { return time.Now().UnixNano() }
+`)
+		fs := lintPackage(pkg)
+		if len(fs) != 1 || fs[0].Rule != RuleDeterminism {
+			t.Fatalf("%s: want one %s finding (time.Now), got %v", path, RuleDeterminism, rules(fs))
+		}
+	}
+}
+
 func TestPanicDecodeRule(t *testing.T) {
 	pkg := parsePkg(t, "repro/internal/plonkish", `package plonkish
 

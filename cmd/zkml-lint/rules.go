@@ -21,6 +21,8 @@ const (
 // (math/rand, time.Now) is forbidden: proof bytes and kernel schedules must
 // be reproducible run-to-run.
 var kernelPackages = map[string]bool{
+	"internal/limbs":    true,
+	"internal/ff":       true,
 	"internal/curve":    true,
 	"internal/poly":     true,
 	"internal/pcs":      true,

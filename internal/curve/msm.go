@@ -16,10 +16,13 @@ const msmParallelMin = 256
 
 // msmBatchSize is the number of pending additions (scheduled bucket ops
 // plus conflict pairs) accumulated before one shared Fp batch inversion
-// resolves them all. The binary-xgcd field inversion costs about 5.8 µs
-// against 31–33 ns for a multiplication (two-vCPU Xeon, ADX kernel), so at
-// 512 its share is about 11 ns per addition, a third of one
-// multiplication, and the pending-op working set stays L2-resident.
+// resolves them all. The binary-xgcd field inversion costs 6.2–6.7 µs, so
+// at 512 its share is about 12–13 ns per addition: a sixth to a fifth of
+// an addition on the IFMA kernel of limbs.AddRun (60–80 ns, the share
+// included; 140–160 ns on the ADX kernel), measured on a two-vCPU Xeon.
+// Doubling the batch to 1024 halves that share, but paired
+// BenchmarkFixedBaseMSM runs found it no faster (slower in 5 of 7 pairs at
+// 2^10, 4 of 7 at 2^12), so the smaller working set stays.
 // Windows with fewer buckets than this cap the batch at the bucket count.
 const msmBatchSize = 512
 
@@ -320,7 +323,7 @@ type batchAdder struct {
 	cur     int           // sums[cur] takes this batch's pairs
 	pairDst []int32       // bucket of each of this batch's pairs
 	batch   int           // flush threshold on len(ops)
-	scratch []limbs.Limbs // AddRun's denominators, numerators and prefix
+	scratch []limbs.Limbs // AddRun's working space: AddRunScratch(batch)
 }
 
 // adders keeps finished batch adders for the next bucket pass, so an MSM
@@ -342,7 +345,7 @@ func newBatchAdder(nb int) *batchAdder {
 		sums:    [2][]xy{make([]xy, batch), make([]xy, batch)},
 		pairDst: make([]int32, 0, batch),
 		batch:   batch,
-		scratch: make([]limbs.Limbs, 3*batch),
+		scratch: make([]limbs.Limbs, limbs.AddRunScratch(batch)),
 	}
 }
 

@@ -1,5 +1,7 @@
 package limbs
 
+import "unsafe"
+
 // AddOp is one affine point addition of an AddRun on a curve
 // y² = x³ + b: P ← P + Q, or P ← P − Q when Neg. P and Q point at an
 // (x, y) pair of Montgomery-form coordinates below the modulus; (0, 0)
@@ -19,26 +21,138 @@ type AddOp struct {
 // the sum: six multiplications per addition. A sum at infinity — P =
 // −(±Q), or a doubling of a point with y = 0 — leaves P = (0, 0). Neither
 // P nor Q may be (0, 0), and no op's P may be another op's P or Q.
-// scratch holds at least 3·len(ops) elements.
+// scratch holds at least AddRunScratch(len(ops)) elements.
 //
-// On amd64 CPUs with BMI2 and ADX, for a modulus below 2^254 (both BN254
-// fields), both passes are assembly (addRunFirstADX, addRunSecondADX),
-// which leave products that only feed further products below 2M instead of
-// reducing them; elsewhere they are the portable addRunGeneric, and both
-// give the same bits (TestAddRunKernelsAgree, FuzzAddRun).
+// For a modulus below 2^254 (both BN254 fields) it runs one of three
+// kernels, which all write the same bits (TestAddRunKernelsAgree,
+// FuzzAddRun):
+//   - ifma, on amd64 CPUs with AVX-512 IFMA unless m is a Portable copy:
+//     addRunIFMA, both passes eight ops per instruction on sixteen
+//     interleaved prefix chains, whose totals are multiplied together and
+//     inverted once in scalar code;
+//   - adx, on amd64 CPUs with BMI2 and ADX: both passes in scalar assembly
+//     (addRunFirstADX, addRunSecondADX), which leave products that only
+//     feed further products below 2M instead of reducing them;
+//   - generic, elsewhere and for larger moduli: addRunGeneric, the
+//     reference the other two are tested against.
 func (m *Modulus) AddRun(ops []AddOp, scratch []Limbs) {
 	n := len(ops)
 	if n == 0 {
 		return
 	}
-	if len(scratch) < 3*n {
-		panic("limbs: AddRun scratch shorter than 3·len(ops)")
+	if len(scratch) < AddRunScratch(n) {
+		panic("limbs: AddRun scratch shorter than AddRunScratch(len(ops))")
 	}
+	fits := m.M[3] < 1<<62 // M < 2^254, which the assembly kernels' bounds need
+	switch {
+	case fits && m.useIFMA():
+		m.addRunIFMA(ops, scratch)
+	case fits && hasADX:
+		m.addRunADX(ops, scratch)
+	default:
+		m.addRunGeneric(ops, scratch)
+	}
+}
+
+// AddRunScratch returns the number of scratch elements AddRun needs for n
+// ops: three per op on the scalar kernels; on the IFMA kernel a slot of
+// six vectors per eight ops and two more slots for the chain totals, two
+// vectors of running inverses, one of working space, and one element to
+// align them to 64 bytes.
+func AddRunScratch(n int) int {
+	return max(3*n, ifmaRunWords(n)/4+1)
+}
+
+// The IFMA AddRun's scratch in 64-bit words: a vector is five 52-bit limbs
+// of eight lanes, and each vector of ops has a slot of six (block_amd64.s).
+const (
+	vecWords  = 5 * 8
+	slotWords = 6 * vecWords
+)
+
+// ifmaRunWords is the number of words addRunIFMA lays out for n ops.
+func ifmaRunWords(n int) int { return slotWords*(vectors(n)+2) + 3*vecWords }
+
+// addRunIFMA is AddRun on the IFMA kernel. Vector g of the first pass
+// (addRunFirstIFMA) takes ops 8g … 8g + 7 and continues the prefix chain of
+// vector g − 2, so lane j of the sixteen chains takes ops j, j + 16, ….
+// Its products, by 2^-260, of values kept at R = 2^256 leave a factor 2^-4
+// each in a chain, so a chain total T is in no Montgomery form; but the
+// second pass (block_amd64.s) needs only 2^518/T per lane. Here the
+// sixteen totals are multiplied together, inverted once and walked back
+// (Montgomery's trick again, on MontMul), and one MontMul by 2^262 takes
+// every lane's 2^512/T to 2^518/T.
+func (m *Modulus) addRunIFMA(ops []AddOp, scratch []Limbs) {
+	n := len(ops)
+	w := ifmaWords(scratch, ifmaRunWords(n))
+	nv := vectors(n)
+	c := slotWords * (nv + 2)
+	chains, inv, tmp := w[:c], w[c:c+2*vecWords], w[c+2*vecWords:]
+	// Both chains start at a one, in the P of vectors 0 and 1.
+	for v := 0; v < 2; v++ {
+		setLanes(chains[slotWords*v:], m.ifma.out)
+	}
+	addRunFirstIFMA(&ops[0], n, &chains[0], &tmp[0], &m.ifma)
+
+	// The second pass starts with the chain of the last vector, nv − 1,
+	// whose total is in the P of vector nv + 1; the other's is in that of
+	// vector nv.
+	var tot, pre [16]Limbs
+	for j := range tot {
+		tot[j] = lane(chains[slotWords*(nv+1-j/8):], j%8)
+		if !m.lessThanM(&tot[j]) { // the chains stay below 2M
+			m.subM(&tot[j])
+		}
+	}
+	acc := m.R
+	for j := range tot {
+		pre[j] = acc
+		m.MontMul(&acc, &acc, &tot[j])
+	}
+	m.Inverse(&acc, &acc)
+	m.MontMul(&acc, &acc, &m.ifma.lanes)
+	for j := len(tot) - 1; j >= 0; j-- {
+		var t Limbs
+		m.MontMul(&t, &acc, &pre[j])
+		m.MontMul(&acc, &acc, &tot[j])
+		setLane(inv[vecWords*(j/8):], j%8, split52(t))
+	}
+	addRunSecondIFMA(&ops[0], n, &chains[0], &inv[0], &tmp[0], &m.ifma)
+}
+
+// ifmaWords views the first n words of scratch from a 64-byte boundary, so
+// no vector the IFMA kernel loads or stores straddles two cache lines.
+func ifmaWords(scratch []Limbs, n int) []uint64 {
+	if uintptr(unsafe.Pointer(&scratch[0]))%64 != 0 {
+		scratch = scratch[1:]
+	}
+	return unsafe.Slice(&scratch[0][0], 4*len(scratch))[:n]
+}
+
+// lane joins lane j of the vector at v, five 52-bit limbs 8 words apart.
+func lane(v []uint64, j int) Limbs {
+	l0, l1, l2, l3, l4 := v[j], v[8+j], v[16+j], v[24+j], v[32+j]
+	return Limbs{l0 | l1<<52, l1>>12 | l2<<40, l2>>24 | l3<<28, l3>>36 | l4<<16}
+}
+
+// setLane sets lane j of the vector at v to the limbs l.
+func setLane(v []uint64, j int, l [5]uint64) {
+	for i, x := range l {
+		v[8*i+j] = x
+	}
+}
+
+// setLanes sets every lane of the vector at v to the limbs l.
+func setLanes(v []uint64, l [5]uint64) {
+	for j := 0; j < 8; j++ {
+		setLane(v, j, l)
+	}
+}
+
+// addRunADX is AddRun on the ADX kernel.
+func (m *Modulus) addRunADX(ops []AddOp, scratch []Limbs) {
+	n := len(ops)
 	den, num, prefix := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
-	if !hasADX || m.M[3] >= 1<<62 {
-		m.addRunGeneric(ops, den, num, prefix)
-		return
-	}
 	acc := m.R
 	addRunFirstADX(&ops[0], n, &den[0], &num[0], &prefix[0], &acc, &m.M, m.Inv)
 	if !m.lessThanM(&acc) { // the passes keep products below 2M
@@ -49,9 +163,11 @@ func (m *Modulus) AddRun(ops []AddOp, scratch []Limbs) {
 }
 
 // addRunGeneric is the portable AddRun: the only kernel off amd64 or on
-// CPUs without ADX, and the reference the assembly passes are tested
+// CPUs without ADX, and the reference the assembly kernels are tested
 // against.
-func (m *Modulus) addRunGeneric(ops []AddOp, den, num, prefix []Limbs) {
+func (m *Modulus) addRunGeneric(ops []AddOp, scratch []Limbs) {
+	n := len(ops)
+	den, num, prefix := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 	acc := m.R
 	for i := range ops {
 		m.slope(&ops[i], &den[i], &num[i])

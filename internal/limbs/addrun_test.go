@@ -98,56 +98,103 @@ func (c addRunCase) want(mod *Modulus) [][2]Limbs {
 	return out
 }
 
-// checkAddRun runs the case through the generic run and, where the CPU has
-// it, the dispatching (assembly) one, and holds both to big.Int.
+// addRunKernel is one AddRun kernel, by name.
+type addRunKernel struct {
+	name string
+	run  func(m *Modulus, ops []AddOp, scratch []Limbs)
+}
+
+// addRunKernels returns every AddRun kernel this CPU runs: generic always,
+// adx with BMI2 and ADX, ifma with AVX-512 IFMA.
+func addRunKernels() []addRunKernel {
+	ks := []addRunKernel{{"generic", (*Modulus).addRunGeneric}}
+	if hasADX {
+		ks = append(ks, addRunKernel{"adx", (*Modulus).addRunADX})
+	}
+	if hasIFMA {
+		ks = append(ks, addRunKernel{"ifma", (*Modulus).addRunIFMA})
+	}
+	return ks
+}
+
+// checkAddRun runs the case through every kernel by name and through the
+// dispatching AddRun, each on scratch filled with junk and starting on
+// both halves of a 64-byte line, and holds each to big.Int.
 func checkAddRun(t testing.TB, mod *Modulus, c addRunCase) {
 	t.Helper()
 	want := c.want(mod)
 	n := len(c.p)
-	ops, got := c.ops()
-	scratch := make([]Limbs, 3*n)
-	if n > 0 {
-		mod.addRunGeneric(ops, scratch[:n], scratch[n:2*n], scratch[2*n:])
+	if n == 0 {
+		mod.AddRun(nil, nil)
+		return
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("generic AddRun op %d of %d (neg %v): got %v, want %v", i, n, c.neg[i], got[i], want[i])
-		}
-	}
-	ops, got = c.ops()
-	mod.AddRun(ops, scratch)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s AddRun op %d of %d (neg %v): got %v, want %v", Kernel(), i, n, c.neg[i], got[i], want[i])
+	kernels := append(addRunKernels(), addRunKernel{"dispatch", (*Modulus).AddRun})
+	buf := make([]Limbs, AddRunScratch(n)+1)
+	for _, k := range kernels {
+		for off := 0; off < 2; off++ {
+			scratch := buf[off:]
+			for i := range scratch {
+				scratch[i] = Limbs{^uint64(i), 1 << 63, uint64(i), ^uint64(0)}
+			}
+			ops, got := c.ops()
+			k.run(mod, ops, scratch)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s AddRun op %d of %d (neg %v, scratch offset %d): got %v, want %v",
+						k.name, i, n, c.neg[i], off, got[i], want[i])
+				}
+			}
 		}
 	}
 }
 
-// TestAddRunKernelsAgree holds the assembly run to the generic one and both
-// to big.Int on both BN254 moduli (the run inverts, so the modulus must be
-// prime; the edge modulus of the other kernel tests is not): runs of 0, 1
-// and many ops, each kind of op alone, and every kind mixed with edge-valued
-// coordinates.
+// TestAddRunKernelsAgree holds every AddRun kernel to big.Int on both
+// BN254 moduli (the run inverts, so the modulus must be prime; the edge
+// modulus of the other kernel tests is not): runs of 0, 1 and many ops —
+// around one and two eight-lane vectors, and a whole flush — each kind of
+// op alone, and every kind mixed with edge-valued coordinates. The last
+// mix repeats every 7 ops, and 7 is prime to 16, so each of the IFMA
+// kernel's sixteen chains (lane j takes ops j, j + 16, …) meets a
+// doubling, a negated doubling, a cancellation, a negated cancellation
+// and an x_p = x_q op over any 112 ops.
 func TestAddRunKernelsAgree(t *testing.T) {
-	if !hasADX {
-		t.Logf("kernel %q: checking the generic run only", Kernel())
+	for _, k := range addRunKernels() {
+		t.Logf("AddRun kernel %s", k.name)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, mod := range []*Modulus{m, fpM} {
 		vals := kernelOperands(mod, rng, 29)
-		for _, n := range []int{0, 1, 2, 97} {
+		for _, n := range []int{0, 1, 2, 7, 8, 9, 15, 16, 17, 97, 512} {
 			for kind := byte(0); kind < 6; kind++ {
 				checkAddRun(t, mod, newAddRunCase(mod, vals, rng, n, []byte{kind}))
 			}
 			checkAddRun(t, mod, newAddRunCase(mod, vals, rng, n, []byte{0, 1, 0, 2, 3, 0, 4, 5, 0}))
+		}
+		for _, n := range []int{112, 3*112 + 5} {
+			checkAddRun(t, mod, newAddRunCase(mod, vals, rng, n, []byte{1, 2, 3, 4, 5, 0, 0}))
 		}
 		// Only a few distinct coordinates, so x_p = x_q also happens by chance.
 		checkAddRun(t, mod, newAddRunCase(mod, vals[:3], rng, 64, []byte{0}))
 	}
 }
 
-// TestAddRunChecksScratch: scratch shorter than three elements per op
-// panics before any kernel runs.
+// TestAddRunAllocatesNothing: no kernel allocates, so a flush costs the
+// batch adder nothing beyond the scratch it keeps.
+func TestAddRunAllocatesNothing(t *testing.T) {
+	const n = 97
+	rng := rand.New(rand.NewSource(7))
+	c := newAddRunCase(fpM, kernelOperands(fpM, rng, 29), rng, n, []byte{0, 1, 3, 5})
+	scratch := make([]Limbs, AddRunScratch(n))
+	for _, k := range append(addRunKernels(), addRunKernel{"dispatch", (*Modulus).AddRun}) {
+		ops, _ := c.ops()
+		if a := testing.AllocsPerRun(10, func() { k.run(fpM, ops, scratch) }); a != 0 {
+			t.Errorf("%s AddRun: %v allocations per run", k.name, a)
+		}
+	}
+}
+
+// TestAddRunChecksScratch: scratch shorter than AddRunScratch panics before
+// any kernel runs.
 func TestAddRunChecksScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ops, _ := newAddRunCase(m, kernelOperands(m, rng, 4), rng, 2, []byte{0}).ops()
@@ -156,7 +203,7 @@ func TestAddRunChecksScratch(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	m.AddRun(ops, make([]Limbs, 5))
+	m.AddRun(ops, make([]Limbs, AddRunScratch(2)-1))
 }
 
 // FuzzAddRun runs checkAddRun on a fuzzed batch: a seed for the random
@@ -179,25 +226,19 @@ func FuzzAddRun(f *testing.F) {
 }
 
 // BenchmarkAddRun times one flush-sized run of 512 general additions
-// through the dispatching and the generic kernel; ns/add is the cost of
-// one addition, its share of the inversion included.
+// through each kernel this CPU runs, by name (generic, adx, ifma); ns/add
+// is the cost of one addition, its share of the inversion included.
 func BenchmarkAddRun(b *testing.B) {
 	const n = 512
 	rng := rand.New(rand.NewSource(5))
 	c := newAddRunCase(fpM, kernelOperands(fpM, rng, 64), rng, n, []byte{0})
-	scratch := make([]Limbs, 3*n)
-	for _, k := range []struct {
-		name string
-		run  func(ops []AddOp)
-	}{
-		{"dispatch", func(ops []AddOp) { fpM.AddRun(ops, scratch) }},
-		{"generic", func(ops []AddOp) { fpM.addRunGeneric(ops, scratch[:n], scratch[n:2*n], scratch[2*n:]) }},
-	} {
+	scratch := make([]Limbs, AddRunScratch(n))
+	for _, k := range addRunKernels() {
 		b.Run(k.name, func(b *testing.B) {
 			ops, _ := c.ops()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.run(ops)
+				k.run(fpM, ops, scratch)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/add")
 		})

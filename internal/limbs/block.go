@@ -36,6 +36,9 @@ type ifmaConst struct {
 	// scalar is 2^260 mod M in 64-bit limbs: MontMul by it takes a
 	// MontMul-form value to R = 2^260 (BlockScalarOf).
 	scalar Limbs
+	// lanes is 2^262 mod M: MontMul by it multiplies by 2^6, which turns
+	// AddRun's lane inverses into those its IFMA pass needs (addRunIFMA).
+	lanes Limbs
 }
 
 // The assembly reads q, k, in and out at 0, 40, 48 and 88; this fails to
@@ -60,6 +63,7 @@ func newIFMAConst(m *Modulus) ifmaConst {
 		in:     split52(pow(264)),
 		out:    split52(pow(256)),
 		scalar: pow(260),
+		lanes:  pow(262),
 	}
 }
 

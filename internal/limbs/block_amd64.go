@@ -72,3 +72,12 @@ func butterfliesIFMA(x, w *Block, groups, dist, cnt int, c *ifmaConst)
 
 //go:noescape
 func inBlockIFMA(x *Block, nb int, tw *InBlockTwiddles, stages int, c *ifmaConst)
+
+// The IFMA AddRun passes (block_amd64.s, addrun.go), over n ≥ 1 ops and
+// the scratch words w, inv and tmp that addRunIFMA lays out.
+
+//go:noescape
+func addRunFirstIFMA(ops *AddOp, n int, w, tmp *uint64, c *ifmaConst)
+
+//go:noescape
+func addRunSecondIFMA(ops *AddOp, n int, w, inv, tmp *uint64, c *ifmaConst)

@@ -133,6 +133,12 @@
 // one value in every lane). The result is below 2M before CSUB because
 // M < 2^260.
 #define MONT(LD, b0, b1, b2, b3, b4) \
+	MONT_LAZY(LD, b0, b1, b2, b3, b4); \
+	CSUB(Z10, Z5, Z6, Z7, Z8)
+
+// MONT_LAZY is MONT without the final CSUB: it leaves A·B·2^-260 + kM, for
+// k ≤ 1 whenever A·B < M·2^260, in Z10, Z5, Z6, Z7 and Z8, normalized.
+#define MONT_LAZY(LD, b0, b1, b2, b3, b4) \
 	VPXORQ Z5, Z5, Z5;                  \
 	VPXORQ Z6, Z6, Z6;                  \
 	VPXORQ Z7, Z7, Z7;                  \
@@ -149,8 +155,7 @@
 	STEP(Z8, Z9, Z10, Z5, Z6, Z7);      \
 	LD     b4, ZB;                      \
 	STEP(Z9, Z10, Z5, Z6, Z7, Z8);      \
-	NORM(VPSRLQ, Z10, Z5, Z6, Z7, Z8);  \
-	CSUB(Z10, Z5, Z6, Z7, Z8)
+	NORM(VPSRLQ, Z10, Z5, Z6, Z7, Z8)
 
 // LOAD_A loads the five limbs of the vector at p into A0..A4.
 #define LOAD_A(p) \
@@ -770,5 +775,424 @@ inBlockNext:
 	ADDQ $640, R8
 	DECQ BX
 	JNZ  inBlockLoop
+	VZEROUPPER
+	RET
+
+// The AddRun kernel (addrun.go). Lane j of the eight-lane vector g takes
+// op 8g + j, and vector g continues the prefix chain of vector g − 2, so a
+// run is sixteen interleaved chains. Coordinates stay at R = 2^256 in
+// 52-bit limbs, so a gather or scatter through an op's pointers is a split
+// or join of words, and a product of two such values picks up 2^-4, which
+// the per-lane inverses the caller supplies fold in (addRunIFMA). Values
+// that only feed further products are left below 2M (MONT_LAZY): a
+// product of two of them is below 2M again, as M < 2^254.
+//
+// The scratch w holds, per vector g at 1920·g bytes, the chain value
+// before it (P, at 0), the slope's denominator (D, at 320; zero when the
+// sum is the point at infinity) and numerator times P (N, at 640, which
+// the second pass overwrites with λ), and the gathered x_p, y_p and x_q
+// (at 960, 1280 and 1600).
+
+// ZP and ZQ hold the lanes' P and Q pointers (the NTT kernels' X0 and X1).
+#define ZP Z27
+#define ZQ Z28
+
+// LOAD_AM and STORE_DM are LOAD_A and STORE_D for a vector at the memory
+// operand m, such as 320(R8); LOAD_5 and STORE_5 move any five registers.
+#define LOAD_AM(m) LOAD_5(m, A0, A1, A2, A3, A4)
+#define STORE_DM(m) STORE_5(D0, D1, D2, D3, D4, m)
+
+#define LOAD_5(m, r0, r1, r2, r3, r4) \
+	VMOVDQU64 0+m, r0;   \
+	VMOVDQU64 64+m, r1;  \
+	VMOVDQU64 128+m, r2; \
+	VMOVDQU64 192+m, r3; \
+	VMOVDQU64 256+m, r4
+
+#define STORE_5(r0, r1, r2, r3, r4, m) \
+	VMOVDQU64 r0, 0+m;   \
+	VMOVDQU64 r1, 64+m;  \
+	VMOVDQU64 r2, 128+m; \
+	VMOVDQU64 r3, 192+m; \
+	VMOVDQU64 r4, 256+m
+
+// STORE_LAZY stores MONT_LAZY's result as the vector at m.
+#define STORE_LAZY(m) STORE_5(Z10, Z5, Z6, Z7, Z8, m)
+
+// opIdx holds the lanes' qword offsets in eight consecutive 24-byte AddOps.
+DATA opIdx<>+0(SB)/8, $0
+DATA opIdx<>+8(SB)/8, $3
+DATA opIdx<>+16(SB)/8, $6
+DATA opIdx<>+24(SB)/8, $9
+DATA opIdx<>+32(SB)/8, $12
+DATA opIdx<>+40(SB)/8, $15
+DATA opIdx<>+48(SB)/8, $18
+DATA opIdx<>+56(SB)/8, $21
+GLOBL opIdx<>(SB), RODATA|NOPTR, $64
+
+// OP_FIELD gathers the qword at off of the K2 lanes' ops at SI into r;
+// other lanes are zero.
+#define OP_FIELD(off, r) \
+	KMOVW      K2, K1;                \
+	VPXORQ     r, r, r;               \
+	VPGATHERQQ off(SI)(ZIDX*8), K1, r
+
+// COORD gathers, in the lanes of mask k, the four words of the coordinate
+// at byte offsets o0..o3 (0 … 24 for x, 32 … 56 for y) of the points in
+// ptr into w0..w3 and splits them into five 52-bit limbs w0..w4; other
+// lanes are zero. R11 is zero.
+#define COORD(k, ptr, o0, o1, o2, o3, w0, w1, w2, w3, w4) \
+	KMOVW      k, K1;                  \
+	VPXORQ     w0, w0, w0;             \
+	VPGATHERQQ o0(R11)(ptr*1), K1, w0; \
+	KMOVW      k, K1;                  \
+	VPXORQ     w1, w1, w1;             \
+	VPGATHERQQ o1(R11)(ptr*1), K1, w1; \
+	KMOVW      k, K1;                  \
+	VPXORQ     w2, w2, w2;             \
+	VPGATHERQQ o2(R11)(ptr*1), K1, w2; \
+	KMOVW      k, K1;                  \
+	VPXORQ     w3, w3, w3;             \
+	VPGATHERQQ o3(R11)(ptr*1), K1, w3; \
+	VPSRLQ     $16, w3, w4;            \
+	VPSLLQ     $36, w3, w3;            \
+	VPSRLQ     $28, w2, ZS;            \
+	VPORQ      ZS, w3, w3;             \
+	VPANDQ     ZMASK, w3, w3;          \
+	VPSLLQ     $24, w2, w2;            \
+	VPSRLQ     $40, w1, ZS;            \
+	VPORQ      ZS, w2, w2;             \
+	VPANDQ     ZMASK, w2, w2;          \
+	VPSLLQ     $12, w1, w1;            \
+	VPSRLQ     $52, w0, ZS;            \
+	VPORQ      ZS, w1, w1;             \
+	VPANDQ     ZMASK, w1, w1;          \
+	VPANDQ     ZMASK, w0, w0
+
+#define X_COORD(k, ptr, w0, w1, w2, w3, w4) COORD(k, ptr, 0, 8, 16, 24, w0, w1, w2, w3, w4)
+#define Y_COORD(k, ptr, w0, w1, w2, w3, w4) COORD(k, ptr, 32, 40, 48, 56, w0, w1, w2, w3, w4)
+
+// SCATTER writes the words in A0..A3 to byte offsets o0..o3 of the K2
+// lanes' points in ZP. R11 is zero.
+#define SCATTER(o0, o1, o2, o3) \
+	KMOVW       K2, K1;                \
+	VPSCATTERQQ A0, K1, o0(R11)(ZP*1); \
+	KMOVW       K2, K1;                \
+	VPSCATTERQQ A1, K1, o1(R11)(ZP*1); \
+	KMOVW       K2, K1;                \
+	VPSCATTERQQ A2, K1, o2(R11)(ZP*1); \
+	KMOVW       K2, K1;                \
+	VPSCATTERQQ A3, K1, o3(R11)(ZP*1)
+
+// ZERO_LANES sets k to the lanes in which the value in r0..r4 is zero.
+#define ZERO_LANES(r0, r1, r2, r3, r4, k) \
+	VPORQ     r1, r0, ZS; \
+	VPORQ     r2, ZS, ZS; \
+	VPORQ     r3, ZS, ZS; \
+	VPORQ     r4, ZS, ZS; \
+	VPTESTNMQ ZS, ZS, k
+
+// DEN_ONE loads a vector's denominators at m into A0..A4, sets K5 to the
+// lanes where they are zero and puts 2^256 mod M, a one at R = 2^256, in
+// those lanes: the chain multiplies by it where an op has no inverse to
+// take.
+#define DEN_ONE(m) \
+	LOAD_AM(m);                         \
+	ZERO_LANES(A0, A1, A2, A3, A4, K5); \
+	VPBROADCASTQ 88(R9), K5, A0;        \
+	VPBROADCASTQ 96(R9), K5, A1;        \
+	VPBROADCASTQ 104(R9), K5, A2;       \
+	VPBROADCASTQ 112(R9), K5, A3;       \
+	VPBROADCASTQ 120(R9), K5, A4
+
+// SUB_FROM_D sets D0..D4 to D0..D4 minus the vector at m, both below M,
+// fully reduced; it clobbers Z5..Z9.
+#define SUB_FROM_D(m) \
+	LOAD_5(m, Z5, Z6, Z7, Z8, Z9);   \
+	VPSUBQ Z5, D0, Z5;               \
+	VPADDQ Q0, Z5, Z5;               \
+	VPSUBQ Z6, D1, Z6;               \
+	VPADDQ Q1, Z6, Z6;               \
+	VPSUBQ Z7, D2, Z7;               \
+	VPADDQ Q2, Z7, Z7;               \
+	VPSUBQ Z8, D3, Z8;               \
+	VPADDQ Q3, Z8, Z8;               \
+	VPSUBQ Z9, D4, Z9;               \
+	VPADDQ Q4, Z9, Z9;               \
+	NORM(VPSRAQ, Z5, Z6, Z7, Z8, Z9); \
+	CSUB(Z5, Z6, Z7, Z8, Z9)
+
+// CHAIN multiplies the numerator of the vector at DI by its chain value P
+// into N, and P by D, or by a one where D is zero, into the P of the vector
+// two on.
+#define CHAIN \
+	LOAD_AM(640(DI));                                                  \
+	MONT_LAZY(VMOVDQU64, 0(DI), 64(DI), 128(DI), 192(DI), 256(DI));   \
+	STORE_LAZY(640(DI));                                               \
+	DEN_ONE(320(DI));                                                  \
+	MONT_LAZY(VMOVDQU64, 0(DI), 64(DI), 128(DI), 192(DI), 256(DI));   \
+	STORE_LAZY(3840(DI))
+
+// func addRunFirstIFMA(ops *AddOp, n int, w, tmp *uint64, c *ifmaConst)
+//
+// AddRun's first pass over n ≥ 1 ops, eight per vector. Per vector it
+// gathers x_p, y_p and x_q and writes D = x_q − x_p and the numerator
+// y_q − y_p, with y_q negated in Neg lanes, or, where both are zero (a
+// doubling), D = 2y_p and 3x_p²; then CHAIN. Each iteration forms one
+// vector's slope and runs the CHAIN of the vector before, so the gathers
+// overlap the products. The caller sets the P of vectors 0 and 1; the
+// chains' totals end in the P of vectors ⌈n/8⌉ and ⌈n/8⌉ + 1. tmp is one
+// vector of working space.
+TEXT ·addRunFirstIFMA(SB), NOSPLIT, $0-40
+	MOVQ ops+0(FP), SI
+	MOVQ n+8(FP), BX
+	MOVQ w+16(FP), R8
+	MOVQ R8, R12
+	MOVQ tmp+24(FP), R10
+	MOVQ c+32(FP), R9
+	SETUP
+	VMOVDQU64 opIdx<>(SB), ZIDX
+	XORQ      R11, R11
+
+firstLoop:
+	ROW_MASK
+	OP_FIELD(0, ZP)
+	OP_FIELD(8, ZQ)
+	OP_FIELD(16, ZS)
+	MOVQ         $0xff, AX
+	VPBROADCASTQ AX, ZB
+	VPTESTMQ     ZB, ZS, K2, K3 // K3: Neg lanes
+	KNOTW        K3, K4
+
+	// D = x_q − x_p + M, or M − (x_q − x_p) in Neg lanes: there the
+	// slope is (−y_q − y_p)/(x_q − x_p) = (y_q + y_p)/(x_p − x_q).
+	X_COORD(K2, ZQ, A0, A1, A2, A3, A4)
+	STORE_5(A0, A1, A2, A3, A4, 1600(R8))
+	X_COORD(K2, ZP, Z5, Z6, Z7, Z8, Z9)
+	STORE_5(Z5, Z6, Z7, Z8, Z9, 960(R8))
+	VPSUBQ Z5, A0, Z5
+	VPADDQ Q0, Z5, K4, Z5
+	VPSUBQ Z5, Q0, K3, Z5
+	VPSUBQ Z6, A1, Z6
+	VPADDQ Q1, Z6, K4, Z6
+	VPSUBQ Z6, Q1, K3, Z6
+	VPSUBQ Z7, A2, Z7
+	VPADDQ Q2, Z7, K4, Z7
+	VPSUBQ Z7, Q2, K3, Z7
+	VPSUBQ Z8, A3, Z8
+	VPADDQ Q3, Z8, K4, Z8
+	VPSUBQ Z8, Q3, K3, Z8
+	VPSUBQ Z9, A4, Z9
+	VPADDQ Q4, Z9, K4, Z9
+	VPSUBQ Z9, Q4, K3, Z9
+	NORM(VPSRAQ, Z5, Z6, Z7, Z8, Z9)
+	CSUB(Z5, Z6, Z7, Z8, Z9)
+	STORE_DM(320(R8))
+	ZERO_LANES(D0, D1, D2, D3, D4, K5)
+
+	// The numerator y_q + (M − y_p), or y_q + y_p in Neg lanes.
+	Y_COORD(K2, ZQ, A0, A1, A2, A3, A4)
+	Y_COORD(K2, ZP, Z5, Z6, Z7, Z8, Z9)
+	STORE_5(Z5, Z6, Z7, Z8, Z9, 1280(R8))
+	VPSUBQ Z5, Q0, K4, Z5
+	VPADDQ A0, Z5, Z5
+	VPSUBQ Z6, Q1, K4, Z6
+	VPADDQ A1, Z6, Z6
+	VPSUBQ Z7, Q2, K4, Z7
+	VPADDQ A2, Z7, Z7
+	VPSUBQ Z8, Q3, K4, Z8
+	VPADDQ A3, Z8, Z8
+	VPSUBQ Z9, Q4, K4, Z9
+	VPADDQ A4, Z9, Z9
+	NORM(VPSRAQ, Z5, Z6, Z7, Z8, Z9)
+	CSUB(Z5, Z6, Z7, Z8, Z9)
+	STORE_DM(640(R8))
+	ZERO_LANES(D0, D1, D2, D3, D4, K6)
+	KANDW    K5, K6, K6
+	KANDW    K2, K6, K6 // K6: doublings
+	KORTESTW K6, K6
+	JNZ      firstDouble
+
+firstChain:
+	CMPQ R8, R12
+	JEQ  firstNext
+	LEAQ -1920(R8), DI
+	CHAIN
+
+firstNext:
+	ADDQ $1920, R8
+	ADDQ $192, SI
+	SUBQ $8, BX
+	JGT  firstLoop
+	LEAQ -1920(R8), DI
+	CHAIN
+	VZEROUPPER
+	RET
+
+firstDouble:
+	// The numerator 3x_p² in the doubling lanes, as (4x_p)(12x_p)·2^-260:
+	// both factors are below 2^260, their product's reduction below 2M.
+	LOAD_AM(960(R8))
+	VPSLLQ $2, A0, A0
+	VPSLLQ $2, A1, A1
+	VPSLLQ $2, A2, A2
+	VPSLLQ $2, A3, A3
+	VPSLLQ $2, A4, A4
+	NORM(VPSRLQ, A0, A1, A2, A3, A4)
+	STORE_5(A0, A1, A2, A3, A4, 0(R10))
+	VPADDQ A0, A0, ZS
+	VPADDQ ZS, A0, A0
+	VPADDQ A1, A1, ZS
+	VPADDQ ZS, A1, A1
+	VPADDQ A2, A2, ZS
+	VPADDQ ZS, A2, A2
+	VPADDQ A3, A3, ZS
+	VPADDQ ZS, A3, A3
+	VPADDQ A4, A4, ZS
+	VPADDQ ZS, A4, A4
+	NORM(VPSRLQ, A0, A1, A2, A3, A4)
+	MONT(VMOVDQU64, 0(R10), 64(R10), 128(R10), 192(R10), 256(R10))
+	VMOVDQU64 D0, K6, 640(R8)
+	VMOVDQU64 D1, K6, 704(R8)
+	VMOVDQU64 D2, K6, 768(R8)
+	VMOVDQU64 D3, K6, 832(R8)
+	VMOVDQU64 D4, K6, 896(R8)
+
+	// D = 2y_p in the doubling lanes.
+	LOAD_AM(1280(R8))
+	VPADDQ    A0, A0, A0
+	VPADDQ    A1, A1, A1
+	VPADDQ    A2, A2, A2
+	VPADDQ    A3, A3, A3
+	VPADDQ    A4, A4, A4
+	NORM(VPSRLQ, A0, A1, A2, A3, A4)
+	CSUB(A0, A1, A2, A3, A4)
+	VMOVDQU64 D0, K6, 320(R8)
+	VMOVDQU64 D1, K6, 384(R8)
+	VMOVDQU64 D2, K6, 448(R8)
+	VMOVDQU64 D3, K6, 512(R8)
+	VMOVDQU64 D4, K6, 576(R8)
+	JMP       firstChain
+
+// LAMBDA sets the N of the vector at DI to λ = inv·N, at R = 2^258, with
+// inv the running inverse at R10.
+#define LAMBDA \
+	LOAD_A(R10);                                                           \
+	MONT_LAZY(VMOVDQU64, 640(DI), 704(DI), 768(DI), 832(DI), 896(DI));   \
+	STORE_LAZY(640(DI))
+
+// NEXT_INV sets the running inverse at R10 to inv·D, a one in K5's lanes,
+// for the vector at DI.
+#define NEXT_INV \
+	DEN_ONE(320(DI));                                                      \
+	MONT_LAZY(VMOVDQU64, 0(R10), 64(R10), 128(R10), 192(R10), 256(R10)); \
+	STORE_LAZY(0(R10))
+
+// func addRunSecondIFMA(ops *AddOp, n int, w, inv, tmp *uint64, c *ifmaConst)
+//
+// AddRun's second pass, over the vectors from the last. inv holds two
+// vectors of running inverses, that of the last vector's chain first: each
+// 2^518/P' for the chain value P' = P·D·2^-260 after the vector. With u
+// the numerator, N = u·P·2^-260, so LAMBDA's λ = inv·N·2^-260 = 2^258·u/D
+// is the slope at R = 2^258, and NEXT_INV's inv·D·2^-260 = 2^518/P is the
+// running inverse of the vector before. Then x₃ = λ²·2^-260 − x_p − x_q
+// and y₃ = 4(x_p − x₃)·λ·2^-260 − y_p, both at R = 2^256, fully reduced,
+// and (0, 0) where D is zero. Each iteration applies one vector's sums and
+// forms the λ of the vector before, so the two chains of products overlap.
+// tmp is one vector of working space.
+TEXT ·addRunSecondIFMA(SB), NOSPLIT, $0-48
+	MOVQ  n+8(FP), BX
+	LEAQ  7(BX), DX
+	SHRQ  $3, DX                 // vectors
+	LEAQ  -1(DX), AX
+	MOVQ  AX, CX
+	IMULQ $192, CX
+	MOVQ  ops+0(FP), SI
+	ADDQ  CX, SI
+	MOVQ  AX, CX
+	IMULQ $1920, CX
+	MOVQ  w+16(FP), R8
+	ADDQ  CX, R8
+	SHLQ  $3, AX
+	SUBQ  AX, BX                 // the last vector's ops
+	MOVQ  inv+24(FP), R10
+	LEAQ  320(R10), R12
+	MOVQ  tmp+32(FP), R13
+	MOVQ  c+40(FP), R9
+	SETUP
+	VMOVDQU64 opIdx<>(SB), ZIDX
+	XORQ      R11, R11
+	MOVQ      R8, DI
+	LAMBDA
+	NEXT_INV
+	XCHGQ     R10, R12
+
+secondLoop:
+	// λ² of this vector; λ of the one before, on the other chain.
+	LOAD_AM(640(R8))
+	MONT(VMOVDQU64, 640(R8), 704(R8), 768(R8), 832(R8), 896(R8))
+	LEAQ -1920(R8), DI
+	DECQ DX
+	JZ   secondX
+	LAMBDA
+
+secondX:
+	// x₃ = λ² − x_p − x_q.
+	SUB_FROM_D(960(R8))
+	SUB_FROM_D(1600(R8))
+	STORE_DM(0(R13))
+	TESTQ DX, DX
+	JZ    secondY
+	NEXT_INV
+
+secondY:
+	// y₃ = 4(x_p − x₃ + M)·λ − y_p: the 4 takes λ from R = 2^258 to 2^260.
+	LOAD_AM(960(R8))
+	VPSUBQ D0, A0, A0
+	VPADDQ Q0, A0, A0
+	VPSLLQ $2, A0, A0
+	VPSUBQ D1, A1, A1
+	VPADDQ Q1, A1, A1
+	VPSLLQ $2, A1, A1
+	VPSUBQ D2, A2, A2
+	VPADDQ Q2, A2, A2
+	VPSLLQ $2, A2, A2
+	VPSUBQ D3, A3, A3
+	VPADDQ Q3, A3, A3
+	VPSLLQ $2, A3, A3
+	VPSUBQ D4, A4, A4
+	VPADDQ Q4, A4, A4
+	VPSLLQ $2, A4, A4
+	NORM(VPSRAQ, A0, A1, A2, A3, A4)
+	MONT(VMOVDQU64, 640(R8), 704(R8), 768(R8), 832(R8), 896(R8))
+	SUB_FROM_D(1280(R8))
+
+	// P = (x₃, y₃), or (0, 0) where D is zero.
+	ROW_MASK
+	OP_FIELD(0, ZP)
+	LOAD_5(320(R8), Z5, Z6, Z7, Z8, Z9)
+	ZERO_LANES(Z5, Z6, Z7, Z8, Z9, K5)
+	KNOTW       K5, K6
+	VMOVDQU64.Z D0, K6, D0
+	VMOVDQU64.Z D1, K6, D1
+	VMOVDQU64.Z D2, K6, D2
+	VMOVDQU64.Z D3, K6, D3
+	VMOVDQU64.Z D4, K6, D4
+	JOIN
+	SCATTER(32, 40, 48, 56)
+	VMOVDQU64.Z 0(R13), K6, D0
+	VMOVDQU64.Z 64(R13), K6, D1
+	VMOVDQU64.Z 128(R13), K6, D2
+	VMOVDQU64.Z 192(R13), K6, D3
+	VMOVDQU64.Z 256(R13), K6, D4
+	JOIN
+	SCATTER(0, 8, 16, 24)
+
+	SUBQ  $1920, R8
+	SUBQ  $192, SI
+	ADDQ  $8, BX
+	XCHGQ R10, R12
+	TESTQ DX, DX
+	JNZ   secondLoop
 	VZEROUPPER
 	RET

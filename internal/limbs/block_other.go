@@ -50,3 +50,11 @@ func butterfliesIFMA(x, w *Block, groups, dist, cnt int, c *ifmaConst) {
 func inBlockIFMA(x *Block, nb int, tw *InBlockTwiddles, stages int, c *ifmaConst) {
 	panic("limbs: no IFMA kernel on this platform")
 }
+
+func addRunFirstIFMA(ops *AddOp, n int, w, tmp *uint64, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
+
+func addRunSecondIFMA(ops *AddOp, n int, w, inv, tmp *uint64, c *ifmaConst) {
+	panic("limbs: no IFMA kernel on this platform")
+}
